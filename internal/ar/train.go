@@ -344,9 +344,38 @@ func (tr *trainer) step(batch []int, seed int64, observe bool) float64 {
 func forwardChunk(m *Model, g *tensor.Graph, sc *chunkScratch, specs []*Spec, targets []float64,
 	rows []int, cfg TrainConfig, rng *rand.Rand) float64 {
 	n := len(rows)
-	ncols := m.Layout.NumCols()
 	g.Reset()
+	lastNeeded := fillChunkScratch(m, g, sc, specs, rows)
 
+	var selAccum *tensor.Node
+	for s := 0; s < cfg.ProgressiveSamples; s++ {
+		sel := progressiveChain(m, g, sc, n, lastNeeded, cfg.Tau, rng)
+		if selAccum == nil {
+			selAccum = sel
+		} else {
+			selAccum = g.Add(selAccum, sel)
+		}
+	}
+	if cfg.ProgressiveSamples > 1 {
+		selAccum = g.Scale(selAccum, 1/float64(cfg.ProgressiveSamples))
+	}
+
+	target := g.NewTensor(n, 1)
+	for r, qi := range rows {
+		target.Set(r, 0, targets[qi])
+	}
+	diff := g.Sub(g.Log(selAccum), g.Const(target))
+	loss := g.Mean(g.Square(diff))
+	g.Backward(loss)
+	return loss.Val.Data[0]
+}
+
+// fillChunkScratch fills the per-column masks, downweight flags and delta
+// tensors of a chunk of queries (rows) into sc, allocating them on g, and
+// returns the last column any of the queries constrains or downweights.
+func fillChunkScratch(m *Model, g *tensor.Graph, sc *chunkScratch, specs []*Spec, rows []int) int {
+	n := len(rows)
+	ncols := m.Layout.NumCols()
 	// Per-column mask tensors shared by all progressive samples.
 	masks, anyDown, deltas := sc.masks, sc.anyDown, sc.deltas
 	for i := 0; i < ncols; i++ {
@@ -395,51 +424,34 @@ func forwardChunk(m *Model, g *tensor.Graph, sc *chunkScratch, specs []*Spec, ta
 			}
 		}
 	}
-
-	var selAccum *tensor.Node
-	for s := 0; s < cfg.ProgressiveSamples; s++ {
-		sel := progressiveChain(m, g, sc, n, lastNeeded, cfg.Tau, rng)
-		if selAccum == nil {
-			selAccum = sel
-		} else {
-			selAccum = g.Add(selAccum, sel)
-		}
-	}
-	if cfg.ProgressiveSamples > 1 {
-		selAccum = g.Scale(selAccum, 1/float64(cfg.ProgressiveSamples))
-	}
-
-	target := g.NewTensor(n, 1)
-	for r, qi := range rows {
-		target.Set(r, 0, targets[qi])
-	}
-	diff := g.Sub(g.Log(selAccum), g.Const(target))
-	loss := g.Mean(g.Square(diff))
-	g.Backward(loss)
-	return loss.Val.Data[0]
+	return lastNeeded
 }
 
 // progressiveChain runs one differentiable progressive-sampling pass up to
 // column lastNeeded (inclusive) and returns the per-row selectivity
 // estimate (n×1 node). Masks, downweight flags, and delta tensors are read
-// from the scratch filled by forwardChunk.
+// from the scratch filled by forwardChunk. Step i feeds the backbone only
+// the samples of columns < i and computes only column i's logit block.
 func progressiveChain(m *Model, g *tensor.Graph, sc *chunkScratch,
 	n, lastNeeded int, tau float64, rng *rand.Rand) *tensor.Node {
-	ncols := m.Layout.NumCols()
 	parts := sc.parts
-	for i := 0; i < ncols; i++ {
-		parts[i] = g.Const(g.NewTensor(n, m.Disc[i].Bins()))
-	}
 	var sel *tensor.Node
-	for i := 0; i <= lastNeeded && i < ncols; i++ {
-		x := g.ConcatCols(parts...)
-		out := m.Net.Forward(g, x)
-		logits := g.SliceCols(out, m.Net.Offsets()[i], m.Net.ColSizes()[i])
+	for i := 0; i <= lastNeeded; i++ {
+		var x *tensor.Node
+		if i == 0 {
+			x = g.Const(g.NewTensor(n, 0))
+		} else {
+			x = g.ConcatCols(parts[:i]...)
+		}
+		logits := m.Net.ForwardCol(g, x, i)
 		p := g.RangeProb(logits, sc.masks[i])
 		if sel == nil {
 			sel = p
 		} else {
 			sel = g.MulElem(sel, p)
+		}
+		if i == lastNeeded && !sc.anyDown[i] {
+			break // the last sample would feed no later step and no factor
 		}
 		y := g.STGumbel(logits, sc.masks[i], tau, rng)
 		parts[i] = y
@@ -453,11 +465,6 @@ func progressiveChain(m *Model, g *tensor.Graph, sc *chunkScratch,
 			factor := g.Add(g.MulElem(recip, g.Const(sc.deltas[i])), g.Const(oneMinus))
 			sel = g.MulElem(sel, factor)
 		}
-	}
-	if sel == nil {
-		ones := g.NewTensor(n, 1)
-		ones.Fill(1)
-		sel = g.Const(ones)
 	}
 	return sel
 }

@@ -9,11 +9,14 @@ import (
 
 	"sam/internal/ar"
 	"sam/internal/core"
+	"sam/internal/datagen"
+	"sam/internal/engine"
 	"sam/internal/join"
 	"sam/internal/nn"
 	"sam/internal/obs"
 	"sam/internal/relation"
 	"sam/internal/tensor"
+	"sam/internal/workload"
 )
 
 // TensorBenchResult records one micro-benchmark of the tensor hot path, with
@@ -52,12 +55,17 @@ type TensorBenchReport struct {
 // forward+backward over colSizes {64,32,16,128,8,4,50}, hidden 64×2;
 // made_forward_infer is the allocation-free sampling forward on the same
 // net; train_step is forward+backward+Adam on colSizes {8,6,4,10}, hidden
-// 32×2, batch 16.
+// 32×2, batch 16. dps_train_step's baseline is the full-width DPS step that
+// prefix-restricted training replaced (every progressive step ran the whole
+// MADE and sliced out column i's block), measured with the same body at
+// the commit before that change on a 2-vCPU host at GOMAXPROCS=1: best of
+// four runs interleaved with runs of the new code.
 var tensorBenchBaselines = map[string][2]int64{ // name → {ns/op, allocs/op}
 	"matmul_512":            {1539014, 0},
 	"made_forward_autodiff": {2619569, 115},
 	"made_forward_infer":    {9636, 0},
 	"train_step":            {178603, 122},
+	"dps_train_step":        {61323092, 0},
 }
 
 // RunTensorBench benchmarks the tensor hot paths (dense matmul, MADE
@@ -65,7 +73,7 @@ var tensorBenchBaselines = map[string][2]int64{ // name → {ns/op, allocs/op}
 // and returns the results paired with the seed baselines.
 func RunTensorBench() *TensorBenchReport {
 	rep := &TensorBenchReport{
-		Description: "tensor hot-path micro-benchmarks; before_* columns are the pre-overhaul seed measured on the same machine",
+		Description: "tensor hot-path micro-benchmarks; before_* columns are the pre-overhaul seed (dps_train_step: the full-width DPS training step) measured on the same machine",
 		Meta:        obs.BuildMeta(),
 		Workers:     tensor.MatMulWorkers(),
 	}
@@ -233,6 +241,8 @@ func RunTensorBench() *TensorBenchReport {
 		}
 	})
 
+	add("dps_train_step", dpsTrainStepBench)
+
 	// The sampling rows are a same-run comparison, not a seed regression:
 	// the batched entries' baseline is the per-tuple sampler measured
 	// moments ago on the same machine, so their speedup columns are the
@@ -262,6 +272,42 @@ func RunTensorBench() *TensorBenchReport {
 	}
 
 	return rep
+}
+
+// dpsTrainStepBench times one optimizer step of Differentiable
+// Progressive Sampling training on the IMDB-like join layout (12 columns
+// of 4 to 500 bins, 835 one-hot inputs, MADE 64×2): batch 64, one training
+// worker, serial kernels. The workload is exactly one batch of 64 join
+// queries and Train runs b.N+2 epochs of one step each; the timer starts
+// when the second step ends, so model set-up, query compilation and the
+// tape's pool warm-up are excluded and allocs/op counts warm steps only.
+func dpsTrainStepBench(b *testing.B) {
+	db := datagen.IMDB(1, 1500)
+	queries := workload.GenerateMultiRelation(rand.New(rand.NewSource(2)), db, 64,
+		workload.DefaultMultiRelationOptions())
+	wl := &workload.Workload{Queries: engine.Label(db, queries)}
+	layout := join.NewLayout(db)
+	pop := float64(engine.FOJSize(db))
+	cfg := ar.DefaultTrainConfig()
+	cfg.BatchSize = 64
+	cfg.Workers = 1
+	cfg.Seed = 3
+	cfg.Epochs = b.N + 2
+	cfg.Hooks = &obs.Hooks{OnTrainStep: func(st obs.TrainStep) {
+		if st.Step == 2 {
+			b.StartTimer()
+		}
+	}}
+
+	old := tensor.MatMulWorkers()
+	tensor.SetMatMulWorkers(1)
+	defer tensor.SetMatMulWorkers(old)
+	b.ReportAllocs()
+	b.StopTimer()
+	b.ResetTimer()
+	if _, err := ar.Train(layout, wl, pop, cfg); err != nil {
+		b.Fatal(err)
+	}
 }
 
 // benchSamplerModel builds an untrained single-table MADE model matching

@@ -20,6 +20,12 @@ type Backbone interface {
 	// Forward runs a batched autodiff pass: batch×InDim in, batch×InDim
 	// logits out.
 	Forward(g *tensor.Graph, x *tensor.Node) *tensor.Node
+	// ForwardCol runs the autodiff pass for column i's logit block alone —
+	// what one step of progressive-sampling training needs. x holds only
+	// the (relaxed) one-hots of columns < i, batch×Offsets()[i] (batch×0
+	// for column 0); the result is batch×ColSizes()[i] and equals that
+	// block of Forward on x padded with zeros.
+	ForwardCol(g *tensor.Graph, x *tensor.Node, i int) *tensor.Node
 	// ColLogits slices column i's logits out of a full output row.
 	ColLogits(out []float64, i int) []float64
 	// NewInference allocates per-goroutine scratch for the fast

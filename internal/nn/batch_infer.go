@@ -17,11 +17,6 @@ type madeBatch struct {
 	// (always true for NewMADE's sorted-degree masks), enabling the
 	// span-hoisted suffix kernels.
 	suffix []bool
-	// heads[i][l] is the prefix of hidden layer l's units that column i's
-	// logit block can depend on (nil when any layer is not suffix-monotone).
-	// Sorted degrees make every dependency set a unit prefix, so ForwardCol
-	// evaluates each hidden layer only up to that width.
-	heads [][]int
 	// wts[l] caches layer l's masked weight product transposed (refreshed
 	// lazily against W.Version()), feeding the prefix-dot kernels; entry 0
 	// is nil because the sparse one-hot input favors the axpy form there,
@@ -31,15 +26,18 @@ type madeBatch struct {
 	wtSeen []uint64
 	// prefixes[l][j] is the input prefix feeding unit j of layer l — the
 	// transpose of the suffix spans. Output-layer blocks share one uniform
-	// prefix (heads[i]'s last entry), so no table is kept for it.
+	// prefix (the column's hidden prefix), so no table is kept for it.
 	prefixes [][]int
 
-	// Prefix activation cache (nil valid = caching disabled, non-suffix
-	// masks). valid[l] is the width of acts[l] whose values are correct for
-	// the current X: ancestral sampling changes one input column per step,
-	// and sorted degrees mean that column reaches only a suffix of each
-	// hidden layer, so the valid prefix survives from step to step and a
-	// column step recomputes just [valid[l], head) instead of [0, head).
+	// Prefix activation cache (nil valid = caching and prefix restriction
+	// disabled, non-suffix masks). ForwardCol(i) evaluates each hidden
+	// layer only up to the unit prefix m.colHidden[i] that column i's
+	// logits depend on. valid[l] is the width of acts[l] whose values are
+	// correct for the current X: ancestral sampling changes one input
+	// column per step, and sorted degrees mean that column reaches only a
+	// suffix of each hidden layer, so the valid prefix survives from step
+	// to step and a column step recomputes just [valid[l], head) instead
+	// of [0, head).
 	// InvalidateFrom shrinks the widths; forward passes grow them.
 	valid []int
 	// params and paramStamp version-track every trainable tensor: any
@@ -57,9 +55,6 @@ type madeBatch struct {
 	// instead of scanning the whole sampled prefix for nonzeros every step.
 	nzIdx   [][]int
 	nzValid int
-	// inPref[i] is the input prefix feeding hidden units [0, heads[i][0]) —
-	// how far nzIdx must cover before ForwardCol(i)'s first layer.
-	inPref []int
 	// hNZ[l] lists the (ascending) nonzero indices of lane l's final hidden
 	// activations within [0, hValid). The cache invariant makes the valid
 	// prefix's values stable between invalidations, so the output-block
@@ -94,22 +89,7 @@ func (m *MADE) NewBatchInference(b int) BatchInference {
 		allSuffix = allSuffix && ok
 	}
 	if allSuffix {
-		// Walk the dependency prefixes backwards from each output block:
-		// the block needs the output-layer weight rows whose suffix starts
-		// before the block's end, and each hidden layer needs the rows of
-		// the layer above it that reach the prefix already required.
 		last := len(m.layers) - 1
-		for i, off := range m.offsets {
-			h := countStartsBelow(m.layers[last].cache.Spans(), m.layers[last].W.Rows, off+m.colSizes[i])
-			hs := make([]int, last)
-			for l := last - 1; l >= 0; l-- {
-				hs[l] = h
-				if l > 0 {
-					h = countStartsBelow(m.layers[l].cache.Spans(), m.layers[l].W.Rows, h)
-				}
-			}
-			bi.heads = append(bi.heads, hs)
-		}
 		bi.wts = make([]*tensor.Tensor, len(m.layers))
 		bi.wtSeen = make([]uint64, len(m.layers))
 		bi.prefixes = make([][]int, len(m.layers))
@@ -131,10 +111,6 @@ func (m *MADE) NewBatchInference(b int) BatchInference {
 			// Sized for the sampling workload (one one-hot per column);
 			// denser inputs grow a lane's list on first use.
 			bi.nzIdx[l] = nzBuf[l*len(m.colSizes) : l*len(m.colSizes) : (l+1)*len(m.colSizes)]
-		}
-		bi.inPref = make([]int, len(m.offsets))
-		for i := range bi.inPref {
-			bi.inPref[i] = countStartsBelow(m.layers[0].cache.Spans(), m.inDim, bi.heads[i][0])
 		}
 		bi.hNZ = make([][]int, b)
 		hw := m.layers[last].W.Rows
@@ -369,7 +345,7 @@ func (b *madeBatch) Forward() *tensor.Tensor {
 // columns), so only the [valid[l], head) tail is recomputed — the MADE
 // analog of transformer KV-caching.
 func (b *madeBatch) hiddenFor(i int) *tensor.Tensor {
-	if b.heads == nil {
+	if b.valid == nil {
 		return b.hidden()
 	}
 	b.syncVersion()
@@ -377,13 +353,13 @@ func (b *madeBatch) hiddenFor(i int) *tensor.Tensor {
 	for l := 0; l < len(b.m.layers)-1; l++ {
 		lay := b.m.layers[l]
 		out := b.acts[l]
-		head := b.heads[i][l]
+		head := b.m.colHidden[i]
 		if lo := b.valid[l]; lo < head {
 			if l == 0 {
 				// The input is nearly all zeros (one one-hot per sampled
 				// column); the nonzero lists make the axpy form's cost
 				// proportional to the few set inputs.
-				b.ensureNZ(b.inPref[i])
+				b.ensureNZ(b.m.colInputs[i])
 				tensor.MatMulNZSuffixHeadRangeInto(out, in, b.nzIdx, lay.cache.Get(), lay.cache.Spans(), lo, head)
 				addRowBiasReLURange(out, lay.B.Data, lo, head)
 			} else if l == len(b.m.layers)-2 && b.hValid == lo {
@@ -414,14 +390,14 @@ func (b *madeBatch) ForwardCol(i int) *tensor.Tensor {
 	out := b.colViews[i]
 	off := b.m.offsets[i]
 	bias := l.B.Data[off : off+out.Cols]
-	if b.heads != nil {
+	if b.valid != nil {
 		// Every logit in a block shares one dependency prefix (the last
 		// hidden head), and suffix-monotone output spans start on block
 		// boundaries, so those weight rows cover the block fully: the block
 		// is an indexed axpy over the masked product directly. Entries past
 		// the block's prefix (possible after out-of-order ForwardCol calls)
 		// hit masked-off weight rows and contribute zero.
-		b.ensureHNZ(b.heads[i][last-1])
+		b.ensureHNZ(b.m.colHidden[i])
 		tensor.MatMulNZBlockBiasInto(out, h, b.hNZ, l.cache.Get(), bias, off)
 		return out
 	}

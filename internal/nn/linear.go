@@ -67,6 +67,15 @@ func (l *MaskedLinear) Forward(g *tensor.Graph, x *tensor.Node) *tensor.Node {
 	return g.AddRow(g.MaskedMatMul(x, g.Param(l.W), l.cache), g.Param(l.B))
 }
 
+// forwardWindow computes output units [colOff, colEnd) of the layer from
+// its first rowEnd inputs: x[:, :rowEnd]·(W∘Mask)[:rowEnd, colOff:colEnd]
+// plus the matching bias entries. It equals the same columns of Forward
+// whenever the mask leaves those units no inputs at or past rowEnd.
+func (l *MaskedLinear) forwardWindow(g *tensor.Graph, x *tensor.Node, rowEnd, colOff, colEnd int) *tensor.Node {
+	mm := g.MaskedMatMulWindow(x, g.Param(l.W), l.cache, rowEnd, colOff, colEnd)
+	return g.AddRowAt(mm, g.Param(l.B), colOff)
+}
+
 // Params returns the trainable tensors of the layer.
 func (l *MaskedLinear) Params() []*tensor.Tensor { return []*tensor.Tensor{l.W, l.B} }
 

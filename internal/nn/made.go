@@ -20,6 +20,15 @@ type MADE struct {
 	inDim    int   // Σ colSizes
 
 	layers []*MaskedLinear // alternating affine layers; ReLU between
+
+	// colHidden[i] is the number of hidden units (a prefix of every hidden
+	// layer, degrees being sorted) that column i's logits depend on: those
+	// of degree ≤ i. colInputs[i] is the input prefix those units read,
+	// the one-hots of columns below the largest such degree. Both the
+	// training ForwardCol and batched sampling restrict column i's pass to
+	// these prefixes.
+	colHidden []int
+	colInputs []int
 }
 
 var _ Backbone = (*MADE)(nil)
@@ -96,6 +105,19 @@ func NewMADE(rng *rand.Rand, colSizes []int, hidden, numHidden int) *MADE {
 		}
 	}
 	m.layers = append(m.layers, NewMaskedLinear(rng, prevDim, m.inDim, outMask))
+
+	m.colHidden = make([]int, n)
+	m.colInputs = make([]int, n)
+	for i := range colSizes {
+		h := 0
+		for h < hidden && hidDeg[h] <= i {
+			h++
+		}
+		m.colHidden[i] = h
+		if h > 0 {
+			m.colInputs[i] = m.offsets[hidDeg[h-1]]
+		}
+	}
 	return m
 }
 
@@ -128,6 +150,31 @@ func (m *MADE) Forward(g *tensor.Graph, x *tensor.Node) *tensor.Node {
 		}
 	}
 	return h
+}
+
+// ForwardCol computes column i's logit block on the autodiff graph from
+// x = the inputs of columns < i (batch×Offsets()[i]). Sorted degrees make
+// everything the block depends on a window of each layer: the input
+// prefix colInputs[i], the hidden-unit prefix colHidden[i] in every hidden
+// layer, and output block i. Only those windows are computed, forward and
+// backward, instead of the full network followed by a slice. Column 0
+// depends on no input, so its block is the output bias.
+func (m *MADE) ForwardCol(g *tensor.Graph, x *tensor.Node, i int) *tensor.Node {
+	if x.Val.Cols != m.offsets[i] {
+		panic(fmt.Sprintf("nn: MADE.ForwardCol(%d) wants %d input columns, got %d", i, m.offsets[i], x.Val.Cols))
+	}
+	last := len(m.layers) - 1
+	off, h := m.offsets[i], m.colHidden[i]
+	if h == 0 {
+		zero := g.Const(g.NewTensor(x.Val.Rows, m.colSizes[i]))
+		return g.AddRowAt(zero, g.Param(m.layers[last].B), off)
+	}
+	rows := m.colInputs[i]
+	for _, l := range m.layers[:last] {
+		x = g.ReLU(l.forwardWindow(g, x, rows, 0, h))
+		rows = h
+	}
+	return m.layers[last].forwardWindow(g, x, h, off, off+m.colSizes[i])
 }
 
 // Params returns all trainable tensors.

@@ -159,6 +159,17 @@ func (t *Transformer) Forward(g *tensor.Graph, x *tensor.Node) *tensor.Node {
 	return g.ConcatRows(rows...)
 }
 
+// ForwardCol computes column i's logit block from the inputs of columns
+// < i: it pads x with zeros to the full width, runs Forward and slices the
+// block out, so training the transformer costs what it did before MADE's
+// windowed pass existed.
+func (t *Transformer) ForwardCol(g *tensor.Graph, x *tensor.Node, i int) *tensor.Node {
+	if pad := t.inDim - x.Val.Cols; pad > 0 {
+		x = g.ConcatCols(x, g.Const(g.NewTensor(x.Val.Rows, pad)))
+	}
+	return g.SliceCols(t.Forward(g, x), t.offsets[i], t.colSizes[i])
+}
+
 // forwardOne computes the 1×InDim logits of one sample (1×InDim input).
 func (t *Transformer) forwardOne(g *tensor.Graph, x *tensor.Node) *tensor.Node {
 	n := len(t.colSizes)

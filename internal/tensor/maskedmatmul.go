@@ -14,40 +14,12 @@ import "fmt"
 // block may have different spans, so the block handles the intersection
 // with axpy4/dot4 and the per-row leftovers scalar. Sorted-degree masks
 // give near-identical spans for adjacent rows, keeping the leftovers tiny.
-
-// MatMulMaskedInto computes dst = a·mw for a masked weight product mw with
-// the given spans (nil spans fall back to the dense kernel).
-func MatMulMaskedInto(dst, a, mw *Tensor, spans []int) {
-	checkMatMul(dst, a, mw)
-	if spans == nil {
-		runKernel(a.Rows, a.Rows*a.Cols*mw.Cols, matMulRange, dst, a, mw, nil, false)
-		return
-	}
-	runKernel(a.Rows, a.Rows*a.Cols*mw.Cols, matMulMaskedRange, dst, a, mw, spans, false)
-}
-
-// MatMulMaskedTransBAddInto computes dst += a·mwᵀ — the input gradient of a
-// masked layer (a is the output gradient).
-func MatMulMaskedTransBAddInto(dst, a, mw *Tensor, spans []int) {
-	checkMatMulTransB(dst, a, mw)
-	if spans == nil {
-		runKernel(a.Rows, a.Rows*a.Cols*mw.Rows, matMulTransBRange, dst, a, mw, nil, true)
-		return
-	}
-	runKernel(a.Rows, a.Rows*a.Cols*mw.Rows, matMulMaskedTransBRange, dst, a, mw, spans, true)
-}
-
-// MatMulMaskedTransAInto computes dst = aᵀ·b restricted to each dst row's
-// span — the weight-gradient shape of a masked layer. Columns outside a
-// row's span are zeroed.
-func MatMulMaskedTransAInto(dst, a, b *Tensor, spans []int) {
-	checkMatMulTransA(dst, a, b)
-	if spans == nil {
-		runKernel(a.Cols, a.Rows*a.Cols*b.Cols, matMulTransARange, dst, a, b, nil, false)
-		return
-	}
-	runKernel(a.Cols, a.Rows*a.Cols*b.Cols, matMulMaskedTransARange, dst, a, b, spans, false)
-}
+//
+// The autodiff kernels (matMulWindow*) work on a window of the masked
+// product: weight rows [0, rowEnd) and columns [colOff, colEnd), with
+// every span clipped to the window. The full product is the window
+// covering everything. A progressive-sampling step for column i needs
+// only the window its logit block depends on (see Graph.MaskedMatMulWindow).
 
 // SpansSuffixMonotone reports whether spans describe rows whose nonzeros
 // are suffixes [start, n) with nondecreasing starts — the shape MADE's
@@ -68,31 +40,28 @@ func SpansSuffixMonotone(spans []int, n int) bool {
 }
 
 // MatMulMaskedSuffixInto computes dst = a·mw for a masked weight whose
-// spans satisfy SpansSuffixMonotone. Compared to MatMulMaskedInto it hoists
-// all span-intersection work out of the inner loops: a quad of weight rows
-// intersects to the last row's suffix, and the at most three leftover
-// prefixes are applied scalar (adjacent sorted-degree rows have nearly
-// identical starts, so leftovers are tiny). The kernel is not k-tiled —
+// spans satisfy SpansSuffixMonotone. Compared to the general span kernels
+// (matMulWindowRange) it hoists all span-intersection work out of the
+// inner loops: a quad of weight rows intersects to the last row's suffix,
+// and the at most three leftover prefixes are applied scalar (adjacent
+// sorted-degree rows have nearly identical starts, so leftovers are tiny). The kernel is not k-tiled —
 // it targets the narrow hidden layers of batched ancestral sampling.
 func MatMulMaskedSuffixInto(dst, a, mw *Tensor, spans []int) {
 	checkMatMul(dst, a, mw)
-	runKernel(a.Rows, a.Rows*a.Cols*mw.Cols, matMulSuffixRange, dst, a, mw, spans, false)
+	runKernel(a.Rows, a.Rows*a.Cols*mw.Cols, matMulSuffixRange,
+		kernelCall{dst: dst, a: a, b: mw, spans: spans, sparse: looksSparse(a.Data)})
 }
 
 // matMulSuffixRange computes rows [lo, hi) of dst = a·mw assuming
 // suffix-monotone spans.
-func matMulSuffixRange(dst, a, b *Tensor, spans []int, lo, hi int, acc bool) {
+func matMulSuffixRange(c kernelCall, lo, hi int) {
+	dst, a, b, spans := c.dst, c.a, c.b, c.spans
 	cols, n := a.Cols, b.Cols
-	if !acc {
-		z := dst.Data[lo*n : hi*n]
-		for i := range z {
-			z[i] = 0
-		}
-	}
+	clear(dst.Data[lo*n : hi*n])
 	if cols == 0 || n == 0 {
 		return
 	}
-	if looksSparse(a.Data[lo*cols : hi*cols]) {
+	if c.sparse {
 		for i := lo; i < hi; i++ {
 			arow := a.Data[i*cols : (i+1)*cols]
 			drow := dst.Data[i*n : (i+1)*n]
@@ -608,64 +577,78 @@ func sliceAxpy(drow []float64, mw *Tensor, spans []int, k, n, off, end int, v fl
 	}
 }
 
-// matMulMaskedRange computes rows [lo, hi) of dst = a·mw, touching only
-// each mw row's span.
-func matMulMaskedRange(dst, a, b *Tensor, spans []int, lo, hi int, acc bool) {
-	cols, n := a.Cols, b.Cols
-	if !acc {
-		z := dst.Data[lo*n : hi*n]
-		for i := range z {
-			z[i] = 0
-		}
+// clipSpan returns row k's nonzero span clipped to [off, end); the
+// result is empty when s >= e.
+func clipSpan(spans []int, k, off, end int) (s, e int) {
+	return max(spans[2*k], off), min(spans[2*k+1], end)
+}
+
+// windowIntersect4 returns the intersection of the spans of rows k..k+3
+// clipped to [off, end); an empty intersection comes back as [off, off).
+func windowIntersect4(spans []int, k, off, end int) (s, e int) {
+	s, e = off, end
+	for t := 0; t < 4; t++ {
+		s = max(s, spans[2*(k+t)])
+		e = min(e, spans[2*(k+t)+1])
 	}
-	if cols == 0 || n == 0 {
+	if s >= e {
+		return off, off
+	}
+	return s, e
+}
+
+// matMulWindowRange computes rows [lo, hi) of
+// dst = a[:, :rowEnd]·mw[:rowEnd, colOff:colEnd], touching only each
+// weight row's span within the window. dst is overwritten.
+func matMulWindowRange(c kernelCall, lo, hi int) {
+	dst, a, b, spans := c.dst, c.a, c.b, c.spans
+	cols, n := a.Cols, b.Cols
+	rowEnd, off, end := c.win.rowEnd, c.win.colOff, c.win.colEnd
+	w := end - off
+	clear(dst.Data[lo*w : hi*w])
+	if rowEnd == 0 || w == 0 {
 		return
 	}
-	if looksSparse(a.Data[lo*cols : hi*cols]) {
+	if c.sparse {
 		for i := lo; i < hi; i++ {
-			arow := a.Data[i*cols : (i+1)*cols]
-			drow := dst.Data[i*n : (i+1)*n]
+			arow := a.Data[i*cols : i*cols+rowEnd]
+			drow := dst.Data[i*w : (i+1)*w]
 			for k, av := range arow {
 				if av == 0 {
 					continue
 				}
-				s, e := spans[2*k], spans[2*k+1]
-				if s < e {
-					axpy1(drow[s:e], b.Data[k*n+s:k*n+e], av)
+				if s, e := clipSpan(spans, k, off, end); s < e {
+					axpy1(drow[s-off:e-off], b.Data[k*n+s:k*n+e], av)
 				}
 			}
 		}
 		return
 	}
-	kb := kBlockFor(n)
-	for k0 := 0; k0 < cols; k0 += kb {
-		k1 := k0 + kb
-		if k1 > cols {
-			k1 = cols
-		}
+	kb := kBlockFor(w)
+	for k0 := 0; k0 < rowEnd; k0 += kb {
+		k1 := min(k0+kb, rowEnd)
 		for i := lo; i < hi; i++ {
-			arow := a.Data[i*cols : (i+1)*cols]
-			drow := dst.Data[i*n : (i+1)*n]
+			arow := a.Data[i*cols : i*cols+rowEnd]
+			drow := dst.Data[i*w : (i+1)*w]
 			k := k0
 			for ; k+4 <= k1; k += 4 {
 				v0, v1, v2, v3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
 				if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
 					continue
 				}
-				s, e := spanIntersect4(spans, k)
+				s, e := windowIntersect4(spans, k, off, end)
 				if s < e {
-					axpy4(drow[s:e],
+					axpy4(drow[s-off:e-off],
 						b.Data[k*n+s:k*n+e], b.Data[(k+1)*n+s:(k+1)*n+e],
 						b.Data[(k+2)*n+s:(k+2)*n+e], b.Data[(k+3)*n+s:(k+3)*n+e],
 						v0, v1, v2, v3)
 				}
-				spanLeftovers4(drow, b, spans, k, n, s, e, v0, v1, v2, v3)
+				windowLeftovers4(drow, b, spans, k, off, end, s, e, [4]float64{v0, v1, v2, v3})
 			}
 			for ; k < k1; k++ {
 				if av := arow[k]; av != 0 {
-					s, e := spans[2*k], spans[2*k+1]
-					if s < e {
-						axpy1(drow[s:e], b.Data[k*n+s:k*n+e], av)
+					if s, e := clipSpan(spans, k, off, end); s < e {
+						axpy1(drow[s-off:e-off], b.Data[k*n+s:k*n+e], av)
 					}
 				}
 			}
@@ -673,72 +656,59 @@ func matMulMaskedRange(dst, a, b *Tensor, spans []int, lo, hi int, acc bool) {
 	}
 }
 
-// spanIntersect4 returns the intersection of the spans of rows k..k+3
-// (empty spans come back as s >= e).
-func spanIntersect4(spans []int, k int) (s, e int) {
-	s, e = spans[2*k], spans[2*k+1]
-	for t := 1; t < 4; t++ {
-		if ks := spans[2*(k+t)]; ks > s {
-			s = ks
-		}
-		if ke := spans[2*(k+t)+1]; ke < e {
-			e = ke
-		}
-	}
-	if s >= e {
-		s, e = 0, 0
-	}
-	return
-}
-
-// spanLeftovers4 applies the parts of rows k..k+3 that fall outside the
-// intersection [s, e) already handled by axpy4.
-func spanLeftovers4(drow []float64, b *Tensor, spans []int, k, n, s, e int, v0, v1, v2, v3 float64) {
-	vs := [4]float64{v0, v1, v2, v3}
-	for t := 0; t < 4; t++ {
-		v := vs[t]
+// windowLeftovers4 applies the parts of rows k..k+3 (clipped to
+// [off, end)) that fall outside the intersection [s, e) already handled by
+// axpy4. drow is indexed relative to off.
+func windowLeftovers4(drow []float64, b *Tensor, spans []int, k, off, end, s, e int, vs [4]float64) {
+	n := b.Cols
+	for t, v := range vs {
 		if v == 0 {
 			continue
 		}
-		ks, ke := spans[2*(k+t)], spans[2*(k+t)+1]
+		ks, ke := clipSpan(spans, k+t, off, end)
 		base := (k + t) * n
 		if le := min(ke, s); ks < le {
-			axpy1(drow[ks:le], b.Data[base+ks:base+le], v)
+			axpy1(drow[ks-off:le-off], b.Data[base+ks:base+le], v)
 		}
 		if ls := max(ks, e); ls < ke {
-			axpy1(drow[ls:ke], b.Data[base+ls:base+ke], v)
+			axpy1(drow[ls-off:ke-off], b.Data[base+ls:base+ke], v)
 		}
 	}
 }
 
-// matMulMaskedTransBRange computes rows [lo, hi) of dst = a·mwᵀ: per output
-// element (i, k), the dot of a row i with mw row k over that row's span.
-func matMulMaskedTransBRange(dst, a, b *Tensor, spans []int, lo, hi int, acc bool) {
-	cols, n := a.Cols, b.Rows
+// matMulWindowTransBRange computes rows [lo, hi) of
+// dst[:, :rowEnd] (+)= a·mw[:rowEnd, colOff:colEnd]ᵀ — the input gradient
+// of a windowed masked layer, a holding the output gradient (one column
+// per window column). Per output element (i, k) it is the dot of a row i
+// with weight row k over that row's span within the window; dst columns
+// at or past rowEnd are untouched.
+func matMulWindowTransBRange(c kernelCall, lo, hi int) {
+	dst, a, b, spans := c.dst, c.a, c.b, c.spans
+	w, n, dc := a.Cols, b.Cols, dst.Cols
+	rowEnd, off, end := c.win.rowEnd, c.win.colOff, c.win.colEnd
 	for i := lo; i < hi; i++ {
-		arow := a.Data[i*cols : (i+1)*cols]
-		drow := dst.Data[i*n : (i+1)*n]
+		arow := a.Data[i*w : (i+1)*w]
+		drow := dst.Data[i*dc : i*dc+rowEnd]
 		k := 0
-		for ; k+4 <= n; k += 4 {
-			s, e := spanIntersect4(spans, k)
-			var s0, s1, s2, s3 float64
+		for ; k+4 <= rowEnd; k += 4 {
+			s, e := windowIntersect4(spans, k, off, end)
+			var sums [4]float64
 			if s < e {
-				s0, s1, s2, s3 = dot4(arow[s:e],
-					b.Data[k*cols+s:k*cols+e], b.Data[(k+1)*cols+s:(k+1)*cols+e],
-					b.Data[(k+2)*cols+s:(k+2)*cols+e], b.Data[(k+3)*cols+s:(k+3)*cols+e])
+				sums[0], sums[1], sums[2], sums[3] = dot4(arow[s-off:e-off],
+					b.Data[k*n+s:k*n+e], b.Data[(k+1)*n+s:(k+1)*n+e],
+					b.Data[(k+2)*n+s:(k+2)*n+e], b.Data[(k+3)*n+s:(k+3)*n+e])
 			}
-			sums := [4]float64{s0, s1, s2, s3}
-			for t := 0; t < 4; t++ {
-				ks, ke := spans[2*(k+t)], spans[2*(k+t)+1]
-				base := (k + t) * cols
+			for t := range sums {
+				ks, ke := clipSpan(spans, k+t, off, end)
+				base := (k + t) * n
 				if le := min(ke, s); ks < le {
-					sums[t] += dot1(arow[ks:le], b.Data[base+ks:base+le])
+					sums[t] += dot1(arow[ks-off:le-off], b.Data[base+ks:base+le])
 				}
 				if ls := max(ks, e); ls < ke {
-					sums[t] += dot1(arow[ls:ke], b.Data[base+ls:base+ke])
+					sums[t] += dot1(arow[ls-off:ke-off], b.Data[base+ls:base+ke])
 				}
 			}
-			if acc {
+			if c.acc {
 				drow[k] += sums[0]
 				drow[k+1] += sums[1]
 				drow[k+2] += sums[2]
@@ -747,13 +717,12 @@ func matMulMaskedTransBRange(dst, a, b *Tensor, spans []int, lo, hi int, acc boo
 				drow[k], drow[k+1], drow[k+2], drow[k+3] = sums[0], sums[1], sums[2], sums[3]
 			}
 		}
-		for ; k < n; k++ {
-			s, e := spans[2*k], spans[2*k+1]
+		for ; k < rowEnd; k++ {
 			var sum float64
-			if s < e {
-				sum = dot1(arow[s:e], b.Data[k*cols+s:k*cols+e])
+			if s, e := clipSpan(spans, k, off, end); s < e {
+				sum = dot1(arow[s-off:e-off], b.Data[k*n+s:k*n+e])
 			}
-			if acc {
+			if c.acc {
 				drow[k] += sum
 			} else {
 				drow[k] = sum
@@ -774,19 +743,18 @@ func dot1(a, b []float64) (s float64) {
 	return
 }
 
-// matMulMaskedTransARange computes dst rows [lo, hi) of dst = aᵀ·b where
-// dst row i only receives its span's columns; the rest of the row is
-// zeroed (acc is accepted for interface symmetry but the masked weight
-// gradient always overwrites).
-func matMulMaskedTransARange(dst, a, b *Tensor, spans []int, lo, hi int, acc bool) {
-	cols, n := a.Cols, b.Cols
-	if !acc {
-		z := dst.Data[lo*n : hi*n]
-		for i := range z {
-			z[i] = 0
-		}
-	}
-	if n == 0 {
+// matMulWindowTransARange computes dst rows [lo, hi) of
+// dst = a[:, :rowEnd]ᵀ·b where dst row i only receives its span's columns
+// within the window [colOff, colEnd) — the weight-gradient shape of a
+// windowed masked layer, with b holding one column per window column and
+// dst the rowEnd×(colEnd−colOff) window. dst is overwritten; entries
+// outside a row's span are zero.
+func matMulWindowTransARange(c kernelCall, lo, hi int) {
+	dst, a, b, spans := c.dst, c.a, c.b, c.spans
+	cols, w := a.Cols, b.Cols
+	off, end := c.win.colOff, c.win.colEnd
+	clear(dst.Data[lo*w : hi*w])
+	if w == 0 {
 		return
 	}
 	r := 0
@@ -795,29 +763,29 @@ func matMulMaskedTransARange(dst, a, b *Tensor, spans []int, lo, hi int, acc boo
 		a1 := a.Data[(r+1)*cols : (r+2)*cols]
 		a2 := a.Data[(r+2)*cols : (r+3)*cols]
 		a3 := a.Data[(r+3)*cols : (r+4)*cols]
-		b0 := b.Data[r*n : (r+1)*n]
-		b1 := b.Data[(r+1)*n : (r+2)*n]
-		b2 := b.Data[(r+2)*n : (r+3)*n]
-		b3 := b.Data[(r+3)*n : (r+4)*n]
+		b0 := b.Data[r*w : (r+1)*w]
+		b1 := b.Data[(r+1)*w : (r+2)*w]
+		b2 := b.Data[(r+2)*w : (r+3)*w]
+		b3 := b.Data[(r+3)*w : (r+4)*w]
 		for i := lo; i < hi; i++ {
 			v0, v1, v2, v3 := a0[i], a1[i], a2[i], a3[i]
 			if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
 				continue
 			}
-			s, e := spans[2*i], spans[2*i+1]
-			if s < e {
-				axpy4(dst.Data[i*n+s:i*n+e], b0[s:e], b1[s:e], b2[s:e], b3[s:e], v0, v1, v2, v3)
+			if s, e := clipSpan(spans, i, off, end); s < e {
+				s, e = s-off, e-off
+				axpy4(dst.Data[i*w+s:i*w+e], b0[s:e], b1[s:e], b2[s:e], b3[s:e], v0, v1, v2, v3)
 			}
 		}
 	}
 	for ; r < a.Rows; r++ {
 		arow := a.Data[r*cols : (r+1)*cols]
-		brow := b.Data[r*n : (r+1)*n]
+		brow := b.Data[r*w : (r+1)*w]
 		for i := lo; i < hi; i++ {
 			if av := arow[i]; av != 0 {
-				s, e := spans[2*i], spans[2*i+1]
-				if s < e {
-					axpy1(dst.Data[i*n+s:i*n+e], brow[s:e], av)
+				if s, e := clipSpan(spans, i, off, end); s < e {
+					s, e = s-off, e-off
+					axpy1(dst.Data[i*w+s:i*w+e], brow[s:e], av)
 				}
 			}
 		}

@@ -35,17 +35,40 @@ func (g *Graph) MatMulTB(a, b *Node) *Node {
 // Gradients flow to x through the masked weights and to W through the mask,
 // exactly as for MatMul(x, MulConst(w, mask)).
 func (g *Graph) MaskedMatMul(x, w *Node, cache *MaskedWeight) *Node {
+	if x.Val.Cols != w.Val.Rows {
+		panic(fmt.Sprintf("tensor: MaskedMatMul shape mismatch %v·%v", x.Val, w.Val))
+	}
+	return g.MaskedMatMulWindow(x, w, cache, w.Val.Rows, 0, w.Val.Cols)
+}
+
+// MaskedMatMulWindow returns x[:, :rowEnd]·(W∘Mask)[:rowEnd, colOff:colEnd]
+// — one block of MaskedMatMul, read in place from the cached masked weight.
+// A progressive-sampling step for column i needs only such a block: the
+// inputs of the columns before i, the hidden-unit prefix of degree ≤ i and
+// column i's logits. The backward pass writes only the matching sub-blocks
+// (columns [0, rowEnd) of x.Grad, the window of W.Grad), so gradient work
+// shrinks with the window too. MaskedMatMul is the window covering all of
+// W.
+func (g *Graph) MaskedMatMulWindow(x, w *Node, cache *MaskedWeight, rowEnd, colOff, colEnd int) *Node {
 	if w.Val != cache.Weight() {
 		panic("tensor: MaskedMatMul weight node does not bind the cache's weight tensor")
 	}
 	mw := cache.Get()
-	out := g.alloc(x.Val.Rows, mw.Cols, false)
-	MatMulMaskedInto(out, x.Val, mw, cache.spans)
+	if rowEnd < 0 || rowEnd > x.Val.Cols || rowEnd > mw.Rows || colOff < 0 || colOff > colEnd || colEnd > mw.Cols {
+		panic(fmt.Sprintf("tensor: masked matmul window [:%d, %d:%d] out of range for %v·%v",
+			rowEnd, colOff, colEnd, x.Val, mw))
+	}
+	out := g.alloc(x.Val.Rows, colEnd-colOff, false)
+	runKernel(x.Val.Rows, x.Val.Rows*rowEnd*out.Cols, matMulWindowRange, kernelCall{
+		dst: out, a: x.Val, b: mw, spans: cache.spans,
+		win: window{rowEnd, colOff, colEnd}, sparse: looksSparse(x.Val.Data),
+	})
 	n := g.push(out, opMaskedMatMul, x.requiresGrad || w.requiresGrad)
 	n.a, n.b = x, w
 	n.aux1 = cache.Mask()
 	n.aux2 = mw
 	n.mwc = cache
+	n.i1, n.i2 = rowEnd, colOff
 	return n
 }
 
@@ -67,19 +90,31 @@ func (g *Graph) MulConst(a *Node, m *Tensor) *Node {
 
 // AddRow broadcasts the 1×m bias b over every row of a.
 func (g *Graph) AddRow(a, b *Node) *Node {
-	if b.Val.Rows != 1 || b.Val.Cols != a.Val.Cols {
+	if b.Val.Cols != a.Val.Cols {
 		panic(fmt.Sprintf("tensor: AddRow shape mismatch %v + %v", a.Val, b.Val))
 	}
+	return g.AddRowAt(a, b, 0)
+}
+
+// AddRowAt broadcasts columns [off, off+a.Cols) of the 1×m row b over
+// every row of a — the bias of a windowed layer, read in place from the
+// full bias so its gradient accumulates straight into b.Grad.
+func (g *Graph) AddRowAt(a, b *Node, off int) *Node {
+	if b.Val.Rows != 1 || off < 0 || off+a.Val.Cols > b.Val.Cols {
+		panic(fmt.Sprintf("tensor: AddRowAt shape mismatch %v + %v[%d:]", a.Val, b.Val, off))
+	}
 	out := g.alloc(a.Val.Rows, a.Val.Cols, false)
+	bias := b.Val.Data[off : off+a.Val.Cols]
 	for i := 0; i < a.Val.Rows; i++ {
 		arow := a.Val.Row(i)
 		orow := out.Row(i)
 		for j, v := range arow {
-			orow[j] = v + b.Val.Data[j]
+			orow[j] = v + bias[j]
 		}
 	}
 	n := g.push(out, opAddRow, a.requiresGrad || b.requiresGrad)
 	n.a, n.b = a, b
+	n.i1 = off
 	return n
 }
 
@@ -377,7 +412,11 @@ func (g *Graph) STGumbel(logits *Node, mask *Tensor, tau float64, rng *rand.Rand
 				continue
 			}
 			gnoise := -math.Log(-math.Log(rng.Float64() + 1e-20))
-			perturbed[j] = (lrow[j] + math.Log(mrow[j]) + gnoise) / tau
+			v := lrow[j]
+			if m := mrow[j]; m != 1 {
+				v += math.Log(m) // log 1 = 0: full-coverage bins add nothing
+			}
+			perturbed[j] = (v + gnoise) / tau
 			if perturbed[j] > best {
 				best, bestIdx = perturbed[j], j
 			}
@@ -483,23 +522,32 @@ func (g *Graph) backstep(n *Node) {
 			MatMulTransAAddInto(b.Grad, n.Grad, a.Val)
 		}
 	case opMaskedMatMul:
-		x, w := n.a, n.b
-		spans := n.mwc.spans
+		x, w, spans := n.a, n.b, n.mwc.spans
+		win := window{n.i1, n.i2, n.i2 + n.Val.Cols}
+		rows, width := win.rowEnd, n.Val.Cols
+		flops := n.Grad.Rows * rows * width
 		if x.requiresGrad {
-			// dX = G·(W∘M)ᵀ — the cached product saved at forward time.
-			MatMulMaskedTransBAddInto(x.Grad, n.Grad, n.aux2, spans)
+			// dX[:, :rowEnd] += G·(W∘M)[window]ᵀ — the cached product saved
+			// at forward time.
+			runKernel(n.Grad.Rows, flops, matMulWindowTransBRange, kernelCall{
+				dst: x.Grad, a: n.Grad, b: n.aux2, spans: spans, win: win, acc: true,
+			})
 		}
 		if w.requiresGrad {
-			// dW = (Xᵀ·G)∘M: the masked tmp kernel zeroes outside each
+			// dW[window] += (Xᵀ·G)∘M: the tmp kernel zeroes outside each
 			// row's span, so only the span needs the mask multiply.
-			tmp := g.alloc(w.Val.Rows, w.Val.Cols, false)
-			MatMulMaskedTransAInto(tmp, x.Val, n.Grad, spans)
+			tmp := g.alloc(rows, width, false)
+			runKernel(rows, flops, matMulWindowTransARange, kernelCall{
+				dst: tmp, a: x.Val, b: n.Grad, spans: spans, win: win,
+			})
 			md := n.aux1.Data
 			wg := w.Grad.Data
 			cols := w.Val.Cols
-			for r := 0; r < w.Val.Rows; r++ {
-				for i := r*cols + spans[2*r]; i < r*cols+spans[2*r+1]; i++ {
-					wg[i] += tmp.Data[i] * md[i]
+			for r := 0; r < rows; r++ {
+				s, e := clipSpan(spans, r, win.colOff, win.colEnd)
+				trow := tmp.Data[r*width : (r+1)*width]
+				for c := s; c < e; c++ {
+					wg[r*cols+c] += trow[c-win.colOff] * md[r*cols+c]
 				}
 			}
 		}
@@ -514,10 +562,11 @@ func (g *Graph) backstep(n *Node) {
 			a.Grad.AddInPlace(n.Grad)
 		}
 		if b.requiresGrad {
+			bg := b.Grad.Data[n.i1 : n.i1+n.Val.Cols]
 			for i := 0; i < n.Grad.Rows; i++ {
 				grow := n.Grad.Row(i)
 				for j, gv := range grow {
-					b.Grad.Data[j] += gv
+					bg[j] += gv
 				}
 			}
 		}

@@ -74,18 +74,42 @@ func ReleaseKernelTokens(n int) {
 	}
 }
 
-// rangeKernel computes dst rows [lo, hi) from a and b, accumulating into
-// dst when acc is set. spans, when non-nil, bounds the nonzero column range
-// of the masked operand per row (see MaskedWeight); plain kernels ignore
-// it. Implementations must be safe for concurrent calls on disjoint ranges.
-type rangeKernel func(dst, a, b *Tensor, spans []int, lo, hi int, acc bool)
+// kernelCall carries one kernel invocation's operands and per-call
+// decisions. It is passed by value, so the serial path of runKernel
+// allocates nothing.
+type kernelCall struct {
+	dst, a, b *Tensor
+	// spans, when non-nil, bounds the nonzero column range of the masked
+	// operand per row (see MaskedWeight); plain kernels ignore it.
+	spans []int
+	// win is the weight sub-block a windowed masked kernel reads; other
+	// kernels ignore it.
+	win window
+	// sparse selects the skip-zero path of the kernels that have one. It
+	// is decided once per call over the whole streamed operand, never per
+	// row shard: the shard boundaries depend on which worker tokens happen
+	// to be free, and the two paths round differently.
+	sparse bool
+	acc    bool // accumulate into dst instead of overwriting it
+}
+
+// window is the sub-block rows [0, rowEnd) × columns [colOff, colEnd) of a
+// masked weight product.
+type window struct{ rowEnd, colOff, colEnd int }
+
+// rangeKernel computes the rows [lo, hi) of a kernel call's split
+// dimension. Implementations must be safe for concurrent calls on disjoint
+// ranges.
+type rangeKernel func(c kernelCall, lo, hi int)
 
 // runKernel runs k over [0, rows) split into contiguous shards, using up to
 // limit workers when the kernel is large enough and tokens are free. The
-// operands are threaded explicitly (rather than captured in a closure) so
-// the serial fast path — which dominates for the small per-query DPS
-// matrices — performs no heap allocation.
-func runKernel(rows, flops int, k rangeKernel, dst, a, b *Tensor, spans []int, acc bool) {
+// call is threaded by value (rather than captured in a closure) so the
+// serial fast path — which dominates for the small per-query DPS matrices —
+// performs no heap allocation. Every kernel computes each output element
+// from the same operands in the same order whatever the shard bounds, so
+// results are bit-identical for any worker count.
+func runKernel(rows, flops int, k rangeKernel, c kernelCall) {
 	w := int(parLimit.Load())
 	if byFlops := flops / parallelMinFlops; w > byFlops {
 		w = byFlops
@@ -120,17 +144,17 @@ func runKernel(rows, flops int, k rangeKernel, dst, a, b *Tensor, spans []int, a
 				wg.Add(1)
 				go func(lo, hi int) {
 					defer wg.Done()
-					k(dst, a, b, spans, lo, hi, acc)
+					k(c, lo, hi)
 				}(lo, hi)
 			}
 			if chunk > rows {
 				chunk = rows
 			}
-			k(dst, a, b, spans, 0, chunk, acc)
+			k(c, 0, chunk)
 			wg.Wait()
 			parTokens.Add(int32(extra))
 			return
 		}
 	}
-	k(dst, a, b, spans, 0, rows, acc)
+	k(c, 0, rows)
 }

@@ -168,7 +168,9 @@ func dot4(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
 // looksSparse estimates whether under a quarter of data is nonzero by
 // sampling a strided subset, so density dispatch costs O(sample) instead of
 // a full scan per kernel call. One-hot progressive-sampling inputs are
-// uniformly sparse, so a small sample classifies them reliably.
+// uniformly sparse, so a small sample classifies them reliably. Callers
+// evaluate it once per kernel call over the whole streamed operand (see
+// kernelCall.sparse).
 func looksSparse(data []float64) bool {
 	const sample = 256
 	stride := len(data) / sample
@@ -199,14 +201,16 @@ func MatMul(a, b *Tensor) *Tensor {
 // both operands.
 func MatMulInto(dst, a, b *Tensor) {
 	checkMatMul(dst, a, b)
-	runKernel(a.Rows, a.Rows*a.Cols*b.Cols, matMulRange, dst, a, b, nil, false)
+	runKernel(a.Rows, a.Rows*a.Cols*b.Cols, matMulRange,
+		kernelCall{dst: dst, a: a, b: b, sparse: looksSparse(a.Data)})
 }
 
 // MatMulAddInto computes dst += a·b, used by backward passes to accumulate
 // gradients without a temporary.
 func MatMulAddInto(dst, a, b *Tensor) {
 	checkMatMul(dst, a, b)
-	runKernel(a.Rows, a.Rows*a.Cols*b.Cols, matMulRange, dst, a, b, nil, true)
+	runKernel(a.Rows, a.Rows*a.Cols*b.Cols, matMulRange,
+		kernelCall{dst: dst, a: a, b: b, sparse: looksSparse(a.Data), acc: true})
 }
 
 func checkMatMul(dst, a, b *Tensor) {
@@ -216,9 +220,10 @@ func checkMatMul(dst, a, b *Tensor) {
 }
 
 // matMulRange computes rows [lo, hi) of dst = a·b (or += with acc).
-func matMulRange(dst, a, b *Tensor, _ []int, lo, hi int, acc bool) {
+func matMulRange(c kernelCall, lo, hi int) {
+	dst, a, b := c.dst, c.a, c.b
 	cols, n := a.Cols, b.Cols
-	if !acc {
+	if !c.acc {
 		z := dst.Data[lo*n : hi*n]
 		for i := range z {
 			z[i] = 0
@@ -229,7 +234,7 @@ func matMulRange(dst, a, b *Tensor, _ []int, lo, hi int, acc bool) {
 	}
 	// Sparse inputs (one-hot blocks from progressive sampling) skip rows of
 	// b entirely; dense inputs take the tiled, register-blocked path.
-	if looksSparse(a.Data[lo*cols : hi*cols]) {
+	if c.sparse {
 		for i := lo; i < hi; i++ {
 			arow := a.Data[i*cols : (i+1)*cols]
 			drow := dst.Data[i*n : (i+1)*n]
@@ -274,13 +279,13 @@ func matMulRange(dst, a, b *Tensor, _ []int, lo, hi int, acc bool) {
 // MatMulTransAInto computes dst = aᵀ·b (a is used transposed).
 func MatMulTransAInto(dst, a, b *Tensor) {
 	checkMatMulTransA(dst, a, b)
-	runKernel(a.Cols, a.Rows*a.Cols*b.Cols, matMulTransARange, dst, a, b, nil, false)
+	runKernel(a.Cols, a.Rows*a.Cols*b.Cols, matMulTransARange, kernelCall{dst: dst, a: a, b: b})
 }
 
 // MatMulTransAAddInto computes dst += aᵀ·b.
 func MatMulTransAAddInto(dst, a, b *Tensor) {
 	checkMatMulTransA(dst, a, b)
-	runKernel(a.Cols, a.Rows*a.Cols*b.Cols, matMulTransARange, dst, a, b, nil, true)
+	runKernel(a.Cols, a.Rows*a.Cols*b.Cols, matMulTransARange, kernelCall{dst: dst, a: a, b: b, acc: true})
 }
 
 func checkMatMulTransA(dst, a, b *Tensor) {
@@ -292,9 +297,10 @@ func checkMatMulTransA(dst, a, b *Tensor) {
 // matMulTransARange computes dst rows [lo, hi) — i.e. a's columns lo..hi —
 // of dst = aᵀ·b (or += with acc). Four rows of a/b are blocked together so
 // each pass over the dst shard amortizes their loads.
-func matMulTransARange(dst, a, b *Tensor, _ []int, lo, hi int, acc bool) {
+func matMulTransARange(c kernelCall, lo, hi int) {
+	dst, a, b := c.dst, c.a, c.b
 	cols, n := a.Cols, b.Cols
-	if !acc {
+	if !c.acc {
 		z := dst.Data[lo*n : hi*n]
 		for i := range z {
 			z[i] = 0
@@ -335,13 +341,13 @@ func matMulTransARange(dst, a, b *Tensor, _ []int, lo, hi int, acc bool) {
 // MatMulTransBInto computes dst = a·bᵀ (b is used transposed).
 func MatMulTransBInto(dst, a, b *Tensor) {
 	checkMatMulTransB(dst, a, b)
-	runKernel(a.Rows, a.Rows*a.Cols*b.Rows, matMulTransBRange, dst, a, b, nil, false)
+	runKernel(a.Rows, a.Rows*a.Cols*b.Rows, matMulTransBRange, kernelCall{dst: dst, a: a, b: b})
 }
 
 // MatMulTransBAddInto computes dst += a·bᵀ.
 func MatMulTransBAddInto(dst, a, b *Tensor) {
 	checkMatMulTransB(dst, a, b)
-	runKernel(a.Rows, a.Rows*a.Cols*b.Rows, matMulTransBRange, dst, a, b, nil, true)
+	runKernel(a.Rows, a.Rows*a.Cols*b.Rows, matMulTransBRange, kernelCall{dst: dst, a: a, b: b, acc: true})
 }
 
 func checkMatMulTransB(dst, a, b *Tensor) {
@@ -352,7 +358,8 @@ func checkMatMulTransB(dst, a, b *Tensor) {
 
 // matMulTransBRange computes rows [lo, hi) of dst = a·bᵀ (or += with acc)
 // in dot-product form, four b-rows per pass.
-func matMulTransBRange(dst, a, b *Tensor, _ []int, lo, hi int, acc bool) {
+func matMulTransBRange(c kernelCall, lo, hi int) {
+	dst, a, b, acc := c.dst, c.a, c.b, c.acc
 	cols, n := a.Cols, b.Rows
 	for i := lo; i < hi; i++ {
 		arow := a.Data[i*cols : (i+1)*cols]
