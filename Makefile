@@ -33,14 +33,15 @@ race:
 	$(GO) test -race ./...
 
 ## race-test exercises the concurrency-heavy layers under the race
-## detector: the streaming core, obs, and relation test suites, the tensor
-## and ar suites (row-split matmul kernels, windowed backward kernels under
-## multi-worker training), then a real smoke-scale sharded generation run
-## with worker fan-out enabled — the dynamic complement to what
-## goleak/lockguard prove statically.
+## detector: the streaming core, obs, and relation test suites, the tensor,
+## nn and ar suites (row-split matmul kernels, windowed backward kernels
+## under multi-worker training, batched inference over the shared
+## masked-weight and transposed-weight caches), then a real smoke-scale
+## sharded generation run with worker fan-out enabled — the dynamic
+## complement to what goleak/lockguard prove statically.
 race-test:
 	$(GO) test -race -count=1 ./internal/core/... ./internal/obs/... ./internal/relation/... \
-		./internal/tensor/... ./internal/ar/...
+		./internal/tensor/... ./internal/nn/... ./internal/ar/...
 	$(GO) run -race ./cmd/sambench -scale smoke -exp tab1
 
 ## lint runs the full static-analysis stack in CI order: formatting,
@@ -82,7 +83,7 @@ bench-gate:
 		-baseline BENCH_tensor.json \
 		-current /tmp/bench_current.json \
 		-tol 1.0 \
-		-min sample_batched=6,sample_batched_workers=4,dps_train_step=2.5
+		-min sample_per_tuple=3,sample_batched=6,sample_batched_workers=4,dps_train_step=2.5
 
 ## scale-bench measures sharded streaming generation end to end at
 ## SCALE_ROWS rows and writes the report to SCALE_OUT; refresh the

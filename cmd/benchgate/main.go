@@ -9,12 +9,13 @@
 //	          -scale /tmp/scale.json -scale-min-rps 20000 -scale-max-mem 768
 //
 // -tol bounds the allowed ns/op regression per benchmark (0.25 = +25%);
-// allocation growth always fails. -min names speedup-ratio floors, e.g.
-// sample_batched=6 requires batched ancestral sampling to stay at least 6×
-// the per-tuple sampler measured in the same run — a machine-independent
-// ratio, unlike raw ns/op — and sample_batched_workers=4 gates the
-// worker×lane composition, whose ratio sits below the single-worker one on
-// single-core hosts (scheduling overhead, no scaling win).
+// allocation growth always fails. -min names speedup-ratio floors against
+// each row's recorded baseline, e.g. sample_batched=6 requires batched
+// ancestral sampling to stay at least 6× faster per tuple than the
+// recorded cost of the old single-row sampler, and sample_batched_workers=4
+// gates the worker×lane composition, whose ratio sits below the
+// single-worker one on single-core hosts (scheduling overhead, no scaling
+// win).
 //
 // -scale gates a `sambench -scalebench` report: -scale-min-rps is the
 // end-to-end generated rows/sec floor and -scale-max-mem (MiB) caps both

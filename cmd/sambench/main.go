@@ -58,7 +58,7 @@ func main() {
 	scaleFlag := flag.String("scale", "quick", "experiment scale: smoke, quick or full")
 	expFlag := flag.String("exp", "all", "comma-separated experiment ids (tab1..tab9, fig5..fig8) or all")
 	seed := flag.Int64("seed", 1, "random seed")
-	batch := flag.Int("batch", -1, "ancestral-sampling lanes per generation worker (-1 keeps the scale default, <=1 samples one tuple at a time)")
+	batch := flag.Int("batch", -1, "ancestral-sampling lanes per generation worker (-1 keeps the scale default, 0 or 1 means one lane)")
 	verbose := flag.Bool("v", false, "log progress to stderr")
 	tensorBench := flag.String("tensorbench", "", "write tensor hot-path benchmark JSON to this file and exit")
 	scaleBench := flag.String("scalebench", "", "write sharded streaming-generation scale benchmark JSON to this file and exit")

@@ -65,7 +65,7 @@ func main() {
 	epochs := flag.Int("epochs", 6, "training epochs")
 	hidden := flag.Int("hidden", 64, "hidden width of the MADE backbone")
 	samples := flag.Int("samples", 0, "FOJ samples for generation (0 = auto)")
-	batch := flag.Int("batch", 64, "ancestral-sampling lanes per worker (<=1 samples one tuple at a time)")
+	batch := flag.Int("batch", 64, "ancestral-sampling lanes per worker (<=1 means one lane)")
 	seed := flag.Int64("seed", 1, "random seed")
 	noGam := flag.Bool("no-gam", false, "disable Group-and-Merge (ablation)")
 	arch := flag.String("arch", "made", "autoregressive backbone: made or transformer")

@@ -30,7 +30,7 @@ func main() {
 	schemaPath := flag.String("schema", "", "schema metadata (JSON)")
 	modelPath := flag.String("model", "", "model saved by samgen -save")
 	marginals := flag.Int("marginals", 2000, "samples used to estimate model marginals")
-	batch := flag.Int("batch", 64, "ancestral-sampling lanes for marginal estimation (<=1 samples one tuple at a time)")
+	batch := flag.Int("batch", 64, "ancestral-sampling lanes for marginal estimation (<=1 means one lane)")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof, /debug/vars and /metrics on this address (e.g. :6060)")
 	flag.Parse()
 
@@ -126,8 +126,7 @@ func archName(a string) string {
 }
 
 // sampleMarginals estimates per-column bin frequencies from n ancestral
-// samples, drawn batch lanes at a time (batch <= 1 falls back to the
-// per-tuple sampler).
+// samples, drawn max(batch, 1) lanes at a time.
 func sampleMarginals(m *ar.Model, n, batch int) [][]float64 {
 	ncols := m.Layout.NumCols()
 	out := make([][]float64, ncols)
@@ -137,35 +136,20 @@ func sampleMarginals(m *ar.Model, n, batch int) [][]float64 {
 	if n <= 0 {
 		return out
 	}
-	count := func(dst []int32) {
-		for i, b := range dst {
-			out[i][b]++
-		}
+	batch = max(batch, 1)
+	s := m.NewBatchSampler(batch)
+	rngs := make([]*rand.Rand, batch)
+	for l := range rngs {
+		rngs[l] = rand.New(rand.NewSource(1 + int64(l)*7919))
 	}
-	if batch > 1 {
-		s := m.NewBatchSampler(batch)
-		rngs := make([]*rand.Rand, batch)
-		for l := range rngs {
-			rngs[l] = rand.New(rand.NewSource(1 + int64(l)*7919))
-		}
-		dst := make([]int32, batch*ncols)
-		for drawn := 0; drawn < n; drawn += batch {
-			lanes := batch
-			if rest := n - drawn; rest < lanes {
-				lanes = rest
+	dst := make([]int32, batch*ncols)
+	for drawn := 0; drawn < n; drawn += batch {
+		lanes := min(batch, n-drawn)
+		s.SampleFOJBatch(rngs[:lanes], dst[:lanes*ncols])
+		for l := 0; l < lanes; l++ {
+			for i, b := range dst[l*ncols : (l+1)*ncols] {
+				out[i][b]++
 			}
-			s.SampleFOJBatch(rngs[:lanes], dst[:lanes*ncols])
-			for l := 0; l < lanes; l++ {
-				count(dst[l*ncols : (l+1)*ncols])
-			}
-		}
-	} else {
-		s := m.NewSampler()
-		rng := rand.New(rand.NewSource(1))
-		dst := make([]int32, ncols)
-		for it := 0; it < n; it++ {
-			s.SampleFOJ(rng, dst)
-			count(dst)
 		}
 	}
 	for i := range out {

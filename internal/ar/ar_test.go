@@ -220,12 +220,13 @@ func TestSampleFOJMatchesMarginals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampler := m.NewSampler()
+	sampler := m.NewBatchSampler(1)
+	rngs := []*rand.Rand{rng}
 	dst := make([]int32, 1)
 	counts := [3]int{}
 	const n = 5000
 	for i := 0; i < n; i++ {
-		sampler.SampleFOJ(rng, dst)
+		sampler.SampleFOJBatch(rngs, dst)
 		counts[dst[0]]++
 	}
 	p0 := float64(counts[0]) / n

@@ -12,9 +12,10 @@ import (
 // fused exp-and-draw walks, instead of B independent batch-1 forwards. The
 // draw is fused into the logits pass: tensor.ExpRowMass exponentiates each
 // lane's logit row in place and hands its total mass straight to the CDF
-// walk, so no normalized-probability matrix is ever materialized. It
-// implements join.BatchTupleSampler, emitting model bin codes; like Sampler
-// it is not safe for concurrent use — create one per goroutine.
+// walk, so no normalized-probability matrix is ever materialized. It is the
+// model's only sampler and estimator — one tuple is batch 1 — and
+// implements join.TupleSampler, emitting model bin codes. It is not safe
+// for concurrent use; create one per goroutine.
 type BatchSampler struct {
 	m   *Model
 	buf nn.BatchInference
@@ -27,12 +28,10 @@ type BatchSampler struct {
 	// sweep clears exactly the few one-hots it flipped instead of rewriting
 	// the whole B×InDim input.
 	touched []int
-	one     [1]*rand.Rand // scratch for the single-tuple adapter
 }
 
 // NewBatchSampler returns a sampler drawing batch tuples per forward
-// sweep. batch must be at least 1; batch 1 degenerates to per-tuple
-// sampling through the batched kernels.
+// sweep. batch must be at least 1; batch 1 is per-tuple sampling.
 func (m *Model) NewBatchSampler(batch int) *BatchSampler {
 	if batch < 1 {
 		panic("ar: batch sampler needs at least one lane")
@@ -49,16 +48,6 @@ func (m *Model) NewBatchSampler(batch int) *BatchSampler {
 	s.probs0 = make([]float64, m.Disc[0].Bins())
 	tensor.SoftmaxRowInto(s.probs0, s.buf.ForwardCol(0).Row(0))
 	return s
-}
-
-// BatchCap returns the lane count fixed at construction.
-func (s *BatchSampler) BatchCap() int { return s.buf.Batch() }
-
-// SampleFOJ draws one tuple through a single lane, satisfying
-// join.TupleSampler so a BatchSampler can serve leftover tuples too.
-func (s *BatchSampler) SampleFOJ(rng *rand.Rand, dst []int32) {
-	s.one[0] = rng
-	s.SampleFOJBatch(s.one[:], dst)
 }
 
 // SampleFOJBatch draws len(rngs) tuples from the modeled joint
@@ -134,8 +123,8 @@ func (s *BatchSampler) setX(x *tensor.Tensor, lane, idx int) {
 // Σ exp) is the same accumulation the CDF draw consumes, so estimation and
 // sampling exercise one code path. All chains draw from the single rng in
 // lane order, so the estimate is deterministic for a fixed (rng state,
-// batch) pair; it is a different (equally valid) Monte-Carlo draw than the
-// per-tuple estimator's for the same seed.
+// batch) pair; different batch sizes give different (equally valid)
+// Monte-Carlo draws for the same seed.
 func (s *BatchSampler) EstimateSpec(rng *rand.Rand, spec *Spec, samples int) float64 {
 	m := s.m
 	if samples <= 0 {

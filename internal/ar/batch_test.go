@@ -26,58 +26,95 @@ func batchTestModel(t *testing.T, arch string) *Model {
 	return NewModel(join.NewLayout(s), nil, 500, cfg)
 }
 
-// TestSampleFOJBatchMatchesUnbatchedMarginals draws a large sample through
-// the per-tuple sampler and through the batched sampler and requires the
-// per-column marginal frequencies to agree: both must sample the same
-// modeled joint even though the batched path runs entirely different
-// (head-restricted, transposed-dot) kernels.
-func TestSampleFOJBatchMatchesUnbatchedMarginals(t *testing.T) {
+// exactJoint enumerates every tuple of m's (small) bin space with its
+// exact probability under the model, read from the autodiff
+// Backbone.Forward: P(x₀,…,xₙ) = Π P(xᵢ | x<ᵢ), each factor a softmax of
+// column i's logit block on the tuple's own one-hot row. It is the
+// reference the sampler and the estimator are checked against.
+func exactJoint(m *Model) ([][]int, []float64) {
+	ncols := m.Layout.NumCols()
+	var tuples [][]int
+	for cur := make([]int, ncols); ; {
+		tuples = append(tuples, append([]int(nil), cur...))
+		i := ncols - 1
+		for ; i >= 0; i-- {
+			if cur[i]++; cur[i] < m.Disc[i].Bins() {
+				break
+			}
+			cur[i] = 0
+		}
+		if i < 0 {
+			break
+		}
+	}
+	net := m.Net
+	x := tensor.New(len(tuples), net.InDim())
+	for r, tup := range tuples {
+		for i, b := range tup {
+			x.Set(r, net.Offsets()[i]+b, 1)
+		}
+	}
+	g := tensor.NewGraph()
+	out := net.Forward(g, g.Const(x)).Val
+	probs := make([]float64, len(tuples))
+	for r, tup := range tuples {
+		p := 1.0
+		for i, b := range tup {
+			off, size := net.Offsets()[i], net.ColSizes()[i]
+			cond := make([]float64, size)
+			tensor.SoftmaxRowInto(cond, out.Row(r)[off:off+size])
+			p *= cond[b]
+		}
+		probs[r] = p
+	}
+	return tuples, probs
+}
+
+// TestSampleFOJBatchMatchesExactMarginals draws a large sample at batch 1
+// (the per-tuple path) and at batch 32 and requires each column's marginal
+// frequencies to match the exact marginals of the modeled joint.
+func TestSampleFOJBatchMatchesExactMarginals(t *testing.T) {
 	for _, arch := range []string{"made", "transformer"} {
 		t.Run(arch, func(t *testing.T) {
 			m := batchTestModel(t, arch)
 			ncols := m.Layout.NumCols()
-			const n = 12000
-
-			single := m.NewSampler()
-			rng := rand.New(rand.NewSource(99))
-			dst := make([]int32, ncols)
-			singleCounts := make([]map[int32]int, ncols)
-			for i := range singleCounts {
-				singleCounts[i] = map[int32]int{}
+			tuples, probs := exactJoint(m)
+			exact := make([][]float64, ncols)
+			for i := range exact {
+				exact[i] = make([]float64, m.Disc[i].Bins())
 			}
-			for k := 0; k < n; k++ {
-				single.SampleFOJ(rng, dst)
-				for i, v := range dst {
-					singleCounts[i][v]++
+			for r, tup := range tuples {
+				for i, b := range tup {
+					exact[i][b] += probs[r]
 				}
 			}
 
-			const lanes = 32
-			batch := m.NewBatchSampler(lanes)
-			rngs := make([]*rand.Rand, lanes)
-			for l := range rngs {
-				rngs[l] = rand.New(rand.NewSource(1000 + int64(l)))
-			}
-			bdst := make([]int32, lanes*ncols)
-			batchCounts := make([]map[int32]int, ncols)
-			for i := range batchCounts {
-				batchCounts[i] = map[int32]int{}
-			}
-			for k := 0; k < n/lanes; k++ {
-				batch.SampleFOJBatch(rngs, bdst)
-				for l := 0; l < lanes; l++ {
-					for i := 0; i < ncols; i++ {
-						batchCounts[i][bdst[l*ncols+i]]++
+			const n = 12000
+			for _, lanes := range []int{1, 32} {
+				s := m.NewBatchSampler(lanes)
+				rngs := make([]*rand.Rand, lanes)
+				for l := range rngs {
+					rngs[l] = rand.New(rand.NewSource(1000 + int64(l)))
+				}
+				dst := make([]int32, lanes*ncols)
+				counts := make([][]int, ncols)
+				for i := range counts {
+					counts[i] = make([]int, m.Disc[i].Bins())
+				}
+				for k := 0; k < n/lanes; k++ {
+					s.SampleFOJBatch(rngs, dst)
+					for l := 0; l < lanes; l++ {
+						for i := 0; i < ncols; i++ {
+							counts[i][dst[l*ncols+i]]++
+						}
 					}
 				}
-			}
-
-			for i := 0; i < ncols; i++ {
-				for b := 0; b < m.Disc[i].Bins(); b++ {
-					ps := float64(singleCounts[i][int32(b)]) / n
-					pb := float64(batchCounts[i][int32(b)]) / n
-					if math.Abs(ps-pb) > 0.025 {
-						t.Fatalf("col %d bin %d marginal: single %.4f vs batched %.4f", i, b, ps, pb)
+				for i := range counts {
+					for b, c := range counts[i] {
+						if p := float64(c) / n; math.Abs(p-exact[i][b]) > 0.025 {
+							t.Fatalf("B=%d col %d bin %d marginal: sampled %.4f vs exact %.4f",
+								lanes, i, b, p, exact[i][b])
+						}
 					}
 				}
 			}
@@ -93,43 +130,46 @@ func TestSampleFOJBatchMatchesUnbatchedMarginals(t *testing.T) {
 // cold sweep runs streams in natural order; the warm sweep runs the same
 // streams under a permutation, so any cross-lane leakage through the
 // shared nonzero bookkeeping or stale cached activations breaks
-// bit-equality.
+// bit-equality. At batch 1 the permutation is trivial and only the
+// warm-vs-cold half applies.
 func TestBatchSamplerWarmColdLanePermutation(t *testing.T) {
+	perms := map[int][]int{1: {0}, 6: {4, 2, 5, 0, 3, 1}}
 	for _, arch := range []string{"made", "transformer"} {
 		t.Run(arch, func(t *testing.T) {
 			m := batchTestModel(t, arch)
 			ncols := m.Layout.NumCols()
-			const lanes = 6
-			seed := func(l int) int64 { return 400 + int64(l)*17 }
+			for _, lanes := range []int{1, 6} {
+				seed := func(l int) int64 { return 400 + int64(l)*17 }
 
-			cold := m.NewBatchSampler(lanes)
-			rngs := make([]*rand.Rand, lanes)
-			for l := range rngs {
-				rngs[l] = rand.New(rand.NewSource(seed(l)))
-			}
-			ref := make([]int32, lanes*ncols)
-			cold.SampleFOJBatch(rngs, ref)
-
-			warm := m.NewBatchSampler(lanes)
-			churn := make([]int32, lanes*ncols)
-			for sweep := 0; sweep < 3; sweep++ {
+				cold := m.NewBatchSampler(lanes)
+				rngs := make([]*rand.Rand, lanes)
 				for l := range rngs {
-					rngs[l] = rand.New(rand.NewSource(9000 + int64(sweep*lanes+l)))
+					rngs[l] = rand.New(rand.NewSource(seed(l)))
 				}
-				warm.SampleFOJBatch(rngs, churn)
-			}
+				ref := make([]int32, lanes*ncols)
+				cold.SampleFOJBatch(rngs, ref)
 
-			perm := []int{4, 2, 5, 0, 3, 1}
-			for l, p := range perm {
-				rngs[l] = rand.New(rand.NewSource(seed(p)))
-			}
-			got := make([]int32, lanes*ncols)
-			warm.SampleFOJBatch(rngs, got)
-			for l, p := range perm {
-				for i := 0; i < ncols; i++ {
-					if got[l*ncols+i] != ref[p*ncols+i] {
-						t.Fatalf("lane %d (stream %d) col %d: warm-permuted %d vs cold %d",
-							l, p, i, got[l*ncols+i], ref[p*ncols+i])
+				warm := m.NewBatchSampler(lanes)
+				churn := make([]int32, lanes*ncols)
+				for sweep := 0; sweep < 3; sweep++ {
+					for l := range rngs {
+						rngs[l] = rand.New(rand.NewSource(9000 + int64(sweep*lanes+l)))
+					}
+					warm.SampleFOJBatch(rngs, churn)
+				}
+
+				perm := perms[lanes]
+				for l, p := range perm {
+					rngs[l] = rand.New(rand.NewSource(seed(p)))
+				}
+				got := make([]int32, lanes*ncols)
+				warm.SampleFOJBatch(rngs, got)
+				for l, p := range perm {
+					for i := 0; i < ncols; i++ {
+						if got[l*ncols+i] != ref[p*ncols+i] {
+							t.Fatalf("B=%d lane %d (stream %d) col %d: warm-permuted %d vs cold %d",
+								lanes, l, p, i, got[l*ncols+i], ref[p*ncols+i])
+						}
 					}
 				}
 			}
@@ -137,56 +177,43 @@ func TestBatchSamplerWarmColdLanePermutation(t *testing.T) {
 	}
 }
 
-// TestBatchSamplerSingleLaneAdapter checks the TupleSampler adapter draws
-// through exactly one lane and produces codes in range.
-func TestBatchSamplerSingleLaneAdapter(t *testing.T) {
+// TestBatchEstimateSpecMatchesExactJoint checks the progressive estimator
+// against the exact joint at batch 1 and batch 16. A mask on column 0 alone
+// makes the estimate an exact expectation (no Monte-Carlo variance), so it
+// must match tightly; a mask on a later column is statistical, so the
+// check is loose.
+func TestBatchEstimateSpecMatchesExactJoint(t *testing.T) {
 	m := batchTestModel(t, "made")
-	s := m.NewBatchSampler(8)
-	rng := rand.New(rand.NewSource(3))
-	dst := make([]int32, m.Layout.NumCols())
-	for k := 0; k < 50; k++ {
-		s.SampleFOJ(rng, dst)
-		for i, v := range dst {
-			if v < 0 || int(v) >= m.Disc[i].Bins() {
-				t.Fatalf("col %d code %d out of range", i, v)
-			}
+	ncols := m.Layout.NumCols()
+	tuples, probs := exactJoint(m)
+	exact := func(col int, mask []float64) float64 {
+		var p float64
+		for r, tup := range tuples {
+			p += probs[r] * mask[tup[col]]
+		}
+		return m.Population * p
+	}
+
+	spec0 := &Spec{Masks: make([][]float64, ncols), Downweight: make([]bool, ncols)}
+	spec0.Masks[0] = []float64{1, 1, 0, 0}
+	spec2 := &Spec{Masks: make([][]float64, ncols), Downweight: make([]bool, ncols)}
+	spec2.Masks[2] = []float64{0, 1, 1, 0, 0}
+	want0, want2 := exact(0, spec0.Masks[0]), exact(2, spec2.Masks[2])
+	for _, lanes := range []int{1, 16} {
+		s := m.NewBatchSampler(lanes)
+		if got := s.EstimateSpec(rand.New(rand.NewSource(2)), spec0, 64); math.Abs(got-want0) > 1e-9*want0 {
+			t.Fatalf("B=%d column-0 mask estimate %v, exact %v", lanes, got, want0)
+		}
+		got := s.EstimateSpec(rand.New(rand.NewSource(6)), spec2, 4096)
+		if r := got / want2; r < 0.8 || r > 1.25 {
+			t.Fatalf("B=%d column-2 mask estimate ratio %v (estimate %v, exact %v)", lanes, r, got, want2)
 		}
 	}
 }
 
-// TestBatchEstimateSpecMatchesUnbatched compares the two progressive
-// estimators. A mask on column 0 alone makes both estimates an exact
-// expectation (no Monte-Carlo variance), so they must agree tightly; a
-// mask on a later column is statistical, so the check is loose.
-func TestBatchEstimateSpecMatchesUnbatched(t *testing.T) {
-	m := batchTestModel(t, "made")
-	ncols := m.Layout.NumCols()
-
-	mask0 := []float64{1, 1, 0, 0}
-	spec0 := &Spec{Masks: make([][]float64, ncols), Downweight: make([]bool, ncols)}
-	spec0.Masks[0] = mask0
-	est := m.NewSampler().EstimateSpec(rand.New(rand.NewSource(1)), spec0, 64)
-	bst := m.NewBatchSampler(16).EstimateSpec(rand.New(rand.NewSource(2)), spec0, 64)
-	if math.Abs(est-bst) > 1e-6*math.Max(est, 1) {
-		t.Fatalf("column-0 mask estimate: unbatched %v vs batched %v", est, bst)
-	}
-
-	mask2 := []float64{0, 1, 1, 0, 0}
-	spec2 := &Spec{Masks: make([][]float64, ncols), Downweight: make([]bool, ncols)}
-	spec2.Masks[2] = mask2
-	est = m.NewSampler().EstimateSpec(rand.New(rand.NewSource(5)), spec2, 4096)
-	bst = m.NewBatchSampler(64).EstimateSpec(rand.New(rand.NewSource(6)), spec2, 4096)
-	if est <= 0 || bst <= 0 {
-		t.Fatalf("estimates must be positive: %v, %v", est, bst)
-	}
-	if r := est / bst; r < 0.8 || r > 1.25 {
-		t.Fatalf("column-2 mask estimate ratio %v (unbatched %v, batched %v)", r, est, bst)
-	}
-}
-
 // TestSamplerEstimateSpecAllocFree pins the hoisted-scratch fix: a warm
-// Sampler.EstimateSpec call must not allocate (the old per-call
-// Model.EstimateSpec path rebuilt the whole sampler every call).
+// per-tuple (batch 1) BatchSampler.EstimateSpec call must not allocate
+// (Model.EstimateSpec rebuilds the whole sampler every call).
 func TestSamplerEstimateSpecAllocFree(t *testing.T) {
 	old := tensor.MatMulWorkers()
 	tensor.SetMatMulWorkers(1)
@@ -196,12 +223,12 @@ func TestSamplerEstimateSpecAllocFree(t *testing.T) {
 	ncols := m.Layout.NumCols()
 	spec := &Spec{Masks: make([][]float64, ncols), Downweight: make([]bool, ncols)}
 	spec.Masks[2] = []float64{0, 1, 1, 0, 0}
-	s := m.NewSampler()
+	s := m.NewBatchSampler(1)
 	rng := rand.New(rand.NewSource(17))
 	call := func() { s.EstimateSpec(rng, spec, 8) }
 	call()
 	if n := testing.AllocsPerRun(20, call); n != 0 {
-		t.Fatalf("warm Sampler.EstimateSpec allocates %v times, want 0", n)
+		t.Fatalf("warm BatchSampler.EstimateSpec allocates %v times, want 0", n)
 	}
 }
 

@@ -18,9 +18,9 @@ type EvalOptions struct {
 	// Samples is the number of Monte-Carlo chains per query estimate.
 	// Zero defaults to 32.
 	Samples int
-	// Batch is the lane count of the batched estimator; values ≤ 1 use the
-	// per-tuple sampler. The batched and per-tuple estimators draw
-	// different (equally valid) Monte-Carlo chains for the same seed.
+	// Batch is the lane count of each worker's estimator; values ≤ 1 mean
+	// one lane. Different lane counts draw different (equally valid)
+	// Monte-Carlo chains for the same seed.
 	Batch int
 	// Workers bounds query-level parallelism; 0 = GOMAXPROCS.
 	Workers int
@@ -32,12 +32,6 @@ type EvalOptions struct {
 // DefaultEvalOptions returns the batched defaults used by the CLIs.
 func DefaultEvalOptions(seed int64) EvalOptions {
 	return EvalOptions{Samples: 32, Batch: 64, Seed: seed}
-}
-
-// specEstimator is the shared surface of Sampler and BatchSampler that
-// EvalWorkload needs: a warm, reusable progressive-sampling estimator.
-type specEstimator interface {
-	EstimateSpec(rng *rand.Rand, spec *Spec, samples int) float64
 }
 
 // EvalWorkload estimates every constraint's cardinality directly from the
@@ -71,12 +65,7 @@ func EvalWorkload(m *Model, queries []workload.CardQuery, opts EvalOptions, h *o
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var est specEstimator
-			if opts.Batch > 1 {
-				est = m.NewBatchSampler(opts.Batch)
-			} else {
-				est = m.NewSampler()
-			}
+			est := m.NewBatchSampler(max(opts.Batch, 1))
 			for {
 				qi := int(next.Add(1)) - 1
 				if qi >= len(queries) {

@@ -8,7 +8,6 @@ import (
 	"sam/internal/join"
 	"sam/internal/nn"
 	"sam/internal/relation"
-	"sam/internal/tensor"
 	"sam/internal/workload"
 )
 
@@ -109,22 +108,48 @@ func NewModel(layout *join.Layout, queries []workload.CardQuery, population floa
 // result is a pure function of cfg and the column sizes, which is what
 // makes Save/Load reconstruction possible.
 func buildBackbone(cfg Config, colSizes []int) nn.Backbone {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	switch cfg.Arch {
-	case "", "made":
-		return nn.NewMADE(rng, colSizes, cfg.Hidden, cfg.HiddenLayers)
-	case "transformer":
-		dModel, heads := cfg.DModel, cfg.Heads
-		if dModel <= 0 {
-			dModel = 32
-		}
-		if heads <= 0 {
-			heads = 2
-		}
-		return nn.NewTransformer(rng, colSizes, dModel, heads, cfg.Hidden, cfg.HiddenLayers)
-	default:
-		panic(fmt.Sprintf("ar: unknown architecture %q", cfg.Arch))
+	if err := checkConfig(cfg); err != nil {
+		panic(err)
 	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	if cfg.Arch == "transformer" {
+		dModel, heads := cfg.transformerDims()
+		return nn.NewTransformer(rng, colSizes, dModel, heads, cfg.Hidden, cfg.HiddenLayers)
+	}
+	return nn.NewMADE(rng, colSizes, cfg.Hidden, cfg.HiddenLayers)
+}
+
+// transformerDims returns the transformer's model width and head count,
+// defaulting unset (nonpositive) values to 32 and 2.
+func (c Config) transformerDims() (dModel, heads int) {
+	dModel, heads = c.DModel, c.Heads
+	if dModel <= 0 {
+		dModel = 32
+	}
+	if heads <= 0 {
+		heads = 2
+	}
+	return dModel, heads
+}
+
+// checkConfig reports why buildBackbone cannot build cfg: an unknown
+// architecture, a nonpositive size, or a transformer width its head count
+// does not divide.
+func checkConfig(cfg Config) error {
+	switch cfg.Arch {
+	case "", "made", "transformer":
+	default:
+		return fmt.Errorf("ar: unknown architecture %q", cfg.Arch)
+	}
+	if cfg.Hidden <= 0 || cfg.HiddenLayers <= 0 {
+		return fmt.Errorf("ar: hidden width %d and layer count %d must be positive", cfg.Hidden, cfg.HiddenLayers)
+	}
+	if cfg.Arch == "transformer" {
+		if dModel, heads := cfg.transformerDims(); dModel%heads != 0 {
+			return fmt.Errorf("ar: transformer width %d not divisible by %d heads", dModel, heads)
+		}
+	}
+	return nil
 }
 
 // Spec is a query compiled into the model's bin space: one fractional mask
@@ -174,49 +199,6 @@ func (m *Model) Compile(q *workload.Query) (*Spec, error) {
 	return spec, nil
 }
 
-// Sampler wraps per-goroutine inference scratch space; it implements
-// join.TupleSampler, emitting model bin codes.
-type Sampler struct {
-	m     *Model
-	buf   nn.Inference
-	probs []float64
-}
-
-// NewSampler returns a sampler with its own buffers; samplers are not safe
-// for concurrent use, create one per goroutine.
-func (m *Model) NewSampler() *Sampler {
-	maxBins := 0
-	for _, d := range m.Disc {
-		if d.Bins() > maxBins {
-			maxBins = d.Bins()
-		}
-	}
-	return &Sampler{m: m, buf: m.Net.NewInference(), probs: make([]float64, maxBins)}
-}
-
-// SampleFOJ draws one tuple from the modeled joint distribution by
-// ancestral sampling (Algorithm 1, lines 3–7). dst receives bin codes per
-// layout column.
-func (s *Sampler) SampleFOJ(rng *rand.Rand, dst []int32) {
-	m := s.m
-	if len(dst) != m.Layout.NumCols() {
-		panic("ar: SampleFOJ dst has wrong length")
-	}
-	x := s.buf.X()
-	for i := range x {
-		x[i] = 0
-	}
-	for i := range m.Layout.Cols {
-		out := s.buf.Forward()
-		logits := m.Net.ColLogits(out, i)
-		probs := s.probs[:len(logits)]
-		tensor.SoftmaxRowInto(probs, logits)
-		bin := sampleCategorical(rng, probs, nil)
-		dst[i] = int32(bin)
-		x[m.Net.Offsets()[i]+bin] = 1
-	}
-}
-
 // Estimate runs progressive-sampling cardinality estimation for q with the
 // given number of Monte-Carlo samples, including fanout scaling for join
 // queries.
@@ -228,62 +210,11 @@ func (m *Model) Estimate(rng *rand.Rand, q *workload.Query, samples int) (float6
 	return m.EstimateSpec(rng, spec, samples), nil
 }
 
-// EstimateSpec is Estimate for a precompiled spec. It allocates fresh
-// inference buffers per call; hot loops should hold a Sampler (or
-// BatchSampler) and call its EstimateSpec instead.
+// EstimateSpec is Estimate for a precompiled spec. It builds a fresh
+// BatchSampler of min(samples, 64) lanes per call; hot loops should hold a
+// BatchSampler and call its EstimateSpec instead.
 func (m *Model) EstimateSpec(rng *rand.Rand, spec *Spec, samples int) float64 {
-	return m.NewSampler().EstimateSpec(rng, spec, samples)
-}
-
-// EstimateSpec runs progressive-sampling estimation for a precompiled spec
-// on the sampler's reusable buffers: the warm path allocates nothing, so a
-// per-goroutine sampler amortizes the inference scratch over a whole
-// workload of estimates.
-func (s *Sampler) EstimateSpec(rng *rand.Rand, spec *Spec, samples int) float64 {
-	m := s.m
-	if samples <= 0 {
-		samples = 1
-	}
-	// Wildcard skipping: nothing beyond the last constrained or
-	// downweighted column affects the estimate.
-	lastNeeded := 0
-	for i := range m.Layout.Cols {
-		if spec.Masks[i] != nil || spec.Downweight[i] {
-			lastNeeded = i
-		}
-	}
-	var total float64
-	for it := 0; it < samples; it++ {
-		x := s.buf.X()
-		for i := range x {
-			x[i] = 0
-		}
-		sel := 1.0
-		for i := 0; i <= lastNeeded; i++ {
-			out := s.buf.Forward()
-			logits := m.Net.ColLogits(out, i)
-			probs := s.probs[:len(logits)]
-			tensor.SoftmaxRowInto(probs, logits)
-			mask := spec.Masks[i]
-			if mask != nil {
-				var p float64
-				for b, pv := range probs {
-					p += pv * mask[b]
-				}
-				sel *= p
-				if sel == 0 {
-					break
-				}
-			}
-			bin := sampleCategorical(rng, probs, mask)
-			if spec.Downweight[i] {
-				sel /= m.Layout.Cols[i].WeightVals[bin]
-			}
-			x[m.Net.Offsets()[i]+bin] = 1
-		}
-		total += sel
-	}
-	return m.Population * total / float64(samples)
+	return m.NewBatchSampler(min(max(samples, 1), 64)).EstimateSpec(rng, spec, samples)
 }
 
 // sampleCategorical draws an index proportional to probs (optionally

@@ -12,7 +12,8 @@ import (
 
 // TestTrainConcurrentWorkersRace drives the full DPS training loop with
 // several trainStep goroutines sharing the model, the masked-weight caches,
-// and the parallel matmul kernels — the configuration the per-worker pooled
+// and the parallel matmul kernels, then samples from the trained model on
+// concurrent BatchSamplers — the configuration the per-worker pooled
 // tapes and the cache's dirty-bit protocol must keep race-free. The test is
 // meaningful under -race; without it it is just a smoke test.
 func TestTrainConcurrentWorkersRace(t *testing.T) {
@@ -37,20 +38,25 @@ func TestTrainConcurrentWorkersRace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The sampling path reads the same masked-weight caches concurrently.
-	done := make(chan error, 4)
-	for w := 0; w < 4; w++ {
-		go func(seed int64) {
-			srng := rand.New(rand.NewSource(seed))
-			smp := m.NewSampler()
-			dst := make([]int32, l.NumCols())
-			for i := 0; i < 20; i++ {
-				smp.SampleFOJ(srng, dst)
+	// The sampling path reads the same masked-weight caches concurrently:
+	// two per-tuple samplers and two 8-lane ones.
+	lanes := []int{1, 1, 8, 8}
+	done := make(chan struct{}, len(lanes))
+	for w, b := range lanes {
+		go func(seed int64, b int) {
+			defer func() { done <- struct{}{} }()
+			smp := m.NewBatchSampler(b)
+			rngs := make([]*rand.Rand, b)
+			for k := range rngs {
+				rngs[k] = rand.New(rand.NewSource(seed + int64(k)))
 			}
-			done <- nil
-		}(int64(w) + 41)
+			dst := make([]int32, b*l.NumCols())
+			for i := 0; i < 20; i++ {
+				smp.SampleFOJBatch(rngs, dst)
+			}
+		}(int64(w)*100+41, b)
 	}
-	for w := 0; w < 4; w++ {
+	for range lanes {
 		<-done
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"sam/internal/join"
 	"sam/internal/relation"
@@ -44,7 +45,9 @@ func (m *Model) Save(w io.Writer) error {
 	return json.NewEncoder(w).Encode(&mf)
 }
 
-// Load rebuilds a model saved by Save.
+// Load rebuilds a model saved by Save. The file comes from outside the
+// program, so every field the rebuild depends on is validated first: a
+// malformed file is an error, never a panic.
 func Load(r io.Reader) (*Model, error) {
 	var mf modelFile
 	if err := json.NewDecoder(r).Decode(&mf); err != nil {
@@ -61,25 +64,28 @@ func Load(r io.Reader) (*Model, error) {
 	if len(mf.Cuts) != layout.NumCols() {
 		return nil, fmt.Errorf("ar: model has %d discretizers for %d columns", len(mf.Cuts), layout.NumCols())
 	}
-	// Rebuild with the saved configuration (the net's shape is a pure
-	// function of config + discretizer bins), then overwrite the weights.
-	cfg := mf.Config
-	cfg.Intervalize = false // discretizers come from the file, not queries
-	m := NewModel(layout, nil, mf.Population, cfg)
+	if p := mf.Population; !(p > 0) || math.IsInf(p, 1) {
+		return nil, fmt.Errorf("ar: population %v must be finite and positive", p)
+	}
+	if err := checkConfig(mf.Config); err != nil {
+		return nil, err
+	}
+	disc := make([]*Discretizer, len(mf.Cuts))
+	colSizes := make([]int, len(mf.Cuts))
 	for i, cuts := range mf.Cuts {
 		d, err := FromCuts(cuts)
 		if err != nil {
 			return nil, fmt.Errorf("ar: column %d: %w", i, err)
 		}
-		m.Disc[i] = d
+		if dom := layout.Cols[i].Domain; int(cuts[len(cuts)-1]) != dom {
+			return nil, fmt.Errorf("ar: column %d: last cut %d, want domain %d", i, cuts[len(cuts)-1], dom)
+		}
+		disc[i], colSizes[i] = d, d.Bins()
 	}
-	// Discretizer bins may differ from the identity net built above;
-	// rebuild the backbone with the right column sizes.
-	colSizes := make([]int, layout.NumCols())
-	for i, d := range m.Disc {
-		colSizes[i] = d.Bins()
-	}
-	m.Net = buildBackbone(cfg, colSizes)
+	// The net's shape is a pure function of config and discretizer bins;
+	// build it, then overwrite the weights.
+	m := &Model{Layout: layout, Disc: disc, Net: buildBackbone(mf.Config, colSizes),
+		Population: mf.Population, Cfg: mf.Config}
 	params := m.Net.Params()
 	if len(params) != len(mf.Params) {
 		return nil, fmt.Errorf("ar: model has %d parameter tensors, file has %d", len(params), len(mf.Params))
@@ -91,6 +97,5 @@ func Load(r io.Reader) (*Model, error) {
 		copy(p.Data, mf.Params[i])
 		p.MarkDirty() // invalidate masked-weight caches over this tensor
 	}
-	m.Cfg = mf.Config
 	return m, nil
 }

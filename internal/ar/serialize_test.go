@@ -2,6 +2,7 @@ package ar
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"testing"
 
@@ -93,15 +94,15 @@ func TestModelSaveLoadTransformer(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same samples on the same seed stream.
-	s1 := m.NewSampler()
-	s2 := m2.NewSampler()
+	s1 := m.NewBatchSampler(1)
+	s2 := m2.NewBatchSampler(1)
 	d1 := make([]int32, l.NumCols())
 	d2 := make([]int32, l.NumCols())
-	r1 := rand.New(rand.NewSource(9))
-	r2 := rand.New(rand.NewSource(9))
+	r1 := []*rand.Rand{rand.New(rand.NewSource(9))}
+	r2 := []*rand.Rand{rand.New(rand.NewSource(9))}
 	for i := 0; i < 50; i++ {
-		s1.SampleFOJ(r1, d1)
-		s2.SampleFOJ(r2, d2)
+		s1.SampleFOJBatch(r1, d1)
+		s2.SampleFOJBatch(r2, d2)
 		for j := range d1 {
 			if d1[j] != d2[j] {
 				t.Fatalf("sample %d col %d diverges after reload", i, j)
@@ -131,5 +132,55 @@ func TestFromCutsValidation(t *testing.T) {
 	}
 	if d.Bins() != 2 || d.BinOf(3) != 1 {
 		t.Fatal("FromCuts reconstruction broken")
+	}
+}
+
+// TestLoadRejectsMalformedModel feeds Load files that decode cleanly but
+// describe a model that cannot be built or would decode out-of-domain
+// codes; each must be an error, not a panic and not a silent load.
+func TestLoadRejectsMalformedModel(t *testing.T) {
+	var buf bytes.Buffer
+	if err := batchTestModel(t, "made").Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	valid := buf.Bytes()
+	cases := []struct {
+		name   string
+		mutate func(mf *modelFile)
+	}{
+		{"zero population", func(mf *modelFile) { mf.Population = 0 }},
+		{"negative population", func(mf *modelFile) { mf.Population = -3 }},
+		{"unknown arch", func(mf *modelFile) { mf.Config.Arch = "foo" }},
+		{"zero hidden", func(mf *modelFile) { mf.Config.Hidden = 0 }},
+		{"zero hidden layers", func(mf *modelFile) { mf.Config.HiddenLayers = 0 }},
+		{"heads do not divide width", func(mf *modelFile) {
+			mf.Config.Arch, mf.Config.DModel, mf.Config.Heads = "transformer", 10, 3
+		}},
+		{"cut past domain", func(mf *modelFile) { mf.Cuts[0] = []int32{0, 1, 2, 3, 9} }},
+		{"cut short of domain", func(mf *modelFile) { mf.Cuts[0] = []int32{0, 1, 2} }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var mf modelFile
+			if err := json.Unmarshal(valid, &mf); err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(&mf)
+			raw, err := json.Marshal(&mf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Load panicked: %v", r)
+				}
+			}()
+			if _, err := Load(bytes.NewReader(raw)); err == nil {
+				t.Fatal("malformed model accepted")
+			}
+		})
+	}
+	if _, err := Load(bytes.NewReader(valid)); err != nil {
+		t.Fatalf("unmodified model rejected: %v", err)
 	}
 }

@@ -34,10 +34,8 @@ type GenOptions struct {
 	Workers int
 	// Batch is the number of sampling lanes each worker advances through
 	// the model per forward sweep (batched ancestral sampling); values ≤ 1
-	// draw one tuple at a time. Each lane owns an rng stream derived from
-	// Seed, so output is deterministic for a fixed (Seed, Workers, Batch)
-	// triple, and Batch ≤ 1 reproduces the legacy per-worker streams
-	// exactly.
+	// mean one lane. Each lane owns an rng stream derived from Seed, so
+	// output is deterministic for a fixed (Seed, Workers, Batch) triple.
 	Batch int
 	// Seed drives all sampling randomness.
 	Seed int64
@@ -90,17 +88,15 @@ func FromModel(m *ar.Model, sizes map[string]int) (*Generator, error) {
 }
 
 // ModelSampler returns the per-worker sampler factory Generate expects for
-// a trained model, honoring the batch setting: lanes > 1 get the batched
-// ancestral sampler, otherwise the per-tuple one.
+// a trained model: a BatchSampler with max(batch, 1) lanes.
 func ModelSampler(m *ar.Model, batch int) func() join.TupleSampler {
-	if batch > 1 {
-		return func() join.TupleSampler { return m.NewBatchSampler(batch) }
-	}
-	return func() join.TupleSampler { return m.NewSampler() }
+	batch = max(batch, 1)
+	return func() join.TupleSampler { return m.NewBatchSampler(batch) }
 }
 
 // Generate runs the full pipeline. newSampler is called once per worker
-// goroutine; a stateless sampler may return itself repeatedly.
+// goroutine and must return a sampler that accepts max(opts.Batch, 1)
+// lanes per call; a stateless sampler may return itself repeatedly.
 func (g *Generator) Generate(newSampler func() join.TupleSampler, opts GenOptions) (*relation.Schema, error) {
 	k := opts.Samples
 	if k <= 0 {
@@ -147,10 +143,7 @@ func (g *Generator) drawSamples(newSampler func() join.TupleSampler, k int, opts
 	if workers < 1 {
 		workers = 1
 	}
-	batch := opts.Batch
-	if batch < 1 {
-		batch = 1
-	}
+	batch := max(opts.Batch, 1)
 	span.SetAttr("tuples", k)
 	span.SetAttr("workers", workers)
 	span.SetAttr("batch", batch)
@@ -206,21 +199,17 @@ func (g *Generator) drawSamples(newSampler func() join.TupleSampler, k int, opts
 		}
 	}
 
-	var usedBatchKernel atomic.Bool
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	run := func() {
 		// One rng stream per lane: lane l of worker w always sees the same
-		// stream regardless of how tuples land in sweeps, and with batch 1
-		// this reduces to the legacy per-worker seeding. The rngs are
+		// stream regardless of how tuples land in sweeps. The rngs are
 		// allocated once per goroutine and reseeded per logical task.
 		rngs := make([]*rand.Rand, batch)
 		for l := range rngs {
 			rngs[l] = rand.New(rand.NewSource(0))
 		}
 		s := newSampler()
-		bs, okBatch := s.(join.BatchTupleSampler)
-		okBatch = okBatch && batch > 1 && bs.BatchCap() >= batch
 		for {
 			t := int(next.Add(1)) - 1
 			if t >= len(tasks) {
@@ -230,32 +219,14 @@ func (g *Generator) drawSamples(newSampler func() join.TupleSampler, k int, opts
 			for l := range rngs {
 				rngs[l].Seed(ar.LaneSeed(opts.Seed, w*batch+l))
 			}
-			if okBatch {
-				usedBatchKernel.Store(true)
-				for base := lo; base < hi; base += batch {
-					n := batch
-					if base+n > hi {
-						n = hi - base
-					}
-					bs.SampleFOJBatch(rngs[:n], flat[base*ncols:(base+n)*ncols])
-					for i := base; i < base+n; i++ {
-						g.sanitize(flat[i*ncols : (i+1)*ncols])
-					}
-					if prog != nil {
-						emitProgress(n)
-					}
+			for base := lo; base < hi; base += batch {
+				n := min(batch, hi-base)
+				s.SampleFOJBatch(rngs[:n], flat[base*ncols:(base+n)*ncols])
+				for i := base; i < base+n; i++ {
+					g.sanitize(flat[i*ncols : (i+1)*ncols])
 				}
-				continue
-			}
-			// Per-tuple fallback keeps the lane-strided rng assignment so
-			// each tuple consumes the same stream as under the batched
-			// kernel.
-			for i := lo; i < hi; i++ {
-				dst := flat[i*ncols : (i+1)*ncols]
-				s.SampleFOJ(rngs[(i-lo)%batch], dst)
-				g.sanitize(dst)
 				if prog != nil {
-					emitProgress(1)
+					emitProgress(n)
 				}
 			}
 		}
@@ -272,7 +243,6 @@ func (g *Generator) drawSamples(newSampler func() join.TupleSampler, k int, opts
 	if phys > 1 {
 		tensor.ReleaseKernelTokens(phys - 1)
 	}
-	span.SetAttr("batched", usedBatchKernel.Load())
 	span.SetAttr("goroutines", phys)
 	if prog != nil {
 		// Terminal event so observers always see done == total.

@@ -367,9 +367,6 @@ func (g *Generator) sampleOneShard(sampler join.TupleSampler, rngs []*rand.Rand,
 		writeErr <- err
 	}()
 
-	bs, okBatch := sampler.(join.BatchTupleSampler)
-	okBatch = okBatch && batch > 1 && bs.BatchCap() >= batch
-
 	// bpWait accumulates time blocked on the bounded chunk pipeline (all
 	// chunkBuffers buffers in flight to the writer) — the backpressure
 	// signal behind stream_backpressure_wait_seconds. The clock only runs
@@ -402,19 +399,9 @@ func (g *Generator) sampleOneShard(sampler join.TupleSampler, rngs []*rand.Rand,
 	for done := 0; done < rows && !writeFailed.Load(); {
 		n := min(batch, rows-done)
 		dst := cur[filled*ncols : (filled+n)*ncols]
-		if okBatch && n > 0 {
-			bs.SampleFOJBatch(rngs[:n], dst)
-			for i := 0; i < n; i++ {
-				g.sanitize(dst[i*ncols : (i+1)*ncols])
-			}
-		} else {
-			// Per-tuple fallback keeps the same lane-strided rng assignment
-			// as the batched kernel, matching drawSamples.
-			for i := 0; i < n; i++ {
-				row := dst[i*ncols : (i+1)*ncols]
-				sampler.SampleFOJ(rngs[i], row)
-				g.sanitize(row)
-			}
+		sampler.SampleFOJBatch(rngs[:n], dst)
+		for i := 0; i < n; i++ {
+			g.sanitize(dst[i*ncols : (i+1)*ncols])
 		}
 		filled += n
 		done += n

@@ -13,13 +13,12 @@ import (
 //   - ns/op regressed by more than tol (0.25 = fail beyond +25%);
 //   - allocs/op grew at all — the hot paths are pinned allocation-free, so
 //     any growth is a leak, not noise;
-//   - a named speedup ratio (e.g. sample_batched's batched-vs-per-tuple
-//     ratio) fell below its required floor.
+//   - a named speedup ratio (e.g. sample_batched's speedup over its
+//     recorded per-tuple baseline) fell below its required floor.
 //
-// Only ratios and allocation counts transfer across machines; absolute
-// ns/op comparisons assume baseline and current ran on comparable
-// hardware, which is why CI regenerates the baseline alongside the run
-// instead of trusting numbers measured elsewhere.
+// Only allocation counts transfer across machines exactly; ns/op and the
+// speedups over recorded baselines assume comparable hardware, which is
+// why the tolerance is wide and the floors sit well below measured.
 func CompareBench(baseline, current *TensorBenchReport, tol float64, minSpeedup map[string]float64) []string {
 	cur := map[string]*TensorBenchResult{}
 	for i := range current.Results {

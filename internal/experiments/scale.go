@@ -35,8 +35,8 @@ type Scale struct {
 	LR     float64
 
 	// GenBatch is the ancestral-sampling lane count used when generating
-	// databases from trained models (GenOptions.Batch); ≤ 1 samples one
-	// tuple at a time.
+	// databases from trained models (GenOptions.Batch); ≤ 1 means one
+	// lane.
 	GenBatch int
 
 	IMDBSamples int // FOJ sample budget for IMDB generation

@@ -24,8 +24,8 @@ import (
 // claimed speedups) are visible in one file.
 type TensorBenchResult struct {
 	Name string `json:"name"`
-	// Before* fields are the seed-commit numbers, measured on the same
-	// machine and benchtime as the current run they ship with.
+	// Before* fields are the recorded baseline numbers of
+	// tensorBenchBaselines, taken on the 2-vCPU reference host.
 	BeforeNsOp     int64   `json:"before_ns_op"`
 	BeforeAllocsOp int64   `json:"before_allocs_op"`
 	NsOp           int64   `json:"ns_op"`
@@ -53,19 +53,28 @@ type TensorBenchReport struct {
 // bodies below mirror the seed benchmarks exactly: matmul is 64×512·512×64
 // into a preallocated destination; made_forward_autodiff is a batch-32
 // forward+backward over colSizes {64,32,16,128,8,4,50}, hidden 64×2;
-// made_forward_infer is the allocation-free sampling forward on the same
-// net; train_step is forward+backward+Adam on colSizes {8,6,4,10}, hidden
-// 32×2, batch 16. dps_train_step's baseline is the full-width DPS step that
+// made_forward_infer is one allocation-free inference forward of a single
+// row on the same net (batch 1 of BatchInference; the seed timed a
+// dedicated single-row engine); train_step is
+// forward+backward+Adam on colSizes {8,6,4,10}, hidden 32×2, batch 16.
+// The three sampling rows share one baseline: the per-tuple cost of the
+// single-row sampler that batch 1 of BatchSampler replaced, as recorded in
+// BENCH_tensor.json at the commit before that change (GOMAXPROCS=1). Their
+// speedups are the batched-vs-old-per-tuple throughput ratios the bench
+// gate asserts on. dps_train_step's baseline is the full-width DPS step that
 // prefix-restricted training replaced (every progressive step ran the whole
 // MADE and sliced out column i's block), measured with the same body at
 // the commit before that change on a 2-vCPU host at GOMAXPROCS=1: best of
 // four runs interleaved with runs of the new code.
 var tensorBenchBaselines = map[string][2]int64{ // name → {ns/op, allocs/op}
-	"matmul_512":            {1539014, 0},
-	"made_forward_autodiff": {2619569, 115},
-	"made_forward_infer":    {9636, 0},
-	"train_step":            {178603, 122},
-	"dps_train_step":        {61323092, 0},
+	"matmul_512":             {1539014, 0},
+	"made_forward_autodiff":  {2619569, 115},
+	"made_forward_infer":     {9636, 0},
+	"sample_per_tuple":       {53941, 0},
+	"sample_batched":         {53941, 0},
+	"sample_batched_workers": {53941, 0},
+	"train_step":             {178603, 122},
+	"dps_train_step":         {61323092, 0},
 }
 
 // RunTensorBench benchmarks the tensor hot paths (dense matmul, MADE
@@ -73,7 +82,7 @@ var tensorBenchBaselines = map[string][2]int64{ // name → {ns/op, allocs/op}
 // and returns the results paired with the seed baselines.
 func RunTensorBench() *TensorBenchReport {
 	rep := &TensorBenchReport{
-		Description: "tensor hot-path micro-benchmarks; before_* columns are the pre-overhaul seed (dps_train_step: the full-width DPS training step) measured on the same machine",
+		Description: "tensor hot-path micro-benchmarks; before_* columns are recorded baselines: the pre-overhaul seed (sample_*: the old single-row sampler's per-tuple cost; dps_train_step: the full-width DPS training step)",
 		Meta:        obs.BuildMeta(),
 		Workers:     tensor.MatMulWorkers(),
 	}
@@ -140,10 +149,10 @@ func RunTensorBench() *TensorBenchReport {
 		rng := rand.New(rand.NewSource(2))
 		colSizes := []int{64, 32, 16, 128, 8, 4, 50}
 		m := nn.NewMADE(rng, colSizes, 64, 2)
-		buf := m.NewInference()
-		for i := range buf.X() {
+		buf := m.NewBatchInference(1)
+		for i := range buf.X().Data {
 			if rng.Float64() < 0.05 {
-				buf.X()[i] = 1
+				buf.X().Data[i] = 1
 			}
 		}
 		b.ReportAllocs()
@@ -155,13 +164,13 @@ func RunTensorBench() *TensorBenchReport {
 
 	add("sample_per_tuple", func(b *testing.B) {
 		m := benchSamplerModel()
-		s := m.NewSampler()
-		rng := rand.New(rand.NewSource(7))
+		s := m.NewBatchSampler(1)
+		rngs := []*rand.Rand{rand.New(rand.NewSource(7))}
 		dst := make([]int32, m.Layout.NumCols())
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.SampleFOJ(rng, dst)
+			s.SampleFOJBatch(rngs, dst)
 		}
 	})
 
@@ -242,34 +251,6 @@ func RunTensorBench() *TensorBenchReport {
 	})
 
 	add("dps_train_step", dpsTrainStepBench)
-
-	// The sampling rows are a same-run comparison, not a seed regression:
-	// the batched entries' baseline is the per-tuple sampler measured
-	// moments ago on the same machine, so their speedup columns are the
-	// machine-independent batched-vs-per-tuple throughput ratios the CI
-	// bench gate asserts on (≥6× at batch 64; the workers variant gates
-	// the worker×lane composition at a lower floor since single-core CI
-	// hosts pay scheduling overhead without any scaling win).
-	var perTuple *TensorBenchResult
-	for i := range rep.Results {
-		if rep.Results[i].Name == "sample_per_tuple" {
-			perTuple = &rep.Results[i]
-		}
-	}
-	for i := range rep.Results {
-		r := &rep.Results[i]
-		switch r.Name {
-		case "sample_per_tuple":
-			r.BeforeNsOp, r.BeforeAllocsOp = r.NsOp, r.AllocsOp
-		case "sample_batched", "sample_batched_workers":
-			r.BeforeNsOp, r.BeforeAllocsOp = perTuple.NsOp, perTuple.AllocsOp
-		default:
-			continue
-		}
-		if r.NsOp > 0 {
-			r.Speedup = float64(r.BeforeNsOp) / float64(r.NsOp)
-		}
-	}
 
 	return rep
 }

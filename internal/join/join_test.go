@@ -383,3 +383,34 @@ func TestOracleSampleWrongLengthPanics(t *testing.T) {
 	}()
 	o.SampleFOJ(rand.New(rand.NewSource(1)), make([]int32, 2))
 }
+
+// TestOracleSampleFOJBatchMatchesPerTuple pins the Oracle's TupleSampler
+// contract: lane l of a batch draws exactly what SampleFOJ draws from the
+// same stream, so batching never changes Oracle output.
+func TestOracleSampleFOJBatchMatchesPerTuple(t *testing.T) {
+	s := paperSchema()
+	l := NewLayout(s)
+	o := NewOracle(l)
+	n := l.NumCols()
+	const lanes = 5
+	rngs := make([]*rand.Rand, lanes)
+	for k := range rngs {
+		rngs[k] = rand.New(rand.NewSource(int64(70 + k)))
+	}
+	got := make([]int32, lanes*n)
+	for sweep := 0; sweep < 3; sweep++ {
+		o.SampleFOJBatch(rngs, got)
+	}
+	want := make([]int32, n)
+	for k := 0; k < lanes; k++ {
+		rng := rand.New(rand.NewSource(int64(70 + k)))
+		for sweep := 0; sweep < 3; sweep++ {
+			o.SampleFOJ(rng, want)
+		}
+		for i, v := range want {
+			if got[k*n+i] != v {
+				t.Fatalf("lane %d col %d: batch %d vs per-tuple %d", k, i, got[k*n+i], v)
+			}
+		}
+	}
+}

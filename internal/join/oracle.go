@@ -7,25 +7,13 @@ import (
 
 // TupleSampler produces uniform samples of full-outer-join tuples encoded
 // in a Layout's model-code space. SAM's trained model implements it (the
-// paper's generation path); Oracle implements it from a concrete database
-// (used for testing the generation algorithms in isolation and for
-// ablations).
+// paper's generation path, ar.BatchSampler); Oracle implements it from a
+// concrete database (used for testing the generation algorithms in
+// isolation and for ablations).
 type TupleSampler interface {
-	// SampleFOJ writes one uniform FOJ tuple's model codes into dst, which
-	// has Layout.NumCols() entries.
-	SampleFOJ(rng *rand.Rand, dst []int32)
-}
-
-// BatchTupleSampler is a TupleSampler that can draw many tuples per call,
-// one forward sweep advancing a whole batch of lanes column by column.
-// core.drawSamples type-asserts for it when GenOptions.Batch > 1.
-type BatchTupleSampler interface {
-	TupleSampler
-	// BatchCap returns the maximum lane count per SampleFOJBatch call.
-	BatchCap() int
-	// SampleFOJBatch draws len(rngs) tuples at once; lane l consumes only
-	// rngs[l] (its private stream, which keeps output independent of the
-	// batch shape) and writes its codes to dst[l*NumCols():(l+1)*NumCols()].
+	// SampleFOJBatch draws len(rngs) tuples; lane l consumes only rngs[l]
+	// (its private stream, which keeps output independent of the batch
+	// shape) and writes its codes to dst[l*NumCols():(l+1)*NumCols()].
 	SampleFOJBatch(rngs []*rand.Rand, dst []int32)
 }
 
@@ -125,6 +113,18 @@ func (o *Oracle) SampleFOJ(rng *rand.Rand, dst []int32) {
 		r = len(o.rootCum) - 1
 	}
 	o.fillTable(rng, dst, root.Name, r)
+}
+
+// SampleFOJBatch draws one tuple per lane with SampleFOJ, lane by lane in
+// order, so each tuple consumes exactly its own stream.
+func (o *Oracle) SampleFOJBatch(rngs []*rand.Rand, dst []int32) {
+	n := o.L.NumCols()
+	if len(dst) != len(rngs)*n {
+		panic("join: SampleFOJBatch dst has wrong length")
+	}
+	for l, rng := range rngs {
+		o.SampleFOJ(rng, dst[l*n:(l+1)*n])
+	}
 }
 
 // fillTable writes the codes of table's row r and recursively samples its

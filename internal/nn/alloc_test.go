@@ -57,12 +57,11 @@ func TestMaskedLinearForwardCacheConsistency(t *testing.T) {
 		out := m.Forward(g, g.Const(x))
 		return append([]float64(nil), out.Val.Data...)
 	}
-	buf := m.NewInference()
+	bi := m.NewBatchInference(1)
 
 	for round := 0; round < 3; round++ {
 		auto := forward()
-		copy(buf.X(), x.Data)
-		infer := buf.Forward()
+		infer := inferRow(bi, x.Data)
 		for i := range auto {
 			if diff := auto[i] - infer[i]; diff > 1e-12 || diff < -1e-12 {
 				t.Fatalf("round %d: autodiff/inference mismatch at %d: %v vs %v",

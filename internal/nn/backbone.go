@@ -26,13 +26,8 @@ type Backbone interface {
 	// for column 0); the result is batch×ColSizes()[i] and equals that
 	// block of Forward on x padded with zeros.
 	ForwardCol(g *tensor.Graph, x *tensor.Node, i int) *tensor.Node
-	// ColLogits slices column i's logits out of a full output row.
-	ColLogits(out []float64, i int) []float64
-	// NewInference allocates per-goroutine scratch for the fast
-	// no-autodiff path.
-	NewInference() Inference
 	// NewBatchInference allocates scratch for a b-lane batched forward
-	// pass (batched ancestral sampling).
+	// pass (ancestral sampling and estimation; b = 1 for one tuple).
 	NewBatchInference(b int) BatchInference
 	// Params returns all trainable tensors.
 	Params() []*tensor.Tensor
@@ -41,22 +36,11 @@ type Backbone interface {
 	OutputBias() *tensor.Tensor
 }
 
-// Inference is the allocation-free single-row forward pass used by the
-// embarrassingly parallel sampling phase. Not safe for concurrent use;
-// create one per goroutine.
-type Inference interface {
-	// X returns the reusable input row (length InDim); callers zero and
-	// fill it between calls.
-	X() []float64
-	// Forward computes the full logits row for the current X. The result
-	// is owned by the Inference and valid until the next call.
-	Forward() []float64
-}
-
-// BatchInference is the allocation-free B-row forward pass behind batched
-// ancestral sampling: B tuples advance one column per step, so each layer
-// becomes one (B×H) GEMM instead of B GEMVs and the tiled kernels amortize
-// every weight load over the whole batch. Not safe for concurrent use;
+// BatchInference is the allocation-free no-autodiff forward pass behind
+// ancestral sampling and progressive-sampling estimation, and the only
+// one: a single tuple is batch 1. B tuples advance one column per step, so
+// each layer becomes one (B×H) GEMM instead of B GEMVs and the tiled
+// kernels amortize every weight load over the whole batch. Not safe for concurrent use;
 // create one per goroutine. Lanes beyond the caller's live count carry
 // stale inputs and produce garbage (finite) outputs — callers simply
 // ignore those rows.

@@ -23,11 +23,42 @@ func fillLaneOneHots(rng *rand.Rand, x *tensor.Tensor, offsets, colSizes []int, 
 	}
 }
 
-// backboneBatchMatchesSingle drives a B-lane batched forward against B
-// independent single-row inferences and checks Forward and every ForwardCol
-// block agree lane by lane. The batched ForwardCol path runs restricted
-// (head-limited, transposed-dot) kernels, so this is the equivalence proof
-// for the whole batched sampling stack.
+// colBlock slices column i's logits out of a full logits row.
+func colBlock(m Backbone, row []float64, i int) []float64 {
+	off := m.Offsets()[i]
+	return row[off : off+m.ColSizes()[i]]
+}
+
+// autodiffRows runs the training path, Backbone.Forward on a fresh graph,
+// over rows and returns one logits row per input row: the reference every
+// batched inference result must match.
+func autodiffRows(m Backbone, rows [][]float64) [][]float64 {
+	x := tensor.New(len(rows), m.InDim())
+	for r, row := range rows {
+		copy(x.Row(r), row)
+	}
+	g := tensor.NewGraph()
+	out := m.Forward(g, g.Const(x))
+	res := make([][]float64, len(rows))
+	for r := range res {
+		res[r] = append([]float64(nil), out.Val.Row(r)...)
+	}
+	return res
+}
+
+// inferRow runs a one-lane batched forward over row and returns a copy of
+// its logits.
+func inferRow(bi BatchInference, row []float64) []float64 {
+	copy(bi.X().Data, row)
+	bi.InvalidateFrom(0)
+	return append([]float64(nil), bi.Forward().Row(0)...)
+}
+
+// backboneBatchMatchesSingle drives a B-lane batched forward against the
+// autodiff Forward of each lane's row on its own and checks Forward and
+// every ForwardCol block agree lane by lane. The batched ForwardCol path
+// runs restricted (head-limited, transposed-dot) kernels, so this is the
+// equivalence proof for the whole batched sampling stack.
 func backboneBatchMatchesSingle(t *testing.T, m Backbone, colSizes []int, tol float64) {
 	t.Helper()
 	const lanes = 5
@@ -42,11 +73,9 @@ func backboneBatchMatchesSingle(t *testing.T, m Backbone, colSizes []int, tol fl
 	}
 	fillLaneOneHots(rng, bi.X(), m.Offsets(), colSizes, singles)
 
-	buf := m.NewInference()
 	want := make([][]float64, lanes)
 	for l := range want {
-		copy(buf.X(), singles[l])
-		want[l] = append([]float64(nil), buf.Forward()...)
+		want[l] = autodiffRows(m, singles[l:l+1])[0]
 	}
 
 	out := bi.Forward()
@@ -54,7 +83,7 @@ func backboneBatchMatchesSingle(t *testing.T, m Backbone, colSizes []int, tol fl
 		row := out.Row(l)
 		for j := range row {
 			if math.Abs(row[j]-want[l][j]) > tol {
-				t.Fatalf("Forward lane %d logit %d: batched %v vs single %v",
+				t.Fatalf("Forward lane %d logit %d: batched %v vs autodiff %v",
 					l, j, row[j], want[l][j])
 			}
 		}
@@ -63,10 +92,10 @@ func backboneBatchMatchesSingle(t *testing.T, m Backbone, colSizes []int, tol fl
 		block := bi.ForwardCol(i)
 		for l := 0; l < lanes; l++ {
 			row := block.Row(l)
-			wantBlock := m.ColLogits(want[l], i)
+			wantBlock := colBlock(m, want[l], i)
 			for j := range row {
 				if math.Abs(row[j]-wantBlock[j]) > tol {
-					t.Fatalf("ForwardCol(%d) lane %d logit %d: batched %v vs single %v",
+					t.Fatalf("ForwardCol(%d) lane %d logit %d: batched %v vs autodiff %v",
 						i, l, j, row[j], wantBlock[j])
 				}
 			}
@@ -126,9 +155,9 @@ func TestMADEBatchForwardColAllocFree(t *testing.T) {
 // ForwardCol sweep warms every cached prefix width, then a parameter
 // perturbation with MarkDirty bumps the version stamps; the next sweep —
 // with the inputs untouched, so every cache key still matches — must
-// recompute from scratch and agree with fresh single-row forwards. A cache
+// recompute from scratch and agree with a fresh autodiff Forward. A cache
 // keyed on the last-changed input column alone would serve stale
-// activations here.
+// activations here. Batch 1 is the per-tuple path, so it is covered too.
 func TestBatchPrefixCacheRetrainInvalidation(t *testing.T) {
 	colSizes := []int{3, 4, 5, 2}
 	backbones := map[string]func() Backbone{
@@ -141,37 +170,37 @@ func TestBatchPrefixCacheRetrainInvalidation(t *testing.T) {
 	}
 	for name, build := range backbones {
 		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(16))
-			m := build()
-			const lanes = 3
-			bi := m.NewBatchInference(lanes)
-			singles := make([][]float64, lanes)
-			for l := range singles {
-				singles[l] = make([]float64, m.InDim())
-			}
-			fillLaneOneHots(rng, bi.X(), m.Offsets(), colSizes, singles)
-			for i := range colSizes {
-				bi.ForwardCol(i) // warm every cached prefix width
-			}
-
-			for _, p := range m.Params() {
-				for i := range p.Data {
-					p.Data[i] += 0.05 * rng.NormFloat64()
+			for _, lanes := range []int{1, 3} {
+				rng := rand.New(rand.NewSource(16))
+				m := build()
+				bi := m.NewBatchInference(lanes)
+				singles := make([][]float64, lanes)
+				for l := range singles {
+					singles[l] = make([]float64, m.InDim())
 				}
-				p.MarkDirty()
-			}
+				fillLaneOneHots(rng, bi.X(), m.Offsets(), colSizes, singles)
+				for i := range colSizes {
+					bi.ForwardCol(i) // warm every cached prefix width
+				}
 
-			buf := m.NewInference()
-			for i := range colSizes {
-				block := bi.ForwardCol(i)
-				for l := 0; l < lanes; l++ {
-					copy(buf.X(), singles[l])
-					want := m.ColLogits(buf.Forward(), i)
-					row := block.Row(l)
-					for j := range row {
-						if math.Abs(row[j]-want[j]) > 1e-9 {
-							t.Fatalf("col %d lane %d logit %d stale after retrain: %v vs %v",
-								i, l, j, row[j], want[j])
+				for _, p := range m.Params() {
+					for i := range p.Data {
+						p.Data[i] += 0.05 * rng.NormFloat64()
+					}
+					p.MarkDirty()
+				}
+
+				want := autodiffRows(m, singles)
+				for i := range colSizes {
+					block := bi.ForwardCol(i)
+					for l := 0; l < lanes; l++ {
+						wantBlock := colBlock(m, want[l], i)
+						row := block.Row(l)
+						for j := range row {
+							if math.Abs(row[j]-wantBlock[j]) > 1e-9 {
+								t.Fatalf("B=%d col %d lane %d logit %d stale after retrain: %v vs %v",
+									lanes, i, l, j, row[j], wantBlock[j])
+							}
 						}
 					}
 				}
@@ -182,7 +211,7 @@ func TestBatchPrefixCacheRetrainInvalidation(t *testing.T) {
 
 // TestMADEBatchTracksRetraining checks the transposed-weight caches follow
 // weight updates: mutating a layer (with MarkDirty, as optimizers do) must
-// change the batched ForwardCol output to match a fresh single-row forward.
+// change the batched ForwardCol output to match a fresh autodiff Forward.
 func TestMADEBatchTracksRetraining(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	colSizes := []int{3, 4, 5}
@@ -202,17 +231,16 @@ func TestMADEBatchTracksRetraining(t *testing.T) {
 		p.MarkDirty()
 	}
 
-	buf := m.NewInference()
+	want := autodiffRows(m, singles)
 	last := len(colSizes) - 1
 	block := bi.ForwardCol(last)
 	for l := 0; l < 2; l++ {
-		copy(buf.X(), singles[l])
-		want := m.ColLogits(buf.Forward(), last)
+		wantBlock := colBlock(m, want[l], last)
 		row := block.Row(l)
 		for j := range row {
-			if math.Abs(row[j]-want[j]) > 1e-9 {
+			if math.Abs(row[j]-wantBlock[j]) > 1e-9 {
 				t.Fatalf("lane %d logit %d stale after retrain: %v vs %v",
-					l, j, row[j], want[j])
+					l, j, row[j], wantBlock[j])
 			}
 		}
 	}

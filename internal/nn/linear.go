@@ -1,8 +1,8 @@
 // Package nn provides the neural-network building blocks SAM trains:
 // (masked) linear layers, the MADE masked autoencoder used as the
 // autoregressive backbone, and the Adam optimizer. Everything runs on the
-// internal/tensor autodiff engine; a separate allocation-free inference path
-// supports the embarrassingly parallel sampling phase.
+// internal/tensor autodiff engine; a separate allocation-free batched
+// inference path (BatchInference) supports the sampling phase.
 package nn
 
 import (
@@ -42,8 +42,8 @@ type MaskedLinear struct {
 	Mask *tensor.Tensor // in×out, 0/1, fixed
 
 	// cache holds W∘Mask, recomputed only when W is marked dirty by an
-	// optimizer step, so neither the autodiff forward nor the sampling-time
-	// forwardInto multiplies by the mask per call.
+	// optimizer step, so neither the autodiff forward nor batched inference
+	// multiplies by the mask per call.
 	cache *tensor.MaskedWeight
 }
 
@@ -78,24 +78,3 @@ func (l *MaskedLinear) forwardWindow(g *tensor.Graph, x *tensor.Node, rowEnd, co
 
 // Params returns the trainable tensors of the layer.
 func (l *MaskedLinear) Params() []*tensor.Tensor { return []*tensor.Tensor{l.W, l.B} }
-
-// forwardInto computes one row without autodiff: out = x·(W∘Mask) + b, with
-// the masked product read from the cache. x has length in, out has length
-// out.
-func (l *MaskedLinear) forwardInto(out, x []float64) {
-	mw := l.cache.Get()
-	in, cols := mw.Rows, mw.Cols
-	copy(out, l.B.Data)
-	for k := 0; k < in; k++ {
-		xv := x[k]
-		if xv == 0 {
-			continue
-		}
-		s, e := l.cache.RowSpan(k)
-		wrow := mw.Data[k*cols+s : k*cols+e]
-		orow := out[s:e]
-		for j, wv := range wrow {
-			orow[j] += xv * wv
-		}
-	}
-}

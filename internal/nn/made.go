@@ -185,49 +185,3 @@ func (m *MADE) Params() []*tensor.Tensor {
 	}
 	return ps
 }
-
-// ColLogits slices the logits of column i out of a full output row.
-func (m *MADE) ColLogits(out []float64, i int) []float64 {
-	return out[m.offsets[i] : m.offsets[i]+m.colSizes[i]]
-}
-
-// madeInference holds per-goroutine scratch space for the inference-only
-// forward pass, so sampling allocates nothing per tuple.
-type madeInference struct {
-	m    *MADE
-	acts [][]float64
-	x    []float64
-}
-
-// NewInference allocates scratch sized for m.
-func (m *MADE) NewInference() Inference {
-	b := &madeInference{m: m, x: make([]float64, m.inDim)}
-	for _, l := range m.layers {
-		b.acts = append(b.acts, make([]float64, l.W.Cols))
-	}
-	return b
-}
-
-// X returns the reusable input row of the buffer (length InDim). Callers
-// zero and fill it between forward passes.
-func (b *madeInference) X() []float64 { return b.x }
-
-// Forward runs a single-row, allocation-free forward pass on X() and
-// returns the full logits row (owned by the buffer, valid until the next
-// call).
-func (b *madeInference) Forward() []float64 {
-	in := b.x
-	for i, l := range b.m.layers {
-		out := b.acts[i]
-		l.forwardInto(out, in)
-		if i != len(b.m.layers)-1 {
-			for j, v := range out {
-				if v < 0 {
-					out[j] = 0
-				}
-			}
-		}
-		in = out
-	}
-	return in
-}

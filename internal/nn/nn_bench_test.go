@@ -27,16 +27,16 @@ func BenchmarkMADEForwardAutodiff(b *testing.B) {
 	}
 }
 
-// BenchmarkMADEForwardInfer measures the allocation-free sampling path
-// (the inner loop of database generation).
+// BenchmarkMADEForwardInfer measures one full forward of the
+// allocation-free inference path at batch 1, the per-tuple cost.
 func BenchmarkMADEForwardInfer(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	colSizes := []int{64, 32, 16, 128, 8, 4, 50}
 	m := NewMADE(rng, colSizes, 64, 2)
-	buf := m.NewInference()
-	for i := range buf.X() {
+	buf := m.NewBatchInference(1)
+	for i := range buf.X().Data {
 		if rng.Float64() < 0.05 {
-			buf.X()[i] = 1
+			buf.X().Data[i] = 1
 		}
 	}
 	b.ReportAllocs()

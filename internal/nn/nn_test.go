@@ -41,25 +41,23 @@ func TestMADEAutoregressiveProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	colSizes := []int{3, 4, 2, 5}
 	m := NewMADE(rng, colSizes, 16, 2)
-	buf := m.NewInference()
+	bi := m.NewBatchInference(1)
 
 	base := make([]float64, m.InDim())
 	for i, off := range m.Offsets() {
 		base[off+rng.Intn(colSizes[i])] = 1
 	}
-	copy(buf.X(), base)
-	out0 := append([]float64(nil), buf.Forward()...)
+	out0 := inferRow(bi, base)
 
 	for j := 0; j < len(colSizes); j++ {
 		perturbed := append([]float64(nil), base...)
 		for k := 0; k < colSizes[j]; k++ {
 			perturbed[m.Offsets()[j]+k] = rng.Float64()*2 - 1
 		}
-		copy(buf.X(), perturbed)
-		out1 := buf.Forward()
+		out1 := inferRow(bi, perturbed)
 		for i := 0; i <= j; i++ {
-			a := m.ColLogits(out0, i)
-			b := m.ColLogits(out1, i)
+			a := colBlock(m, out0, i)
+			b := colBlock(m, out1, i)
 			for k := range a {
 				if math.Abs(a[k]-b[k]) > 1e-12 {
 					t.Fatalf("column %d logits depend on column %d input", i, j)
@@ -73,13 +71,13 @@ func TestMADEFirstColumnUnconditional(t *testing.T) {
 	// Column 0 logits must be constant regardless of the entire input.
 	rng := rand.New(rand.NewSource(4))
 	m := NewMADE(rng, []int{3, 3}, 8, 2)
-	buf := m.NewInference()
-	copy(buf.X(), make([]float64, m.InDim()))
-	a := append([]float64(nil), m.ColLogits(buf.Forward(), 0)...)
-	for i := range buf.X() {
-		buf.X()[i] = rng.Float64()
+	bi := m.NewBatchInference(1)
+	a := colBlock(m, inferRow(bi, make([]float64, m.InDim())), 0)
+	noise := make([]float64, m.InDim())
+	for i := range noise {
+		noise[i] = rng.Float64()
 	}
-	b := m.ColLogits(buf.Forward(), 0)
+	b := colBlock(m, inferRow(bi, noise), 0)
 	for k := range a {
 		if math.Abs(a[k]-b[k]) > 1e-12 {
 			t.Fatal("column 0 logits are input-dependent")
@@ -87,32 +85,11 @@ func TestMADEFirstColumnUnconditional(t *testing.T) {
 	}
 }
 
-func TestMADEInferMatchesAutodiffForward(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	colSizes := []int{2, 3, 4}
-	m := NewMADE(rng, colSizes, 12, 2)
-	x := tensor.New(1, m.InDim())
-	for i, off := range m.Offsets() {
-		x.Set(0, off+rng.Intn(colSizes[i]), 1)
-	}
-	g := tensor.NewGraph()
-	outG := m.Forward(g, g.Const(x))
-	buf := m.NewInference()
-	copy(buf.X(), x.Data)
-	outI := buf.Forward()
-	for i := range outI {
-		if math.Abs(outI[i]-outG.Val.Data[i]) > 1e-10 {
-			t.Fatalf("infer/autodiff mismatch at %d: %v vs %v", i, outI[i], outG.Val.Data[i])
-		}
-	}
-}
-
 func TestMADESingleColumn(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	m := NewMADE(rng, []int{5}, 8, 1)
-	buf := m.NewInference()
-	out := buf.Forward()
-	if len(m.ColLogits(out, 0)) != 5 {
+	out := inferRow(m.NewBatchInference(1), make([]float64, m.InDim()))
+	if len(colBlock(m, out, 0)) != 5 {
 		t.Fatal("bad single-column logits")
 	}
 }
@@ -207,14 +184,11 @@ func TestMADETrainsSimpleDistribution(t *testing.T) {
 	}
 
 	// Check P(x2 = v | x1 = v) is high for v in {0, 1}.
-	buf := m.NewInference()
+	bi := m.NewBatchInference(1)
 	for v := 0; v < 2; v++ {
-		for i := range buf.X() {
-			buf.X()[i] = 0
-		}
-		buf.X()[m.Offsets()[0]+v] = 1
-		out := buf.Forward()
-		logits := m.ColLogits(out, 1)
+		x := make([]float64, m.InDim())
+		x[m.Offsets()[0]+v] = 1
+		logits := colBlock(m, inferRow(bi, x), 1)
 		probs := make([]float64, 2)
 		tensor.SoftmaxRowInto(probs, logits)
 		if probs[v] < 0.9 {

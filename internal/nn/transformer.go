@@ -129,11 +129,6 @@ func (t *Transformer) Offsets() []int { return t.offsets }
 // OutputBias returns the output projection bias (1×InDim).
 func (t *Transformer) OutputBias() *tensor.Tensor { return t.bOut }
 
-// ColLogits slices the logits of column i out of a full output row.
-func (t *Transformer) ColLogits(out []float64, i int) []float64 {
-	return out[t.offsets[i] : t.offsets[i]+t.colSizes[i]]
-}
-
 // Params returns all trainable tensors.
 func (t *Transformer) Params() []*tensor.Tensor {
 	ps := []*tensor.Tensor{t.wEmb, t.sos, t.pos}

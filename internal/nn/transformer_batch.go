@@ -165,10 +165,9 @@ func (b *transformerBatch) forwardTo(p int) {
 // appendPos runs the transformer for position pos of every lane on top of
 // the cached prefix: it embeds the token, projects q and the new k/v rows,
 // attends over cached keys/values 0..pos, applies the feed-forward block,
-// and stores the final layer-normed state. It mirrors the single-row
-// inference path exactly (pre-norm blocks, causal attention, shifted
-// tokens) — causality is what makes the append independent of positions
-// after pos.
+// and stores the final layer-normed state. It mirrors the autodiff
+// Forward exactly (pre-norm blocks, causal attention, shifted tokens) —
+// causality is what makes the append independent of positions after pos.
 func (b *transformerBatch) appendPos(pos int) {
 	t := b.t
 	B := b.batch
@@ -317,5 +316,23 @@ func addRows(t, o *tensor.Tensor) {
 	td := t.Data
 	for i, v := range o.Data[:len(td)] {
 		td[i] += v
+	}
+}
+
+// layerNormRow normalizes src into dst with the given gain/bias rows.
+func layerNormRow(dst, src, gain, bias []float64, eps float64) {
+	var mean float64
+	for _, v := range src {
+		mean += v
+	}
+	mean /= float64(len(src))
+	var varsum float64
+	for _, v := range src {
+		d := v - mean
+		varsum += d * d
+	}
+	inv := 1 / math.Sqrt(varsum/float64(len(src))+eps)
+	for j, v := range src {
+		dst[j] = (v-mean)*inv*gain[j] + bias[j]
 	}
 }

@@ -14,50 +14,28 @@ func TestTransformerAutoregressiveProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	colSizes := []int{3, 4, 2, 5}
 	tr := NewTransformer(rng, colSizes, 16, 2, 32, 2)
-	buf := tr.NewInference()
+	bi := tr.NewBatchInference(1)
 
 	base := make([]float64, tr.InDim())
 	for i, off := range tr.Offsets() {
 		base[off+rng.Intn(colSizes[i])] = 1
 	}
-	copy(buf.X(), base)
-	out0 := append([]float64(nil), buf.Forward()...)
+	out0 := inferRow(bi, base)
 
 	for j := 0; j < len(colSizes); j++ {
 		perturbed := append([]float64(nil), base...)
 		for k := 0; k < colSizes[j]; k++ {
 			perturbed[tr.Offsets()[j]+k] = rng.Float64()*2 - 1
 		}
-		copy(buf.X(), perturbed)
-		out1 := buf.Forward()
+		out1 := inferRow(bi, perturbed)
 		for i := 0; i <= j; i++ {
-			a := tr.ColLogits(out0, i)
-			b := tr.ColLogits(out1, i)
+			a := colBlock(tr, out0, i)
+			b := colBlock(tr, out1, i)
 			for k := range a {
 				if math.Abs(a[k]-b[k]) > 1e-9 {
 					t.Fatalf("column %d logits depend on column %d input", i, j)
 				}
 			}
-		}
-	}
-}
-
-func TestTransformerInferMatchesAutodiff(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	colSizes := []int{2, 3, 4}
-	tr := NewTransformer(rng, colSizes, 8, 2, 16, 2)
-	x := tensor.New(1, tr.InDim())
-	for i, off := range tr.Offsets() {
-		x.Set(0, off+rng.Intn(colSizes[i]), 1)
-	}
-	g := tensor.NewGraph()
-	outG := tr.Forward(g, g.Const(x))
-	buf := tr.NewInference()
-	copy(buf.X(), x.Data)
-	outI := buf.Forward()
-	for i := range outI {
-		if math.Abs(outI[i]-outG.Val.Data[i]) > 1e-9 {
-			t.Fatalf("infer/autodiff mismatch at %d: %v vs %v", i, outI[i], outG.Val.Data[i])
 		}
 	}
 }
@@ -153,14 +131,11 @@ func TestTransformerTrainsSimpleDistribution(t *testing.T) {
 		opt.Step(pairs)
 	}
 
-	buf := tr.NewInference()
+	bi := tr.NewBatchInference(1)
 	for v := 0; v < 2; v++ {
-		for i := range buf.X() {
-			buf.X()[i] = 0
-		}
-		buf.X()[tr.Offsets()[0]+v] = 1
-		out := buf.Forward()
-		logits := tr.ColLogits(out, 1)
+		x := make([]float64, tr.InDim())
+		x[tr.Offsets()[0]+v] = 1
+		logits := colBlock(tr, inferRow(bi, x), 1)
 		probs := make([]float64, 2)
 		tensor.SoftmaxRowInto(probs, logits)
 		if probs[v] < 0.85 {

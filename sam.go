@@ -163,9 +163,9 @@ func Train(layout *Layout, wl *Workload, population float64, cfg TrainConfig) (*
 func DefaultGenOptions(seed int64) GenOptions { return core.DefaultGenOptions(seed) }
 
 // Generate synthesizes a database from a trained model. sizes gives the
-// target row count per table. With opts.Batch > 1 each worker draws whole
-// batches of tuples per forward sweep (batched ancestral sampling); the
-// output is deterministic for a fixed (Seed, Workers, Batch) triple.
+// target row count per table. Each worker draws opts.Batch tuples (at
+// least one) per forward sweep (batched ancestral sampling); the output is
+// deterministic for a fixed (Seed, Workers, Batch) triple.
 func Generate(m *Model, sizes map[string]int, opts GenOptions) (*Schema, error) {
 	gen, err := core.FromModel(m, sizes)
 	if err != nil {
