@@ -57,8 +57,8 @@ func main() {
 	outDir := flag.String("outdir", "generated", "output directory for CSVs")
 	flag.StringVar(outDir, "out-dir", "generated", "alias for -outdir")
 	stream := flag.Bool("stream", false, "bounded-memory generation: shard the sampler and stream tables to disk (removes the in-memory row-count ceiling)")
-	shards := flag.Int("shards", 0, "sample shards for -stream (0 = one per 256Ki rows); each shard is independently reproducible from (seed, shard)")
-	workers := flag.Int("workers", 0, "sampling goroutines (0 = GOMAXPROCS); with -stream, workers parallelize across shards without changing output bytes")
+	shards := flag.Int("shards", 0, "sample shards for -stream (0 = one per 16Ki rows); each shard is independently reproducible from (seed, shard)")
+	workers := flag.Int("workers", 0, "sampling goroutines (0 = GOMAXPROCS); workers parallelize across shards without changing output bytes")
 	partitions := flag.Int("partitions", 0, "spill partitions for the external group-and-merge (0 = 64)")
 	keepSamples := flag.Bool("keep-samples", false, "keep the binary sample shards under outdir/shards after -stream generation")
 	population := flag.Float64("population", 0, "full outer join size (multi-relation only; single-relation defaults to |T|)")

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"sam/internal/ar"
 	"sam/internal/datagen"
@@ -57,23 +59,6 @@ func sizesOf(s *relation.Schema) map[string]int {
 	return out
 }
 
-func TestLargestRemainderCounts(t *testing.T) {
-	counts := largestRemainderCounts([]float64{1.4, 2.4, 0.2, 0, 1.0}, 5)
-	var sum int
-	for _, c := range counts {
-		sum += c
-	}
-	if sum != 5 {
-		t.Fatalf("counts %v sum %d", counts, sum)
-	}
-	if counts[3] != 0 {
-		t.Fatal("zero weight got rows")
-	}
-	if counts[1] < 2 {
-		t.Fatalf("floor violated: %v", counts)
-	}
-}
-
 func TestGeneratorValidation(t *testing.T) {
 	s := paperSchema()
 	l := join.NewLayout(s)
@@ -87,39 +72,87 @@ func TestGeneratorValidation(t *testing.T) {
 
 // TestExactRecoveryFromEnumeratedFOJ reproduces the paper's worked example:
 // with the full set of FOJ tuples and exact weights, Group-and-Merge must
-// regenerate a database identical in distribution to the original.
+// regenerate a database identical in distribution to the original — on
+// both store backends, with one spill partition and with several.
 func TestExactRecoveryFromEnumeratedFOJ(t *testing.T) {
 	s := paperSchema()
 	l := join.NewLayout(s)
 	o := join.NewOracle(l)
 	flat := o.EnumerateFOJ()
-
+	ncols := l.NumCols()
+	k := len(flat) / ncols
 	gen, err := NewGenerator(l, identityDiscs(l), sizesOf(s))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := gen.Materialize(flat, DefaultGenOptions(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Table sizes recovered exactly.
-	for _, tab := range s.Tables {
-		if got := out.Table(tab.Name).NumRows(); got != tab.NumRows() {
-			t.Fatalf("table %s: %d rows want %d", tab.Name, got, tab.NumRows())
+
+	// memory merges the samples as a one-shard memory set.
+	memory := func(t *testing.T, P int) *relation.Schema {
+		if P == 1 {
+			out, err := gen.Materialize(flat, DefaultGenOptions(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
 		}
+		set, err := memShardSet(flat, ncols, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := StreamOptions{GenOptions: DefaultGenOptions(1), Partitions: P}
+		out, err := gen.materialize(set, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	// The full outer join is recovered exactly.
-	if got, want := engine.FOJSize(out), engine.FOJSize(s); got != want {
-		t.Fatalf("FOJ size %d want %d", got, want)
+	// disk writes the samples as two shard files, reopens them and merges
+	// them to CSVs through spill files.
+	disk := func(t *testing.T, P int) *relation.Schema {
+		dir := t.TempDir()
+		shardDir := filepath.Join(dir, "shards")
+		if err := os.MkdirAll(shardDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		half := (k / 2) * ncols
+		for shard, part := range [][]int32{flat[:half], flat[half:]} {
+			w, err := relation.CreateShardFile(shardDir, shard, ncols, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.WriteRows(part); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		set, err := OpenShardSet(shardDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if set.Total != k {
+			t.Fatalf("reopened shard set holds %d rows want %d", set.Total, k)
+		}
+		opts := DefaultStreamOptions(1, dir)
+		opts.Partitions = P
+		res, err := gen.MaterializeStream(set, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return readBack(t, s, res)
 	}
-	// Every conjunctive query over every table subset has identical
+
+	// Every conjunctive query over every table subset must have identical
 	// cardinality on both databases.
 	queries := []workload.Query{
 		{Tables: []string{"A"}, Preds: []workload.Predicate{{Table: "A", Column: "a", Op: workload.EQ, Code: 0}}},
 		{Tables: []string{"B"}, Preds: []workload.Predicate{{Table: "B", Column: "b", Op: workload.GE, Code: 1}}},
 		{Tables: []string{"C"}, Preds: []workload.Predicate{{Table: "C", Column: "c", Op: workload.EQ, Code: 0}}},
 		{Tables: []string{"A", "B"}, Preds: []workload.Predicate{{Table: "A", Column: "a", Op: workload.EQ, Code: 0}}},
+		{Tables: []string{"A", "B"}, Preds: []workload.Predicate{{Table: "A", Column: "a", Op: workload.EQ, Code: 1}}},
 		{Tables: []string{"A", "C"}, Preds: []workload.Predicate{{Table: "C", Column: "c", Op: workload.EQ, Code: 1}}},
+		{Tables: []string{"A", "B", "C"}, Preds: nil},
 		{Tables: []string{"A", "B", "C"}, Preds: []workload.Predicate{
 			{Table: "A", Column: "a", Op: workload.EQ, Code: 0},
 			{Table: "B", Column: "b", Op: workload.LE, Code: 1},
@@ -128,9 +161,30 @@ func TestExactRecoveryFromEnumeratedFOJ(t *testing.T) {
 			{Table: "C", Column: "c", Op: workload.EQ, Code: 0},
 		}},
 	}
-	for i, q := range queries {
-		if got, want := engine.Card(out, &q), engine.Card(s, &q); got != want {
-			t.Fatalf("query %d: card %d want %d", i, got, want)
+	for _, backend := range []struct {
+		name  string
+		merge func(*testing.T, int) *relation.Schema
+	}{{"memory", memory}, {"disk", disk}} {
+		for _, P := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/P=%d", backend.name, P), func(t *testing.T) {
+				out := backend.merge(t, P)
+				if err := out.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				for _, tab := range s.Tables {
+					if got := out.Table(tab.Name).NumRows(); got != tab.NumRows() {
+						t.Fatalf("table %s: %d rows want %d", tab.Name, got, tab.NumRows())
+					}
+				}
+				if got, want := engine.FOJSize(out), engine.FOJSize(s); got != want {
+					t.Fatalf("FOJ size %d want %d", got, want)
+				}
+				for i, q := range queries {
+					if got, want := engine.Card(out, &q), engine.Card(s, &q); got != want {
+						t.Fatalf("query %d: card %d want %d", i, got, want)
+					}
+				}
+			})
 		}
 	}
 }
@@ -188,17 +242,16 @@ func TestGaMBeatsViewAssignmentOnMultiJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The same seed draws the same samples for both key assignments.
 	opts := DefaultGenOptions(9)
 	opts.Samples = 50000
-	flat := gen.drawSamples(func() join.TupleSampler { return o }, opts.Samples, opts)
-
-	withGaM, err := gen.Materialize(flat, opts)
+	withGaM, err := gen.Generate(func() join.TupleSampler { return o }, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	optsNoGaM := opts
 	optsNoGaM.GroupAndMerge = false
-	withoutGaM, err := gen.Materialize(flat, optsNoGaM)
+	withoutGaM, err := gen.Generate(func() join.TupleSampler { return o }, optsNoGaM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,9 +424,20 @@ func TestGenProgressEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultGenOptions(99)
+	opts := StreamOptions{GenOptions: DefaultGenOptions(99), Shards: 3}
 	opts.Workers = 2
 	const k = 4000
+	draw := func() []int32 {
+		set, err := gen.SampleShards(func() join.TupleSampler { return o }, k, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flat, err := set.readAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return flat
+	}
 
 	var mu sync.Mutex
 	var events []obs.GenProgress
@@ -382,7 +446,7 @@ func TestGenProgressEvents(t *testing.T) {
 		events = append(events, p)
 		mu.Unlock()
 	}}
-	withHook := gen.DrawSamples(func() join.TupleSampler { return o }, k, opts)
+	withHook := draw()
 
 	if len(events) == 0 {
 		t.Fatal("no GenProgress events delivered")
@@ -398,7 +462,7 @@ func TestGenProgressEvents(t *testing.T) {
 	}
 
 	opts.Hooks = nil
-	plain := gen.DrawSamples(func() join.TupleSampler { return o }, k, opts)
+	plain := draw()
 	if len(withHook) != len(plain) {
 		t.Fatalf("sample count differs with progress hook: %d vs %d", len(withHook), len(plain))
 	}
@@ -406,48 +470,6 @@ func TestGenProgressEvents(t *testing.T) {
 		if withHook[i] != plain[i] {
 			t.Fatalf("sample %d differs with progress hook attached", i)
 		}
-	}
-}
-
-func TestQuickLargestRemainderProperties(t *testing.T) {
-	f := func(raw []uint8) bool {
-		// Mirror real usage: weights are pre-scaled so they sum to the
-		// integer target (floorSum ≤ total ≤ ceilSum always holds).
-		weights := make([]float64, len(raw))
-		var sum float64
-		for i, r := range raw {
-			weights[i] = float64(r) / 16
-			sum += weights[i]
-		}
-		if sum < 1 {
-			return true
-		}
-		total := int(math.Round(sum))
-		factor := float64(total) / sum
-		for i := range weights {
-			weights[i] *= factor
-		}
-		counts := largestRemainderCounts(weights, total)
-		got := 0
-		for i, c := range counts {
-			if c < 0 {
-				return false
-			}
-			if weights[i] == 0 && c != 0 {
-				return false
-			}
-			if float64(c) < math.Floor(weights[i])-1e-9 {
-				return false // never undercut the floor
-			}
-			if float64(c) > math.Ceil(weights[i])+1e-9 {
-				return false // never exceed the ceiling
-			}
-			got += c
-		}
-		return got == total
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -498,8 +520,8 @@ func TestGeneratedSchemasAlwaysValidate(t *testing.T) {
 }
 
 func TestGaMKeyCountMatchesTargetExactly(t *testing.T) {
-	// After the global largest-remainder allocation, primary-key tables
-	// must have exactly |T| rows even under heavy sample splintering.
+	// After the global systematic allocation, primary-key tables must have
+	// exactly |T| rows even under heavy sample splintering.
 	orig := datagen.IMDB(77, 400)
 	l := join.NewLayout(orig)
 	o := join.NewOracle(l)
@@ -663,8 +685,8 @@ func schemasEqual(a, b *relation.Schema) bool {
 
 // TestGenerateBatchedGolden pins the batched pipeline's determinism
 // contract: a model-backed batched Generate is bit-identical across runs
-// for a fixed (Seed, Workers, Batch) triple, and a different seed produces
-// a different database.
+// for a fixed (Seed, Samples, Batch), and a different seed produces a
+// different database.
 func TestGenerateBatchedGolden(t *testing.T) {
 	orig := datagen.IMDB(19, 120)
 	l := join.NewLayout(orig)
@@ -690,7 +712,7 @@ func TestGenerateBatchedGolden(t *testing.T) {
 	}
 	a := run(opts)
 	if !schemasEqual(a, run(opts)) {
-		t.Fatal("same (seed, workers, batch) produced different databases")
+		t.Fatal("same (seed, samples, batch) produced different databases")
 	}
 	reseeded := opts
 	reseeded.Seed = 56

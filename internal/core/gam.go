@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"time"
 
@@ -58,254 +57,48 @@ func (g *Generator) groupBins(row []int32, idCols []int, dst []int32) {
 	}
 }
 
-// materializeGaM assigns join keys with the Group-and-Merge algorithm
-// (Alg. 3) and materializes the database. Primary-key tables are processed
-// in topological order; each table's samples are grouped by the identifier
-// columns of its primary key (plus the already-assigned parent key — the
-// recursive extension to multi-level join trees). Within a group the
-// scaled weights lie on a continuous axis that is cut into ⌈ΣW⌉ unit-sized
-// cells: each cell becomes one fresh key (Alg. 3's weight_sum ≥ 1 rule),
-// samples merge into the cell(s) they overlap, and samples heavier than
-// one cell split across several keys — the generalization needed when the
-// sample budget is much smaller than the full outer join, so individual
-// scaled weights exceed 1.
-func (g *Generator) materializeGaM(flat []int32, k int, weights map[string][]float64, rng *rand.Rand, opts GenOptions) (*relation.Schema, error) {
-	ncols := g.Layout.NumCols()
-	sample := func(i int) []int32 { return flat[i*ncols : (i+1)*ncols] }
-	tables := g.newEmptyTables()
-	spansOf := make(map[string][][]keySpan) // pk table → per-sample spans
-
-	for _, t := range g.Layout.Schema.Tables {
-		tStart := time.Now()
-		out := tables[t.Name]
-		hasChildren := len(g.Layout.Schema.Children(t.Name)) > 0
-		fanIdx, hasFan := g.Layout.FanoutIndex(t.Name)
-		var parentSpans [][]keySpan
-		if t.Parent != "" {
-			parentSpans = spansOf[t.Parent]
-		}
-		w := weights[t.Name]
-
-		if !hasChildren {
-			groups := g.materializeLeaf(out, t, sample, k, w, parentSpans, fanIdx, hasFan, rng)
-			opts.Hooks.GenPhase(obs.GenPhase{
-				Phase: "merge", Table: t.Name, Tuples: out.NumRows(),
-				Groups: groups, Wall: time.Since(tStart),
-			})
-			continue
-		}
-
-		// Group samples by Identifier(T.pk) and the assigned parent key.
-		idCols := g.Layout.IdentifierColumns(t.Name)
-		coarse := make([]int32, len(idCols))
-		allCols := make([]int, len(idCols))
-		for i := range allCols {
-			allCols[i] = i
-		}
-		type group struct{ members []int }
-		order := make([]string, 0, k/4)
-		groups := make(map[string]*group)
-		for i := 0; i < k; i++ {
-			row := sample(i)
-			if hasFan && row[fanIdx] == 0 {
-				continue
-			}
-			if w[i] <= 0 {
-				continue
-			}
-			var pk int64
-			if parentSpans != nil {
-				if parentSpans[i] == nil {
-					continue // parent absent: inconsistent sample
-				}
-				pk = majorityKey(parentSpans[i])
-			}
-			g.groupBins(row, idCols, coarse)
-			gk := binKey(coarse, allCols, pk)
-			grp, ok := groups[gk]
-			if !ok {
-				grp = &group{}
-				groups[gk] = grp
-				order = append(order, gk)
-			}
-			grp.members = append(grp.members, i)
-		}
-
-		// Allocate exactly |T| keys across the groups in proportion to
-		// their merged weights (global largest remainder). Groups too
-		// light to earn a key are dropped, mirroring Alg. 3's behaviour
-		// where a set whose weights never reach 1 yields no tuple; their
-		// child mass is restored by rescaling during leaf materialization.
-		groupWeights := make([]float64, len(order))
-		for gi, gk := range order {
-			for _, m := range groups[gk].members {
-				groupWeights[gi] += w[m]
-			}
-		}
-		keyCounts := systematicCounts(groupWeights, g.Sizes[t.Name])
-
-		spans := make([][]keySpan, k)
-		var counter int64
-		var reprs []int        // representative sample per key
-		var reprParent []int64 // parent key per key
-		for gi, gk := range order {
-			grp := groups[gk]
-			nKeys := keyCounts[gi]
-			if nKeys == 0 {
-				continue
-			}
-			total := groupWeights[gi]
-			cell := total / float64(nKeys)
-			base := counter
-			counter += int64(nKeys)
-			haveRepr := make([]bool, nKeys)
-			acc := 0.0
-			for _, m := range grp.members {
-				start, end := acc, acc+w[m]
-				acc = end
-				first := int(start / cell)
-				last := int((end - 1e-12) / cell)
-				if first >= nKeys {
-					first = nKeys - 1
-				}
-				if last >= nKeys {
-					last = nKeys - 1
-				}
-				for c := first; c <= last; c++ {
-					lo := math.Max(start, float64(c)*cell)
-					hi := math.Min(end, float64(c+1)*cell)
-					frac := (hi - lo) / w[m]
-					if frac <= 0 {
-						continue
-					}
-					spans[m] = append(spans[m], keySpan{key: base + int64(c), frac: frac})
-					if !haveRepr[c] {
-						haveRepr[c] = true
-						//lint:allow hotalloc per-table key list built once per table in cold model construction
-						reprs = append(reprs, m)
-						pk := int64(0)
-						if parentSpans != nil {
-							pk = majorityKey(parentSpans[m])
-						}
-						//lint:allow hotalloc per-table key list built once per table in cold model construction
-						reprParent = append(reprParent, pk)
-					}
-				}
-			}
-		}
-		spansOf[t.Name] = spans
-
-		// One row per assigned key; identifier grouping guarantees every
-		// member of a key shares the table's content bins, so the
-		// representative decodes exactly.
-		out.PKVals = make([]int64, 0, len(reprs))
-		for key, ri := range reprs {
-			g.decodeRow(rng, t, out.Cols, sample(ri))
-			out.PKVals = append(out.PKVals, int64(key))
-			if t.Parent != "" {
-				out.FK = append(out.FK, reprParent[key])
-			}
-		}
-		opts.Hooks.GenPhase(obs.GenPhase{
-			Phase: "merge", Table: t.Name, Tuples: out.NumRows(),
-			Groups: len(order), Wall: time.Since(tStart),
-		})
-	}
-	return g.finishSchema(tables)
-}
-
-// materializeLeaf replicates a leaf relation to exactly |T| rows:
-// per-sample scaled weights are spread over the sample's parent-key spans,
-// aggregated by (parent key, content bins) — "aggregating the scaled
-// weights" within each merged set — and rounded by largest remainder. It
-// returns the number of merge groups formed (telemetry).
-func (g *Generator) materializeLeaf(out *relation.Table, t *relation.Table,
-	sample func(int) []int32, k int, w []float64, parentSpans [][]keySpan,
-	fanIdx int, hasFan bool, rng *rand.Rand) int {
-	contentCols := g.Layout.ContentColumns(t.Name)
-	type agg struct {
-		weight float64
-		repr   int
-		fk     int64
-	}
-	order := make([]string, 0, k/4)
-	aggs := make(map[string]*agg)
-	add := func(i int, fk int64, weight float64) {
-		key := binKey(sample(i), contentCols, fk)
-		a, ok := aggs[key]
-		if !ok {
-			a = &agg{repr: i, fk: fk}
-			aggs[key] = a
-			order = append(order, key)
-		}
-		a.weight += weight
-	}
-	for i := 0; i < k; i++ {
-		if w[i] <= 0 {
-			continue
-		}
-		if hasFan && sample(i)[fanIdx] == 0 {
-			continue
-		}
-		if parentSpans == nil {
-			add(i, 0, w[i])
-			continue
-		}
-		if parentSpans[i] == nil {
-			continue
-		}
-		for _, sp := range parentSpans[i] {
-			add(i, sp.key, w[i]*sp.frac)
-		}
-	}
-	aggWeights := make([]float64, len(order))
-	var aggSum float64
-	for ai, key := range order {
-		aggWeights[ai] = aggs[key].weight
-		aggSum += aggs[key].weight
-	}
-	// Rescale so the mass lost with dropped parent groups is restored and
-	// the rounded counts hit |T| exactly.
-	if aggSum > 0 {
-		factor := float64(g.Sizes[t.Name]) / aggSum
-		for ai := range aggWeights {
-			aggWeights[ai] *= factor
-		}
-	}
-	counts := systematicCounts(aggWeights, g.Sizes[t.Name])
-	for ai, c := range counts {
-		if c == 0 {
-			continue
-		}
-		a := aggs[order[ai]]
-		row := sample(a.repr)
-		for j := 0; j < c; j++ {
-			g.decodeRow(rng, t, out.Cols, row)
-			if t.Parent != "" {
-				out.FK = append(out.FK, a.fk)
-			}
-		}
-	}
-	return len(order)
-}
-
 // materializeViews is the "SAM w/o Group-and-Merge" ablation: foreign keys
 // are assigned from pairwise (parent, child) views as in the paper's
 // Figure 4 — each child row picks a uniform parent key among generated
 // parent rows whose content matches the child's sampled parent content,
 // which preserves pairwise correlation but breaks the joint distribution
-// across three or more relations.
-func (g *Generator) materializeViews(flat []int32, k int, weights map[string][]float64, rng *rand.Rand, opts GenOptions) (*relation.Schema, error) {
-	ncols := g.Layout.NumCols()
+// across three or more relations. It is the one ablation-only path: it
+// reads the set's samples resident and weights them as the merge does.
+func (g *Generator) materializeViews(set *ShardSet, opts GenOptions) (*relation.Schema, error) {
+	flat, err := set.readAll()
+	if err != nil {
+		return nil, err
+	}
+	tcs, err := g.weigh(set, make([]int32, rowsPerChunk*set.NCols), opts)
+	if err != nil {
+		return nil, err
+	}
+	mergeSpan := opts.Span.Child("merge")
+	defer mergeSpan.End()
+	mergeSpan.SetAttr("group_and_merge", false)
+	rng := rand.New(rand.NewSource(opts.Seed ^ 0x5a17))
+
+	k, ncols := set.Total, set.NCols
 	sample := func(i int) []int32 { return flat[i*ncols : (i+1)*ncols] }
+	// sig packs the given columns of a sample into a map key.
+	var codes []int32
+	var keyBuf []byte
+	sig := func(row []int32, cols []int) string {
+		codes = codes[:0]
+		for _, c := range cols {
+			codes = append(codes, row[c])
+		}
+		keyBuf = packKey(keyBuf[:0], codes, 0)
+		return string(keyBuf)
+	}
 	tables := g.newEmptyTables()
 	pkBySig := make(map[string]map[string][]int64) // table → content signature → pks
 	pkAll := make(map[string][]int64)
 
-	for _, t := range g.Layout.Schema.Tables {
+	for _, tc := range tcs {
+		t := tc.t
 		tStart := time.Now()
 		out := tables[t.Name]
-		hasChildren := len(g.Layout.Schema.Children(t.Name)) > 0
 		contentCols := g.Layout.ContentColumns(t.Name)
 		var parentContent []int
 		if t.Parent != "" {
@@ -313,10 +106,9 @@ func (g *Generator) materializeViews(flat []int32, k int, weights map[string][]f
 		}
 		// Aggregate weights over samples with identical (content, parent
 		// content) bins so rounding happens per distinct tuple signature,
-		// matching the GaM path's granularity.
+		// matching Group-and-Merge's granularity.
 		sigCols := make([]int, 0, len(contentCols)+len(parentContent))
 		sigCols = append(append(sigCols, contentCols...), parentContent...)
-		w := weights[t.Name]
 		type agg struct {
 			weight float64
 			repr   int
@@ -324,24 +116,25 @@ func (g *Generator) materializeViews(flat []int32, k int, weights map[string][]f
 		order := make([]string, 0, k/4)
 		aggs := make(map[string]*agg)
 		for i := 0; i < k; i++ {
-			if w[i] == 0 {
+			w := g.sampleWeight(tc, sample(i))
+			if w == 0 {
 				continue
 			}
-			key := binKey(sample(i), sigCols, 0)
+			key := sig(sample(i), sigCols)
 			a, ok := aggs[key]
 			if !ok {
 				a = &agg{repr: i}
 				aggs[key] = a
 				order = append(order, key)
 			}
-			a.weight += w[i]
+			a.weight += w
 		}
 		aggWeights := make([]float64, len(order))
 		for ai, key := range order {
 			aggWeights[ai] = aggs[key].weight
 		}
 		counts := systematicCounts(aggWeights, g.Sizes[t.Name])
-		if hasChildren {
+		if tc.hasChildren {
 			pkBySig[t.Name] = make(map[string][]int64)
 			out.PKVals = make([]int64, 0, g.Sizes[t.Name])
 		}
@@ -353,8 +146,7 @@ func (g *Generator) materializeViews(flat []int32, k int, weights map[string][]f
 			row := sample(aggs[order[ai]].repr)
 			var cands []int64
 			if t.Parent != "" {
-				sig := binKey(row, parentContent, 0)
-				cands = pkBySig[t.Parent][sig]
+				cands = pkBySig[t.Parent][sig(row, parentContent)]
 				if len(cands) == 0 {
 					cands = pkAll[t.Parent]
 				}
@@ -364,12 +156,12 @@ func (g *Generator) materializeViews(flat []int32, k int, weights map[string][]f
 				if t.Parent != "" {
 					out.FK = append(out.FK, cands[rng.Intn(len(cands))])
 				}
-				if hasChildren {
+				if tc.hasChildren {
 					pk := counter
 					counter++
 					out.PKVals = append(out.PKVals, pk)
-					sig := binKey(row, contentCols, 0)
-					pkBySig[t.Name][sig] = append(pkBySig[t.Name][sig], pk)
+					key := sig(row, contentCols)
+					pkBySig[t.Name][key] = append(pkBySig[t.Name][key], pk)
 					pkAll[t.Name] = append(pkAll[t.Name], pk)
 				}
 			}

@@ -10,19 +10,12 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"sam/internal/ar"
 	"sam/internal/join"
 	"sam/internal/obs"
 	"sam/internal/relation"
-	"sam/internal/tensor"
 )
 
 // GenOptions controls the generation pass.
@@ -30,12 +23,15 @@ type GenOptions struct {
 	// Samples is the number of full-outer-join tuples to draw (the paper's
 	// k). Zero defaults to the sum of target table sizes.
 	Samples int
-	// Workers bounds sampling parallelism; 0 = GOMAXPROCS.
+	// Workers bounds sampling parallelism (how many shards are sampled at
+	// once); 0 = GOMAXPROCS. It never changes the output.
 	Workers int
-	// Batch is the number of sampling lanes each worker advances through
-	// the model per forward sweep (batched ancestral sampling); values ≤ 1
-	// mean one lane. Each lane owns an rng stream derived from Seed, so
-	// output is deterministic for a fixed (Seed, Workers, Batch) triple.
+	// Batch is the number of sampling lanes advanced through the model per
+	// forward sweep (batched ancestral sampling); values ≤ 1 mean one
+	// lane. Lane l of shard s owns rng stream
+	// ar.LaneSeed(ar.SplitSeed(Seed, s), l), so the output is a pure
+	// function of (Seed, Samples, Batch) and the shard and partition
+	// counts, whatever Workers or GOMAXPROCS are.
 	Batch int
 	// Seed drives all sampling randomness.
 	Seed int64
@@ -94,165 +90,36 @@ func ModelSampler(m *ar.Model, batch int) func() join.TupleSampler {
 	return func() join.TupleSampler { return m.NewBatchSampler(batch) }
 }
 
-// Generate runs the full pipeline. newSampler is called once per worker
-// goroutine and must return a sampler that accepts max(opts.Batch, 1)
-// lanes per call; a stateless sampler may return itself repeatedly.
-func (g *Generator) Generate(newSampler func() join.TupleSampler, opts GenOptions) (*relation.Schema, error) {
-	k := opts.Samples
-	if k <= 0 {
-		for _, t := range g.Layout.Schema.Tables {
-			k += g.Sizes[t.Name]
-		}
+// sampleCount resolves the sample budget k: the requested count, or the
+// sum of target table sizes.
+func (g *Generator) sampleCount(samples int) int {
+	if samples > 0 {
+		return samples
 	}
-	samples := g.drawSamples(newSampler, k, opts)
-	return g.Materialize(samples, opts)
+	k := 0
+	for _, t := range g.Layout.Schema.Tables {
+		k += g.Sizes[t.Name]
+	}
+	return k
 }
 
-// DrawSamples runs the sampling phase on its own: k sanitized FOJ samples,
-// flattened lane-major (k × NumCols bin codes), without materializing
-// tables. Generate composes it with Materialize; benchmarks and diagnostic
-// tools call it directly to measure or inspect the sampler under the real
-// worker×lane scheduling.
-func (g *Generator) DrawSamples(newSampler func() join.TupleSampler, k int, opts GenOptions) []int32 {
-	return g.drawSamples(newSampler, k, opts)
-}
-
-// drawSamples draws k FOJ tuples in parallel and sanitizes presence
-// consistency.
+// Generate runs the full pipeline in memory: the sharded sampler and the
+// Group-and-Merge engine of GenerateStream, over a memory store, with one
+// spill partition. newSampler is called once per sampling goroutine and
+// must return a sampler that accepts max(opts.Batch, 1) lanes per call; a
+// stateless sampler may return itself repeatedly.
 //
-// The output is a pure function of (Seed, Workers, Batch): logical worker w
-// covers a fixed tuple range and lane l of worker w always consumes rng
-// stream Seed + (w·Batch+l)·7919, with both Workers and Batch resolved
-// deterministically from the options (Workers 0 → GOMAXPROCS at entry).
-// Physical goroutines are provisioned separately from the shared kernel
-// token budget and only affect wall-clock, so a run reproduces bit-for-bit
-// however loaded the machine is.
-func (g *Generator) drawSamples(newSampler func() join.TupleSampler, k int, opts GenOptions) []int32 {
-	span := opts.Span.Child("sample")
-	defer span.End()
-	start := time.Now()
-	ncols := g.Layout.NumCols()
-	flat := make([]int32, k*ncols)
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// The output is a pure function of (Seed, Samples, Batch): the shard
+// count follows from Samples alone, and Workers only decides how many
+// shards are sampled at once. It equals, byte for byte, what
+// GenerateStream writes for the same options with Partitions = 1.
+func (g *Generator) Generate(newSampler func() join.TupleSampler, opts GenOptions) (*relation.Schema, error) {
+	so := StreamOptions{GenOptions: opts, Partitions: 1}
+	set, err := g.SampleShards(newSampler, g.sampleCount(opts.Samples), so)
+	if err != nil {
+		return nil, err
 	}
-	if workers > k {
-		workers = k
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	batch := max(opts.Batch, 1)
-	span.SetAttr("tuples", k)
-	span.SetAttr("workers", workers)
-	span.SetAttr("batch", batch)
-
-	chunk := (k + workers - 1) / workers
-	type task struct{ w, lo, hi int }
-	tasks := make([]task, 0, workers)
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > k {
-			hi = k
-		}
-		if lo >= hi {
-			break
-		}
-		tasks = append(tasks, task{w, lo, hi})
-	}
-
-	// Worker×lane composition: sampling goroutines and the matmul kernels
-	// draw from one shared core budget. Each extra sampling goroutine holds
-	// a kernel token while it runs, so the per-layer GEMMs inside every
-	// sampler see a correspondingly smaller budget and the two levels of
-	// parallelism compose instead of oversubscribing the machine. Under a
-	// full budget the samplers win all tokens and the kernels run serially
-	// inside them — the right split, since worker parallelism has no
-	// synchronization per layer.
-	phys := 1
-	if len(tasks) > 1 {
-		phys += tensor.AcquireKernelTokens(len(tasks) - 1)
-	}
-	if phys > len(tasks) {
-		phys = len(tasks)
-	}
-
-	// In-flight progress is observer-only: the tracker exists solely when a
-	// hook asks for it (nil otherwise — every call below is a nil no-op), a
-	// CAS throttle picks one reporting worker at a time, and nothing feeds
-	// back into scheduling, so sampling output stays a pure function of
-	// (Seed, Workers, Batch).
-	var prog *obs.Progress
-	if opts.Hooks.WantsGenProgress() {
-		prog = obs.NewProgress(int64(k), 2*time.Second)
-	}
-	const progressInterval = 100 * time.Millisecond
-	emitProgress := func(n int) {
-		prog.Add(int64(n))
-		if prog.ShouldEmit(progressInterval) {
-			s := prog.Snapshot()
-			opts.Hooks.GenProgress(obs.GenProgress{
-				Phase: "sample", Done: int(s.Done), Total: int(s.Total),
-				Rate: s.Rate, ETA: s.ETA,
-			})
-		}
-	}
-
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	run := func() {
-		// One rng stream per lane: lane l of worker w always sees the same
-		// stream regardless of how tuples land in sweeps. The rngs are
-		// allocated once per goroutine and reseeded per logical task.
-		rngs := make([]*rand.Rand, batch)
-		for l := range rngs {
-			rngs[l] = rand.New(rand.NewSource(0))
-		}
-		s := newSampler()
-		for {
-			t := int(next.Add(1)) - 1
-			if t >= len(tasks) {
-				return
-			}
-			w, lo, hi := tasks[t].w, tasks[t].lo, tasks[t].hi
-			for l := range rngs {
-				rngs[l].Seed(ar.LaneSeed(opts.Seed, w*batch+l))
-			}
-			for base := lo; base < hi; base += batch {
-				n := min(batch, hi-base)
-				s.SampleFOJBatch(rngs[:n], flat[base*ncols:(base+n)*ncols])
-				for i := base; i < base+n; i++ {
-					g.sanitize(flat[i*ncols : (i+1)*ncols])
-				}
-				if prog != nil {
-					emitProgress(n)
-				}
-			}
-		}
-	}
-	for p := 1; p < phys; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run()
-		}()
-	}
-	run()
-	wg.Wait()
-	if phys > 1 {
-		tensor.ReleaseKernelTokens(phys - 1)
-	}
-	span.SetAttr("goroutines", phys)
-	if prog != nil {
-		// Terminal event so observers always see done == total.
-		s := prog.Snapshot()
-		opts.Hooks.GenProgress(obs.GenProgress{
-			Phase: "sample", Done: int(s.Done), Total: int(s.Total), Rate: s.Rate,
-		})
-	}
-	opts.Hooks.GenPhase(obs.GenPhase{Phase: "sample", Tuples: k, Wall: time.Since(start)})
-	return flat
+	return g.materialize(set, so)
 }
 
 // sanitize enforces presence consistency on one sample: a NULL table
@@ -278,82 +145,70 @@ func (g *Generator) sanitize(dst []int32) {
 }
 
 // Materialize turns pre-drawn FOJ samples (k × NumCols bin codes, flat) into
-// a database. Exposed separately so experiments can reuse one sample set
-// across ablations.
+// a database: the samples become a one-shard memory set, merged as
+// Generate merges. It serves callers that already hold their samples,
+// such as an enumerated full outer join.
 func (g *Generator) Materialize(flat []int32, opts GenOptions) (*relation.Schema, error) {
 	ncols := g.Layout.NumCols()
 	if len(flat) == 0 || len(flat)%ncols != 0 {
 		return nil, fmt.Errorf("core: sample buffer of %d codes is not a multiple of %d columns", len(flat), ncols)
 	}
-	k := len(flat) / ncols
-	sample := func(i int) []int32 { return flat[i*ncols : (i+1)*ncols] }
-
-	// Algorithm 2: inverse probability weighting and scaling, per table.
-	weightSpan := opts.Span.Child("weight")
-	weights := make(map[string][]float64, len(g.Layout.Schema.Tables))
-	for _, t := range g.Layout.Schema.Tables {
-		tStart := time.Now()
-		w := make([]float64, k)
-		down := g.Layout.DownweightColumns([]string{t.Name})
-		fanIdx, hasFan := g.Layout.FanoutIndex(t.Name)
-		var sum float64
-		for i := 0; i < k; i++ {
-			row := sample(i)
-			if hasFan && row[fanIdx] == 0 {
-				continue // NULL: no sample derived for this relation
-			}
-			wi := 1.0
-			for _, f := range down {
-				wi /= g.Layout.Cols[f].WeightVals[row[f]]
-			}
-			w[i] = wi
-			sum += wi
-		}
-		if sum == 0 {
-			weightSpan.End()
-			return nil, fmt.Errorf("core: no full-outer-join sample contains relation %s", t.Name)
-		}
-		factor := float64(g.Sizes[t.Name]) / sum // scaling step
-		for i := range w {
-			w[i] *= factor
-		}
-		weights[t.Name] = w
-		weightSpan.SetAttr("mass_"+t.Name, sum)
-		opts.Hooks.GenPhase(obs.GenPhase{
-			Phase: "weight", Table: t.Name, Tuples: k,
-			MassBefore: sum, MassAfter: float64(g.Sizes[t.Name]),
-			Wall: time.Since(tStart),
-		})
+	set, err := memShardSet(flat, ncols, opts.Seed)
+	if err != nil {
+		return nil, err
 	}
-	weightSpan.End()
-
-	mergeSpan := opts.Span.Child("merge")
-	defer mergeSpan.End()
-	mergeSpan.SetAttr("group_and_merge", opts.GroupAndMerge)
-	rng := rand.New(rand.NewSource(opts.Seed ^ 0x5a17))
-	if opts.GroupAndMerge {
-		return g.materializeGaM(flat, k, weights, rng, opts)
-	}
-	return g.materializeViews(flat, k, weights, rng, opts)
+	return g.materialize(set, StreamOptions{GenOptions: opts, Partitions: 1})
 }
 
-// binKey serializes selected columns of a sample into a map key.
-func binKey(row []int32, cols []int, extra int64) string {
-	buf := make([]byte, 0, len(cols)*4+8)
-	for _, c := range cols {
-		v := row[c]
-		buf = append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+// materialize merges a shard set into in-memory tables: Group-and-Merge
+// through table sinks, or the pairwise-view ablation.
+func (g *Generator) materialize(set *ShardSet, opts StreamOptions) (*relation.Schema, error) {
+	if !opts.GroupAndMerge {
+		return g.materializeViews(set, opts.GenOptions)
 	}
-	for s := 0; s < 64; s += 8 {
-		buf = append(buf, byte(extra>>s))
+	tables := g.newEmptyTables()
+	err := g.merge(set, opts, &StreamResult{}, func(tc *tableCtx) (rowSink, error) {
+		return newTableSink(tables[tc.t.Name], tc.hasChildren), nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return string(buf)
+	return g.finishSchema(tables)
 }
+
+// tableSink appends merged rows to an in-memory table: the memory
+// backend's counterpart of csvSink.
+type tableSink struct {
+	t      *relation.Table
+	withPK bool
+}
+
+func newTableSink(t *relation.Table, withPK bool) *tableSink {
+	if withPK {
+		t.PKVals = []int64{}
+	}
+	return &tableSink{t: t, withPK: withPK}
+}
+
+func (s *tableSink) WriteRow(pk int64, codes []int32, fk int64) error {
+	for ci, c := range s.t.Cols {
+		c.Append(codes[ci])
+	}
+	if s.withPK {
+		s.t.PKVals = append(s.t.PKVals, pk)
+	}
+	if s.t.Parent != "" {
+		s.t.FK = append(s.t.FK, fk)
+	}
+	return nil
+}
+
+func (s *tableSink) close() error { return nil }
 
 // systematicCounts allocates total units over nonnegative weights by
 // systematic (stratified) resampling: pointers at (j+½)·(Σw/total) on the
-// cumulative weight axis, one unit per pointer. Unlike largest-remainder
-// rounding — which systematically starves regions whose mass is splintered
+// cumulative weight axis, one unit per pointer. sysAlloc is its streaming
+// form. Unlike largest-remainder rounding — which systematically starves regions whose mass is splintered
 // over many small entries (each fraction individually loses to larger
 // ones) — systematic allocation is unbiased per region: a run of entries
 // with combined weight W receives W·total/Σw units in expectation no
@@ -393,42 +248,6 @@ func systematicCounts(weights []float64, total int) []int {
 			}
 		}
 		ptr++
-	}
-	return counts
-}
-
-// largestRemainderCounts rounds nonnegative weights to integers that sum to
-// total (which must be ≤ the ceiling sum). Entries with zero weight stay
-// zero.
-func largestRemainderCounts(weights []float64, total int) []int {
-	type frac struct {
-		idx int
-		f   float64
-	}
-	counts := make([]int, len(weights))
-	used := 0
-	fracs := make([]frac, 0, len(weights))
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		fl := math.Floor(w)
-		counts[i] = int(fl)
-		used += int(fl)
-		fracs = append(fracs, frac{i, w - fl})
-	}
-	remaining := total - used
-	if remaining <= 0 {
-		return counts
-	}
-	sort.Slice(fracs, func(a, b int) bool {
-		if fracs[a].f != fracs[b].f {
-			return fracs[a].f > fracs[b].f
-		}
-		return fracs[a].idx < fracs[b].idx
-	})
-	for i := 0; i < remaining && i < len(fracs); i++ {
-		counts[fracs[i].idx]++
 	}
 	return counts
 }

@@ -3,8 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -19,11 +19,12 @@ import (
 )
 
 // StreamOptions configures the sharded, bounded-memory generation path.
-// It extends GenOptions: Seed/Batch/Workers keep their meanings, but the
-// determinism contract tightens — a shard's bytes are a pure function of
-// (Seed, shard index, shard row range, Batch), independent of Workers,
-// ChunkRows, and of which goroutine happens to sample the shard. Workers
-// only parallelize across shards.
+// It extends GenOptions with the shard and spill layout. Generate uses the
+// same engine with a memory store and one partition; both paths share the
+// determinism contract: a shard's bytes are a pure function of (Seed, shard
+// index, shard row range, Batch), independent of Workers and of which
+// goroutine happens to sample the shard. Workers only parallelize across
+// shards.
 type StreamOptions struct {
 	GenOptions
 
@@ -31,20 +32,15 @@ type StreamOptions struct {
 	// defaultShardRows rows (at least one). The shard count is part of the
 	// reproducibility coordinates: it fixes each shard's row range.
 	Shards int
-	// OutDir receives the shard sample files (subdirectory "shards") and,
-	// via GenerateStream, one CSV per generated table.
+	// OutDir receives the shard sample files (subdirectory "shards"), the
+	// merge's spill files (subdirectory ".spill", removed when the merge
+	// finishes) and, via GenerateStream, one CSV per generated table. An
+	// empty OutDir makes SampleShards keep its shards in memory.
 	OutDir string
-	// ChunkRows bounds the rows buffered between a shard's sampling
-	// goroutine and its writer; 0 defaults to 8192. Purely a
-	// memory/backpressure knob — output bytes do not depend on it.
-	ChunkRows int
 	// Partitions is the spill fan-out of the external group-and-merge;
 	// 0 defaults to 64. Part of the merge's determinism coordinates (it
 	// fixes the group traversal order), not of the shard sampling contract.
 	Partitions int
-	// SpillDir holds the merge's temporary partition files; defaults to
-	// OutDir/.spill and is removed when the merge finishes.
-	SpillDir string
 	// KeepSamples leaves the shard sample files in place after
 	// GenerateStream materializes the tables (they are removed otherwise).
 	KeepSamples bool
@@ -57,11 +53,13 @@ func DefaultStreamOptions(seed int64, outDir string) StreamOptions {
 
 // defaultShardRows sizes auto-derived shards. Deliberately a function of
 // the requested row count only — never of the machine — so default runs
-// stay reproducible across hosts.
-const defaultShardRows = 1 << 18
+// stay reproducible across hosts. Small enough that a few tens of
+// thousands of samples still spread over several sampling workers.
+const defaultShardRows = 1 << 14
 
-// defaultChunkRows bounds sampler→writer buffering per shard.
-const defaultChunkRows = 8192
+// rowsPerChunk bounds sampler→writer buffering per shard and sizes the
+// merge's shard read buffer. Output bytes do not depend on it.
+const rowsPerChunk = 8192
 
 // chunkBuffers is the depth of each shard's free-buffer pool: the sampler
 // stalls (backpressure) once this many chunks are in flight to the writer.
@@ -94,44 +92,41 @@ type ShardSet struct {
 	// Wall is the sampling phase's wall time (telemetry for scale
 	// benchmarks).
 	Wall time.Duration
+
+	st store // the backend holding the shards; the merge spills to it too
 }
 
-// Bytes sums the on-disk size of the shard files.
+// Bytes is the total size of the shard files: a header each plus four
+// bytes per code.
 func (s *ShardSet) Bytes() int64 {
-	var n int64
-	for _, p := range s.Paths {
-		if fi, err := os.Stat(p); err == nil {
-			n += fi.Size()
-		}
-	}
-	return n
+	return int64(len(s.Paths))*relation.ShardHeaderSize + 4*int64(s.Total)*int64(s.NCols)
 }
 
 // OpenShardSet rebuilds a ShardSet from a directory of shard files
 // (sorted by shard index); used to re-merge previously sampled shards.
 func OpenShardSet(dir string) (*ShardSet, error) {
-	set := &ShardSet{Dir: dir}
+	set := &ShardSet{Dir: dir, st: dirStore{}}
 	for shard := 0; ; shard++ {
 		path := filepath.Join(dir, relation.ShardFileName(shard))
-		r, err := relation.OpenShardFile(path)
-		if errors.Is(err, os.ErrNotExist) {
+		f, err := set.st.open(path)
+		if errors.Is(err, fs.ErrNotExist) {
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		rows := int(r.Rows())
+		r, err := relation.NewShardReader(f)
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("core: %s: %w", path, err)
+		}
 		if set.NCols == 0 {
 			set.NCols = r.NCols()
 			set.Seed = r.Seed()
 		} else if r.NCols() != set.NCols {
-			//lint:allow errpropagate read-only close on an error path; the column mismatch dominates
-			r.Close()
 			return nil, fmt.Errorf("core: shard %d has %d columns, want %d", shard, r.NCols(), set.NCols)
 		}
-		if err := r.Close(); err != nil {
-			return nil, err
-		}
+		rows := int(r.Rows())
 		if rows < 0 {
 			return nil, fmt.Errorf("core: shard %d has no recorded row count", shard)
 		}
@@ -140,17 +135,52 @@ func OpenShardSet(dir string) (*ShardSet, error) {
 		set.Total += rows
 	}
 	if len(set.Paths) == 0 {
-		//lint:allow closeleak the loop only breaks when OpenShardFile failed, so r is nil here; every opened reader was closed in the loop body
 		return nil, fmt.Errorf("core: no shard files in %s", dir)
 	}
 	return set, nil
 }
 
+// memShardSet stores pre-drawn samples (k × ncols codes, flat) as a
+// one-shard set in a fresh memory store.
+func memShardSet(flat []int32, ncols int, seed int64) (*ShardSet, error) {
+	st := newMemStore()
+	path := filepath.Join("shards", relation.ShardFileName(0))
+	f, err := st.create(path)
+	if err != nil {
+		return nil, err
+	}
+	w, err := relation.NewShardWriter(f, ncols, 0, seed)
+	if err == nil {
+		err = w.WriteRows(flat)
+	}
+	if err == nil {
+		err = w.PatchRows(f)
+	}
+	if err != nil {
+		return nil, err
+	}
+	k := len(flat) / ncols
+	return &ShardSet{Dir: "shards", NCols: ncols, Seed: seed, Batch: 1,
+		Paths: []string{path}, Rows: []int{k}, Total: k, st: st}, nil
+}
+
+// readAll returns every sample of the set, flattened in global row order.
+func (s *ShardSet) readAll() ([]int32, error) {
+	flat := make([]int32, 0, s.Total*s.NCols)
+	buf := make([]int32, rowsPerChunk*s.NCols)
+	err := s.Stream(buf, func(_ int64, row []int32) error {
+		flat = append(flat, row...)
+		return nil
+	})
+	return flat, err
+}
+
 // SampleShards draws k sanitized FOJ samples into len == shardCount binary
-// shard files under opts.OutDir/shards. Shards are sampled by up to
-// opts.Workers goroutines (one shard at a time each), and each shard
-// streams through a bounded chunk pipeline to its writer, so peak memory
-// is O(workers × ChunkRows × NumCols) regardless of k.
+// shard files under opts.OutDir/shards, or into a memory store when
+// opts.OutDir is empty. Shards are sampled by up to opts.Workers
+// goroutines (one shard at a time each), and each shard streams through a
+// bounded chunk pipeline to its writer, so the sampler's own memory is
+// O(workers × rowsPerChunk × NumCols) regardless of k.
 //
 // Shard s's bytes are a pure function of (Seed, s, its row range, Batch):
 // lane l of shard s always consumes rng stream
@@ -172,15 +202,13 @@ func (g *Generator) SampleShards(newSampler func() join.TupleSampler, k int, opt
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = min(max(workers, 1), S)
-	chunkRows := opts.ChunkRows
-	if chunkRows <= 0 {
-		chunkRows = defaultChunkRows
-	}
-	// Chunks hold whole sweeps so a batched sweep never straddles buffers.
-	chunkRows = (chunkRows + batch - 1) / batch * batch
 
+	var st store = dirStore{}
+	if opts.OutDir == "" {
+		st = newMemStore()
+	}
 	dir := filepath.Join(opts.OutDir, "shards")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := st.mkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("core: shard dir: %w", err)
 	}
 
@@ -209,11 +237,14 @@ func (g *Generator) SampleShards(newSampler func() join.TupleSampler, k int, opt
 	}
 
 	set := &ShardSet{Dir: dir, NCols: ncols, Seed: opts.Seed, Batch: batch,
-		Paths: make([]string, S), Rows: make([]int, S), Total: k}
+		Paths: make([]string, S), Rows: make([]int, S), Total: k, st: st}
 
-	// Worker×lane composition as in drawSamples: each extra sampling
-	// goroutine holds a kernel token so sampler parallelism and the matmul
-	// kernels share one core budget.
+	// Worker×lane composition: sampling goroutines and the matmul kernels
+	// draw from one shared core budget. Each extra sampling goroutine
+	// holds a kernel token while it runs, so the per-layer GEMMs inside
+	// every sampler see a correspondingly smaller budget and the two
+	// levels of parallelism compose instead of oversubscribing the
+	// machine.
 	phys := 1
 	if workers > 1 {
 		phys += tensor.AcquireKernelTokens(workers - 1)
@@ -244,7 +275,7 @@ func (g *Generator) SampleShards(newSampler func() join.TupleSampler, k int, opt
 				return
 			}
 			lo, hi := shardRange(k, S, si)
-			rows, path, err := g.sampleOneShard(sampler, rngs, si, hi-lo, dir, chunkRows, span, opts, emitProgress)
+			rows, path, err := g.sampleOneShard(st, sampler, rngs, si, hi-lo, dir, span, opts, emitProgress)
 			if err != nil {
 				fail(fmt.Errorf("core: shard %d: %w", si, err))
 				return
@@ -290,21 +321,16 @@ func (g *Generator) SampleShard(newSampler func() join.TupleSampler, k, shard in
 	if shard < 0 || shard >= S {
 		return "", 0, fmt.Errorf("core: shard %d outside [0,%d)", shard, S)
 	}
-	batch := max(opts.Batch, 1)
-	chunkRows := opts.ChunkRows
-	if chunkRows <= 0 {
-		chunkRows = defaultChunkRows
-	}
-	chunkRows = (chunkRows + batch - 1) / batch * batch
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	st := dirStore{}
+	if err := st.mkdirAll(dir); err != nil {
 		return "", 0, fmt.Errorf("core: shard dir: %w", err)
 	}
-	rngs := make([]*rand.Rand, batch)
+	rngs := make([]*rand.Rand, max(opts.Batch, 1))
 	for l := range rngs {
 		rngs[l] = rand.New(rand.NewSource(0))
 	}
 	lo, hi := shardRange(k, S, shard)
-	rows, path, err := g.sampleOneShard(newSampler(), rngs, shard, hi-lo, dir, chunkRows, opts.Span, opts, func(int) {})
+	rows, path, err := g.sampleOneShard(st, newSampler(), rngs, shard, hi-lo, dir, opts.Span, opts, func(int) {})
 	if err != nil {
 		return "", 0, fmt.Errorf("core: shard %d: %w", shard, err)
 	}
@@ -312,20 +338,22 @@ func (g *Generator) SampleShard(newSampler func() join.TupleSampler, k, shard in
 }
 
 // sampleOneShard draws rows tuples for one shard, streaming them to the
-// shard file through a bounded chunk pipeline: the sampler fills pooled
-// chunk buffers and blocks when chunkBuffers of them are in flight, the
-// writer goroutine drains them in order. The chunk size affects only
-// memory and syscall granularity — the byte stream is fixed by
-// (Seed, shard, rows, Batch).
+// shard file in st through a bounded chunk pipeline: the sampler fills
+// pooled chunk buffers and blocks when chunkBuffers of them are in
+// flight, the writer goroutine drains them in order. The chunk size
+// affects only memory and syscall granularity — the byte stream is fixed
+// by (Seed, shard, rows, Batch).
 //
 // Telemetry (the per-shard span under psp, the stream_pass "shard" event
 // with its backpressure wait) is strictly observational: the sampling
 // order, rng consumption, and shard bytes are identical with observers on
 // or off, and the per-chunk wait clock only runs when a hook listens.
-func (g *Generator) sampleOneShard(sampler join.TupleSampler, rngs []*rand.Rand,
-	shard, rows int, dir string, chunkRows int, psp *obs.Span, opts StreamOptions, emitProgress func(int)) (int, string, error) {
+func (g *Generator) sampleOneShard(st store, sampler join.TupleSampler, rngs []*rand.Rand,
+	shard, rows int, dir string, psp *obs.Span, opts StreamOptions, emitProgress func(int)) (int, string, error) {
 	ncols := g.Layout.NumCols()
 	batch := len(rngs)
+	// Chunks hold whole sweeps so a batched sweep never straddles buffers.
+	chunkRows := (rowsPerChunk + batch - 1) / batch * batch
 	base := ar.SplitSeed(opts.Seed, shard)
 	for l := range rngs {
 		rngs[l].Seed(ar.LaneSeed(base, l))
@@ -338,8 +366,14 @@ func (g *Generator) sampleOneShard(sampler join.TupleSampler, rngs []*rand.Rand,
 	defer sp.End()
 	wantPass := opts.Hooks.WantsStreamPass()
 
-	w, err := relation.CreateShardFile(dir, shard, ncols, opts.Seed)
+	path := filepath.Join(dir, relation.ShardFileName(shard))
+	f, err := st.create(path)
 	if err != nil {
+		return 0, "", err
+	}
+	w, err := relation.NewShardWriter(f, ncols, shard, opts.Seed)
+	if err != nil {
+		f.Close()
 		return 0, "", err
 	}
 
@@ -413,8 +447,11 @@ func (g *Generator) sampleOneShard(sampler join.TupleSampler, rngs []*rand.Rand,
 	flush()
 	close(full)
 	err = <-writeErr
-	if cerr := w.Close(); err == nil {
-		err = cerr
+	if err == nil {
+		err = w.PatchRows(f)
+	}
+	if cerr := f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("core: close shard: %w", cerr)
 	}
 	if err != nil {
 		return 0, "", err
@@ -429,5 +466,5 @@ func (g *Generator) sampleOneShard(sampler join.TupleSampler, rngs []*rand.Rand,
 			Wall:             time.Since(shardStart),
 		})
 	}
-	return rows, w.Path(), nil
+	return rows, path, nil
 }

@@ -1,24 +1,24 @@
 package core
 
 import (
-	"bufio"
+	"cmp"
 	"container/heap"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 )
 
-// Spill-to-disk building blocks for the external-memory Group-and-Merge
-// (see MaterializeStream). The merge never holds more than one hash
-// partition of one table's records resident: samples are streamed off the
-// shard files, grouped records spill to P partition files, and the key
-// allocation streams back over per-partition aggregate runs. All spill
-// records are fixed-size little-endian binary — no framing, no varints —
-// so partition files are plain arrays that readers chunk through.
+// Spill building blocks for the external-memory Group-and-Merge (see
+// MaterializeStream). The merge never holds more than one hash partition
+// of one table's records resident: samples are streamed off the shards,
+// grouped records spill to P partition streams in the set's store, and
+// the key allocation streams back over per-partition group runs. All
+// spill records are fixed-size little-endian binary — no framing, no
+// varints — so partition streams are plain arrays that readers chunk
+// through.
 
 // spillPartition hashes a group key to one of p partitions (FNV-1a over
 // the key bytes). The hash — and therefore the (partition,
@@ -39,7 +39,7 @@ func spillPartition(key []byte, p int) int {
 }
 
 // packKey appends the group-key encoding of codes plus an already-assigned
-// parent key to dst: the spill-side counterpart of binKey.
+// parent key to dst.
 func packKey(dst []byte, codes []int32, pk int64) []byte {
 	for _, v := range codes {
 		dst = append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
@@ -50,86 +50,75 @@ func packKey(dst []byte, codes []int32, pk int64) []byte {
 	return dst
 }
 
-// partWriter fans fixed-size records out to one buffered file per
-// partition.
+// partWriter fans fixed-size records out to one stream per partition.
 type partWriter struct {
-	files []*os.File
-	bufs  []*bufio.Writer
+	st    store
+	ws    []streamWriter
 	paths []string
 }
 
-// newPartWriter creates p partition files named prefix-NNN under dir.
-func newPartWriter(dir, prefix string, p int) (*partWriter, error) {
-	w := &partWriter{
-		files: make([]*os.File, p),
-		bufs:  make([]*bufio.Writer, p),
-		paths: make([]string, p),
-	}
+// newPartWriter creates p partition streams named prefix-NNN under dir.
+func newPartWriter(st store, dir, prefix string, p int) (*partWriter, error) {
+	w := &partWriter{st: st, ws: make([]streamWriter, p), paths: make([]string, p)}
 	for i := 0; i < p; i++ {
-		path := filepath.Join(dir, fmt.Sprintf("%s-%03d", prefix, i))
-		f, err := os.Create(path)
+		w.paths[i] = spillPath(dir, prefix, i)
+		f, err := st.create(w.paths[i])
 		if err != nil {
 			w.cleanup()
 			return nil, fmt.Errorf("core: create spill partition: %w", err)
 		}
-		w.files[i] = f
-		w.bufs[i] = bufio.NewWriterSize(f, 1<<15)
-		w.paths[i] = path
+		w.ws[i] = f
 	}
 	return w, nil
 }
 
 func (w *partWriter) write(part int, rec []byte) error {
-	if _, err := w.bufs[part].Write(rec); err != nil {
+	if _, err := w.ws[part].Write(rec); err != nil {
 		return fmt.Errorf("core: write spill record: %w", err)
 	}
 	return nil
 }
 
-// close flushes and closes every partition file, reporting the first
+// close flushes and closes every partition stream, reporting the first
 // error.
 func (w *partWriter) close() error {
 	var first error
-	for i, f := range w.files {
+	for i, f := range w.ws {
 		if f == nil {
 			continue
-		}
-		if err := w.bufs[i].Flush(); err != nil && first == nil {
-			first = fmt.Errorf("core: flush spill partition: %w", err)
 		}
 		if err := f.Close(); err != nil && first == nil {
 			first = fmt.Errorf("core: close spill partition: %w", err)
 		}
-		w.files[i] = nil
+		w.ws[i] = nil
 	}
 	return first
 }
 
-// cleanup closes and removes all partition files (error path / teardown).
+// cleanup closes and removes all partition streams (error path).
 func (w *partWriter) cleanup() {
-	for i, f := range w.files {
+	for i, f := range w.ws {
 		if f != nil {
 			f.Close()
-			w.files[i] = nil
+			w.ws[i] = nil
 		}
 		if w.paths[i] != "" {
-			os.Remove(w.paths[i])
+			w.st.remove(w.paths[i])
 		}
 	}
 }
 
-// readRecords streams the fixed-size records of one partition file,
+// readRecords streams the fixed-size records of one partition stream,
 // invoking fn with each record's bytes (valid only during the call).
-func readRecords(path string, size int, fn func(rec []byte) error) error {
-	f, err := os.Open(path)
+func readRecords(st store, path string, size int, fn func(rec []byte) error) error {
+	f, err := st.open(path)
 	if err != nil {
 		return fmt.Errorf("core: open spill partition: %w", err)
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<15)
 	rec := make([]byte, size)
 	for {
-		_, err := io.ReadFull(br, rec)
+		_, err := io.ReadFull(f, rec)
 		if err == io.EOF {
 			return nil
 		}
@@ -144,12 +133,82 @@ func readRecords(path string, size int, fn func(rec []byte) error) error {
 
 // Record encode/decode helpers. Layouts (all little-endian):
 //
-//	raw (internal table):  idx u64 | w f64 | pk i64 | coarse ×nid i32 | content ×nc i32
-//	raw (leaf table):      pk i64 | w f64 | content ×nc i32
-//	agg (internal table):  gw f64 | pk i64 | members u32 | content ×nc i32
-//	agg (leaf table):      gw f64 | fk i64 | content ×nc i32
+//	raw (internal table):  w f64 | pk i64 | coarse ×nid i32 | content ×nc i32 | idx u64
+//	raw (leaf table):      w f64 | pk i64 | content ×nc i32
+//	group:                 gw f64 | pk i64 | members u32 | content ×nc i32,
+//	                       then its member records
 //	member:                idx u64 | w f64
 //	span:                  idx u64 | key i64 | frac f64
+
+// memberRecSize is the byte size of a member record.
+const memberRecSize = 16
+
+// groupHeadSize is the byte size of a group record before its members.
+func groupHeadSize(nc int) int { return 20 + 4*nc }
+
+// writeGroupRun writes one partition's groups, in order, as a group run.
+func writeGroupRun(st store, path string, groups []*group) error {
+	f, err := st.create(path)
+	if err != nil {
+		return fmt.Errorf("core: create group run: %w", err)
+	}
+	var buf []byte
+	for _, grp := range groups {
+		buf = putF64(buf[:0], grp.gw)
+		buf = putU64(buf, uint64(grp.pk))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(grp.members)))
+		buf = putI32s(buf, grp.content)
+		for _, m := range grp.members {
+			buf = putU64(buf, uint64(m.idx))
+			buf = putF64(buf, m.w)
+		}
+		if _, err := f.Write(buf); err != nil {
+			f.Close()
+			return fmt.Errorf("core: write group run: %w", err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("core: close group run: %w", err)
+	}
+	return nil
+}
+
+// readGroupRun streams a group run back in order, invoking fn with each
+// group. Groups are freshly allocated, so fn may keep them.
+func readGroupRun(st store, path string, nc int, fn func(*group) error) error {
+	f, err := st.open(path)
+	if err != nil {
+		return fmt.Errorf("core: open group run: %w", err)
+	}
+	defer f.Close()
+	head := make([]byte, groupHeadSize(nc))
+	var mem [memberRecSize]byte
+	for {
+		_, err := io.ReadFull(f, head)
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("core: read group run: %w", err)
+		}
+		grp := &group{
+			gw:      getF64(head),
+			pk:      int64(getU64(head[8:])),
+			content: make([]int32, nc),
+			members: make([]memberRec, binary.LittleEndian.Uint32(head[16:])),
+		}
+		getI32s(head[20:], grp.content)
+		for i := range grp.members {
+			if _, err := io.ReadFull(f, mem[:]); err != nil {
+				return fmt.Errorf("core: read group run: %w", err)
+			}
+			grp.members[i] = memberRec{idx: int64(getU64(mem[:])), w: getF64(mem[8:])}
+		}
+		if err := fn(grp); err != nil {
+			return err
+		}
+	}
+}
 
 func putU64(dst []byte, v uint64) []byte {
 	var b [8]byte
@@ -235,29 +294,30 @@ type spanRec struct {
 
 const spanRecSize = 24
 
-// writeSpanRun sorts one partition's span records by sample index (stable,
-// preserving the key-ascending order the cell walk emits per sample) and
-// writes them as a sorted run file.
-func writeSpanRun(path string, recs []spanRec) error {
-	sort.SliceStable(recs, func(a, b int) bool { return recs[a].idx < recs[b].idx })
-	f, err := os.Create(path)
+// writeSpanRun sorts one partition's span records by (sample index, key)
+// — the cell walk already emits each sample's spans in ascending key
+// order, so this is the order a stable sort by index gives — and writes
+// them as a sorted run.
+func writeSpanRun(st store, path string, recs []spanRec) error {
+	slices.SortFunc(recs, func(a, b spanRec) int {
+		if c := cmp.Compare(a.idx, b.idx); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.key, b.key)
+	})
+	f, err := st.create(path)
 	if err != nil {
 		return fmt.Errorf("core: create span run: %w", err)
 	}
-	bw := bufio.NewWriterSize(f, 1<<15)
 	buf := make([]byte, 0, spanRecSize)
 	for _, r := range recs {
 		buf = putU64(buf[:0], uint64(r.idx))
 		buf = putU64(buf, uint64(r.key))
 		buf = putF64(buf, r.frac)
-		if _, err := bw.Write(buf); err != nil {
+		if _, err := f.Write(buf); err != nil {
 			f.Close()
 			return fmt.Errorf("core: write span run: %w", err)
 		}
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("core: flush span run: %w", err)
 	}
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("core: close span run: %w", err)
@@ -267,14 +327,13 @@ func writeSpanRun(path string, recs []spanRec) error {
 
 // spanSource is one sorted span run being merged.
 type spanSource struct {
-	f   *os.File
-	br  *bufio.Reader
+	r   io.ReadCloser
 	cur spanRec
 }
 
 func (s *spanSource) advance() (bool, error) {
 	var rec [spanRecSize]byte
-	_, err := io.ReadFull(s.br, rec[:])
+	_, err := io.ReadFull(s.r, rec[:])
 	if err == io.EOF {
 		return false, nil
 	}
@@ -313,29 +372,26 @@ type spanMerge struct {
 	h spanHeap
 }
 
-// openSpanMerge opens every span run matching prefix-NNN for p partitions.
+// openSpanMerge opens the span runs prefix-NNN of all p partitions.
 // Runs that are empty contribute nothing.
-func openSpanMerge(dir, prefix string, p int) (*spanMerge, error) {
+func openSpanMerge(st store, dir, prefix string, p int) (*spanMerge, error) {
 	m := &spanMerge{}
 	for i := 0; i < p; i++ {
-		path := filepath.Join(dir, fmt.Sprintf("%s-%03d", prefix, i))
-		f, err := os.Open(path)
-		if os.IsNotExist(err) {
-			continue
-		}
+		f, err := st.open(spillPath(dir, prefix, i))
 		if err != nil {
 			m.Close()
 			return nil, fmt.Errorf("core: open span run: %w", err)
 		}
-		src := &spanSource{f: f, br: bufio.NewReaderSize(f, 1<<15)}
+		src := &spanSource{r: f}
 		ok, err := src.advance()
-		if err != nil {
+		if err != nil || !ok {
 			f.Close()
+		}
+		if err != nil {
 			m.Close()
 			return nil, err
 		}
 		if !ok {
-			f.Close()
 			continue
 		}
 		m.h = append(m.h, src)
@@ -367,17 +423,17 @@ func (m *spanMerge) spansFor(idx int64, dst []keySpan) ([]keySpan, error) {
 		if ok {
 			heap.Fix(&m.h, 0)
 		} else {
-			src.f.Close()
+			src.r.Close()
 			heap.Pop(&m.h)
 		}
 	}
 	return dst, nil
 }
 
-// Close releases any remaining run files.
+// Close releases any remaining runs.
 func (m *spanMerge) Close() {
 	for _, src := range m.h {
-		src.f.Close()
+		src.r.Close()
 	}
 	m.h = nil
 }

@@ -26,7 +26,7 @@ type StreamResult struct {
 	// Rows is the emitted row count per table.
 	Rows map[string]int
 	// Groups is the merge-group count per table (telemetry, mirroring the
-	// in-memory path's GenPhase events).
+	// merge GenPhase events).
 	Groups map[string]int
 	// Samples is the number of FOJ samples consumed.
 	Samples int
@@ -46,30 +46,21 @@ func (s *ShardSet) Stream(buf []int32, fn func(idx int64, row []int32) error) er
 	}
 	var idx int64
 	for _, path := range s.Paths {
-		r, err := relation.OpenShardFile(path)
+		f, err := s.st.open(path)
 		if err != nil {
 			return err
 		}
-		for {
-			n, err := r.ReadRows(buf)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				//lint:allow errpropagate read-only close on an error path; the read error dominates
-				r.Close()
-				return err
-			}
-			for i := 0; i < n; i++ {
-				if err := fn(idx, buf[i*ncols:(i+1)*ncols]); err != nil {
-					//lint:allow errpropagate read-only close on an error path; the callback error dominates
-					r.Close()
-					return err
-				}
+		r, err := relation.NewShardReader(f)
+		for err == nil {
+			var n int
+			n, err = r.ReadRows(buf)
+			for i := 0; i < n && err == nil; i++ {
+				err = fn(idx, buf[i*ncols:(i+1)*ncols])
 				idx++
 			}
 		}
-		if err := r.Close(); err != nil {
+		f.Close()
+		if err != io.EOF {
 			return err
 		}
 	}
@@ -93,8 +84,7 @@ type tableCtx struct {
 }
 
 // sampleWeight computes one sample's scaled Alg. 2 weight for the table:
-// zero for NULL presence, else factor·Π 1/WeightVals — the same float
-// expression the in-memory weight pass evaluates.
+// zero for NULL presence, else factor·Π 1/WeightVals.
 func (g *Generator) sampleWeight(tc *tableCtx, row []int32) float64 {
 	if tc.hasFan && row[tc.fanIdx] == 0 {
 		return 0
@@ -117,86 +107,76 @@ func spillPath(dir, prefix string, part int) string {
 	return filepath.Join(dir, fmt.Sprintf("%s-%03d", prefix, part))
 }
 
+// rowSink receives one table's rows from pass C in output order: a CSV
+// file for MaterializeStream, an in-memory table for Generate.
+type rowSink interface {
+	relation.RowWriter
+	close() error
+}
+
+// checkMerge rejects options the Group-and-Merge engine cannot run.
+func checkMerge(opts StreamOptions) error {
+	if !opts.GroupAndMerge {
+		return fmt.Errorf("core: streaming generation requires Group-and-Merge (the pairwise-view ablation is in-memory only)")
+	}
+	if opts.OutDir == "" {
+		return fmt.Errorf("core: streaming generation needs an output directory")
+	}
+	return nil
+}
+
 // GenerateStream runs the bounded-memory pipeline end to end: sharded
 // sampling to opts.OutDir/shards, then the external Group-and-Merge into
 // one CSV per table under opts.OutDir. The shard files are removed
-// afterwards unless opts.KeepSamples is set.
+// afterwards, also when the merge fails, unless opts.KeepSamples is set.
 func (g *Generator) GenerateStream(newSampler func() join.TupleSampler, opts StreamOptions) (*StreamResult, error) {
-	k := opts.Samples
-	if k <= 0 {
-		for _, t := range g.Layout.Schema.Tables {
-			k += g.Sizes[t.Name]
-		}
-	}
-	set, err := g.SampleShards(newSampler, k, opts)
-	if err != nil {
+	if err := checkMerge(opts); err != nil {
 		return nil, err
 	}
-	res, err := g.MaterializeStream(set, opts)
+	set, err := g.SampleShards(newSampler, g.sampleCount(opts.Samples), opts)
+	var res *StreamResult
+	if err == nil {
+		res, err = g.MaterializeStream(set, opts)
+	}
+	if !opts.KeepSamples {
+		if rerr := os.RemoveAll(filepath.Join(opts.OutDir, "shards")); err == nil && rerr != nil {
+			err = fmt.Errorf("core: remove shard dir: %w", rerr)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
 	res.SampleWall = set.Wall
-	if !opts.KeepSamples {
-		if err := os.RemoveAll(set.Dir); err != nil {
-			return nil, fmt.Errorf("core: remove shard dir: %w", err)
-		}
-	}
 	return res, nil
 }
 
 // MaterializeStream is the external-memory Group-and-Merge: it turns a
 // shard set into one CSV per table under opts.OutDir without ever holding
-// the samples — or a table — resident. Per table (topological order) it
-// runs three passes over spill files partitioned by group-key hash:
-//
-//	A: stream samples (merge-joining the parent's span runs by sample
-//	   index), spill each surviving record to its group's hash partition;
-//	B: group each partition in first-appearance order, writing aggregate
-//	   and member runs and accumulating the global weight mass;
-//	C: stream the aggregate runs through a systematic key allocator,
-//	   emitting rows to the table's CSV and span runs for the children.
-//
-// Group traversal order is (hash partition, first appearance within the
-// partition) — deterministic for fixed (Seed, Partitions), but a
-// different order than the in-memory Materialize, so the two paths emit
-// statistically equivalent databases rather than identical bytes. Peak
-// memory is O(samples ÷ Partitions) plus the streaming buffers.
+// the samples — or a table — resident. See merge for the passes.
 func (g *Generator) MaterializeStream(set *ShardSet, opts StreamOptions) (*StreamResult, error) {
-	if !opts.GroupAndMerge {
-		return nil, fmt.Errorf("core: streaming generation requires Group-and-Merge (the pairwise-view ablation is in-memory only)")
+	if err := checkMerge(opts); err != nil {
+		return nil, err
 	}
-	ncols := g.Layout.NumCols()
-	if set.NCols != ncols {
-		return nil, fmt.Errorf("core: shard set has %d columns, layout wants %d", set.NCols, ncols)
-	}
-	start := time.Now()
-	P := opts.Partitions
-	if P <= 0 {
-		P = defaultPartitions
-	}
-	outDir := opts.OutDir
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
+	if err := os.MkdirAll(opts.OutDir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: out dir: %w", err)
 	}
-	spillDir := opts.SpillDir
-	if spillDir == "" {
-		spillDir = filepath.Join(outDir, ".spill")
+	res := &StreamResult{CSVPaths: make(map[string]string, len(g.Layout.Schema.Tables))}
+	err := g.merge(set, opts, res, func(tc *tableCtx) (rowSink, error) {
+		path := filepath.Join(opts.OutDir, tc.t.Name+".csv")
+		res.CSVPaths[tc.t.Name] = path
+		return newCSVSink(path, tc.t, tc.hasChildren)
+	})
+	if err != nil {
+		return nil, err
 	}
-	if err := os.MkdirAll(spillDir, 0o755); err != nil {
-		return nil, fmt.Errorf("core: spill dir: %w", err)
-	}
-	defer os.RemoveAll(spillDir)
+	return res, nil
+}
 
-	chunkRows := opts.ChunkRows
-	if chunkRows <= 0 {
-		chunkRows = defaultChunkRows
-	}
-	buf := make([]int32, chunkRows*ncols)
-
-	// Weight pass: one scan computes every table's weight mass, giving the
-	// per-table scaling factors (Alg. 2's |T|/Σw).
+// weigh is Alg. 2's scaling pass: one scan over the set computes every
+// table's weight mass, giving the per-table factors |T|/Σw.
+func (g *Generator) weigh(set *ShardSet, buf []int32, opts GenOptions) ([]*tableCtx, error) {
 	weightSpan := opts.Span.Child("weight")
+	defer weightSpan.End()
 	wStart := time.Now()
 	tcs := make([]*tableCtx, 0, len(g.Layout.Schema.Tables))
 	for _, t := range g.Layout.Schema.Tables {
@@ -207,6 +187,7 @@ func (g *Generator) MaterializeStream(set *ShardSet, opts StreamOptions) (*Strea
 			fanIdx:      fanIdx,
 			hasFan:      hasFan,
 			down:        g.Layout.DownweightColumns([]string{t.Name}),
+			factor:      1, // until the mass is known
 			ctIdx:       make([]int, len(t.Cols)),
 		}
 		for ci, c := range t.Cols {
@@ -220,24 +201,15 @@ func (g *Generator) MaterializeStream(set *ShardSet, opts StreamOptions) (*Strea
 	sums := make([]float64, len(tcs))
 	err := set.Stream(buf, func(_ int64, row []int32) error {
 		for ti, tc := range tcs {
-			if tc.hasFan && row[tc.fanIdx] == 0 {
-				continue
-			}
-			wi := 1.0
-			for _, f := range tc.down {
-				wi /= g.Layout.Cols[f].WeightVals[row[f]]
-			}
-			sums[ti] += wi
+			sums[ti] += g.sampleWeight(tc, row)
 		}
 		return nil
 	})
 	if err != nil {
-		weightSpan.End()
 		return nil, err
 	}
 	for ti, tc := range tcs {
 		if sums[ti] == 0 {
-			weightSpan.End()
 			return nil, fmt.Errorf("core: no full-outer-join sample contains relation %s", tc.t.Name)
 		}
 		tc.factor = float64(g.Sizes[tc.t.Name]) / sums[ti]
@@ -248,13 +220,47 @@ func (g *Generator) MaterializeStream(set *ShardSet, opts StreamOptions) (*Strea
 			Wall: time.Since(wStart),
 		})
 	}
-	weightSpan.End()
 	opts.Hooks.StreamPass(obs.StreamPass{
 		Pass: "weight", Shard: -1,
 		RecordsIn: int64(set.Total),
-		BytesRead: 4 * int64(set.Total) * int64(ncols),
+		BytesRead: 4 * int64(set.Total) * int64(set.NCols),
 		Wall:      time.Since(wStart),
 	})
+	return tcs, nil
+}
+
+// merge runs Alg. 2 and Alg. 3 over a shard set: the weight pass, then
+// per table, in topological order, the three spill passes of streamTable,
+// each table's rows going to the sink newSink returns. Spill streams live
+// in the set's store under opts.OutDir/.spill and are partitioned by
+// group-key hash, so group order is (hash partition, first appearance
+// within the partition): deterministic for fixed (shards, Seed,
+// Partitions), and plain first-appearance order with one partition. Peak
+// memory is O(samples ÷ Partitions) plus the streaming buffers and
+// whatever the store and sinks hold. res receives the row, group and
+// sample counts.
+func (g *Generator) merge(set *ShardSet, opts StreamOptions, res *StreamResult, newSink func(*tableCtx) (rowSink, error)) error {
+	ncols := g.Layout.NumCols()
+	if set.NCols != ncols {
+		return fmt.Errorf("core: shard set has %d columns, layout wants %d", set.NCols, ncols)
+	}
+	start := time.Now()
+	P := opts.Partitions
+	if P <= 0 {
+		P = defaultPartitions
+	}
+	st := set.st
+	spillDir := filepath.Join(opts.OutDir, ".spill")
+	if err := st.mkdirAll(spillDir); err != nil {
+		return fmt.Errorf("core: spill dir: %w", err)
+	}
+	defer st.removeAll(spillDir)
+
+	buf := make([]int32, rowsPerChunk*ncols)
+	tcs, err := g.weigh(set, buf, opts.GenOptions)
+	if err != nil {
+		return err
+	}
 
 	mergeSpan := opts.Span.Child("merge")
 	defer mergeSpan.End()
@@ -262,12 +268,9 @@ func (g *Generator) MaterializeStream(set *ShardSet, opts StreamOptions) (*Strea
 	mergeSpan.SetAttr("partitions", P)
 	rng := rand.New(rand.NewSource(opts.Seed ^ 0x5a17))
 
-	res := &StreamResult{
-		CSVPaths: make(map[string]string, len(tcs)),
-		Rows:     make(map[string]int, len(tcs)),
-		Groups:   make(map[string]int, len(tcs)),
-		Samples:  set.Total,
-	}
+	res.Rows = make(map[string]int, len(tcs))
+	res.Groups = make(map[string]int, len(tcs))
+	res.Samples = set.Total
 	// Span runs feed every child of a table; drop them once the last child
 	// has merged against them.
 	childLeft := make(map[string]int)
@@ -279,9 +282,9 @@ func (g *Generator) MaterializeStream(set *ShardSet, opts StreamOptions) (*Strea
 	for _, tc := range tcs {
 		var parent *spanMerge
 		if tc.t.Parent != "" {
-			parent, err = openSpanMerge(spillDir, tc.t.Parent+".span", P)
+			parent, err = openSpanMerge(st, spillDir, tc.t.Parent+".span", P)
 			if err != nil {
-				return nil, err
+				return err
 			}
 		}
 		tStart := time.Now()
@@ -290,26 +293,20 @@ func (g *Generator) MaterializeStream(set *ShardSet, opts StreamOptions) (*Strea
 		// attribution samtrace renders for a scale run.
 		tspan := mergeSpan.Child("table")
 		tspan.SetAttr("name", tc.t.Name)
-		var rows, groups int
-		if tc.hasChildren {
-			rows, groups, err = g.streamInternal(set, tc, parent, buf, P, spillDir, outDir, rng, tspan, opts)
-		} else {
-			rows, groups, err = g.streamLeaf(set, tc, parent, buf, P, spillDir, outDir, rng, tspan, opts)
-		}
+		rows, groups, err := g.streamTable(set, tc, parent, buf, P, spillDir, newSink, rng, tspan, opts)
 		tspan.End()
 		if parent != nil {
 			parent.Close()
 			childLeft[tc.t.Parent]--
 			if childLeft[tc.t.Parent] == 0 {
 				for part := 0; part < P; part++ {
-					os.Remove(spillPath(spillDir, tc.t.Parent+".span", part))
+					st.remove(spillPath(spillDir, tc.t.Parent+".span", part))
 				}
 			}
 		}
 		if err != nil {
-			return nil, fmt.Errorf("core: stream table %s: %w", tc.t.Name, err)
+			return fmt.Errorf("core: stream table %s: %w", tc.t.Name, err)
 		}
-		res.CSVPaths[tc.t.Name] = filepath.Join(outDir, tc.t.Name+".csv")
 		res.Rows[tc.t.Name] = rows
 		res.Groups[tc.t.Name] = groups
 		opts.Hooks.GenPhase(obs.GenPhase{
@@ -318,14 +315,14 @@ func (g *Generator) MaterializeStream(set *ShardSet, opts StreamOptions) (*Strea
 		})
 	}
 	res.MergeWall = time.Since(start)
-	return res, nil
+	return nil
 }
 
 // csvSink wraps the buffered CSV pipeline for one table.
 type csvSink struct {
+	*relation.CSVRowWriter
 	f  *os.File
 	bw *bufio.Writer
-	rw *relation.CSVRowWriter
 }
 
 func newCSVSink(path string, t *relation.Table, withPK bool) (*csvSink, error) {
@@ -339,11 +336,11 @@ func newCSVSink(path string, t *relation.Table, withPK bool) (*csvSink, error) {
 		f.Close()
 		return nil, err
 	}
-	return &csvSink{f: f, bw: bw, rw: rw}, nil
+	return &csvSink{CSVRowWriter: rw, f: f, bw: bw}, nil
 }
 
 func (s *csvSink) close() error {
-	err := s.rw.Flush()
+	err := s.Flush()
 	if ferr := s.bw.Flush(); err == nil {
 		err = ferr
 	}
@@ -353,38 +350,78 @@ func (s *csvSink) close() error {
 	return err
 }
 
-// streamInternal materializes one primary-key table: pass A spills
-// (identifier bins, assigned parent key)-grouped records, pass B
-// aggregates each partition into agg+member runs, pass C allocates keys
-// systematically, emits one CSV row per key, and cell-walks each group's
-// members into span runs for the children.
+// group is one merge group of a partition: its weight mass, the parent
+// key its members share, its content bins and, for internal tables, its
+// members.
+type group struct {
+	gw      float64
+	pk      int64
+	content []int32
+	members []memberRec
+}
+
+// streamTable materializes one table in three passes over spill streams:
+//
+//	A: stream the samples, merge-joining the parent's span runs, and
+//	   spill each surviving sample to its group key's hash partition. An
+//	   internal table keys a sample by its coarse identifier bins and its
+//	   majority parent key; a leaf table spills one record per parent
+//	   span, with weight w·frac, keyed by content bins and that span's key.
+//	B: group each partition in first-appearance order and write its
+//	   groups, with their members for internal tables, as a group run;
+//	   the global mass is summed in group order.
+//	C: walk the groups through a systematic allocator. An internal table
+//	   gets one row per allocated key and cell-walks each group's members
+//	   into span runs for its children. A leaf table first rescales its
+//	   mass to |T|, restoring the mass lost with dropped parent groups,
+//	   then emits its allocated row counts, each row decoded fresh.
 //
 // Each pass runs under its own child span of tspan and reports an
 // obs.StreamPass event (records in/out, spill bytes, run counts, the
 // parent heap-merge fan-in). All of it is observational: the spill bytes,
-// group order, and emitted CSV are identical with observers on or off.
-func (g *Generator) streamInternal(set *ShardSet, tc *tableCtx, parent *spanMerge,
-	buf []int32, P int, spillDir, outDir string, rng *rand.Rand, tspan *obs.Span, opts StreamOptions) (int, int, error) {
+// group order, and emitted rows are identical with observers on or off.
+func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, parent *spanMerge,
+	buf []int32, P int, spillDir string, newSink func(*tableCtx) (rowSink, error), rng *rand.Rand, tspan *obs.Span, opts StreamOptions) (int, int, error) {
 	name := tc.t.Name
+	st := set.st
+	internal := tc.hasChildren
+	// Raw record: w f64 | pk i64 | coarse ×nid i32 | content ×nc i32, then
+	// idx u64 for internal tables. Leaves have no identifier columns
+	// (nid = 0) and group by content, so their key runs to the end of the
+	// codes.
 	nid, nc := len(tc.idCols), len(tc.ctIdx)
-	rawSize := 24 + 4*(nid+nc)
-	aggSize := 20 + 4*nc
+	keyEnd, rawSize := 16+4*nid, 16+4*(nid+nc)
+	if internal {
+		rawSize += 8
+	} else {
+		keyEnd += 4 * nc
+	}
 	fan := parent.fanIn()
 
 	// Pass A: spill surviving samples to group-hash partitions.
 	aStart := time.Now()
 	passA := tspan.Child("A")
 	passA.SetAttr("fan_in", fan)
-	pw, err := newPartWriter(spillDir, name+".raw", P)
+	pw, err := newPartWriter(st, spillDir, name+".raw", P)
 	if err != nil {
 		passA.End()
 		return 0, 0, err
 	}
-	coarse := make([]int32, nid)
-	content := make([]int32, nc)
+	codes := make([]int32, nid+nc)
 	var keyBuf, recBuf []byte
 	var spans []keySpan
 	var spilled int64
+	spill := func(idx int64, w float64, pk int64) error {
+		keyBuf = packKey(keyBuf[:0], codes[:(keyEnd-16)/4], pk)
+		recBuf = putF64(recBuf[:0], w)
+		recBuf = putU64(recBuf, uint64(pk))
+		recBuf = putI32s(recBuf, codes)
+		if internal {
+			recBuf = putU64(recBuf, uint64(idx))
+		}
+		spilled++
+		return pw.write(spillPartition(keyBuf, P), recBuf)
+	}
 	err = set.Stream(buf, func(idx int64, row []int32) error {
 		// Drain the parent's spans for every index, even filtered ones,
 		// to keep the merge-join aligned.
@@ -395,28 +432,25 @@ func (g *Generator) streamInternal(set *ShardSet, tc *tableCtx, parent *spanMerg
 			}
 		}
 		wi := g.sampleWeight(tc, row)
-		if wi <= 0 {
-			return nil
+		if wi <= 0 || (parent != nil && len(spans) == 0) {
+			return nil // absent, or its parent is: inconsistent sample
 		}
-		var pk int64
-		if parent != nil {
-			if len(spans) == 0 {
-				return nil // parent absent: inconsistent sample
-			}
-			pk = majorityKey(spans)
-		}
-		g.groupBins(row, tc.idCols, coarse)
+		g.groupBins(row, tc.idCols, codes[:nid])
 		for ci, li := range tc.ctIdx {
-			content[ci] = row[li]
+			codes[nid+ci] = row[li]
 		}
-		keyBuf = packKey(keyBuf[:0], coarse, pk)
-		recBuf = putU64(recBuf[:0], uint64(idx))
-		recBuf = putF64(recBuf, wi)
-		recBuf = putU64(recBuf, uint64(pk))
-		recBuf = putI32s(recBuf, coarse)
-		recBuf = putI32s(recBuf, content)
-		spilled++
-		return pw.write(spillPartition(keyBuf, P), recBuf)
+		switch {
+		case parent == nil:
+			return spill(idx, wi, 0)
+		case internal:
+			return spill(idx, wi, majorityKey(spans))
+		}
+		for _, sp := range spans {
+			if err := spill(idx, wi*sp.frac, sp.key); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 	if err == nil {
 		err = pw.close()
@@ -435,87 +469,44 @@ func (g *Generator) streamInternal(set *ShardSet, tc *tableCtx, parent *spanMerg
 		Wall:         time.Since(aStart),
 	})
 
-	// Pass B: group each partition (first-appearance order), write agg and
-	// member runs, accumulate the global weight mass in group order.
+	// Pass B: group each partition (first-appearance order) into a group
+	// run, accumulating the global weight mass in group order.
 	bStart := time.Now()
-	type igroup struct {
-		gw      float64
-		pk      int64
-		content []int32
-		members int
-	}
 	var sum float64
 	groups := 0
 	err = func() error {
 		passB := tspan.Child("B")
 		defer passB.End()
 		for part := 0; part < P; part++ {
-			var order []*igroup
-			lookup := make(map[string]*igroup)
-			perGroup := make(map[*igroup][]memberRec)
-			err := readRecords(pw.paths[part], rawSize, func(rec []byte) error {
-				idx := int64(getU64(rec))
-				w := getF64(rec[8:])
-				// Group key = parent-key bytes + coarse identifier bytes,
-				// reused straight from the record.
-				key := string(rec[16 : 24+4*nid])
+			var order []*group
+			lookup := make(map[string]*group)
+			err := readRecords(st, pw.paths[part], rawSize, func(rec []byte) error {
+				w := getF64(rec)
+				key := string(rec[8:keyEnd]) // parent key + key codes
 				grp := lookup[key]
 				if grp == nil {
-					ct := make([]int32, nc)
-					getI32s(rec[24+4*nid:], ct)
-					grp = &igroup{pk: int64(getU64(rec[16:])), content: ct}
+					grp = &group{pk: int64(getU64(rec[8:])), content: make([]int32, nc)}
+					getI32s(rec[16+4*nid:], grp.content)
 					lookup[key] = grp
 					order = append(order, grp)
 				}
 				grp.gw += w
-				grp.members++
-				perGroup[grp] = append(perGroup[grp], memberRec{idx: idx, w: w})
+				if internal {
+					grp.members = append(grp.members, memberRec{idx: int64(getU64(rec[rawSize-8:])), w: w})
+				}
 				return nil
 			})
 			if err != nil {
 				return err
 			}
-			aggF, err := os.Create(spillPath(spillDir, name+".agg", part))
-			if err != nil {
-				return fmt.Errorf("core: create agg run: %w", err)
-			}
-			memF, err := os.Create(spillPath(spillDir, name+".mem", part))
-			if err != nil {
-				aggF.Close()
-				return fmt.Errorf("core: create member run: %w", err)
-			}
-			aggW := bufio.NewWriterSize(aggF, 1<<15)
-			memW := bufio.NewWriterSize(memF, 1<<15)
+			st.remove(pw.paths[part])
 			for _, grp := range order {
 				sum += grp.gw
-				recBuf = putF64(recBuf[:0], grp.gw)
-				recBuf = putU64(recBuf, uint64(grp.pk))
-				recBuf = append(recBuf, byte(grp.members), byte(grp.members>>8), byte(grp.members>>16), byte(grp.members>>24))
-				recBuf = putI32s(recBuf, grp.content)
-				if _, err := aggW.Write(recBuf); err != nil {
-					aggF.Close()
-					memF.Close()
-					return fmt.Errorf("core: write agg run: %w", err)
-				}
-				for _, m := range perGroup[grp] {
-					recBuf = putU64(recBuf[:0], uint64(m.idx))
-					recBuf = putF64(recBuf, m.w)
-					if _, err := memW.Write(recBuf); err != nil {
-						aggF.Close()
-						memF.Close()
-						return fmt.Errorf("core: write member run: %w", err)
-					}
-				}
 			}
 			groups += len(order)
-			if err := flushClose(aggW, aggF); err != nil {
-				memF.Close()
+			if err := writeGroupRun(st, spillPath(spillDir, name+".grp", part), order); err != nil {
 				return err
 			}
-			if err := flushClose(memW, memF); err != nil {
-				return err
-			}
-			os.Remove(pw.paths[part])
 		}
 		passB.SetAttr("groups", groups)
 		return nil
@@ -523,44 +514,57 @@ func (g *Generator) streamInternal(set *ShardSet, tc *tableCtx, parent *spanMerg
 	if err != nil {
 		return 0, 0, err
 	}
+	runBytes := int64(groups) * int64(groupHeadSize(nc))
+	if internal {
+		runBytes += spilled * memberRecSize
+	}
 	opts.Hooks.StreamPass(obs.StreamPass{
 		Pass: "B", Table: name, Shard: -1,
 		RecordsIn: spilled, RecordsOut: int64(groups),
-		Runs:         2 * P, // one agg + one member run per partition
+		Runs:         P, // one group run per partition
 		BytesRead:    spilled * int64(rawSize),
-		BytesWritten: int64(groups)*int64(aggSize) + spilled*16,
+		BytesWritten: runBytes,
 		Wall:         time.Since(bStart),
 	})
 
-	// Pass C: allocate |T| keys across groups in order, one CSV row per
-	// key, span runs for the children. Groups resolve with a one-group
-	// delay so the final group absorbs the allocator's drift remainder
-	// (matching systematicCounts).
+	// Pass C: allocate |T| keys (rows, for a leaf) across the groups in
+	// order. Groups resolve with a one-group delay so the final group
+	// absorbs the allocator's drift remainder (matching systematicCounts).
 	cStart := time.Now()
 	passC := tspan.Child("C")
-	sink, err := newCSVSink(filepath.Join(outDir, name+".csv"), tc.t, true)
+	defer passC.End()
+	factor, runsRead := 1.0, runBytes
+	if !internal {
+		factor = 0
+		if sum > 0 {
+			factor = float64(g.Sizes[name]) / sum
+		}
+		var scaled float64
+		for part := 0; part < P; part++ {
+			err := readGroupRun(st, spillPath(spillDir, name+".grp", part), nc, func(grp *group) error {
+				scaled += grp.gw * factor
+				return nil
+			})
+			if err != nil {
+				return 0, 0, err
+			}
+		}
+		sum = scaled
+		runsRead *= 2 // the rescale scan and the allocation walk
+	}
+	sink, err := newSink(tc)
 	if err != nil {
-		passC.End()
 		return 0, 0, err
 	}
 	alloc := newSysAlloc(sum, g.Sizes[name])
-	type pgroup struct {
-		gw      float64
-		pk      int64
-		content []int32
-		members []memberRec
-		count   int
-		part    int
-	}
-	var pending *pgroup
-	var counter int64
+	var rows int64
 	vals := make([]int32, nc)
 	var spanBuf []spanRec
 	var spanRecs int64 // span-run records written, for the pass C event
 	curSpanPart := 0
 	flushSpansTo := func(part int) error {
 		for curSpanPart < part {
-			if err := writeSpanRun(spillPath(spillDir, name+".span", curSpanPart), spanBuf); err != nil {
+			if err := writeSpanRun(st, spillPath(spillDir, name+".span", curSpanPart), spanBuf); err != nil {
 				return err
 			}
 			spanRecs += int64(len(spanBuf))
@@ -569,36 +573,39 @@ func (g *Generator) streamInternal(set *ShardSet, tc *tableCtx, parent *spanMerg
 		}
 		return nil
 	}
-	emit := func(p *pgroup) error {
+	type pendingGroup struct {
+		*group
+		count, part int
+	}
+	emit := func(p pendingGroup) error {
 		if p.count == 0 {
 			return nil
 		}
-		if err := flushSpansTo(p.part); err != nil {
-			return err
+		if internal {
+			if err := flushSpansTo(p.part); err != nil {
+				return err
+			}
 		}
-		cell := p.gw / float64(p.count)
-		base := counter
-		counter += int64(p.count)
+		base := rows
+		rows += int64(p.count)
 		for j := 0; j < p.count; j++ {
 			for ci := range vals {
 				vals[ci] = g.Disc[tc.ctIdx[ci]].SampleIn(rng, int(p.content[ci]))
 			}
-			if err := sink.rw.WriteRow(base+int64(j), vals, p.pk); err != nil {
+			if err := sink.WriteRow(base+int64(j), vals, p.pk); err != nil {
 				return err
 			}
 		}
+		if !internal {
+			return nil
+		}
+		cell := p.gw / float64(p.count)
 		acc := 0.0
 		for _, m := range p.members {
 			start, end := acc, acc+m.w
 			acc = end
-			first := int(start / cell)
-			last := int((end - 1e-12) / cell)
-			if first >= p.count {
-				first = p.count - 1
-			}
-			if last >= p.count {
-				last = p.count - 1
-			}
+			first := min(int(start/cell), p.count-1)
+			last := min(int((end-1e-12)/cell), p.count-1)
 			for c := first; c <= last; c++ {
 				lo := math.Max(start, float64(c)*cell)
 				hi := math.Min(end, float64(c+1)*cell)
@@ -612,320 +619,32 @@ func (g *Generator) streamInternal(set *ShardSet, tc *tableCtx, parent *spanMerg
 		return nil
 	}
 	streamErr := func() error {
-		aggRec := make([]byte, aggSize)
-		memRec := make([]byte, 16)
+		var pending pendingGroup
 		for part := 0; part < P; part++ {
-			aggF, err := os.Open(spillPath(spillDir, name+".agg", part))
-			if err != nil {
-				return fmt.Errorf("core: open agg run: %w", err)
-			}
-			memF, err := os.Open(spillPath(spillDir, name+".mem", part))
-			if err != nil {
-				aggF.Close()
-				return fmt.Errorf("core: open member run: %w", err)
-			}
-			aggR := bufio.NewReaderSize(aggF, 1<<15)
-			memR := bufio.NewReaderSize(memF, 1<<15)
-			for {
-				_, err := io.ReadFull(aggR, aggRec)
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					aggF.Close()
-					memF.Close()
-					return fmt.Errorf("core: read agg run: %w", err)
-				}
-				grp := &pgroup{
-					gw:      getF64(aggRec),
-					pk:      int64(getU64(aggRec[8:])),
-					content: make([]int32, nc),
-					part:    part,
-				}
-				getI32s(aggRec[20:], grp.content)
-				n := int(getI32(aggRec[16:]))
-				grp.members = make([]memberRec, n)
-				for mi := 0; mi < n; mi++ {
-					if _, err := io.ReadFull(memR, memRec); err != nil {
-						aggF.Close()
-						memF.Close()
-						return fmt.Errorf("core: read member run: %w", err)
-					}
-					grp.members[mi] = memberRec{idx: int64(getU64(memRec)), w: getF64(memRec[8:])}
-				}
-				grp.count = alloc.next(grp.gw)
-				if pending != nil {
+			path := spillPath(spillDir, name+".grp", part)
+			err := readGroupRun(st, path, nc, func(grp *group) error {
+				next := pendingGroup{group: grp, count: alloc.next(grp.gw * factor), part: part}
+				if pending.group != nil {
 					if err := emit(pending); err != nil {
-						aggF.Close()
-						memF.Close()
 						return err
 					}
 				}
-				pending = grp
-			}
-			aggF.Close()
-			memF.Close()
-			os.Remove(spillPath(spillDir, name+".agg", part))
-			os.Remove(spillPath(spillDir, name+".mem", part))
-		}
-		if pending != nil {
-			pending.count += alloc.leftover()
-			if err := emit(pending); err != nil {
-				return err
-			}
-			pending = nil
-		}
-		return flushSpansTo(P)
-	}()
-	if cerr := sink.close(); streamErr == nil {
-		streamErr = cerr
-	}
-	passC.SetAttr("rows", counter)
-	passC.End()
-	if streamErr != nil {
-		return 0, 0, streamErr
-	}
-	opts.Hooks.StreamPass(obs.StreamPass{
-		Pass: "C", Table: name, Shard: -1,
-		RecordsIn: int64(groups), RecordsOut: counter,
-		Runs:         P, // one child span run per partition
-		BytesRead:    int64(groups)*int64(aggSize) + spilled*16,
-		BytesWritten: spanRecs * spanRecSize,
-		Wall:         time.Since(cStart),
-	})
-	return int(counter), groups, nil
-}
-
-func flushClose(bw *bufio.Writer, f *os.File) error {
-	err := bw.Flush()
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("core: flush spill run: %w", err)
-	}
-	return nil
-}
-
-// streamLeaf materializes a leaf table: pass A spills one record per
-// (sample, parent span) with weight w·frac, pass B aggregates by (content
-// bins, parent key), and pass C rescales the aggregate mass to |T| and
-// emits the allocated row counts — each row decoded fresh, as in the
-// in-memory path.
-//
-// As in streamInternal, each pass runs under its own child span of tspan
-// and reports an obs.StreamPass event; the instrumentation never alters
-// the spill bytes or the emitted CSV.
-func (g *Generator) streamLeaf(set *ShardSet, tc *tableCtx, parent *spanMerge,
-	buf []int32, P int, spillDir, outDir string, rng *rand.Rand, tspan *obs.Span, opts StreamOptions) (int, int, error) {
-	name := tc.t.Name
-	nc := len(tc.ctIdx)
-	rawSize := 16 + 4*nc
-	fan := parent.fanIn()
-
-	aStart := time.Now()
-	passA := tspan.Child("A")
-	passA.SetAttr("fan_in", fan)
-	pw, err := newPartWriter(spillDir, name+".raw", P)
-	if err != nil {
-		passA.End()
-		return 0, 0, err
-	}
-	content := make([]int32, nc)
-	var keyBuf, recBuf []byte
-	var spans []keySpan
-	var spilled int64
-	spill := func(pk int64, w float64) error {
-		keyBuf = packKey(keyBuf[:0], content, pk)
-		recBuf = putU64(recBuf[:0], uint64(pk))
-		recBuf = putF64(recBuf, w)
-		recBuf = putI32s(recBuf, content)
-		spilled++
-		return pw.write(spillPartition(keyBuf, P), recBuf)
-	}
-	err = set.Stream(buf, func(idx int64, row []int32) error {
-		if parent != nil {
-			spans, err = parent.spansFor(idx, spans[:0])
-			if err != nil {
-				return err
-			}
-		}
-		wi := g.sampleWeight(tc, row)
-		if wi <= 0 {
-			return nil
-		}
-		for ci, li := range tc.ctIdx {
-			content[ci] = row[li]
-		}
-		if parent == nil {
-			return spill(0, wi)
-		}
-		for _, sp := range spans {
-			if err := spill(sp.key, wi*sp.frac); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err == nil {
-		err = pw.close()
-	}
-	passA.SetAttr("records_out", spilled)
-	passA.End()
-	if err != nil {
-		pw.cleanup()
-		return 0, 0, err
-	}
-	opts.Hooks.StreamPass(obs.StreamPass{
-		Pass: "A", Table: name, Shard: -1,
-		RecordsIn: int64(set.Total), RecordsOut: spilled,
-		Runs: P, FanIn: fan,
-		BytesWritten: spilled * int64(rawSize),
-		Wall:         time.Since(aStart),
-	})
-
-	// Pass B: aggregate each partition by (content, parent key).
-	bStart := time.Now()
-	type lgroup struct {
-		gw      float64
-		fk      int64
-		content []int32
-	}
-	aggSize := 16 + 4*nc
-	var aggSum float64
-	groups := 0
-	err = func() error {
-		passB := tspan.Child("B")
-		defer passB.End()
-		for part := 0; part < P; part++ {
-			var order []*lgroup
-			lookup := make(map[string]*lgroup)
-			err := readRecords(pw.paths[part], rawSize, func(rec []byte) error {
-				key := string(rec[0:8]) + string(rec[16:16+4*nc]) // pk bytes + content bytes
-				grp := lookup[key]
-				if grp == nil {
-					ct := make([]int32, nc)
-					getI32s(rec[16:], ct)
-					grp = &lgroup{fk: int64(getU64(rec)), content: ct}
-					lookup[key] = grp
-					order = append(order, grp)
-				}
-				grp.gw += getF64(rec[8:])
+				pending = next
 				return nil
 			})
 			if err != nil {
 				return err
 			}
-			aggF, err := os.Create(spillPath(spillDir, name+".agg", part))
-			if err != nil {
-				return fmt.Errorf("core: create agg run: %w", err)
-			}
-			aggW := bufio.NewWriterSize(aggF, 1<<15)
-			for _, grp := range order {
-				aggSum += grp.gw
-				recBuf = putF64(recBuf[:0], grp.gw)
-				recBuf = putU64(recBuf, uint64(grp.fk))
-				recBuf = putI32s(recBuf, grp.content)
-				if _, err := aggW.Write(recBuf); err != nil {
-					aggF.Close()
-					return fmt.Errorf("core: write agg run: %w", err)
-				}
-			}
-			groups += len(order)
-			if err := flushClose(aggW, aggF); err != nil {
-				return err
-			}
-			os.Remove(pw.paths[part])
+			st.remove(path)
 		}
-		passB.SetAttr("groups", groups)
-		return nil
-	}()
-	if err != nil {
-		return 0, 0, err
-	}
-	opts.Hooks.StreamPass(obs.StreamPass{
-		Pass: "B", Table: name, Shard: -1,
-		RecordsIn: spilled, RecordsOut: int64(groups),
-		Runs:         P, // one agg run per partition (leaves have no members)
-		BytesRead:    spilled * int64(rawSize),
-		BytesWritten: int64(groups) * int64(aggSize),
-		Wall:         time.Since(bStart),
-	})
-
-	// Pass C: rescale the aggregate mass to |T| (restoring mass lost with
-	// dropped parent groups, exactly as the in-memory leaf path does
-	// before rounding), then systematic allocation over scaled aggregate
-	// weights, rows decoded per emission.
-	cStart := time.Now()
-	passC := tspan.Child("C")
-	factor := 0.0
-	if aggSum > 0 {
-		factor = float64(g.Sizes[name]) / aggSum
-	}
-	var scaledSum float64
-	for part := 0; part < P; part++ {
-		err := readRecords(spillPath(spillDir, name+".agg", part), aggSize, func(rec []byte) error {
-			scaledSum += getF64(rec) * factor
-			return nil
-		})
-		if err != nil {
-			passC.End()
-			return 0, 0, err
-		}
-	}
-
-	sink, err := newCSVSink(filepath.Join(outDir, name+".csv"), tc.t, false)
-	if err != nil {
-		passC.End()
-		return 0, 0, err
-	}
-	alloc := newSysAlloc(scaledSum, g.Sizes[name])
-	type pgroup struct {
-		fk      int64
-		content []int32
-		count   int
-	}
-	var pending *pgroup
-	rows := 0
-	vals := make([]int32, nc)
-	emit := func(p *pgroup) error {
-		for j := 0; j < p.count; j++ {
-			for ci := range vals {
-				vals[ci] = g.Disc[tc.ctIdx[ci]].SampleIn(rng, int(p.content[ci]))
-			}
-			if err := sink.rw.WriteRow(0, vals, p.fk); err != nil {
-				return err
-			}
-			rows++
-		}
-		return nil
-	}
-	streamErr := func() error {
-		for part := 0; part < P; part++ {
-			path := spillPath(spillDir, name+".agg", part)
-			err := readRecords(path, aggSize, func(rec []byte) error {
-				grp := &pgroup{fk: int64(getU64(rec[8:])), content: make([]int32, nc)}
-				getI32s(rec[16:], grp.content)
-				grp.count = alloc.next(getF64(rec) * factor)
-				if pending != nil {
-					if err := emit(pending); err != nil {
-						return err
-					}
-				}
-				pending = grp
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			os.Remove(path)
-		}
-		if pending != nil {
+		if pending.group != nil {
 			pending.count += alloc.leftover()
 			if err := emit(pending); err != nil {
 				return err
 			}
-			pending = nil
+		}
+		if internal {
+			return flushSpansTo(P)
 		}
 		return nil
 	}()
@@ -933,17 +652,20 @@ func (g *Generator) streamLeaf(set *ShardSet, tc *tableCtx, parent *spanMerge,
 		streamErr = cerr
 	}
 	passC.SetAttr("rows", rows)
-	passC.End()
 	if streamErr != nil {
 		return 0, 0, streamErr
 	}
+	spanRuns := 0
+	if internal {
+		spanRuns = P // one child span run per partition
+	}
 	opts.Hooks.StreamPass(obs.StreamPass{
 		Pass: "C", Table: name, Shard: -1,
-		RecordsIn: int64(groups), RecordsOut: int64(rows),
-		// Two scans over the agg runs: the rescale pre-pass and the
-		// allocation walk.
-		BytesRead: 2 * int64(groups) * int64(aggSize),
-		Wall:      time.Since(cStart),
+		RecordsIn: int64(groups), RecordsOut: rows,
+		Runs:         spanRuns,
+		BytesRead:    runsRead,
+		BytesWritten: spanRecs * spanRecSize,
+		Wall:         time.Since(cStart),
 	})
-	return rows, groups, nil
+	return int(rows), groups, nil
 }

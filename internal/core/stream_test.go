@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -68,7 +71,6 @@ func TestShardBytesInvariantAcrossWorkers(t *testing.T) {
 		opts := DefaultStreamOptions(42, t.TempDir())
 		opts.Shards = 4
 		opts.Workers = workers
-		opts.ChunkRows = 100 + workers*37 // chunking must not affect bytes either
 		set, err := gen.SampleShards(newSampler, k, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -130,89 +132,10 @@ func TestShardSeedsDivergeAcrossShards(t *testing.T) {
 	}
 }
 
-// TestStreamingExactRecovery mirrors TestExactRecoveryFromEnumeratedFOJ
-// through the external-memory path: the enumerated FOJ written as shards
-// and merged with spill files must recover the worked example exactly.
-func TestStreamingExactRecovery(t *testing.T) {
-	s := paperSchema()
-	l := join.NewLayout(s)
-	o := join.NewOracle(l)
-	flat := o.EnumerateFOJ()
-	ncols := l.NumCols()
-	k := len(flat) / ncols
-
-	// Write the enumerated samples as two shard files.
-	dir := t.TempDir()
-	shardDir := filepath.Join(dir, "shards")
-	if err := os.MkdirAll(shardDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	half := (k / 2) * ncols
-	for shard, part := range [][]int32{flat[:half], flat[half:]} {
-		w, err := relation.CreateShardFile(shardDir, shard, ncols, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.WriteRows(part); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	set, err := OpenShardSet(shardDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if set.Total != k {
-		t.Fatalf("reopened shard set holds %d rows want %d", set.Total, k)
-	}
-
-	gen, err := NewGenerator(l, identityDiscs(l), sizesOf(s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultStreamOptions(1, dir)
-	opts.Partitions = 3 // force multi-partition grouping even at toy scale
-	res, err := gen.MaterializeStream(set, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := readBack(t, s, res)
-	if err := out.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for _, tab := range s.Tables {
-		if got := out.Table(tab.Name).NumRows(); got != tab.NumRows() {
-			t.Fatalf("table %s: %d rows want %d", tab.Name, got, tab.NumRows())
-		}
-	}
-	if got, want := engine.FOJSize(out), engine.FOJSize(s); got != want {
-		t.Fatalf("FOJ size %d want %d", got, want)
-	}
-	queries := []workload.Query{
-		{Tables: []string{"A"}, Preds: []workload.Predicate{{Table: "A", Column: "a", Op: workload.EQ, Code: 0}}},
-		{Tables: []string{"B"}, Preds: []workload.Predicate{{Table: "B", Column: "b", Op: workload.GE, Code: 1}}},
-		{Tables: []string{"C"}, Preds: []workload.Predicate{{Table: "C", Column: "c", Op: workload.EQ, Code: 0}}},
-		{Tables: []string{"A", "B"}, Preds: []workload.Predicate{{Table: "A", Column: "a", Op: workload.EQ, Code: 1}}},
-		{Tables: []string{"A", "C"}, Preds: []workload.Predicate{{Table: "C", Column: "c", Op: workload.EQ, Code: 1}}},
-		{Tables: []string{"A", "B", "C"}, Preds: nil},
-		{Tables: []string{"A", "B", "C"}, Preds: []workload.Predicate{
-			{Table: "A", Column: "a", Op: workload.EQ, Code: 0},
-			{Table: "B", Column: "b", Op: workload.LE, Code: 1},
-		}},
-	}
-	for qi, q := range queries {
-		if got, want := engine.Card(out, &q), engine.Card(s, &q); got != want {
-			t.Fatalf("query %d: cardinality %d want %d", qi, got, want)
-		}
-	}
-}
-
 // TestGenerateStreamDeepChain runs the full streaming pipeline on the
 // TPC-H style two-level chain: FK integrity must hold across both levels
-// and 3-way join cardinalities must be preserved, matching the in-memory
-// path's bar.
+// and 3-way join cardinalities must be preserved, matching the
+// bar of TestDeepTreeRecoveryTPCH.
 func TestGenerateStreamDeepChain(t *testing.T) {
 	orig := datagen.TPCH(3, 300)
 	l := join.NewLayout(orig)
@@ -329,52 +252,202 @@ func TestGenerateStreamDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestStreamingMatchesInMemorySizes checks the two Group-and-Merge
-// implementations agree on the aggregate shape: identical row counts per
-// table from the same pre-drawn samples.
-func TestStreamingMatchesInMemorySizes(t *testing.T) {
-	orig := datagen.IMDB(9, 150)
+// TestGenerateMatchesStreamBytes pins the one-engine contract: Generate's
+// tables, written with WriteCSV, are byte-identical to the CSVs
+// GenerateStream writes for the same (Seed, Samples, Batch) at
+// Partitions = 1 — the memory and disk stores run the same merge.
+func TestGenerateMatchesStreamBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		orig *relation.Schema
+		k    int
+	}{
+		{"imdb", datagen.IMDB(9, 150), 20000},
+		{"tpch", datagen.TPCH(3, 120), 20000},
+		{"census", datagen.Census(3, 400), 1500},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := join.NewLayout(tc.orig)
+			o := join.NewOracle(l)
+			gen, err := NewGenerator(l, identityDiscs(l), sizesOf(tc.orig))
+			if err != nil {
+				t.Fatal(err)
+			}
+			newSampler := func() join.TupleSampler { return o }
+			gopts := DefaultGenOptions(5)
+			gopts.Samples = tc.k
+			gopts.Batch = 16
+			mem, err := gen.Generate(newSampler, gopts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sopts := StreamOptions{GenOptions: gopts, OutDir: t.TempDir(), Partitions: 1}
+			res, err := gen.GenerateStream(newSampler, sopts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tab := range mem.Tables {
+				var b strings.Builder
+				if err := tab.WriteCSV(&b); err != nil {
+					t.Fatal(err)
+				}
+				if b.String() != string(fileBytes(t, res.CSVPaths[tab.Name])) {
+					t.Fatalf("table %s: Generate and GenerateStream CSVs differ", tab.Name)
+				}
+			}
+		})
+	}
+}
+
+// TestGenerationInvariantAcrossWorkers covers every generation entry point
+// of the package: Generate, GenerateStream and SampleShards (on both
+// stores) give the same bytes for Workers ∈ {0, 1, 2, 3} under
+// GOMAXPROCS ∈ {1, 2}. Workers 0 means GOMAXPROCS, so a scheduler that let
+// either leak into the output would fail here.
+func TestGenerationInvariantAcrossWorkers(t *testing.T) {
+	orig := datagen.IMDB(15, 100)
 	l := join.NewLayout(orig)
 	o := join.NewOracle(l)
 	gen, err := NewGenerator(l, identityDiscs(l), sizesOf(orig))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const k = 8000
-	memOpts := DefaultGenOptions(5)
-	memOpts.Samples = k
-	flat := gen.DrawSamples(func() join.TupleSampler { return o }, k, memOpts)
-	mem, err := gen.Materialize(flat, memOpts)
-	if err != nil {
-		t.Fatal(err)
+	newSampler := func() join.TupleSampler { return o }
+	const k = 40000 // three auto-derived shards
+	base := DefaultGenOptions(31)
+	base.Samples = k
+	base.Batch = 8
+
+	// run returns every output of the four entry points as named byte
+	// strings.
+	run := func(workers int) map[string]string {
+		out := map[string]string{}
+		opts := base
+		opts.Workers = workers
+		db, err := gen.Generate(newSampler, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tab := range db.Tables {
+			var b strings.Builder
+			if err := tab.WriteCSV(&b); err != nil {
+				t.Fatal(err)
+			}
+			out["Generate/"+tab.Name] = b.String()
+		}
+		sopts := StreamOptions{GenOptions: opts, OutDir: t.TempDir(), Partitions: 4}
+		res, err := gen.GenerateStream(newSampler, sopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, path := range res.CSVPaths {
+			out["GenerateStream/"+name] = string(fileBytes(t, path))
+		}
+		for _, dir := range []string{"", t.TempDir()} {
+			sopts.OutDir = dir
+			set, err := gen.SampleShards(newSampler, k, sopts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flat, err := set.readAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[fmt.Sprintf("SampleShards(dir=%t)", dir != "")] = fmt.Sprint(len(set.Paths), flat)
+		}
+		return out
 	}
 
-	dir := t.TempDir()
-	shardDir := filepath.Join(dir, "shards")
-	if err := os.MkdirAll(shardDir, 0o755); err != nil {
-		t.Fatal(err)
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	var golden map[string]string
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, workers := range []int{0, 1, 2, 3} {
+			cur := run(workers)
+			if golden == nil {
+				golden = cur
+				if golden["SampleShards(dir=true)"] != golden["SampleShards(dir=false)"] {
+					t.Fatal("SampleShards drew different samples into the memory and disk stores")
+				}
+				continue
+			}
+			for name, want := range golden {
+				if cur[name] != want {
+					t.Fatalf("%s differs at GOMAXPROCS=%d Workers=%d", name, procs, workers)
+				}
+			}
+		}
 	}
-	w, err := relation.CreateShardFile(shardDir, 0, l.NumCols(), 5)
+}
+
+// TestGenerateStreamRejectsViewsBeforeSampling checks that the pairwise-view
+// ablation, which only Generate runs, fails before any shard is sampled
+// and leaves no shard directory behind.
+func TestGenerateStreamRejectsViewsBeforeSampling(t *testing.T) {
+	orig := datagen.IMDB(5, 80)
+	l := join.NewLayout(orig)
+	gen, err := NewGenerator(l, identityDiscs(l), sizesOf(orig))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteRows(flat); err != nil {
-		t.Fatal(err)
+	opts := DefaultStreamOptions(3, t.TempDir())
+	opts.Samples = 2000
+	opts.GroupAndMerge = false
+	sampled := false
+	newSampler := func() join.TupleSampler {
+		sampled = true
+		return join.NewOracle(l)
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
+	if _, err := gen.GenerateStream(newSampler, opts); err == nil {
+		t.Fatal("GenerateStream accepted GroupAndMerge=false")
 	}
-	set, err := OpenShardSet(shardDir)
+	if sampled {
+		t.Fatal("GenerateStream sampled before rejecting GroupAndMerge=false")
+	}
+	if _, err := os.Stat(filepath.Join(opts.OutDir, "shards")); !os.IsNotExist(err) {
+		t.Fatalf("shard directory left behind after a rejected run (stat: %v)", err)
+	}
+}
+
+// TestGenerateStreamRemovesShardsOnMergeError checks that a merge failure
+// does not leave the sampled shards on disk unless KeepSamples asks for
+// them.
+func TestGenerateStreamRemovesShardsOnMergeError(t *testing.T) {
+	orig := datagen.IMDB(5, 80)
+	l := join.NewLayout(orig)
+	o := join.NewOracle(l)
+	gen, err := NewGenerator(l, identityDiscs(l), sizesOf(orig))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := gen.MaterializeStream(set, DefaultStreamOptions(5, dir))
-	if err != nil {
-		t.Fatal(err)
+	empty := func() join.TupleSampler { return nullSampler{o} }
+	for _, keep := range []bool{false, true} {
+		opts := DefaultStreamOptions(3, t.TempDir())
+		opts.Samples = 500
+		opts.KeepSamples = keep
+		if _, err := gen.GenerateStream(empty, opts); err == nil {
+			t.Fatal("merge of samples without any child relation succeeded")
+		}
+		_, err := os.Stat(filepath.Join(opts.OutDir, "shards"))
+		if kept := err == nil; kept != keep {
+			t.Fatalf("KeepSamples=%t: shard directory kept=%t", keep, kept)
+		}
 	}
-	for _, tab := range mem.Tables {
-		if got := res.Rows[tab.Name]; got != tab.NumRows() {
-			t.Fatalf("table %s: streamed %d rows, in-memory %d", tab.Name, got, tab.NumRows())
+}
+
+// nullSampler draws oracle samples with every child relation absent
+// (all fanout columns zero), so no sample contains a child table.
+type nullSampler struct{ o *join.Oracle }
+
+func (s nullSampler) SampleFOJBatch(rngs []*rand.Rand, dst []int32) {
+	s.o.SampleFOJBatch(rngs, dst)
+	n := s.o.L.NumCols()
+	for i := range rngs {
+		for c, col := range s.o.L.Cols {
+			if col.Kind == join.Fanout {
+				dst[i*n+c] = 0
+			}
 		}
 	}
 }

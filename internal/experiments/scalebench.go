@@ -79,8 +79,8 @@ type ScaleBenchReport struct {
 	// resident.
 	PeakHeapBytes int64 `json:"peak_heap_bytes"`
 	PeakRSSBytes  int64 `json:"peak_rss_bytes"`
-	// ShardBytes is the on-disk size of the sample shards (the data that
-	// would have been resident under the in-memory path).
+	// ShardBytes is the on-disk size of the sample shards (the data an
+	// in-memory Generate would hold resident).
 	ShardBytes int64 `json:"shard_bytes"`
 }
 

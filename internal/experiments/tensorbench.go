@@ -193,10 +193,11 @@ func RunTensorBench() *TensorBenchReport {
 	})
 
 	add("sample_batched_workers", func(b *testing.B) {
-		// Worker×lane composition gate: two logical workers share the
+		// Worker×lane composition gate: two sampling workers share the
 		// kernel token bucket while each advances 64 batched lanes, going
-		// through core's real scheduling path (DrawSamples). The bench
-		// forces GOMAXPROCS ≥ 2 so both sampling goroutines can actually be
+		// through core's real scheduling path (SampleShards over the
+		// memory store, one shard per worker). The bench forces
+		// GOMAXPROCS ≥ 2 so both sampling goroutines can actually be
 		// scheduled; on single-core CI hosts this measures composition
 		// overhead rather than scaling, which is exactly what the gate
 		// bounds — adding workers must not wreck batched throughput.
@@ -210,11 +211,11 @@ func RunTensorBench() *TensorBenchReport {
 			panic(err)
 		}
 		const lanes = 64
-		opts := core.DefaultGenOptions(7)
+		opts := core.StreamOptions{GenOptions: core.DefaultGenOptions(7), Shards: 2}
 		opts.Workers = 2
 		opts.Batch = lanes
 		newSampler := core.ModelSampler(m, lanes)
-		// Tuples per DrawSamples call: large enough that the per-call
+		// Tuples per SampleShards call: large enough that the per-call
 		// sampler construction (one BatchSampler per worker goroutine)
 		// amortizes below the noise floor, small enough to fit b.N.
 		const per = 2 * lanes * 32
@@ -222,7 +223,9 @@ func RunTensorBench() *TensorBenchReport {
 		b.ResetTimer()
 		// One iteration = one tuple, comparable with sample_per_tuple.
 		for drawn := 0; drawn < b.N; drawn += per {
-			g.DrawSamples(newSampler, per, opts)
+			if _, err := g.SampleShards(newSampler, per, opts); err != nil {
+				panic(err)
+			}
 		}
 	})
 

@@ -49,7 +49,7 @@ type GenPhase struct {
 // GenProgress is a rolling in-flight report from a generation phase:
 // how many of the phase's units are done, the rolling throughput, and
 // the ETA it implies. Emission is throttled at the source (see
-// core.drawSamples), so listeners can print every event.
+// core.SampleShards), so listeners can print every event.
 type GenProgress struct {
 	Phase       string // "sample" (FOJ tuple draws)
 	Done, Total int

@@ -95,6 +95,18 @@ func (s *ShardWriter) WriteRows(flat []int32) error {
 	return nil
 }
 
+// PatchRows writes the number of rows written so far into the header's
+// row count, for sinks that can write back into the stream (see
+// ShardFileWriter). Flush any buffering between s and w first.
+func (s *ShardWriter) PatchRows(w io.WriterAt) error {
+	var hb [8]byte
+	binary.LittleEndian.PutUint64(hb[:], uint64(s.rows))
+	if _, err := w.WriteAt(hb[:], 24); err != nil {
+		return fmt.Errorf("relation: patch shard row count: %w", err)
+	}
+	return nil
+}
+
 // ShardFileWriter is a buffered file-backed ShardWriter that patches the
 // header row count when closed.
 type ShardFileWriter struct {
@@ -130,11 +142,7 @@ func (s *ShardFileWriter) Path() string { return s.path }
 func (s *ShardFileWriter) Close() error {
 	flushErr := s.bw.Flush()
 	if flushErr == nil {
-		var hb [8]byte
-		binary.LittleEndian.PutUint64(hb[:], uint64(s.rows))
-		if _, err := s.f.WriteAt(hb[:], 24); err != nil {
-			flushErr = fmt.Errorf("relation: patch shard row count: %w", err)
-		}
+		flushErr = s.PatchRows(s.f)
 	}
 	if err := s.f.Close(); flushErr == nil && err != nil {
 		flushErr = fmt.Errorf("relation: close shard: %w", err)

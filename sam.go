@@ -163,9 +163,11 @@ func Train(layout *Layout, wl *Workload, population float64, cfg TrainConfig) (*
 func DefaultGenOptions(seed int64) GenOptions { return core.DefaultGenOptions(seed) }
 
 // Generate synthesizes a database from a trained model. sizes gives the
-// target row count per table. Each worker draws opts.Batch tuples (at
-// least one) per forward sweep (batched ancestral sampling); the output is
-// deterministic for a fixed (Seed, Workers, Batch) triple.
+// target row count per table. Sampling is sharded (one shard per 16Ki
+// samples) and each shard draws opts.Batch tuples (at least one) per
+// forward sweep (batched ancestral sampling). The output is a pure
+// function of (Seed, Samples, Batch): Workers and GOMAXPROCS only decide
+// how many shards are sampled at once.
 func Generate(m *Model, sizes map[string]int, opts GenOptions) (*Schema, error) {
 	gen, err := core.FromModel(m, sizes)
 	if err != nil {

@@ -2,9 +2,13 @@ package sam_test
 
 import (
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"sam"
+	"sam/internal/ar"
+	"sam/internal/datagen"
 	"sam/internal/workload"
 )
 
@@ -112,5 +116,55 @@ func TestEstimateFacade(t *testing.T) {
 	stats := sam.WorkloadStats(wl)
 	if stats.Queries != 40 {
 		t.Fatalf("stats %+v", stats)
+	}
+}
+
+// TestGenerateInvariantAcrossWorkers pins the public determinism contract:
+// sam.Generate is a pure function of (seed, samples, batch). Workers ∈
+// {0, 1, 2, 3} under GOMAXPROCS ∈ {1, 2} all yield the same database;
+// Workers 0 means GOMAXPROCS, the default a host would otherwise leak
+// into the output through.
+func TestGenerateInvariantAcrossWorkers(t *testing.T) {
+	orig := datagen.IMDB(19, 60)
+	cfg := ar.DefaultConfig()
+	cfg.Hidden = 8
+	cfg.Seed = 3
+	model := ar.NewModel(sam.NewLayout(orig), nil, float64(sam.FOJSize(orig)), cfg)
+	sizes := map[string]int{}
+	for _, tab := range orig.Tables {
+		sizes[tab.Name] = tab.NumRows()
+	}
+	opts := sam.DefaultGenOptions(11)
+	opts.Samples = 17000 // two auto-derived shards
+	opts.Batch = 16
+
+	csvs := func(workers int) string {
+		o := opts
+		o.Workers = workers
+		db, err := sam.Generate(model, sizes, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, tab := range db.Tables {
+			if err := tab.WriteCSV(&b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b.String()
+	}
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	var golden string
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, workers := range []int{0, 1, 2, 3} {
+			got := csvs(workers)
+			if golden == "" {
+				golden = got
+			} else if got != golden {
+				t.Fatalf("GOMAXPROCS=%d Workers=%d generated a different database", procs, workers)
+			}
+		}
 	}
 }
