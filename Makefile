@@ -83,7 +83,7 @@ bench-gate:
 		-baseline BENCH_tensor.json \
 		-current /tmp/bench_current.json \
 		-tol 1.0 \
-		-min sample_per_tuple=3,sample_batched=6,sample_batched_workers=4,dps_train_step=2.5
+		-min sample_per_tuple=3,sample_batched=6,sample_batched_workers=4,dps_train_step=2.5,dps_train_step_transformer=8
 
 ## scale-bench measures sharded streaming generation end to end at
 ## SCALE_ROWS rows and writes the report to SCALE_OUT; refresh the

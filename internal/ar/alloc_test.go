@@ -14,9 +14,19 @@ import (
 	"sam/internal/workload"
 )
 
+// trainerBackbones are the model configurations the trainer fixtures run:
+// both backbones, each small.
+func trainerBackbones() map[string]Config {
+	made := DefaultConfig()
+	made.Hidden = 16
+	trans := DefaultTransformerConfig()
+	trans.Hidden, trans.DModel = 16, 8
+	return map[string]Config{"made": made, "transformer": trans}
+}
+
 // buildTrainerFixture compiles a small single-relation workload into a
-// ready trainer with the given worker count.
-func buildTrainerFixture(t *testing.T, workers int) (*trainer, []int) {
+// ready trainer for the given model with the given worker count.
+func buildTrainerFixture(t *testing.T, model Config, workers int) (*trainer, []int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	s := twoColTable(rng, 300)
@@ -25,7 +35,7 @@ func buildTrainerFixture(t *testing.T, workers int) (*trainer, []int) {
 	wl := &workload.Workload{Queries: engine.Label(s, queries)}
 
 	cfg := DefaultTrainConfig()
-	cfg.Model.Hidden = 16
+	cfg.Model = model
 	cfg.BatchSize = 16
 	pop := float64(s.Tables[0].NumRows())
 	m := NewModel(l, wl.Queries, pop, cfg.Model)
@@ -58,19 +68,24 @@ func buildTrainerFixture(t *testing.T, workers int) (*trainer, []int) {
 // construction, the full progressive chain, backward, gradient merge, and
 // the Adam update — performs zero heap allocations. This is the guarantee
 // that threading obs.Hooks through the trainer costs nothing when disabled
-// (the check the tentpole's "nil = zero overhead" claim rests on). Kernels
-// run serially because the parallel path allocates goroutine bookkeeping.
+// (the check the "nil = zero overhead" claim rests on), for both
+// backbones' chains. Kernels run serially because the parallel path
+// allocates goroutine bookkeeping.
 func TestTrainStepNilObserverAllocs(t *testing.T) {
 	old := tensor.MatMulWorkers()
 	tensor.SetMatMulWorkers(1)
 	defer tensor.SetMatMulWorkers(old)
 
-	tr, batch := buildTrainerFixture(t, 1)
-	step := func() { tr.step(batch, 123, false) }
-	step() // warm pool + Adam state
-	step() // steady-state slice capacities
-	if n := testing.AllocsPerRun(20, step); n != 0 {
-		t.Fatalf("warm train step with nil observer allocates %v times, want 0", n)
+	for name, model := range trainerBackbones() {
+		t.Run(name, func(t *testing.T) {
+			tr, batch := buildTrainerFixture(t, model, 1)
+			step := func() { tr.step(batch, 123, false) }
+			step() // warm pool + Adam state
+			step() // steady-state slice capacities
+			if n := testing.AllocsPerRun(20, step); n != 0 {
+				t.Fatalf("warm train step with nil observer allocates %v times, want 0", n)
+			}
+		})
 	}
 }
 
@@ -86,30 +101,34 @@ func TestTrainStepLabeledMetricsAllocs(t *testing.T) {
 	tensor.SetMatMulWorkers(1)
 	defer tensor.SetMatMulWorkers(old)
 
-	reg := obs.NewRegistry()
-	hooks := obs.MetricsHooks(reg)
-	labeled := reg.CounterVec("train_batch_rows_total", "table").With("t")
+	for name, model := range trainerBackbones() {
+		t.Run(name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			hooks := obs.MetricsHooks(reg)
+			labeled := reg.CounterVec("train_batch_rows_total", "table").With("t")
 
-	tr, batch := buildTrainerFixture(t, 1)
-	stepIdx := 0
-	step := func() {
-		loss := tr.step(batch, 123, true)
-		stepIdx++
-		hooks.TrainStep(obs.TrainStep{
-			Step: stepIdx, Loss: loss, GradNorm: tr.lastGradNorm, Wall: 1e6,
+			tr, batch := buildTrainerFixture(t, model, 1)
+			stepIdx := 0
+			step := func() {
+				loss := tr.step(batch, 123, true)
+				stepIdx++
+				hooks.TrainStep(obs.TrainStep{
+					Step: stepIdx, Loss: loss, GradNorm: tr.lastGradNorm, Wall: 1e6,
+				})
+				labeled.Add(int64(len(batch)))
+			}
+			step() // warm pool + Adam state
+			step() // steady-state slice capacities
+			if n := testing.AllocsPerRun(20, step); n != 0 {
+				t.Fatalf("warm train step with live labeled metrics allocates %v times, want 0", n)
+			}
+			if got := reg.Counter("train_steps_total").Value(); got < 20 {
+				t.Fatalf("hook did not reach the registry: train_steps_total = %d", got)
+			}
+			if got := labeled.Value(); got < int64(20*len(batch)) {
+				t.Fatalf("labeled counter = %d, want ≥ %d", got, 20*len(batch))
+			}
 		})
-		labeled.Add(int64(len(batch)))
-	}
-	step() // warm pool + Adam state
-	step() // steady-state slice capacities
-	if n := testing.AllocsPerRun(20, step); n != 0 {
-		t.Fatalf("warm train step with live labeled metrics allocates %v times, want 0", n)
-	}
-	if got := reg.Counter("train_steps_total").Value(); got < 20 {
-		t.Fatalf("hook did not reach the registry: train_steps_total = %d", got)
-	}
-	if got := labeled.Value(); got < int64(20*len(batch)) {
-		t.Fatalf("labeled counter = %d, want ≥ %d", got, 20*len(batch))
 	}
 }
 

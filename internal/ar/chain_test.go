@@ -3,6 +3,7 @@ package ar
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"sam/internal/datagen"
@@ -72,24 +73,37 @@ func chainFixture(t *testing.T, s *relation.Schema, queries int, cfg Config) (*M
 	return m, specs, rows
 }
 
-// TestProgressiveChainMatchesFullWidth checks the windowed training chain
-// against fullWidthChain: the same Gumbel draws (one chain, so skipping
-// the last draw changes no earlier one), the same selectivities, and the
-// same gradient for every parameter, on a join layout with downweighted
-// fanout columns and on a single relation.
+// TestProgressiveChainMatchesFullWidth checks the incremental training
+// chain against fullWidthChain: the same Gumbel draws (one chain, so
+// skipping the last draw changes no earlier one), the same selectivities,
+// and the same gradient for every parameter, on a join layout with
+// downweighted fanout columns and on a single relation, for MADE (also
+// with fewer hidden units than columns, so some steps add no band) and
+// for the transformer.
 func TestProgressiveChainMatchesFullWidth(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Hidden = 24
-	cases := map[string]*relation.Schema{
-		"imdb":   datagen.IMDB(3, 120),
-		"single": twoColTable(rand.New(rand.NewSource(4)), 200),
+	made := DefaultConfig()
+	made.Hidden = 24
+	narrow := made
+	narrow.Hidden = 5 // < the 12 columns of the IMDB layout
+	trans := DefaultTransformerConfig()
+	trans.Hidden, trans.DModel = 16, 8
+	cases := []struct {
+		name string
+		s    *relation.Schema
+		cfg  Config
+	}{
+		{"imdb", datagen.IMDB(3, 120), made},
+		{"single", twoColTable(rand.New(rand.NewSource(4)), 200), made},
+		{"imdb-hidden<ncols", datagen.IMDB(3, 120), narrow},
+		{"imdb-transformer", datagen.IMDB(3, 120), trans},
 	}
-	for name, s := range cases {
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, cfg := tc.s, tc.cfg
 			m, specs, rows := chainFixture(t, s, 48, cfg)
 			run := func(chain func(*Model, *tensor.Graph, *chunkScratch, int, int, float64, *rand.Rand) *tensor.Node) (*tensor.Graph, *tensor.Node) {
 				g := tensor.NewGraph()
-				sc := newChunkScratch(m.Layout.NumCols())
+				sc := newChunkScratch(m.Net)
 				lastNeeded := fillChunkScratch(m, g, &sc, specs, rows)
 				sel := chain(m, g, &sc, len(rows), lastNeeded, 1, rand.New(rand.NewSource(9)))
 				g.Backward(g.Mean(g.Square(g.Log(sel))))
@@ -162,6 +176,40 @@ func TestTrainMatMulWorkersDeterministic(t *testing.T) {
 		for k, v := range serial[pi].Data {
 			if v != parallel[pi].Data[k] {
 				t.Fatalf("param %d[%d]: %v with 1 matmul worker, %v with 2", pi, k, v, parallel[pi].Data[k])
+			}
+		}
+	}
+}
+
+// TestTrainDefaultWorkersHostIndependent trains with Workers = 0 at
+// GOMAXPROCS 1 and 2 and requires bit-identical parameters: the default
+// worker count decides the batch split and the per-chunk seeds, so it must
+// come from the config, never from the host.
+func TestTrainDefaultWorkersHostIndependent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(19))
+	s := twoColTable(rng, 300)
+	qs := workload.GenerateSingleRelation(rng, s.Tables[0], 96, workload.DefaultSingleRelationOptions())
+	wl := &workload.Workload{Queries: engine.Label(s, qs)}
+
+	cfg := DefaultTrainConfig()
+	cfg.Epochs = 2
+	cfg.BatchSize = 64
+	cfg.Workers = 0
+	cfg.Model.Hidden = 16
+	train := func(procs int) []*tensor.Tensor {
+		runtime.GOMAXPROCS(procs)
+		m, err := Train(join.NewLayout(s), wl, 300, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Net.Params()
+	}
+	one, two := train(1), train(2)
+	for pi := range one {
+		for k, v := range one[pi].Data {
+			if v != two[pi].Data[k] {
+				t.Fatalf("param %d[%d]: %v at GOMAXPROCS=1, %v at GOMAXPROCS=2", pi, k, v, two[pi].Data[k])
 			}
 		}
 	}

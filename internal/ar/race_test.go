@@ -11,8 +11,9 @@ import (
 )
 
 // TestTrainConcurrentWorkersRace drives the full DPS training loop with
-// several trainStep goroutines sharing the model, the masked-weight caches,
-// and the parallel matmul kernels, then samples from the trained model on
+// several trainStep goroutines sharing the model (MADE with its
+// masked-weight caches, and the transformer), and the parallel matmul
+// kernels, then samples from the trained model on
 // concurrent BatchSamplers — the configuration the per-worker pooled
 // tapes and the cache's dirty-bit protocol must keep race-free. The test is
 // meaningful under -race; without it it is just a smoke test.
@@ -21,6 +22,14 @@ func TestTrainConcurrentWorkersRace(t *testing.T) {
 	tensor.SetMatMulWorkers(4)
 	defer tensor.SetMatMulWorkers(old)
 
+	for name, model := range trainerBackbones() {
+		t.Run(name, func(t *testing.T) { trainAndSampleConcurrently(t, model) })
+	}
+}
+
+// trainAndSampleConcurrently trains the model with four workers and then
+// samples from it on four concurrent BatchSamplers.
+func trainAndSampleConcurrently(t *testing.T, model Config) {
 	rng := rand.New(rand.NewSource(29))
 	s := twoColTable(rng, 200)
 	l := join.NewLayout(s)
@@ -28,10 +37,10 @@ func TestTrainConcurrentWorkersRace(t *testing.T) {
 	wl := &workload.Workload{Queries: engine.Label(s, queries)}
 
 	cfg := DefaultTrainConfig()
+	cfg.Model = model
 	cfg.Epochs = 3
 	cfg.BatchSize = 16
 	cfg.Workers = 4
-	cfg.Model.Hidden = 16
 	cfg.Seed = 31
 	m, err := Train(l, wl, float64(s.Tables[0].NumRows()), cfg)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 	"time"
 
@@ -25,7 +24,7 @@ type TrainConfig struct {
 	Tau                float64 // Gumbel-Softmax temperature
 	ClipNorm           float64 // gradient clipping by global norm; 0 = off
 	ProgressiveSamples int     // Monte-Carlo chains per query per step
-	Workers            int     // goroutines per batch; 0 = GOMAXPROCS
+	Workers            int     // goroutines per batch; 0 = one per trainRowsPerWorker batch rows
 	Seed               int64
 
 	// Logf, when non-nil, receives one progress line per epoch.
@@ -39,6 +38,13 @@ type TrainConfig struct {
 	// "train" child span with compile and epoch-loop phases under it.
 	Span *obs.Span
 }
+
+// trainRowsPerWorker sizes the default training fan-out: Workers = 0
+// means one worker per this many batch rows. The worker count fixes both
+// how a batch is split and each chunk's seed, so it must not depend on the
+// host (GOMAXPROCS): a trained model is a function of its TrainConfig
+// alone. Batch 64 gets two workers.
+const trainRowsPerWorker = 32
 
 // DefaultTrainConfig returns CPU-scale defaults.
 func DefaultTrainConfig() TrainConfig {
@@ -111,7 +117,7 @@ func Train(layout *join.Layout, wl *workload.Workload, population float64, cfg T
 
 	workers := cfg.Workers
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+		workers = (cfg.BatchSize + trainRowsPerWorker - 1) / trainRowsPerWorker
 	}
 	opt := nn.NewAdam(cfg.LR)
 	opt.ClipMax = cfg.ClipNorm
@@ -175,21 +181,23 @@ func Train(layout *join.Layout, wl *workload.Workload, population float64, cfg T
 	return m, nil
 }
 
-// chunkScratch holds the per-column working slices one worker reuses across
-// forwardChunk calls, so the steady-state step allocates nothing.
+// chunkScratch holds the per-column working slices and the backbone chain
+// one worker reuses across forwardChunk calls, so the steady-state step
+// allocates nothing.
 type chunkScratch struct {
 	masks   []*tensor.Tensor
 	anyDown []bool
 	deltas  []*tensor.Tensor
-	parts   []*tensor.Node
+	chain   nn.Chain
 }
 
-func newChunkScratch(ncols int) chunkScratch {
+func newChunkScratch(net nn.Backbone) chunkScratch {
+	ncols := net.NumCols()
 	return chunkScratch{
 		masks:   make([]*tensor.Tensor, ncols),
 		anyDown: make([]bool, ncols),
 		deltas:  make([]*tensor.Tensor, ncols),
-		parts:   make([]*tensor.Node, ncols),
+		chain:   net.NewChain(),
 	}
 }
 
@@ -225,7 +233,6 @@ type trainer struct {
 func newTrainer(m *Model, specs []*Spec, targets []float64, cfg TrainConfig,
 	opt *nn.Adam, workers int) *trainer {
 	params := m.Net.Params()
-	ncols := m.Layout.NumCols()
 	tr := &trainer{
 		m:       m,
 		specs:   specs,
@@ -243,7 +250,7 @@ func newTrainer(m *Model, specs []*Spec, targets []float64, cfg TrainConfig,
 			tape:    tensor.NewGraph(),
 			rng:     rand.New(rand.NewSource(0)),
 			grads:   make([]*tensor.Tensor, len(params)),
-			scratch: newChunkScratch(ncols),
+			scratch: newChunkScratch(m.Net),
 		}
 	}
 	for pi, p := range params {
@@ -430,20 +437,15 @@ func fillChunkScratch(m *Model, g *tensor.Graph, sc *chunkScratch, specs []*Spec
 // progressiveChain runs one differentiable progressive-sampling pass up to
 // column lastNeeded (inclusive) and returns the per-row selectivity
 // estimate (n×1 node). Masks, downweight flags, and delta tensors are read
-// from the scratch filled by forwardChunk. Step i feeds the backbone only
-// the samples of columns < i and computes only column i's logit block.
+// from the scratch filled by forwardChunk. The backbone's chain computes
+// column i's logits from the samples of the columns before it, each step
+// adding only what column i needs to the work of the steps before.
 func progressiveChain(m *Model, g *tensor.Graph, sc *chunkScratch,
 	n, lastNeeded int, tau float64, rng *rand.Rand) *tensor.Node {
-	parts := sc.parts
-	var sel *tensor.Node
+	sc.chain.Reset(g, n)
+	var sel, y *tensor.Node
 	for i := 0; i <= lastNeeded; i++ {
-		var x *tensor.Node
-		if i == 0 {
-			x = g.Const(g.NewTensor(n, 0))
-		} else {
-			x = g.ConcatCols(parts[:i]...)
-		}
-		logits := m.Net.ForwardCol(g, x, i)
+		logits := sc.chain.Next(y)
 		p := g.RangeProb(logits, sc.masks[i])
 		if sel == nil {
 			sel = p
@@ -453,8 +455,7 @@ func progressiveChain(m *Model, g *tensor.Graph, sc *chunkScratch,
 		if i == lastNeeded && !sc.anyDown[i] {
 			break // the last sample would feed no later step and no factor
 		}
-		y := g.STGumbel(logits, sc.masks[i], tau, rng)
-		parts[i] = y
+		y = g.STGumbel(logits, sc.masks[i], tau, rng)
 		if sc.anyDown[i] {
 			val := g.Dot(y, m.Layout.Cols[i].WeightVals)
 			recip := g.Reciprocal(val)

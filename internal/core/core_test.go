@@ -116,14 +116,21 @@ func TestExactRecoveryFromEnumeratedFOJ(t *testing.T) {
 		}
 		half := (k / 2) * ncols
 		for shard, part := range [][]int32{flat[:half], flat[half:]} {
-			w, err := relation.CreateShardFile(shardDir, shard, ncols, 1)
+			f, err := os.Create(filepath.Join(shardDir, relation.ShardFileName(shard)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := relation.NewShardWriter(f, ncols, shard, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := w.WriteRows(part); err != nil {
 				t.Fatal(err)
 			}
-			if err := w.Close(); err != nil {
+			if err := w.PatchRows(f); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -66,15 +66,21 @@ type TensorBenchReport struct {
 // MADE and sliced out column i's block), measured with the same body at
 // the commit before that change on a 2-vCPU host at GOMAXPROCS=1: best of
 // four runs interleaved with runs of the new code.
+// dps_train_step_transformer's baseline is the same body on the
+// transformer backbone at the commit before the incremental training
+// chain, when every progressive step ran the full per-row Forward on the
+// zero-padded input; measured the same way (best of four interleaved
+// runs, GOMAXPROCS=1, 2-vCPU host).
 var tensorBenchBaselines = map[string][2]int64{ // name → {ns/op, allocs/op}
-	"matmul_512":             {1539014, 0},
-	"made_forward_autodiff":  {2619569, 115},
-	"made_forward_infer":     {9636, 0},
-	"sample_per_tuple":       {53941, 0},
-	"sample_batched":         {53941, 0},
-	"sample_batched_workers": {53941, 0},
-	"train_step":             {178603, 122},
-	"dps_train_step":         {61323092, 0},
+	"matmul_512":                 {1539014, 0},
+	"made_forward_autodiff":      {2619569, 115},
+	"made_forward_infer":         {9636, 0},
+	"sample_per_tuple":           {53941, 0},
+	"sample_batched":             {53941, 0},
+	"sample_batched_workers":     {53941, 0},
+	"train_step":                 {178603, 122},
+	"dps_train_step":             {61323092, 0},
+	"dps_train_step_transformer": {645683887, 3084},
 }
 
 // RunTensorBench benchmarks the tensor hot paths (dense matmul, MADE
@@ -82,7 +88,7 @@ var tensorBenchBaselines = map[string][2]int64{ // name → {ns/op, allocs/op}
 // and returns the results paired with the seed baselines.
 func RunTensorBench() *TensorBenchReport {
 	rep := &TensorBenchReport{
-		Description: "tensor hot-path micro-benchmarks; before_* columns are recorded baselines: the pre-overhaul seed (sample_*: the old single-row sampler's per-tuple cost; dps_train_step: the full-width DPS training step)",
+		Description: "tensor hot-path micro-benchmarks; before_* columns are recorded baselines: the pre-overhaul seed (sample_*: the old single-row sampler's per-tuple cost; dps_train_step*: the full-width DPS training step)",
 		Meta:        obs.BuildMeta(),
 		Workers:     tensor.MatMulWorkers(),
 	}
@@ -253,19 +259,22 @@ func RunTensorBench() *TensorBenchReport {
 		}
 	})
 
-	add("dps_train_step", dpsTrainStepBench)
+	add("dps_train_step", func(b *testing.B) { dpsTrainStep(b, ar.DefaultConfig()) })
+	add("dps_train_step_transformer", func(b *testing.B) { dpsTrainStep(b, ar.DefaultTransformerConfig()) })
 
 	return rep
 }
 
-// dpsTrainStepBench times one optimizer step of Differentiable
-// Progressive Sampling training on the IMDB-like join layout (12 columns
-// of 4 to 500 bins, 835 one-hot inputs, MADE 64×2): batch 64, one training
-// worker, serial kernels. The workload is exactly one batch of 64 join
-// queries and Train runs b.N+2 epochs of one step each; the timer starts
-// when the second step ends, so model set-up, query compilation and the
-// tape's pool warm-up are excluded and allocs/op counts warm steps only.
-func dpsTrainStepBench(b *testing.B) {
+// dpsTrainStep times one optimizer step of Differentiable
+// Progressive Sampling training of the given backbone on the IMDB-like
+// join layout (12 columns of 4 to 500 bins, 835 one-hot inputs; MADE
+// 64×2, or the transformer with d = 32, 2 heads, 2 blocks): batch 64, one
+// training worker, serial kernels. The workload is exactly one batch of 64
+// join queries and Train runs b.N+2 epochs of one step each; the timer
+// starts when the second step ends, so model set-up, query compilation and
+// the tape's pool warm-up are excluded and allocs/op counts warm steps
+// only.
+func dpsTrainStep(b *testing.B, model ar.Config) {
 	db := datagen.IMDB(1, 1500)
 	queries := workload.GenerateMultiRelation(rand.New(rand.NewSource(2)), db, 64,
 		workload.DefaultMultiRelationOptions())
@@ -273,6 +282,7 @@ func dpsTrainStepBench(b *testing.B) {
 	layout := join.NewLayout(db)
 	pop := float64(engine.FOJSize(db))
 	cfg := ar.DefaultTrainConfig()
+	cfg.Model = model
 	cfg.BatchSize = 64
 	cfg.Workers = 1
 	cfg.Seed = 3

@@ -136,8 +136,8 @@ func errGuards(body *ast.BlockStmt) map[*ast.ReturnStmt]*ast.IfStmt {
 	return guards
 }
 
-// isCloseableCreation recognizes the narrow creation set: os file opens
-// and the relation constructors that own a file handle.
+// isCloseableCreation recognizes the narrow creation set: the os file
+// opens.
 func isCloseableCreation(info *types.Info, call *ast.CallExpr) bool {
 	fn := calleeFunc(info, call)
 	if fn == nil || !isPkgLevel(fn) {
@@ -147,11 +147,6 @@ func isCloseableCreation(info *types.Info, call *ast.CallExpr) bool {
 	case "os":
 		switch fn.Name() {
 		case "Create", "Open", "OpenFile", "CreateTemp":
-			return true
-		}
-	case relationPath:
-		switch fn.Name() {
-		case "CreateShardFile", "OpenShardFile":
 			return true
 		}
 	}

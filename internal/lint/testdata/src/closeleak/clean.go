@@ -3,6 +3,7 @@ package closeleak
 import (
 	"io"
 	"os"
+	"path/filepath"
 
 	"sam/internal/relation"
 )
@@ -36,12 +37,12 @@ func copyOut(dst io.Writer, path string) error {
 }
 
 // A returned handle is the caller's to close.
-func openShard(path string) (*relation.ShardFileReader, error) {
-	r, err := relation.OpenShardFile(path)
+func openShard(dir string, shard int) (*os.File, error) {
+	f, err := os.Open(filepath.Join(dir, relation.ShardFileName(shard)))
 	if err != nil {
 		return nil, err
 	}
-	return r, nil
+	return f, nil
 }
 
 // A stored handle belongs to the struct's lifecycle now.

@@ -1,6 +1,10 @@
 package nn
 
-import "sam/internal/tensor"
+import (
+	"fmt"
+
+	"sam/internal/tensor"
+)
 
 // Backbone is an autoregressive network over grouped categorical columns:
 // column i occupies a contiguous block of one-hot input units and the same
@@ -18,14 +22,12 @@ type Backbone interface {
 	// Offsets returns each column block's start offset (not to be mutated).
 	Offsets() []int
 	// Forward runs a batched autodiff pass: batch×InDim in, batch×InDim
-	// logits out.
+	// logits out. It is the reference the incremental Chain is tested
+	// against; training runs the Chain.
 	Forward(g *tensor.Graph, x *tensor.Node) *tensor.Node
-	// ForwardCol runs the autodiff pass for column i's logit block alone —
-	// what one step of progressive-sampling training needs. x holds only
-	// the (relaxed) one-hots of columns < i, batch×Offsets()[i] (batch×0
-	// for column 0); the result is batch×ColSizes()[i] and equals that
-	// block of Forward on x padded with zeros.
-	ForwardCol(g *tensor.Graph, x *tensor.Node, i int) *tensor.Node
+	// NewChain allocates a reusable progressive-sampling chain over the
+	// backbone (one per training worker; see Chain).
+	NewChain() Chain
 	// NewBatchInference allocates scratch for a b-lane batched forward
 	// pass (ancestral sampling and estimation; b = 1 for one tuple).
 	NewBatchInference(b int) BatchInference
@@ -34,6 +36,42 @@ type Backbone interface {
 	// OutputBias returns the output layer's bias (1×InDim), used to
 	// install priors on specific column blocks.
 	OutputBias() *tensor.Tensor
+}
+
+// Chain is one differentiable progressive-sampling pass on the autodiff
+// graph, advanced one column at a time: after Reset, the i-th call to Next
+// receives the sample of column i−1 and returns column i's logits. Each
+// step computes only what column i adds to the computation — MADE the
+// hidden units of degree i, the transformer one more token — and reads
+// everything earlier steps computed in place on the tape, so a whole chain
+// costs about one forward pass instead of one pass per column. A Chain
+// holds per-column scratch sized at construction; Reset reuses it, so
+// warm training steps allocate nothing. Not safe for concurrent use.
+type Chain interface {
+	// Reset starts a new pass of rows batch rows on g. The nodes of an
+	// earlier pass stay valid on g.
+	Reset(g *tensor.Graph, rows int)
+	// Next feeds y, the (relaxed) one-hot sample of the previous column —
+	// rows×ColSizes()[i−1], nil at column 0 — and returns column i's logit
+	// block, rows×ColSizes()[i]. Its value and every gradient equal that
+	// block of Forward on the samples so far padded with zeros. Next
+	// panics on a y of the wrong shape and past the last column.
+	Next(y *tensor.Node) *tensor.Node
+}
+
+// checkNext panics unless y is a valid input for step col of a chain of
+// rows rows over a backbone with the given column sizes.
+func checkNext(colSizes []int, col, rows int, y *tensor.Node) {
+	switch {
+	case col >= len(colSizes):
+		panic(fmt.Sprintf("nn: Chain.Next past the last of %d columns", len(colSizes)))
+	case col == 0 && y != nil:
+		panic("nn: Chain.Next at column 0 takes no sample")
+	case col > 0 && y == nil:
+		panic(fmt.Sprintf("nn: Chain.Next at column %d needs the sample of column %d", col, col-1))
+	case col > 0 && (y.Val.Rows != rows || y.Val.Cols != colSizes[col-1]):
+		panic(fmt.Sprintf("nn: Chain.Next at column %d wants a %d×%d sample, got %v", col, rows, colSizes[col-1], y.Val))
+	}
 }
 
 // BatchInference is the allocation-free no-autodiff forward pass behind

@@ -24,9 +24,9 @@ type MADE struct {
 	// colHidden[i] is the number of hidden units (a prefix of every hidden
 	// layer, degrees being sorted) that column i's logits depend on: those
 	// of degree ≤ i. colInputs[i] is the input prefix those units read,
-	// the one-hots of columns below the largest such degree. Both the
-	// training ForwardCol and batched sampling restrict column i's pass to
-	// these prefixes.
+	// the one-hots of columns below the largest such degree. Batched
+	// sampling restricts column i's pass to these prefixes; the training
+	// chain computes the band colHidden[i−1]..colHidden[i] at step i.
 	colHidden []int
 	colInputs []int
 }
@@ -152,29 +152,62 @@ func (m *MADE) Forward(g *tensor.Graph, x *tensor.Node) *tensor.Node {
 	return h
 }
 
-// ForwardCol computes column i's logit block on the autodiff graph from
-// x = the inputs of columns < i (batch×Offsets()[i]). Sorted degrees make
-// everything the block depends on a window of each layer: the input
-// prefix colInputs[i], the hidden-unit prefix colHidden[i] in every hidden
-// layer, and output block i. Only those windows are computed, forward and
-// backward, instead of the full network followed by a slice. Column 0
+// NewChain returns an incremental progressive-sampling chain over m.
+func (m *MADE) NewChain() Chain {
+	return &madeChain{m: m, hidden: make([]*tensor.Node, len(m.layers)-1)}
+}
+
+// madeChain advances a progressive-sampling pass through a MADE one column
+// per Next. With sorted degrees, the hidden units column i adds are a band
+// of every hidden layer: [colHidden[i−1], colHidden[i]), the units of
+// degree exactly i, which read the inputs of columns < i (layer 0) or the
+// previous layer's prefix colHidden[i]. Step i writes the new sample into
+// the input buffer, computes that band of each layer into the layer's
+// buffer — reading the layer below in place — and projects output block i
+// from the last layer's prefix. Every hidden unit is computed once per
+// chain, and a column with no unit of its degree adds no band. Column 0
 // depends on no input, so its block is the output bias.
-func (m *MADE) ForwardCol(g *tensor.Graph, x *tensor.Node, i int) *tensor.Node {
-	if x.Val.Cols != m.offsets[i] {
-		panic(fmt.Sprintf("nn: MADE.ForwardCol(%d) wants %d input columns, got %d", i, m.offsets[i], x.Val.Cols))
+type madeChain struct {
+	m      *MADE
+	g      *tensor.Graph
+	rows   int
+	col    int            // the column the next Next returns
+	x      *tensor.Node   // rows×InDim buffer of the samples so far
+	hidden []*tensor.Node // rows×width buffer per hidden layer
+}
+
+func (c *madeChain) Reset(g *tensor.Graph, rows int) {
+	c.g, c.rows, c.col = g, rows, 0
+	c.x = g.Buffer(rows, c.m.inDim)
+	for l := range c.hidden {
+		c.hidden[l] = g.Buffer(rows, c.m.layers[l].W.Cols)
+	}
+}
+
+func (c *madeChain) Next(y *tensor.Node) *tensor.Node {
+	m, g, i := c.m, c.g, c.col
+	checkNext(m.colSizes, i, c.rows, y)
+	c.col++
+	lo, hi := 0, m.colHidden[i]
+	if i > 0 {
+		g.CopyColsInto(c.x, y, m.offsets[i-1])
+		lo = m.colHidden[i-1]
 	}
 	last := len(m.layers) - 1
-	off, h := m.offsets[i], m.colHidden[i]
-	if h == 0 {
-		zero := g.Const(g.NewTensor(x.Val.Rows, m.colSizes[i]))
+	off := m.offsets[i]
+	if hi == 0 {
+		zero := g.Const(g.NewTensor(c.rows, m.colSizes[i]))
 		return g.AddRowAt(zero, g.Param(m.layers[last].B), off)
 	}
-	rows := m.colInputs[i]
-	for _, l := range m.layers[:last] {
-		x = g.ReLU(l.forwardWindow(g, x, rows, 0, h))
-		rows = h
+	if lo < hi {
+		x, rowEnd := c.x, off
+		for l, h := range c.hidden {
+			ml := m.layers[l]
+			g.MaskedLinearReLUInto(h, x, g.Param(ml.W), g.Param(ml.B), ml.cache, rowEnd, lo, hi)
+			x, rowEnd = h, hi
+		}
 	}
-	return m.layers[last].forwardWindow(g, x, h, off, off+m.colSizes[i])
+	return m.layers[last].forwardWindow(g, c.hidden[last-1], hi, off, off+m.colSizes[i])
 }
 
 // Params returns all trainable tensors.

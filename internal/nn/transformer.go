@@ -142,7 +142,8 @@ func (t *Transformer) Params() []*tensor.Tensor {
 }
 
 // Forward runs the batched autodiff pass. Samples are independent token
-// sequences, processed one per batch row and re-stacked.
+// sequences, processed one per batch row and re-stacked. Training runs the
+// batched incremental Chain instead; Forward is its reference.
 func (t *Transformer) Forward(g *tensor.Graph, x *tensor.Node) *tensor.Node {
 	rows := make([]*tensor.Node, x.Val.Rows)
 	for b := 0; b < x.Val.Rows; b++ {
@@ -154,15 +155,71 @@ func (t *Transformer) Forward(g *tensor.Graph, x *tensor.Node) *tensor.Node {
 	return g.ConcatRows(rows...)
 }
 
-// ForwardCol computes column i's logit block from the inputs of columns
-// < i: it pads x with zeros to the full width, runs Forward and slices the
-// block out, so training the transformer costs what it did before MADE's
-// windowed pass existed.
-func (t *Transformer) ForwardCol(g *tensor.Graph, x *tensor.Node, i int) *tensor.Node {
-	if pad := t.inDim - x.Val.Cols; pad > 0 {
-		x = g.ConcatCols(x, g.Const(g.NewTensor(x.Val.Rows, pad)))
+// NewChain returns an incremental progressive-sampling chain over t.
+func (t *Transformer) NewChain() Chain {
+	c := &transformerChain{
+		t:    t,
+		keys: make([][]*tensor.Node, len(t.layers)),
+		vals: make([][]*tensor.Node, len(t.layers)),
 	}
-	return g.SliceCols(t.Forward(g, x), t.offsets[i], t.colSizes[i])
+	for l := range t.layers {
+		c.keys[l] = make([]*tensor.Node, len(t.colSizes))
+		c.vals[l] = make([]*tensor.Node, len(t.colSizes))
+	}
+	return c
+}
+
+// transformerChain advances a progressive-sampling pass through the
+// transformer one token per Next, every batch row a sequence of the same
+// graph. Step i embeds only token i (start-of-sequence, or the sample of
+// column i−1, plus position i) and runs it through every block as
+// rows×d GEMMs; its attention reads the keys and values that steps 0..i
+// left on the tape, which is all the causal mask lets position i see.
+// The final projection computes column i's logit block alone.
+type transformerChain struct {
+	t          *Transformer
+	g          *tensor.Graph
+	rows       int
+	col        int              // the column the next Next returns
+	keys, vals [][]*tensor.Node // [layer][position] projections so far
+}
+
+func (c *transformerChain) Reset(g *tensor.Graph, rows int) {
+	c.g, c.rows, c.col = g, rows, 0
+}
+
+func (c *transformerChain) Next(y *tensor.Node) *tensor.Node {
+	t, g, i := c.t, c.g, c.col
+	checkNext(t.colSizes, i, c.rows, y)
+	c.col++
+	var h *tensor.Node
+	if i == 0 {
+		h = g.AddRow(g.Const(g.NewTensor(c.rows, t.dModel)), g.Param(t.sos))
+	} else {
+		h = g.MatMul(y, g.SliceRows(g.Param(t.wEmb), t.offsets[i-1], t.colSizes[i-1]))
+	}
+	h = g.AddRow(h, g.SliceRows(g.Param(t.pos), i, 1))
+
+	scale := 1 / math.Sqrt(float64(t.dk))
+	for l, tl := range t.layers {
+		a := g.LayerNorm(h, g.Param(tl.ln1Gain), g.Param(tl.ln1Bias), 1e-5)
+		q := g.MatMul(a, g.Param(tl.wq))
+		c.keys[l][i] = g.MatMul(a, g.Param(tl.wk))
+		c.vals[l][i] = g.MatMul(a, g.Param(tl.wv))
+		ctx := g.AttendStep(q, c.keys[l][:i+1], c.vals[l][:i+1], t.heads, scale)
+		h = g.Add(h, g.MatMul(ctx, g.Param(tl.wo)))
+		h = g.Add(h, tl.feedForward(g, h))
+	}
+	h = g.LayerNorm(h, g.Param(t.lnFGain), g.Param(t.lnFBias), 1e-5)
+	off, size := t.offsets[i], t.colSizes[i]
+	return g.AddRowAt(g.MatMul(h, g.SliceCols(g.Param(t.wOut), off, size)), g.Param(t.bOut), off)
+}
+
+// feedForward is a block's pre-norm feed-forward branch on h.
+func (l *transformerLayer) feedForward(g *tensor.Graph, h *tensor.Node) *tensor.Node {
+	f := g.LayerNorm(h, g.Param(l.ln2Gain), g.Param(l.ln2Bias), 1e-5)
+	f = g.ReLU(g.AddRow(g.MatMul(f, g.Param(l.w1)), g.Param(l.b1)))
+	return g.AddRow(g.MatMul(f, g.Param(l.w2)), g.Param(l.b2))
 }
 
 // forwardOne computes the 1×InDim logits of one sample (1×InDim input).
@@ -210,12 +267,7 @@ func (t *Transformer) forwardOne(g *tensor.Graph, x *tensor.Node) *tensor.Node {
 		}
 		hn = g.Add(hn, g.MatMul(ctx, g.Param(l.wo)))
 
-		// Pre-norm feed-forward block.
-		f := g.LayerNorm(hn, g.Param(l.ln2Gain), g.Param(l.ln2Bias), 1e-5)
-		f = g.AddRow(g.MatMul(f, g.Param(l.w1)), g.Param(l.b1))
-		f = g.ReLU(f)
-		f = g.AddRow(g.MatMul(f, g.Param(l.w2)), g.Param(l.b2))
-		hn = g.Add(hn, f)
+		hn = g.Add(hn, l.feedForward(g, hn))
 	}
 	hn = g.LayerNorm(hn, g.Param(t.lnFGain), g.Param(t.lnFBias), 1e-5)
 	logits := g.AddRow(g.MatMul(hn, g.Param(t.wOut)), g.Param(t.bOut)) // n × inDim

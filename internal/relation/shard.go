@@ -1,12 +1,9 @@
 package relation
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 )
 
 // Binary shard format for full-outer-join sample streams. A shard file is
@@ -47,8 +44,8 @@ type ShardWriter struct {
 }
 
 // NewShardWriter writes the shard header and returns a writer for the row
-// stream. The header's row count is left unknown (-1); file-backed callers
-// patch it on close (see ShardFileWriter).
+// stream. The header's row count is left unknown (-1); callers that can
+// write back into the stream patch it when done (see PatchRows).
 func NewShardWriter(w io.Writer, ncols, shard int, seed int64) (*ShardWriter, error) {
 	if ncols <= 0 {
 		return nil, fmt.Errorf("relation: shard writer needs positive columns, got %d", ncols)
@@ -96,8 +93,9 @@ func (s *ShardWriter) WriteRows(flat []int32) error {
 }
 
 // PatchRows writes the number of rows written so far into the header's
-// row count, for sinks that can write back into the stream (see
-// ShardFileWriter). Flush any buffering between s and w first.
+// row count, for sinks that can write back into the stream (a file, or
+// the core package's shard stores). Flush any buffering between s and w
+// first.
 func (s *ShardWriter) PatchRows(w io.WriterAt) error {
 	var hb [8]byte
 	binary.LittleEndian.PutUint64(hb[:], uint64(s.rows))
@@ -105,49 +103,6 @@ func (s *ShardWriter) PatchRows(w io.WriterAt) error {
 		return fmt.Errorf("relation: patch shard row count: %w", err)
 	}
 	return nil
-}
-
-// ShardFileWriter is a buffered file-backed ShardWriter that patches the
-// header row count when closed.
-type ShardFileWriter struct {
-	*ShardWriter
-	f    *os.File
-	bw   *bufio.Writer
-	path string
-}
-
-// CreateShardFile creates dir/ShardFileName(shard) and returns a buffered
-// writer for it.
-func CreateShardFile(dir string, shard, ncols int, seed int64) (*ShardFileWriter, error) {
-	path := filepath.Join(dir, ShardFileName(shard))
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("relation: create shard: %w", err)
-	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	sw, err := NewShardWriter(bw, ncols, shard, seed)
-	if err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, err
-	}
-	return &ShardFileWriter{ShardWriter: sw, f: f, bw: bw, path: path}, nil
-}
-
-// Path returns the shard file path.
-func (s *ShardFileWriter) Path() string { return s.path }
-
-// Close flushes buffered rows, patches the header row count, and closes
-// the file.
-func (s *ShardFileWriter) Close() error {
-	flushErr := s.bw.Flush()
-	if flushErr == nil {
-		flushErr = s.PatchRows(s.f)
-	}
-	if err := s.f.Close(); flushErr == nil && err != nil {
-		flushErr = fmt.Errorf("relation: close shard: %w", err)
-	}
-	return flushErr
 }
 
 // ShardReader streams rows back out of the binary shard format.
@@ -230,32 +185,4 @@ func (s *ShardReader) ReadRows(dst []int32) (int, error) {
 		dst[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
 	}
 	return rows, nil
-}
-
-// ShardFileReader is a buffered file-backed ShardReader.
-type ShardFileReader struct {
-	*ShardReader
-	f *os.File
-}
-
-// OpenShardFile opens a shard file for streaming reads.
-func OpenShardFile(path string) (*ShardFileReader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("relation: open shard: %w", err)
-	}
-	sr, err := NewShardReader(bufio.NewReaderSize(f, 1<<16))
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("relation: %s: %w", path, err)
-	}
-	return &ShardFileReader{ShardReader: sr, f: f}, nil
-}
-
-// Close closes the underlying file.
-func (s *ShardFileReader) Close() error {
-	if err := s.f.Close(); err != nil {
-		return fmt.Errorf("relation: close shard: %w", err)
-	}
-	return nil
 }

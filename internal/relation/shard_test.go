@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"os"
@@ -9,9 +10,17 @@ import (
 	"testing"
 )
 
+// TestShardRoundTrip writes a shard file through a buffered ShardWriter,
+// patches the header row count on close, and streams it back.
 func TestShardRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	w, err := CreateShardFile(dir, 3, 4, 99)
+	path := filepath.Join(t.TempDir(), ShardFileName(3))
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	bw := bufio.NewWriter(f)
+	w, err := NewShardWriter(bw, 4, 3, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,15 +35,25 @@ func TestShardRoundTrip(t *testing.T) {
 	if err := w.WriteRows(rows[:4]); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Close(); err != nil {
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.PatchRows(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	r, err := OpenShardFile(w.Path())
+	rf, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
+	defer rf.Close()
+	r, err := NewShardReader(bufio.NewReader(rf))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.NCols() != 4 || r.Shard() != 3 || r.Seed() != 99 {
 		t.Fatalf("header ncols=%d shard=%d seed=%d", r.NCols(), r.Shard(), r.Seed())
 	}

@@ -33,6 +33,9 @@ const (
 	opSoftmaxRows
 	opAddConst
 	opLayerNorm
+	opCopyCols
+	opMaskedBand
+	opAttendStep
 )
 
 // Node is a vertex in the computation graph: a value tensor plus, when
@@ -43,15 +46,15 @@ type Node struct {
 	Grad         *Tensor
 	requiresGrad bool
 
-	op      opKind
-	a, b, c *Node   // operands (op-specific; unused entries nil)
-	parts   []*Node // operands of variadic ops (Concat*)
-	aux1    *Tensor // op-specific saved tensor (mask, softmax, x̂, ...)
-	aux2    *Tensor // second saved tensor (masked weights, 1/σ rows, ...)
-	mwc     *MaskedWeight
-	auxF    []float64
-	f1      float64
-	i1, i2  int
+	op         opKind
+	a, b, c    *Node   // operands (op-specific; unused entries nil)
+	parts      []*Node // operands of variadic ops (Concat*)
+	aux1       *Tensor // op-specific saved tensor (mask, softmax, x̂, ...)
+	aux2       *Tensor // second saved tensor (masked weights, 1/σ rows, ...)
+	mwc        *MaskedWeight
+	auxF       []float64
+	f1         float64
+	i1, i2, i3 int
 }
 
 // RequiresGrad reports whether gradients flow into this node.
@@ -152,6 +155,38 @@ func (g *Graph) push(val *Tensor, op opKind, requiresGrad bool) *Node {
 	if requiresGrad {
 		n.Grad = g.alloc(val.Rows, val.Cols, true)
 	}
+	g.nodes = append(g.nodes, n)
+	return n
+}
+
+// pushInto appends a node for an op that writes a column block of the
+// buffer dst in place (see Buffer). The node aliases dst's value and
+// gradient, so its backward step reads the block's gradient from there.
+func (g *Graph) pushInto(dst *Node, op opKind, requiresGrad bool) *Node {
+	if dst.op != opLeaf || dst.Grad == nil {
+		panic("tensor: in-place block write into a node that is not a Buffer")
+	}
+	n := g.getNode()
+	n.Val, n.Grad = dst.Val, dst.Grad
+	n.op = op
+	n.requiresGrad = requiresGrad
+	g.nodes = append(g.nodes, n)
+	return n
+}
+
+// Buffer returns a zeroed rows×cols node whose columns later ops fill in
+// place, one block at a time (CopyColsInto, MaskedLinearReLUInto). A
+// quantity that grows column by column — the inputs and hidden units of
+// an incremental progressive-sampling chain — thus stays one node that
+// consumers read as a prefix, instead of a concatenation rebuilt at every
+// step. Its gradient accumulates like any node's and flows back to the
+// writer of each block. Each column may be written at most once, and only
+// before any op reads it.
+func (g *Graph) Buffer(rows, cols int) *Node {
+	n := g.getNode()
+	n.Val = g.alloc(rows, cols, true)
+	n.Grad = g.alloc(rows, cols, true)
+	n.requiresGrad = true
 	g.nodes = append(g.nodes, n)
 	return n
 }

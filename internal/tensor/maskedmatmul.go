@@ -577,6 +577,29 @@ func sliceAxpy(drow []float64, mw *Tensor, spans []int, k, n, off, end int, v fl
 	}
 }
 
+// clip returns weight row k's nonzero span clipped to the call's window
+// columns: the whole window when every row covers it.
+func (c *kernelCall) clip(k int) (s, e int) {
+	if c.covered {
+		return c.win.colOff, c.win.colEnd
+	}
+	return clipSpan(c.spans, k, c.win.colOff, c.win.colEnd)
+}
+
+// windowCovered reports whether the span of every weight row in
+// [0, win.rowEnd) contains the window's columns, making the window a dense
+// block of the masked product. The windows of a MADE progressive-sampling
+// chain always are: a hidden band or an output block reads only units of
+// lower degree, which connect to all of it.
+func windowCovered(spans []int, win window) bool {
+	for k := 0; k < win.rowEnd; k++ {
+		if spans[2*k] > win.colOff || spans[2*k+1] < win.colEnd {
+			return false
+		}
+	}
+	return true
+}
+
 // clipSpan returns row k's nonzero span clipped to [off, end); the
 // result is empty when s >= e.
 func clipSpan(spans []int, k, off, end int) (s, e int) {
@@ -617,7 +640,7 @@ func matMulWindowRange(c kernelCall, lo, hi int) {
 				if av == 0 {
 					continue
 				}
-				if s, e := clipSpan(spans, k, off, end); s < e {
+				if s, e := c.clip(k); s < e {
 					axpy1(drow[s-off:e-off], b.Data[k*n+s:k*n+e], av)
 				}
 			}
@@ -636,6 +659,13 @@ func matMulWindowRange(c kernelCall, lo, hi int) {
 				if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
 					continue
 				}
+				if c.covered {
+					axpy4(drow,
+						b.Data[k*n+off:k*n+end], b.Data[(k+1)*n+off:(k+1)*n+end],
+						b.Data[(k+2)*n+off:(k+2)*n+end], b.Data[(k+3)*n+off:(k+3)*n+end],
+						v0, v1, v2, v3)
+					continue
+				}
 				s, e := windowIntersect4(spans, k, off, end)
 				if s < e {
 					axpy4(drow[s-off:e-off],
@@ -647,7 +677,7 @@ func matMulWindowRange(c kernelCall, lo, hi int) {
 			}
 			for ; k < k1; k++ {
 				if av := arow[k]; av != 0 {
-					if s, e := clipSpan(spans, k, off, end); s < e {
+					if s, e := c.clip(k); s < e {
 						axpy1(drow[s-off:e-off], b.Data[k*n+s:k*n+e], av)
 					}
 				}
@@ -691,21 +721,27 @@ func matMulWindowTransBRange(c kernelCall, lo, hi int) {
 		drow := dst.Data[i*dc : i*dc+rowEnd]
 		k := 0
 		for ; k+4 <= rowEnd; k += 4 {
-			s, e := windowIntersect4(spans, k, off, end)
 			var sums [4]float64
-			if s < e {
-				sums[0], sums[1], sums[2], sums[3] = dot4(arow[s-off:e-off],
-					b.Data[k*n+s:k*n+e], b.Data[(k+1)*n+s:(k+1)*n+e],
-					b.Data[(k+2)*n+s:(k+2)*n+e], b.Data[(k+3)*n+s:(k+3)*n+e])
-			}
-			for t := range sums {
-				ks, ke := clipSpan(spans, k+t, off, end)
-				base := (k + t) * n
-				if le := min(ke, s); ks < le {
-					sums[t] += dot1(arow[ks-off:le-off], b.Data[base+ks:base+le])
+			if c.covered {
+				sums[0], sums[1], sums[2], sums[3] = dot4(arow,
+					b.Data[k*n+off:k*n+end], b.Data[(k+1)*n+off:(k+1)*n+end],
+					b.Data[(k+2)*n+off:(k+2)*n+end], b.Data[(k+3)*n+off:(k+3)*n+end])
+			} else {
+				s, e := windowIntersect4(spans, k, off, end)
+				if s < e {
+					sums[0], sums[1], sums[2], sums[3] = dot4(arow[s-off:e-off],
+						b.Data[k*n+s:k*n+e], b.Data[(k+1)*n+s:(k+1)*n+e],
+						b.Data[(k+2)*n+s:(k+2)*n+e], b.Data[(k+3)*n+s:(k+3)*n+e])
 				}
-				if ls := max(ks, e); ls < ke {
-					sums[t] += dot1(arow[ls-off:ke-off], b.Data[base+ls:base+ke])
+				for t := range sums {
+					ks, ke := clipSpan(spans, k+t, off, end)
+					base := (k + t) * n
+					if le := min(ke, s); ks < le {
+						sums[t] += dot1(arow[ks-off:le-off], b.Data[base+ks:base+le])
+					}
+					if ls := max(ks, e); ls < ke {
+						sums[t] += dot1(arow[ls-off:ke-off], b.Data[base+ls:base+ke])
+					}
 				}
 			}
 			if c.acc {
@@ -719,7 +755,7 @@ func matMulWindowTransBRange(c kernelCall, lo, hi int) {
 		}
 		for ; k < rowEnd; k++ {
 			var sum float64
-			if s, e := clipSpan(spans, k, off, end); s < e {
+			if s, e := c.clip(k); s < e {
 				sum = dot1(arow[s-off:e-off], b.Data[k*n+s:k*n+e])
 			}
 			if c.acc {
@@ -750,9 +786,9 @@ func dot1(a, b []float64) (s float64) {
 // dst the rowEnd×(colEnd−colOff) window. dst is overwritten; entries
 // outside a row's span are zero.
 func matMulWindowTransARange(c kernelCall, lo, hi int) {
-	dst, a, b, spans := c.dst, c.a, c.b, c.spans
+	dst, a, b := c.dst, c.a, c.b
 	cols, w := a.Cols, b.Cols
-	off, end := c.win.colOff, c.win.colEnd
+	off := c.win.colOff
 	clear(dst.Data[lo*w : hi*w])
 	if w == 0 {
 		return
@@ -772,7 +808,7 @@ func matMulWindowTransARange(c kernelCall, lo, hi int) {
 			if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
 				continue
 			}
-			if s, e := clipSpan(spans, i, off, end); s < e {
+			if s, e := c.clip(i); s < e {
 				s, e = s-off, e-off
 				axpy4(dst.Data[i*w+s:i*w+e], b0[s:e], b1[s:e], b2[s:e], b3[s:e], v0, v1, v2, v3)
 			}
@@ -783,7 +819,7 @@ func matMulWindowTransARange(c kernelCall, lo, hi int) {
 		brow := b.Data[r*w : (r+1)*w]
 		for i := lo; i < hi; i++ {
 			if av := arow[i]; av != 0 {
-				if s, e := clipSpan(spans, i, off, end); s < e {
+				if s, e := c.clip(i); s < e {
 					s, e = s-off, e-off
 					axpy1(dst.Data[i*w+s:i*w+e], brow[s:e], av)
 				}

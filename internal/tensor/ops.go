@@ -59,9 +59,10 @@ func (g *Graph) MaskedMatMulWindow(x, w *Node, cache *MaskedWeight, rowEnd, colO
 			rowEnd, colOff, colEnd, x.Val, mw))
 	}
 	out := g.alloc(x.Val.Rows, colEnd-colOff, false)
+	win := window{rowEnd, colOff, colEnd}
 	runKernel(x.Val.Rows, x.Val.Rows*rowEnd*out.Cols, matMulWindowRange, kernelCall{
-		dst: out, a: x.Val, b: mw, spans: cache.spans,
-		win: window{rowEnd, colOff, colEnd}, sparse: looksSparse(x.Val.Data),
+		dst: out, a: x.Val, b: mw, spans: cache.spans, win: win,
+		covered: windowCovered(cache.spans, win), sparse: looksSparse(x.Val.Data),
 	})
 	n := g.push(out, opMaskedMatMul, x.requiresGrad || w.requiresGrad)
 	n.a, n.b = x, w
@@ -522,35 +523,8 @@ func (g *Graph) backstep(n *Node) {
 			MatMulTransAAddInto(b.Grad, n.Grad, a.Val)
 		}
 	case opMaskedMatMul:
-		x, w, spans := n.a, n.b, n.mwc.spans
 		win := window{n.i1, n.i2, n.i2 + n.Val.Cols}
-		rows, width := win.rowEnd, n.Val.Cols
-		flops := n.Grad.Rows * rows * width
-		if x.requiresGrad {
-			// dX[:, :rowEnd] += G·(W∘M)[window]ᵀ — the cached product saved
-			// at forward time.
-			runKernel(n.Grad.Rows, flops, matMulWindowTransBRange, kernelCall{
-				dst: x.Grad, a: n.Grad, b: n.aux2, spans: spans, win: win, acc: true,
-			})
-		}
-		if w.requiresGrad {
-			// dW[window] += (Xᵀ·G)∘M: the tmp kernel zeroes outside each
-			// row's span, so only the span needs the mask multiply.
-			tmp := g.alloc(rows, width, false)
-			runKernel(rows, flops, matMulWindowTransARange, kernelCall{
-				dst: tmp, a: x.Val, b: n.Grad, spans: spans, win: win,
-			})
-			md := n.aux1.Data
-			wg := w.Grad.Data
-			cols := w.Val.Cols
-			for r := 0; r < rows; r++ {
-				s, e := clipSpan(spans, r, win.colOff, win.colEnd)
-				trow := tmp.Data[r*width : (r+1)*width]
-				for c := s; c < e; c++ {
-					wg[r*cols+c] += trow[c-win.colOff] * md[r*cols+c]
-				}
-			}
-		}
+		g.maskedWindowBackward(n.a, n.b, n.Grad, n.aux1, n.aux2, n.mwc.spans, win)
 	case opMulConst:
 		a, m := n.a, n.aux1
 		for i, gv := range n.Grad.Data {
@@ -781,7 +755,80 @@ func (g *Graph) backstep(n *Node) {
 				}
 			}
 		}
+	case opCopyCols:
+		src, off := n.a, n.i1
+		for i := 0; i < src.Val.Rows; i++ {
+			grow := n.Grad.Row(i)[off : off+src.Val.Cols]
+			srow := src.Grad.Row(i)
+			for j, gv := range grow {
+				srow[j] += gv
+			}
+		}
+	case opMaskedBand:
+		x, w, b := n.a, n.b, n.c
+		win := window{n.i1, n.i2, n.i3}
+		off, end := win.colOff, win.colEnd
+		rows, width := n.Val.Rows, end-off
+		// Back through the ReLU: the band's pre-activation gradient.
+		gpre := g.alloc(rows, width, false)
+		for i := 0; i < rows; i++ {
+			vrow := n.Val.Row(i)[off:end]
+			grow := n.Grad.Row(i)[off:end]
+			prow := gpre.Row(i)
+			for j, v := range vrow {
+				if v > 0 {
+					prow[j] = grow[j]
+				} else {
+					prow[j] = 0
+				}
+			}
+		}
+		if b.requiresGrad {
+			bg := b.Grad.Data[off:end]
+			for i := 0; i < rows; i++ {
+				for j, gv := range gpre.Row(i) {
+					bg[j] += gv
+				}
+			}
+		}
+		g.maskedWindowBackward(x, w, gpre, n.aux1, n.aux2, n.mwc.spans, win)
+	case opAttendStep:
+		g.attendStepBackward(n)
 	default:
 		panic("tensor: backstep on unknown op")
+	}
+}
+
+// maskedWindowBackward propagates G, the gradient of
+// x[:, :rowEnd]·(W∘M)[:rowEnd, colOff:colEnd], into x and W: the shared
+// backward of MaskedMatMulWindow and MaskedLinearReLUInto. mw is the cached
+// product saved at forward time and mask the fixed mask.
+func (g *Graph) maskedWindowBackward(x, w *Node, grad, mask, mw *Tensor, spans []int, win window) {
+	rows, width := win.rowEnd, win.colEnd-win.colOff
+	flops := grad.Rows * rows * width
+	covered := windowCovered(spans, win)
+	if x.requiresGrad {
+		// dX[:, :rowEnd] += G·(W∘M)[window]ᵀ.
+		runKernel(grad.Rows, flops, matMulWindowTransBRange, kernelCall{
+			dst: x.Grad, a: grad, b: mw, spans: spans, win: win, covered: covered, acc: true,
+		})
+	}
+	if w.requiresGrad {
+		// dW[window] += (Xᵀ·G)∘M: the tmp kernel zeroes outside each row's
+		// span, so only the span needs the mask multiply.
+		tmp := g.alloc(rows, width, false)
+		runKernel(rows, flops, matMulWindowTransARange, kernelCall{
+			dst: tmp, a: x.Val, b: grad, spans: spans, win: win, covered: covered,
+		})
+		md := mask.Data
+		wg := w.Grad.Data
+		cols := w.Val.Cols
+		for r := 0; r < rows; r++ {
+			s, e := clipSpan(spans, r, win.colOff, win.colEnd)
+			trow := tmp.Data[r*width : (r+1)*width]
+			for c := s; c < e; c++ {
+				wg[r*cols+c] += trow[c-win.colOff] * md[r*cols+c]
+			}
+		}
 	}
 }

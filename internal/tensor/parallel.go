@@ -83,8 +83,11 @@ type kernelCall struct {
 	// operand per row (see MaskedWeight); plain kernels ignore it.
 	spans []int
 	// win is the weight sub-block a windowed masked kernel reads; other
-	// kernels ignore it.
-	win window
+	// kernels ignore it. covered records that every weight row's span
+	// contains the window's columns (windowCovered), so the windowed
+	// kernels skip span clipping.
+	win     window
+	covered bool
 	// sparse selects the skip-zero path of the kernels that have one. It
 	// is decided once per call over the whole streamed operand, never per
 	// row shard: the shard boundaries depend on which worker tokens happen
