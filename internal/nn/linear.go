@@ -1,7 +1,8 @@
 // Package nn provides the neural-network building blocks SAM trains:
-// (masked) linear layers, the MADE masked autoencoder used as the
-// autoregressive backbone, and the Adam optimizer. Everything runs on the
-// internal/tensor autodiff engine; a separate allocation-free batched
+// (masked) linear layers, the MADE masked autoencoder and the causal
+// Transformer used as autoregressive backbones, and the Adam optimizer.
+// Training runs on the internal/tensor autodiff engine through each
+// backbone's incremental Chain; a separate allocation-free batched
 // inference path (BatchInference) supports the sampling phase.
 package nn
 
