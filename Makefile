@@ -19,7 +19,7 @@ SCALE_MIN_RPS ?= 20000
 SCALE_MAX_MEM ?= 256
 
 .PHONY: all build test race race-test lint fmt vet staticcheck samlint vuln \
-	bench-gate scale-bench scale-gate trace-smoke
+	bench-gate scale-bench scale-gate trace-smoke fuzz-smoke
 
 all: build test
 
@@ -114,3 +114,11 @@ trace-smoke:
 		-metrics metrics.prom -top 5 -o report.md
 	@grep -q 'Run ID' report.md || { echo "samreport: no run ID in report.md"; exit 1; }
 	$(GO) test -run 'TestSambenchTraceSmoke|TestSamreportSmoke|TestSambenchPrometheusEndpoint' -v .
+
+## fuzz-smoke runs each decoder fuzz target for a short budget: the run-log
+## reader and the Prometheus text parser. `go test -fuzz` takes one target
+## per invocation, hence one line each; a failing input lands under
+## internal/obs/testdata/fuzz, where plain `go test` replays it.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadRunLog$$' -fuzztime 10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePrometheus$$' -fuzztime 10s ./internal/obs

@@ -20,8 +20,8 @@
 // spans with wall time and allocation deltas) as JSONL and prints its
 // summary after the reports. -progress streams per-epoch training loss
 // (with an ETA), throttled sampling progress, and per-phase generation
-// stats to stderr. -debug-addr serves live net/http/pprof, expvar, the
-// telemetry registry in Prometheus text format at /metrics (JSON at
+// stats to stderr. -debug-addr serves live net/http/pprof, the telemetry
+// registry in Prometheus text format at /metrics (JSON at
 // /metrics.json), and the recent-event ring at /debug/events while the
 // run is hot. Traces written with -trace feed the samtrace analyzer.
 // -runlog appends every pipeline event as structured JSONL and
@@ -71,7 +71,7 @@ func main() {
 	runlogOut := flag.String("runlog", "", "append the run's structured events as JSONL (framed by run_start/run_end and stamped with the run ID) to this file")
 	metricsOut := flag.String("metrics-out", "", "write the final telemetry registry in Prometheus text format to this file at exit")
 	progress := flag.Bool("progress", false, "stream per-epoch training and per-phase generation progress to stderr")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof, /debug/vars and /metrics on this address (e.g. :6060)")
+	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof, /metrics, /metrics.json and /debug/events on this address (e.g. :6060)")
 	flag.Parse()
 
 	if *tensorBench != "" {
@@ -90,96 +90,23 @@ func main() {
 		return
 	}
 
-	// One run ID correlates every artifact this invocation emits — trace
-	// root, event ring, sam_run_info family, run log, and the scalebench
-	// report — so samreport can join them offline.
-	runID := obs.NewRunID()
-	reg := obs.Default()
-	var hooks *obs.Hooks
-	if *debugAddr != "" || *metricsOut != "" {
-		obs.StampRunInfo(reg, runID, obs.BuildMeta())
-		hooks = obs.MetricsHooks(reg)
+	tel, err := obs.StartCLITelemetry(obs.CLIFlags{
+		Name: "sambench", Seed: *seed, TracePath: *traceOut, RunLogPath: *runlogOut,
+		MetricsPath: *metricsOut, DebugAddr: *debugAddr, Progress: *progress,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *debugAddr != "" {
-		events := obs.NewEventLog(obs.DefaultEventLogSize)
-		events.SetRunID(runID)
-		hooks = obs.Merge(hooks, obs.EventLogHooks(events))
-		addr, closeDebug, err := obs.ServeDebug(*debugAddr, reg, events)
-		if err != nil {
-			log.Fatalf("debug server: %v", err)
-		}
-		defer closeDebug()
-		fmt.Fprintf(os.Stderr, "debug server on http://%s (pprof, expvar, /metrics, /metrics.json, /debug/events)\n", addr)
-	}
-	if *progress {
-		hooks = obs.Merge(hooks, obs.ProgressHooks(os.Stderr))
-	}
-	var runlog *obs.RunLog
-	var runlogFile *os.File
-	if *runlogOut != "" {
-		f, err := os.Create(*runlogOut)
-		if err != nil {
-			log.Fatalf("runlog: %v", err)
-		}
-		runlog = obs.NewRunLog(f, runID)
-		runlogFile = f
-		hooks = obs.Merge(hooks, obs.RunLogHooks(runlog))
-	}
-	var trace *obs.Trace
-	if *traceOut != "" {
-		trace = obs.NewTrace("sambench")
-		root := trace.Root()
-		root.SetAttr("seed", *seed)
-		root.SetAttr("run_id", runID)
-		obs.BuildMeta().SetAttrs(root)
-	}
-	// flushTelemetry finishes the artifacts the flags configured; every
-	// exit path below runs it after the work completes.
-	flushTelemetry := func() {
-		if trace != nil {
-			trace.Root().End()
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				log.Fatalf("trace: %v", err)
-			}
-			if err := trace.WriteJSONL(f); err != nil {
-				f.Close()
-				log.Fatalf("trace: %v", err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatalf("trace: %v", err)
-			}
-			fmt.Println("== phase trace ==")
-			fmt.Print(trace.Summary())
-			fmt.Printf("trace written to %s\n", *traceOut)
-		}
-		if runlog != nil {
-			if err := runlog.Close(); err != nil {
-				log.Fatalf("runlog: %v", err)
-			}
-			if err := runlogFile.Close(); err != nil {
-				log.Fatalf("runlog: %v", err)
-			}
-		}
-		if *metricsOut != "" {
-			f, err := os.Create(*metricsOut)
-			if err != nil {
-				log.Fatalf("metrics-out: %v", err)
-			}
-			if err := obs.WritePrometheus(f, reg); err != nil {
-				f.Close()
-				log.Fatalf("metrics-out: %v", err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatalf("metrics-out: %v", err)
-			}
+	// closeTelemetry writes the artifacts the flags configured; every exit
+	// path below runs it after the work completes.
+	closeTelemetry := func() {
+		if err := tel.Close(os.Stdout); err != nil {
+			log.Fatal(err)
 		}
 	}
 
 	if *scaleBench != "" {
-		if trace != nil {
-			trace.Root().SetAttr("scalerows", *scaleRows)
-		}
+		tel.Trace.Root().SetAttr("scalerows", *scaleRows)
 		rep, err := experiments.RunScaleBench(experiments.ScaleBenchConfig{
 			Rows:       *scaleRows,
 			Shards:     *scaleShards,
@@ -188,9 +115,9 @@ func main() {
 			Partitions: *scalePartitions,
 			Dir:        *scaleDir,
 			Seed:       *seed,
-			RunID:      runID,
-			Hooks:      hooks,
-			Span:       trace.Root(),
+			RunID:      tel.RunID,
+			Hooks:      tel.Hooks,
+			Span:       tel.Trace.Root(),
 		})
 		if err != nil {
 			log.Fatalf("scalebench: %v", err)
@@ -208,7 +135,7 @@ func main() {
 			rep.WeightWallMs, rep.PassAWallMs, rep.PassBWallMs, rep.PassCWallMs)
 		fmt.Printf("scalebench: peak heap %.1f MiB, peak RSS %.1f MiB, shard bytes %.1f MiB\n",
 			float64(rep.PeakHeapBytes)/(1<<20), float64(rep.PeakRSSBytes)/(1<<20), float64(rep.ShardBytes)/(1<<20))
-		flushTelemetry()
+		closeTelemetry()
 		return
 	}
 
@@ -235,12 +162,10 @@ func main() {
 		}
 	}
 	ctx := experiments.NewContext(scale, logf)
-	if trace != nil {
-		trace.Root().SetAttr("scale", *scaleFlag)
-		trace.Root().SetAttr("experiments", *expFlag)
-	}
-	ctx.Hooks = hooks
-	ctx.Span = trace.Root()
+	tel.Trace.Root().SetAttr("scale", *scaleFlag)
+	tel.Trace.Root().SetAttr("experiments", *expFlag)
+	ctx.Hooks = tel.Hooks
+	ctx.Span = tel.Trace.Root()
 
 	runners := experiments.Runners()
 	wanted := map[string]bool{}
@@ -274,7 +199,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "total: %v\n", time.Since(start).Round(time.Millisecond))
 	}
 
-	flushTelemetry()
+	closeTelemetry()
 }
 
 func idList(rs []experiments.Runner) string {

@@ -24,8 +24,8 @@
 // spans with wall time and allocation deltas) as JSONL and prints its
 // summary; -progress streams per-epoch loss (with an ETA), throttled
 // sampling progress, and per-phase generation stats to stderr;
-// -debug-addr serves live pprof/expvar, Prometheus metrics at /metrics
-// (JSON at /metrics.json), and the recent-event ring at /debug/events.
+// -debug-addr serves live pprof, Prometheus metrics at /metrics (JSON
+// at /metrics.json), and the recent-event ring at /debug/events.
 // -runlog appends every pipeline event as structured JSONL and
 // -metrics-out snapshots the final registry as Prometheus text. Every
 // invocation mints a run ID stamped into all of these (trace root attr,
@@ -35,7 +35,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"os"
 	"path/filepath"
@@ -75,57 +74,15 @@ func main() {
 	runlogOut := flag.String("runlog", "", "append the run's structured events as JSONL (framed by run_start/run_end and stamped with the run ID) to this file")
 	metricsOut := flag.String("metrics-out", "", "write the final telemetry registry in Prometheus text format to this file at exit")
 	progress := flag.Bool("progress", false, "stream per-epoch training and per-phase generation progress to stderr")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof, /debug/vars and /metrics on this address (e.g. :6060)")
+	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof, /metrics, /metrics.json and /debug/events on this address (e.g. :6060)")
 	flag.Parse()
 
-	// One run ID correlates every artifact this invocation emits: the
-	// trace root, the event ring, the sam_run_info metric family, and the
-	// run log. samreport joins them back together by it.
-	runID := obs.NewRunID()
-	var hooks *obs.Hooks
-	var reg *obs.Registry
-	if *debugAddr != "" || *metricsOut != "" {
-		reg = obs.Default()
-		obs.StampRunInfo(reg, runID, obs.BuildMeta())
-		hooks = obs.MetricsHooks(reg)
-	}
-	if *debugAddr != "" {
-		events := obs.NewEventLog(obs.DefaultEventLogSize)
-		events.SetRunID(runID)
-		hooks = obs.Merge(hooks, obs.EventLogHooks(events))
-		addr, closeDebug, err := obs.ServeDebug(*debugAddr, reg, events)
-		if err != nil {
-			log.Fatalf("debug server: %v", err)
-		}
-		defer closeDebug()
-		log.Printf("debug server on http://%s (pprof, expvar, /metrics, /metrics.json, /debug/events)", addr)
-	}
-	if *progress {
-		hooks = obs.Merge(hooks, obs.ProgressHooks(os.Stderr))
-	}
-	var runlog *obs.RunLog
-	var runlogFile *os.File
-	if *runlogOut != "" {
-		f, err := os.Create(*runlogOut)
-		if err != nil {
-			log.Fatalf("runlog: %v", err)
-		}
-		runlog = obs.NewRunLog(f, runID)
-		runlogFile = f
-		hooks = obs.Merge(hooks, obs.RunLogHooks(runlog))
-	}
-	var trace *obs.Trace
-	if *traceOut != "" {
-		trace = obs.NewTrace("samgen")
-		root := trace.Root()
-		root.SetAttr("seed", *seed)
-		root.SetAttr("run_id", runID)
-		obs.BuildMeta().SetAttrs(root)
-	}
-	tel := telemetry{
-		hooks: hooks, trace: trace, traceOut: *traceOut,
-		reg: reg, metricsOut: *metricsOut,
-		runlog: runlog, runlogFile: runlogFile,
+	tel, err := obs.StartCLITelemetry(obs.CLIFlags{
+		Name: "samgen", Seed: *seed, TracePath: *traceOut, RunLogPath: *runlogOut,
+		MetricsPath: *metricsOut, DebugAddr: *debugAddr, Progress: *progress,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	if *loadPath != "" {
@@ -203,8 +160,8 @@ func main() {
 	cfg.Model.Arch = *arch
 	cfg.Seed = *seed
 	cfg.Logf = log.Printf
-	cfg.Hooks = tel.hooks
-	cfg.Span = tel.trace.Root()
+	cfg.Hooks = tel.Hooks
+	cfg.Span = tel.Trace.Root()
 	log.Printf("training SAM on %d cardinality constraints (%d model columns)...", wl.Len(), layout.NumCols())
 	start := time.Now()
 	model, err := ar.Train(layout, wl, pop, cfg)
@@ -235,61 +192,6 @@ func main() {
 	}, tel)
 }
 
-// telemetry bundles the optional observer state the flags configured.
-type telemetry struct {
-	hooks      *obs.Hooks
-	trace      *obs.Trace
-	traceOut   string
-	reg        *obs.Registry
-	metricsOut string
-	runlog     *obs.RunLog
-	runlogFile *os.File
-}
-
-// flush finishes every telemetry artifact the flags configured: ends and
-// writes the trace (printing the phase summary), closes the run log, and
-// snapshots the metrics registry as Prometheus text.
-func (tel telemetry) flush() {
-	if tel.trace != nil {
-		tel.trace.Root().End()
-		f, err := os.Create(tel.traceOut)
-		if err != nil {
-			log.Fatalf("trace: %v", err)
-		}
-		if err := tel.trace.WriteJSONL(f); err != nil {
-			f.Close()
-			log.Fatalf("trace: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("trace: %v", err)
-		}
-		fmt.Println("== phase trace ==")
-		fmt.Print(tel.trace.Summary())
-		log.Printf("trace written to %s", tel.traceOut)
-	}
-	if tel.runlog != nil {
-		if err := tel.runlog.Close(); err != nil {
-			log.Fatalf("runlog: %v", err)
-		}
-		if err := tel.runlogFile.Close(); err != nil {
-			log.Fatalf("runlog: %v", err)
-		}
-	}
-	if tel.metricsOut != "" {
-		f, err := os.Create(tel.metricsOut)
-		if err != nil {
-			log.Fatalf("metrics-out: %v", err)
-		}
-		if err := obs.WritePrometheus(f, tel.reg); err != nil {
-			f.Close()
-			log.Fatalf("metrics-out: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("metrics-out: %v", err)
-		}
-	}
-}
-
 // genConfig bundles the generation-phase flag settings.
 type genConfig struct {
 	outDir      string
@@ -306,7 +208,7 @@ type genConfig struct {
 
 // generateAndWrite runs the generation phase and writes one CSV per table —
 // in memory by default, or via the sharded streaming pipeline with -stream.
-func generateAndWrite(model *ar.Model, sizes map[string]int, cfg genConfig, tel telemetry) {
+func generateAndWrite(model *ar.Model, sizes map[string]int, cfg genConfig, tel *obs.CLITelemetry) {
 	gen, err := core.FromModel(model, sizes)
 	if err != nil {
 		log.Fatal(err)
@@ -320,8 +222,8 @@ func generateAndWrite(model *ar.Model, sizes map[string]int, cfg genConfig, tel 
 		opts.Shards = cfg.shards
 		opts.Partitions = cfg.partitions
 		opts.KeepSamples = cfg.keepSamples
-		opts.Hooks = tel.hooks
-		opts.Span = tel.trace.Root()
+		opts.Hooks = tel.Hooks
+		opts.Span = tel.Trace.Root()
 		start := time.Now()
 		res, err := gen.GenerateStream(core.ModelSampler(model, opts.Batch), opts)
 		if err != nil {
@@ -331,7 +233,7 @@ func generateAndWrite(model *ar.Model, sizes map[string]int, cfg genConfig, tel 
 		for _, t := range gen.Layout.Schema.Tables {
 			log.Printf("wrote %s (%d rows, %d merge groups)", res.CSVPaths[t.Name], res.Rows[t.Name], res.Groups[t.Name])
 		}
-		tel.flush()
+		closeTelemetry(tel)
 		return
 	}
 	opts := core.DefaultGenOptions(cfg.seed + 1)
@@ -339,8 +241,8 @@ func generateAndWrite(model *ar.Model, sizes map[string]int, cfg genConfig, tel 
 	opts.GroupAndMerge = cfg.gam
 	opts.Batch = cfg.batch
 	opts.Workers = cfg.workers
-	opts.Hooks = tel.hooks
-	opts.Span = tel.trace.Root()
+	opts.Hooks = tel.Hooks
+	opts.Span = tel.Trace.Root()
 	start := time.Now()
 	db, err := gen.Generate(core.ModelSampler(model, opts.Batch), opts)
 	if err != nil {
@@ -366,5 +268,12 @@ func generateAndWrite(model *ar.Model, sizes map[string]int, cfg genConfig, tel 
 		}
 		log.Printf("wrote %s (%d rows)", path, t.NumRows())
 	}
-	tel.flush()
+	closeTelemetry(tel)
+}
+
+// closeTelemetry writes the run's trace, run log and metrics artifacts.
+func closeTelemetry(tel *obs.CLITelemetry) {
+	if err := tel.Close(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
 }

@@ -1,11 +1,11 @@
 // Command samreport fuses the artifacts one SAM run leaves behind into a
 // single self-contained Markdown or HTML report: the phase trace
-// (samgen/sambench -trace), a metrics payload (/metrics.json snapshot or
-// Prometheus text, e.g. -metrics-out), the structured JSONL run log
-// (-runlog), and the benchmark documents (BENCH_scale.json,
-// BENCH_tensor.json). Inputs are joined by the run ID each artifact was
-// stamped with; mixing artifacts from different runs is an error unless
-// -allow-mismatch downgrades it to a warning in the report.
+// (samgen/sambench -trace), the metrics in Prometheus text (-metrics-out
+// or a /metrics scrape), the structured JSONL run log (-runlog), and the
+// benchmark documents (BENCH_scale.json, BENCH_tensor.json). Inputs are
+// joined by the run ID each artifact was stamped with; mixing artifacts
+// from different runs is an error unless -allow-mismatch downgrades it to
+// a warning in the report.
 //
 // Usage:
 //
@@ -33,7 +33,7 @@ func main() {
 	log.SetFlags(0)
 	tracePath := flag.String("trace", "", "JSONL phase trace to analyze")
 	baselinePath := flag.String("baseline", "", "baseline trace to diff -trace against")
-	metricsPath := flag.String("metrics", "", "metrics payload: /metrics.json snapshot or Prometheus text (-metrics-out)")
+	metricsPath := flag.String("metrics", "", "metrics in Prometheus text format (-metrics-out or a /metrics scrape)")
 	runlogPath := flag.String("runlog", "", "structured JSONL run log (-runlog)")
 	scalePath := flag.String("scale", "", "scalebench report (BENCH_scale.json)")
 	tensorPath := flag.String("tensor", "", "tensorbench report (BENCH_tensor.json)")

@@ -2,64 +2,23 @@ package obs
 
 import (
 	"context"
-	"expvar"
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 	"time"
 )
 
-var (
-	publishMu sync.Mutex
-	published *Registry
-	// expvarRegistered tracks the one-time expvar.Publish separately from
-	// the slot: expvar panics on duplicate names, but the exported Func
-	// reads `published` on every call, so the slot itself stays resettable
-	// (tests rely on that).
-	expvarRegistered bool
-)
-
-// PublishExpvar exposes the registry under the "sam" expvar key (served at
-// /debug/vars). expvar is process-global and panics on duplicate names, so
-// only one registry per process can be published: the first non-nil
-// registry wins and every later call with a different registry is refused.
-// The return value reports whether r is the published registry — callers
-// that need a second exported registry should serve their own snapshot
-// instead. A nil registry returns false without claiming the slot.
-func PublishExpvar(r *Registry) bool {
-	if r == nil {
-		return false
-	}
-	publishMu.Lock()
-	defer publishMu.Unlock()
-	if published == nil {
-		published = r
-		if !expvarRegistered {
-			expvarRegistered = true
-			expvar.Publish("sam", expvar.Func(func() any {
-				publishMu.Lock()
-				reg := published
-				publishMu.Unlock()
-				return reg.Snapshot()
-			}))
-		}
-	}
-	return published == r
-}
-
 // ServeDebug starts an HTTP debug server on addr (e.g. ":6060") serving
-// net/http/pprof under /debug/pprof/, expvar under /debug/vars, the
-// registry in Prometheus text format under /metrics, the JSON snapshot
-// under /metrics.json, and — when ev is non-nil — the recent-event ring
-// under /debug/events. It binds synchronously, so a bad address fails
+// net/http/pprof under /debug/pprof/, the registry in Prometheus text
+// format under /metrics and as a JSON snapshot under /metrics.json, and —
+// when ev is non-nil — the recent-event ring under /debug/events. It binds synchronously, so a bad address fails
 // fast, then serves in a background goroutine. The bound address is
 // returned (useful with ":0") together with a close function that drains
 // the server; serve failures are counted in the registry's
 // obs_debug_serve_errors_total counter rather than silently dropped.
 func ServeDebug(addr string, r *Registry, ev *EventLog) (string, func(), error) {
-	PublishExpvar(r)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, fmt.Errorf("obs: debug server: %w", err)
@@ -70,32 +29,15 @@ func ServeDebug(addr string, r *Registry, ev *EventLog) (string, func(), error) 
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", PromContentType)
 		if err := WritePrometheus(w, r); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		buf, err := r.MarshalJSON()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Write(buf)
-	})
+	mux.HandleFunc("/metrics.json", serveJSON(r))
 	if ev != nil {
-		mux.HandleFunc("/debug/events", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			buf, err := ev.MarshalJSON()
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			w.Write(buf)
-		})
+		mux.HandleFunc("/debug/events", serveJSON(ev))
 	}
 	srv := &http.Server{Handler: mux}
 	done := make(chan struct{})
@@ -114,4 +56,17 @@ func ServeDebug(addr string, r *Registry, ev *EventLog) (string, func(), error) 
 		<-done
 	}
 	return ln.Addr().String(), closeFn, nil
+}
+
+// serveJSON returns a handler that renders v as the response body.
+func serveJSON(v json.Marshaler) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		buf, err := v.MarshalJSON()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		w.Write(buf)
+	}
 }

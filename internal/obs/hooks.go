@@ -368,15 +368,16 @@ func MetricsHooks(r *Registry) *Hooks {
 			if q.Table != "" {
 				evalQEByTable.With(q.Table).Observe(q.QError)
 			}
-			evalQEByPreds.With(predsBucket(q.Preds)).Observe(q.QError)
+			evalQEByPreds.With(PredsBucket(q.Preds)).Observe(q.QError)
 		},
 	}
 }
 
-// predsBucket coarsens a query's predicate count into the fixed label
-// vocabulary of eval_qerror_by_preds, keeping the family's cardinality
-// bounded however elaborate the workload gets.
-func predsBucket(n int) string {
+// PredsBucket coarsens a query's predicate count into the fixed label
+// vocabulary of eval_qerror_by_preds ("0", "1", "2", "3+"), keeping the
+// family's cardinality bounded however elaborate the workload gets;
+// samreport groups run-log queries by the same buckets.
+func PredsBucket(n int) string {
 	switch {
 	case n <= 0:
 		return "0"

@@ -161,11 +161,6 @@ func TestNilSafeEntryPoints(t *testing.T) {
 			}
 		}},
 		{"Meta.SetAttrs", func(t *testing.T) { BuildMeta().SetAttrs(nilSpan) }},
-		{"PublishExpvar", func(t *testing.T) {
-			if PublishExpvar(nilReg) {
-				t.Fatal("nil registry claimed the expvar slot")
-			}
-		}},
 	}
 
 	for _, tc := range tests {

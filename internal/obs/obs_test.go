@@ -305,13 +305,13 @@ func TestServeDebug(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("boot").Inc()
 	r.CounterVec("boot_labeled_total", "kind").With("a").Add(2)
-	ev := NewEventLog(8)
+	ev := NewEventLog(8, "aa")
 	ev.Add("train_step", TrainStep{Step: 1})
 	addr, closeFn, err := ServeDebug("127.0.0.1:0", r, ev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{"/debug/vars", "/debug/pprof/", "/metrics", "/metrics.json", "/debug/events"} {
+	for _, path := range []string{"/debug/pprof/", "/metrics", "/metrics.json", "/debug/events"} {
 		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
@@ -322,7 +322,17 @@ func TestServeDebug(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	resp, err := http.Get("http://" + addr + "/metrics")
+	// expvar is gone: /metrics.json is the one JSON view of the registry.
+	resp, err := http.Get("http://" + addr + "/debug/vars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /debug/vars: status %d, want 404", resp.StatusCode)
+	}
+
+	resp, err = http.Get("http://" + addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,34 +355,5 @@ func TestServeDebug(t *testing.T) {
 	closeFn()
 	if _, err := http.Get("http://" + addr + "/metrics"); err == nil {
 		t.Fatal("server still reachable after close")
-	}
-}
-
-// resetPublished clears the process-wide expvar slot so the publish test
-// is independent of which test claimed it first.
-func resetPublished() {
-	publishMu.Lock()
-	published = nil
-	publishMu.Unlock()
-}
-
-// TestPublishExpvar pins the single-registry-per-process contract: the
-// first non-nil registry claims the slot, later registries are refused,
-// and nil never claims it.
-func TestPublishExpvar(t *testing.T) {
-	resetPublished()
-	defer resetPublished()
-	if PublishExpvar(nil) {
-		t.Fatal("nil registry claimed the expvar slot")
-	}
-	first := NewRegistry()
-	if !PublishExpvar(first) {
-		t.Fatal("first registry refused")
-	}
-	if !PublishExpvar(first) {
-		t.Fatal("republishing the same registry refused")
-	}
-	if PublishExpvar(NewRegistry()) {
-		t.Fatal("second registry accepted")
 	}
 }

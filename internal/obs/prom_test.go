@@ -150,25 +150,28 @@ func TestSanitizeMetricName(t *testing.T) {
 	}
 }
 
+// promRejects are expositions the validator must refuse;
+// FuzzParsePrometheus seeds its corpus from them.
+var promRejects = map[string]string{
+	"bad name":           "1bad 3\n",
+	"bad value":          "m abc\n",
+	"unquoted label":     "m{l=x} 1\n",
+	"unterminated label": "m{l=\"x 1\n",
+	"bad type":           "# TYPE m widget\nm 1\n",
+	"duplicate type":     "# TYPE m counter\n# TYPE m counter\nm 1\n",
+	"hist no inf":        "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_sum 1\nh_count 1\n",
+	"hist count mismatch": "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 2\n" +
+		"h_sum 1\nh_count 3\n",
+	"hist not cumulative": "# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"2\"} 3\n" +
+		"h_bucket{le=\"+Inf\"} 5\nh_sum 1\nh_count 5\n",
+	"hist le not ascending": "# TYPE h histogram\nh_bucket{le=\"2\"} 1\nh_bucket{le=\"1\"} 1\n" +
+		"h_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\n",
+}
+
 // TestParsePrometheusRejects covers the validator's failure modes so the
 // CI gate cannot pass vacuously.
 func TestParsePrometheusRejects(t *testing.T) {
-	cases := map[string]string{
-		"bad name":           "1bad 3\n",
-		"bad value":          "m abc\n",
-		"unquoted label":     "m{l=x} 1\n",
-		"unterminated label": "m{l=\"x 1\n",
-		"bad type":           "# TYPE m widget\nm 1\n",
-		"duplicate type":     "# TYPE m counter\n# TYPE m counter\nm 1\n",
-		"hist no inf":        "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_sum 1\nh_count 1\n",
-		"hist count mismatch": "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 2\n" +
-			"h_sum 1\nh_count 3\n",
-		"hist not cumulative": "# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"2\"} 3\n" +
-			"h_bucket{le=\"+Inf\"} 5\nh_sum 1\nh_count 5\n",
-		"hist le not ascending": "# TYPE h histogram\nh_bucket{le=\"2\"} 1\nh_bucket{le=\"1\"} 1\n" +
-			"h_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\n",
-	}
-	for name, text := range cases {
+	for name, text := range promRejects {
 		if _, err := ParsePrometheus(strings.NewReader(text)); err == nil {
 			t.Errorf("%s: accepted\n%s", name, text)
 		}

@@ -370,5 +370,5 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// MarshalJSON renders the live registry (so it can be published to expvar).
+// MarshalJSON renders the live registry (the /metrics.json payload).
 func (r *Registry) MarshalJSON() ([]byte, error) { return json.Marshal(r.Snapshot()) }

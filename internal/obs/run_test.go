@@ -3,8 +3,11 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -28,12 +31,12 @@ func TestNewRunIDShape(t *testing.T) {
 
 // TestRunLogRoundTrip writes a log through the hooks adapter and reads it
 // back through the strict validator: framing entries, per-line run IDs,
-// and payload fidelity.
+// gapless seq numbers, and payload fidelity.
 func TestRunLogRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	id := NewRunID()
 	l := NewRunLog(&buf, id)
-	h := RunLogHooks(l)
+	h := EventHooks(l.Add)
 	h.TrainEpoch(TrainEpoch{Epoch: 1, Epochs: 2, Loss: 0.5, Wall: time.Second})
 	h.StreamPass(StreamPass{Pass: "A", Table: "t", Shard: -1, RecordsIn: 10, RecordsOut: 4, Runs: 2})
 	h.EvalQuery(EvalQuery{Card: 9, Truth: 10, QError: 10.0 / 9, Table: "t", Preds: 2})
@@ -53,6 +56,9 @@ func TestRunLogRoundTrip(t *testing.T) {
 		}
 		if e.Time.IsZero() {
 			t.Fatalf("entry %d has no timestamp", i)
+		}
+		if e.Seq != uint64(i+1) {
+			t.Fatalf("entry %d seq %d, want %d", i, e.Seq, i+1)
 		}
 	}
 	want := []string{"run_start", "train_epoch", "stream_pass", "eval_query", "run_end"}
@@ -75,36 +81,51 @@ func TestRunLogRoundTrip(t *testing.T) {
 	}
 }
 
+// runLogLine renders one run-log entry with no payload.
+func runLogLine(seq int, id, kind string) string {
+	return fmt.Sprintf(`{"seq":%d,"time":"2026-01-02T03:04:05Z","run_id":%q,"kind":%q}`, seq, id, kind) + "\n"
+}
+
+// runLogRejects are run logs the validator must refuse; FuzzReadRunLog
+// seeds its corpus from them.
+var runLogRejects = map[string]string{
+	"empty":              "",
+	"blank lines only":   "\n\n",
+	"not run_start":      runLogLine(1, "aa", "train_epoch") + runLogLine(2, "aa", "run_end"),
+	"mixed run ids":      runLogLine(1, "aa", "run_start") + runLogLine(2, "bb", "train_epoch") + runLogLine(3, "aa", "run_end"),
+	"missing kind":       `{"seq":1,"time":"2026-01-02T03:04:05Z","run_id":"aa"}` + "\n",
+	"missing run_id":     `{"seq":1,"time":"2026-01-02T03:04:05Z","kind":"run_start"}` + "\n",
+	"unknown field":      `{"seq":1,"time":"2026-01-02T03:04:05Z","run_id":"aa","kind":"run_start","extra":1}` + "\n",
+	"not json":           "run_start aa\n",
+	"second line broken": runLogLine(1, "aa", "run_start") + "{\n",
+	"no run_end":         runLogLine(1, "aa", "run_start") + runLogLine(2, "aa", "gen_phase"),
+	"skipped seq":        runLogLine(1, "aa", "run_start") + runLogLine(3, "aa", "gen_phase") + runLogLine(4, "aa", "run_end"),
+	"duplicated seq":     runLogLine(1, "aa", "run_start") + runLogLine(2, "aa", "gen_phase") + runLogLine(2, "aa", "gen_phase") + runLogLine(3, "aa", "run_end"),
+	"entry after end":    runLogLine(1, "aa", "run_start") + runLogLine(2, "aa", "run_end") + runLogLine(3, "aa", "gen_phase"),
+	"second run_start":   runLogLine(1, "aa", "run_start") + runLogLine(2, "aa", "run_start") + runLogLine(3, "aa", "run_end"),
+	"trailing data":      runLogLine(1, "aa", "run_start") + strings.TrimSpace(runLogLine(2, "aa", "run_end")) + " {}\n",
+}
+
+// runLogGood is a valid log: framed, gapless, one run ID (blank lines
+// between entries are tolerated).
+var runLogGood = runLogLine(1, "aa", "run_start") + "\n" + runLogLine(2, "aa", "gen_phase") + runLogLine(3, "aa", "run_end")
+
 // TestReadRunLogRejects covers the validator's failure modes: logs that
-// don't start with run_start, mix run IDs, smuggle unknown fields, miss
-// required ones, or are empty.
+// don't start with run_start, don't end with run_end (a killed run), lose
+// or repeat a seq, mix run IDs, smuggle unknown fields, miss required
+// ones, or are empty.
 func TestReadRunLogRejects(t *testing.T) {
-	line := func(id, kind string) string {
-		return `{"time":"2026-01-02T03:04:05Z","run_id":"` + id + `","kind":"` + kind + `"}` + "\n"
-	}
-	cases := map[string]string{
-		"empty":              "",
-		"blank lines only":   "\n\n",
-		"not run_start":      line("aa", "train_epoch"),
-		"mixed run ids":      line("aa", "run_start") + line("bb", "train_epoch"),
-		"missing kind":       `{"time":"2026-01-02T03:04:05Z","run_id":"aa"}` + "\n",
-		"missing run_id":     `{"time":"2026-01-02T03:04:05Z","kind":"run_start"}` + "\n",
-		"unknown field":      `{"time":"2026-01-02T03:04:05Z","run_id":"aa","kind":"run_start","extra":1}` + "\n",
-		"not json":           "run_start aa\n",
-		"second line broken": line("aa", "run_start") + "{\n",
-	}
-	for name, text := range cases {
+	for name, text := range runLogRejects {
 		if _, err := ReadRunLog(strings.NewReader(text)); err == nil {
 			t.Errorf("%s: accepted\n%s", name, text)
 		}
 	}
-	good := line("aa", "run_start") + "\n" + line("aa", "gen_phase")
-	entries, err := ReadRunLog(strings.NewReader(good))
+	entries, err := ReadRunLog(strings.NewReader(runLogGood))
 	if err != nil {
 		t.Fatalf("valid log rejected: %v", err)
 	}
-	if len(entries) != 2 {
-		t.Fatalf("parsed %d entries, want 2", len(entries))
+	if len(entries) != 3 {
+		t.Fatalf("parsed %d entries, want 3", len(entries))
 	}
 }
 
@@ -112,28 +133,100 @@ func TestReadRunLogRejects(t *testing.T) {
 // no-op and Close reports success.
 func TestRunLogNilSafe(t *testing.T) {
 	var l *RunLog
-	l.Log("gen_phase", GenPhase{})
-	if l.RunID() != "" {
-		t.Fatal("nil log has a run ID")
-	}
+	l.Add("gen_phase", GenPhase{})
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	RunLogHooks(l).GenPhase(GenPhase{Phase: "sample"})
+	EventHooks(l.Add).GenPhase(GenPhase{Phase: "sample"})
+}
+
+// TestRunLogPayloadError pins the sticky marshal error: a payload JSON
+// cannot encode (a NaN loss) surfaces from Close instead of vanishing.
+func TestRunLogPayloadError(t *testing.T) {
+	var buf bytes.Buffer
+	l := NewRunLog(&buf, "aa")
+	l.Add("train_epoch", TrainEpoch{Loss: math.NaN()})
+	if err := l.Close(); err == nil || !strings.Contains(err.Error(), "train_epoch") {
+		t.Fatalf("Close = %v, want the train_epoch payload error", err)
+	}
+}
+
+// TestEventSinksConcurrent feeds both sinks from several goroutines: the
+// run log must still read back gapless (seq order is line order) and the
+// ring must count every event.
+func TestEventSinksConcurrent(t *testing.T) {
+	var buf bytes.Buffer
+	l := NewRunLog(&buf, "aa")
+	ring := NewEventLog(16, "aa")
+	h := Merge(EventHooks(l.Add), EventHooks(ring.Add))
+	const workers, each = 4, 50
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				h.TrainStep(TrainStep{Step: i})
+				ring.Events()
+			}
+		}()
+	}
+	wg.Wait()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := ReadRunLog(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != workers*each+2 || ring.Total() != workers*each {
+		t.Fatalf("run log %d entries, ring total %d; want %d events", len(entries), ring.Total(), workers*each)
+	}
+}
+
+// TestEventLogRing checks the ring: stamping, eviction of the oldest
+// entries, the ever-appended total, and the /debug/events payload.
+func TestEventLogRing(t *testing.T) {
+	l := NewEventLog(2, "aa")
+	h := EventHooks(l.Add)
+	for i := 1; i <= 3; i++ {
+		h.TrainStep(TrainStep{Step: i})
+	}
+	evs := l.Events()
+	if len(evs) != 2 || evs[0].Seq != 2 || evs[1].Seq != 3 || l.Total() != 3 {
+		t.Fatalf("ring holds %+v (total %d), want seqs 2,3 of 3", evs, l.Total())
+	}
+	var step TrainStep
+	if err := json.Unmarshal(evs[1].Data, &step); err != nil || step.Step != 3 {
+		t.Fatalf("payload %s (%v), want step 3", evs[1].Data, err)
+	}
+	if evs[0].Kind != "train_step" || evs[0].RunID != "aa" || evs[0].Time.IsZero() {
+		t.Fatalf("event not stamped: %+v", evs[0])
+	}
+	buf, err := l.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var page struct {
+		RunID  string  `json:"run_id"`
+		Total  uint64  `json:"total"`
+		Events []Event `json:"events"`
+	}
+	if err := json.Unmarshal(buf, &page); err != nil {
+		t.Fatal(err)
+	}
+	if page.RunID != "aa" || page.Total != 3 || len(page.Events) != 2 {
+		t.Fatalf("/debug/events payload %s", buf)
+	}
 }
 
 // TestStampRunInfo checks the identity family end to end: stamped into a
-// registry, visible in the JSON snapshot (including label-value escapes),
-// rendered to Prometheus text, and recovered by both extractors.
+// registry, rendered to Prometheus text (including label-value escapes),
+// and recovered from the parsed families.
 func TestStampRunInfo(t *testing.T) {
 	r := NewRegistry()
 	id := NewRunID()
 	StampRunInfo(r, id, BuildMeta())
-
-	snap := r.Snapshot()
-	if got := RunIDFromSnapshot(snap); got != id {
-		t.Fatalf("RunIDFromSnapshot = %q, want %q", got, id)
-	}
 
 	var buf bytes.Buffer
 	if err := WritePrometheus(&buf, r); err != nil {
@@ -153,17 +246,21 @@ func TestStampRunInfo(t *testing.T) {
 		t.Fatal("RunIDFromFamilies(nil) nonempty")
 	}
 
-	// Escaped label values must survive the snapshot extractor too.
+	// Escaped label values must survive the exposition round trip too.
 	r2 := NewRegistry()
 	weird := "id\"with\\escapes\nnewline"
 	StampRunInfo(r2, weird, Meta{})
-	if got := RunIDFromSnapshot(r2.Snapshot()); got != weird {
-		t.Fatalf("escaped RunIDFromSnapshot = %q, want %q", got, weird)
+	buf.Reset()
+	if err := WritePrometheus(&buf, r2); err != nil {
+		t.Fatal(err)
+	}
+	if fams, err = ParsePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := RunIDFromFamilies(fams); got != weird {
+		t.Fatalf("escaped RunIDFromFamilies = %q, want %q", got, weird)
 	}
 
 	// Nil-registry stamping must not panic (detached-vector contract).
 	StampRunInfo(nil, id, Meta{})
-	if got := RunIDFromSnapshot(Snapshot{}); got != "" {
-		t.Fatalf("empty snapshot yielded run ID %q", got)
-	}
 }

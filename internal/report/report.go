@@ -1,5 +1,5 @@
 // Package report fuses the artifacts one SAM run leaves behind — a phase
-// trace, a metrics snapshot or Prometheus scrape, a structured run log,
+// trace, a Prometheus metrics file or scrape, a structured run log,
 // and the benchmark reports — into a single self-contained document.
 // Inputs are joined by the run ID each artifact was stamped with
 // (obs.NewRunID; see cmd/samgen and cmd/sambench), so a report cannot
@@ -7,7 +7,6 @@
 package report
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -24,7 +23,7 @@ import (
 type Inputs struct {
 	TracePath    string // JSONL span trace (samgen/sambench -trace)
 	BaselinePath string // second trace to diff the first against
-	MetricsPath  string // /metrics.json snapshot OR Prometheus text scrape
+	MetricsPath  string // Prometheus text (-metrics-out or a /metrics scrape)
 	RunLogPath   string // JSONL run log (-runlog)
 	ScalePath    string // BENCH_scale.json (sambench -scalebench)
 	TensorPath   string // BENCH_tensor.json (sambench -tensorbench)
@@ -104,41 +103,37 @@ func Build(in Inputs) (*Report, error) {
 		r.Sources = append(r.Sources, Source{Kind: "baseline", Path: in.BaselinePath})
 	}
 
-	var snap *obs.Snapshot
 	var fams []obs.PromFamily
 	if in.MetricsPath != "" {
-		buf, err := os.ReadFile(in.MetricsPath)
+		f, err := os.Open(in.MetricsPath)
 		if err != nil {
 			return nil, err
 		}
-		id := ""
-		if isJSONSnapshot(buf) {
-			var s obs.Snapshot
-			if err := json.Unmarshal(buf, &s); err != nil {
-				return nil, fmt.Errorf("report: %s: %w", in.MetricsPath, err)
-			}
-			snap = &s
-			id = obs.RunIDFromSnapshot(s)
-		} else {
-			fams, err = obs.ParsePrometheus(bytes.NewReader(buf))
-			if err != nil {
-				return nil, fmt.Errorf("report: %s: %w", in.MetricsPath, err)
-			}
-			id = obs.RunIDFromFamilies(fams)
+		fams, err = obs.ParsePrometheus(f)
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("report: %s: %w", in.MetricsPath, err)
 		}
-		r.Sources = append(r.Sources, Source{Kind: "metrics", Path: in.MetricsPath, RunID: id})
+		r.Sources = append(r.Sources, Source{Kind: "metrics", Path: in.MetricsPath, RunID: obs.RunIDFromFamilies(fams)})
 	}
 
-	var entries []obs.RunLogEntry
+	var qs []obs.EvalQuery
+	var passes []obs.StreamPass
 	if in.RunLogPath != "" {
 		f, err := os.Open(in.RunLogPath)
 		if err != nil {
 			return nil, err
 		}
-		entries, err = obs.ReadRunLog(f)
+		entries, err := obs.ReadRunLog(f)
 		f.Close()
 		if err != nil {
 			return nil, fmt.Errorf("report: %s: %w", in.RunLogPath, err)
+		}
+		if qs, err = payloads[obs.EvalQuery](in.RunLogPath, entries, "eval_query"); err != nil {
+			return nil, err
+		}
+		if passes, err = payloads[obs.StreamPass](in.RunLogPath, entries, "stream_pass"); err != nil {
+			return nil, err
 		}
 		r.Sources = append(r.Sources, Source{Kind: "runlog", Path: in.RunLogPath, RunID: entries[0].RunID})
 	}
@@ -169,10 +164,10 @@ func Build(in Inputs) (*Report, error) {
 	if baseStats != nil {
 		r.Sections = append(r.Sections, diffSection(baseStats, traceStats, top))
 	}
-	if s := qerrorSection(entries, snap, fams); s != nil {
+	if s := qerrorSection(qs, fams); s != nil {
 		r.Sections = append(r.Sections, *s)
 	}
-	if s := streamSection(entries); s != nil {
+	if s := streamSection(passes); s != nil {
 		r.Sections = append(r.Sections, *s)
 	}
 	if scale != nil {
@@ -181,9 +176,7 @@ func Build(in Inputs) (*Report, error) {
 	if tensor != nil {
 		r.Sections = append(r.Sections, tensorSection(tensor))
 	}
-	if snap != nil {
-		r.Sections = append(r.Sections, snapshotSection(snap))
-	} else if fams != nil {
+	if fams != nil {
 		r.Sections = append(r.Sections, familiesSection(fams))
 	}
 	return r, nil
@@ -260,11 +253,23 @@ func readJSON(path string, v any) error {
 	return nil
 }
 
-// isJSONSnapshot distinguishes a /metrics.json payload from Prometheus
-// text by the first non-space byte.
-func isJSONSnapshot(buf []byte) bool {
-	trimmed := bytes.TrimLeft(buf, " \t\r\n")
-	return len(trimmed) > 0 && trimmed[0] == '{'
+// payloads decodes the payload of every run-log entry of the given kind.
+// A payload that does not decode is an error naming its line (the entry's
+// seq: RunLog writes entry n on line n) and kind; skipping it would
+// silently shrink the table it feeds.
+func payloads[T any](path string, entries []obs.Event, kind string) ([]T, error) {
+	var out []T
+	for _, e := range entries {
+		if e.Kind != kind {
+			continue
+		}
+		var v T
+		if err := json.Unmarshal(e.Data, &v); err != nil {
+			return nil, fmt.Errorf("report: %s: line %d (%s entry): %w", path, e.Seq, kind, err)
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }
 
 func sourcesSection(r *Report) Section {
@@ -315,26 +320,15 @@ func diffSection(base, cur []obs.PathStat, top int) Section {
 
 // qerrorSection summarizes evaluation fidelity. The run log's eval_query
 // entries give exact per-query values (quantiles computed here); absent a
-// run log, the metrics snapshot's eval_qerror_by_* histogram summaries
-// stand in.
-func qerrorSection(entries []obs.RunLogEntry, snap *obs.Snapshot, fams []obs.PromFamily) *Section {
-	var qs []obs.EvalQuery
-	for _, e := range entries {
-		if e.Kind != "eval_query" {
-			continue
-		}
-		var q obs.EvalQuery
-		if err := json.Unmarshal(e.Data, &q); err == nil {
-			qs = append(qs, q)
-		}
-	}
+// run log, the metrics file's eval_qerror* histogram families stand in.
+func qerrorSection(qs []obs.EvalQuery, fams []obs.PromFamily) *Section {
 	if len(qs) > 0 {
 		t := &Table{Header: []string{"group", "queries", "mean", "median", "p90", "max"}}
 		t.Rows = append(t.Rows, qerrorRow("all", qs))
 		for _, group := range groupKeys(qs, func(q obs.EvalQuery) string { return q.Table }) {
 			t.Rows = append(t.Rows, qerrorRow("table "+group.key, group.qs))
 		}
-		for _, group := range groupKeys(qs, func(q obs.EvalQuery) string { return predsLabel(q.Preds) }) {
+		for _, group := range groupKeys(qs, func(q obs.EvalQuery) string { return obs.PredsBucket(q.Preds) }) {
 			t.Rows = append(t.Rows, qerrorRow(group.key+" preds", group.qs))
 		}
 		return &Section{
@@ -345,24 +339,9 @@ func qerrorSection(entries []obs.RunLogEntry, snap *obs.Snapshot, fams []obs.Pro
 	}
 	// Fall back to the labeled histogram families.
 	t := &Table{Header: []string{"family", "count", "mean", "p50", "p90", "p99", "max"}}
-	if snap != nil {
-		keys := sortedKeys(snap.Histograms)
-		for _, k := range keys {
-			if !strings.HasPrefix(k, "eval_qerror") {
-				continue
-			}
-			h := snap.Histograms[k]
-			t.Rows = append(t.Rows, []string{k, fmt.Sprint(h.Count),
-				fmtF(h.Mean), fmtF(h.P50), fmtF(h.P90), fmtF(h.P99), fmtF(h.Max)})
-		}
-	} else {
-		for _, fam := range fams {
-			if !strings.HasPrefix(fam.Name, "eval_qerror") || fam.Type != "histogram" {
-				continue
-			}
-			for _, row := range famHistRows(fam) {
-				t.Rows = append(t.Rows, row)
-			}
+	for _, fam := range fams {
+		if strings.HasPrefix(fam.Name, "eval_qerror") && fam.Type == "histogram" {
+			t.Rows = append(t.Rows, famHistRows(fam)...)
 		}
 	}
 	if len(t.Rows) == 0 {
@@ -394,17 +373,6 @@ func groupKeys(qs []obs.EvalQuery, key func(obs.EvalQuery) string) []qGroup {
 		out = append(out, qGroup{key: k, qs: byKey[k]})
 	}
 	return out
-}
-
-func predsLabel(n int) string {
-	switch {
-	case n <= 0:
-		return "0"
-	case n <= 2:
-		return fmt.Sprint(n)
-	default:
-		return "3+"
-	}
 }
 
 func qerrorRow(label string, qs []obs.EvalQuery) []string {
@@ -472,7 +440,7 @@ func famHistRows(fam obs.PromFamily) [][]string {
 
 // streamSection totals the run log's stream_pass events per pass: record
 // flow, spill traffic, runs, and wall time, plus shard-level backpressure.
-func streamSection(entries []obs.RunLogEntry) *Section {
+func streamSection(passes []obs.StreamPass) *Section {
 	type agg struct {
 		events         int
 		in, out        int64
@@ -481,14 +449,7 @@ func streamSection(entries []obs.RunLogEntry) *Section {
 		wall, bp       time.Duration
 	}
 	byPass := map[string]*agg{}
-	for _, e := range entries {
-		if e.Kind != "stream_pass" {
-			continue
-		}
-		var p obs.StreamPass
-		if err := json.Unmarshal(e.Data, &p); err != nil {
-			continue
-		}
+	for _, p := range passes {
 		a := byPass[p.Pass]
 		if a == nil {
 			a = &agg{}
@@ -555,35 +516,6 @@ func tensorSection(rep *experiments.TensorBenchReport) Section {
 			fmt.Sprintf("%.2fx", res.Speedup), fmt.Sprint(res.AllocsOp), fmt.Sprint(res.BytesOp)})
 	}
 	return Section{Title: "Tensor benchmarks", Text: []string{rep.Description}, Table: t}
-}
-
-func snapshotSection(snap *obs.Snapshot) Section {
-	var sb strings.Builder
-	if len(snap.Counters) > 0 {
-		sb.WriteString("counters:\n")
-		for _, k := range sortedKeys(snap.Counters) {
-			fmt.Fprintf(&sb, "  %-56s %d\n", k, snap.Counters[k])
-		}
-	}
-	if len(snap.Gauges) > 0 {
-		sb.WriteString("gauges:\n")
-		for _, k := range sortedKeys(snap.Gauges) {
-			fmt.Fprintf(&sb, "  %-56s %g\n", k, snap.Gauges[k])
-		}
-	}
-	if len(snap.Histograms) > 0 {
-		sb.WriteString("histograms:                                                   count       mean        p50        p90        p99        max\n")
-		for _, k := range sortedKeys(snap.Histograms) {
-			h := snap.Histograms[k]
-			fmt.Fprintf(&sb, "  %-56s %7d %10.4g %10.4g %10.4g %10.4g %10.4g\n",
-				k, h.Count, h.Mean, h.P50, h.P90, h.P99, h.Max)
-		}
-	}
-	return Section{
-		Title: "Metrics",
-		Text:  []string{"Full registry snapshot (labeled children folded in as name{label=\"value\"})."},
-		Pre:   sb.String(),
-	}
 }
 
 func familiesSection(fams []obs.PromFamily) Section {

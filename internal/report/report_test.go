@@ -49,7 +49,7 @@ func writeRunLog(t *testing.T, dir, runID string) string {
 		t.Fatal(err)
 	}
 	l := obs.NewRunLog(f, runID)
-	h := obs.RunLogHooks(l)
+	h := obs.EventHooks(l.Add)
 	h.StreamPass(obs.StreamPass{Pass: "shard", Table: "", Shard: 0, RecordsOut: 100, Wall: time.Second})
 	h.StreamPass(obs.StreamPass{Pass: "weight", RecordsIn: 100, RecordsOut: 100, Wall: time.Second})
 	h.StreamPass(obs.StreamPass{Pass: "A", Table: "t", RecordsIn: 100, RecordsOut: 40, Runs: 2, BytesWritten: 4096})
@@ -67,9 +67,8 @@ func writeRunLog(t *testing.T, dir, runID string) string {
 	return path
 }
 
-// writeMetrics renders a stamped registry as either a JSON snapshot or
-// Prometheus text.
-func writeMetrics(t *testing.T, dir, name, runID string, asJSON bool) string {
+// writeMetrics renders a stamped registry as Prometheus text.
+func writeMetrics(t *testing.T, dir, name, runID string) string {
 	t.Helper()
 	r := obs.NewRegistry()
 	obs.StampRunInfo(r, runID, obs.BuildMeta())
@@ -79,12 +78,7 @@ func writeMetrics(t *testing.T, dir, name, runID string, asJSON bool) string {
 	h.Observe(3)
 
 	var buf bytes.Buffer
-	if asJSON {
-		enc := json.NewEncoder(&buf)
-		if err := enc.Encode(r.Snapshot()); err != nil {
-			t.Fatal(err)
-		}
-	} else if err := obs.WritePrometheus(&buf, r); err != nil {
+	if err := obs.WritePrometheus(&buf, r); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, name)
@@ -126,8 +120,8 @@ func writeScale(t *testing.T, dir, runID string) string {
 	return path
 }
 
-// TestBuildJoinsMatchingArtifacts fuses a trace, run log, metrics
-// snapshot, and scale report all stamped with one run ID and checks the
+// TestBuildJoinsMatchingArtifacts fuses a trace, run log, Prometheus
+// metrics file, and scale report all stamped with one run ID and checks the
 // join key, sections, and both renderers.
 func TestBuildJoinsMatchingArtifacts(t *testing.T) {
 	dir := t.TempDir()
@@ -135,7 +129,7 @@ func TestBuildJoinsMatchingArtifacts(t *testing.T) {
 	rep, err := Build(Inputs{
 		TracePath:   writeTrace(t, dir, "run.jsonl", id),
 		RunLogPath:  writeRunLog(t, dir, id),
-		MetricsPath: writeMetrics(t, dir, "metrics.json", id, true),
+		MetricsPath: writeMetrics(t, dir, "metrics.prom", id),
 		ScalePath:   writeScale(t, dir, id),
 	})
 	if err != nil {
@@ -251,7 +245,7 @@ func TestBuildBaselineExemptFromJoin(t *testing.T) {
 func TestBuildPrometheusMetrics(t *testing.T) {
 	dir := t.TempDir()
 	id := obs.NewRunID()
-	rep, err := Build(Inputs{MetricsPath: writeMetrics(t, dir, "metrics.prom", id, false)})
+	rep, err := Build(Inputs{MetricsPath: writeMetrics(t, dir, "metrics.prom", id)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,6 +279,44 @@ func TestBuildInputValidation(t *testing.T) {
 	}
 	if _, err := Build(Inputs{RunLogPath: bad}); err == nil {
 		t.Fatal("malformed run log accepted")
+	}
+	// A JSON registry snapshot is not a metrics input: Prometheus text is.
+	snap := filepath.Join(dir, "metrics.json")
+	if err := os.WriteFile(snap, []byte(`{"counters":{"a":1}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Build(Inputs{MetricsPath: snap}); err == nil {
+		t.Fatal("JSON snapshot accepted as metrics input")
+	}
+}
+
+// TestBuildRejectsUndecodablePayload pins that a run-log entry whose
+// payload does not decode fails the report, naming its line and kind,
+// instead of silently shrinking the Q-Error or streaming tables.
+func TestBuildRejectsUndecodablePayload(t *testing.T) {
+	dir := t.TempDir()
+	for kind, data := range map[string]string{
+		"eval_query":  `{"qerror":"high"}`,
+		"stream_pass": `[1,2]`,
+	} {
+		path := filepath.Join(dir, kind+".log")
+		log := `{"seq":1,"time":"2026-01-02T03:04:05Z","run_id":"aa","kind":"run_start"}
+{"seq":2,"time":"2026-01-02T03:04:05Z","run_id":"aa","kind":"eval_query","data":{"qerror":2,"table":"t"}}
+{"seq":3,"time":"2026-01-02T03:04:05Z","run_id":"aa","kind":"` + kind + `","data":` + data + `}
+{"seq":4,"time":"2026-01-02T03:04:05Z","run_id":"aa","kind":"run_end"}
+`
+		if err := os.WriteFile(path, []byte(log), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Build(Inputs{RunLogPath: path})
+		if err == nil {
+			t.Fatalf("%s: undecodable payload accepted", kind)
+		}
+		for _, want := range []string{"line 3", kind} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: error %q does not name %q", kind, err, want)
+			}
+		}
 	}
 }
 

@@ -257,19 +257,20 @@ func ProgressHooks(w io.Writer) *Hooks { return obs.ProgressHooks(w) }
 // MergeHooks fans every event out to all given hooks (nils are skipped).
 func MergeHooks(hooks ...*Hooks) *Hooks { return obs.Merge(hooks...) }
 
-// NewEventLog returns a ring buffer of the last capacity pipeline events;
-// pass it to ServeDebug to expose /debug/events and feed it with
-// EventLogHooks.
-func NewEventLog(capacity int) *EventLog { return obs.NewEventLog(capacity) }
+// NewEventLog returns a ring buffer of the last capacity pipeline events,
+// each stamped with runID; pass it to ServeDebug to expose /debug/events
+// and feed it with EventHooks(log.Add).
+func NewEventLog(capacity int, runID string) *EventLog { return obs.NewEventLog(capacity, runID) }
 
-// EventLogHooks returns hooks that append every pipeline event to the ring.
-func EventLogHooks(l *EventLog) *Hooks { return obs.EventLogHooks(l) }
+// EventHooks returns hooks that hand every pipeline event to add under its
+// kind tag; pass an EventLog's Add.
+func EventHooks(add func(kind string, data any)) *Hooks { return obs.EventHooks(add) }
 
-// ServeDebug starts an HTTP server exposing /debug/pprof, /debug/vars
-// (expvar), /metrics (Prometheus text format), /metrics.json (the registry
-// snapshot as JSON), and — when ev is non-nil — /debug/events on addr. It
-// returns the bound address (useful with ":0") and a close function that
-// drains the server.
+// ServeDebug starts an HTTP server exposing /debug/pprof, /metrics
+// (Prometheus text format), /metrics.json (the registry snapshot as
+// JSON), and — when ev is non-nil — /debug/events on addr. It returns the
+// bound address (useful with ":0") and a close function that drains the
+// server.
 func ServeDebug(addr string, r *Registry, ev *EventLog) (string, func(), error) {
 	return obs.ServeDebug(addr, r, ev)
 }
