@@ -19,11 +19,15 @@ import (
 type BatchSampler struct {
 	m   *Model
 	buf nn.BatchInference
-	// probs0 is column 0's distribution, softmaxed once at construction:
-	// the first conditional has no parents, so its logits are a constant of
-	// the weights and every sweep skips that forward pass entirely.
-	probs0 []float64
-	sel    []float64 // per-lane selectivity accumulator (estimation)
+	// probs0 is column 0's distribution: the first conditional has no
+	// parents, so its logits are a constant of the weights and every sweep
+	// skips that forward pass entirely. It is re-softmaxed only when the
+	// summed parameter versions move off probs0Stamp, the same dirty check
+	// the inference buffer applies to its own caches.
+	probs0      []float64
+	params      []*tensor.Tensor
+	probs0Stamp uint64
+	sel         []float64 // per-lane selectivity accumulator (estimation)
 	// touched lists the flat x indices set since the last reset, so each
 	// sweep clears exactly the few one-hots it flipped instead of rewriting
 	// the whole B×InDim input.
@@ -39,15 +43,30 @@ func (m *Model) NewBatchSampler(batch int) *BatchSampler {
 	s := &BatchSampler{
 		m:       m,
 		buf:     m.Net.NewBatchInference(batch),
+		probs0:  make([]float64, m.Disc[0].Bins()),
+		params:  m.Net.Params(),
 		sel:     make([]float64, batch),
 		touched: make([]int, 0, batch*m.Layout.NumCols()),
 	}
-	// Snapshot column 0's (parent-free, hence constant) distribution. The
-	// sampler assumes the weights stay fixed for its lifetime, which the
-	// per-run sampler-per-goroutine usage guarantees.
-	s.probs0 = make([]float64, m.Disc[0].Bins())
-	tensor.SoftmaxRowInto(s.probs0, s.buf.ForwardCol(0).Row(0))
+	s.snapshotProbs0()
 	return s
+}
+
+// snapshotProbs0 softmaxes column 0's logits into probs0 and records the
+// parameter versions they were computed from.
+func (s *BatchSampler) snapshotProbs0() {
+	s.probs0Stamp = s.paramStamp()
+	tensor.SoftmaxRowInto(s.probs0, s.buf.ForwardCol(0).Row(0))
+}
+
+// paramStamp sums the backbone's parameter versions; the sum strictly
+// increases on every MarkDirty.
+func (s *BatchSampler) paramStamp() uint64 {
+	var stamp uint64
+	for _, p := range s.params {
+		stamp += p.Version()
+	}
+	return stamp
 }
 
 // SampleFOJBatch draws len(rngs) tuples from the modeled joint
@@ -100,13 +119,17 @@ func (s *BatchSampler) SampleFOJBatch(rngs []*rand.Rand, dst []int32) {
 
 // resetX clears exactly the one-hots the previous sweep set and drops the
 // backbone's activation cache: a new sweep changes column 0, on which
-// everything depends.
+// everything depends. It also refreshes probs0 if the weights moved since
+// it was taken.
 func (s *BatchSampler) resetX(x *tensor.Tensor) {
 	for _, idx := range s.touched {
 		x.Data[idx] = 0
 	}
 	s.touched = s.touched[:0]
 	s.buf.InvalidateFrom(0)
+	if s.paramStamp() != s.probs0Stamp {
+		s.snapshotProbs0()
+	}
 }
 
 // setX sets x[lane][idx] through the backbone's SetInput notification and

@@ -177,6 +177,54 @@ func TestBatchSamplerWarmColdLanePermutation(t *testing.T) {
 	}
 }
 
+// TestBatchSamplerTracksWeightUpdates samples from a sampler, then moves
+// column 0's output bias and announces it with MarkDirty, the way an
+// optimizer step does. The reused sampler must then draw and estimate
+// exactly what a fresh sampler does on the same streams: column 0's cached
+// distribution follows the weights like every other cached activation.
+func TestBatchSamplerTracksWeightUpdates(t *testing.T) {
+	for _, arch := range []string{"made", "transformer"} {
+		t.Run(arch, func(t *testing.T) {
+			m := batchTestModel(t, arch)
+			ncols := m.Layout.NumCols()
+			const lanes = 8
+			streams := func() []*rand.Rand {
+				rngs := make([]*rand.Rand, lanes)
+				for l := range rngs {
+					rngs[l] = rand.New(rand.NewSource(100 + int64(l)))
+				}
+				return rngs
+			}
+			spec := &Spec{Masks: make([][]float64, ncols), Downweight: make([]bool, ncols)}
+			spec.Masks[0] = []float64{1, 0, 1, 0}
+
+			reused := m.NewBatchSampler(lanes)
+			reused.SampleFOJBatch(streams(), make([]int32, lanes*ncols))
+			reused.EstimateSpec(rand.New(rand.NewSource(5)), spec, 32)
+
+			bias := m.Net.OutputBias()
+			bias.Data[m.Net.Offsets()[0]] += 4
+			bias.MarkDirty()
+
+			fresh := m.NewBatchSampler(lanes)
+			got, want := make([]int32, lanes*ncols), make([]int32, lanes*ncols)
+			reused.SampleFOJBatch(streams(), got)
+			fresh.SampleFOJBatch(streams(), want)
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("lane %d col %d: reused sampler drew %d after the update, fresh sampler %d",
+						k/ncols, k%ncols, got[k], want[k])
+				}
+			}
+			ge := reused.EstimateSpec(rand.New(rand.NewSource(5)), spec, 32)
+			we := fresh.EstimateSpec(rand.New(rand.NewSource(5)), spec, 32)
+			if ge != we {
+				t.Fatalf("reused sampler estimates %v after the update, fresh sampler %v", ge, we)
+			}
+		})
+	}
+}
+
 // TestBatchEstimateSpecMatchesExactJoint checks the progressive estimator
 // against the exact joint at batch 1 and batch 16. A mask on column 0 alone
 // makes the estimate an exact expectation (no Monte-Carlo variance), so it

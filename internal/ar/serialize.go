@@ -82,8 +82,21 @@ func Load(r io.Reader) (*Model, error) {
 		}
 		disc[i], colSizes[i] = d, d.Bins()
 	}
-	// The net's shape is a pure function of config and discretizer bins;
-	// build it, then overwrite the weights.
+	// The net's shape is a pure function of config and discretizer bins.
+	// Refuse a config whose weights alone outnumber the values the file
+	// holds before building it: the exact per-tensor check below would
+	// reject it anyway, after allocating whatever size it claims.
+	inDim, have := 0, 0
+	for _, n := range colSizes {
+		inDim += n
+	}
+	for _, p := range mf.Params {
+		have += len(p)
+	}
+	if need := minWeights(mf.Config, inDim); need > float64(have) {
+		return nil, fmt.Errorf("ar: config needs at least %.0f weights, file has %d values", need, have)
+	}
+	// Build the net, then overwrite the weights.
 	m := &Model{Layout: layout, Disc: disc, Net: buildBackbone(mf.Config, colSizes),
 		Population: mf.Population, Cfg: mf.Config}
 	params := m.Net.Params()
@@ -98,4 +111,20 @@ func Load(r io.Reader) (*Model, error) {
 		p.MarkDirty() // invalidate masked-weight caches over this tensor
 	}
 	return m, nil
+}
+
+// minWeights is a lower bound on the scalar parameter count of the
+// backbone cfg builds over inDim one-hot inputs: its weight matrices alone
+// (MADE: input and output layers plus the hidden-to-hidden ones; the
+// transformer: embedding, output projection, and each block's attention
+// and feed-forward weights). It is computed in float64 so no claimed size
+// can overflow.
+func minWeights(cfg Config, inDim int) float64 {
+	d, h, l := float64(inDim), float64(cfg.Hidden), float64(cfg.HiddenLayers)
+	if cfg.Arch == "transformer" {
+		dm, _ := cfg.transformerDims()
+		w := float64(dm)
+		return 2*d*w + l*(4*w*w+2*w*h)
+	}
+	return 2*d*h + (l-1)*h*h
 }

@@ -70,7 +70,10 @@ type TensorBenchReport struct {
 // transformer backbone at the commit before the incremental training
 // chain, when every progressive step ran the full per-row Forward on the
 // zero-padded input; measured the same way (best of four interleaved
-// runs, GOMAXPROCS=1, 2-vCPU host).
+// runs, GOMAXPROCS=1, 2-vCPU host). exp_row_mass's baseline is the same
+// body at the commit before the AVX2 kernels, when ExpRowMass ran only the
+// scalar Go loop: best of four runs interleaved with runs of the vector
+// code, GOMAXPROCS=1, on the same host.
 var tensorBenchBaselines = map[string][2]int64{ // name → {ns/op, allocs/op}
 	"matmul_512":                 {1539014, 0},
 	"made_forward_autodiff":      {2619569, 115},
@@ -81,6 +84,7 @@ var tensorBenchBaselines = map[string][2]int64{ // name → {ns/op, allocs/op}
 	"train_step":                 {178603, 122},
 	"dps_train_step":             {61323092, 0},
 	"dps_train_step_transformer": {645683887, 3084},
+	"exp_row_mass":               {5438, 0},
 }
 
 // RunTensorBench benchmarks the tensor hot paths (dense matmul, MADE
@@ -131,6 +135,23 @@ func RunTensorBench() *TensorBenchReport {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			tensor.MatMulInto(dst, a, w)
+		}
+	})
+
+	add("exp_row_mass", func(b *testing.B) {
+		// One logit row as wide as the IMDB layout's output (857 logits,
+		// keyword_id's 500 among them), exponentiated and summed as the
+		// sampler does per lane and column step.
+		rng := rand.New(rand.NewSource(1))
+		src := make([]float64, 857)
+		for i := range src {
+			src[i] = rng.NormFloat64() * 2
+		}
+		dst := make([]float64, len(src))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tensor.ExpRowMass(dst, src)
 		}
 	})
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 )
 
@@ -78,6 +79,12 @@ func (spec SchemaSpec) EmptySchema() (*Schema, error) {
 				kind = Numeric
 			default:
 				return nil, fmt.Errorf("relation: unknown column kind %q", cs.Kind)
+			}
+			if cs.Domain <= 0 {
+				return nil, fmt.Errorf("relation: column %q has domain %d, want positive", cs.Name, cs.Domain)
+			}
+			if cs.Vals != nil && (len(cs.Vals) != cs.Domain || !sort.Float64sAreSorted(cs.Vals)) {
+				return nil, fmt.Errorf("relation: column %q needs %d ascending vals, got %d", cs.Name, cs.Domain, len(cs.Vals))
 			}
 			c := NewColumn(cs.Name, kind, cs.Domain)
 			if cs.Vals != nil {
