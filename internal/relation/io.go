@@ -137,20 +137,34 @@ func (t *Table) WriteCSV(w io.Writer) error {
 }
 
 // ReadCSV fills an empty table (built from a spec) from CSV produced by
-// WriteCSV.
+// WriteCSV. Input WriteCSV could not have written for t is an error, never
+// a panic: a header that repeats a column, omits a content column, lacks
+// __fk on a child table or carries it on a root; a row of another width; a
+// field that is not an integer, or a code outside its column's domain. At
+// EOF the filled table must pass Validate, so primary keys are unique.
 func (t *Table) ReadCSV(r io.Reader) error {
 	cr := csv.NewReader(r)
 	header, err := cr.Read()
 	if err != nil {
 		return fmt.Errorf("relation: read csv header: %w", err)
 	}
-	colOf := make([]int, len(header)) // -1 pk, -2 fk, else column index
+	const pkField, fkField = -1, -2
+	colOf := make([]int, len(header)) // pkField, fkField, else column index
+	seen := make(map[string]bool, len(header))
 	for hi, h := range header {
+		if seen[h] {
+			return fmt.Errorf("relation: csv header of table %s repeats column %q", t.Name, h)
+		}
+		seen[h] = true
 		switch h {
 		case "__pk":
-			colOf[hi] = -1
+			colOf[hi] = pkField
+			t.PKVals = []int64{}
 		case "__fk":
-			colOf[hi] = -2
+			if t.Parent == "" {
+				return fmt.Errorf("relation: csv header has __fk, but table %s is a root", t.Name)
+			}
+			colOf[hi] = fkField
 		default:
 			idx := t.ColIndex(h)
 			if idx < 0 {
@@ -159,26 +173,44 @@ func (t *Table) ReadCSV(r io.Reader) error {
 			colOf[hi] = idx
 		}
 	}
+	for _, c := range t.Cols {
+		if !seen[c.Name] {
+			return fmt.Errorf("relation: csv header of table %s lacks column %q", t.Name, c.Name)
+		}
+	}
+	if t.Parent != "" && !seen["__fk"] {
+		return fmt.Errorf("relation: csv header of table %s lacks __fk", t.Name)
+	}
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
-			return nil
+			return t.Validate()
 		}
 		if err != nil {
 			return fmt.Errorf("relation: read csv: %w", err)
 		}
 		for hi, field := range rec {
-			v, err := strconv.ParseInt(field, 10, 64)
-			if err != nil {
-				return fmt.Errorf("relation: csv value %q: %w", field, err)
-			}
 			switch colOf[hi] {
-			case -1:
-				t.PKVals = append(t.PKVals, v)
-			case -2:
-				t.FK = append(t.FK, v)
+			case pkField, fkField:
+				v, err := strconv.ParseInt(field, 10, 64)
+				if err != nil {
+					return fmt.Errorf("relation: csv key %q: %w", field, err)
+				}
+				if colOf[hi] == pkField {
+					t.PKVals = append(t.PKVals, v)
+				} else {
+					t.FK = append(t.FK, v)
+				}
 			default:
-				t.Cols[colOf[hi]].Append(int32(v))
+				c := t.Cols[colOf[hi]]
+				v, err := strconv.ParseInt(field, 10, 32)
+				if err != nil {
+					return fmt.Errorf("relation: csv column %s value %q: %w", c.Name, field, err)
+				}
+				if v < 0 || v >= int64(c.NumValues) {
+					return fmt.Errorf("relation: csv column %s: code %d outside domain %d", c.Name, v, c.NumValues)
+				}
+				c.Data = append(c.Data, int32(v))
 			}
 		}
 	}

@@ -92,3 +92,79 @@ func TestReadSpecRejectsBadKind(t *testing.T) {
 		t.Fatal("bad kind accepted")
 	}
 }
+
+// csvTables returns an empty root table (x: domain 5, y: domain 3) and an
+// empty child table (z: domain 2) of it, as ReadCSV receives them.
+func csvTables() (root, child *Table) {
+	root = NewTable("a", NewColumn("x", Categorical, 5), NewColumn("y", Numeric, 3))
+	child = NewTable("b", NewColumn("z", Categorical, 2))
+	child.Parent = "a"
+	return root, child
+}
+
+func TestReadCSVRejectsMalformedInput(t *testing.T) {
+	cases := []struct {
+		name  string
+		child bool
+		csv   string
+	}{
+		{"code_outside_domain", false, "x,y\n5,0\n"},
+		{"negative_code", false, "x,y\n-1,0\n"},
+		{"code_beyond_int32", false, "x,y\n4294967297,0\n"},
+		{"header_repeats_column", false, "x,y,x\n1,0,2\n"},
+		{"header_omits_column", false, "x\n1\n"},
+		{"header_repeats_pk", false, "__pk,__pk,x,y\n0,0,1,0\n"},
+		{"root_with_fk", false, "x,y,__fk\n1,0,0\n"},
+		{"child_without_fk", true, "z\n1\n"},
+		{"repeated_primary_key", true, "__pk,z,__fk\n7,0,0\n7,1,0\n"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			root, child := csvTables()
+			tab := root
+			if tc.child {
+				tab = child
+			}
+			if err := tab.ReadCSV(bytes.NewBufferString(tc.csv)); err == nil {
+				t.Fatalf("accepted %q", tc.csv)
+			}
+		})
+	}
+}
+
+// FuzzReadCSV checks the CSV loader errors or returns, never panics, and
+// that an accepted table writes CSV that reads back and writes the same
+// bytes again. child picks the child table of csvTables, else the root.
+func FuzzReadCSV(f *testing.F) {
+	f.Add(false, []byte("x,y\n0,0\n"))
+	f.Add(true, []byte("__pk,z,__fk\n0,0,0\n"))
+	f.Fuzz(func(t *testing.T, child bool, data []byte) {
+		read := func(src []byte) (*Table, error) {
+			root, ch := csvTables()
+			tab := root
+			if child {
+				tab = ch
+			}
+			return tab, tab.ReadCSV(bytes.NewReader(src))
+		}
+		write := func(tab *Table) []byte {
+			var buf bytes.Buffer
+			if err := tab.WriteCSV(&buf); err != nil {
+				t.Fatalf("accepted table does not write: %v", err)
+			}
+			return buf.Bytes()
+		}
+		tab, err := read(data)
+		if err != nil {
+			return
+		}
+		first := write(tab)
+		again, err := read(first)
+		if err != nil {
+			t.Fatalf("written CSV rejected: %v\n%s", err, first)
+		}
+		if second := write(again); !bytes.Equal(first, second) {
+			t.Fatalf("CSV changed across a round trip:\n%s\n%s", first, second)
+		}
+	})
+}

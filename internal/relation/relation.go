@@ -8,6 +8,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -144,7 +145,7 @@ func (t *Table) PK(i int) int64 {
 }
 
 // Validate checks internal consistency: equal column lengths, codes in
-// domain, FK length.
+// domain, FK length, and PKVals of the row count with no value repeated.
 func (t *Table) Validate() error {
 	n := t.NumRows()
 	for _, c := range t.Cols {
@@ -163,5 +164,24 @@ func (t *Table) Validate() error {
 	if t.PKVals != nil && len(t.PKVals) != n {
 		return fmt.Errorf("relation: table %s: PKVals has %d rows, want %d", t.Name, len(t.PKVals), n)
 	}
+	if pk, dup := repeatedKey(t.PKVals); dup {
+		return fmt.Errorf("relation: table %s: primary key %d repeats", t.Name, pk)
+	}
 	return nil
+}
+
+// repeatedKey reports a value that occurs more than once in keys. Keys
+// already in order, as every generated table writes them, are checked in
+// place; others on a sorted copy.
+func repeatedKey(keys []int64) (int64, bool) {
+	if !slices.IsSorted(keys) {
+		keys = slices.Clone(keys)
+		slices.Sort(keys)
+	}
+	for i := 1; i < len(keys); i++ {
+		if keys[i] == keys[i-1] {
+			return keys[i], true
+		}
+	}
+	return 0, false
 }

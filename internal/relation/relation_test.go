@@ -80,6 +80,18 @@ func TestTableBasics(t *testing.T) {
 	}
 }
 
+func TestTableValidateRejectsRepeatedPrimaryKey(t *testing.T) {
+	tab := mkTable("t", 4, "")
+	tab.PKVals = []int64{9, 3, 7, 3}
+	if err := tab.Validate(); err == nil || !strings.Contains(err.Error(), "primary key 3 repeats") {
+		t.Fatalf("err = %v", err)
+	}
+	tab.PKVals = []int64{9, 3, 7, 4}
+	if err := tab.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestTableValidateCatchesMismatch(t *testing.T) {
 	tab := mkTable("t", 4, "p")
 	tab.FK = tab.FK[:2]
