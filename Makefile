@@ -80,9 +80,13 @@ samlint:
 vuln:
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION) ./...
 
+## bench-gate measures at GOMAXPROCS=1, as BENCH_tensor.json was recorded:
+## with more procs the parallel kernels allocate, and benchgate rejects a
+## report whose matmul worker count differs from the baseline's as not
+## comparable.
 bench-gate:
 	$(GO) build -o /tmp/sambench_gate ./cmd/sambench
-	/tmp/sambench_gate -tensorbench /tmp/bench_current.json
+	GOMAXPROCS=1 /tmp/sambench_gate -tensorbench /tmp/bench_current.json
 	$(GO) run ./cmd/benchgate \
 		-baseline BENCH_tensor.json \
 		-current /tmp/bench_current.json \
@@ -120,7 +124,8 @@ trace-smoke:
 	$(GO) test -run 'TestSambenchTraceSmoke|TestSamreportSmoke|TestSambenchPrometheusEndpoint' -v .
 
 ## fuzz-smoke runs each decoder fuzz target for a short budget: the run-log
-## reader, the Prometheus text parser, the model loader and the CSV loader.
+## reader, the Prometheus text parser, the model loader, the CSV loader,
+## the SQL parser and the SAMSHRD1 shard reader.
 ## `go test -fuzz` takes one target per invocation, hence one line each; a
 ## failing input lands under the package's testdata/fuzz, where plain
 ## `go test` replays it.
@@ -129,3 +134,5 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePrometheus$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/ar
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s ./internal/relation
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/sqlparse
+	$(GO) test -run '^$$' -fuzz '^FuzzShardReader$$' -fuzztime 10s ./internal/relation

@@ -28,10 +28,6 @@ type BatchSampler struct {
 	params      []*tensor.Tensor
 	probs0Stamp uint64
 	sel         []float64 // per-lane selectivity accumulator (estimation)
-	// touched lists the flat x indices set since the last reset, so each
-	// sweep clears exactly the few one-hots it flipped instead of rewriting
-	// the whole B×InDim input.
-	touched []int
 }
 
 // NewBatchSampler returns a sampler drawing batch tuples per forward
@@ -41,12 +37,11 @@ func (m *Model) NewBatchSampler(batch int) *BatchSampler {
 		panic("ar: batch sampler needs at least one lane")
 	}
 	s := &BatchSampler{
-		m:       m,
-		buf:     m.Net.NewBatchInference(batch),
-		probs0:  make([]float64, m.Disc[0].Bins()),
-		params:  m.Net.Params(),
-		sel:     make([]float64, batch),
-		touched: make([]int, 0, batch*m.Layout.NumCols()),
+		m:      m,
+		buf:    m.Net.NewBatchInference(batch),
+		probs0: make([]float64, m.Disc[0].Bins()),
+		params: m.Net.Params(),
+		sel:    make([]float64, batch),
 	}
 	s.snapshotProbs0()
 	return s
@@ -74,14 +69,9 @@ func (s *BatchSampler) paramStamp() uint64 {
 // all lanes per column step). Lane l consumes only rngs[l], so a lane's
 // output depends on its own stream alone and the caller controls
 // determinism by seeding the streams. dst holds len(rngs)·NumCols codes,
-// lane-major.
-//
-// Column steps ascend, so the per-step InvalidateFrom(offsets[i]) — issued
-// after column i's logits are materialized but before its one-hots are set
-// — leaves the backbone's prefix activation cache intact: only activations
-// depending on column i are dropped, which are exactly the ones the next
-// step computes fresh. The one-hots themselves go through SetInput, so the
-// backbone's sparse input bookkeeping never rescans X.
+// lane-major. Each drawn code is set as column i's one-hot after column
+// i's logits are consumed, so the engine keeps every cached activation
+// that does not depend on column i.
 func (s *BatchSampler) SampleFOJBatch(rngs []*rand.Rand, dst []int32) {
 	m := s.m
 	ncols := m.Layout.NumCols()
@@ -92,15 +82,13 @@ func (s *BatchSampler) SampleFOJBatch(rngs []*rand.Rand, dst []int32) {
 	if len(dst) != lanes*ncols {
 		panic("ar: SampleFOJBatch dst has wrong length")
 	}
-	x := s.buf.X()
-	s.resetX(x)
+	s.reset()
 	offsets := m.Net.Offsets()
 	for i := 0; i < ncols; i++ {
 		var logits *tensor.Tensor
 		if i > 0 {
 			logits = s.buf.ForwardCol(i)
 		}
-		s.buf.InvalidateFrom(offsets[i])
 		for l := 0; l < lanes; l++ {
 			var bin int
 			if i == 0 {
@@ -112,31 +100,18 @@ func (s *BatchSampler) SampleFOJBatch(rngs []*rand.Rand, dst []int32) {
 				bin = drawFromMass(rngs[l], row, nil, tensor.ExpRowMass(row, row))
 			}
 			dst[l*ncols+i] = int32(bin)
-			s.setX(x, l, offsets[i]+bin)
+			s.buf.SetInput(l, offsets[i]+bin)
 		}
 	}
 }
 
-// resetX clears exactly the one-hots the previous sweep set and drops the
-// backbone's activation cache: a new sweep changes column 0, on which
-// everything depends. It also refreshes probs0 if the weights moved since
-// it was taken.
-func (s *BatchSampler) resetX(x *tensor.Tensor) {
-	for _, idx := range s.touched {
-		x.Data[idx] = 0
-	}
-	s.touched = s.touched[:0]
-	s.buf.InvalidateFrom(0)
+// reset starts a sweep from empty inputs, refreshing probs0 if the weights
+// moved since it was taken.
+func (s *BatchSampler) reset() {
+	s.buf.Reset()
 	if s.paramStamp() != s.probs0Stamp {
 		s.snapshotProbs0()
 	}
-}
-
-// setX sets x[lane][idx] through the backbone's SetInput notification and
-// records the flat position for the next reset.
-func (s *BatchSampler) setX(x *tensor.Tensor, lane, idx int) {
-	s.buf.SetInput(lane, idx)
-	s.touched = append(s.touched, lane*x.Cols+idx)
 }
 
 // EstimateSpec is the batched progressive-sampling estimator: Monte-Carlo
@@ -161,7 +136,6 @@ func (s *BatchSampler) EstimateSpec(rng *rand.Rand, spec *Spec, samples int) flo
 	}
 	batch := s.buf.Batch()
 	offsets := m.Net.Offsets()
-	x := s.buf.X()
 	var total float64
 	for done := 0; done < samples; done += batch {
 		lanes := batch
@@ -169,7 +143,7 @@ func (s *BatchSampler) EstimateSpec(rng *rand.Rand, spec *Spec, samples int) flo
 			lanes = rest
 		}
 		sel := s.sel[:lanes]
-		s.resetX(x)
+		s.reset()
 		for l := 0; l < lanes; l++ {
 			sel[l] = 1
 		}
@@ -178,7 +152,6 @@ func (s *BatchSampler) EstimateSpec(rng *rand.Rand, spec *Spec, samples int) flo
 			if i > 0 {
 				logits = s.buf.ForwardCol(i)
 			}
-			s.buf.InvalidateFrom(offsets[i])
 			mask := spec.Masks[i]
 			for l := 0; l < lanes; l++ {
 				if sel[l] == 0 {
@@ -219,7 +192,7 @@ func (s *BatchSampler) EstimateSpec(rng *rand.Rand, spec *Spec, samples int) flo
 				if spec.Downweight[i] {
 					sel[l] /= m.Layout.Cols[i].WeightVals[bin]
 				}
-				s.setX(x, l, offsets[i]+bin)
+				s.buf.SetInput(l, offsets[i]+bin)
 			}
 		}
 		for l := 0; l < lanes; l++ {

@@ -322,7 +322,7 @@ func TestSampleCategoricalDegenerate(t *testing.T) {
 	}
 
 	// Unnormalized weights draw proportionally — the property the batched
-	// sampler's ExpRowsInto (no normalization pass) relies on.
+	// sampler's ExpRowMass (no normalization pass) relies on.
 	var ones int
 	for k := 0; k < 8000; k++ {
 		if sampleCategorical(rng, []float64{1, 3}, nil) == 1 {

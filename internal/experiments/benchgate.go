@@ -7,7 +7,10 @@ import (
 
 // CompareBench checks a fresh tensorbench report against a committed
 // baseline and returns one violation string per breach (empty = gate
-// passes). Three classes of breach:
+// passes). Reports recorded with different matmul worker counts are not
+// comparable — the parallel kernels allocate, so every row would read as
+// allocation growth — and yield that one violation alone. Otherwise the
+// classes of breach are:
 //
 //   - a benchmark present in the baseline is missing from the current run;
 //   - ns/op regressed by more than tol (0.25 = fail beyond +25%);
@@ -20,6 +23,10 @@ import (
 // speedups over recorded baselines assume comparable hardware, which is
 // why the tolerance is wide and the floors sit well below measured.
 func CompareBench(baseline, current *TensorBenchReport, tol float64, minSpeedup map[string]float64) []string {
+	if current.Workers != baseline.Workers {
+		return []string{fmt.Sprintf("not comparable: current run used %d matmul workers, baseline %d (record both at the same GOMAXPROCS)",
+			current.Workers, baseline.Workers)}
+	}
 	cur := map[string]*TensorBenchResult{}
 	for i := range current.Results {
 		cur[current.Results[i].Name] = &current.Results[i]

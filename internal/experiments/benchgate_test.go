@@ -60,6 +60,17 @@ func TestCompareBenchCatchesEveryBreach(t *testing.T) {
 	}
 }
 
+func TestCompareBenchWorkersNotComparable(t *testing.T) {
+	base := gateReport(TensorBenchResult{Name: "matmul", NsOp: 1000, AllocsOp: 0})
+	base.Workers = 1
+	cur := gateReport(TensorBenchResult{Name: "matmul", NsOp: 900, AllocsOp: 3})
+	cur.Workers = 2
+	v := CompareBench(base, cur, 0.25, map[string]float64{"absent": 2})
+	if len(v) != 1 || !strings.Contains(v[0], "not comparable: current run used 2 matmul workers, baseline 1") {
+		t.Fatalf("want one not-comparable violation, got %v", v)
+	}
+}
+
 func TestCompareBenchDeterministicOrder(t *testing.T) {
 	base := gateReport(
 		TensorBenchResult{Name: "b", NsOp: 10},

@@ -53,9 +53,10 @@ type TensorBenchReport struct {
 // bodies below mirror the seed benchmarks exactly: matmul is 64×512·512×64
 // into a preallocated destination; made_forward_autodiff is a batch-32
 // forward+backward over colSizes {64,32,16,128,8,4,50}, hidden 64×2;
-// made_forward_infer is one allocation-free inference forward of a single
-// row on the same net (batch 1 of BatchInference; the seed timed a
-// dedicated single-row engine); train_step is
+// made_forward_infer computes every logit of a single row on the same net:
+// batch 1 of BatchInference, Reset and then ForwardCol and one SetInput
+// per column (the seed timed one full forward of a dedicated single-row
+// engine, the same output); train_step is
 // forward+backward+Adam on colSizes {8,6,4,10}, hidden 32×2, batch 16.
 // The three sampling rows share one baseline: the per-tuple cost of the
 // single-row sampler that batch 1 of BatchSampler replaced, as recorded in
@@ -183,15 +184,18 @@ func RunTensorBench() *TensorBenchReport {
 		colSizes := []int{64, 32, 16, 128, 8, 4, 50}
 		m := nn.NewMADE(rng, colSizes, 64, 2)
 		buf := m.NewBatchInference(1)
-		for i := range buf.X().Data {
-			if rng.Float64() < 0.05 {
-				buf.X().Data[i] = 1
-			}
+		row := make([]int, len(colSizes))
+		for c, size := range colSizes {
+			row[c] = m.Offsets()[c] + rng.Intn(size)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			buf.Forward()
+			buf.Reset()
+			for c, flat := range row {
+				buf.ForwardCol(c)
+				buf.SetInput(0, flat)
+			}
 		}
 	})
 

@@ -50,7 +50,9 @@ func TestMaskedLinearForwardCacheConsistency(t *testing.T) {
 	colSizes := []int{4, 3, 5}
 	m := NewMADE(rng, colSizes, 8, 1)
 	x := tensor.New(1, m.InDim())
-	x.Randn(rng, 1)
+	for i, off := range m.Offsets() {
+		x.Data[off+rng.Intn(colSizes[i])] = 1
+	}
 
 	forward := func() []float64 {
 		g := tensor.NewGraph()
@@ -61,7 +63,7 @@ func TestMaskedLinearForwardCacheConsistency(t *testing.T) {
 
 	for round := 0; round < 3; round++ {
 		auto := forward()
-		infer := inferRow(bi, x.Data)
+		infer := inferRow(m, bi, x.Data)
 		for i := range auto {
 			if diff := auto[i] - infer[i]; diff > 1e-12 || diff < -1e-12 {
 				t.Fatalf("round %d: autodiff/inference mismatch at %d: %v vs %v",

@@ -8,18 +8,17 @@ import (
 	"sam/internal/tensor"
 )
 
-// fillLaneOneHots sets one random one-hot per column block in every lane
-// of x and mirrors lane l into singles[l].
-func fillLaneOneHots(rng *rand.Rand, x *tensor.Tensor, offsets, colSizes []int, singles [][]float64) {
-	for l := 0; l < x.Rows; l++ {
-		row := x.Row(l)
-		for i := range row {
-			row[i] = 0
-		}
+// fillLaneOneHots resets bi, sets one random one-hot per column block in
+// every lane through SetInput and mirrors lane l into singles[l].
+func fillLaneOneHots(rng *rand.Rand, bi BatchInference, offsets, colSizes []int, singles [][]float64) {
+	bi.Reset()
+	for l, row := range singles {
+		clear(row)
 		for i, off := range offsets {
-			row[off+rng.Intn(colSizes[i])] = 1
+			flat := off + rng.Intn(colSizes[i])
+			row[flat] = 1
+			bi.SetInput(l, flat)
 		}
-		copy(singles[l], row)
 	}
 }
 
@@ -46,18 +45,55 @@ func autodiffRows(m Backbone, rows [][]float64) [][]float64 {
 	return res
 }
 
-// inferRow runs a one-lane batched forward over row and returns a copy of
-// its logits.
-func inferRow(bi BatchInference, row []float64) []float64 {
-	copy(bi.X().Data, row)
-	bi.InvalidateFrom(0)
-	return append([]float64(nil), bi.Forward().Row(0)...)
+// inferRow runs a one-lane batched pass over the 0/1 row — Reset, one
+// SetInput per set entry, then ForwardCol per column — and returns every
+// logit of the row.
+func inferRow(m Backbone, bi BatchInference, row []float64) []float64 {
+	bi.Reset()
+	for j, v := range row {
+		if v != 0 {
+			bi.SetInput(0, j)
+		}
+	}
+	out := make([]float64, 0, m.InDim())
+	for i := range m.ColSizes() {
+		out = append(out, bi.ForwardCol(i).Row(0)...)
+	}
+	return out
 }
 
-// backboneBatchMatchesSingle drives a B-lane batched forward against the
-// autodiff Forward of each lane's row on its own and checks Forward and
-// every ForwardCol block agree lane by lane. The batched ForwardCol path
-// runs restricted (head-limited, transposed-dot) kernels, so this is the
+// checkBlocks checks every ForwardCol block of bi's first len(want) lanes,
+// computed in the given column order, against the autodiff logits rows.
+func checkBlocks(t *testing.T, m Backbone, bi BatchInference, want [][]float64, order []int, tol float64) {
+	t.Helper()
+	for _, i := range order {
+		block := bi.ForwardCol(i)
+		for l := range want {
+			row := block.Row(l)
+			wantBlock := colBlock(m, want[l], i)
+			for j := range row {
+				if math.Abs(row[j]-wantBlock[j]) > tol {
+					t.Fatalf("ForwardCol(%d) lane %d logit %d: batched %v vs autodiff %v",
+						i, l, j, row[j], wantBlock[j])
+				}
+			}
+		}
+	}
+}
+
+// ascending returns the column order 0..n−1.
+func ascending(n int) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	return order
+}
+
+// backboneBatchMatchesSingle drives a B-lane batched pass against the
+// autodiff Forward of each lane's row on its own and checks every
+// ForwardCol block agrees lane by lane. The batched ForwardCol path runs
+// restricted (head-limited, transposed-dot) kernels, so this is the
 // equivalence proof for the whole batched sampling stack.
 func backboneBatchMatchesSingle(t *testing.T, m Backbone, colSizes []int, tol float64) {
 	t.Helper()
@@ -71,36 +107,13 @@ func backboneBatchMatchesSingle(t *testing.T, m Backbone, colSizes []int, tol fl
 	for l := range singles {
 		singles[l] = make([]float64, m.InDim())
 	}
-	fillLaneOneHots(rng, bi.X(), m.Offsets(), colSizes, singles)
+	fillLaneOneHots(rng, bi, m.Offsets(), colSizes, singles)
 
 	want := make([][]float64, lanes)
 	for l := range want {
 		want[l] = autodiffRows(m, singles[l:l+1])[0]
 	}
-
-	out := bi.Forward()
-	for l := 0; l < lanes; l++ {
-		row := out.Row(l)
-		for j := range row {
-			if math.Abs(row[j]-want[l][j]) > tol {
-				t.Fatalf("Forward lane %d logit %d: batched %v vs autodiff %v",
-					l, j, row[j], want[l][j])
-			}
-		}
-	}
-	for i := range colSizes {
-		block := bi.ForwardCol(i)
-		for l := 0; l < lanes; l++ {
-			row := block.Row(l)
-			wantBlock := colBlock(m, want[l], i)
-			for j := range row {
-				if math.Abs(row[j]-wantBlock[j]) > tol {
-					t.Fatalf("ForwardCol(%d) lane %d logit %d: batched %v vs autodiff %v",
-						i, l, j, row[j], wantBlock[j])
-				}
-			}
-		}
-	}
+	checkBlocks(t, m, bi, want, ascending(len(colSizes)), tol)
 }
 
 func TestMADEBatchMatchesSingle(t *testing.T) {
@@ -121,8 +134,66 @@ func TestTransformerBatchMatchesSingle(t *testing.T) {
 	backboneBatchMatchesSingle(t, NewTransformer(rng, colSizes, 16, 2, 32, 2), colSizes, 1e-9)
 }
 
+// TestBatchInferenceAnyOrder drives the engine contract outside the
+// sampling order on both backbones: inputs set in random order and split
+// around ForwardCol calls, repeated SetInput calls after a ForwardCol, and
+// ForwardCol in random column order. Every block must match autodiff on
+// the inputs set so far.
+func TestBatchInferenceAnyOrder(t *testing.T) {
+	colSizes := []int{3, 5, 2, 7, 4}
+	backbones := map[string]Backbone{
+		"made":        NewMADE(rand.New(rand.NewSource(17)), colSizes, 24, 2),
+		"transformer": NewTransformer(rand.New(rand.NewSource(18)), colSizes, 16, 2, 32, 2),
+	}
+	for name, m := range backbones {
+		t.Run(name, func(t *testing.T) {
+			const lanes = 4
+			rng := rand.New(rand.NewSource(19))
+			bi := m.NewBatchInference(lanes)
+			for round := 0; round < 3; round++ {
+				// Up to two one-hots per column block, so some rows are
+				// multi-hot; every (lane, flat) pair is set once.
+				type input struct{ lane, flat int }
+				var inputs []input
+				for l := 0; l < lanes; l++ {
+					for i, off := range m.Offsets() {
+						a, b := rng.Intn(colSizes[i]), rng.Intn(colSizes[i])
+						inputs = append(inputs, input{l, off + a})
+						if b != a {
+							inputs = append(inputs, input{l, off + b})
+						}
+					}
+				}
+				rng.Shuffle(len(inputs), func(a, b int) { inputs[a], inputs[b] = inputs[b], inputs[a] })
+				rows := make([][]float64, lanes)
+				for l := range rows {
+					rows[l] = make([]float64, m.InDim())
+				}
+				bi.Reset()
+				split := len(inputs) / 2
+				for _, in := range inputs[:split] {
+					bi.SetInput(in.lane, in.flat)
+					rows[in.lane][in.flat] = 1
+				}
+				checkBlocks(t, m, bi, autodiffRows(m, rows), rng.Perm(len(colSizes)), 1e-9)
+				for _, in := range inputs[split:] {
+					bi.SetInput(in.lane, in.flat)
+					rows[in.lane][in.flat] = 1
+				}
+				want := autodiffRows(m, rows)
+				checkBlocks(t, m, bi, want, rng.Perm(len(colSizes)), 1e-9)
+				for _, in := range inputs {
+					bi.SetInput(in.lane, in.flat) // repeats are no-ops
+				}
+				checkBlocks(t, m, bi, want, rng.Perm(len(colSizes)), 1e-9)
+			}
+		})
+	}
+}
+
 // TestMADEBatchForwardColAllocFree pins the per-sweep contract the batched
-// sampler's throughput rests on: once constructed, a batched ForwardCol
+// sampler's throughput rests on: once constructed, a sampling sweep
+// (Reset, then ForwardCol and a SetInput per lane for every column)
 // performs zero heap allocations (kernels serial — the parallel path
 // allocates goroutine bookkeeping).
 func TestMADEBatchForwardColAllocFree(t *testing.T) {
@@ -133,20 +204,24 @@ func TestMADEBatchForwardColAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	colSizes := []int{6, 4, 8, 3}
 	m := NewMADE(rng, colSizes, 32, 2)
-	bi := m.NewBatchInference(16)
-	singles := make([][]float64, 16)
-	for l := range singles {
-		singles[l] = make([]float64, m.InDim())
+	const lanes = 16
+	bi := m.NewBatchInference(lanes)
+	bins := make([]int, lanes*len(colSizes))
+	for k := range bins {
+		bins[k] = rng.Intn(colSizes[k%len(colSizes)])
 	}
-	fillLaneOneHots(rng, bi.X(), m.Offsets(), colSizes, singles)
 	sweep := func() {
-		for i := range colSizes {
+		bi.Reset()
+		for i, off := range m.Offsets() {
 			bi.ForwardCol(i)
+			for l := 0; l < lanes; l++ {
+				bi.SetInput(l, off+bins[l*len(colSizes)+i])
+			}
 		}
 	}
 	sweep() // warm transposed-weight caches
 	if n := testing.AllocsPerRun(20, sweep); n != 0 {
-		t.Fatalf("warm batched ForwardCol sweep allocates %v times, want 0", n)
+		t.Fatalf("warm batched sampling sweep allocates %v times, want 0", n)
 	}
 }
 
@@ -178,7 +253,7 @@ func TestBatchPrefixCacheRetrainInvalidation(t *testing.T) {
 				for l := range singles {
 					singles[l] = make([]float64, m.InDim())
 				}
-				fillLaneOneHots(rng, bi.X(), m.Offsets(), colSizes, singles)
+				fillLaneOneHots(rng, bi, m.Offsets(), colSizes, singles)
 				for i := range colSizes {
 					bi.ForwardCol(i) // warm every cached prefix width
 				}
@@ -221,7 +296,7 @@ func TestMADEBatchTracksRetraining(t *testing.T) {
 	for l := range singles {
 		singles[l] = make([]float64, m.InDim())
 	}
-	fillLaneOneHots(rng, bi.X(), m.Offsets(), colSizes, singles)
+	fillLaneOneHots(rng, bi, m.Offsets(), colSizes, singles)
 	bi.ForwardCol(len(colSizes) - 1) // populate caches pre-update
 
 	for _, p := range m.Params() {
@@ -243,5 +318,47 @@ func TestMADEBatchTracksRetraining(t *testing.T) {
 					l, j, row[j], wantBlock[j])
 			}
 		}
+	}
+}
+
+// TestMADEMasksSuffixMonotone pins the mask shape the batched engine
+// relies on in place of a dense fallback: in every layer NewMADE builds,
+// each mask row is ones exactly on its span [start, n) — a suffix — and
+// the starts never decrease, so empty rows ([n, n)) come last.
+func TestMADEMasksSuffixMonotone(t *testing.T) {
+	cases := []struct {
+		name              string
+		colSizes          []int
+		hidden, numHidden int
+	}{
+		{"single-column", []int{5}, 8, 2},
+		{"hidden<ncols", []int{3, 2, 4, 2, 5, 3, 2, 4, 3}, 4, 2},
+		{"one-layer", []int{6, 3, 9, 2}, 16, 1},
+		{"two-layers", []int{6, 3, 9, 2}, 16, 2},
+		{"three-layers", []int{6, 3, 9, 2}, 16, 3},
+		// The IMDB join layout's column sizes (4 to 500 bins).
+		{"imdb", []int{7, 77, 32, 11, 32, 4, 32, 71, 32, 5, 32, 500}, 64, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMADE(rand.New(rand.NewSource(3)), tc.colSizes, tc.hidden, tc.numHidden)
+			for li, l := range m.layers {
+				spans, n := l.cache.Spans(), l.W.Cols
+				prev := 0
+				for k := 0; k < l.W.Rows; k++ {
+					s, e := spans[2*k], spans[2*k+1]
+					if e != n || s < prev {
+						t.Fatalf("layer %d row %d: span [%d,%d) after start %d, want a suffix of %d with nondecreasing start",
+							li, k, s, e, prev, n)
+					}
+					for j, v := range l.Mask.Row(k) {
+						if (v != 0) != (j >= s) {
+							t.Fatalf("layer %d row %d: mask[%d] = %v outside/inside span start %d", li, k, j, v, s)
+						}
+					}
+					prev = s
+				}
+			}
+		})
 	}
 }

@@ -1,5 +1,5 @@
 // Package nn provides the neural-network building blocks SAM trains:
-// (masked) linear layers, the MADE masked autoencoder and the causal
+// masked linear layers, the MADE masked autoencoder and the causal
 // Transformer used as autoregressive backbones, and the Adam optimizer.
 // Training runs on the internal/tensor autodiff engine through each
 // backbone's incremental Chain; a separate allocation-free batched
@@ -12,27 +12,6 @@ import (
 
 	"sam/internal/tensor"
 )
-
-// Linear is a fully connected layer y = x·W + b with W of shape in×out.
-type Linear struct {
-	W *tensor.Tensor // in×out
-	B *tensor.Tensor // 1×out
-}
-
-// NewLinear returns a Glorot-initialized layer.
-func NewLinear(rng *rand.Rand, in, out int) *Linear {
-	l := &Linear{W: tensor.New(in, out), B: tensor.New(1, out)}
-	l.W.XavierInit(rng, in, out)
-	return l
-}
-
-// Forward applies the layer on the autodiff graph.
-func (l *Linear) Forward(g *tensor.Graph, x *tensor.Node) *tensor.Node {
-	return g.AddRow(g.MatMul(x, g.Param(l.W)), g.Param(l.B))
-}
-
-// Params returns the trainable tensors of the layer.
-func (l *Linear) Params() []*tensor.Tensor { return []*tensor.Tensor{l.W, l.B} }
 
 // MaskedLinear is a linear layer whose weight matrix is elementwise gated by
 // a fixed binary mask — the mechanism MADE uses to enforce autoregressive

@@ -23,12 +23,10 @@ type MADE struct {
 
 	// colHidden[i] is the number of hidden units (a prefix of every hidden
 	// layer, degrees being sorted) that column i's logits depend on: those
-	// of degree ≤ i. colInputs[i] is the input prefix those units read,
-	// the one-hots of columns below the largest such degree. Batched
-	// sampling restricts column i's pass to these prefixes; the training
-	// chain computes the band colHidden[i−1]..colHidden[i] at step i.
+	// of degree ≤ i. Batched sampling restricts column i's pass to this
+	// prefix; the training chain computes the band
+	// colHidden[i−1]..colHidden[i] at step i.
 	colHidden []int
-	colInputs []int
 }
 
 var _ Backbone = (*MADE)(nil)
@@ -107,16 +105,12 @@ func NewMADE(rng *rand.Rand, colSizes []int, hidden, numHidden int) *MADE {
 	m.layers = append(m.layers, NewMaskedLinear(rng, prevDim, m.inDim, outMask))
 
 	m.colHidden = make([]int, n)
-	m.colInputs = make([]int, n)
 	for i := range colSizes {
 		h := 0
 		for h < hidden && hidDeg[h] <= i {
 			h++
 		}
 		m.colHidden[i] = h
-		if h > 0 {
-			m.colInputs[i] = m.offsets[hidDeg[h-1]]
-		}
 	}
 	return m
 }

@@ -27,22 +27,26 @@ func BenchmarkMADEForwardAutodiff(b *testing.B) {
 	}
 }
 
-// BenchmarkMADEForwardInfer measures one full forward of the
-// allocation-free inference path at batch 1, the per-tuple cost.
+// BenchmarkMADEForwardInfer measures every logit of one row on the
+// allocation-free inference path at batch 1, the per-tuple cost: Reset,
+// then ForwardCol and one SetInput per column.
 func BenchmarkMADEForwardInfer(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	colSizes := []int{64, 32, 16, 128, 8, 4, 50}
 	m := NewMADE(rng, colSizes, 64, 2)
 	buf := m.NewBatchInference(1)
-	for i := range buf.X().Data {
-		if rng.Float64() < 0.05 {
-			buf.X().Data[i] = 1
-		}
+	row := make([]int, len(colSizes))
+	for c, size := range colSizes {
+		row[c] = m.Offsets()[c] + rng.Intn(size)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf.Forward()
+		buf.Reset()
+		for c, flat := range row {
+			buf.ForwardCol(c)
+			buf.SetInput(0, flat)
+		}
 	}
 }
 

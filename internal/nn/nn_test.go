@@ -8,18 +8,6 @@ import (
 	"sam/internal/tensor"
 )
 
-func TestLinearForwardShape(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	l := NewLinear(rng, 4, 3)
-	g := tensor.NewGraph()
-	x := tensor.New(2, 4)
-	x.Randn(rng, 1)
-	y := l.Forward(g, g.Const(x))
-	if y.Val.Rows != 2 || y.Val.Cols != 3 {
-		t.Fatalf("bad output shape %v", y.Val)
-	}
-}
-
 func TestMaskedLinearZeroMaskBlocksSignal(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	mask := tensor.New(3, 2) // all zero
@@ -47,14 +35,15 @@ func TestMADEAutoregressiveProperty(t *testing.T) {
 	for i, off := range m.Offsets() {
 		base[off+rng.Intn(colSizes[i])] = 1
 	}
-	out0 := inferRow(bi, base)
+	out0 := inferRow(m, bi, base)
 
 	for j := 0; j < len(colSizes); j++ {
+		// Set every input of column j: a multi-hot block unlike the base's.
 		perturbed := append([]float64(nil), base...)
 		for k := 0; k < colSizes[j]; k++ {
-			perturbed[m.Offsets()[j]+k] = rng.Float64()*2 - 1
+			perturbed[m.Offsets()[j]+k] = 1
 		}
-		out1 := inferRow(bi, perturbed)
+		out1 := inferRow(m, bi, perturbed)
 		for i := 0; i <= j; i++ {
 			a := colBlock(m, out0, i)
 			b := colBlock(m, out1, i)
@@ -72,12 +61,12 @@ func TestMADEFirstColumnUnconditional(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	m := NewMADE(rng, []int{3, 3}, 8, 2)
 	bi := m.NewBatchInference(1)
-	a := colBlock(m, inferRow(bi, make([]float64, m.InDim())), 0)
+	a := colBlock(m, inferRow(m, bi, make([]float64, m.InDim())), 0)
 	noise := make([]float64, m.InDim())
 	for i := range noise {
-		noise[i] = rng.Float64()
+		noise[i] = float64(rng.Intn(2))
 	}
-	b := colBlock(m, inferRow(bi, noise), 0)
+	b := colBlock(m, inferRow(m, bi, noise), 0)
 	for k := range a {
 		if math.Abs(a[k]-b[k]) > 1e-12 {
 			t.Fatal("column 0 logits are input-dependent")
@@ -88,7 +77,7 @@ func TestMADEFirstColumnUnconditional(t *testing.T) {
 func TestMADESingleColumn(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	m := NewMADE(rng, []int{5}, 8, 1)
-	out := inferRow(m.NewBatchInference(1), make([]float64, m.InDim()))
+	out := inferRow(m, m.NewBatchInference(1), make([]float64, m.InDim()))
 	if len(colBlock(m, out, 0)) != 5 {
 		t.Fatal("bad single-column logits")
 	}
@@ -188,7 +177,7 @@ func TestMADETrainsSimpleDistribution(t *testing.T) {
 	for v := 0; v < 2; v++ {
 		x := make([]float64, m.InDim())
 		x[m.Offsets()[0]+v] = 1
-		logits := colBlock(m, inferRow(bi, x), 1)
+		logits := colBlock(m, inferRow(m, bi, x), 1)
 		probs := make([]float64, 2)
 		tensor.SoftmaxRowInto(probs, logits)
 		if probs[v] < 0.9 {

@@ -20,14 +20,15 @@ func TestTransformerAutoregressiveProperty(t *testing.T) {
 	for i, off := range tr.Offsets() {
 		base[off+rng.Intn(colSizes[i])] = 1
 	}
-	out0 := inferRow(bi, base)
+	out0 := inferRow(tr, bi, base)
 
 	for j := 0; j < len(colSizes); j++ {
+		// Set every input of column j: a multi-hot block unlike the base's.
 		perturbed := append([]float64(nil), base...)
 		for k := 0; k < colSizes[j]; k++ {
-			perturbed[tr.Offsets()[j]+k] = rng.Float64()*2 - 1
+			perturbed[tr.Offsets()[j]+k] = 1
 		}
-		out1 := inferRow(bi, perturbed)
+		out1 := inferRow(tr, bi, perturbed)
 		for i := 0; i <= j; i++ {
 			a := colBlock(tr, out0, i)
 			b := colBlock(tr, out1, i)
@@ -135,7 +136,7 @@ func TestTransformerTrainsSimpleDistribution(t *testing.T) {
 	for v := 0; v < 2; v++ {
 		x := make([]float64, tr.InDim())
 		x[tr.Offsets()[0]+v] = 1
-		logits := colBlock(tr, inferRow(bi, x), 1)
+		logits := colBlock(tr, inferRow(tr, bi, x), 1)
 		probs := make([]float64, 2)
 		tensor.SoftmaxRowInto(probs, logits)
 		if probs[v] < 0.85 {

@@ -112,6 +112,7 @@ type ShardReader struct {
 	shard int
 	seed  int64
 	rows  int64 // -1 when the header was written by a non-seekable sink
+	read  int64 // rows returned so far
 	buf   []byte
 }
 
@@ -128,12 +129,16 @@ func NewShardReader(r io.Reader) (*ShardReader, error) {
 	if ncols <= 0 {
 		return nil, fmt.Errorf("relation: shard header declares %d columns", ncols)
 	}
+	rows := int64(binary.LittleEndian.Uint64(h[24:]))
+	if rows < -1 {
+		return nil, fmt.Errorf("relation: shard header declares %d rows", rows)
+	}
 	return &ShardReader{
 		r:     r,
 		ncols: ncols,
 		shard: int(binary.LittleEndian.Uint32(h[12:])),
 		seed:  int64(binary.LittleEndian.Uint64(h[16:])),
-		rows:  int64(binary.LittleEndian.Uint64(h[24:])),
+		rows:  rows,
 	}, nil
 }
 
@@ -152,7 +157,8 @@ func (s *ShardReader) Rows() int64 { return s.rows }
 // ReadRows fills dst (row-major, capacity len(dst)/ncols rows) with the
 // next rows of the stream and returns how many it read. It returns 0,
 // io.EOF when the stream is exhausted, and an error when the stream ends
-// mid-row.
+// mid-row or, if the header records a row count, holds more or fewer rows
+// than it.
 func (s *ShardReader) ReadRows(dst []int32) (int, error) {
 	rows := len(dst) / s.ncols
 	if rows == 0 {
@@ -173,16 +179,29 @@ func (s *ShardReader) ReadRows(dst []int32) (int, error) {
 		}
 		rows = n / rowBytes
 		if rows == 0 {
-			return 0, io.EOF
+			return 0, s.eof()
 		}
 		b = b[:n]
 	case io.EOF:
-		return 0, io.EOF
+		return 0, s.eof()
 	default:
 		return 0, fmt.Errorf("relation: read shard rows: %w", err)
+	}
+	s.read += int64(rows)
+	if s.rows >= 0 && s.read > s.rows {
+		return 0, fmt.Errorf("relation: shard holds more than the %d rows its header records", s.rows)
 	}
 	for i := 0; i < len(b)/4; i++ {
 		dst[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
 	}
 	return rows, nil
+}
+
+// eof reports the end of the row stream: io.EOF, or an error when the
+// header records more rows than the stream held.
+func (s *ShardReader) eof() error {
+	if s.rows >= 0 && s.read != s.rows {
+		return fmt.Errorf("relation: shard ends after %d of the %d rows its header records", s.read, s.rows)
+	}
+	return io.EOF
 }

@@ -3,6 +3,7 @@ package relation
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"io"
 	"os"
 	"path/filepath"
@@ -126,6 +127,81 @@ func TestShardReaderRejectsCorruptStreams(t *testing.T) {
 	if _, err := r.ReadRows(buf); err == nil || err == io.EOF {
 		t.Fatalf("mid-row truncation not detected: %v", err)
 	}
+
+	// A recorded row count must match the rows the stream holds, and only
+	// -1 may stand for an unknown count.
+	for _, rows := range []int64{-2, 0, 1, 3} {
+		data := append([]byte(nil), b.Bytes()...)
+		binary.LittleEndian.PutUint64(data[24:], uint64(rows))
+		r, err := NewShardReader(bytes.NewReader(data))
+		for err == nil {
+			_, err = r.ReadRows(buf[:2])
+		}
+		if err == io.EOF {
+			t.Fatalf("header row count %d accepted for a 2-row shard", rows)
+		}
+	}
+}
+
+// sliceWriterAt writes into a byte slice in place, so PatchRows can patch
+// an in-memory shard.
+type sliceWriterAt []byte
+
+func (w sliceWriterAt) WriteAt(p []byte, off int64) (int, error) {
+	return copy(w[off:], p), nil
+}
+
+// FuzzShardReader checks that any byte string the reader accepts — its
+// header and every row up to EOF — is exactly what ShardWriter writes for
+// the same header fields and rows (patched with PatchRows when the header
+// records a count). The read buffer is sized from the input's length,
+// never from the header's column count alone.
+func FuzzShardReader(f *testing.F) {
+	var seed bytes.Buffer
+	if _, err := NewShardWriter(&seed, 1, 0, 0); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := NewShardReader(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		// Size the read buffer from the input's length: skip headers whose
+		// rows are wider than the body (at most one column when there is no
+		// body), which can hold no whole row.
+		if r.NCols() > max((len(data)-ShardHeaderSize)/4, 1) {
+			return
+		}
+		buf := make([]int32, r.NCols())
+		var rows []int32
+		for {
+			n, err := r.ReadRows(buf)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return
+			}
+			rows = append(rows, buf[:n*r.NCols()]...)
+		}
+		var out bytes.Buffer
+		w, err := NewShardWriter(&out, r.NCols(), r.Shard(), r.Seed())
+		if err != nil {
+			t.Fatalf("accepted header does not write: %v", err)
+		}
+		if err := w.WriteRows(rows); err != nil {
+			t.Fatal(err)
+		}
+		if r.Rows() >= 0 {
+			if err := w.PatchRows(sliceWriterAt(out.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("accepted shard re-encodes differently:\n%x\n%x", data, out.Bytes())
+		}
+	})
 }
 
 func TestShardStreamHeaderWithoutPatch(t *testing.T) {

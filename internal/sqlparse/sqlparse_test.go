@@ -143,3 +143,19 @@ func TestBareColumnAmbiguity(t *testing.T) {
 		t.Fatalf("ambiguous column accepted: %v", err)
 	}
 }
+
+// FuzzParse checks that Parse either rejects its input or returns a query
+// the exact engine counts on a tiny IMDB schema, and that ParseAll never
+// panics on the same input.
+func FuzzParse(f *testing.F) {
+	s := datagen.IMDB(1, 20)
+	f.Add("SELECT COUNT(*) FROM title")
+	f.Fuzz(func(t *testing.T, sql string) {
+		if q, err := Parse(sql, s); err == nil {
+			if card := engine.Card(s, q); card < 0 {
+				t.Fatalf("negative cardinality %d for %q", card, sql)
+			}
+		}
+		_, _ = ParseAll(sql, s) // errors are expected; only panics fail
+	})
+}

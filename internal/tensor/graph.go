@@ -57,9 +57,6 @@ type Node struct {
 	i1, i2, i3 int
 }
 
-// RequiresGrad reports whether gradients flow into this node.
-func (n *Node) RequiresGrad() bool { return n.requiresGrad }
-
 // Graph is a gradient tape with a per-tape buffer pool. Operations append
 // nodes in creation order; Backward walks the tape in reverse. A Graph is
 // single-use per forward pass and not safe for concurrent use; training

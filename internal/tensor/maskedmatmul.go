@@ -21,188 +21,15 @@ import "fmt"
 // covering everything. A progressive-sampling step for column i needs
 // only the window its logit block depends on (see Graph.MaskedMatMulWindow).
 
-// SpansSuffixMonotone reports whether spans describe rows whose nonzeros
-// are suffixes [start, n) with nondecreasing starts — the shape MADE's
-// sorted-degree masks always have (empty rows encode as [n, n) and must
-// come last). The suffix kernels below exploit this: a quad's span
-// intersection is just the last row's span, and the rows reaching a column
-// slice form a prefix.
-func SpansSuffixMonotone(spans []int, n int) bool {
-	prev := 0
-	for k := 0; 2*k < len(spans); k++ {
-		s, e := spans[2*k], spans[2*k+1]
-		if s < prev || e != n {
-			return false
-		}
-		prev = s
-	}
-	return true
-}
-
-// MatMulMaskedSuffixInto computes dst = a·mw for a masked weight whose
-// spans satisfy SpansSuffixMonotone. Compared to the general span kernels
-// (matMulWindowRange) it hoists all span-intersection work out of the
-// inner loops: a quad of weight rows intersects to the last row's suffix,
-// and the at most three leftover prefixes are applied scalar (adjacent
-// sorted-degree rows have nearly identical starts, so leftovers are tiny). The kernel is not k-tiled —
-// it targets the narrow hidden layers of batched ancestral sampling.
-func MatMulMaskedSuffixInto(dst, a, mw *Tensor, spans []int) {
-	checkMatMul(dst, a, mw)
-	runKernel(a.Rows, a.Rows*a.Cols*mw.Cols, matMulSuffixRange,
-		kernelCall{dst: dst, a: a, b: mw, spans: spans, sparse: looksSparse(a.Data)})
-}
-
-// matMulSuffixRange computes rows [lo, hi) of dst = a·mw assuming
-// suffix-monotone spans.
-func matMulSuffixRange(c kernelCall, lo, hi int) {
-	dst, a, b, spans := c.dst, c.a, c.b, c.spans
-	cols, n := a.Cols, b.Cols
-	clear(dst.Data[lo*n : hi*n])
-	if cols == 0 || n == 0 {
-		return
-	}
-	if c.sparse {
-		for i := lo; i < hi; i++ {
-			arow := a.Data[i*cols : (i+1)*cols]
-			drow := dst.Data[i*n : (i+1)*n]
-			for k, av := range arow {
-				if av == 0 {
-					continue
-				}
-				if s := spans[2*k]; s < n {
-					axpy1(drow[s:], b.Data[k*n+s:(k+1)*n], av)
-				}
-			}
-		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		arow := a.Data[i*cols : (i+1)*cols]
-		drow := dst.Data[i*n : (i+1)*n]
-		k := 0
-		for ; k+4 <= cols; k += 4 {
-			v0, v1, v2, v3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-			if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
-				continue
-			}
-			s := spans[2*(k+3)] // monotone: the quad's widest start
-			if s < n {
-				axpy4(drow[s:],
-					b.Data[k*n+s:(k+1)*n], b.Data[(k+1)*n+s:(k+2)*n],
-					b.Data[(k+2)*n+s:(k+3)*n], b.Data[(k+3)*n+s:(k+4)*n],
-					v0, v1, v2, v3)
-			}
-			if spans[2*k] < s { // leftover prefixes of rows k..k+2
-				vs := [3]float64{v0, v1, v2}
-				for t := 0; t < 3; t++ {
-					v := vs[t]
-					if v == 0 {
-						continue
-					}
-					if ks := spans[2*(k+t)]; ks < s {
-						axpy1(drow[ks:s], b.Data[(k+t)*n+ks:(k+t)*n+s], v)
-					}
-				}
-			}
-		}
-		for ; k < cols; k++ {
-			if av := arow[k]; av != 0 {
-				if s := spans[2*k]; s < n {
-					axpy1(drow[s:], b.Data[k*n+s:(k+1)*n], av)
-				}
-			}
-		}
-	}
-}
-
-// MatMulMaskedSuffixHeadInto computes only columns [0, head) of
-// dst = a·mw for suffix-monotone spans; the remaining dst columns are left
-// untouched. Batched ancestral sampling uses it to evaluate a hidden layer
-// restricted to the unit prefix that the current column's logits can
-// actually depend on (suffix starts are sorted degree boundaries, so that
-// dependency set is always a prefix). Rows of mw whose suffix starts at or
-// past head contribute nothing and are skipped wholesale.
-func MatMulMaskedSuffixHeadInto(dst, a, mw *Tensor, spans []int, head int) {
-	MatMulMaskedSuffixHeadRangeInto(dst, a, mw, spans, 0, head)
-}
-
-// MatMulMaskedSuffixHeadRangeInto computes only columns [lo, head) of
-// dst = a·mw for suffix-monotone spans; dst columns outside the range are
-// left untouched. The prefix activation cache uses it to recompute just
-// the stale tail of a hidden layer: columns [0, lo) already hold valid
-// activations for the current input, so only units the last-changed input
-// column can reach are re-evaluated.
-func MatMulMaskedSuffixHeadRangeInto(dst, a, mw *Tensor, spans []int, lo, head int) {
-	checkMatMul(dst, a, mw)
-	if lo < 0 || lo > head || head > mw.Cols {
-		panic(fmt.Sprintf("tensor: suffix range [%d,%d) out of range [0,%d]", lo, head, mw.Cols))
-	}
-	cols, n := a.Cols, mw.Cols
-	kEnd := 0
-	for k := 0; k < cols; k++ {
-		if spans[2*k] < head {
-			kEnd = k + 1
-		} else {
-			break
-		}
-	}
-	sparse := a.Rows > 0 && looksSparse(a.Data)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*cols : i*cols+kEnd]
-		drow := dst.Data[i*n : i*n+head]
-		for j := lo; j < head; j++ {
-			drow[j] = 0
-		}
-		if sparse {
-			for k, av := range arow {
-				if av == 0 {
-					continue
-				}
-				s := spans[2*k]
-				if s < lo {
-					s = lo
-				}
-				axpy1(drow[s:], mw.Data[k*n+s:k*n+head], av)
-			}
-			continue
-		}
-		k := 0
-		for ; k+4 <= kEnd; k += 4 {
-			v0, v1, v2, v3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-			if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
-				continue
-			}
-			s := spans[2*(k+3)] // monotone: the quad's widest start, < head
-			if sc := max(s, lo); sc < head {
-				axpy4(drow[sc:],
-					mw.Data[k*n+sc:k*n+head], mw.Data[(k+1)*n+sc:(k+1)*n+head],
-					mw.Data[(k+2)*n+sc:(k+2)*n+head], mw.Data[(k+3)*n+sc:(k+3)*n+head],
-					v0, v1, v2, v3)
-			}
-			if spans[2*k] < s && s > lo {
-				vs := [3]float64{v0, v1, v2}
-				for t := 0; t < 3; t++ {
-					v := vs[t]
-					if v == 0 {
-						continue
-					}
-					if ks := max(spans[2*(k+t)], lo); ks < s {
-						axpy1(drow[ks:s], mw.Data[(k+t)*n+ks:(k+t)*n+s], v)
-					}
-				}
-			}
-		}
-		for ; k < kEnd; k++ {
-			if av := arow[k]; av != 0 {
-				s := max(spans[2*k], lo)
-				axpy1(drow[s:], mw.Data[k*n+s:k*n+head], av)
-			}
-		}
-	}
-}
+// The remaining kernels serve batched ancestral sampling over MADE's
+// sorted-degree masks, whose spans are suffixes [start, n) with
+// nondecreasing starts (empty rows, [n, n), come last). An input then
+// reaches a suffix of the next layer, and a unit reads a prefix of the
+// layer below, so a column step restricted to the unit prefix its logits
+// depend on touches only a leading block of each weight.
 
 // MatMulNZSuffixHeadRangeInto computes columns [lo, head) of dst = a·mw for
-// suffix-monotone spans, visiting only the entries of each a row whose
+// such suffix spans, visiting only the entries of each a row whose
 // (ascending) indices are listed in nz[i] instead of scanning the row for
 // nonzeros. Batched ancestral sampling uses it for the one-hot input layer:
 // the sampler's buffer already knows which inputs it set, so the per-lane
@@ -234,27 +61,21 @@ func MatMulNZSuffixHeadRangeInto(dst, a *Tensor, nz [][]int, mw *Tensor, spans [
 	}
 }
 
-// The prefix-dot kernels below are the transposed formulation of the
-// suffix kernels: with wt = (W∘Mask)ᵀ, output unit j depends on the input
-// PREFIX [0, prefix[j]) (the transpose of sorted suffix spans), so each
-// output is one dense dot product with four accumulator chains, no
-// destination zeroing, and the bias (and ReLU) fused into the write. At
-// ancestral-sampling widths this removes the per-quad span and slice
-// bookkeeping that dominates the axpy formulation.
-
-// MatMulPrefixReLUInto computes dst[:, :head] = relu(a·wtᵀ + bias), where
-// wt holds the masked weight transposed (wt row j = weight column j) and
-// prefix[j] is the nonzero prefix length of wt row j, nondecreasing in j.
-// dst columns at or past head are left untouched.
-func MatMulPrefixReLUInto(dst, a, wt *Tensor, prefix []int, bias []float64, head int) {
-	MatMulPrefixReLURangeInto(dst, a, wt, prefix, bias, 0, head)
-}
+// The prefix-dot kernels below are the transposed formulation: with
+// wt = (W∘Mask)ᵀ, output unit j depends on the input PREFIX [0, prefix[j])
+// (the transpose of sorted suffix spans), so each output is one dense dot
+// product with four accumulator chains, no destination zeroing, and the
+// bias and ReLU fused into the write. At ancestral-sampling widths this
+// removes the per-quad span and slice bookkeeping that dominates the axpy
+// formulation for the dense hidden-to-hidden layers.
 
 // MatMulPrefixReLURangeInto computes dst[:, lo:head] = relu(a·wtᵀ + bias)
-// restricted to output units [lo, head); columns outside the range are left
-// untouched. This is the prefix-cache form of MatMulPrefixReLUInto: units
-// below lo already hold valid activations for the current input and are
-// skipped wholesale.
+// restricted to output units [lo, head), where wt holds the masked weight
+// transposed (wt row j = weight column j) and prefix[j] is the nonzero
+// prefix length of wt row j, nondecreasing in j. dst columns outside the
+// range are left untouched: units below lo already hold valid activations
+// for the current input (the prefix activation cache) and are skipped
+// wholesale.
 func MatMulPrefixReLURangeInto(dst, a, wt *Tensor, prefix []int, bias []float64, lo, head int) {
 	if a.Cols != wt.Cols || dst.Rows != a.Rows || lo < 0 || lo > head || head > wt.Rows || head > dst.Cols {
 		panic(fmt.Sprintf("tensor: prefix matmul mismatch %v·%vᵀ→%v range [%d,%d)", a, wt, dst, lo, head))
@@ -349,35 +170,6 @@ func MatMulPrefixReLURangeNZInto(dst, a, wt *Tensor, prefix []int, bias []float6
 	}
 }
 
-// MatMulPrefixBiasInto computes dst = a[:, :p]·wtᵀ + bias for one uniform
-// prefix p — the output-block form of the prefix dot, where every logit of
-// a column block shares the same dependency prefix. dst must be
-// a.Rows×wt.Rows.
-func MatMulPrefixBiasInto(dst, a, wt *Tensor, bias []float64, p int) {
-	m := dst.Cols
-	if a.Cols != wt.Cols || dst.Rows != a.Rows || m != wt.Rows || p < 0 || p > a.Cols {
-		panic(fmt.Sprintf("tensor: prefix block matmul mismatch %v·%vᵀ→%v p %d", a, wt, dst, p))
-	}
-	ac := a.Cols
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*ac : i*ac+p]
-		drow := dst.Data[i*m : (i+1)*m]
-		j := 0
-		for ; j+4 <= m; j += 4 {
-			s0, s1, s2, s3 := dot4Dense(arow,
-				wt.Data[j*ac:j*ac+p], wt.Data[(j+1)*ac:(j+1)*ac+p],
-				wt.Data[(j+2)*ac:(j+2)*ac+p], wt.Data[(j+3)*ac:(j+3)*ac+p])
-			drow[j] = s0 + bias[j]
-			drow[j+1] = s1 + bias[j+1]
-			drow[j+2] = s2 + bias[j+2]
-			drow[j+3] = s3 + bias[j+3]
-		}
-		for ; j < m; j++ {
-			drow[j] = dot1Dense(arow, wt.Data[j*ac:j*ac+p]) + bias[j]
-		}
-	}
-}
-
 // MatMulNZBlockBiasInto computes dst = a·w[:, off:off+m] + bias
 // (m = dst.Cols) in the axpy formulation, visiting only the entries of each
 // a row whose indices are listed in nz[i] (all < w.Rows). ReLU activations
@@ -439,142 +231,6 @@ func dot1Dense(a, b []float64) (s float64) {
 		s += av * b[k]
 	}
 	return
-}
-
-// MatMulMaskedSliceInto computes dst = a·mw[:, off:off+dst.Cols] — a
-// column slice of a masked matmul. Ancestral sampling uses it to produce
-// only the current column's logit block instead of the full output row,
-// which skips most of the (wide) output layer per sampling step. spans are
-// the mask's per-row nonzero ranges (nil means dense) and are clipped to
-// the slice; suffix-monotone spans take a fast path where only a prefix of
-// the weight rows is visited. Batch rows are small here, so the kernel
-// stays serial.
-func MatMulMaskedSliceInto(dst, a, mw *Tensor, spans []int, off int) {
-	width := dst.Cols
-	if a.Cols != mw.Rows || dst.Rows != a.Rows || off < 0 || off+width > mw.Cols {
-		panic(fmt.Sprintf("tensor: matmul slice mismatch %v,%v[%d:%d]→%v", a, mw, off, off+width, dst))
-	}
-	end := off + width
-	n := mw.Cols
-	cols := a.Cols
-	if spans != nil && SpansSuffixMonotone(spans, n) {
-		matMulSuffixSlice(dst, a, mw, spans, off, end)
-		return
-	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*cols : (i+1)*cols]
-		drow := dst.Data[i*width : (i+1)*width]
-		for j := range drow {
-			drow[j] = 0
-		}
-		k := 0
-		for ; k+4 <= cols; k += 4 {
-			v0, v1, v2, v3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-			if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
-				continue
-			}
-			// Fast path: all four weight rows cover the whole block, which
-			// is the common case for MADE's suffix-shaped output spans.
-			if spans == nil || spanCovers4(spans, k, off, end) {
-				axpy4(drow,
-					mw.Data[k*n+off:k*n+end], mw.Data[(k+1)*n+off:(k+1)*n+end],
-					mw.Data[(k+2)*n+off:(k+2)*n+end], mw.Data[(k+3)*n+off:(k+3)*n+end],
-					v0, v1, v2, v3)
-				continue
-			}
-			vs := [4]float64{v0, v1, v2, v3}
-			for t := 0; t < 4; t++ {
-				sliceAxpy(drow, mw, spans, k+t, n, off, end, vs[t])
-			}
-		}
-		for ; k < cols; k++ {
-			sliceAxpy(drow, mw, spans, k, n, off, end, arow[k])
-		}
-	}
-}
-
-// matMulSuffixSlice is the suffix-monotone fast path of
-// MatMulMaskedSliceInto: rows whose suffix starts at or before off cover
-// the whole block and form a prefix handled with axpy4; the few rows
-// starting inside the block get clipped scalar updates; rows starting at or
-// past end are never visited.
-func matMulSuffixSlice(dst, a, mw *Tensor, spans []int, off, end int) {
-	width := end - off
-	n := mw.Cols
-	cols := a.Cols
-	kFull, kEnd := 0, 0
-	for k := 0; k < cols; k++ {
-		s := spans[2*k]
-		if s <= off {
-			kFull = k + 1
-		}
-		if s < end {
-			kEnd = k + 1
-		} else {
-			break
-		}
-	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*cols : (i+1)*cols]
-		drow := dst.Data[i*width : (i+1)*width]
-		for j := range drow {
-			drow[j] = 0
-		}
-		k := 0
-		for ; k+4 <= kFull; k += 4 {
-			v0, v1, v2, v3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-			if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
-				continue
-			}
-			axpy4(drow,
-				mw.Data[k*n+off:k*n+end], mw.Data[(k+1)*n+off:(k+1)*n+end],
-				mw.Data[(k+2)*n+off:(k+2)*n+end], mw.Data[(k+3)*n+off:(k+3)*n+end],
-				v0, v1, v2, v3)
-		}
-		for ; k < kEnd; k++ {
-			v := arow[k]
-			if v == 0 {
-				continue
-			}
-			s := spans[2*k]
-			if s <= off {
-				axpy1(drow, mw.Data[k*n+off:k*n+end], v)
-			} else {
-				axpy1(drow[s-off:], mw.Data[k*n+s:k*n+end], v)
-			}
-		}
-	}
-}
-
-// spanCovers4 reports whether the spans of rows k..k+3 all contain
-// [off, end).
-func spanCovers4(spans []int, k, off, end int) bool {
-	for t := 0; t < 4; t++ {
-		if spans[2*(k+t)] > off || spans[2*(k+t)+1] < end {
-			return false
-		}
-	}
-	return true
-}
-
-// sliceAxpy accumulates v·mw[k, clip] into the block-relative drow, where
-// clip is row k's span intersected with [off, end).
-func sliceAxpy(drow []float64, mw *Tensor, spans []int, k, n, off, end int, v float64) {
-	if v == 0 {
-		return
-	}
-	s, e := off, end
-	if spans != nil {
-		if ks := spans[2*k]; ks > s {
-			s = ks
-		}
-		if ke := spans[2*k+1]; ke < e {
-			e = ke
-		}
-	}
-	if s < e {
-		axpy1(drow[s-off:e-off], mw.Data[k*n+s:k*n+e], v)
-	}
 }
 
 // clip returns weight row k's nonzero span clipped to the call's window

@@ -53,11 +53,6 @@ func NewMaskedWeight(w, mask *Tensor) *MaskedWeight {
 	return c
 }
 
-// RowSpan returns the nonzero column range [start, end) of mask row r.
-func (c *MaskedWeight) RowSpan(r int) (start, end int) {
-	return c.spans[2*r], c.spans[2*r+1]
-}
-
 // Spans returns the per-row nonzero column ranges in the flat
 // [start0, end0, start1, end1, ...] layout the masked matmul kernels
 // consume. The slice is owned by the cache and must not be mutated.

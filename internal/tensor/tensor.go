@@ -469,33 +469,6 @@ func SoftmaxRowInto(dst, src []float64) {
 	}
 }
 
-// SoftmaxRowsInto writes the row-wise softmax of src into dst. The tensors
-// must have the same shape and may alias; every row is normalized
-// independently (the batched counterpart of SoftmaxRowInto).
-func SoftmaxRowsInto(dst, src *Tensor) {
-	if !dst.SameShape(src) {
-		panic(fmt.Sprintf("tensor: softmax shape mismatch %v→%v", src, dst))
-	}
-	for r := 0; r < src.Rows; r++ {
-		SoftmaxRowInto(dst.Row(r), src.Row(r))
-	}
-}
-
-// ExpRowsInto writes row-wise exponentials into dst without normalizing —
-// softmax up to a positive per-row factor, stabilized per row exactly as
-// ExpRowMass describes. Categorical samplers that accumulate their own
-// total mass draw identically from the unnormalized weights, which saves
-// the normalization pass per row. The tensors must have the same shape and
-// may alias.
-func ExpRowsInto(dst, src *Tensor) {
-	if !dst.SameShape(src) {
-		panic(fmt.Sprintf("tensor: exp shape mismatch %v→%v", src, dst))
-	}
-	for r := 0; r < src.Rows; r++ {
-		ExpRowMass(dst.Row(r), src.Row(r))
-	}
-}
-
 // expRowSafe bounds the single-pass range of ExpRowMass: for |v| ≤ 700,
 // exp(v) is a normal, finite float64 (no overflow, no denormal), so a row
 // of such entries needs no max subtraction and the stored exponentials

@@ -154,11 +154,6 @@ func TestKernelDensityDecidedPerCall(t *testing.T) {
 			MatMulInto(dst, a, b)
 			return dst
 		}},
-		{"MaskedMatMulSuffix", func() *Tensor {
-			dst := New(rows, n)
-			MatMulMaskedSuffixInto(dst, a, cache.Get(), cache.Spans())
-			return dst
-		}},
 		{"MaskedMatMulWindow", func() *Tensor {
 			g := NewGraph()
 			return g.MaskedMatMulWindow(g.Const(a), g.Param(b), cache, k, 0, n).Val
