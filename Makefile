@@ -110,14 +110,13 @@ scale-gate: scale-bench
 
 ## trace-smoke runs a real smoke-scale pipeline with every observability
 ## surface enabled — trace, run log, metrics dump — then analyzes the
-## trace with samtrace and fuses all three artifacts into a samreport
-## (which fails if their run IDs disagree); CI's "Trace and metrics
-## smoke" step is exactly this target.
+## trace and diffs it against itself with samreport, and fuses all three
+## artifacts into a samreport (which fails if their run IDs disagree);
+## CI's "Trace and metrics smoke" step is exactly this target.
 trace-smoke:
 	$(GO) run ./cmd/sambench -scale smoke -exp tab1 -trace trace.jsonl \
 		-runlog run.log -metrics-out metrics.prom -progress
-	$(GO) run ./cmd/samtrace -top 5 trace.jsonl
-	$(GO) run ./cmd/samtrace diff trace.jsonl trace.jsonl
+	$(GO) run ./cmd/samreport -trace trace.jsonl -baseline trace.jsonl -top 5
 	$(GO) run ./cmd/samreport -trace trace.jsonl -runlog run.log \
 		-metrics metrics.prom -top 5 -o report.md
 	@grep -q 'Run ID' report.md || { echo "samreport: no run ID in report.md"; exit 1; }
@@ -125,7 +124,8 @@ trace-smoke:
 
 ## fuzz-smoke runs each decoder fuzz target for a short budget: the run-log
 ## reader, the Prometheus text parser, the model loader, the CSV loader,
-## the SQL parser and the SAMSHRD1 shard reader.
+## the SQL parser, the SAMSHRD1 shard reader, the workload reader with
+## query validation, and the trace reader.
 ## `go test -fuzz` takes one target per invocation, hence one line each; a
 ## failing input lands under the package's testdata/fuzz, where plain
 ## `go test` replays it.
@@ -136,3 +136,5 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s ./internal/relation
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz '^FuzzShardReader$$' -fuzztime 10s ./internal/relation
+	$(GO) test -run '^$$' -fuzz '^FuzzWorkload$$' -fuzztime 10s ./internal/workload
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 10s ./internal/obs

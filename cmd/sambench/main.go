@@ -23,7 +23,7 @@
 // stats to stderr. -debug-addr serves live net/http/pprof, the telemetry
 // registry in Prometheus text format at /metrics (JSON at
 // /metrics.json), and the recent-event ring at /debug/events while the
-// run is hot. Traces written with -trace feed the samtrace analyzer.
+// run is hot. Traces written with -trace feed samreport -trace.
 // -runlog appends every pipeline event as structured JSONL and
 // -metrics-out snapshots the final registry as Prometheus text; every
 // invocation mints a run ID stamped into all artifacts (trace root,

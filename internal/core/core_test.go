@@ -59,6 +59,28 @@ func sizesOf(s *relation.Schema) map[string]int {
 	return out
 }
 
+// memShardSet stores pre-drawn samples (k × ncols codes, flat) as a
+// one-shard set in a fresh memory store.
+func memShardSet(flat []int32, ncols int, seed int64) (*ShardSet, error) {
+	st := newMemStore()
+	path := filepath.Join("shards", relation.ShardFileName(0))
+	f, err := st.create(path)
+	if err != nil {
+		return nil, err
+	}
+	w, err := relation.NewShardWriter(f, ncols, 0, seed)
+	if err == nil {
+		err = w.WriteRows(flat)
+	}
+	if err == nil {
+		err = w.PatchRows(f)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &ShardSet{NCols: ncols, Paths: []string{path}, Total: len(flat) / ncols, st: st}, nil
+}
+
 func TestGeneratorValidation(t *testing.T) {
 	s := paperSchema()
 	l := join.NewLayout(s)
@@ -88,13 +110,6 @@ func TestExactRecoveryFromEnumeratedFOJ(t *testing.T) {
 
 	// memory merges the samples as a one-shard memory set.
 	memory := func(t *testing.T, P int) *relation.Schema {
-		if P == 1 {
-			out, err := gen.Materialize(flat, DefaultGenOptions(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return out
-		}
 		set, err := memShardSet(flat, ncols, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -106,8 +121,8 @@ func TestExactRecoveryFromEnumeratedFOJ(t *testing.T) {
 		}
 		return out
 	}
-	// disk writes the samples as two shard files, reopens them and merges
-	// them to CSVs through spill files.
+	// disk writes the samples as two shard files and merges them to CSVs
+	// through spill files.
 	disk := func(t *testing.T, P int) *relation.Schema {
 		dir := t.TempDir()
 		shardDir := filepath.Join(dir, "shards")
@@ -115,8 +130,11 @@ func TestExactRecoveryFromEnumeratedFOJ(t *testing.T) {
 			t.Fatal(err)
 		}
 		half := (k / 2) * ncols
+		set := &ShardSet{NCols: ncols, Total: k, st: dirStore{}}
 		for shard, part := range [][]int32{flat[:half], flat[half:]} {
-			f, err := os.Create(filepath.Join(shardDir, relation.ShardFileName(shard)))
+			path := filepath.Join(shardDir, relation.ShardFileName(shard))
+			set.Paths = append(set.Paths, path)
+			f, err := os.Create(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,13 +151,6 @@ func TestExactRecoveryFromEnumeratedFOJ(t *testing.T) {
 			if err := f.Close(); err != nil {
 				t.Fatal(err)
 			}
-		}
-		set, err := OpenShardSet(shardDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if set.Total != k {
-			t.Fatalf("reopened shard set holds %d rows want %d", set.Total, k)
 		}
 		opts := DefaultStreamOptions(1, dir)
 		opts.Partitions = P
@@ -367,21 +378,6 @@ func TestSanitizeEnforcesIndicatorConsistency(t *testing.T) {
 	}
 	if row[l.ContentIndex("d", "v")] != 0 {
 		t.Fatal("NULL content not cleared")
-	}
-}
-
-func TestMaterializeRejectsBadBuffer(t *testing.T) {
-	s := paperSchema()
-	l := join.NewLayout(s)
-	gen, err := NewGenerator(l, identityDiscs(l), sizesOf(s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := gen.Materialize([]int32{1, 2, 3}, DefaultGenOptions(1)); err == nil {
-		t.Fatal("accepted misaligned buffer")
-	}
-	if _, err := gen.Materialize(nil, DefaultGenOptions(1)); err == nil {
-		t.Fatal("accepted empty buffer")
 	}
 }
 

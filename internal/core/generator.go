@@ -144,22 +144,6 @@ func (g *Generator) sanitize(dst []int32) {
 	}
 }
 
-// Materialize turns pre-drawn FOJ samples (k × NumCols bin codes, flat) into
-// a database: the samples become a one-shard memory set, merged as
-// Generate merges. It serves callers that already hold their samples,
-// such as an enumerated full outer join.
-func (g *Generator) Materialize(flat []int32, opts GenOptions) (*relation.Schema, error) {
-	ncols := g.Layout.NumCols()
-	if len(flat) == 0 || len(flat)%ncols != 0 {
-		return nil, fmt.Errorf("core: sample buffer of %d codes is not a multiple of %d columns", len(flat), ncols)
-	}
-	set, err := memShardSet(flat, ncols, opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	return g.materialize(set, StreamOptions{GenOptions: opts, Partitions: 1})
-}
-
 // materialize merges a shard set into in-memory tables: Group-and-Merge
 // through table sinks, or the pairwise-view ablation.
 func (g *Generator) materialize(set *ShardSet, opts StreamOptions) (*relation.Schema, error) {

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"io/fs"
 	"math/rand"
 	"path/filepath"
 	"runtime"
@@ -78,16 +76,11 @@ func shardRange(k, S, s int) (lo, hi int) {
 	return s * k / S, (s + 1) * k / S
 }
 
-// ShardSet describes the sample shards one run produced: where they are,
-// how many rows each holds, and the sampling coordinates needed to
-// regenerate any of them independently.
+// ShardSet describes the sample shards one run produced: where they are
+// and how many rows they hold.
 type ShardSet struct {
-	Dir   string
 	NCols int
-	Seed  int64
-	Batch int
 	Paths []string
-	Rows  []int
 	Total int
 	// Wall is the sampling phase's wall time (telemetry for scale
 	// benchmarks).
@@ -100,68 +93,6 @@ type ShardSet struct {
 // bytes per code.
 func (s *ShardSet) Bytes() int64 {
 	return int64(len(s.Paths))*relation.ShardHeaderSize + 4*int64(s.Total)*int64(s.NCols)
-}
-
-// OpenShardSet rebuilds a ShardSet from a directory of shard files
-// (sorted by shard index); used to re-merge previously sampled shards.
-func OpenShardSet(dir string) (*ShardSet, error) {
-	set := &ShardSet{Dir: dir, st: dirStore{}}
-	for shard := 0; ; shard++ {
-		path := filepath.Join(dir, relation.ShardFileName(shard))
-		f, err := set.st.open(path)
-		if errors.Is(err, fs.ErrNotExist) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		r, err := relation.NewShardReader(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("core: %s: %w", path, err)
-		}
-		if set.NCols == 0 {
-			set.NCols = r.NCols()
-			set.Seed = r.Seed()
-		} else if r.NCols() != set.NCols {
-			return nil, fmt.Errorf("core: shard %d has %d columns, want %d", shard, r.NCols(), set.NCols)
-		}
-		rows := int(r.Rows())
-		if rows < 0 {
-			return nil, fmt.Errorf("core: shard %d has no recorded row count", shard)
-		}
-		set.Paths = append(set.Paths, path)
-		set.Rows = append(set.Rows, rows)
-		set.Total += rows
-	}
-	if len(set.Paths) == 0 {
-		return nil, fmt.Errorf("core: no shard files in %s", dir)
-	}
-	return set, nil
-}
-
-// memShardSet stores pre-drawn samples (k × ncols codes, flat) as a
-// one-shard set in a fresh memory store.
-func memShardSet(flat []int32, ncols int, seed int64) (*ShardSet, error) {
-	st := newMemStore()
-	path := filepath.Join("shards", relation.ShardFileName(0))
-	f, err := st.create(path)
-	if err != nil {
-		return nil, err
-	}
-	w, err := relation.NewShardWriter(f, ncols, 0, seed)
-	if err == nil {
-		err = w.WriteRows(flat)
-	}
-	if err == nil {
-		err = w.PatchRows(f)
-	}
-	if err != nil {
-		return nil, err
-	}
-	k := len(flat) / ncols
-	return &ShardSet{Dir: "shards", NCols: ncols, Seed: seed, Batch: 1,
-		Paths: []string{path}, Rows: []int{k}, Total: k, st: st}, nil
 }
 
 // readAll returns every sample of the set, flattened in global row order.
@@ -236,8 +167,7 @@ func (g *Generator) SampleShards(newSampler func() join.TupleSampler, k int, opt
 		}
 	}
 
-	set := &ShardSet{Dir: dir, NCols: ncols, Seed: opts.Seed, Batch: batch,
-		Paths: make([]string, S), Rows: make([]int, S), Total: k, st: st}
+	set := &ShardSet{NCols: ncols, Paths: make([]string, S), Total: k, st: st}
 
 	// Worker×lane composition: sampling goroutines and the matmul kernels
 	// draw from one shared core budget. Each extra sampling goroutine
@@ -275,13 +205,12 @@ func (g *Generator) SampleShards(newSampler func() join.TupleSampler, k int, opt
 				return
 			}
 			lo, hi := shardRange(k, S, si)
-			rows, path, err := g.sampleOneShard(st, sampler, rngs, si, hi-lo, dir, span, opts, emitProgress)
+			path, err := g.sampleOneShard(st, sampler, rngs, si, hi-lo, dir, span, opts, emitProgress)
 			if err != nil {
 				fail(fmt.Errorf("core: shard %d: %w", si, err))
 				return
 			}
 			set.Paths[si] = path
-			set.Rows[si] = rows
 		}
 	}
 	for p := 1; p < phys; p++ {
@@ -311,32 +240,6 @@ func (g *Generator) SampleShards(newSampler func() join.TupleSampler, k int, opt
 	return set, nil
 }
 
-// SampleShard regenerates a single shard of a (Seed, k, shardCount, Batch)
-// configuration, bit-identical to the same shard of a full SampleShards
-// run — the contract that lets a lost or corrupted shard be rebuilt
-// without touching the others. The shard file is written under dir (a
-// shard directory, e.g. ShardSet.Dir).
-func (g *Generator) SampleShard(newSampler func() join.TupleSampler, k, shard int, dir string, opts StreamOptions) (string, int, error) {
-	S := opts.shardCount(k)
-	if shard < 0 || shard >= S {
-		return "", 0, fmt.Errorf("core: shard %d outside [0,%d)", shard, S)
-	}
-	st := dirStore{}
-	if err := st.mkdirAll(dir); err != nil {
-		return "", 0, fmt.Errorf("core: shard dir: %w", err)
-	}
-	rngs := make([]*rand.Rand, max(opts.Batch, 1))
-	for l := range rngs {
-		rngs[l] = rand.New(rand.NewSource(0))
-	}
-	lo, hi := shardRange(k, S, shard)
-	rows, path, err := g.sampleOneShard(st, newSampler(), rngs, shard, hi-lo, dir, opts.Span, opts, func(int) {})
-	if err != nil {
-		return "", 0, fmt.Errorf("core: shard %d: %w", shard, err)
-	}
-	return path, rows, nil
-}
-
 // sampleOneShard draws rows tuples for one shard, streaming them to the
 // shard file in st through a bounded chunk pipeline: the sampler fills
 // pooled chunk buffers and blocks when chunkBuffers of them are in
@@ -349,7 +252,7 @@ func (g *Generator) SampleShard(newSampler func() join.TupleSampler, k, shard in
 // order, rng consumption, and shard bytes are identical with observers on
 // or off, and the per-chunk wait clock only runs when a hook listens.
 func (g *Generator) sampleOneShard(st store, sampler join.TupleSampler, rngs []*rand.Rand,
-	shard, rows int, dir string, psp *obs.Span, opts StreamOptions, emitProgress func(int)) (int, string, error) {
+	shard, rows int, dir string, psp *obs.Span, opts StreamOptions, emitProgress func(int)) (string, error) {
 	ncols := g.Layout.NumCols()
 	batch := len(rngs)
 	// Chunks hold whole sweeps so a batched sweep never straddles buffers.
@@ -369,12 +272,12 @@ func (g *Generator) sampleOneShard(st store, sampler join.TupleSampler, rngs []*
 	path := filepath.Join(dir, relation.ShardFileName(shard))
 	f, err := st.create(path)
 	if err != nil {
-		return 0, "", err
+		return "", err
 	}
 	w, err := relation.NewShardWriter(f, ncols, shard, opts.Seed)
 	if err != nil {
 		f.Close()
-		return 0, "", err
+		return "", err
 	}
 
 	type chunk struct {
@@ -454,7 +357,7 @@ func (g *Generator) sampleOneShard(st store, sampler join.TupleSampler, rngs []*
 		err = fmt.Errorf("core: close shard: %w", cerr)
 	}
 	if err != nil {
-		return 0, "", err
+		return "", err
 	}
 	if wantPass {
 		sp.SetAttr("backpressure_us", bpWait.Microseconds())
@@ -466,5 +369,5 @@ func (g *Generator) sampleOneShard(st store, sampler join.TupleSampler, rngs []*
 			Wall:             time.Since(shardStart),
 		})
 	}
-	return rows, path, nil
+	return path, nil
 }

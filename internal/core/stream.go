@@ -290,7 +290,7 @@ func (g *Generator) merge(set *ShardSet, opts StreamOptions, res *StreamResult, 
 		tStart := time.Now()
 		// One span per table (path merge/table, attr "name"), with the
 		// three spill passes as A/B/C children — the per-pass self/total
-		// attribution samtrace renders for a scale run.
+		// attribution samreport renders for a scale run.
 		tspan := mergeSpan.Child("table")
 		tspan.SetAttr("name", tc.t.Name)
 		rows, groups, err := g.streamTable(set, tc, parent, buf, P, spillDir, newSink, rng, tspan, opts)

@@ -175,12 +175,6 @@ func boolToInt(b bool) int {
 	return 0
 }
 
-// IMDBSizes controls the scale of the IMDB-like database relative to the
-// title row count.
-type IMDBSizes struct {
-	TitleRows int
-}
-
 // IMDB generates the JOB-light star schema: title at the root and five
 // foreign-key relations (cast_info, movie_companies, movie_info,
 // movie_info_idx, movie_keyword). Fanouts are heavy-tailed and may be zero

@@ -179,8 +179,12 @@ func TestIMDBFanoutsAreSkewedWithZeros(t *testing.T) {
 func TestIMDBFOJLargerThanBaseTables(t *testing.T) {
 	s := IMDB(6, 500)
 	foj := engine.FOJSize(s)
-	if foj <= int64(s.TotalRows()) {
-		t.Fatalf("FOJ size %d should exceed total base rows %d", foj, s.TotalRows())
+	base := 0
+	for _, tab := range s.Tables {
+		base += tab.NumRows()
+	}
+	if foj <= int64(base) {
+		t.Fatalf("FOJ size %d should exceed total base rows %d", foj, base)
 	}
 }
 

@@ -9,7 +9,6 @@ package engine
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -140,16 +139,6 @@ func Label(s *relation.Schema, queries []workload.Query) []workload.CardQuery {
 	return out
 }
 
-// SignedCard evaluates an inclusion–exclusion expansion: Σ sign·Card.
-func SignedCard(s *relation.Schema, sq []workload.SignedQuery) int64 {
-	c := newCounter(newJoinIndex(s, nil))
-	var total int64
-	for i := range sq {
-		total += int64(sq[i].Sign) * c.card(&sq[i].Query)
-	}
-	return total
-}
-
 // Enumerate executes q and walks every result tuple, returning the result
 // cardinality. Unlike Card — whose cost is dominated by scans — Enumerate
 // spends work proportional to the output size (it visits each join
@@ -252,62 +241,4 @@ func TimedEnumerate(s *relation.Schema, q *workload.Query) (int64, time.Duration
 	start := time.Now()
 	card := Enumerate(s, q)
 	return card, time.Since(start)
-}
-
-// Describe returns an EXPLAIN-style, human-readable account of how q
-// executes: join order along the schema tree and per-table filter
-// selectivity. Used by inspection tooling and examples.
-func Describe(s *relation.Schema, q *workload.Query) string {
-	var sb strings.Builder
-	inQ := make(map[string]bool, len(q.Tables))
-	for _, name := range q.Tables {
-		inQ[name] = true
-	}
-	root := q.Tables[0]
-	for _, name := range q.Tables {
-		parent := s.Table(name).Parent
-		if parent == "" || !inQ[parent] {
-			root = name
-			break
-		}
-	}
-	var walk func(table string, depth int)
-	walk = func(table string, depth int) {
-		t := s.Table(table)
-		mask := MatchMask(t, q.Preds)
-		matched := 0
-		for _, m := range mask {
-			if m {
-				matched++
-			}
-		}
-		var preds []string
-		for _, p := range q.Preds {
-			if p.Table == table {
-				if p.Op == workload.IN {
-					preds = append(preds, fmt.Sprintf("%s IN(%d values)", p.Column, len(p.Codes)))
-				} else {
-					preds = append(preds, fmt.Sprintf("%s %v %d", p.Column, p.Op, p.Code))
-				}
-			}
-		}
-		pad := strings.Repeat("  ", depth)
-		join := "scan"
-		if depth > 0 {
-			join = "hash-join on " + t.Parent + ".pk"
-		}
-		fmt.Fprintf(&sb, "%s%s %s: %d/%d rows pass", pad, join, table, matched, t.NumRows())
-		if len(preds) > 0 {
-			fmt.Fprintf(&sb, " [%s]", strings.Join(preds, " AND "))
-		}
-		sb.WriteByte('\n')
-		for _, c := range s.Children(table) {
-			if inQ[c.Name] {
-				walk(c.Name, depth+1)
-			}
-		}
-	}
-	walk(root, 0)
-	fmt.Fprintf(&sb, "result: %d rows\n", Card(s, q))
-	return sb.String()
 }

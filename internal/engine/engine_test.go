@@ -3,7 +3,6 @@ package engine
 import (
 	"math/rand"
 	"runtime"
-	"strings"
 	"testing"
 
 	"sam/internal/relation"
@@ -234,30 +233,6 @@ func TestLabelParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestSignedCardInclusionExclusion(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	s := buildTestSchema(rng, 40, 40)
-	root := s.Table("root")
-	clauses := []workload.Query{
-		{Tables: []string{"root"}, Preds: []workload.Predicate{{Table: "root", Column: "r1", Op: workload.LE, Code: 1}}},
-		{Tables: []string{"root"}, Preds: []workload.Predicate{{Table: "root", Column: "r2", Op: workload.EQ, Code: 2}}},
-	}
-	sq, err := workload.ExpandDisjunction(clauses)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := SignedCard(s, sq)
-	var want int64
-	for i := 0; i < root.NumRows(); i++ {
-		if root.Cols[0].Data[i] <= 1 || root.Cols[1].Data[i] == 2 {
-			want++
-		}
-	}
-	if got != want {
-		t.Fatalf("IE card = %d want %d", got, want)
-	}
-}
-
 func TestCardEmptyJoinIsZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	s := buildTestSchema(rng, 10, 10)
@@ -321,22 +296,6 @@ func TestTimedEnumerateScalesWithOutput(t *testing.T) {
 	if bigBest < smallBest*2 {
 		t.Fatalf("latency not output-sensitive: big %dns (card %d) small %dns (card %d)",
 			bigBest, cb, smallBest, db)
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	s := buildTestSchema(rng, 20, 30)
-	q := workload.Query{Tables: []string{"root", "b", "d"}, Preds: []workload.Predicate{
-		{Table: "root", Column: "r1", Op: workload.LE, Code: 2},
-		{Table: "d", Column: "d1", Op: workload.IN, Codes: []int32{0, 1}},
-	}}
-	out := Describe(s, &q)
-	for _, want := range []string{"scan root", "hash-join on root.pk", "hash-join on b.pk",
-		"r1 <= 2", "IN(2 values)", "result:"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Describe missing %q:\n%s", want, out)
-		}
 	}
 }
 

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"sam/internal/ar"
 	"sam/internal/core"
@@ -168,16 +167,4 @@ func Runners() []Runner {
 		{"ext2", ExtProgressiveSamples, "extension: DPS progressive-sample sweep"},
 		{"ext3", ExtIndependence, "extension: independence baseline comparison"},
 	}
-}
-
-// All runs every experiment and returns the reports in paper order.
-func All(c *Context) []*Report {
-	var out []*Report
-	for _, r := range Runners() {
-		start := time.Now()
-		rep := r.Fn(c)
-		c.Logf("experiment %s finished in %v", r.ID, time.Since(start).Round(time.Millisecond))
-		out = append(out, rep)
-	}
-	return out
 }

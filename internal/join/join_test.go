@@ -79,7 +79,7 @@ func TestFanoutCodeRoundTrip(t *testing.T) {
 			t.Fatalf("fanout %d not in tightest bin (code %d)", f, code)
 		}
 		// The representative must lie inside the bin's range.
-		v := l.FanoutValue("B", code)
+		v := l.Cols[fb].Bins[code]
 		if v < edges[code] {
 			t.Fatalf("representative %v below edge %v", v, edges[code])
 		}
@@ -87,13 +87,13 @@ func TestFanoutCodeRoundTrip(t *testing.T) {
 			t.Fatalf("representative %v beyond next edge %v", v, edges[code+1])
 		}
 	}
-	if l.FanoutCode("B", 0) != 0 || l.FanoutValue("B", 0) != 0 {
+	if l.FanoutCode("B", 0) != 0 || l.Cols[fb].Bins[0] != 0 {
 		t.Fatal("fanout 0 must land in the absent bin")
 	}
 	// Small fanouts are exact (the last exact edge is 15; 16 falls in the
 	// first geometric bucket [16, 18)).
 	for f := int64(1); f <= 15; f++ {
-		if got := l.FanoutValue("B", l.FanoutCode("B", f)); got != float64(f) {
+		if got := l.Cols[fb].Bins[l.FanoutCode("B", f)]; got != float64(f) {
 			t.Fatalf("fanout %d not exact: representative %v", f, got)
 		}
 	}
@@ -262,9 +262,6 @@ func TestOracleNullHandling(t *testing.T) {
 			if dst[fb] != 0 || dst[fc] != 0 {
 				t.Fatalf("absent children must use the zero fanout bin: %d %d", dst[fb], dst[fc])
 			}
-			if !(!l.Present(dst, "B") && !l.Present(dst, "C")) {
-				t.Fatal("Present() must report absence")
-			}
 		} else {
 			if dst[fb] == 0 || dst[fc] == 0 {
 				t.Fatalf("joined children must have nonzero fanout bins: %d %d", dst[fb], dst[fc])
@@ -289,12 +286,12 @@ func TestOracleFanoutCodesAreConsistent(t *testing.T) {
 		o.SampleFOJ(rng, dst)
 		// Root row 1 (a=m, B rows {b,c}) has B-fanout 2; root row 0 has 1.
 		if dst[aIdx] == 0 && dst[bIdx] == 0 { // B.b == a ⇒ root row 0
-			if l.FanoutValue("B", int(dst[fb])) != 1 {
+			if l.Cols[fb].Bins[dst[fb]] != 1 {
 				t.Fatal("fanout of key 0 should be 1")
 			}
 		}
 		if dst[bIdx] == 1 || dst[bIdx] == 2 { // rows joining key 1
-			if l.FanoutValue("B", int(dst[fb])) != 2 {
+			if l.Cols[fb].Bins[dst[fb]] != 2 {
 				t.Fatal("fanout of key 1 should be 2")
 			}
 		}
@@ -359,7 +356,6 @@ func TestLayoutPanicsOnUnknownNames(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"ContentIndex": func() { l.ContentIndex("A", "nope") },
 		"FanoutCode":   func() { l.FanoutCode("A", 1) },
-		"FanoutValue":  func() { l.FanoutValue("A", 0) },
 	} {
 		func() {
 			defer func() {

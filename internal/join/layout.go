@@ -197,26 +197,6 @@ func (l *Layout) FanoutCode(table string, fanout int64) int {
 	return 0
 }
 
-// FanoutValue decodes a fanout code to its representative value (0 for the
-// absent bin).
-func (l *Layout) FanoutValue(table string, code int) float64 {
-	idx, ok := l.fanoutIdx[table]
-	if !ok {
-		panic(fmt.Sprintf("join: table %s has no fanout column", table))
-	}
-	return l.Cols[idx].Bins[code]
-}
-
-// Present reports whether the sample row has table participating (fanout
-// bin > 0). Root tables are always present.
-func (l *Layout) Present(row []int32, table string) bool {
-	idx, ok := l.fanoutIdx[table]
-	if !ok {
-		return true
-	}
-	return row[idx] != 0
-}
-
 // IdentifierColumns returns the model indices of Identifier(T.pk) from
 // Theorem 2: the content columns of {T} ∪ Ancestors(T) plus the fanout
 // columns of every FK relation whose parent lies in that set, and of the

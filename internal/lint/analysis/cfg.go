@@ -404,23 +404,6 @@ func IsPanicTerm(term ast.Stmt) bool {
 	return ok && isPanicCall(es.X)
 }
 
-// Reachable returns the set of blocks reachable from the entry.
-func (c *CFG) Reachable() map[*Block]bool {
-	seen := map[*Block]bool{c.Entry: true}
-	work := []*Block{c.Entry}
-	for len(work) > 0 {
-		blk := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, s := range blk.Succs {
-			if !seen[s] {
-				seen[s] = true
-				work = append(work, s)
-			}
-		}
-	}
-	return seen
-}
-
 // UncoveredExit asks the every-path question: starting just after the
 // statement `from` (or at the entry when from is nil), can control reach
 // the function exit without passing a node for which pass returns true?

@@ -189,8 +189,25 @@ func TestCFGDefers(t *testing.T) {
 	}
 }
 
+// reachable returns the set of c's blocks reachable from the entry.
+func reachable(c *CFG) map[*Block]bool {
+	seen := map[*Block]bool{c.Entry: true}
+	work := []*Block{c.Entry}
+	for len(work) > 0 {
+		blk := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, s := range blk.Succs {
+			if !seen[s] {
+				seen[s] = true
+				work = append(work, s)
+			}
+		}
+	}
+	return seen
+}
+
 // TestCFGReachableDeadCode checks that statements after a terminator land
-// in a block Reachable does not include.
+// in a block that is not reachable from the entry.
 func TestCFGReachableDeadCode(t *testing.T) {
 	body := parseBody(t, `
 	a()
@@ -198,7 +215,7 @@ func TestCFGReachableDeadCode(t *testing.T) {
 	b()
 `)
 	cfg := BuildCFG(body)
-	reach := cfg.Reachable()
+	reach := reachable(cfg)
 	dead := findStmt(cfg.Body, callNamed("b"))
 	if dead == nil {
 		t.Fatal("b() not found")
@@ -339,7 +356,7 @@ func TestCFGNodePlacementInvariant(t *testing.T) {
 		for _, blk := range cfg.Blocks {
 			known[blk] = true
 		}
-		reach := cfg.Reachable()
+		reach := reachable(cfg)
 		for _, blk := range cfg.Blocks {
 			for _, s := range blk.Succs {
 				if !known[s] {

@@ -118,9 +118,6 @@ func (g *TaintGraph) addEdges(srcs []types.Object, dst types.Object) {
 	}
 }
 
-// Sanitized reports whether obj passes through a sanitizer in this body.
-func (g *TaintGraph) Sanitized(obj types.Object) bool { return g.sanitized[obj] }
-
 // Reach returns the set of objects transitively derived from seeds.
 // Seeds themselves are included (unless sanitized); propagation stops at
 // sanitized objects.

@@ -100,7 +100,7 @@ func f(m map[string]int) []string {
 	k := objByName(t, fn.Body, info, "k")
 	tainted := g.Reach([]types.Object{k})
 	keys := objByName(t, fn.Body, info, "keys")
-	if !g.Sanitized(keys) {
+	if !g.sanitized[keys] {
 		t.Fatal("keys not marked sanitized by sort.Strings")
 	}
 	if tainted[keys] {
@@ -127,7 +127,7 @@ func f(m map[int]int) []int {
 `)
 	g := BuildTaint(fn.Body, info)
 	keys := objByName(t, fn.Body, info, "keys")
-	if !g.Sanitized(keys) {
+	if !g.sanitized[keys] {
 		t.Fatal("keys not sanitized by slices.Sort")
 	}
 }

@@ -80,6 +80,3 @@ func (a *Adam) Step(pairs []GradPair) {
 		p.Param.MarkDirty()
 	}
 }
-
-// StepCount returns the number of updates applied so far.
-func (a *Adam) StepCount() int { return a.step }

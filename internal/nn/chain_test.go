@@ -51,7 +51,7 @@ func chainMatchesFull(t *testing.T, b Backbone, batch int) {
 		gRef := tensor.NewGraph()
 		xRef := gRef.Param(prefix)
 		ref := gRef.SliceCols(b.Forward(gRef, xRef), off, size)
-		gRef.Backward(gRef.SumAll(gRef.MulElem(ref, gRef.Const(weights))))
+		gRef.Backward(gRef.Mean(gRef.MulElem(ref, gRef.Const(weights))))
 
 		g.Reset()
 		chain.Reset(g, batch)
@@ -69,7 +69,7 @@ func chainMatchesFull(t *testing.T, b Backbone, batch int) {
 			}
 			got = chain.Next(y)
 		}
-		g.Backward(g.SumAll(g.MulElem(got, g.Const(weights))))
+		g.Backward(g.Mean(g.MulElem(got, g.Const(weights))))
 
 		if got.Val.Rows != batch || got.Val.Cols != size {
 			t.Fatalf("column %d: Next gave %v, want %d×%d", i, got.Val, batch, size)

@@ -122,8 +122,8 @@ func TestAdamMinimizesQuadratic(t *testing.T) {
 			t.Fatalf("Adam did not converge: %v vs %v", w.Data, target.Data)
 		}
 	}
-	if opt.StepCount() != 500 {
-		t.Fatalf("step count %d", opt.StepCount())
+	if opt.step != 500 {
+		t.Fatalf("step count %d", opt.step)
 	}
 }
 

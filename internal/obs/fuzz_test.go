@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -79,5 +81,51 @@ func FuzzParsePrometheus(f *testing.F) {
 				}
 			}
 		}
+	})
+}
+
+// FuzzReadTrace checks the trace reader errors or returns, never panics,
+// and that an accepted trace re-marshals, one record per line, to records
+// that read back equal; and that every analysis samreport runs on a trace
+// accepts it without panicking.
+func FuzzReadTrace(f *testing.F) {
+	f.Add(traceTwoSpans)
+	f.Add(traceRepeatedID)
+	seed, err := ReadTrace(strings.NewReader(traceTwoSpans))
+	if err != nil {
+		f.Fatal(err)
+	}
+	base := AnalyzeTrace(seed)
+
+	f.Fuzz(func(t *testing.T, text string) {
+		recs, err := ReadTrace(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		for i := range recs {
+			line, err := json.Marshal(recs[i])
+			if err != nil {
+				t.Fatalf("accepted record %+v does not re-marshal: %v", recs[i], err)
+			}
+			buf.Write(append(line, '\n'))
+			// omitempty drops an empty attrs object, which reads back nil.
+			if len(recs[i].Attrs) == 0 {
+				recs[i].Attrs = nil
+			}
+		}
+		again, err := ReadTrace(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("re-marshaled trace rejected: %v\n%s", err, buf.Bytes())
+		}
+		if !reflect.DeepEqual(recs, again) {
+			t.Fatalf("records changed across a round trip:\n%+v\n%+v", recs, again)
+		}
+
+		stats := AnalyzeTrace(recs)
+		WriteTraceTree(io.Discard, stats)
+		WriteTopSpans(io.Discard, stats, 5)
+		WriteTraceDiff(io.Discard, DiffTraces(base, stats))
+		WriteTraceDiff(io.Discard, DiffTraces(stats, stats))
 	})
 }

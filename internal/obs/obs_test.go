@@ -214,7 +214,8 @@ func TestSpanNestingRoundTrip(t *testing.T) {
 }
 
 // TestReadTraceRejectsMalformed covers the checker used by the CI smoke
-// run: empty traces, broken JSON, and orphan parents must all error.
+// run: empty traces, broken JSON, orphan parents and repeated span ids
+// must all error.
 func TestReadTraceRejectsMalformed(t *testing.T) {
 	if _, err := ReadTrace(strings.NewReader("")); err == nil {
 		t.Fatal("empty trace accepted")
@@ -226,7 +227,20 @@ func TestReadTraceRejectsMalformed(t *testing.T) {
 	if _, err := ReadTrace(strings.NewReader(orphan)); err == nil {
 		t.Fatal("orphan parent accepted")
 	}
+	if _, err := ReadTrace(strings.NewReader(traceRepeatedID)); err == nil {
+		t.Fatal("repeated span id accepted")
+	}
 }
+
+// traceTwoSpans is a root span with one child; traceRepeatedID reuses the
+// root's id for a second span.
+const (
+	traceTwoSpans = `{"id":1,"parent":0,"name":"run","start_us":0,"wall_us":10,"alloc_bytes":64,"mallocs":2,"gcs":0,"attrs":{"seed":1}}
+{"id":2,"parent":1,"name":"train","start_us":1,"wall_us":6,"alloc_bytes":32,"mallocs":1,"gcs":0}
+`
+	traceRepeatedID = traceTwoSpans + `{"id":1,"parent":2,"name":"epoch","start_us":2,"wall_us":3,"alloc_bytes":0,"mallocs":0,"gcs":0}
+`
+)
 
 // TestNilTraceAndHooksAreNoOps pins the disabled-telemetry contract: nil
 // receivers must be callable and free of effects.

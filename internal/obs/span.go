@@ -183,8 +183,8 @@ func (tr *Trace) WriteJSONL(w io.Writer) error {
 }
 
 // ReadTrace parses a JSONL trace back into records (the round-trip half of
-// WriteJSONL). It rejects empty traces, malformed lines, and spans whose
-// parent is not defined on an earlier line.
+// WriteJSONL). It rejects empty traces, malformed lines, repeated span
+// ids, and spans whose parent is not defined on an earlier line.
 func ReadTrace(r io.Reader) ([]SpanRecord, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
@@ -203,6 +203,9 @@ func ReadTrace(r io.Reader) ([]SpanRecord, error) {
 		}
 		if rec.ID == 0 {
 			return nil, fmt.Errorf("obs: trace line %d: span id 0", line)
+		}
+		if seen[rec.ID] {
+			return nil, fmt.Errorf("obs: trace line %d: repeated span id %d", line, rec.ID)
 		}
 		if rec.Parent != 0 && !seen[rec.Parent] {
 			return nil, fmt.Errorf("obs: trace line %d: parent %d not yet defined", line, rec.Parent)

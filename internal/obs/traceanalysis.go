@@ -93,8 +93,8 @@ func AnalyzeTrace(recs []SpanRecord) []PathStat {
 }
 
 // WriteTraceTree renders per-path statistics as an indented tree with
-// total and self wall time and allocation attribution — the samtrace
-// default view.
+// total and self wall time and allocation attribution, as samreport's
+// phase-trace section shows it.
 func WriteTraceTree(w io.Writer, stats []PathStat) {
 	fmt.Fprintf(w, "%-44s %6s %12s %12s %12s %12s\n",
 		"span", "count", "total", "self", "alloc", "self-alloc")

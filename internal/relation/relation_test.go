@@ -143,9 +143,6 @@ func TestSchemaTopoOrderAndLookups(t *testing.T) {
 	if s.SingleTable() {
 		t.Fatal("SingleTable wrong")
 	}
-	if s.TotalRows() != 12 {
-		t.Fatalf("TotalRows = %d", s.TotalRows())
-	}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}

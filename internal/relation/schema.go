@@ -135,12 +135,3 @@ func (s *Schema) Validate() error {
 	}
 	return nil
 }
-
-// TotalRows returns the sum of row counts across tables.
-func (s *Schema) TotalRows() int {
-	var n int
-	for _, t := range s.Tables {
-		n += t.NumRows()
-	}
-	return n
-}

@@ -145,12 +145,6 @@ func NewShardReader(r io.Reader) (*ShardReader, error) {
 // NCols returns the columns per row.
 func (s *ShardReader) NCols() int { return s.ncols }
 
-// Shard returns the shard index recorded in the header.
-func (s *ShardReader) Shard() int { return s.shard }
-
-// Seed returns the generation run seed recorded in the header.
-func (s *ShardReader) Seed() int64 { return s.seed }
-
 // Rows returns the header row count, or -1 when it was not patched in.
 func (s *ShardReader) Rows() int64 { return s.rows }
 

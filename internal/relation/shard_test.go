@@ -55,8 +55,8 @@ func TestShardRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.NCols() != 4 || r.Shard() != 3 || r.Seed() != 99 {
-		t.Fatalf("header ncols=%d shard=%d seed=%d", r.NCols(), r.Shard(), r.Seed())
+	if r.NCols() != 4 || r.shard != 3 || r.seed != 99 {
+		t.Fatalf("header ncols=%d shard=%d seed=%d", r.NCols(), r.shard, r.seed)
 	}
 	if r.Rows() != 4 {
 		t.Fatalf("patched row count %d want 4", r.Rows())
@@ -186,7 +186,7 @@ func FuzzShardReader(f *testing.F) {
 			rows = append(rows, buf[:n*r.NCols()]...)
 		}
 		var out bytes.Buffer
-		w, err := NewShardWriter(&out, r.NCols(), r.Shard(), r.Seed())
+		w, err := NewShardWriter(&out, r.NCols(), r.shard, r.seed)
 		if err != nil {
 			t.Fatalf("accepted header does not write: %v", err)
 		}

@@ -11,7 +11,6 @@ const (
 	opMatMul
 	opMatMulTB
 	opMaskedMatMul
-	opMulConst
 	opAddRow
 	opAdd
 	opSub
@@ -21,7 +20,6 @@ const (
 	opLog
 	opSquare
 	opMean
-	opSumAll
 	opDot
 	opReciprocal
 	opConcatCols

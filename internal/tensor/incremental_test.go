@@ -26,20 +26,14 @@ func TestMaskedLinearReLUIntoMatchesWindow(t *testing.T) {
 
 	gRef := NewGraph()
 	xRef := gRef.Param(x)
-	var loss *Node
+	var parts []*Node
 	for _, b := range bands {
 		if b[1] == b[2] {
 			continue
 		}
-		out := gRef.ReLU(gRef.AddRowAt(gRef.MaskedMatMulWindow(xRef, gRef.Param(w), cache, b[0], b[1], b[2]), gRef.Param(bias), b[1]))
-		part := gRef.SumAll(gRef.MulElem(out, gRef.Const(colsOf(weights, b[1], b[2]))))
-		if loss == nil {
-			loss = part
-		} else {
-			loss = gRef.Add(loss, part)
-		}
+		parts = append(parts, gRef.ReLU(gRef.AddRowAt(gRef.MaskedMatMulWindow(xRef, gRef.Param(w), cache, b[0], b[1], b[2]), gRef.Param(bias), b[1])))
 	}
-	gRef.Backward(loss)
+	gRef.Backward(gRef.Mean(gRef.MulElem(gRef.ConcatCols(parts...), gRef.Const(weights))))
 
 	g := NewGraph()
 	xs := g.Param(x)
@@ -49,7 +43,7 @@ func TestMaskedLinearReLUIntoMatchesWindow(t *testing.T) {
 	for _, b := range bands {
 		g.MaskedLinearReLUInto(dst, xb, g.Param(w), g.Param(bias), cache, b[0], b[1], b[2])
 	}
-	g.Backward(g.SumAll(g.MulElem(dst, g.Const(weights))))
+	g.Backward(g.Mean(g.MulElem(dst, g.Const(weights))))
 
 	for i := 0; i < 4; i++ {
 		for _, b := range bands {
@@ -70,15 +64,6 @@ func TestMaskedLinearReLUIntoMatchesWindow(t *testing.T) {
 			}
 		}
 	}
-}
-
-// colsOf returns columns [lo, hi) of t as a new tensor.
-func colsOf(t *Tensor, lo, hi int) *Tensor {
-	out := New(t.Rows, hi-lo)
-	for i := 0; i < t.Rows; i++ {
-		copy(out.Row(i), t.Row(i)[lo:hi])
-	}
-	return out
 }
 
 // sumRowWindow returns Σ_{k<rowEnd} x[i,k]·mw[k,j].
@@ -124,23 +109,13 @@ func TestAttendStepMatchesCausalAttention(t *testing.T) {
 		return g.Param(out)
 	}
 	var qs, ks, vs, outs []*Node
-	var loss *Node
 	for j := 0; j < steps; j++ {
 		qs, ks, vs = append(qs, pos(qn, j)), append(ks, pos(kn, j)), append(vs, pos(vn, j))
-		out := g.AttendStep(qs[j], ks, vs, heads, scale)
-		outs = append(outs, out)
-		wj := New(rows, d)
-		for r := 0; r < rows; r++ {
-			copy(wj.Row(r), weights.Row(r*steps+j))
-		}
-		part := g.SumAll(g.MulElem(out, g.Const(wj)))
-		if loss == nil {
-			loss = part
-		} else {
-			loss = g.Add(loss, part)
-		}
+		outs = append(outs, g.AttendStep(qs[j], ks, vs, heads, scale))
 	}
-	g.Backward(loss)
+	// Concatenated, the step outputs hold row r's positions side by side,
+	// which is weights read as rows × (steps·d).
+	g.Backward(g.Mean(g.MulElem(g.ConcatCols(outs...), g.Const(FromSlice(rows, steps*d, weights.Data)))))
 
 	for r := 0; r < rows; r++ {
 		gRef := NewGraph()
@@ -155,7 +130,8 @@ func TestAttendStepMatchesCausalAttention(t *testing.T) {
 		}
 		ref := gRef.ConcatCols(headOuts...)
 		wr := FromSlice(steps, d, append([]float64(nil), weights.Data[r*steps*d:(r+1)*steps*d]...))
-		gRef.Backward(gRef.SumAll(gRef.MulElem(ref, gRef.Const(wr))))
+		// One row's Mean spans 1/rows of the step form's, so scale to match.
+		gRef.Backward(gRef.Scale(gRef.Mean(gRef.MulElem(ref, gRef.Const(wr))), 1/float64(rows)))
 		for j := 0; j < steps; j++ {
 			check := func(what string, want, got []float64) {
 				for c := range want {

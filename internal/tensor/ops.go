@@ -33,7 +33,7 @@ func (g *Graph) MatMulTB(a, b *Node) *Node {
 // whose weights are unchanged since the last optimizer step. w must be the
 // node binding the cache's weight tensor (typically g.Param(cache.Weight())).
 // Gradients flow to x through the masked weights and to W through the mask,
-// exactly as for MatMul(x, MulConst(w, mask)).
+// exactly as for MatMul(x, MulElem(w, Const(mask))).
 func (g *Graph) MaskedMatMul(x, w *Node, cache *MaskedWeight) *Node {
 	if x.Val.Cols != w.Val.Rows {
 		panic(fmt.Sprintf("tensor: MaskedMatMul shape mismatch %v·%v", x.Val, w.Val))
@@ -70,22 +70,6 @@ func (g *Graph) MaskedMatMulWindow(x, w *Node, cache *MaskedWeight, rowEnd, colO
 	n.aux2 = mw
 	n.mwc = cache
 	n.i1, n.i2 = rowEnd, colOff
-	return n
-}
-
-// MulConst returns a⊙m for a constant mask m (used for MADE weight masks).
-// The gradient to a is likewise masked.
-func (g *Graph) MulConst(a *Node, m *Tensor) *Node {
-	if !a.Val.SameShape(m) {
-		panic("tensor: MulConst shape mismatch")
-	}
-	out := g.alloc(a.Val.Rows, a.Val.Cols, false)
-	for i, v := range a.Val.Data {
-		out.Data[i] = v * m.Data[i]
-	}
-	n := g.push(out, opMulConst, a.requiresGrad)
-	n.a = a
-	n.aux1 = m
 	return n
 }
 
@@ -222,19 +206,6 @@ func (g *Graph) Mean(a *Node) *Node {
 	n := g.push(out, opMean, a.requiresGrad)
 	n.a = a
 	n.f1 = inv
-	return n
-}
-
-// SumAll returns the scalar sum of all elements of a as a 1×1 node.
-func (g *Graph) SumAll(a *Node) *Node {
-	out := g.alloc(1, 1, false)
-	var s float64
-	for _, v := range a.Val.Data {
-		s += v
-	}
-	out.Data[0] = s
-	n := g.push(out, opSumAll, a.requiresGrad)
-	n.a = a
 	return n
 }
 
@@ -525,11 +496,6 @@ func (g *Graph) backstep(n *Node) {
 	case opMaskedMatMul:
 		win := window{n.i1, n.i2, n.i2 + n.Val.Cols}
 		g.maskedWindowBackward(n.a, n.b, n.Grad, n.aux1, n.aux2, n.mwc.spans, win)
-	case opMulConst:
-		a, m := n.a, n.aux1
-		for i, gv := range n.Grad.Data {
-			a.Grad.Data[i] += gv * m.Data[i]
-		}
 	case opAddRow:
 		a, b := n.a, n.b
 		if a.requiresGrad {
@@ -597,12 +563,6 @@ func (g *Graph) backstep(n *Node) {
 	case opMean:
 		a := n.a
 		gv := n.Grad.Data[0] * n.f1
-		for i := range a.Grad.Data {
-			a.Grad.Data[i] += gv
-		}
-	case opSumAll:
-		a := n.a
-		gv := n.Grad.Data[0]
 		for i := range a.Grad.Data {
 			a.Grad.Data[i] += gv
 		}

@@ -105,7 +105,8 @@ func (t *Tensor) XavierInit(rng *rand.Rand, fanIn, fanOut int) {
 }
 
 // The matmul kernels below come in Into (dst overwritten) and AddInto
-// (dst accumulated) flavors. All of them register-block four rows of the
+// (dst accumulated) flavors; aᵀ·b, which only backward passes use, comes
+// as AddInto alone. All of them register-block four rows of the
 // streamed operand for instruction-level parallelism, tile the k dimension
 // so the streamed block stays cache-resident, fall back to a zero-skipping
 // scalar path for sparse (one-hot style) inputs, and shard output rows
@@ -308,36 +309,20 @@ func matMulRange(c kernelCall, lo, hi int) {
 	}
 }
 
-// MatMulTransAInto computes dst = aᵀ·b (a is used transposed).
-func MatMulTransAInto(dst, a, b *Tensor) {
-	checkMatMulTransA(dst, a, b)
-	runKernel(a.Cols, a.Rows*a.Cols*b.Cols, matMulTransARange, kernelCall{dst: dst, a: a, b: b})
-}
-
 // MatMulTransAAddInto computes dst += aᵀ·b.
 func MatMulTransAAddInto(dst, a, b *Tensor) {
-	checkMatMulTransA(dst, a, b)
-	runKernel(a.Cols, a.Rows*a.Cols*b.Cols, matMulTransARange, kernelCall{dst: dst, a: a, b: b, acc: true})
-}
-
-func checkMatMulTransA(dst, a, b *Tensor) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmulTA shape mismatch %v,%v→%v", a, b, dst))
 	}
+	runKernel(a.Cols, a.Rows*a.Cols*b.Cols, matMulTransARange, kernelCall{dst: dst, a: a, b: b})
 }
 
 // matMulTransARange computes dst rows [lo, hi) — i.e. a's columns lo..hi —
-// of dst = aᵀ·b (or += with acc). Four rows of a/b are blocked together so
-// each pass over the dst shard amortizes their loads.
+// of dst += aᵀ·b. Four rows of a/b are blocked together so each pass over
+// the dst shard amortizes their loads.
 func matMulTransARange(c kernelCall, lo, hi int) {
 	dst, a, b := c.dst, c.a, c.b
 	cols, n := a.Cols, b.Cols
-	if !c.acc {
-		z := dst.Data[lo*n : hi*n]
-		for i := range z {
-			z[i] = 0
-		}
-	}
 	if n == 0 {
 		return
 	}

@@ -77,7 +77,7 @@ func TestMatMulTransposeVariants(t *testing.T) {
 	want := New(3, 5)
 	MatMulInto(want, at, b)
 	got := New(3, 5)
-	MatMulTransAInto(got, a, b)
+	MatMulTransAAddInto(got, a, b)
 	for i := range want.Data {
 		if !almostEq(got.Data[i], want.Data[i], 1e-12) {
 			t.Fatalf("TransA mismatch at %d", i)
@@ -267,7 +267,7 @@ func TestGradMulConstMask(t *testing.T) {
 	w.Randn(rng, 1)
 	mask := FromSlice(2, 3, []float64{1, 0, 1, 0, 1, 1})
 	gradCheck(t, w, func(g *Graph, p *Node) *Node {
-		return g.Mean(g.Square(g.MulConst(p, mask)))
+		return g.Mean(g.Square(g.MulElem(p, g.Const(mask))))
 	})
 }
 
@@ -487,7 +487,6 @@ func TestOpShapeContracts(t *testing.T) {
 		{"Add", func(g *Graph) { g.Add(g.Const(a23), g.Const(a32)) }},
 		{"Sub", func(g *Graph) { g.Sub(g.Const(a23), g.Const(a22)) }},
 		{"MulElem", func(g *Graph) { g.MulElem(g.Const(a23), g.Const(a22)) }},
-		{"MulConst", func(g *Graph) { g.MulConst(g.Const(a23), a22) }},
 		{"AddRow", func(g *Graph) { g.AddRow(g.Const(a22), g.Const(bias13)) }},
 		{"Dot", func(g *Graph) { g.Dot(g.Const(a23), []float64{1, 2}) }},
 		{"RangeProb", func(g *Graph) { g.RangeProb(g.Const(a23), a22) }},

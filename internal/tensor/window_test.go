@@ -68,14 +68,14 @@ func TestMaskedMatMulWindowMatchesReference(t *testing.T) {
 
 			gRef := NewGraph()
 			xr, wr := gRef.Param(x), gRef.Param(w)
-			mm := gRef.MatMul(gRef.SliceCols(xr, 0, wd.rowEnd), gRef.SliceRows(gRef.MulConst(wr, mask), 0, wd.rowEnd))
+			mm := gRef.MatMul(gRef.SliceCols(xr, 0, wd.rowEnd), gRef.SliceRows(gRef.MulElem(wr, gRef.Const(mask)), 0, wd.rowEnd))
 			outRef := gRef.SliceCols(mm, wd.colOff, width)
-			gRef.Backward(gRef.SumAll(gRef.Square(outRef)))
+			gRef.Backward(gRef.Mean(gRef.Square(outRef)))
 
 			gWin := NewGraph()
 			xw, ww := gWin.Param(x), gWin.Param(w)
 			outWin := gWin.MaskedMatMulWindow(xw, ww, cache, wd.rowEnd, wd.colOff, wd.colEnd)
-			gWin.Backward(gWin.SumAll(gWin.Square(outWin)))
+			gWin.Backward(gWin.Mean(gWin.Square(outWin)))
 
 			if outWin.Val.Rows != batch || outWin.Val.Cols != width {
 				t.Fatalf("%s %+v: output %v, want %d×%d", name, wd, outWin.Val, batch, width)

@@ -1,9 +1,7 @@
 // Package workload models query workloads: conjunctive predicates over
 // content columns, optional foreign-key joins over a connected subtree of
 // the schema, and the (query, cardinality) pairs SAM trains from. It also
-// implements the workload generators the paper describes in §5.1 and the
-// inclusion–exclusion expansion that reduces disjunctions to conjunctive
-// constraints.
+// implements the workload generators the paper describes in §5.1.
 package workload
 
 import (
@@ -102,29 +100,8 @@ type Query struct {
 	Preds  []Predicate `json:"preds"`
 }
 
-// HasTable reports whether name participates in the query.
-func (q *Query) HasTable(name string) bool {
-	for _, t := range q.Tables {
-		if t == name {
-			return true
-		}
-	}
-	return false
-}
-
-// PredsOn returns the predicates restricted to the given table.
-func (q *Query) PredsOn(table string) []Predicate {
-	var out []Predicate
-	for _, p := range q.Preds {
-		if p.Table == table {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// Validate checks the query against the schema: known tables and columns,
-// literals in domain, connected join subtree.
+// Validate checks the query against the schema: known tables, columns and
+// operators, literals in domain, connected join subtree.
 func (q *Query) Validate(s *relation.Schema) error {
 	if len(q.Tables) == 0 {
 		return fmt.Errorf("workload: query with no tables")
@@ -168,7 +145,12 @@ func (q *Query) Validate(s *relation.Schema) error {
 			}
 			return nil
 		}
-		if p.Op == IN {
+		switch p.Op {
+		case LE, GE, EQ:
+			if err := check(p.Code); err != nil {
+				return err
+			}
+		case IN:
 			if len(p.Codes) == 0 {
 				return fmt.Errorf("workload: empty IN list on %s.%s", p.Table, p.Column)
 			}
@@ -177,8 +159,8 @@ func (q *Query) Validate(s *relation.Schema) error {
 					return err
 				}
 			}
-		} else if err := check(p.Code); err != nil {
-			return err
+		default:
+			return fmt.Errorf("workload: unknown op %v on %s.%s", p.Op, p.Table, p.Column)
 		}
 	}
 	return nil
@@ -252,57 +234,4 @@ func Read(in io.Reader) (*Workload, error) {
 		return nil, fmt.Errorf("workload: decode: %w", err)
 	}
 	return &w, nil
-}
-
-// SignedQuery is a conjunctive query with a ±1 coefficient, produced by
-// inclusion–exclusion expansion of a disjunction.
-type SignedQuery struct {
-	Query
-	Sign int // +1 or −1
-}
-
-// ExpandDisjunction rewrites (c₁ ∨ c₂ ∨ … ∨ c_k), each clause a conjunctive
-// Query over the same table set, into signed conjunctive queries via
-// inclusion–exclusion: Card(∨ cᵢ) = Σ over nonempty S (−1)^{|S|+1}
-// Card(∧_{i∈S} cᵢ). The returned queries conjoin the predicates of the
-// chosen clauses. k is capped at 20 to bound the 2^k expansion.
-func ExpandDisjunction(clauses []Query) ([]SignedQuery, error) {
-	k := len(clauses)
-	if k == 0 {
-		return nil, fmt.Errorf("workload: empty disjunction")
-	}
-	if k > 20 {
-		return nil, fmt.Errorf("workload: disjunction of %d clauses exceeds expansion limit", k)
-	}
-	tables := clauses[0].Tables
-	for _, c := range clauses[1:] {
-		if len(c.Tables) != len(tables) {
-			return nil, fmt.Errorf("workload: disjunction clauses over different table sets")
-		}
-		for i := range tables {
-			if c.Tables[i] != tables[i] {
-				return nil, fmt.Errorf("workload: disjunction clauses over different table sets")
-			}
-		}
-	}
-	var out []SignedQuery
-	for mask := 1; mask < 1<<k; mask++ {
-		var preds []Predicate
-		bits := 0
-		for i := 0; i < k; i++ {
-			if mask&(1<<i) != 0 {
-				bits++
-				preds = append(preds, clauses[i].Preds...)
-			}
-		}
-		sign := 1
-		if bits%2 == 0 {
-			sign = -1
-		}
-		out = append(out, SignedQuery{
-			Query: Query{Tables: append([]string(nil), tables...), Preds: preds},
-			Sign:  sign,
-		})
-	}
-	return out, nil
 }

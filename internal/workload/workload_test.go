@@ -92,6 +92,8 @@ func TestQueryValidate(t *testing.T) {
 		{Tables: []string{"a"}, Preds: []Predicate{{Table: "a", Column: "zz", Op: EQ}}},          // unknown col
 		{Tables: []string{"a"}, Preds: []Predicate{{Table: "a", Column: "a1", Op: EQ, Code: 6}}}, // out of domain
 		{Tables: []string{"a"}, Preds: []Predicate{{Table: "a", Column: "a1", Op: IN}}},          // empty IN
+		{Tables: []string{"a"}, Preds: []Predicate{{Table: "a", Column: "a1", Op: Op(7)}}},       // unknown op
+		{Tables: []string{"a"}, Preds: []Predicate{{Table: "a", Column: "a1", Op: Op(-1)}}},      // unknown op
 	}
 	for i, q := range bad {
 		if err := q.Validate(s); err == nil {
@@ -211,54 +213,6 @@ func TestPrefixAndTableSets(t *testing.T) {
 	sets := w.TableSets()
 	if len(sets) != 2 {
 		t.Fatalf("TableSets = %v", sets)
-	}
-}
-
-func TestExpandDisjunction(t *testing.T) {
-	q1 := Query{Tables: []string{"a"}, Preds: []Predicate{{Table: "a", Column: "a1", Op: LE, Code: 1}}}
-	q2 := Query{Tables: []string{"a"}, Preds: []Predicate{{Table: "a", Column: "a2", Op: EQ, Code: 3}}}
-	sq, err := ExpandDisjunction([]Query{q1, q2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sq) != 3 {
-		t.Fatalf("expansion size %d", len(sq))
-	}
-	var plus, minus int
-	for _, s := range sq {
-		switch s.Sign {
-		case 1:
-			plus++
-		case -1:
-			minus++
-		default:
-			t.Fatalf("bad sign %d", s.Sign)
-		}
-	}
-	if plus != 2 || minus != 1 {
-		t.Fatalf("signs: +%d −%d", plus, minus)
-	}
-	// Error paths.
-	if _, err := ExpandDisjunction(nil); err == nil {
-		t.Fatal("empty disjunction accepted")
-	}
-	q3 := Query{Tables: []string{"b"}}
-	if _, err := ExpandDisjunction([]Query{q1, q3}); err == nil {
-		t.Fatal("mismatched table sets accepted")
-	}
-}
-
-func TestHasTableAndPredsOn(t *testing.T) {
-	q := Query{Tables: []string{"a", "b"}, Preds: []Predicate{
-		{Table: "a", Column: "a1", Op: EQ, Code: 1},
-		{Table: "b", Column: "b1", Op: LE, Code: 2},
-		{Table: "a", Column: "a2", Op: GE, Code: 0},
-	}}
-	if !q.HasTable("a") || q.HasTable("zz") {
-		t.Fatal("HasTable broken")
-	}
-	if len(q.PredsOn("a")) != 2 || len(q.PredsOn("b")) != 1 || len(q.PredsOn("c")) != 0 {
-		t.Fatal("PredsOn broken")
 	}
 }
 

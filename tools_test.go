@@ -134,28 +134,24 @@ func TestSambenchTraceSmoke(t *testing.T) {
 		t.Fatalf("trace root missing run metadata attrs: %v", root.Attrs)
 	}
 
-	// samtrace must analyze the same trace: the tree view carries the
-	// pipeline phases, and diffing the trace against itself yields zero
-	// wall deltas — the CI smoke for the trace-analysis CLI.
-	samtrace := filepath.Join(dir, "samtrace")
-	if out, err := exec.Command("go", "build", "-o", samtrace, "./cmd/samtrace").CombinedOutput(); err != nil {
-		t.Fatalf("build samtrace: %v\n%s", err, out)
+	// samreport must analyze the same trace: the span tree carries the
+	// pipeline phases, and diffing the trace against itself as baseline
+	// yields zero wall deltas — the CI smoke for trace analysis.
+	samreport := filepath.Join(dir, "samreport")
+	if out, err := exec.Command("go", "build", "-o", samreport, "./cmd/samreport").CombinedOutput(); err != nil {
+		t.Fatalf("build samreport: %v\n%s", err, out)
 	}
-	out, err = exec.Command(samtrace, "-top", "5", tracePath).CombinedOutput()
+	out, err = exec.Command(samreport, "-trace", tracePath, "-baseline", tracePath, "-top", "5").CombinedOutput()
 	if err != nil {
-		t.Fatalf("samtrace: %v\n%s", err, out)
+		t.Fatalf("samreport: %v\n%s", err, out)
 	}
-	for _, want := range []string{"span paths", "train", "sample", "top 5 by self time"} {
+	for _, want := range []string{"span paths", "train", "sample", "top spans by self time"} {
 		if !strings.Contains(string(out), want) {
-			t.Fatalf("samtrace output missing %q:\n%s", want, out)
+			t.Fatalf("samreport output missing %q:\n%s", want, out)
 		}
 	}
-	out, err = exec.Command(samtrace, "diff", tracePath, tracePath).CombinedOutput()
-	if err != nil {
-		t.Fatalf("samtrace diff: %v\n%s", err, out)
-	}
 	if !strings.Contains(string(out), "Δwall") || !strings.Contains(string(out), "+0s") {
-		t.Fatalf("samtrace self-diff should report zero deltas:\n%s", out)
+		t.Fatalf("samreport self-diff should report zero deltas:\n%s", out)
 	}
 }
 
