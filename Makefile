@@ -125,7 +125,8 @@ trace-smoke:
 ## fuzz-smoke runs each decoder fuzz target for a short budget: the run-log
 ## reader, the Prometheus text parser, the model loader, the CSV loader,
 ## the SQL parser, the SAMSHRD1 shard reader, the workload reader with
-## query validation, and the trace reader.
+## query validation, the trace reader, the spill group-run reader, and the
+## schema-spec reader with schema building.
 ## `go test -fuzz` takes one target per invocation, hence one line each; a
 ## failing input lands under the package's testdata/fuzz, where plain
 ## `go test` replays it.
@@ -138,3 +139,5 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzShardReader$$' -fuzztime 10s ./internal/relation
 	$(GO) test -run '^$$' -fuzz '^FuzzWorkload$$' -fuzztime 10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzGroupRun$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzReadSpec$$' -fuzztime 10s ./internal/relation

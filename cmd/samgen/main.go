@@ -24,8 +24,8 @@
 // spans with wall time and allocation deltas) as JSONL and prints its
 // summary; -progress streams per-epoch loss (with an ETA), throttled
 // sampling progress, and per-phase generation stats to stderr;
-// -debug-addr serves live pprof, Prometheus metrics at /metrics (JSON
-// at /metrics.json), and the recent-event ring at /debug/events.
+// -debug-addr serves live pprof, Prometheus metrics at /metrics, and the
+// recent-event ring at /debug/events.
 // -runlog appends every pipeline event as structured JSONL and
 // -metrics-out snapshots the final registry as Prometheus text. Every
 // invocation mints a run ID stamped into all of these (trace root attr,
@@ -74,7 +74,7 @@ func main() {
 	runlogOut := flag.String("runlog", "", "append the run's structured events as JSONL (framed by run_start/run_end and stamped with the run ID) to this file")
 	metricsOut := flag.String("metrics-out", "", "write the final telemetry registry in Prometheus text format to this file at exit")
 	progress := flag.Bool("progress", false, "stream per-epoch training and per-phase generation progress to stderr")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof, /metrics, /metrics.json and /debug/events on this address (e.g. :6060)")
+	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof, /metrics and /debug/events on this address (e.g. :6060)")
 	flag.Parse()
 
 	tel, err := obs.StartCLITelemetry(obs.CLIFlags{

@@ -31,7 +31,7 @@ func main() {
 	modelPath := flag.String("model", "", "model saved by samgen -save")
 	marginals := flag.Int("marginals", 2000, "samples used to estimate model marginals")
 	batch := flag.Int("batch", 64, "ancestral-sampling lanes for marginal estimation (<=1 means one lane)")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof, /metrics and /metrics.json on this address (e.g. :6060)")
+	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof and /metrics on this address (e.g. :6060)")
 	flag.Parse()
 
 	if *debugAddr != "" {
@@ -40,7 +40,7 @@ func main() {
 			log.Fatalf("debug server: %v", err)
 		}
 		defer closeDebug()
-		log.Printf("debug server on http://%s (pprof, /metrics, /metrics.json)", addr)
+		log.Printf("debug server on http://%s (pprof, /metrics)", addr)
 	}
 
 	var spec relation.SchemaSpec

@@ -36,7 +36,7 @@ func main() {
 	sqlFile := flag.String("sqlfile", "", "label the COUNT(*) SQL statements in this file instead of generating random queries")
 	verifyModel := flag.String("verify-model", "", "also estimate the labeled cardinalities from this saved model (samgen -save) and report the Q-Error summary")
 	batch := flag.Int("batch", 64, "estimation lanes for -verify-model (<=1 means one lane)")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof, /metrics and /metrics.json on this address (e.g. :6060)")
+	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof and /metrics on this address (e.g. :6060)")
 	flag.Parse()
 
 	if *debugAddr != "" {
@@ -45,7 +45,7 @@ func main() {
 			log.Fatalf("debug server: %v", err)
 		}
 		defer closeDebug()
-		log.Printf("debug server on http://%s (pprof, /metrics, /metrics.json)", addr)
+		log.Printf("debug server on http://%s (pprof, /metrics)", addr)
 	}
 
 	var s *relation.Schema

@@ -174,7 +174,10 @@ func writeGroupRun(st store, path string, groups []*group) error {
 }
 
 // readGroupRun streams a group run back in order, invoking fn with each
-// group. Groups are freshly allocated, so fn may keep them.
+// group. Groups are freshly allocated, so fn may keep them. Members are
+// read into a reused scratch slice and copied out once complete, so a
+// corrupt header's member count allocates nothing: memory grows only with
+// the members the run actually holds, and a short run fails the read.
 func readGroupRun(st store, path string, nc int, fn func(*group) error) error {
 	f, err := st.open(path)
 	if err != nil {
@@ -183,6 +186,7 @@ func readGroupRun(st store, path string, nc int, fn func(*group) error) error {
 	defer f.Close()
 	head := make([]byte, groupHeadSize(nc))
 	var mem [memberRecSize]byte
+	var members []memberRec
 	for {
 		_, err := io.ReadFull(f, head)
 		if err == io.EOF {
@@ -191,19 +195,20 @@ func readGroupRun(st store, path string, nc int, fn func(*group) error) error {
 		if err != nil {
 			return fmt.Errorf("core: read group run: %w", err)
 		}
+		members = members[:0]
+		for n := binary.LittleEndian.Uint32(head[16:]); n > 0; n-- {
+			if _, err := io.ReadFull(f, mem[:]); err != nil {
+				return fmt.Errorf("core: read group run: %w", err)
+			}
+			members = append(members, memberRec{idx: int64(getU64(mem[:])), w: getF64(mem[8:])})
+		}
 		grp := &group{
 			gw:      getF64(head),
 			pk:      int64(getU64(head[8:])),
 			content: make([]int32, nc),
-			members: make([]memberRec, binary.LittleEndian.Uint32(head[16:])),
+			members: slices.Clone(members),
 		}
 		getI32s(head[20:], grp.content)
-		for i := range grp.members {
-			if _, err := io.ReadFull(f, mem[:]); err != nil {
-				return fmt.Errorf("core: read group run: %w", err)
-			}
-			grp.members[i] = memberRec{idx: int64(getU64(mem[:])), w: getF64(mem[8:])}
-		}
 		if err := fn(grp); err != nil {
 			return err
 		}

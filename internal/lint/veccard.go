@@ -8,11 +8,12 @@ import (
 	"sam/internal/lint/analysis"
 )
 
-// VecCard protects the two contracts the labeled-metric layer (PR 7)
-// established: warm loops stay 0 allocs/op because With() handles are
-// pre-resolved outside them (With takes the vector's RWMutex and may
-// allocate a child), and label sets stay finite because the registry
-// panics past its cardinality cap. Two checks:
+// VecCard protects the two contracts of the labeled-metric layer: warm
+// loops stay 0 allocs/op because With() handles are pre-resolved outside
+// them (With takes the vector's RWMutex and may allocate a child), and
+// label sets stay finite because every distinct label tuple is a child
+// the registry keeps for the life of the process, so unbounded label
+// values grow it without limit. Two checks:
 //
 //   - a With() call on an obs vector (CounterVec/GaugeVec/HistogramVec)
 //     lexically inside a loop, unless the loop ranges over a constant
@@ -58,7 +59,7 @@ func checkVecScope(pass *analysis.Pass, name string, body *ast.BlockStmt) {
 		for _, arg := range call.Args {
 			if desc := unboundedLabelArg(pass.TypesInfo, arg); desc != "" {
 				pass.Reportf(arg.Pos(),
-					"label value computed with %s is unbounded; label cardinality must be finite (the registry panics past its cap)", desc)
+					"label value computed with %s is unbounded; label cardinality must be finite (every distinct value is a child the registry keeps, so unbounded values grow it without limit)", desc)
 			}
 		}
 	})

@@ -66,7 +66,7 @@ func StartCLITelemetry(f CLIFlags) (*CLITelemetry, error) {
 		}
 		t.closeDebug = closeDebug
 		t.Hooks = Merge(t.Hooks, EventHooks(ring.Add))
-		fmt.Fprintf(os.Stderr, "debug server on http://%s (pprof, /metrics, /metrics.json, /debug/events)\n", addr)
+		fmt.Fprintf(os.Stderr, "debug server on http://%s (pprof, /metrics, /debug/events)\n", addr)
 	}
 	if f.Progress {
 		t.Hooks = Merge(t.Hooks, ProgressHooks(os.Stderr))

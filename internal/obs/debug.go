@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -12,9 +11,9 @@ import (
 
 // ServeDebug starts an HTTP debug server on addr (e.g. ":6060") serving
 // net/http/pprof under /debug/pprof/, the registry in Prometheus text
-// format under /metrics and as a JSON snapshot under /metrics.json, and —
-// when ev is non-nil — the recent-event ring under /debug/events. It binds synchronously, so a bad address fails
-// fast, then serves in a background goroutine. The bound address is
+// format under /metrics, and — when ev is non-nil — the recent-event ring
+// as JSON under /debug/events. It binds synchronously, so a bad address
+// fails fast, then serves in a background goroutine. The bound address is
 // returned (useful with ":0") together with a close function that drains
 // the server; serve failures are counted in the registry's
 // obs_debug_serve_errors_total counter rather than silently dropped.
@@ -35,9 +34,16 @@ func ServeDebug(addr string, r *Registry, ev *EventLog) (string, func(), error) 
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	mux.HandleFunc("/metrics.json", serveJSON(r))
 	if ev != nil {
-		mux.HandleFunc("/debug/events", serveJSON(ev))
+		mux.HandleFunc("/debug/events", func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			buf, err := ev.MarshalJSON()
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+			w.Write(buf)
+		})
 	}
 	srv := &http.Server{Handler: mux}
 	done := make(chan struct{})
@@ -56,17 +62,4 @@ func ServeDebug(addr string, r *Registry, ev *EventLog) (string, func(), error) 
 		<-done
 	}
 	return ln.Addr().String(), closeFn, nil
-}
-
-// serveJSON returns a handler that renders v as the response body.
-func serveJSON(v json.Marshaler) http.HandlerFunc {
-	return func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		buf, err := v.MarshalJSON()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Write(buf)
-	}
 }

@@ -76,7 +76,7 @@ func FuzzParsePrometheus(f *testing.F) {
 		}
 		for _, fam := range fams {
 			for _, s := range fam.Samples {
-				if !validPromName(s.Name) {
+				if !validName(s.Name, true) {
 					t.Fatalf("accepted sample name %q in family %q", s.Name, fam.Name)
 				}
 			}

@@ -1,15 +1,47 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
 
+// scrape renders r through WritePrometheus, parses the text back, and
+// returns every sample's value under its series key: the sample name,
+// then its labels as {k="v",...} in exposition order.
+func scrape(t *testing.T, r *Registry) map[string]float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WritePrometheus(&buf, r); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := ParsePrometheus(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v\n%s", err, buf.Bytes())
+	}
+	out := map[string]float64{}
+	for _, f := range fams {
+		for _, s := range f.Samples {
+			key := s.Name
+			if len(s.Labels) > 0 {
+				pairs := make([]string, len(s.Labels))
+				for i, l := range s.Labels {
+					pairs[i] = l.Name + `="` + l.Value + `"`
+				}
+				key += "{" + strings.Join(pairs, ",") + "}"
+			}
+			out[key] = s.Value
+		}
+	}
+	return out
+}
+
 // TestLabeledVectors pins the family behavior: children are keyed by the
 // full label tuple, repeat With calls return the same handle, and the
-// flat snapshot folds children in under rendered keys.
+// exposition renders each child under its labels.
 func TestLabeledVectors(t *testing.T) {
 	r := NewRegistry()
 
@@ -31,22 +63,22 @@ func TestLabeledVectors(t *testing.T) {
 	h.With("sample").Observe(0.05)
 	h.With("sample").Observe(0.5)
 
-	snap := r.Snapshot()
-	if snap.Counters[`req_total{table="users",phase="merge"}`] != 3 {
-		t.Fatalf("snapshot counters: %+v", snap.Counters)
-	}
-	if snap.Counters[`req_total{table="orders",phase="merge"}`] != 1 {
-		t.Fatalf("snapshot counters: %+v", snap.Counters)
-	}
-	if snap.Gauges[`mass{table="users"}`] != 7.5 {
-		t.Fatalf("snapshot gauges: %+v", snap.Gauges)
-	}
-	if snap.Histograms[`lat{phase="sample"}`].Count != 2 {
-		t.Fatalf("snapshot histograms: %+v", snap.Histograms)
+	got := scrape(t, r)
+	for key, want := range map[string]float64{
+		`req_total{table="users",phase="merge"}`:  3,
+		`req_total{table="users",phase="weight"}`: 2,
+		`req_total{table="orders",phase="merge"}`: 1,
+		`mass{table="users"}`:                     7.5,
+		`lat_count{phase="sample"}`:               2,
+		`lat_sum{phase="sample"}`:                 0.55,
+	} {
+		if got[key] != want {
+			t.Fatalf("%s = %v, want %v; scrape: %v", key, got[key], want, got)
+		}
 	}
 
-	// First registration wins, like Histogram bounds.
-	if r.CounterVec("req_total", "other") != c {
+	// First registration's label names win, like Histogram bounds.
+	if r.CounterVec("req_total", "other", "names") != c {
 		t.Fatal("second CounterVec registration returned a new family")
 	}
 }
@@ -65,9 +97,9 @@ func TestLabeledVectorCardinalityPanics(t *testing.T) {
 }
 
 // TestLabeledVectorsConcurrent hammers child creation and updates across
-// all three vector kinds while snapshots and Prometheus exposition run
-// concurrently — the data-race gate for the labeled path (run with
-// -race). Counter totals must come out exact.
+// all three vector kinds while Prometheus exposition runs concurrently —
+// the data-race gate for the labeled path (run with -race). Counter and
+// histogram totals must come out exact in the final scrape.
 func TestLabeledVectorsConcurrent(t *testing.T) {
 	r := NewRegistry()
 	cv := r.CounterVec("hits_total", "worker", "kind")
@@ -94,7 +126,7 @@ func TestLabeledVectorsConcurrent(t *testing.T) {
 			}
 		}(w)
 	}
-	// Concurrent readers: snapshots and exposition while children churn.
+	// Concurrent readers: exposition while children churn.
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -107,7 +139,6 @@ func TestLabeledVectorsConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				r.Snapshot()
 				if err := WritePrometheus(discard{}, r); err != nil {
 					t.Error(err)
 					return
@@ -119,13 +150,18 @@ func TestLabeledVectorsConcurrent(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	var total int64
+	got := scrape(t, r)
+	var total, observed float64
 	for w := 0; w < 4; w++ {
 		id := fmt.Sprintf("w%d", w)
-		total += cv.With(id, "write").Value() + cv.With(id, "read").Value()
+		total += got[`hits_total{worker="`+id+`",kind="write"}`] + got[`hits_total{worker="`+id+`",kind="read"}`]
+		observed += got[`lat_count{worker="`+id+`"}`]
 	}
-	if want := int64(2 * workers * perWorker); total != want {
-		t.Fatalf("labeled counter total = %d, want %d", total, want)
+	if want := float64(2 * workers * perWorker); total != want {
+		t.Fatalf("labeled counter total = %v, want %v", total, want)
+	}
+	if want := float64(workers * perWorker); observed != want {
+		t.Fatalf("labeled histogram count = %v, want %v", observed, want)
 	}
 }
 

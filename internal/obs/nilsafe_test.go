@@ -91,21 +91,6 @@ func TestNilSafeEntryPoints(t *testing.T) {
 			}
 			h.Observe(0.5)
 		}},
-		{"Registry.Snapshot", func(t *testing.T) {
-			s := nilReg.Snapshot()
-			if len(s.Counters) != 0 || len(s.Gauges) != 0 || len(s.Histograms) != 0 {
-				t.Fatalf("nil registry Snapshot not empty: %+v", s)
-			}
-		}},
-		{"Registry.MarshalJSON", func(t *testing.T) {
-			buf, err := nilReg.MarshalJSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(buf) != "{}" {
-				t.Fatalf("nil registry MarshalJSON = %s, want {}", buf)
-			}
-		}},
 		{"Registry.CounterVec", func(t *testing.T) {
 			v := nilReg.CounterVec("x", "l")
 			if v == nil {
@@ -184,15 +169,15 @@ func TestZeroValueRegistryUsable(t *testing.T) {
 	r.Gauge("b").Set(2.5)
 	r.Histogram("c", []float64{1, 10}).Observe(4)
 
-	s := r.Snapshot()
-	if s.Counters["a"] != 3 {
-		t.Errorf("counter a = %d, want 3", s.Counters["a"])
+	s := scrape(t, &r)
+	if s["a"] != 3 {
+		t.Errorf("counter a = %v, want 3", s["a"])
 	}
-	if s.Gauges["b"] != 2.5 {
-		t.Errorf("gauge b = %v, want 2.5", s.Gauges["b"])
+	if s["b"] != 2.5 {
+		t.Errorf("gauge b = %v, want 2.5", s["b"])
 	}
-	if s.Histograms["c"].Count != 1 {
-		t.Errorf("histogram c count = %d, want 1", s.Histograms["c"].Count)
+	if s["c_count"] != 1 {
+		t.Errorf("histogram c count = %v, want 1", s["c_count"])
 	}
 
 	// Get-or-create returns the same instance on repeat lookups.

@@ -5,7 +5,6 @@ import (
 	"math"
 	"net/http"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -14,7 +13,7 @@ import (
 
 // TestRegistryConcurrent hammers one counter, gauge, and histogram from
 // GOMAXPROCS goroutines; meaningful under -race, and the counter and
-// histogram totals must come out exact regardless.
+// histogram totals must come out exact in the scrape regardless.
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
 	workers := runtime.GOMAXPROCS(0)
@@ -30,130 +29,64 @@ func TestRegistryConcurrent(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
 				g.Set(float64(i))
-				g.Add(0.5)
 				h.Observe(float64(i%100) * 1e-5)
 			}
 		}(w)
 	}
 	wg.Wait()
-	want := int64(workers * perWorker)
-	if got := r.Counter("hits").Value(); got != want {
-		t.Fatalf("counter = %d, want %d", got, want)
+	want := float64(workers * perWorker)
+	got := scrape(t, r)
+	if got["hits"] != want {
+		t.Fatalf("counter = %v, want %v", got["hits"], want)
 	}
-	h := r.Histogram("lat", nil)
-	if got := h.Count(); got != want {
-		t.Fatalf("histogram count = %d, want %d", got, want)
+	if got["lat_count"] != want || got[`lat_bucket{le="+Inf"}`] != want {
+		t.Fatalf("histogram count = %v, +Inf bucket = %v, want %v",
+			got["lat_count"], got[`lat_bucket{le="+Inf"}`], want)
 	}
 	wantSum := 0.0
 	for i := 0; i < perWorker; i++ {
 		wantSum += float64(i%100) * 1e-5
 	}
 	wantSum *= float64(workers)
-	if got := h.Sum(); math.Abs(got-wantSum) > 1e-6*wantSum+1e-12 {
-		t.Fatalf("histogram sum = %v, want %v", got, wantSum)
+	if sum := got["lat_sum"]; math.Abs(sum-wantSum) > 1e-6*wantSum+1e-12 {
+		t.Fatalf("histogram sum = %v, want %v", sum, wantSum)
 	}
-	snap := r.Snapshot()
-	if snap.Counters["hits"] != want || snap.Histograms["lat"].Count != want {
-		t.Fatalf("snapshot mismatch: %+v", snap)
-	}
-}
-
-// TestHistogramQuantiles checks bucket-interpolated quantiles against a
-// sorted reference sample: every estimate must land within one bucket
-// width of the exact quantile.
-func TestHistogramQuantiles(t *testing.T) {
-	bounds := ExpBuckets(0.001, 1.5, 40)
-	h := NewHistogram(bounds)
-	// Log-uniform-ish deterministic sample.
-	var xs []float64
-	v := 0.0017
-	for i := 0; i < 5000; i++ {
-		x := math.Mod(v*float64(i+1), 3.0) + 0.002
-		xs = append(xs, x)
-		h.Observe(x)
-	}
-	sort.Float64s(xs)
-	for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
-		got := h.Quantile(q)
-		exact := xs[int(math.Min(q*float64(len(xs)), float64(len(xs)-1)))]
-		// Bucket width at the exact value bounds the estimation error.
-		idx := sort.SearchFloat64s(bounds, exact)
-		lo := 0.0
-		if idx > 0 {
-			lo = bounds[idx-1]
-		}
-		hi := exact * 2
-		if idx < len(bounds) {
-			hi = bounds[idx]
-		}
-		width := hi - lo
-		if math.Abs(got-exact) > width+1e-12 {
-			t.Fatalf("q=%.2f: got %v, exact %v (bucket width %v)", q, got, exact, width)
-		}
-	}
-	if !math.IsNaN(NewHistogram(bounds).Quantile(0.5)) {
-		t.Fatal("empty histogram quantile should be NaN")
+	if level := got["level"]; level != perWorker-1 {
+		t.Fatalf("gauge = %v, want the last value set, %d", level, perWorker-1)
 	}
 }
 
-// TestHistogramQuantileEdges pins the interpolation corner cases: an
-// empty histogram is NaN at every quantile, a single-bucket histogram
-// interpolates within the observed range, p0 reports the observed min,
-// p100 the observed max, and out-of-range q clamps to [0, 1].
-func TestHistogramQuantileEdges(t *testing.T) {
-	empty := NewHistogram([]float64{1, 2, 3})
-	for _, q := range []float64{0, 0.5, 1} {
-		if !math.IsNaN(empty.Quantile(q)) {
-			t.Fatalf("empty Quantile(%v) = %v, want NaN", q, empty.Quantile(q))
-		}
+// TestRegistryKindClashPanics pins that a name is one family: asking for
+// it under a second kind or label count panics at registration, as do
+// label names the exposition cannot carry, and what was registered before
+// still renders exposition the parser accepts.
+func TestRegistryKindClashPanics(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("x").Inc()
+	r.CounterVec("y_total", "a").With("1").Inc()
+	r.Gauge("with_dash").Set(1)
+	for name, register := range map[string]func(){
+		"gauge over counter":      func() { r.Gauge("x") },
+		"histogram over counter":  func() { r.Histogram("x", []float64{1}) },
+		"labeled over plain":      func() { r.CounterVec("x", "a") },
+		"plain over labeled":      func() { r.Counter("y_total") },
+		"two labels over one":     func() { r.CounterVec("y_total", "a", "b") },
+		"sanitized name collides": func() { r.Counter("with-dash") },
+		"repeated label":          func() { r.CounterVec("z_total", "a-b", "a_b") },
+		"histogram le label":      func() { r.HistogramVec("h", []float64{1}, "le") },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: registration did not panic", name)
+				}
+			}()
+			register()
+		}()
 	}
-
-	// One bound → two buckets; keep all mass in the first so a single
-	// bucket holds every observation.
-	single := NewHistogram([]float64{10})
-	single.Observe(2)
-	single.Observe(4)
-	single.Observe(6)
-	if got := single.Quantile(0); got != 2 {
-		t.Fatalf("single-bucket p0 = %v, want observed min 2", got)
-	}
-	if got := single.Quantile(1); got != 6 {
-		t.Fatalf("single-bucket p100 = %v, want observed max 6", got)
-	}
-	if mid := single.Quantile(0.5); mid < 2 || mid > 6 {
-		t.Fatalf("single-bucket p50 = %v, want within [2, 6]", mid)
-	}
-
-	// q outside [0, 1] clamps instead of extrapolating.
-	if got := single.Quantile(-3); got != 2 {
-		t.Fatalf("Quantile(-3) = %v, want clamp to p0 = 2", got)
-	}
-	if got := single.Quantile(7); got != 6 {
-		t.Fatalf("Quantile(7) = %v, want clamp to p100 = 6", got)
-	}
-
-	// Overflow-only mass: everything above the last bound still reports
-	// quantiles clamped to the observed range.
-	over := NewHistogram([]float64{1})
-	over.Observe(50)
-	over.Observe(100)
-	if got := over.Quantile(1); got != 100 {
-		t.Fatalf("overflow p100 = %v, want 100", got)
-	}
-	if got := over.Quantile(0); got != 50 {
-		t.Fatalf("overflow p0 = %v, want 50", got)
-	}
-}
-
-// TestHistogramMinMaxClamp pins the small-sample behaviour: a single
-// observation reports itself exactly at every quantile.
-func TestHistogramMinMaxClamp(t *testing.T) {
-	h := NewHistogram(ExpBuckets(1, 10, 6))
-	h.Observe(33)
-	for _, q := range []float64{0, 0.5, 1} {
-		if got := h.Quantile(q); math.Abs(got-33) > 1e-9 {
-			t.Fatalf("single-sample quantile(%v) = %v, want 33", q, got)
-		}
+	got := scrape(t, r)
+	if got["x"] != 1 || got[`y_total{a="1"}`] != 1 || got["with_dash"] != 1 {
+		t.Fatalf("scrape after refused registrations: %v", got)
 	}
 }
 
@@ -286,30 +219,27 @@ func TestMetricsHooksFeedRegistry(t *testing.T) {
 	h.GenPhase(GenPhase{Phase: "merge", Table: "t", Tuples: 10, Groups: 4})
 	h.GenPhase(GenPhase{Phase: "weight", Table: "t", MassBefore: 7, MassAfter: 100})
 	h.EvalQuery(EvalQuery{Card: 10, Truth: 20, QError: 2, Wall: time.Millisecond})
-	snap := r.Snapshot()
-	if snap.Counters["train_epochs_total"] != 1 || snap.Counters["train_steps_total"] != 1 {
-		t.Fatalf("train counters: %+v", snap.Counters)
+	wantScrape := func(want map[string]float64) {
+		t.Helper()
+		got := scrape(t, r)
+		for key, v := range want {
+			if got[key] != v {
+				t.Fatalf("%s = %v, want %v; scrape: %v", key, got[key], v, got)
+			}
+		}
 	}
-	if snap.Gauges["train_loss"] != 0.5 || snap.Gauges["train_epochs_per_sec"] != 1 {
-		t.Fatalf("train gauges: %+v", snap.Gauges)
-	}
-	if snap.Counters[`gen_merge_groups_total{table="t"}`] != 4 {
-		t.Fatalf("gen counters: %+v", snap.Counters)
-	}
-	if snap.Counters[`gen_tuples_total{phase="merge"}`] != 10 {
-		t.Fatalf("gen counters: %+v", snap.Counters)
-	}
-	if snap.Gauges[`gen_weight_mass{table="t",stage="after"}`] != 100 {
-		t.Fatalf("gen gauges: %+v", snap.Gauges)
-	}
-	if snap.Histograms["eval_qerror"].Count != 1 {
-		t.Fatalf("eval histograms: %+v", snap.Histograms)
-	}
+	wantScrape(map[string]float64{
+		"train_epochs_total":                       1,
+		"train_steps_total":                        1,
+		"train_loss":                               0.5,
+		"train_epochs_per_sec":                     1,
+		`gen_merge_groups_total{table="t"}`:        4,
+		`gen_tuples_total{phase="merge"}`:          10,
+		`gen_weight_mass{table="t",stage="after"}`: 100,
+		"eval_qerror_count":                        1,
+	})
 	h.GenProgress(GenProgress{Phase: "sample", Done: 50, Total: 100, Rate: 123})
-	snap = r.Snapshot()
-	if snap.Gauges["gen_tuples_per_sec"] != 123 || snap.Gauges["gen_progress_ratio"] != 0.5 {
-		t.Fatalf("progress gauges: %+v", snap.Gauges)
-	}
+	wantScrape(map[string]float64{"gen_tuples_per_sec": 123, "gen_progress_ratio": 0.5})
 }
 
 // TestServeDebug boots the debug server on an ephemeral port, fetches
@@ -325,7 +255,7 @@ func TestServeDebug(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{"/debug/pprof/", "/metrics", "/metrics.json", "/debug/events"} {
+	for _, path := range []string{"/debug/pprof/", "/metrics", "/debug/events"} {
 		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
@@ -336,17 +266,20 @@ func TestServeDebug(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	// expvar is gone: /metrics.json is the one JSON view of the registry.
-	resp, err := http.Get("http://" + addr + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET /debug/vars: status %d, want 404", resp.StatusCode)
+	// Prometheus text at /metrics is the registry's one view: neither
+	// expvar nor a JSON snapshot is served.
+	for _, path := range []string{"/debug/vars", "/metrics.json"} {
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s: status %d, want 404", path, resp.StatusCode)
+		}
 	}
 
-	resp, err = http.Get("http://" + addr + "/metrics")
+	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

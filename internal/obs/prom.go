@@ -10,12 +10,13 @@ import (
 	"strings"
 )
 
-// Prometheus text-format exposition (version 0.0.4), stdlib only. The
-// registry's plain and labeled metrics render as counter/gauge families;
-// histograms render the full _bucket/_sum/_count series with cumulative
-// bucket counts and a closing +Inf bucket. Output is deterministic: family
-// names sort lexically and labeled children sort by label tuple, so two
-// snapshots of identical state serialize byte-identically.
+// Prometheus text-format exposition (version 0.0.4), stdlib only, and the
+// registry's one rendering. Each family renders under one TYPE line (a
+// plain metric is a family without labels); histograms render the full
+// _bucket/_sum/_count series with cumulative bucket counts and a closing
+// +Inf bucket. Output is deterministic: family names sort lexically and
+// labeled children sort by label tuple, so two snapshots of identical
+// state serialize byte-identically.
 
 // PromContentType is the Content-Type the /metrics endpoint serves.
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
@@ -42,41 +43,42 @@ func escapeLabelValue(v string) string {
 	return sb.String()
 }
 
-// sanitizeMetricName maps an arbitrary metric name onto the exposition
-// charset [a-zA-Z_:][a-zA-Z0-9_:]*; invalid runes become '_'.
-func sanitizeMetricName(name string) string {
-	if name == "" {
-		return "_"
-	}
-	var sb strings.Builder
-	for i, r := range name {
-		ok := r == '_' || r == ':' ||
-			(r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
-			(i > 0 && r >= '0' && r <= '9')
-		if ok {
-			sb.WriteRune(r)
-		} else {
-			sb.WriteByte('_')
-		}
-	}
-	return sb.String()
+// nameRuneOK reports whether r may stand at byte offset i of a metric
+// name ([a-zA-Z_:][a-zA-Z0-9_:]*) or, with colon false, of a label name
+// ([a-zA-Z_][a-zA-Z0-9_]*).
+func nameRuneOK(i int, r rune, colon bool) bool {
+	return r == '_' || (colon && r == ':') ||
+		(r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
+		(i > 0 && r >= '0' && r <= '9')
 }
 
-// sanitizeLabelName maps a label name onto [a-zA-Z_][a-zA-Z0-9_]*.
-func sanitizeLabelName(name string) string {
+// validName reports whether name is a valid metric name (colon true) or
+// label name (colon false).
+func validName(name string, colon bool) bool {
+	for i, r := range name {
+		if !nameRuneOK(i, r, colon) {
+			return false
+		}
+	}
+	return name != ""
+}
+
+// sanitizeName maps an arbitrary name onto the metric (colon true) or
+// label (colon false) name charset; invalid runes become '_'. A valid
+// name comes back as is, without allocating.
+func sanitizeName(name string, colon bool) string {
+	if validName(name, colon) {
+		return name
+	}
 	if name == "" {
 		return "_"
 	}
 	var sb strings.Builder
 	for i, r := range name {
-		ok := r == '_' ||
-			(r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
-			(i > 0 && r >= '0' && r <= '9')
-		if ok {
-			sb.WriteRune(r)
-		} else {
-			sb.WriteByte('_')
+		if !nameRuneOK(i, r, colon) {
+			r = '_'
 		}
+		sb.WriteRune(r)
 	}
 	return sb.String()
 }
@@ -107,7 +109,7 @@ func promLabelPairs(labels, values []string, le string) string {
 		if i > 0 {
 			sb.WriteByte(',')
 		}
-		sb.WriteString(sanitizeLabelName(l))
+		sb.WriteString(l)
 		sb.WriteString(`="`)
 		sb.WriteString(escapeLabelValue(values[i]))
 		sb.WriteByte('"')
@@ -124,151 +126,62 @@ func promLabelPairs(labels, values []string, le string) string {
 	return sb.String()
 }
 
-// histogramSeries snapshots one histogram as its exposition series:
-// ascending cumulative bucket counts per bound, the total count (the +Inf
-// bucket), and the sum. Reading races with Observe; the cumulative counts
-// are summed from one pass over the buckets so the series stays
-// internally consistent (count == +Inf bucket) regardless.
-func (h *Histogram) histogramSeries() (bounds []float64, cum []int64, count int64, sum float64) {
-	bounds = h.bounds
-	cum = make([]int64, len(h.bounds))
-	var running int64
+// writePromHistogram renders one histogram child as its _bucket series
+// (cumulative counts per bound, closing with +Inf), _sum and _count. The
+// cumulative counts come from one pass over the buckets, so the series
+// stays internally consistent (_count == +Inf bucket) while Observe runs.
+func writePromHistogram(w io.Writer, name string, labels, values []string, h *Histogram) {
+	var cum int64
 	for i := range h.counts {
-		running += h.counts[i].Load()
-		if i < len(cum) {
-			cum[i] = running
+		cum += h.counts[i].Load()
+		le := "+Inf"
+		if i < len(h.bounds) {
+			le = formatPromValue(h.bounds[i])
 		}
+		fmt.Fprintf(w, "%s_bucket%s %d\n", name, promLabelPairs(labels, values, le), cum)
 	}
-	return bounds, cum, running, h.Sum()
-}
-
-func writePromHistogram(w io.Writer, name, labelPairs string, h *Histogram) error {
-	bounds, cum, count, sum := h.histogramSeries()
-	base := ""
-	if labelPairs != "" {
-		base = labelPairs[1 : len(labelPairs)-1] // strip braces for merging with le
-	}
-	for i, b := range bounds {
-		pairs := `{le="` + formatPromValue(b) + `"}`
-		if base != "" {
-			pairs = "{" + base + `,le="` + formatPromValue(b) + `"}`
-		}
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, pairs, cum[i]); err != nil {
-			return err
-		}
-	}
-	pairs := `{le="+Inf"}`
-	if base != "" {
-		pairs = "{" + base + `,le="+Inf"}`
-	}
-	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, pairs, count); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, labelPairs, formatPromValue(sum)); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, labelPairs, count)
-	return err
+	pairs := promLabelPairs(labels, values, "")
+	fmt.Fprintf(w, "%s_sum%s %s\n", name, pairs, formatPromValue(h.Sum()))
+	fmt.Fprintf(w, "%s_count%s %d\n", name, pairs, cum)
 }
 
 // WritePrometheus renders the registry in the Prometheus text exposition
-// format. A nil registry writes nothing.
+// format: one TYPE line per family, families sorted by name, children by
+// label tuple. A nil registry writes nothing.
 func WritePrometheus(w io.Writer, r *Registry) error {
 	if r == nil {
 		return nil
 	}
-	bw := bufio.NewWriter(w)
-
 	r.mu.RLock()
-	counterNames := make([]string, 0, len(r.counters)+len(r.counterVecs))
-	for name := range r.counters {
-		counterNames = append(counterNames, name)
+	fams := make([]*family, 0, len(r.families))
+	for _, f := range r.families {
+		fams = append(fams, f)
 	}
-	for name := range r.counterVecs {
-		counterNames = append(counterNames, name)
-	}
-	gaugeNames := make([]string, 0, len(r.gauges)+len(r.gaugeVecs))
-	for name := range r.gauges {
-		gaugeNames = append(gaugeNames, name)
-	}
-	for name := range r.gaugeVecs {
-		gaugeNames = append(gaugeNames, name)
-	}
-	histNames := make([]string, 0, len(r.histograms)+len(r.histogramVecs))
-	for name := range r.histograms {
-		histNames = append(histNames, name)
-	}
-	for name := range r.histogramVecs {
-		histNames = append(histNames, name)
-	}
-	counters, gauges, hists := r.counters, r.gauges, r.histograms
-	counterVecs, gaugeVecs, histVecs := r.counterVecs, r.gaugeVecs, r.histogramVecs
 	r.mu.RUnlock()
+	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 
-	sort.Strings(counterNames)
-	sort.Strings(gaugeNames)
-	sort.Strings(histNames)
-	dedup := func(names []string) []string {
-		out := names[:0]
-		for i, n := range names {
-			if i == 0 || n != names[i-1] {
-				out = append(out, n)
+	// bufio keeps the first write error and Flush reports it.
+	bw := bufio.NewWriter(w)
+	for _, f := range fams {
+		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
+		f.mu.RLock()
+		keys := make([]string, 0, len(f.children))
+		for k := range f.children {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			c := f.children[k]
+			switch m := c.metric.(type) {
+			case *Counter:
+				fmt.Fprintf(bw, "%s%s %d\n", f.name, promLabelPairs(f.labels, c.values, ""), m.Value())
+			case *Gauge:
+				fmt.Fprintf(bw, "%s%s %s\n", f.name, promLabelPairs(f.labels, c.values, ""), formatPromValue(m.Value()))
+			case *Histogram:
+				writePromHistogram(bw, f.name, f.labels, c.values, m)
 			}
 		}
-		return out
-	}
-
-	for _, name := range dedup(counterNames) {
-		prom := sanitizeMetricName(name)
-		fmt.Fprintf(bw, "# TYPE %s counter\n", prom)
-		if c, ok := counters[name]; ok {
-			fmt.Fprintf(bw, "%s %d\n", prom, c.Value())
-		}
-		if v, ok := counterVecs[name]; ok {
-			v.mu.RLock()
-			for _, key := range sortedChildKeys(v.children) {
-				fmt.Fprintf(bw, "%s%s %d\n", prom,
-					promLabelPairs(v.labels, v.tuples[key].values, ""), v.children[key].Value())
-			}
-			v.mu.RUnlock()
-		}
-	}
-	for _, name := range dedup(gaugeNames) {
-		prom := sanitizeMetricName(name)
-		fmt.Fprintf(bw, "# TYPE %s gauge\n", prom)
-		if g, ok := gauges[name]; ok {
-			fmt.Fprintf(bw, "%s %s\n", prom, formatPromValue(g.Value()))
-		}
-		if v, ok := gaugeVecs[name]; ok {
-			v.mu.RLock()
-			for _, key := range sortedChildKeys(v.children) {
-				fmt.Fprintf(bw, "%s%s %s\n", prom,
-					promLabelPairs(v.labels, v.tuples[key].values, ""),
-					formatPromValue(v.children[key].Value()))
-			}
-			v.mu.RUnlock()
-		}
-	}
-	for _, name := range dedup(histNames) {
-		prom := sanitizeMetricName(name)
-		fmt.Fprintf(bw, "# TYPE %s histogram\n", prom)
-		if h, ok := hists[name]; ok {
-			if err := writePromHistogram(bw, prom, "", h); err != nil {
-				return err
-			}
-		}
-		if v, ok := histVecs[name]; ok {
-			v.mu.RLock()
-			for _, key := range sortedChildKeys(v.children) {
-				err := writePromHistogram(bw, prom,
-					promLabelPairs(v.labels, v.tuples[key].values, ""), v.children[key])
-				if err != nil {
-					v.mu.RUnlock()
-					return err
-				}
-			}
-			v.mu.RUnlock()
-		}
+		f.mu.RUnlock()
 	}
 	return bw.Flush()
 }
@@ -332,7 +245,7 @@ func ParsePrometheus(r io.Reader) ([]PromFamily, error) {
 					return nil, fmt.Errorf("obs: prom line %d: malformed TYPE line", lineNo)
 				}
 				name, typ := fields[2], fields[3]
-				if !validPromName(name) {
+				if !validName(name, true) {
 					return nil, fmt.Errorf("obs: prom line %d: invalid metric name %q", lineNo, name)
 				}
 				switch typ {
@@ -390,36 +303,6 @@ func sampleInFamily(name string, f *PromFamily) bool {
 	return false
 }
 
-func validPromName(name string) bool {
-	if name == "" {
-		return false
-	}
-	for i, r := range name {
-		ok := r == '_' || r == ':' ||
-			(r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
-			(i > 0 && r >= '0' && r <= '9')
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-func validPromLabelName(name string) bool {
-	if name == "" {
-		return false
-	}
-	for i, r := range name {
-		ok := r == '_' ||
-			(r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
-			(i > 0 && r >= '0' && r <= '9')
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // parsePromSample parses `name[{labels}] value [timestamp]`.
 func parsePromSample(line string) (PromSample, error) {
 	var s PromSample
@@ -428,7 +311,7 @@ func parsePromSample(line string) (PromSample, error) {
 		i++
 	}
 	s.Name = line[:i]
-	if !validPromName(s.Name) {
+	if !validName(s.Name, true) {
 		return s, fmt.Errorf("invalid metric name %q", s.Name)
 	}
 	rest := line[i:]
@@ -478,7 +361,7 @@ func parsePromLabels(text string) (int, []PromLabel, error) {
 			return 0, nil, fmt.Errorf("unterminated label block")
 		}
 		name := strings.TrimSpace(text[start:i])
-		if !validPromLabelName(name) {
+		if !validName(name, false) {
 			return 0, nil, fmt.Errorf("invalid label name %q", name)
 		}
 		i++ // past '='

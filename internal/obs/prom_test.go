@@ -144,8 +144,8 @@ func TestSanitizeMetricName(t *testing.T) {
 		"":            "_",
 	}
 	for in, want := range cases {
-		if got := sanitizeMetricName(in); got != want {
-			t.Errorf("sanitizeMetricName(%q) = %q, want %q", in, got, want)
+		if got := sanitizeName(in, true); got != want {
+			t.Errorf("sanitizeName(%q, true) = %q, want %q", in, got, want)
 		}
 	}
 }

@@ -7,9 +7,9 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -41,17 +41,6 @@ type Gauge struct {
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add atomically adds d to the gauge.
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
@@ -59,28 +48,13 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // i counts observations in (bounds[i-1], bounds[i]]; a final overflow
 // bucket counts observations above the last bound.
 type Histogram struct {
-	bounds []float64 // ascending upper bounds
+	bounds []float64 // ascending upper bounds, shared with its family
 	counts []atomic.Int64
-	count  atomic.Int64
 	sum    atomic.Uint64 // float64 bits, CAS-updated
-	min    atomic.Uint64
-	max    atomic.Uint64
 }
 
-// NewHistogram builds a histogram over the given ascending bucket bounds.
-func NewHistogram(bounds []float64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("obs: histogram bounds not ascending at %d", i))
-		}
-	}
-	h := &Histogram{
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]atomic.Int64, len(bounds)+1),
-	}
-	h.min.Store(math.Float64bits(math.Inf(1)))
-	h.max.Store(math.Float64bits(math.Inf(-1)))
-	return h
+func newHistogram(bounds []float64) *Histogram {
+	return &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
 }
 
 // ExpBuckets returns n ascending bounds starting at start, each factor
@@ -100,275 +74,139 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
-	idx := sort.SearchFloat64s(h.bounds, v)
-	h.counts[idx].Add(1)
-	h.count.Add(1)
+	h.counts[sort.SearchFloat64s(h.bounds, v)].Add(1)
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
 		if h.sum.CompareAndSwap(old, next) {
-			break
-		}
-	}
-	for {
-		old := h.min.Load()
-		if v >= math.Float64frombits(old) || h.min.CompareAndSwap(old, math.Float64bits(v)) {
-			break
-		}
-	}
-	for {
-		old := h.max.Load()
-		if v <= math.Float64frombits(old) || h.max.CompareAndSwap(old, math.Float64bits(v)) {
-			break
+			return
 		}
 	}
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the total of all observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Mean returns the average observation, or 0 with no data.
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
+// metricKind is what a family's children are; its String is the family's
+// TYPE in the exposition.
+type metricKind uint8
+
+const (
+	kindCounter metricKind = iota
+	kindGauge
+	kindHistogram
+)
+
+func (k metricKind) String() string {
+	return [...]string{"counter", "gauge", "histogram"}[k]
 }
 
-// Quantile returns the approximate q-quantile (0 ≤ q ≤ 1) by linear
-// interpolation inside the containing bucket. The error is bounded by the
-// bucket width; observed min/max clamp the extreme buckets so small samples
-// are not smeared across a whole bucket.
-func (h *Histogram) Quantile(q float64) float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(n)
-	lo := math.Float64frombits(h.min.Load())
-	hi := math.Float64frombits(h.max.Load())
-	var cum float64
-	for i := range h.counts {
-		c := float64(h.counts[i].Load())
-		if c == 0 {
-			continue
+// family is one named metric family: a kind, a fixed list of label names,
+// the bucket bounds its histograms share, and one child per distinct
+// label-value tuple. A plain metric is the only child of a family with no
+// labels.
+type family struct {
+	name   string
+	kind   metricKind
+	labels []string
+	bounds []float64 // histograms only
+
+	mu       sync.RWMutex
+	children map[string]*child // keyed by the \xff-joined label values
+}
+
+// child is one metric of a family with the label values it stands for.
+type child struct {
+	values []string
+	metric any // *Counter, *Gauge or *Histogram, per the family's kind
+}
+
+func newFamily(name string, kind metricKind, bounds []float64, labels []string) *family {
+	f := &family{name: name, kind: kind, labels: make([]string, len(labels))}
+	for i, l := range labels {
+		f.labels[i] = sanitizeName(l, false)
+		// A repeated label, or a histogram's own le, would render series
+		// that mean nothing or that the parser rejects.
+		if slices.Contains(f.labels[:i], f.labels[i]) || kind == kindHistogram && f.labels[i] == "le" {
+			panic(fmt.Sprintf("obs: metric %s cannot take label %s", name, f.labels[i]))
 		}
-		if cum+c >= rank {
-			// Bucket span, clamped to the observed range.
-			bLo := lo
-			if i > 0 && h.bounds[i-1] > bLo {
-				bLo = h.bounds[i-1]
+	}
+	if kind == kindHistogram {
+		for i := 1; i < len(bounds); i++ {
+			if bounds[i] <= bounds[i-1] {
+				panic(fmt.Sprintf("obs: histogram %s bounds not ascending at %d", name, i))
 			}
-			bHi := hi
-			if i < len(h.bounds) && h.bounds[i] < bHi {
-				bHi = h.bounds[i]
-			}
-			if bHi < bLo {
-				bHi = bLo
-			}
-			frac := (rank - cum) / c
-			return bLo + frac*(bHi-bLo)
 		}
-		cum += c
+		f.bounds = append([]float64(nil), bounds...)
 	}
-	return hi
+	return f
 }
 
-// HistogramSnapshot is the JSON view of a histogram.
-type HistogramSnapshot struct {
-	Count int64   `json:"count"`
-	Sum   float64 `json:"sum"`
-	Mean  float64 `json:"mean"`
-	Min   float64 `json:"min"`
-	Max   float64 `json:"max"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-}
-
-// Snapshot summarizes the histogram.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{Count: h.Count(), Sum: h.Sum(), Mean: h.Mean()}
-	if s.Count > 0 {
-		s.Min = math.Float64frombits(h.min.Load())
-		s.Max = math.Float64frombits(h.max.Load())
-		s.P50 = h.Quantile(0.50)
-		s.P90 = h.Quantile(0.90)
-		s.P99 = h.Quantile(0.99)
-	}
-	return s
-}
-
-// Registry is a concurrent, get-or-create collection of named metrics.
-// Like the rest of the obs layer it follows the nil-observer contract: on
-// a nil *Registry the getters return detached metrics (recorded values go
-// nowhere), Snapshot is empty, and nothing panics — so instrumented code
-// needs no metrics-enabled branch. The zero value is also usable; maps
-// are allocated on first registration.
+// Registry is a concurrent, get-or-create collection of named metric
+// families; the Prometheus text that WritePrometheus renders is its one
+// view. A name is one family: asking for it again under another kind or
+// label count panics, like a wrong number of label values does. Like the
+// rest of the obs layer it follows the nil-observer contract: on a nil
+// *Registry the getters return detached metrics (recorded values go
+// nowhere), WritePrometheus writes nothing, and nothing panics — so
+// instrumented code needs no metrics-enabled branch. The zero value is
+// also usable.
 type Registry struct {
-	mu         sync.RWMutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
-
-	// Labeled families (see labels.go). Kept separate from the plain maps
-	// so exposition can render structured labels; the flat Snapshot view
-	// folds children in under rendered name{label="value"} keys.
-	counterVecs   map[string]*CounterVec
-	gaugeVecs     map[string]*GaugeVec
-	histogramVecs map[string]*HistogramVec
+	mu       sync.RWMutex
+	families map[string]*family
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
-	}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 var defaultRegistry = NewRegistry()
 
 // Default returns the process-wide registry (the one -debug-addr exports).
 func Default() *Registry { return defaultRegistry }
 
-// Counter returns the named counter, creating it on first use. On a nil
-// registry it returns a detached counter.
-func (r *Registry) Counter(name string) *Counter {
+// family returns the named family, creating it on first use; later
+// callers get the first registration's label names and bounds. The name
+// is mapped onto the exposition charset first, so two names that would
+// render alike are one family. On a nil registry it returns a detached
+// family.
+func (r *Registry) family(name string, kind metricKind, bounds []float64, labels []string) *family {
+	name = sanitizeName(name, true)
 	if r == nil {
-		return &Counter{}
+		return newFamily(name, kind, bounds, labels)
 	}
 	r.mu.RLock()
-	c := r.counters[name]
+	f := r.families[name]
 	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = &Counter{}
-		if r.counters == nil {
-			r.counters = make(map[string]*Counter)
+	if f == nil {
+		created := newFamily(name, kind, bounds, labels)
+		r.mu.Lock()
+		if f = r.families[name]; f == nil {
+			if r.families == nil {
+				r.families = make(map[string]*family)
+			}
+			f = created
+			r.families[name] = f
 		}
-		r.counters[name] = c
+		r.mu.Unlock()
 	}
-	return c
+	if f.kind != kind || len(f.labels) != len(labels) {
+		panic(fmt.Sprintf("obs: metric %s is a %s with %d labels, not a %s with %d",
+			name, f.kind, len(f.labels), kind, len(labels)))
+	}
+	return f
 }
+
+// Counter returns the named counter, creating it on first use. On a nil
+// registry it returns a detached counter.
+func (r *Registry) Counter(name string) *Counter { return r.CounterVec(name).With() }
 
 // Gauge returns the named gauge, creating it on first use. On a nil
 // registry it returns a detached gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return &Gauge{}
-	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		if r.gauges == nil {
-			r.gauges = make(map[string]*Gauge)
-		}
-		r.gauges[name] = g
-	}
-	return g
-}
+func (r *Registry) Gauge(name string) *Gauge { return r.GaugeVec(name).With() }
 
 // Histogram returns the named histogram, creating it with the given bounds
 // on first use (later callers get the existing one regardless of bounds).
 // On a nil registry it returns a detached histogram.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	if r == nil {
-		return NewHistogram(bounds)
-	}
-	r.mu.RLock()
-	h := r.histograms[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.histograms[name]; h == nil {
-		h = NewHistogram(bounds)
-		if r.histograms == nil {
-			r.histograms = make(map[string]*Histogram)
-		}
-		r.histograms[name] = h
-	}
-	return h
+	return r.HistogramVec(name, bounds).With()
 }
-
-// Snapshot is the JSON view of a whole registry.
-type Snapshot struct {
-	Counters   map[string]int64             `json:"counters,omitempty"`
-	Gauges     map[string]float64           `json:"gauges,omitempty"`
-	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-}
-
-// Snapshot captures every metric's current value, labeled children
-// included (folded in under rendered name{label="value"} keys). A nil
-// registry snapshots as empty.
-func (r *Registry) Snapshot() Snapshot {
-	if r == nil {
-		return Snapshot{}
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	s := Snapshot{
-		Counters:   make(map[string]int64, len(r.counters)),
-		Gauges:     make(map[string]float64, len(r.gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(r.histograms)),
-	}
-	for name, c := range r.counters {
-		s.Counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
-	}
-	for name, h := range r.histograms {
-		s.Histograms[name] = h.Snapshot()
-	}
-	for _, v := range r.counterVecs {
-		v.mu.RLock()
-		for key, c := range v.children {
-			s.Counters[renderLabels(v.name, v.labels, v.tuples[key].values)] = c.Value()
-		}
-		v.mu.RUnlock()
-	}
-	for _, v := range r.gaugeVecs {
-		v.mu.RLock()
-		for key, g := range v.children {
-			s.Gauges[renderLabels(v.name, v.labels, v.tuples[key].values)] = g.Value()
-		}
-		v.mu.RUnlock()
-	}
-	for _, v := range r.histogramVecs {
-		v.mu.RLock()
-		for key, h := range v.children {
-			s.Histograms[renderLabels(v.name, v.labels, v.tuples[key].values)] = h.Snapshot()
-		}
-		v.mu.RUnlock()
-	}
-	return s
-}
-
-// MarshalJSON renders the live registry (the /metrics.json payload).
-func (r *Registry) MarshalJSON() ([]byte, error) { return json.Marshal(r.Snapshot()) }

@@ -2,6 +2,8 @@ package relation
 
 import (
 	"bytes"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -165,6 +167,49 @@ func FuzzReadCSV(f *testing.F) {
 		}
 		if second := write(again); !bytes.Equal(first, second) {
 			t.Fatalf("CSV changed across a round trip:\n%s\n%s", first, second)
+		}
+	})
+}
+
+// FuzzReadSpec checks ReadSpec followed by EmptySchema errors or returns,
+// never panics, and that an accepted spec builds a schema whose Spec has
+// the input's tables (parent included) and columns. Row counts are not
+// compared: the built tables are empty.
+func FuzzReadSpec(f *testing.F) {
+	f.Add(`{"tables": [
+  {"name": "a", "rows": 4, "columns": [
+    {"name": "x", "kind": "categorical", "domain": 5},
+    {"name": "y", "kind": "numeric", "domain": 3, "vals": [1.5, 2.5, 9]}]},
+  {"name": "b", "parent": "a", "rows": 1, "columns": [
+    {"name": "z", "kind": "categorical", "domain": 2}]}]}`)
+	f.Fuzz(func(t *testing.T, text string) {
+		spec, err := ReadSpec(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		s, err := spec.EmptySchema()
+		if err != nil {
+			return
+		}
+		got := s.Spec()
+		if len(got.Tables) != len(spec.Tables) {
+			t.Fatalf("schema has %d tables, spec %d", len(got.Tables), len(spec.Tables))
+		}
+		built := make(map[string]TableSpec, len(got.Tables))
+		for _, ts := range got.Tables {
+			built[ts.Name] = ts
+		}
+		for _, want := range spec.Tables {
+			ts, ok := built[want.Name]
+			if !ok || ts.Parent != want.Parent || len(ts.Columns) != len(want.Columns) {
+				t.Fatalf("table %q built as %+v, spec %+v", want.Name, ts, want)
+			}
+			for i, c := range want.Columns {
+				b := ts.Columns[i]
+				if b.Name != c.Name || b.Kind != c.Kind || b.Domain != c.Domain || !slices.Equal(b.Vals, c.Vals) {
+					t.Fatalf("table %q column %d built as %+v, spec %+v", want.Name, i, b, c)
+				}
+			}
 		}
 	})
 }

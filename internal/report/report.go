@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"sam/internal/experiments"
+	"sam/internal/metrics"
 	"sam/internal/obs"
 )
 
@@ -375,19 +376,16 @@ func groupKeys(qs []obs.EvalQuery, key func(obs.EvalQuery) string) []qGroup {
 	return out
 }
 
+// qerrorRow summarizes one group of evaluated queries with
+// metrics.Summarize, the interpolated quantiles every other Q-Error
+// report uses.
 func qerrorRow(label string, qs []obs.EvalQuery) []string {
 	vals := make([]float64, len(qs))
-	sum := 0.0
 	for i, q := range qs {
 		vals[i] = q.QError
-		sum += q.QError
 	}
-	sort.Float64s(vals)
-	quant := func(p float64) float64 {
-		return vals[int(p*float64(len(vals)-1)+0.5)]
-	}
-	return []string{label, fmt.Sprint(len(qs)), fmtF(sum / float64(len(qs))),
-		fmtF(quant(0.5)), fmtF(quant(0.9)), fmtF(vals[len(vals)-1])}
+	s := metrics.Summarize(vals)
+	return []string{label, fmt.Sprint(len(qs)), fmtF(s.Mean), fmtF(s.Median), fmtF(s.P90), fmtF(s.Max)}
 }
 
 // famHistRows summarizes one parsed Prometheus histogram family as

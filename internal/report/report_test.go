@@ -367,3 +367,29 @@ func TestHTMLEscaping(t *testing.T) {
 		t.Fatalf("warning paragraph not styled:\n%s", out)
 	}
 }
+
+// TestQErrorRowQuantiles pins the Q-Error row to the interpolated
+// quantiles of metrics.Summarize. On even-sized inputs nearest-rank
+// picking differs: {1,2,3,4} has median 2.5, not 3.
+func TestQErrorRowQuantiles(t *testing.T) {
+	cases := []struct {
+		qerrors []float64
+		want    []string // queries, mean, median, p90, max
+	}{
+		{[]float64{4, 1, 3, 2}, []string{"4", "2.5", "2.5", "3.7", "4"}},
+		{[]float64{10, 1}, []string{"2", "5.5", "5.5", "9.1", "10"}},
+		{[]float64{1, 2, 3, 4, 5, 6}, []string{"6", "3.5", "3.5", "5.5", "6"}},
+		{[]float64{7}, []string{"1", "7", "7", "7", "7"}},
+	}
+	for _, tc := range cases {
+		qs := make([]obs.EvalQuery, len(tc.qerrors))
+		for i, q := range tc.qerrors {
+			qs[i] = obs.EvalQuery{QError: q}
+		}
+		got := qerrorRow("all", qs)
+		want := append([]string{"all"}, tc.want...)
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("qerrorRow(%v) = %v, want %v", tc.qerrors, got, want)
+		}
+	}
+}

@@ -267,8 +267,8 @@ func NewEventLog(capacity int, runID string) *EventLog { return obs.NewEventLog(
 func EventHooks(add func(kind string, data any)) *Hooks { return obs.EventHooks(add) }
 
 // ServeDebug starts an HTTP server exposing /debug/pprof, /metrics
-// (Prometheus text format), /metrics.json (the registry snapshot as
-// JSON), and — when ev is non-nil — /debug/events on addr. It returns the
+// (Prometheus text format, the registry's one view), and — when ev is
+// non-nil — /debug/events on addr. It returns the
 // bound address (useful with ":0") and a close function that drains the
 // server.
 func ServeDebug(addr string, r *Registry, ev *EventLog) (string, func(), error) {
