@@ -124,9 +124,10 @@ trace-smoke:
 
 ## fuzz-smoke runs each decoder fuzz target for a short budget: the run-log
 ## reader, the Prometheus text parser, the model loader, the CSV loader,
-## the SQL parser, the SAMSHRD1 shard reader, the workload reader with
-## query validation, the trace reader, the spill group-run reader, and the
-## schema-spec reader with schema building.
+## the SQL parser, the workload reader with query validation, the trace
+## reader, the engine's record-stream readers (sample shards, spill
+## partitions, group runs and span runs), and the schema-spec reader with
+## schema building.
 ## `go test -fuzz` takes one target per invocation, hence one line each; a
 ## failing input lands under the package's testdata/fuzz, where plain
 ## `go test` replays it.
@@ -136,8 +137,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/ar
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s ./internal/relation
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/sqlparse
-	$(GO) test -run '^$$' -fuzz '^FuzzShardReader$$' -fuzztime 10s ./internal/relation
 	$(GO) test -run '^$$' -fuzz '^FuzzWorkload$$' -fuzztime 10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzShardStream$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzRawRecords$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzGroupRun$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzSpanRun$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSpec$$' -fuzztime 10s ./internal/relation

@@ -7,7 +7,7 @@
 //
 //	samgen -workload workload.json -schema schema.json -outdir gen/ \
 //	       [-population N] [-epochs N] [-hidden N] [-samples N] [-seed N] [-no-gam] \
-//	       [-stream] [-shards N] [-workers N] [-partitions N] [-keep-samples] \
+//	       [-stream] [-shards N] [-workers N] [-partitions N] \
 //	       [-trace out.jsonl] [-runlog run.jsonl] [-metrics-out metrics.prom] \
 //	       [-progress] [-debug-addr :6060]
 //
@@ -17,7 +17,8 @@
 // -stream removes the in-memory row-count ceiling: sampling is sharded
 // into independently reproducible (seed, shard) units under outdir/shards
 // and tables are merged and written through bounded-memory spill files, so
-// peak memory no longer grows with -samples. -workers parallelizes across
+// peak memory no longer grows with -samples. The shards and spill files
+// are removed once the CSVs are written, also when generation fails. -workers parallelizes across
 // shards without changing a single output byte.
 //
 // -trace records the pipeline's phase tree (train/sample/weight/merge
@@ -59,7 +60,6 @@ func main() {
 	shards := flag.Int("shards", 0, "sample shards for -stream (0 = one per 16Ki rows); each shard is independently reproducible from (seed, shard)")
 	workers := flag.Int("workers", 0, "sampling goroutines (0 = GOMAXPROCS); workers parallelize across shards without changing output bytes")
 	partitions := flag.Int("partitions", 0, "spill partitions for the external group-and-merge (0 = 64)")
-	keepSamples := flag.Bool("keep-samples", false, "keep the binary sample shards under outdir/shards after -stream generation")
 	population := flag.Float64("population", 0, "full outer join size (multi-relation only; single-relation defaults to |T|)")
 	epochs := flag.Int("epochs", 6, "training epochs")
 	hidden := flag.Int("hidden", 64, "hidden width of the MADE backbone")
@@ -110,7 +110,7 @@ func main() {
 		generateAndWrite(model, sspec.Sizes(), genConfig{
 			outDir: *outDir, samples: *samples, batch: *batch, seed: *seed,
 			gam: !*noGam, stream: *stream, shards: *shards, workers: *workers,
-			partitions: *partitions, keepSamples: *keepSamples,
+			partitions: *partitions,
 		}, tel)
 		return
 	}
@@ -188,22 +188,21 @@ func main() {
 	generateAndWrite(model, sizes, genConfig{
 		outDir: *outDir, samples: *samples, batch: *batch, seed: *seed,
 		gam: !*noGam, stream: *stream, shards: *shards, workers: *workers,
-		partitions: *partitions, keepSamples: *keepSamples,
+		partitions: *partitions,
 	}, tel)
 }
 
 // genConfig bundles the generation-phase flag settings.
 type genConfig struct {
-	outDir      string
-	samples     int
-	batch       int
-	seed        int64
-	gam         bool
-	stream      bool
-	shards      int
-	workers     int
-	partitions  int
-	keepSamples bool
+	outDir     string
+	samples    int
+	batch      int
+	seed       int64
+	gam        bool
+	stream     bool
+	shards     int
+	workers    int
+	partitions int
 }
 
 // generateAndWrite runs the generation phase and writes one CSV per table —
@@ -221,7 +220,6 @@ func generateAndWrite(model *ar.Model, sizes map[string]int, cfg genConfig, tel 
 		opts.Workers = cfg.workers
 		opts.Shards = cfg.shards
 		opts.Partitions = cfg.partitions
-		opts.KeepSamples = cfg.keepSamples
 		opts.Hooks = tel.Hooks
 		opts.Span = tel.Trace.Root()
 		start := time.Now()

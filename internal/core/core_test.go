@@ -59,28 +59,6 @@ func sizesOf(s *relation.Schema) map[string]int {
 	return out
 }
 
-// memShardSet stores pre-drawn samples (k × ncols codes, flat) as a
-// one-shard set in a fresh memory store.
-func memShardSet(flat []int32, ncols int, seed int64) (*ShardSet, error) {
-	st := newMemStore()
-	path := filepath.Join("shards", relation.ShardFileName(0))
-	f, err := st.create(path)
-	if err != nil {
-		return nil, err
-	}
-	w, err := relation.NewShardWriter(f, ncols, 0, seed)
-	if err == nil {
-		err = w.WriteRows(flat)
-	}
-	if err == nil {
-		err = w.PatchRows(f)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &ShardSet{NCols: ncols, Paths: []string{path}, Total: len(flat) / ncols, st: st}, nil
-}
-
 func TestGeneratorValidation(t *testing.T) {
 	s := paperSchema()
 	l := join.NewLayout(s)
@@ -108,12 +86,11 @@ func TestExactRecoveryFromEnumeratedFOJ(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// memory merges the samples as a one-shard memory set.
+	// memory merges the samples as a one-shard memory set, encoded as the
+	// sampler encodes them.
 	memory := func(t *testing.T, P int) *relation.Schema {
-		set, err := memShardSet(flat, ncols, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		path := spillPath("shards", "shard", 0)
+		set := &ShardSet{NCols: ncols, Paths: []string{path}, Total: k, st: memStream(t, path, putI32s(nil, flat))}
 		opts := StreamOptions{GenOptions: DefaultGenOptions(1), Partitions: P}
 		out, err := gen.materialize(set, opts)
 		if err != nil {
@@ -132,25 +109,9 @@ func TestExactRecoveryFromEnumeratedFOJ(t *testing.T) {
 		half := (k / 2) * ncols
 		set := &ShardSet{NCols: ncols, Total: k, st: dirStore{}}
 		for shard, part := range [][]int32{flat[:half], flat[half:]} {
-			path := filepath.Join(shardDir, relation.ShardFileName(shard))
+			path := spillPath(shardDir, "shard", shard)
 			set.Paths = append(set.Paths, path)
-			f, err := os.Create(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w, err := relation.NewShardWriter(f, ncols, shard, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := w.WriteRows(part); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.PatchRows(f); err != nil {
-				t.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				t.Fatal(err)
-			}
+			putStream(t, set.st, path, putI32s(nil, part))
 		}
 		opts := DefaultStreamOptions(1, dir)
 		opts.Partitions = P

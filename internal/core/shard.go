@@ -12,7 +12,6 @@ import (
 	"sam/internal/ar"
 	"sam/internal/join"
 	"sam/internal/obs"
-	"sam/internal/relation"
 	"sam/internal/tensor"
 )
 
@@ -39,9 +38,6 @@ type StreamOptions struct {
 	// 0 defaults to 64. Part of the merge's determinism coordinates (it
 	// fixes the group traversal order), not of the shard sampling contract.
 	Partitions int
-	// KeepSamples leaves the shard sample files in place after
-	// GenerateStream materializes the tables (they are removed otherwise).
-	KeepSamples bool
 }
 
 // DefaultStreamOptions mirrors DefaultGenOptions for the streaming path.
@@ -77,7 +73,10 @@ func shardRange(k, S, s int) (lo, hi int) {
 }
 
 // ShardSet describes the sample shards one run produced: where they are
-// and how many rows they hold.
+// and how many rows they hold. A shard is a headerless stream of
+// row-major little-endian int32 model codes, NCols per row, stored the
+// way the merge stores its spill records: only the process that wrote a
+// shard reads it, and that process knows its column count and row total.
 type ShardSet struct {
 	NCols int
 	Paths []string
@@ -89,10 +88,9 @@ type ShardSet struct {
 	st store // the backend holding the shards; the merge spills to it too
 }
 
-// Bytes is the total size of the shard files: a header each plus four
-// bytes per code.
+// Bytes is the total size of the shard streams: four bytes per code.
 func (s *ShardSet) Bytes() int64 {
-	return int64(len(s.Paths))*relation.ShardHeaderSize + 4*int64(s.Total)*int64(s.NCols)
+	return 4 * int64(s.Total) * int64(s.NCols)
 }
 
 // readAll returns every sample of the set, flattened in global row order.
@@ -106,8 +104,8 @@ func (s *ShardSet) readAll() ([]int32, error) {
 	return flat, err
 }
 
-// SampleShards draws k sanitized FOJ samples into len == shardCount binary
-// shard files under opts.OutDir/shards, or into a memory store when
+// SampleShards draws k sanitized FOJ samples into len == shardCount shard
+// streams under opts.OutDir/shards, or into a memory store when
 // opts.OutDir is empty. Shards are sampled by up to opts.Workers
 // goroutines (one shard at a time each), and each shard streams through a
 // bounded chunk pipeline to its writer, so the sampler's own memory is
@@ -241,7 +239,7 @@ func (g *Generator) SampleShards(newSampler func() join.TupleSampler, k int, opt
 }
 
 // sampleOneShard draws rows tuples for one shard, streaming them to the
-// shard file in st through a bounded chunk pipeline: the sampler fills
+// shard stream in st through a bounded chunk pipeline: the sampler fills
 // pooled chunk buffers and blocks when chunkBuffers of them are in
 // flight, the writer goroutine drains them in order. The chunk size
 // affects only memory and syscall granularity — the byte stream is fixed
@@ -269,14 +267,9 @@ func (g *Generator) sampleOneShard(st store, sampler join.TupleSampler, rngs []*
 	defer sp.End()
 	wantPass := opts.Hooks.WantsStreamPass()
 
-	path := filepath.Join(dir, relation.ShardFileName(shard))
+	path := spillPath(dir, "shard", shard)
 	f, err := st.create(path)
 	if err != nil {
-		return "", err
-	}
-	w, err := relation.NewShardWriter(f, ncols, shard, opts.Seed)
-	if err != nil {
-		f.Close()
 		return "", err
 	}
 
@@ -293,9 +286,12 @@ func (g *Generator) sampleOneShard(st store, sampler join.TupleSampler, rngs []*
 	writeErr := make(chan error, 1)
 	go func() {
 		var err error
+		var b []byte
 		for c := range full {
 			if err == nil {
-				if err = w.WriteRows(c.buf[:c.rows*ncols]); err != nil {
+				b = putI32s(b[:0], c.buf[:c.rows*ncols])
+				if _, err = f.Write(b); err != nil {
+					err = fmt.Errorf("core: write shard rows: %w", err)
 					writeFailed.Store(true)
 				}
 			}
@@ -350,9 +346,6 @@ func (g *Generator) sampleOneShard(st store, sampler join.TupleSampler, rngs []*
 	flush()
 	close(full)
 	err = <-writeErr
-	if err == nil {
-		err = w.PatchRows(f)
-	}
 	if cerr := f.Close(); err == nil && cerr != nil {
 		err = fmt.Errorf("core: close shard: %w", cerr)
 	}

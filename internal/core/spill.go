@@ -53,13 +53,13 @@ func packKey(dst []byte, codes []int32, pk int64) []byte {
 // partWriter fans fixed-size records out to one stream per partition.
 type partWriter struct {
 	st    store
-	ws    []streamWriter
+	ws    []io.WriteCloser
 	paths []string
 }
 
 // newPartWriter creates p partition streams named prefix-NNN under dir.
 func newPartWriter(st store, dir, prefix string, p int) (*partWriter, error) {
-	w := &partWriter{st: st, ws: make([]streamWriter, p), paths: make([]string, p)}
+	w := &partWriter{st: st, ws: make([]io.WriteCloser, p), paths: make([]string, p)}
 	for i := 0; i < p; i++ {
 		w.paths[i] = spillPath(dir, prefix, i)
 		f, err := st.create(w.paths[i])

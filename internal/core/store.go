@@ -12,14 +12,15 @@ import (
 )
 
 // store holds the named byte streams the generation engine writes and
-// reads back: sample shards (SAMSHRD1), spill partitions, aggregate and
-// member runs, and span runs. Names are file paths. dirStore maps them
+// reads back: sample shards, spill partitions, aggregate and member runs,
+// and span runs. Each is a headerless run of fixed-size records that only
+// the engine itself reads. Names are file paths. dirStore maps them
 // onto the file system; memStore keeps them in memory, which is how
 // Generate runs the same engine without touching disk. Both backends
 // hold identical bytes for identical writes.
 type store interface {
 	// create starts a new, empty stream, replacing any of the same name.
-	create(name string) (streamWriter, error)
+	create(name string) (io.WriteCloser, error)
 	// open reads a stream from its start.
 	open(name string) (io.ReadCloser, error)
 	// remove drops one stream and frees what it held.
@@ -28,14 +29,6 @@ type store interface {
 	// every stream under it.
 	mkdirAll(dir string) error
 	removeAll(dir string) error
-}
-
-// streamWriter appends to a stream. WriteAt overwrites bytes already
-// written; the shard writer patches its header row count with it.
-type streamWriter interface {
-	io.Writer
-	io.WriterAt
-	io.Closer
 }
 
 // storeBufSize is the dirStore read and write buffer per open stream.
@@ -49,7 +42,7 @@ type fileWriter struct {
 	bw *bufio.Writer
 }
 
-func (dirStore) create(name string) (streamWriter, error) {
+func (dirStore) create(name string) (io.WriteCloser, error) {
 	f, err := os.Create(name)
 	if err != nil {
 		return nil, fmt.Errorf("core: create %s: %w", filepath.Base(name), err)
@@ -58,13 +51,6 @@ func (dirStore) create(name string) (streamWriter, error) {
 }
 
 func (w *fileWriter) Write(p []byte) (int, error) { return w.bw.Write(p) }
-
-func (w *fileWriter) WriteAt(p []byte, off int64) (int, error) {
-	if err := w.bw.Flush(); err != nil {
-		return 0, err
-	}
-	return w.f.WriteAt(p, off)
-}
 
 func (w *fileWriter) Close() error {
 	err := w.bw.Flush()
@@ -111,10 +97,9 @@ func newMemStore() *memStore { return &memStore{files: make(map[string]*memFile)
 // memFile is one in-memory stream. Every chunk but the last is full.
 type memFile struct {
 	chunks [][]byte
-	size   int64
 }
 
-func (s *memStore) create(name string) (streamWriter, error) {
+func (s *memStore) create(name string) (io.WriteCloser, error) {
 	f := &memFile{}
 	s.mu.Lock()
 	s.files[name] = f
@@ -168,26 +153,6 @@ func (f *memFile) Write(p []byte) (int, error) {
 		k := copy(c[len(c):cap(c)], p)
 		f.chunks[last] = c[:len(c)+k]
 		p = p[k:]
-	}
-	f.size += int64(n)
-	return n, nil
-}
-
-func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
-	if off < 0 || off+int64(len(p)) > f.size {
-		return 0, fmt.Errorf("core: in-memory write at %d+%d past the end (%d bytes)", off, len(p), f.size)
-	}
-	n := 0
-	for _, c := range f.chunks {
-		if n == len(p) {
-			break
-		}
-		if off >= int64(len(c)) {
-			off -= int64(len(c))
-			continue
-		}
-		n += copy(c[off:], p[n:])
-		off = 0
 	}
 	return n, nil
 }

@@ -38,24 +38,41 @@ type StreamResult struct {
 
 // Stream replays the shard set's samples in global row order (shard 0
 // first), invoking fn per row. buf is the reusable read buffer (row-major,
-// a whole number of rows); the row slice passed to fn aliases it.
+// a whole number of rows); the row slice passed to fn aliases it. Each
+// read call fills buf's worth of rows. A shard that ends mid-row, or a
+// set that replays other than Total rows, is an error.
 func (s *ShardSet) Stream(buf []int32, fn func(idx int64, row []int32) error) error {
 	ncols := s.NCols
-	if len(buf) < ncols {
+	if ncols <= 0 || len(buf) < ncols {
 		return fmt.Errorf("core: stream buffer holds no full row")
 	}
+	rowBytes := 4 * ncols
+	raw := make([]byte, len(buf)/ncols*rowBytes)
 	var idx int64
 	for _, path := range s.Paths {
 		f, err := s.st.open(path)
 		if err != nil {
 			return err
 		}
-		r, err := relation.NewShardReader(f)
 		for err == nil {
 			var n int
-			n, err = r.ReadRows(buf)
-			for i := 0; i < n && err == nil; i++ {
-				err = fn(idx, buf[i*ncols:(i+1)*ncols])
+			n, err = io.ReadFull(f, raw)
+			switch {
+			case err == io.ErrUnexpectedEOF && n%rowBytes != 0:
+				err = fmt.Errorf("core: shard %s ends mid-row (%d trailing bytes)", filepath.Base(path), n%rowBytes)
+				n = 0
+			case err == io.ErrUnexpectedEOF:
+				err = io.EOF
+			case err != nil && err != io.EOF:
+				err = fmt.Errorf("core: read shard %s: %w", filepath.Base(path), err)
+			}
+			rows := n / rowBytes
+			getI32s(raw[:n], buf[:rows*ncols])
+			for i := 0; i < rows; i++ {
+				if ferr := fn(idx, buf[i*ncols:(i+1)*ncols]); ferr != nil {
+					f.Close()
+					return ferr
+				}
 				idx++
 			}
 		}
@@ -127,8 +144,8 @@ func checkMerge(opts StreamOptions) error {
 
 // GenerateStream runs the bounded-memory pipeline end to end: sharded
 // sampling to opts.OutDir/shards, then the external Group-and-Merge into
-// one CSV per table under opts.OutDir. The shard files are removed
-// afterwards, also when the merge fails, unless opts.KeepSamples is set.
+// one CSV per table under opts.OutDir. The shard streams are removed
+// afterwards, also when the merge fails.
 func (g *Generator) GenerateStream(newSampler func() join.TupleSampler, opts StreamOptions) (*StreamResult, error) {
 	if err := checkMerge(opts); err != nil {
 		return nil, err
@@ -138,10 +155,8 @@ func (g *Generator) GenerateStream(newSampler func() join.TupleSampler, opts Str
 	if err == nil {
 		res, err = g.MaterializeStream(set, opts)
 	}
-	if !opts.KeepSamples {
-		if rerr := os.RemoveAll(filepath.Join(opts.OutDir, "shards")); err == nil && rerr != nil {
-			err = fmt.Errorf("core: remove shard dir: %w", rerr)
-		}
+	if rerr := os.RemoveAll(filepath.Join(opts.OutDir, "shards")); err == nil && rerr != nil {
+		err = fmt.Errorf("core: remove shard dir: %w", rerr)
 	}
 	if err != nil {
 		return nil, err

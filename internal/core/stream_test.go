@@ -111,7 +111,7 @@ func TestShardSeedsDivergeAcrossShards(t *testing.T) {
 	}
 	a := fileBytes(t, set.Paths[0])
 	b := fileBytes(t, set.Paths[1])
-	if string(a[relation.ShardHeaderSize:]) == string(b[relation.ShardHeaderSize:]) {
+	if string(a) == string(b) {
 		t.Fatal("shards 0 and 1 drew identical rows: per-shard seed split is broken")
 	}
 }
@@ -395,8 +395,7 @@ func TestGenerateStreamRejectsViewsBeforeSampling(t *testing.T) {
 }
 
 // TestGenerateStreamRemovesShardsOnMergeError checks that a merge failure
-// does not leave the sampled shards on disk unless KeepSamples asks for
-// them.
+// does not leave the sampled shards on disk.
 func TestGenerateStreamRemovesShardsOnMergeError(t *testing.T) {
 	orig := datagen.IMDB(5, 80)
 	l := join.NewLayout(orig)
@@ -405,18 +404,13 @@ func TestGenerateStreamRemovesShardsOnMergeError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty := func() join.TupleSampler { return nullSampler{o} }
-	for _, keep := range []bool{false, true} {
-		opts := DefaultStreamOptions(3, t.TempDir())
-		opts.Samples = 500
-		opts.KeepSamples = keep
-		if _, err := gen.GenerateStream(empty, opts); err == nil {
-			t.Fatal("merge of samples without any child relation succeeded")
-		}
-		_, err := os.Stat(filepath.Join(opts.OutDir, "shards"))
-		if kept := err == nil; kept != keep {
-			t.Fatalf("KeepSamples=%t: shard directory kept=%t", keep, kept)
-		}
+	opts := DefaultStreamOptions(3, t.TempDir())
+	opts.Samples = 500
+	if _, err := gen.GenerateStream(func() join.TupleSampler { return nullSampler{o} }, opts); err == nil {
+		t.Fatal("merge of samples without any child relation succeeded")
+	}
+	if _, err := os.Stat(filepath.Join(opts.OutDir, "shards")); !os.IsNotExist(err) {
+		t.Fatalf("shard directory left behind after a failed merge (stat: %v)", err)
 	}
 }
 
@@ -506,9 +500,10 @@ func sumOf(ws []float64) float64 {
 	return s
 }
 
-// TestKeepSamplesRetainsShards checks the KeepSamples escape hatch: the
-// shard files stay in place with every sampled row.
-func TestKeepSamplesRetainsShards(t *testing.T) {
+// TestStreamRejectsTruncatedShard cuts one shard of a sampled set, once
+// mid-row and once by a whole row, on both stores: the merge must fail
+// with an error, never panic or merge the short set.
+func TestStreamRejectsTruncatedShard(t *testing.T) {
 	orig := datagen.IMDB(5, 80)
 	l := join.NewLayout(orig)
 	o := join.NewOracle(l)
@@ -516,43 +511,30 @@ func TestKeepSamplesRetainsShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultStreamOptions(3, t.TempDir())
-	opts.Samples = 2000
-	opts.Shards = 2
-	opts.KeepSamples = true
-	if _, err := gen.GenerateStream(func() join.TupleSampler { return o }, opts); err != nil {
-		t.Fatal(err)
-	}
-	total := int64(0)
-	for _, p := range keptShards(t, opts.OutDir, 2) {
-		f, err := os.Open(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := relation.NewShardReader(f)
-		f.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += r.Rows()
-	}
-	if total != 2000 {
-		t.Fatalf("kept shards hold %d rows want 2000", total)
-	}
-}
-
-// keptShards returns the paths of the n shard files a KeepSamples run left
-// under outDir, failing if any is missing.
-func keptShards(t *testing.T, outDir string, n int) []string {
-	t.Helper()
-	paths := make([]string, n)
-	for i := range paths {
-		paths[i] = filepath.Join(outDir, "shards", relation.ShardFileName(i))
-		if _, err := os.Stat(paths[i]); err != nil {
-			t.Fatal(err)
+	rowBytes := 4 * l.NumCols()
+	for _, store := range []string{"memory", "dir"} {
+		for _, cut := range []struct {
+			bytes int
+			want  string
+		}{{2, "mid-row"}, {rowBytes, "replayed"}} {
+			opts := DefaultStreamOptions(3, "")
+			if store == "dir" {
+				opts.OutDir = t.TempDir()
+			}
+			opts.Shards = 2
+			set, err := gen.SampleShards(func() join.TupleSampler { return o }, 600, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := readStream(t, set.st, set.Paths[1])
+			putStream(t, set.st, set.Paths[1], b[:len(b)-cut.bytes])
+			opts.OutDir = t.TempDir()
+			_, err = gen.MaterializeStream(set, opts)
+			if err == nil || !strings.Contains(err.Error(), cut.want) {
+				t.Fatalf("%s store, shard cut by %d bytes: got error %v, want one mentioning %q", store, cut.bytes, err, cut.want)
+			}
 		}
 	}
-	return paths
 }
 
 // TestStreamObserversByteIdentical is the observer-only contract for the
@@ -587,24 +569,26 @@ func TestStreamObserversByteIdentical(t *testing.T) {
 
 	run := func(h *obs.Hooks, sp *obs.Span) (map[string][]byte, [][]byte) {
 		opts := DefaultStreamOptions(29, t.TempDir())
-		opts.Samples = 5000
 		opts.Shards = 3
 		opts.Workers = 2
 		opts.Partitions = 5
-		opts.KeepSamples = true
 		opts.Hooks = h
 		opts.Span = sp
-		res, err := gen.GenerateStream(func() join.TupleSampler { return o }, opts)
+		set, err := gen.SampleShards(func() join.TupleSampler { return o }, 5000, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var shards [][]byte
+		for _, p := range set.Paths {
+			shards = append(shards, fileBytes(t, p))
+		}
+		res, err := gen.MaterializeStream(set, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		csvs := map[string][]byte{}
 		for name, path := range res.CSVPaths {
 			csvs[name] = fileBytes(t, path)
-		}
-		var shards [][]byte
-		for _, p := range keptShards(t, opts.OutDir, opts.Shards) {
-			shards = append(shards, fileBytes(t, p))
 		}
 		return csvs, shards
 	}

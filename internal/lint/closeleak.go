@@ -11,14 +11,12 @@ import (
 )
 
 // CloseLeak enforces the resource lifecycle of the streaming pipeline's
-// file-backed values: an os.File or a relation shard/spill handle opened
-// in a function must reach Close on every exit path, or the fd (and for
-// writers, the unpatched row-count header) leaks. The creation set is
-// deliberately narrow — os.Create/Open/OpenFile/CreateTemp plus the
-// relation constructors that own a file — and ownership transfer is
-// respected aggressively: a handle that is returned, stored, passed to
-// another call, captured by a closure, or address-taken is someone
-// else's to close, so only clearly-owned locals are checked.
+// os files: an os.File opened in a function must reach Close on every
+// exit path, or the fd leaks. The creation set is deliberately narrow —
+// os.Create/Open/OpenFile/CreateTemp — and ownership transfer is respected
+// aggressively: a handle that is returned, stored, passed to another call,
+// captured by a closure, or address-taken is someone else's to close, so
+// only clearly-owned locals are checked.
 //
 // Path coverage runs on the CFG from the creation statement: a deferred
 // Close covers everything, otherwise analysis.UncoveredExit must find no
@@ -27,8 +25,8 @@ import (
 // fix inserts `defer x.Close()` after the error check.
 var CloseLeak = &analysis.Analyzer{
 	Name: "closeleak",
-	Doc: "require file-backed values (os files, relation shard/spill handles) " +
-		"opened in a function to be closed on every path or handed off",
+	Doc: "require os files opened in a function to be closed on every " +
+		"path or handed off",
 	Run: runCloseLeak,
 }
 

@@ -4,8 +4,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-
-	"sam/internal/relation"
 )
 
 // The canonical shape: defer right after the error check.
@@ -37,8 +35,8 @@ func copyOut(dst io.Writer, path string) error {
 }
 
 // A returned handle is the caller's to close.
-func openShard(dir string, shard int) (*os.File, error) {
-	f, err := os.Open(filepath.Join(dir, relation.ShardFileName(shard)))
+func openShard(dir string) (*os.File, error) {
+	f, err := os.Open(filepath.Join(dir, "shard-000"))
 	if err != nil {
 		return nil, err
 	}

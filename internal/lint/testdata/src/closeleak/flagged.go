@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"sam/internal/relation"
 )
 
 var errEmpty = errors.New("empty row")
@@ -32,7 +30,7 @@ func writeAll(path string, rows []string) error {
 // spillRun creates a shard file and forgets it entirely: the fd leaks and
 // the buffered rows may never reach the disk.
 func spillRun(dir string, rows [][]int32) error {
-	f, err := os.Create(filepath.Join(dir, relation.ShardFileName(0)))
+	f, err := os.Create(filepath.Join(dir, "shard-000"))
 	if err != nil {
 		return err
 	}

@@ -58,13 +58,17 @@ func TestRegistryConcurrent(t *testing.T) {
 
 // TestRegistryKindClashPanics pins that a name is one family: asking for
 // it under a second kind or label count panics at registration, as do
-// label names the exposition cannot carry, and what was registered before
-// still renders exposition the parser accepts.
+// label names and bucket bounds the exposition cannot carry and names
+// whose series would collide with a histogram's (in both registration
+// orders), and what was registered before still renders exposition the
+// parser accepts.
 func TestRegistryKindClashPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("x").Inc()
 	r.CounterVec("y_total", "a").With("1").Inc()
 	r.Gauge("with_dash").Set(1)
+	r.Histogram("lat", []float64{1}).Observe(0.5)
+	r.Counter("q_count").Inc()
 	for name, register := range map[string]func(){
 		"gauge over counter":      func() { r.Gauge("x") },
 		"histogram over counter":  func() { r.Histogram("x", []float64{1}) },
@@ -74,6 +78,11 @@ func TestRegistryKindClashPanics(t *testing.T) {
 		"sanitized name collides": func() { r.Counter("with-dash") },
 		"repeated label":          func() { r.CounterVec("z_total", "a-b", "a_b") },
 		"histogram le label":      func() { r.HistogramVec("h", []float64{1}, "le") },
+		"histogram +Inf bound":    func() { r.Histogram("h_inf", []float64{1, math.Inf(1)}) },
+		"histogram NaN bound":     func() { r.Histogram("h_nan", []float64{math.NaN()}) },
+		"counter on hist _sum":    func() { r.Counter("lat_sum") },
+		"gauge on hist _bucket":   func() { r.Gauge("lat_bucket") },
+		"hist series on counter":  func() { r.Histogram("q", []float64{1}) },
 	} {
 		func() {
 			defer func() {
@@ -85,7 +94,8 @@ func TestRegistryKindClashPanics(t *testing.T) {
 		}()
 	}
 	got := scrape(t, r)
-	if got["x"] != 1 || got[`y_total{a="1"}`] != 1 || got["with_dash"] != 1 {
+	if got["x"] != 1 || got[`y_total{a="1"}`] != 1 || got["with_dash"] != 1 ||
+		got["lat_count"] != 1 || got["q_count"] != 1 {
 		t.Fatalf("scrape after refused registrations: %v", got)
 	}
 }

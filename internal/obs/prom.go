@@ -220,11 +220,13 @@ type PromFamily struct {
 
 // ParsePrometheus parses and validates text exposition-format output —
 // the verification half of WritePrometheus, used by the format gate in
-// the tests. It enforces metric/label name charsets, quoted-and-escaped
-// label values, parseable sample values, known TYPE declarations, and
-// histogram shape: every histogram family must carry _sum, _count, a
-// closing +Inf bucket equal to _count, ascending le bounds, and
-// non-decreasing cumulative bucket counts.
+// the tests. It enforces metric/label name charsets, label names unique
+// within a sample, quoted-and-escaped label values, parseable sample
+// values, known TYPE declarations that do not name a series of an earlier
+// histogram, and histogram shape: every histogram family must carry _sum,
+// _count, a closing +Inf bucket equal to _count, strictly ascending le
+// bounds (no le twice in a series), and non-decreasing cumulative bucket
+// counts.
 func ParsePrometheus(r io.Reader) ([]PromFamily, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
@@ -255,6 +257,12 @@ func ParsePrometheus(r io.Reader) ([]PromFamily, error) {
 				}
 				if _, dup := index[name]; dup {
 					return nil, fmt.Errorf("obs: prom line %d: duplicate TYPE for %q", lineNo, name)
+				}
+				for _, suffix := range histogramSeries {
+					base, ok := strings.CutSuffix(name, suffix)
+					if i, seen := index[base]; ok && seen && fams[i].Type == "histogram" {
+						return nil, fmt.Errorf("obs: prom line %d: TYPE for %q names a series of histogram %q", lineNo, name, base)
+					}
 				}
 				index[name] = len(fams)
 				fams = append(fams, PromFamily{Name: name, Type: typ})
@@ -364,6 +372,11 @@ func parsePromLabels(text string) (int, []PromLabel, error) {
 		if !validName(name, false) {
 			return 0, nil, fmt.Errorf("invalid label name %q", name)
 		}
+		for _, l := range labels {
+			if l.Name == name {
+				return 0, nil, fmt.Errorf("repeated label %s", name)
+			}
+		}
 		i++ // past '='
 		if i >= len(text) || text[i] != '"' {
 			return 0, nil, fmt.Errorf("label %s: value must be quoted", name)
@@ -465,18 +478,22 @@ func checkPromHistogram(f *PromFamily) error {
 			sr := get(s)
 			leStr := s.Label("le")
 			le, err := parsePromValue(leStr)
-			if err != nil {
+			if err != nil || math.IsNaN(le) {
 				return fmt.Errorf("obs: histogram %s: bad le %q", f.Name, leStr)
 			}
+			// Strictly ascending bounds, +Inf included: a repeated le,
+			// or any bucket after +Inf, is rejected.
+			if sr.started && le == sr.lastLe {
+				return fmt.Errorf("obs: histogram %s: repeated le %q", f.Name, leStr)
+			}
+			if sr.started && le < sr.lastLe {
+				return fmt.Errorf("obs: histogram %s: le bounds not ascending at %v", f.Name, le)
+			}
+			sr.started = true
+			sr.lastLe = le
 			if math.IsInf(le, 1) {
 				sr.hasInf = true
 				sr.infCum = s.Value
-			} else {
-				if sr.started && le <= sr.lastLe {
-					return fmt.Errorf("obs: histogram %s: le bounds not ascending at %v", f.Name, le)
-				}
-				sr.started = true
-				sr.lastLe = le
 			}
 			if n := len(sr.cums); n > 0 && s.Value < sr.cums[n-1] {
 				return fmt.Errorf("obs: histogram %s: bucket counts not cumulative at le=%v", f.Name, le)

@@ -166,6 +166,15 @@ var promRejects = map[string]string{
 		"h_bucket{le=\"+Inf\"} 5\nh_sum 1\nh_count 5\n",
 	"hist le not ascending": "# TYPE h histogram\nh_bucket{le=\"2\"} 1\nh_bucket{le=\"1\"} 1\n" +
 		"h_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\n",
+	"repeated label": "c{a_b=\"1\",a_b=\"2\"} 1\n",
+	"hist repeated le": "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_bucket{le=\"1\"} 1\n" +
+		"h_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\n",
+	"hist two inf buckets": "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 1\n" +
+		"h_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\n",
+	"hist bucket after inf": "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1\nh_bucket{le=\"2\"} 1\n" +
+		"h_sum 1\nh_count 1\n",
+	"type names a hist series": "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\n" +
+		"# TYPE h_sum counter\nh_sum 2\n",
 }
 
 // TestParsePrometheusRejects covers the validator's failure modes so the

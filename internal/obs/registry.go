@@ -11,6 +11,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -132,8 +133,13 @@ func newFamily(name string, kind metricKind, bounds []float64, labels []string) 
 		}
 	}
 	if kind == kindHistogram {
-		for i := 1; i < len(bounds); i++ {
-			if bounds[i] <= bounds[i-1] {
+		for i, b := range bounds {
+			// The exposition closes every histogram with its own +Inf
+			// bucket, so a +Inf bound would render le="+Inf" twice.
+			if math.IsInf(b, 0) || math.IsNaN(b) {
+				panic(fmt.Sprintf("obs: histogram %s bound %d is %v, not finite", name, i, b))
+			}
+			if i > 0 && b <= bounds[i-1] {
 				panic(fmt.Sprintf("obs: histogram %s bounds not ascending at %d", name, i))
 			}
 		}
@@ -145,7 +151,9 @@ func newFamily(name string, kind metricKind, bounds []float64, labels []string) 
 // Registry is a concurrent, get-or-create collection of named metric
 // families; the Prometheus text that WritePrometheus renders is its one
 // view. A name is one family: asking for it again under another kind or
-// label count panics, like a wrong number of label values does. Like the
+// label count panics, like a wrong number of label values does, and so
+// does a name that equals a histogram's _bucket, _sum or _count series
+// (in either registration order). Like the
 // rest of the obs layer it follows the nil-observer contract: on a nil
 // *Registry the getters return detached metrics (recorded values go
 // nowhere), WritePrometheus writes nothing, and nothing panics — so
@@ -181,6 +189,10 @@ func (r *Registry) family(name string, kind metricKind, bounds []float64, labels
 		created := newFamily(name, kind, bounds, labels)
 		r.mu.Lock()
 		if f = r.families[name]; f == nil {
+			if other := seriesClash(r.families, name, kind); other != "" {
+				r.mu.Unlock()
+				panic(fmt.Sprintf("obs: metric %s would render series that collide with metric %s", name, other))
+			}
 			if r.families == nil {
 				r.families = make(map[string]*family)
 			}
@@ -194,6 +206,27 @@ func (r *Registry) family(name string, kind metricKind, bounds []float64, labels
 			name, f.kind, len(f.labels), kind, len(labels)))
 	}
 	return f
+}
+
+// histogramSeries are the suffixes a histogram family's samples carry.
+var histogramSeries = [...]string{"_bucket", "_sum", "_count"}
+
+// seriesClash returns the family in families whose rendered sample names
+// a new family name of the given kind would share, or "": name is a
+// series of a registered histogram, or a new histogram's series is a
+// registered name.
+func seriesClash(families map[string]*family, name string, kind metricKind) string {
+	for _, suffix := range histogramSeries {
+		if base, ok := strings.CutSuffix(name, suffix); ok {
+			if f := families[base]; f != nil && f.kind == kindHistogram {
+				return base
+			}
+		}
+		if kind == kindHistogram && families[name+suffix] != nil {
+			return name + suffix
+		}
+	}
+	return ""
 }
 
 // Counter returns the named counter, creating it on first use. On a nil
