@@ -122,25 +122,21 @@ trace-smoke:
 	@grep -q 'Run ID' report.md || { echo "samreport: no run ID in report.md"; exit 1; }
 	$(GO) test -run 'TestSambenchTraceSmoke|TestSamreportSmoke|TestSambenchPrometheusEndpoint' -v .
 
-## fuzz-smoke runs each decoder fuzz target for a short budget: the run-log
-## reader, the Prometheus text parser, the model loader, the CSV loader,
-## the SQL parser, the workload reader with query validation, the trace
-## reader, the engine's record-stream readers (sample shards, spill
-## partitions, group runs and span runs), and the schema-spec reader with
-## schema building.
-## `go test -fuzz` takes one target per invocation, hence one line each; a
-## failing input lands under the package's testdata/fuzz, where plain
-## `go test` replays it.
+## fuzz-smoke runs every Fuzz target in the module for 10s each. The
+## targets are discovered with `go list` and `go test -list`, so a new
+## target needs no edit here or in CI. `go test -fuzz` takes one target per
+## invocation, hence the loop; it stops at the first failing target and
+## also fails when it finds no target at all. A failing input lands under
+## the package's testdata/fuzz, where plain `go test` replays it.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzReadRunLog$$' -fuzztime 10s ./internal/obs
-	$(GO) test -run '^$$' -fuzz '^FuzzParsePrometheus$$' -fuzztime 10s ./internal/obs
-	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/ar
-	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s ./internal/relation
-	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/sqlparse
-	$(GO) test -run '^$$' -fuzz '^FuzzWorkload$$' -fuzztime 10s ./internal/workload
-	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 10s ./internal/obs
-	$(GO) test -run '^$$' -fuzz '^FuzzShardStream$$' -fuzztime 10s ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzRawRecords$$' -fuzztime 10s ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzGroupRun$$' -fuzztime 10s ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzSpanRun$$' -fuzztime 10s ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzReadSpec$$' -fuzztime 10s ./internal/relation
+	@n=0; \
+	for pkg in $$($(GO) list ./...); do \
+		list=$$($(GO) test -list '^Fuzz' $$pkg) || { echo "$$list"; exit 1; }; \
+		for target in $$(echo "$$list" | grep '^Fuzz'); do \
+			echo "== $$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s $$pkg || exit 1; \
+			n=$$((n + 1)); \
+		done; \
+	done; \
+	if [ $$n -eq 0 ]; then echo "fuzz-smoke: no Fuzz targets found"; exit 1; fi; \
+	echo "fuzz-smoke: $$n targets passed"

@@ -17,12 +17,13 @@
 // experiment separately.
 //
 // -trace records the run's phase tree (train/sample/weight/merge/eval
-// spans with wall time and allocation deltas) as JSONL and prints its
-// summary after the reports. -progress streams per-epoch training loss
-// (with an ETA), throttled sampling progress, and per-phase generation
-// stats to stderr. -debug-addr serves live net/http/pprof, the telemetry
-// registry in Prometheus text format at /metrics, and the recent-event
-// ring at /debug/events while the run is hot. Traces written with -trace feed samreport -trace.
+// spans with wall time and allocation deltas) as JSONL and prints it
+// after the reports as the per-path table samreport shows. -progress
+// streams per-epoch training loss (with an ETA), throttled sampling
+// progress, and per-phase generation stats to stderr. -debug-addr serves
+// live net/http/pprof and the telemetry registry in Prometheus text
+// format at /metrics while the run is hot. Traces written with -trace
+// feed samreport -trace.
 // -runlog appends every pipeline event as structured JSONL and
 // -metrics-out snapshots the final registry as Prometheus text; every
 // invocation mints a run ID stamped into all artifacts (trace root,
@@ -70,7 +71,7 @@ func main() {
 	runlogOut := flag.String("runlog", "", "append the run's structured events as JSONL (framed by run_start/run_end and stamped with the run ID) to this file")
 	metricsOut := flag.String("metrics-out", "", "write the final telemetry registry in Prometheus text format to this file at exit")
 	progress := flag.Bool("progress", false, "stream per-epoch training and per-phase generation progress to stderr")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof, /metrics and /debug/events on this address (e.g. :6060)")
+	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof and /metrics on this address (e.g. :6060)")
 	flag.Parse()
 
 	if *tensorBench != "" {

@@ -18,15 +18,17 @@
 // into independently reproducible (seed, shard) units under outdir/shards
 // and tables are merged and written through bounded-memory spill files, so
 // peak memory no longer grows with -samples. The shards and spill files
-// are removed once the CSVs are written, also when generation fails. -workers parallelizes across
-// shards without changing a single output byte.
+// are removed once the CSVs are written, also when generation fails.
+// -workers parallelizes across shards without changing a single output
+// byte. -stream always runs Group-and-Merge, so it rejects -no-gam before
+// reading any input.
 //
 // -trace records the pipeline's phase tree (train/sample/weight/merge
-// spans with wall time and allocation deltas) as JSONL and prints its
-// summary; -progress streams per-epoch loss (with an ETA), throttled
-// sampling progress, and per-phase generation stats to stderr;
-// -debug-addr serves live pprof, Prometheus metrics at /metrics, and the
-// recent-event ring at /debug/events.
+// spans with wall time and allocation deltas) as JSONL and prints it as
+// the per-path table samreport shows; -progress streams per-epoch loss
+// (with an ETA), throttled sampling progress, and per-phase generation
+// stats to stderr; -debug-addr serves live pprof and Prometheus metrics
+// at /metrics.
 // -runlog appends every pipeline event as structured JSONL and
 // -metrics-out snapshots the final registry as Prometheus text. Every
 // invocation mints a run ID stamped into all of these (trace root attr,
@@ -74,8 +76,11 @@ func main() {
 	runlogOut := flag.String("runlog", "", "append the run's structured events as JSONL (framed by run_start/run_end and stamped with the run ID) to this file")
 	metricsOut := flag.String("metrics-out", "", "write the final telemetry registry in Prometheus text format to this file at exit")
 	progress := flag.Bool("progress", false, "stream per-epoch training and per-phase generation progress to stderr")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof, /metrics and /debug/events on this address (e.g. :6060)")
+	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof and /metrics on this address (e.g. :6060)")
 	flag.Parse()
+	if *stream && *noGam {
+		log.Fatal("samgen: -stream always runs Group-and-Merge; drop -no-gam (the ablation is in-memory only)")
+	}
 
 	tel, err := obs.StartCLITelemetry(obs.CLIFlags{
 		Name: "samgen", Seed: *seed, TracePath: *traceOut, RunLogPath: *runlogOut,

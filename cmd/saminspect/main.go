@@ -35,7 +35,7 @@ func main() {
 	flag.Parse()
 
 	if *debugAddr != "" {
-		addr, closeDebug, err := obs.ServeDebug(*debugAddr, obs.Default(), nil)
+		addr, closeDebug, err := obs.ServeDebug(*debugAddr, obs.Default())
 		if err != nil {
 			log.Fatalf("debug server: %v", err)
 		}

@@ -1,17 +1,17 @@
 // Command samreport fuses the artifacts one SAM run leaves behind into a
-// single self-contained Markdown or HTML report: the phase trace
-// (samgen/sambench -trace), the metrics in Prometheus text (-metrics-out
-// or a /metrics scrape), the structured JSONL run log (-runlog), and the
-// benchmark documents (BENCH_scale.json, BENCH_tensor.json). Inputs are
-// joined by the run ID each artifact was stamped with; mixing artifacts
-// from different runs is an error unless -allow-mismatch downgrades it to
-// a warning in the report.
+// single Markdown report: the phase trace (samgen/sambench -trace), the
+// metrics in Prometheus text (-metrics-out or a /metrics scrape), the
+// structured JSONL run log (-runlog), and the benchmark documents
+// (BENCH_scale.json, BENCH_tensor.json). Inputs are joined by the run ID
+// each artifact was stamped with; mixing artifacts from different runs is
+// an error unless -allow-mismatch downgrades it to a warning in the
+// report.
 //
 // Usage:
 //
 //	samreport [-trace run.jsonl] [-baseline old.jsonl] [-metrics metrics.prom]
 //	          [-runlog run.log] [-scale BENCH_scale.json] [-tensor BENCH_tensor.json]
-//	          [-format markdown|html] [-top N] [-o report.md] [-allow-mismatch]
+//	          [-top N] [-o report.md] [-allow-mismatch]
 //
 // -baseline diffs the -trace span tree against a second trace (typically
 // from an older commit), surfacing per-span wall and allocation deltas.
@@ -37,7 +37,6 @@ func main() {
 	runlogPath := flag.String("runlog", "", "structured JSONL run log (-runlog)")
 	scalePath := flag.String("scale", "", "scalebench report (BENCH_scale.json)")
 	tensorPath := flag.String("tensor", "", "tensorbench report (BENCH_tensor.json)")
-	format := flag.String("format", "markdown", "output format: markdown or html")
 	top := flag.Int("top", 10, "hot spans / diff rows to list")
 	out := flag.String("o", "", "write the report to this file (default stdout)")
 	allowMismatch := flag.Bool("allow-mismatch", false, "tolerate inputs with differing run IDs (reported as a warning)")
@@ -79,7 +78,7 @@ func main() {
 		}()
 		w = f
 	}
-	if err := rep.Write(w, *format); err != nil {
+	if err := rep.WriteMarkdown(w); err != nil {
 		log.Fatal(err)
 	}
 }

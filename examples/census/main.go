@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 
 	"sam"
 )
@@ -35,6 +36,7 @@ func main() {
 	cfg := sam.DefaultTrainConfig()
 	cfg.Epochs = *epochs
 	cfg.Logf = log.Printf
+	cfg.Hooks = sam.ProgressHooks(os.Stderr)
 	model, err := sam.Train(layout, wl, float64(table.NumRows()), cfg)
 	if err != nil {
 		log.Fatal(err)

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"os"
 	"strings"
 
 	"sam"
@@ -50,6 +51,7 @@ func main() {
 	cfg := sam.DefaultTrainConfig()
 	cfg.Epochs = *epochs
 	cfg.Logf = log.Printf
+	cfg.Hooks = sam.ProgressHooks(os.Stderr)
 	model, err := sam.Train(sam.NewLayout(hidden), wl, float64(sam.FOJSize(hidden)), cfg)
 	if err != nil {
 		log.Fatal(err)

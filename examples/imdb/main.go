@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 
 	"sam"
 )
@@ -34,6 +35,7 @@ func main() {
 	cfg := sam.DefaultTrainConfig()
 	cfg.Epochs = *epochs
 	cfg.Logf = log.Printf
+	cfg.Hooks = sam.ProgressHooks(os.Stderr)
 	model, err := sam.Train(layout, wl, float64(sam.FOJSize(hidden)), cfg)
 	if err != nil {
 		log.Fatal(err)

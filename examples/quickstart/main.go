@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"os"
 
 	"sam"
 )
@@ -40,6 +41,7 @@ func main() {
 	cfg.Epochs = 30
 	cfg.Model.Hidden = 32
 	cfg.Logf = log.Printf
+	cfg.Hooks = sam.ProgressHooks(os.Stderr)
 	model, err := sam.Train(layout, wl, 1000, cfg)
 	if err != nil {
 		log.Fatal(err)

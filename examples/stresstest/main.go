@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 
 	"sam"
 )
@@ -36,6 +37,7 @@ func main() {
 	cfg := sam.DefaultTrainConfig()
 	cfg.Epochs = 6
 	cfg.Logf = log.Printf
+	cfg.Hooks = sam.ProgressHooks(os.Stderr)
 	model, err := sam.Train(sam.NewLayout(prod), logWl, float64(table.NumRows()), cfg)
 	if err != nil {
 		log.Fatal(err)

@@ -27,7 +27,9 @@ type TrainConfig struct {
 	Workers            int     // goroutines per batch; 0 = one per trainRowsPerWorker batch rows
 	Seed               int64
 
-	// Logf, when non-nil, receives one progress line per epoch.
+	// Logf, when non-nil, receives training warnings (workload queries
+	// dropped as unsatisfiable). Per-epoch progress is a Hooks event;
+	// obs.ProgressHooks prints it.
 	Logf func(format string, args ...any)
 
 	// Hooks, when non-nil, observes training: per-epoch loss/grad-norm/
@@ -172,9 +174,6 @@ func Train(layout *join.Layout, wl *workload.Workload, population float64, cfg T
 				Steps:    steps,
 				Wall:     time.Since(epochStart),
 			})
-		}
-		if cfg.Logf != nil {
-			cfg.Logf("ar: epoch %d/%d mean batch loss %.4f", epoch+1, cfg.Epochs, epochLoss/float64(steps))
 		}
 	}
 	epochsSpan.SetAttr("steps", totalSteps)

@@ -300,7 +300,7 @@ func (c *Context) PGMModel(b *Bundle, nQueries int) (*pgm.PGM, time.Duration, er
 	for _, ts := range wl.TableSets() {
 		if len(ts) > 1 {
 			q := workload.Query{Tables: ts}
-			populations[viewKeyOf(ts)] = float64(engine.Card(b.Orig, &q))
+			populations[pgm.ViewKey(ts)] = float64(engine.Card(b.Orig, &q))
 		}
 	}
 	cfg := pgm.DefaultConfig()
@@ -340,19 +340,4 @@ func (c *Context) PGMDB(b *Bundle, nQueries int) (*relation.Schema, time.Duratio
 	c.Logf("generated %s from PGM in %v", b.Name, el.Round(time.Millisecond))
 	b.pgmDBs[key] = db
 	return db, el, nil
-}
-
-// viewKeyOf mirrors pgm's canonical view key (sorted names joined by |).
-func viewKeyOf(tables []string) string {
-	ts := append([]string(nil), tables...)
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j] < ts[j-1]; j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
-		}
-	}
-	out := ts[0]
-	for _, t := range ts[1:] {
-		out += "|" + t
-	}
-	return out
 }

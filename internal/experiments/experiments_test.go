@@ -176,9 +176,3 @@ func TestLatenciesOnShape(t *testing.T) {
 		}
 	}
 }
-
-func TestViewKeyOfMatchesPGM(t *testing.T) {
-	if viewKeyOf([]string{"b", "a", "c"}) != "a|b|c" {
-		t.Fatalf("viewKeyOf = %q", viewKeyOf([]string{"b", "a", "c"}))
-	}
-}

@@ -21,8 +21,8 @@ type CLIFlags struct {
 }
 
 // CLITelemetry is one CLI run's observer wiring. A fresh run ID is
-// stamped into every artifact it emits — the trace root, the event ring,
-// the sam_run_info family, and the run log — which is how samreport joins
+// stamped into every artifact it emits — the trace root, the
+// sam_run_info family, and the run log — which is how samreport joins
 // them back together.
 type CLITelemetry struct {
 	RunID string
@@ -38,8 +38,8 @@ type CLITelemetry struct {
 
 // StartCLITelemetry mints the run ID and starts what the flags ask for:
 // the metrics hooks on the default registry (-debug-addr, -metrics-out),
-// the debug server with its event ring, stderr progress, the run log, and
-// the trace. Call Close once the run's work is done.
+// the debug server, stderr progress, the run log, and the trace. Call
+// Close once the run's work is done.
 func StartCLITelemetry(f CLIFlags) (*CLITelemetry, error) {
 	t := &CLITelemetry{RunID: NewRunID(), flags: f}
 	if f.RunLogPath != "" {
@@ -56,8 +56,7 @@ func StartCLITelemetry(f CLIFlags) (*CLITelemetry, error) {
 		t.Hooks = MetricsHooks(t.reg)
 	}
 	if f.DebugAddr != "" {
-		ring := NewEventLog(eventRingSize, t.RunID)
-		addr, closeDebug, err := ServeDebug(f.DebugAddr, t.reg, ring)
+		addr, closeDebug, err := ServeDebug(f.DebugAddr, t.reg)
 		if err != nil {
 			if t.runlogFile != nil {
 				t.runlogFile.Close()
@@ -65,8 +64,7 @@ func StartCLITelemetry(f CLIFlags) (*CLITelemetry, error) {
 			return nil, err
 		}
 		t.closeDebug = closeDebug
-		t.Hooks = Merge(t.Hooks, EventHooks(ring.Add))
-		fmt.Fprintf(os.Stderr, "debug server on http://%s (pprof, /metrics, /debug/events)\n", addr)
+		fmt.Fprintf(os.Stderr, "debug server on http://%s (pprof, /metrics)\n", addr)
 	}
 	if f.Progress {
 		t.Hooks = Merge(t.Hooks, ProgressHooks(os.Stderr))
@@ -85,19 +83,24 @@ func StartCLITelemetry(f CLIFlags) (*CLITelemetry, error) {
 }
 
 // Close finishes every artifact: it ends and writes the trace (printing
-// its phase summary to w), closes the run log with its run_end frame,
-// writes the registry as Prometheus text, and stops the debug server.
-// Every step runs; their errors are joined. The trace and metrics files
-// are renamed into place from a temp file in the same directory, so a
-// run killed mid-write leaves no partial file at either path.
+// to w the per-path phase tree samreport shows), closes the run log with
+// its run_end frame, writes the registry as Prometheus text, and stops
+// the debug server. Every step runs; their errors are joined. The trace
+// and metrics files are renamed into place from a temp file in the same
+// directory, so a run killed mid-write leaves no partial file at either
+// path.
 func (t *CLITelemetry) Close(w io.Writer) error {
 	var errs []error
 	if t.Trace != nil {
 		t.Trace.Root().End()
-		if err := writeFileAtomic(t.flags.TracePath, t.Trace.WriteJSONL); err != nil {
+		recs := t.Trace.records()
+		err := writeFileAtomic(t.flags.TracePath, func(w io.Writer) error { return writeRecords(w, recs) })
+		if err != nil {
 			errs = append(errs, fmt.Errorf("trace: %w", err))
 		} else {
-			fmt.Fprintf(w, "== phase trace ==\n%strace written to %s\n", t.Trace.Summary(), t.flags.TracePath)
+			fmt.Fprintln(w, "== phase trace ==")
+			WriteTraceTree(w, AnalyzeTrace(recs))
+			fmt.Fprintf(w, "trace written to %s\n", t.flags.TracePath)
 		}
 	}
 	if t.runlog != nil {

@@ -48,8 +48,10 @@ func TestCLITelemetryArtifacts(t *testing.T) {
 	if err := tel.Close(&out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "== phase trace ==") || !strings.Contains(out.String(), "eval") {
-		t.Fatalf("phase summary not printed:\n%s", out.String())
+	for _, want := range []string{"== phase trace ==", "self-alloc", "  eval "} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("phase tree missing %q:\n%s", want, out.String())
+		}
 	}
 	if got, want := strings.Join(dirNames(t, dir), ","), "metrics.prom,run.log,trace.jsonl"; got != want {
 		t.Fatalf("artifact dir holds %s, want %s", got, want)

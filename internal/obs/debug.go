@@ -10,14 +10,13 @@ import (
 )
 
 // ServeDebug starts an HTTP debug server on addr (e.g. ":6060") serving
-// net/http/pprof under /debug/pprof/, the registry in Prometheus text
-// format under /metrics, and — when ev is non-nil — the recent-event ring
-// as JSON under /debug/events. It binds synchronously, so a bad address
-// fails fast, then serves in a background goroutine. The bound address is
+// net/http/pprof under /debug/pprof/ and the registry in Prometheus text
+// format under /metrics. It binds synchronously, so a bad address fails
+// fast, then serves in a background goroutine. The bound address is
 // returned (useful with ":0") together with a close function that drains
 // the server; serve failures are counted in the registry's
 // obs_debug_serve_errors_total counter rather than silently dropped.
-func ServeDebug(addr string, r *Registry, ev *EventLog) (string, func(), error) {
+func ServeDebug(addr string, r *Registry) (string, func(), error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, fmt.Errorf("obs: debug server: %w", err)
@@ -34,17 +33,6 @@ func ServeDebug(addr string, r *Registry, ev *EventLog) (string, func(), error) 
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	if ev != nil {
-		mux.HandleFunc("/debug/events", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			buf, err := ev.MarshalJSON()
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			w.Write(buf)
-		})
-	}
 	srv := &http.Server{Handler: mux}
 	done := make(chan struct{})
 	go func() {

@@ -12,9 +12,9 @@ import (
 
 // Event is one pipeline signal — a train epoch/step, a generation
 // phase/progress, a stream pass, an evaluated query, or a run log's
-// run_start/run_end frame — stamped with its sequence number in its sink,
-// its arrival time, and the owning run's ID. The event ring
-// (/debug/events) and the JSONL run log (-runlog) hold this same record.
+// run_start/run_end frame — stamped with its sequence number in the run
+// log, its arrival time, and the owning run's ID. It is one line of the
+// JSONL run log (-runlog).
 type Event struct {
 	Seq   uint64          `json:"seq"`
 	Time  time.Time       `json:"time"`
@@ -23,36 +23,9 @@ type Event struct {
 	Data  json.RawMessage `json:"data,omitempty"`
 }
 
-// marshalPayload is the first half of the step both sinks share. It runs
-// before the sink takes its lock, since data may carry its own
-// MarshalJSON.
-func marshalPayload(kind string, data any) (json.RawMessage, error) {
-	if data == nil {
-		return nil, nil
-	}
-	raw, err := json.Marshal(data)
-	if err != nil {
-		return nil, fmt.Errorf("obs: %s payload: %w", kind, err)
-	}
-	return raw, nil
-}
-
-// eventStamp is the second half: it stamps a marshaled payload with the
-// sink's next sequence number, the time, and the run ID. The owning sink
-// serializes calls, so seq order is arrival order.
-type eventStamp struct {
-	runID string
-	seq   uint64
-}
-
-func (s *eventStamp) next(kind string, raw json.RawMessage) Event {
-	s.seq++
-	return Event{Seq: s.seq, Time: time.Now(), RunID: s.runID, Kind: kind, Data: raw}
-}
-
 // EventHooks returns hooks that hand every pipeline event to add under
-// its kind tag; pass an EventLog's or a RunLog's Add. This is debug and
-// offline tooling: payloads are boxed and marshaled per event, so attach
+// its kind tag, such as a RunLog's Add. This is debug and offline
+// tooling: payloads are boxed and marshaled per event, so attach
 // it only where the allocation-free contract doesn't apply.
 func EventHooks(add func(kind string, data any)) *Hooks {
 	return &Hooks{
@@ -65,89 +38,6 @@ func EventHooks(add func(kind string, data any)) *Hooks {
 	}
 }
 
-// EventLog is a fixed-capacity ring buffer of recent events, served by
-// the debug server at /debug/events so a long run's last moments are
-// inspectable without a trace file. Appends overwrite the oldest entry;
-// all methods are safe for concurrent use and no-ops on a nil log.
-type EventLog struct {
-	mu    sync.Mutex
-	stamp eventStamp
-	buf   []Event
-	next  int // ring position of the next write
-}
-
-// eventRingSize is the ring capacity the CLIs use.
-const eventRingSize = 256
-
-// NewEventLog returns a ring holding the last capacity events (minimum 1),
-// each stamped with runID.
-func NewEventLog(capacity int, runID string) *EventLog {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &EventLog{stamp: eventStamp{runID: runID}, buf: make([]Event, 0, capacity)}
-}
-
-// Add appends one event, evicting the oldest when full. The ring is a
-// lossy live view: a payload that fails to marshal is not recorded (the
-// run log reports the same failure from Close).
-func (l *EventLog) Add(kind string, data any) {
-	if l == nil {
-		return
-	}
-	raw, err := marshalPayload(kind, data)
-	if err != nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	ev := l.stamp.next(kind, raw)
-	if len(l.buf) < cap(l.buf) {
-		l.buf = append(l.buf, ev)
-	} else {
-		l.buf[l.next] = ev
-		l.next = (l.next + 1) % cap(l.buf)
-	}
-}
-
-// Events returns the buffered events, oldest first. A nil log returns nil.
-func (l *EventLog) Events() []Event {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Event, 0, len(l.buf))
-	out = append(out, l.buf[l.next:]...)
-	out = append(out, l.buf[:l.next]...)
-	return out
-}
-
-// Total returns the number of events ever appended (≥ len(Events())).
-func (l *EventLog) Total() uint64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.stamp.seq
-}
-
-// MarshalJSON renders the ring as {"run_id": …, "total": N, "events":
-// [...]} so the /debug/events endpoint shows the owning run, the retained
-// window, and how much scrolled past it.
-func (l *EventLog) MarshalJSON() ([]byte, error) {
-	var runID string
-	if l != nil {
-		runID = l.stamp.runID
-	}
-	return json.Marshal(struct {
-		RunID  string  `json:"run_id,omitempty"`
-		Total  uint64  `json:"total"`
-		Events []Event `json:"events"`
-	}{RunID: runID, Total: l.Total(), Events: l.Events()})
-}
-
 // RunLog appends events to a JSONL stream, one self-contained entry per
 // line (every line repeats the run ID, so a log survives being cat'ed
 // together with others and still joins correctly). The stream is framed
@@ -157,7 +47,8 @@ func (l *EventLog) MarshalJSON() ([]byte, error) {
 // sticky and surface from Close.
 type RunLog struct {
 	mu    sync.Mutex
-	stamp eventStamp
+	runID string
+	seq   uint64 // entries written so far
 	bw    *bufio.Writer
 	err   error
 }
@@ -165,25 +56,36 @@ type RunLog struct {
 // NewRunLog starts a run log on w, writing the "run_start" framing entry
 // with the build metadata as its payload.
 func NewRunLog(w io.Writer, runID string) *RunLog {
-	l := &RunLog{stamp: eventStamp{runID: runID}, bw: bufio.NewWriter(w)}
+	l := &RunLog{runID: runID, bw: bufio.NewWriter(w)}
 	l.Add("run_start", BuildMeta())
 	return l
 }
 
-// Add appends one entry.
+// Add appends one entry stamped with the next seq, the time and the run
+// ID. The payload is marshaled before the lock is taken, since data may
+// carry its own MarshalJSON; seq is assigned under it, so seq order is
+// line order.
 func (l *RunLog) Add(kind string, data any) {
 	if l == nil {
 		return
 	}
-	raw, err := marshalPayload(kind, data)
+	var raw json.RawMessage
+	var err error
+	if data != nil {
+		if raw, err = json.Marshal(data); err != nil {
+			err = fmt.Errorf("obs: %s payload: %w", kind, err)
+		}
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.err != nil {
 		return
 	}
 	if err == nil {
+		l.seq++
 		var line []byte
-		if line, err = json.Marshal(l.stamp.next(kind, raw)); err == nil {
+		ev := Event{Seq: l.seq, Time: time.Now(), RunID: l.runID, Kind: kind, Data: raw}
+		if line, err = json.Marshal(ev); err == nil {
 			_, err = l.bw.Write(append(line, '\n'))
 		}
 	}

@@ -39,11 +39,6 @@ func TestNilSafeEntryPoints(t *testing.T) {
 				t.Fatalf("nil trace WriteJSONL = %v, want nil", err)
 			}
 		}},
-		{"Trace.Summary", func(t *testing.T) {
-			if got := nilTrace.Summary(); got != "" {
-				t.Fatalf("nil trace Summary = %q, want empty", got)
-			}
-		}},
 
 		{"Hooks.WantsTrainStep", func(t *testing.T) {
 			if nilHooks.WantsTrainStep() {
@@ -115,13 +110,6 @@ func TestNilSafeEntryPoints(t *testing.T) {
 		{"HistogramVec.With", func(t *testing.T) {
 			var v *HistogramVec
 			v.With("a").Observe(1)
-		}},
-		{"EventLog", func(t *testing.T) {
-			var l *EventLog
-			l.Add("k", 1)
-			if l.Events() != nil || l.Total() != 0 {
-				t.Fatal("nil event log not empty")
-			}
 		}},
 		{"RateMeter", func(t *testing.T) {
 			var m *RateMeter

@@ -148,10 +148,11 @@ func TestSpanNestingRoundTrip(t *testing.T) {
 	if v := byName["generate"].Attrs["tuples"]; v.(float64) != 123 {
 		t.Fatalf("tuples attr = %v", v)
 	}
-	sum := SummarizeRecords(recs)
-	for _, want := range []string{"run", "train", "epoch", "generate", "seed=42"} {
-		if !strings.Contains(sum, want) {
-			t.Fatalf("summary missing %q:\n%s", want, sum)
+	var tree strings.Builder
+	WriteTraceTree(&tree, AnalyzeTrace(recs))
+	for _, want := range []string{"run", "  train", "    epoch", "  generate"} {
+		if !strings.Contains(tree.String(), want+" ") {
+			t.Fatalf("trace tree missing %q:\n%s", want, tree.String())
 		}
 	}
 }
@@ -259,13 +260,11 @@ func TestServeDebug(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("boot").Inc()
 	r.CounterVec("boot_labeled_total", "kind").With("a").Add(2)
-	ev := NewEventLog(8, "aa")
-	ev.Add("train_step", TrainStep{Step: 1})
-	addr, closeFn, err := ServeDebug("127.0.0.1:0", r, ev)
+	addr, closeFn, err := ServeDebug("127.0.0.1:0", r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{"/debug/pprof/", "/metrics", "/debug/events"} {
+	for _, path := range []string{"/debug/pprof/", "/metrics"} {
 		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
@@ -277,8 +276,9 @@ func TestServeDebug(t *testing.T) {
 	}
 
 	// Prometheus text at /metrics is the registry's one view: neither
-	// expvar nor a JSON snapshot is served.
-	for _, path := range []string{"/debug/vars", "/metrics.json"} {
+	// expvar nor a JSON snapshot is served, and events go to the run log
+	// only.
+	for _, path := range []string{"/debug/vars", "/metrics.json", "/debug/events"} {
 		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
 			t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 	"strings"
 )
 
-// Prometheus text-format exposition (version 0.0.4), stdlib only, and the
+// Prometheus text format exposition (version 0.0.4), stdlib only, and the
 // registry's one rendering. Each family renders under one TYPE line (a
 // plain metric is a family without labels); histograms render the full
 // _bucket/_sum/_count series with cumulative bucket counts and a closing
@@ -218,7 +218,7 @@ type PromFamily struct {
 	Samples []PromSample
 }
 
-// ParsePrometheus parses and validates text exposition-format output —
+// ParsePrometheus parses and validates text exposition format output —
 // the verification half of WritePrometheus, used by the format gate in
 // the tests. It enforces metric/label name charsets, label names unique
 // within a sample, quoted-and-escaped label values, parseable sample

@@ -151,14 +151,13 @@ func TestRunLogPayloadError(t *testing.T) {
 	}
 }
 
-// TestEventSinksConcurrent feeds both sinks from several goroutines: the
-// run log must still read back gapless (seq order is line order) and the
-// ring must count every event.
+// TestEventSinksConcurrent feeds the run log from several goroutines: it
+// must still read back gapless, with every event (seq order is line
+// order).
 func TestEventSinksConcurrent(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewRunLog(&buf, "aa")
-	ring := NewEventLog(16, "aa")
-	h := Merge(EventHooks(l.Add), EventHooks(ring.Add))
+	h := EventHooks(l.Add)
 	const workers, each = 4, 50
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -167,7 +166,6 @@ func TestEventSinksConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				h.TrainStep(TrainStep{Step: i})
-				ring.Events()
 			}
 		}()
 	}
@@ -179,44 +177,8 @@ func TestEventSinksConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != workers*each+2 || ring.Total() != workers*each {
-		t.Fatalf("run log %d entries, ring total %d; want %d events", len(entries), ring.Total(), workers*each)
-	}
-}
-
-// TestEventLogRing checks the ring: stamping, eviction of the oldest
-// entries, the ever-appended total, and the /debug/events payload.
-func TestEventLogRing(t *testing.T) {
-	l := NewEventLog(2, "aa")
-	h := EventHooks(l.Add)
-	for i := 1; i <= 3; i++ {
-		h.TrainStep(TrainStep{Step: i})
-	}
-	evs := l.Events()
-	if len(evs) != 2 || evs[0].Seq != 2 || evs[1].Seq != 3 || l.Total() != 3 {
-		t.Fatalf("ring holds %+v (total %d), want seqs 2,3 of 3", evs, l.Total())
-	}
-	var step TrainStep
-	if err := json.Unmarshal(evs[1].Data, &step); err != nil || step.Step != 3 {
-		t.Fatalf("payload %s (%v), want step 3", evs[1].Data, err)
-	}
-	if evs[0].Kind != "train_step" || evs[0].RunID != "aa" || evs[0].Time.IsZero() {
-		t.Fatalf("event not stamped: %+v", evs[0])
-	}
-	buf, err := l.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var page struct {
-		RunID  string  `json:"run_id"`
-		Total  uint64  `json:"total"`
-		Events []Event `json:"events"`
-	}
-	if err := json.Unmarshal(buf, &page); err != nil {
-		t.Fatal(err)
-	}
-	if page.RunID != "aa" || page.Total != 3 || len(page.Events) != 2 {
-		t.Fatalf("/debug/events payload %s", buf)
+	if len(entries) != workers*each+2 {
+		t.Fatalf("run log %d entries, want %d events plus the two frames", len(entries), workers*each)
 	}
 }
 

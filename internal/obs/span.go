@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -162,20 +161,34 @@ func (sp *Span) record(traceStart time.Time) SpanRecord {
 	return rec
 }
 
+// records snapshots every span, parents before children.
+func (tr *Trace) records() []SpanRecord {
+	tr.mu.Lock()
+	spans := append([]*Span(nil), tr.spans...)
+	start := tr.start
+	tr.mu.Unlock()
+	recs := make([]SpanRecord, len(spans))
+	for i, sp := range spans {
+		recs[i] = sp.record(start)
+	}
+	return recs
+}
+
 // WriteJSONL serializes the trace, one span per line, parents before
 // children.
 func (tr *Trace) WriteJSONL(w io.Writer) error {
 	if tr == nil {
 		return nil
 	}
-	tr.mu.Lock()
-	spans := append([]*Span(nil), tr.spans...)
-	start := tr.start
-	tr.mu.Unlock()
+	return writeRecords(w, tr.records())
+}
+
+// writeRecords writes span records as JSONL, one per line.
+func writeRecords(w io.Writer, recs []SpanRecord) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, sp := range spans {
-		if err := enc.Encode(sp.record(start)); err != nil {
+	for _, rec := range recs {
+		if err := enc.Encode(rec); err != nil {
 			return err
 		}
 	}
@@ -222,51 +235,6 @@ func ReadTrace(r io.Reader) ([]SpanRecord, error) {
 	return out, nil
 }
 
-// Summary renders the trace as an indented tree with per-span wall time
-// and allocation deltas — the phase breakdown embedded in run reports.
-func (tr *Trace) Summary() string {
-	if tr == nil {
-		return ""
-	}
-	tr.mu.Lock()
-	spans := append([]*Span(nil), tr.spans...)
-	start := tr.start
-	tr.mu.Unlock()
-	recs := make([]SpanRecord, len(spans))
-	for i, sp := range spans {
-		recs[i] = sp.record(start)
-	}
-	return SummarizeRecords(recs)
-}
-
-// SummarizeRecords renders parsed span records as an indented tree.
-func SummarizeRecords(recs []SpanRecord) string {
-	children := map[int64][]SpanRecord{}
-	for _, rec := range recs {
-		children[rec.Parent] = append(children[rec.Parent], rec)
-	}
-	for _, kids := range children {
-		sort.Slice(kids, func(i, j int) bool { return kids[i].StartUS < kids[j].StartUS })
-	}
-	var sb strings.Builder
-	var walk func(parent int64, depth int)
-	walk = func(parent int64, depth int) {
-		for _, rec := range children[parent] {
-			live := ""
-			if rec.Live {
-				live = " (live)"
-			}
-			fmt.Fprintf(&sb, "%s%-*s %10s  %9s alloc  %6d mallocs  %d GCs%s%s\n",
-				strings.Repeat("  ", depth), 24-2*depth, rec.Name,
-				time.Duration(rec.WallUS)*time.Microsecond,
-				fmtBytes(rec.AllocBytes), rec.Mallocs, rec.GCs, live, fmtAttrs(rec.Attrs))
-			walk(rec.ID, depth+1)
-		}
-	}
-	walk(0, 0)
-	return sb.String()
-}
-
 func fmtBytes(b uint64) string {
 	switch {
 	case b >= 1<<30:
@@ -278,25 +246,4 @@ func fmtBytes(b uint64) string {
 	default:
 		return fmt.Sprintf("%dB", b)
 	}
-}
-
-func fmtAttrs(attrs map[string]any) string {
-	if len(attrs) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(attrs))
-	for k := range attrs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	sb.WriteString("  {")
-	for i, k := range keys {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		fmt.Fprintf(&sb, "%s=%v", k, attrs[k])
-	}
-	sb.WriteString("}")
-	return sb.String()
 }

@@ -153,7 +153,7 @@ func (p *PGM) Generate(seed int64) (*relation.Schema, error) {
 	rng := rand.New(rand.NewSource(seed))
 	samplers := make(map[string]*viewSampler)
 	sampler := func(vm *ViewModel) *viewSampler {
-		key := viewKey(vm.Tables)
+		key := ViewKey(vm.Tables)
 		if s, ok := samplers[key]; ok {
 			return s
 		}
@@ -281,5 +281,5 @@ func (p *PGM) Generate(seed int64) (*relation.Schema, error) {
 
 // exactView returns the view trained on exactly {table}, if any.
 func (p *PGM) exactView(table string) *ViewModel {
-	return p.Views[viewKey([]string{table})]
+	return p.Views[ViewKey([]string{table})]
 }

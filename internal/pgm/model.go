@@ -52,8 +52,9 @@ type ViewModel struct {
 	Population float64
 }
 
-// viewKey canonicalizes a table set.
-func viewKey(tables []string) string {
+// ViewKey canonicalizes a table set: the sorted table names joined by
+// "|".
+func ViewKey(tables []string) string {
 	ts := append([]string(nil), tables...)
 	sort.Strings(ts)
 	return strings.Join(ts, "|")
@@ -168,9 +169,9 @@ type PGM struct {
 	cfg    Config
 }
 
-// Train fits the PGM baseline. populations maps each view key (sorted
-// table names joined by "|") to its total size; single-table views default
-// to the table's target size from sizes.
+// Train fits the PGM baseline. populations maps each multi-table view's
+// ViewKey to its total size; single-table views default to the table's
+// target size from sizes.
 func Train(s *relation.Schema, wl *workload.Workload, sizes map[string]int,
 	populations map[string]float64, cfg Config) (*PGM, error) {
 	if wl.Len() == 0 {
@@ -178,7 +179,7 @@ func Train(s *relation.Schema, wl *workload.Workload, sizes map[string]int,
 	}
 	byView := make(map[string][]workload.CardQuery)
 	for _, q := range wl.Queries {
-		byView[viewKey(q.Tables)] = append(byView[viewKey(q.Tables)], q)
+		byView[ViewKey(q.Tables)] = append(byView[ViewKey(q.Tables)], q)
 	}
 	p := &PGM{Schema: s, Views: make(map[string]*ViewModel), Sizes: sizes, cfg: cfg}
 	keys := make([]string, 0, len(byView))

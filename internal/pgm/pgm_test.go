@@ -140,7 +140,7 @@ func TestPGMMultiRelationGenerates(t *testing.T) {
 	for _, ts := range wl.TableSets() {
 		if len(ts) > 1 {
 			q := workload.Query{Tables: ts}
-			populations[viewKey(ts)] = float64(engine.Card(orig, &q))
+			populations[ViewKey(ts)] = float64(engine.Card(orig, &q))
 		}
 	}
 	p, err := Train(orig, wl, sizes, populations, DefaultConfig())
@@ -211,8 +211,8 @@ func TestPGMCliqueCellCap(t *testing.T) {
 }
 
 func TestViewKeyCanonical(t *testing.T) {
-	if viewKey([]string{"b", "a"}) != viewKey([]string{"a", "b"}) {
-		t.Fatal("viewKey not canonical")
+	if ViewKey([]string{"b", "a"}) != ViewKey([]string{"a", "b"}) {
+		t.Fatal("ViewKey not canonical")
 	}
 }
 

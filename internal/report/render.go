@@ -1,8 +1,6 @@
 package report
 
 import (
-	"fmt"
-	"html"
 	"io"
 	"strings"
 )
@@ -60,86 +58,5 @@ func writeMarkdownTable(sb *strings.Builder, t *Table) {
 			sb.WriteString(escape(cell))
 		}
 		sb.WriteString(" |\n")
-	}
-}
-
-// WriteHTML renders the report as a self-contained HTML document (inline
-// style, no external assets) with the same sections as the Markdown view.
-func (r *Report) WriteHTML(w io.Writer) error {
-	var sb strings.Builder
-	sb.WriteString(`<!DOCTYPE html>
-<html lang="en"><head><meta charset="utf-8">
-<title>` + html.EscapeString(r.Title) + `</title>
-<style>
-body { font-family: system-ui, sans-serif; margin: 2rem auto; max-width: 72rem; padding: 0 1rem; color: #1a1a1a; }
-h1 { border-bottom: 2px solid #ddd; padding-bottom: .3rem; }
-h2 { border-bottom: 1px solid #eee; padding-bottom: .2rem; margin-top: 2rem; }
-table { border-collapse: collapse; margin: .5rem 0; }
-th, td { border: 1px solid #ccc; padding: .25rem .6rem; text-align: left; font-size: .9rem; }
-th { background: #f5f5f5; }
-pre { background: #f8f8f8; border: 1px solid #eee; padding: .75rem; overflow-x: auto; font-size: .8rem; }
-code { background: #f0f0f0; padding: 0 .2rem; }
-.warn { color: #a40000; font-weight: bold; }
-</style></head><body>
-`)
-	sb.WriteString("<h1>" + html.EscapeString(r.Title) + "</h1>\n")
-	for _, sec := range r.Sections {
-		sb.WriteString("<h2>" + html.EscapeString(sec.Title) + "</h2>\n")
-		for _, p := range sec.Text {
-			cls := ""
-			if strings.HasPrefix(p, "**Warning:**") {
-				cls = ` class="warn"`
-				p = strings.TrimPrefix(p, "**Warning:** ")
-			}
-			sb.WriteString("<p" + cls + ">" + inlineHTML(p) + "</p>\n")
-		}
-		if sec.Table != nil {
-			sb.WriteString("<table><tr>")
-			for _, h := range sec.Table.Header {
-				sb.WriteString("<th>" + html.EscapeString(h) + "</th>")
-			}
-			sb.WriteString("</tr>\n")
-			for _, row := range sec.Table.Rows {
-				sb.WriteString("<tr>")
-				for _, cell := range row {
-					sb.WriteString("<td>" + html.EscapeString(cell) + "</td>")
-				}
-				sb.WriteString("</tr>\n")
-			}
-			sb.WriteString("</table>\n")
-		}
-		if sec.Pre != "" {
-			sb.WriteString("<pre>" + html.EscapeString(sec.Pre) + "</pre>\n")
-		}
-	}
-	sb.WriteString("</body></html>\n")
-	_, err := io.WriteString(w, sb.String())
-	return err
-}
-
-// inlineHTML escapes a prose paragraph, honoring the one piece of inline
-// markup the sections use: `code` spans.
-func inlineHTML(p string) string {
-	parts := strings.Split(p, "`")
-	var sb strings.Builder
-	for i, part := range parts {
-		if i%2 == 1 && i < len(parts)-(len(parts)%2) {
-			sb.WriteString("<code>" + html.EscapeString(part) + "</code>")
-		} else {
-			sb.WriteString(html.EscapeString(part))
-		}
-	}
-	return sb.String()
-}
-
-// Write renders the report in the named format ("markdown" or "html").
-func (r *Report) Write(w io.Writer, format string) error {
-	switch format {
-	case "", "markdown", "md":
-		return r.WriteMarkdown(w)
-	case "html":
-		return r.WriteHTML(w)
-	default:
-		return fmt.Errorf("report: unknown format %q (want markdown or html)", format)
 	}
 }

@@ -1,6 +1,6 @@
 // Package report fuses the artifacts one SAM run leaves behind — a phase
 // trace, a Prometheus metrics file or scrape, a structured run log,
-// and the benchmark reports — into a single self-contained document.
+// and the benchmark reports — into a single Markdown document.
 // Inputs are joined by the run ID each artifact was stamped with
 // (obs.NewRunID; see cmd/samgen and cmd/sambench), so a report cannot
 // silently mix artifacts from different runs.
@@ -60,7 +60,7 @@ type Section struct {
 	Pre   string
 }
 
-// Report is the fused run report, renderable as Markdown or HTML.
+// Report is the fused run report; WriteMarkdown renders it.
 type Report struct {
 	Title    string
 	RunID    string // the agreed join key ("" when no input carried one)

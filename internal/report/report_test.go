@@ -153,26 +153,13 @@ func TestBuildJoinsMatchingArtifacts(t *testing.T) {
 	}
 
 	var md bytes.Buffer
-	if err := rep.Write(&md, "markdown"); err != nil {
+	if err := rep.WriteMarkdown(&md); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"# SAM run report", id, "| pass |", "sample", "rows/sec end-to-end"} {
 		if !strings.Contains(md.String(), want) {
 			t.Fatalf("markdown missing %q:\n%s", want, md.String())
 		}
-	}
-
-	var html bytes.Buffer
-	if err := rep.Write(&html, "html"); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"<!DOCTYPE html>", "<table>", id} {
-		if !strings.Contains(html.String(), want) {
-			t.Fatalf("html missing %q", want)
-		}
-	}
-	if err := rep.Write(&md, "yaml"); err == nil {
-		t.Fatal("unknown format accepted")
 	}
 }
 
@@ -206,7 +193,7 @@ func TestBuildRunIDMismatch(t *testing.T) {
 		t.Fatalf("allow-mismatch run ID %q", rep.RunID)
 	}
 	var md bytes.Buffer
-	if err := rep.Write(&md, "md"); err != nil {
+	if err := rep.WriteMarkdown(&md); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(md.String(), "**Warning:**") {
@@ -253,7 +240,7 @@ func TestBuildPrometheusMetrics(t *testing.T) {
 		t.Fatalf("run ID from scrape %q, want %q", rep.RunID, id)
 	}
 	var md bytes.Buffer
-	if err := rep.Write(&md, ""); err != nil {
+	if err := rep.WriteMarkdown(&md); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(md.String(), "eval_qerror") {
@@ -331,40 +318,11 @@ func TestMarkdownTableEscaping(t *testing.T) {
 		}},
 	}
 	var md bytes.Buffer
-	if err := rep.Write(&md, "markdown"); err != nil {
+	if err := rep.WriteMarkdown(&md); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(md.String(), `a\|b`) {
 		t.Fatalf("pipe not escaped:\n%s", md.String())
-	}
-}
-
-// TestHTMLEscaping keeps markup in cell data inert.
-func TestHTMLEscaping(t *testing.T) {
-	rep := &Report{
-		Title: "t",
-		Sections: []Section{{
-			Title: "s",
-			Text: []string{
-				"uses `code` spans",
-				"**Warning:** inputs disagree <script>alert(1)</script>",
-			},
-			Table: &Table{Header: []string{"k"}, Rows: [][]string{{"<b>bold</b>"}}},
-		}},
-	}
-	var html bytes.Buffer
-	if err := rep.Write(&html, "html"); err != nil {
-		t.Fatal(err)
-	}
-	out := html.String()
-	if strings.Contains(out, "<script>") || strings.Contains(out, "<b>bold</b>") {
-		t.Fatalf("markup not escaped:\n%s", out)
-	}
-	if !strings.Contains(out, "<code>code</code>") {
-		t.Fatalf("backtick span not rendered as <code>:\n%s", out)
-	}
-	if !strings.Contains(out, `class="warn"`) {
-		t.Fatalf("warning paragraph not styled:\n%s", out)
 	}
 }
 

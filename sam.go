@@ -98,9 +98,6 @@ type (
 	GenProgress = obs.GenProgress
 	// EvalQuery is the per-query evaluation telemetry event.
 	EvalQuery = obs.EvalQuery
-	// EventLog is a fixed-capacity ring of recent pipeline events, served
-	// at /debug/events by ServeDebug.
-	EventLog = obs.EventLog
 	// Trace is a per-run tree of phase spans (wall time + allocation
 	// deltas), serializable as JSONL.
 	Trace = obs.Trace
@@ -238,7 +235,7 @@ func GenerateQueries(seed int64, s *Schema, n int, opts WorkloadOptions) []Query
 
 // NewTrace starts a run trace whose Root span can be handed to
 // TrainConfig.Span and GenOptions.Span; after Root().End(), WriteJSONL
-// serializes the phase tree and Summary renders it for humans.
+// serializes the phase tree.
 func NewTrace(name string) *Trace { return obs.NewTrace(name) }
 
 // NewRegistry returns an empty metrics registry.
@@ -257,22 +254,17 @@ func ProgressHooks(w io.Writer) *Hooks { return obs.ProgressHooks(w) }
 // MergeHooks fans every event out to all given hooks (nils are skipped).
 func MergeHooks(hooks ...*Hooks) *Hooks { return obs.Merge(hooks...) }
 
-// NewEventLog returns a ring buffer of the last capacity pipeline events,
-// each stamped with runID; pass it to ServeDebug to expose /debug/events
-// and feed it with EventHooks(log.Add).
-func NewEventLog(capacity int, runID string) *EventLog { return obs.NewEventLog(capacity, runID) }
-
 // EventHooks returns hooks that hand every pipeline event to add under its
-// kind tag; pass an EventLog's Add.
+// kind tag ("train_epoch", "gen_phase", "eval_query", ...) with its
+// payload struct.
 func EventHooks(add func(kind string, data any)) *Hooks { return obs.EventHooks(add) }
 
-// ServeDebug starts an HTTP server exposing /debug/pprof, /metrics
-// (Prometheus text format, the registry's one view), and — when ev is
-// non-nil — /debug/events on addr. It returns the
-// bound address (useful with ":0") and a close function that drains the
-// server.
-func ServeDebug(addr string, r *Registry, ev *EventLog) (string, func(), error) {
-	return obs.ServeDebug(addr, r, ev)
+// ServeDebug starts an HTTP server exposing /debug/pprof and /metrics
+// (Prometheus text format, the registry's one view) on addr. It returns
+// the bound address (useful with ":0") and a close function that drains
+// the server.
+func ServeDebug(addr string, r *Registry) (string, func(), error) {
+	return obs.ServeDebug(addr, r)
 }
 
 // WritePrometheus renders the registry in Prometheus text exposition

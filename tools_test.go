@@ -2,8 +2,6 @@ package sam_test
 
 import (
 	"bufio"
-	"encoding/json"
-	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -53,6 +51,14 @@ func TestCLITools(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("saminspect output missing %q:\n%s", want, out)
 		}
+	}
+
+	// -stream always merges, so -no-gam is refused before any training.
+	cmd := exec.Command(bin("samgen"), "-workload", "wl.json", "-schema", "schema.json",
+		"-outdir", "gen", "-stream", "-no-gam")
+	cmd.Dir = dir
+	if out, err := cmd.CombinedOutput(); err == nil || strings.Contains(string(out), "training SAM") {
+		t.Fatalf("samgen -stream -no-gam: err %v, want an exit before training:\n%s", err, out)
 	}
 
 	out = run("samgen", "-workload", "wl.json", "-schema", "schema.json",
@@ -215,18 +221,18 @@ func TestSamreportSmoke(t *testing.T) {
 		}
 	}
 
-	// The HTML renderer must produce a self-contained document to a file.
-	htmlPath := filepath.Join(dir, "report.html")
+	// -o writes the same Markdown report to a file.
+	mdPath := filepath.Join(dir, "report.md")
 	if out, err := exec.Command(samreport, "-trace", tracePath, "-runlog", runlogPath,
-		"-format", "html", "-o", htmlPath).CombinedOutput(); err != nil {
-		t.Fatalf("samreport -format html: %v\n%s", err, out)
+		"-o", mdPath).CombinedOutput(); err != nil {
+		t.Fatalf("samreport -o: %v\n%s", err, out)
 	}
-	html, err := os.ReadFile(htmlPath)
+	md, err := os.ReadFile(mdPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(html), "<!DOCTYPE html>") || !strings.Contains(string(html), runID) {
-		t.Fatalf("html report malformed:\n%.400s", html)
+	if !strings.HasPrefix(string(md), "# SAM run report") || !strings.Contains(string(md), runID) {
+		t.Fatalf("markdown report malformed:\n%.400s", md)
 	}
 
 	// Mixing artifacts from different runs must fail the join.
@@ -321,14 +327,13 @@ func TestSambenchPrometheusEndpoint(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 	}
 
-	// The event ring rides on the same server.
+	// Events go to the run log only; the server keeps no event ring.
 	resp, err := http.Get(addr + "/debug/events")
 	if err != nil {
 		t.Fatalf("GET /debug/events: %v", err)
 	}
-	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !json.Valid(body) {
-		t.Fatalf("GET /debug/events: status %d, valid JSON %v", resp.StatusCode, json.Valid(body))
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /debug/events: status %d, want 404", resp.StatusCode)
 	}
 }
