@@ -131,8 +131,8 @@ func main() {
 		}
 		fmt.Printf("scalebench: %d rows in %dms (%.0f rows/sec end-to-end, %.0f sampling) across %d shards [run %s]\n",
 			rep.Rows, rep.TotalWallMs, rep.RowsPerSec, rep.SampleRowsPerSec, rep.Shards, rep.RunID)
-		fmt.Printf("scalebench: merge pass split weight=%dms A=%dms B=%dms C=%dms\n",
-			rep.WeightWallMs, rep.PassAWallMs, rep.PassBWallMs, rep.PassCWallMs)
+		fmt.Printf("scalebench: merge pass split weight=%dms A=%dms B=%dms\n",
+			rep.WeightWallMs, rep.PassAWallMs, rep.PassBWallMs)
 		fmt.Printf("scalebench: peak heap %.1f MiB, peak RSS %.1f MiB, shard bytes %.1f MiB\n",
 			float64(rep.PeakHeapBytes)/(1<<20), float64(rep.PeakRSSBytes)/(1<<20), float64(rep.ShardBytes)/(1<<20))
 		closeTelemetry()

@@ -57,7 +57,6 @@ func main() {
 	wlPath := flag.String("workload", "workload.json", "labeled workload (JSON)")
 	schemaPath := flag.String("schema", "schema.json", "schema metadata (JSON)")
 	outDir := flag.String("outdir", "generated", "output directory for CSVs")
-	flag.StringVar(outDir, "out-dir", "generated", "alias for -outdir")
 	stream := flag.Bool("stream", false, "bounded-memory generation: shard the sampler and stream tables to disk (removes the in-memory row-count ceiling)")
 	shards := flag.Int("shards", 0, "sample shards for -stream (0 = one per 16Ki rows); each shard is independently reproducible from (seed, shard)")
 	workers := flag.Int("workers", 0, "sampling goroutines (0 = GOMAXPROCS); workers parallelize across shards without changing output bytes")

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"cmp"
-	"container/heap"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -13,12 +11,12 @@ import (
 
 // Spill building blocks for the external-memory Group-and-Merge (see
 // MaterializeStream). The merge never holds more than one hash partition
-// of one table's records resident: samples are streamed off the shards,
-// grouped records spill to P partition streams in the set's store, and
-// the key allocation streams back over per-partition group runs. All
-// spill records are fixed-size little-endian binary — no framing, no
-// varints — so partition streams are plain arrays that readers chunk
-// through.
+// of one table's records, or one bucket of its parent's span records,
+// resident: samples are streamed off the shards, keyed records spill to P
+// partition streams in the set's store, and each partition is grouped and
+// allocated keys before the next is read. All spill records are
+// fixed-size little-endian binary — no framing, no varints — so partition
+// streams are plain arrays that readers chunk through.
 
 // spillPartition hashes a group key to one of p partitions (FNV-1a over
 // the key bytes). The hash — and therefore the (partition,
@@ -135,85 +133,7 @@ func readRecords(st store, path string, size int, fn func(rec []byte) error) err
 //
 //	raw (internal table):  w f64 | pk i64 | coarse ×nid i32 | content ×nc i32 | idx u64
 //	raw (leaf table):      w f64 | pk i64 | content ×nc i32
-//	group:                 gw f64 | pk i64 | members u32 | content ×nc i32,
-//	                       then its member records
-//	member:                idx u64 | w f64
 //	span:                  idx u64 | key i64 | frac f64
-
-// memberRecSize is the byte size of a member record.
-const memberRecSize = 16
-
-// groupHeadSize is the byte size of a group record before its members.
-func groupHeadSize(nc int) int { return 20 + 4*nc }
-
-// writeGroupRun writes one partition's groups, in order, as a group run.
-func writeGroupRun(st store, path string, groups []*group) error {
-	f, err := st.create(path)
-	if err != nil {
-		return fmt.Errorf("core: create group run: %w", err)
-	}
-	var buf []byte
-	for _, grp := range groups {
-		buf = putF64(buf[:0], grp.gw)
-		buf = putU64(buf, uint64(grp.pk))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(grp.members)))
-		buf = putI32s(buf, grp.content)
-		for _, m := range grp.members {
-			buf = putU64(buf, uint64(m.idx))
-			buf = putF64(buf, m.w)
-		}
-		if _, err := f.Write(buf); err != nil {
-			f.Close()
-			return fmt.Errorf("core: write group run: %w", err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("core: close group run: %w", err)
-	}
-	return nil
-}
-
-// readGroupRun streams a group run back in order, invoking fn with each
-// group. Groups are freshly allocated, so fn may keep them. Members are
-// read into a reused scratch slice and copied out once complete, so a
-// corrupt header's member count allocates nothing: memory grows only with
-// the members the run actually holds, and a short run fails the read.
-func readGroupRun(st store, path string, nc int, fn func(*group) error) error {
-	f, err := st.open(path)
-	if err != nil {
-		return fmt.Errorf("core: open group run: %w", err)
-	}
-	defer f.Close()
-	head := make([]byte, groupHeadSize(nc))
-	var mem [memberRecSize]byte
-	var members []memberRec
-	for {
-		_, err := io.ReadFull(f, head)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("core: read group run: %w", err)
-		}
-		members = members[:0]
-		for n := binary.LittleEndian.Uint32(head[16:]); n > 0; n-- {
-			if _, err := io.ReadFull(f, mem[:]); err != nil {
-				return fmt.Errorf("core: read group run: %w", err)
-			}
-			members = append(members, memberRec{idx: int64(getU64(mem[:])), w: getF64(mem[8:])})
-		}
-		grp := &group{
-			gw:      getF64(head),
-			pk:      int64(getU64(head[8:])),
-			content: make([]int32, nc),
-			members: slices.Clone(members),
-		}
-		getI32s(head[20:], grp.content)
-		if err := fn(grp); err != nil {
-			return err
-		}
-	}
-}
 
 func putU64(dst []byte, v uint64) []byte {
 	var b [8]byte
@@ -289,156 +209,67 @@ func (a *sysAlloc) leftover() int {
 	return n
 }
 
-// spanRec is one decoded span-run record: sample idx's membership fraction
-// in an assigned key.
+// spanRecSize is the byte size of a span record.
+const spanRecSize = 24
+
+// spanBucket is one span bucket loaded for a child table's pass A: the
+// key spans of samples lo … lo+n-1, ordered by sample index.
+type spanBucket struct {
+	lo    int64
+	start []int // sample lo+i's spans are spans[start[i]:start[i+1]]
+	spans []keySpan
+	recs  []spanRec // the records in write order; reused across loads
+}
+
+// spanRec is one decoded span record: sample idx's membership fraction in
+// an assigned key.
 type spanRec struct {
 	idx  int64
 	key  int64
 	frac float64
 }
 
-const spanRecSize = 24
-
-// writeSpanRun sorts one partition's span records by (sample index, key)
-// — the cell walk already emits each sample's spans in ascending key
-// order, so this is the order a stable sort by index gives — and writes
-// them as a sorted run.
-func writeSpanRun(st store, path string, recs []spanRec) error {
-	slices.SortFunc(recs, func(a, b spanRec) int {
-		if c := cmp.Compare(a.idx, b.idx); c != 0 {
-			return c
+// load reads the span bucket at path, which may only hold records of
+// samples lo … lo+n-1, and orders it by sample index with a stable
+// counting sort. A sample's spans keep their write order, which is
+// ascending key: one member's cell walk writes all of a sample's spans
+// back to back. A bucket that ends mid-record, or holds a record outside
+// its index range, is an error.
+func (b *spanBucket) load(st store, path string, lo int64, n int) error {
+	b.lo, b.recs = lo, b.recs[:0]
+	b.start = slices.Grow(b.start[:0], n+1)[:n+1]
+	clear(b.start)
+	err := readRecords(st, path, spanRecSize, func(rec []byte) error {
+		r := spanRec{idx: int64(getU64(rec)), key: int64(getU64(rec[8:])), frac: getF64(rec[16:])}
+		if r.idx < lo || r.idx-lo >= int64(n) {
+			return fmt.Errorf("core: span bucket %s holds sample %d outside [%d, %d)", filepath.Base(path), r.idx, lo, lo+int64(n))
 		}
-		return cmp.Compare(a.key, b.key)
+		b.start[r.idx-lo+1]++
+		b.recs = append(b.recs, r)
+		return nil
 	})
-	f, err := st.create(path)
 	if err != nil {
-		return fmt.Errorf("core: create span run: %w", err)
+		return err
 	}
-	buf := make([]byte, 0, spanRecSize)
-	for _, r := range recs {
-		buf = putU64(buf[:0], uint64(r.idx))
-		buf = putU64(buf, uint64(r.key))
-		buf = putF64(buf, r.frac)
-		if _, err := f.Write(buf); err != nil {
-			f.Close()
-			return fmt.Errorf("core: write span run: %w", err)
-		}
+	// start[i+1] counts sample i; the prefix sum turns start[i] into the
+	// first slot of sample i, and placing each record advances it to the
+	// first slot of sample i+1, so a shift by one restores the offsets.
+	for i := 1; i <= n; i++ {
+		b.start[i] += b.start[i-1]
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("core: close span run: %w", err)
+	b.spans = slices.Grow(b.spans[:0], len(b.recs))[:len(b.recs)]
+	for _, r := range b.recs {
+		i := r.idx - lo
+		b.spans[b.start[i]] = keySpan{key: r.key, frac: r.frac}
+		b.start[i]++
 	}
+	copy(b.start[1:], b.start[:n])
+	b.start[0] = 0
 	return nil
 }
 
-// spanSource is one sorted span run being merged.
-type spanSource struct {
-	r   io.ReadCloser
-	cur spanRec
-}
-
-func (s *spanSource) advance() (bool, error) {
-	var rec [spanRecSize]byte
-	_, err := io.ReadFull(s.r, rec[:])
-	if err == io.EOF {
-		return false, nil
-	}
-	if err != nil {
-		return false, fmt.Errorf("core: read span run: %w", err)
-	}
-	s.cur = spanRec{
-		idx:  int64(getU64(rec[:])),
-		key:  int64(getU64(rec[8:])),
-		frac: getF64(rec[16:]),
-	}
-	return true, nil
-}
-
-// spanHeap orders sources by current sample idx. Each idx lives in exactly
-// one run (a sample belongs to one group, and a group to one partition),
-// so ties never occur and within-sample span order is the run's own.
-type spanHeap []*spanSource
-
-func (h spanHeap) Len() int            { return len(h) }
-func (h spanHeap) Less(a, b int) bool  { return h[a].cur.idx < h[b].cur.idx }
-func (h spanHeap) Swap(a, b int)       { h[a], h[b] = h[b], h[a] }
-func (h *spanHeap) Push(x interface{}) { *h = append(*h, x.(*spanSource)) }
-func (h *spanHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// spanMerge streams a table's per-partition span runs back as one
-// idx-ascending sequence, the shape the child table's grouping pass
-// merge-joins against its own idx-ascending sample stream.
-type spanMerge struct {
-	h spanHeap
-}
-
-// openSpanMerge opens the span runs prefix-NNN of all p partitions.
-// Runs that are empty contribute nothing.
-func openSpanMerge(st store, dir, prefix string, p int) (*spanMerge, error) {
-	m := &spanMerge{}
-	for i := 0; i < p; i++ {
-		f, err := st.open(spillPath(dir, prefix, i))
-		if err != nil {
-			m.Close()
-			return nil, fmt.Errorf("core: open span run: %w", err)
-		}
-		src := &spanSource{r: f}
-		ok, err := src.advance()
-		if err != nil || !ok {
-			f.Close()
-		}
-		if err != nil {
-			m.Close()
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		m.h = append(m.h, src)
-	}
-	heap.Init(&m.h)
-	return m, nil
-}
-
-// fanIn reports how many non-empty runs the merge is currently drawing
-// from — the heap fan-in telemetry of the pass that consumes it. Nil
-// merges (root tables have no parent) report 0.
-func (m *spanMerge) fanIn() int {
-	if m == nil {
-		return 0
-	}
-	return len(m.h)
-}
-
-// spansFor appends sample idx's spans to dst (empty when the sample
-// earned none). Callers must ask for strictly increasing idx.
-func (m *spanMerge) spansFor(idx int64, dst []keySpan) ([]keySpan, error) {
-	for len(m.h) > 0 && m.h[0].cur.idx == idx {
-		src := m.h[0]
-		dst = append(dst, keySpan{key: src.cur.key, frac: src.cur.frac})
-		ok, err := src.advance()
-		if err != nil {
-			return dst, err
-		}
-		if ok {
-			heap.Fix(&m.h, 0)
-		} else {
-			src.r.Close()
-			heap.Pop(&m.h)
-		}
-	}
-	return dst, nil
-}
-
-// Close releases any remaining runs.
-func (m *spanMerge) Close() {
-	for _, src := range m.h {
-		src.r.Close()
-	}
-	m.h = nil
+// spansOf returns sample idx's spans, which must lie in the loaded range.
+func (b *spanBucket) spansOf(idx int64) []keySpan {
+	i := idx - b.lo
+	return b.spans[b.start[i]:b.start[i+1]]
 }

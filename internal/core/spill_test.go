@@ -2,70 +2,12 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
+	"cmp"
 	"io"
-	"runtime"
+	"slices"
+	"strings"
 	"testing"
 )
-
-// TestGroupRunTruncatedHeader pins that a group header claiming more
-// members than the run holds fails the read without allocating for the
-// missing members (2^20 of them would be 16 MiB).
-func TestGroupRunTruncatedHeader(t *testing.T) {
-	head := make([]byte, groupHeadSize(1))
-	binary.LittleEndian.PutUint32(head[16:], 1<<20)
-	st := memStream(t, "run", append(head, make([]byte, memberRecSize)...)) // one member present
-
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	err := readGroupRun(st, "run", 1, func(*group) error {
-		t.Fatal("truncated group delivered")
-		return nil
-	})
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatal("truncated group run accepted")
-	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-		t.Fatalf("reading a truncated run allocated %d bytes", grew)
-	}
-}
-
-// FuzzGroupRun checks the group-run reader: bytes in a memStore stream
-// either fail readGroupRun, or read back to groups that writeGroupRun
-// turns into the same bytes. nc (taken mod 4) is the content column count
-// the reader is told to expect.
-func FuzzGroupRun(f *testing.F) {
-	seed := []*group{{
-		gw:      2.5,
-		pk:      7,
-		content: []int32{3, -1},
-		members: []memberRec{{idx: 0, w: 1.5}, {idx: 4, w: 1}},
-	}}
-	st := newMemStore()
-	if err := writeGroupRun(st, "seed", seed); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(uint8(2), readStream(f, st, "seed"))
-
-	f.Fuzz(func(t *testing.T, nc uint8, data []byte) {
-		st := memStream(t, "in", data)
-		var groups []*group
-		err := readGroupRun(st, "in", int(nc%4), func(g *group) error {
-			groups = append(groups, g)
-			return nil
-		})
-		if err != nil {
-			return
-		}
-		if err := writeGroupRun(st, "out", groups); err != nil {
-			t.Fatalf("accepted groups do not write: %v", err)
-		}
-		if out := readStream(t, st, "out"); !bytes.Equal(out, data) {
-			t.Fatalf("group run changed across a round trip:\n%x\n%x", data, out)
-		}
-	})
-}
 
 // FuzzRawRecords checks the spill-partition reader: readRecords fails
 // exactly when the stream ends inside a record of size bytes (size taken
@@ -93,46 +35,75 @@ func FuzzRawRecords(f *testing.F) {
 	})
 }
 
-// FuzzSpanRun checks the span-run source: one run, drained through
-// openSpanMerge and spansFor, fails exactly when the run ends inside a
-// record, and otherwise decodes to span records that writeSpanRun's
-// encoding turns into the same bytes, in run order.
+// FuzzSpanRun checks the span-bucket reader: bytes stored as the bucket
+// of samples lo … lo+n-1 (n taken mod 8, at least 1) fail spanBucket.load
+// exactly when the bucket ends inside a record or holds a record of a
+// sample outside that range; otherwise the loaded spans replay the
+// records in stable sample-index order.
 func FuzzSpanRun(f *testing.F) {
 	var seed []byte
-	seed = putU64(seed, 3)
-	seed = putU64(seed, 1)
-	seed = putF64(seed, 0.5)
-	f.Add(seed)
+	for _, r := range []spanRec{{4, 1, 0.5}, {3, 2, 1}, {4, 3, 0.5}} {
+		seed = putSpanRec(seed, r)
+	}
+	f.Add(uint8(3), uint8(2), seed)
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var out []byte
-		err := func() error {
-			m, err := openSpanMerge(memStream(t, spillPath("d", "t.span", 0), data), "d", "t.span", 1)
-			if err != nil {
-				return err
-			}
-			defer m.Close()
-			var spans []keySpan
-			for len(m.h) > 0 {
-				idx := m.h[0].cur.idx
-				if spans, err = m.spansFor(idx, spans[:0]); err != nil {
-					return err
-				}
-				for _, sp := range spans {
-					out = putU64(out, uint64(idx))
-					out = putU64(out, uint64(sp.key))
-					out = putF64(out, sp.frac)
-				}
-			}
-			return nil
-		}()
-		if partial := len(data)%spanRecSize != 0; (err != nil) != partial {
-			t.Fatalf("%d bytes in %d-byte records: err = %v", len(data), spanRecSize, err)
+	f.Fuzz(func(t *testing.T, lo, n uint8, data []byte) {
+		width := max(int(n%8), 1)
+		var b spanBucket
+		err := b.load(memStream(t, "bucket", data), "bucket", int64(lo), width)
+
+		var want []spanRec
+		bad := len(data)%spanRecSize != 0
+		for i := 0; !bad && i < len(data); i += spanRecSize {
+			r := spanRec{idx: int64(getU64(data[i:])), key: int64(getU64(data[i+8:])), frac: getF64(data[i+16:])}
+			bad = r.idx < int64(lo) || r.idx >= int64(lo)+int64(width)
+			want = append(want, r)
 		}
-		if err == nil && !bytes.Equal(out, data) {
-			t.Fatalf("span run changed across a round trip:\n%x\n%x", data, out)
+		if (err != nil) != bad {
+			t.Fatalf("bucket [%d, %d) of %d bytes: err = %v", lo, int(lo)+width, len(data), err)
+		}
+		if err != nil {
+			return
+		}
+		slices.SortStableFunc(want, func(a, b spanRec) int { return cmp.Compare(a.idx, b.idx) })
+		var got []spanRec
+		for idx := int64(lo); idx < int64(lo)+int64(width); idx++ {
+			for _, sp := range b.spansOf(idx) {
+				got = append(got, spanRec{idx: idx, key: sp.key, frac: sp.frac})
+			}
+		}
+		var wantB, gotB []byte
+		for i := range want {
+			wantB = putSpanRec(wantB, want[i])
+		}
+		for i := range got {
+			gotB = putSpanRec(gotB, got[i])
+		}
+		if !bytes.Equal(gotB, wantB) {
+			t.Fatalf("span bucket replayed out of stable index order:\n%x\n%x", wantB, gotB)
 		}
 	})
+}
+
+// TestSpanBucketRejectsOutOfRange pins that a span record of a sample
+// outside the bucket's index range, on either side, fails the load with
+// an error instead of indexing past the bucket.
+func TestSpanBucketRejectsOutOfRange(t *testing.T) {
+	for _, idx := range []int64{9, 20, 25, -1} {
+		data := putSpanRec(putSpanRec(nil, spanRec{10, 0, 1}), spanRec{idx, 1, 1})
+		var b spanBucket
+		err := b.load(memStream(t, "bucket", data), "bucket", 10, 10)
+		if err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Fatalf("record of sample %d in bucket [10, 20): err = %v", idx, err)
+		}
+	}
+}
+
+// putSpanRec appends r in the span record encoding.
+func putSpanRec(dst []byte, r spanRec) []byte {
+	dst = putU64(dst, uint64(r.idx))
+	dst = putU64(dst, uint64(r.key))
+	return putF64(dst, r.frac)
 }
 
 // FuzzShardStream checks the shard reader: bytes stored as a one-shard

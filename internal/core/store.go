@@ -12,12 +12,12 @@ import (
 )
 
 // store holds the named byte streams the generation engine writes and
-// reads back: sample shards, spill partitions, aggregate and member runs,
-// and span runs. Each is a headerless run of fixed-size records that only
-// the engine itself reads. Names are file paths. dirStore maps them
-// onto the file system; memStore keeps them in memory, which is how
-// Generate runs the same engine without touching disk. Both backends
-// hold identical bytes for identical writes.
+// reads back: sample shards, spill partitions and span buckets. Each is a
+// headerless run of fixed-size records that only the engine itself
+// reads. Names are file paths. dirStore maps them onto the file system;
+// memStore keeps them in memory, which is how Generate runs the same
+// engine without touching disk. Both backends hold identical bytes for
+// identical writes.
 type store interface {
 	// create starts a new, empty stream, replacing any of the same name.
 	create(name string) (io.WriteCloser, error)

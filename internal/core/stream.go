@@ -30,10 +30,8 @@ type StreamResult struct {
 	Groups map[string]int
 	// Samples is the number of FOJ samples consumed.
 	Samples int
-	// SampleWall and MergeWall are the phase wall times (SampleWall is zero
-	// when MaterializeStream ran over pre-existing shards).
-	SampleWall time.Duration
-	MergeWall  time.Duration
+	// MergeWall is the merge's wall time.
+	MergeWall time.Duration
 }
 
 // Stream replays the shard set's samples in global row order (shard 0
@@ -113,8 +111,9 @@ func (g *Generator) sampleWeight(tc *tableCtx, row []int32) float64 {
 	return wi * tc.factor
 }
 
-// memberRec is one group member carried from the grouping pass to the key
-// allocation pass: the sample's global index and its scaled weight.
+// memberRec is one member of an internal table's group: the sample's
+// global index and its scaled weight, which the cell walk splits into key
+// spans.
 type memberRec struct {
 	idx int64
 	w   float64
@@ -124,7 +123,7 @@ func spillPath(dir, prefix string, part int) string {
 	return filepath.Join(dir, fmt.Sprintf("%s-%03d", prefix, part))
 }
 
-// rowSink receives one table's rows from pass C in output order: a CSV
+// rowSink receives one table's rows from pass B in output order: a CSV
 // file for MaterializeStream, an in-memory table for Generate.
 type rowSink interface {
 	relation.RowWriter
@@ -161,7 +160,6 @@ func (g *Generator) GenerateStream(newSampler func() join.TupleSampler, opts Str
 	if err != nil {
 		return nil, err
 	}
-	res.SampleWall = set.Wall
 	return res, nil
 }
 
@@ -245,7 +243,7 @@ func (g *Generator) weigh(set *ShardSet, buf []int32, opts GenOptions) ([]*table
 }
 
 // merge runs Alg. 2 and Alg. 3 over a shard set: the weight pass, then
-// per table, in topological order, the three spill passes of streamTable,
+// per table, in topological order, the two spill passes of streamTable,
 // each table's rows going to the sink newSink returns. Spill streams live
 // in the set's store under opts.OutDir/.spill and are partitioned by
 // group-key hash, so group order is (hash partition, first appearance
@@ -286,8 +284,8 @@ func (g *Generator) merge(set *ShardSet, opts StreamOptions, res *StreamResult, 
 	res.Rows = make(map[string]int, len(tcs))
 	res.Groups = make(map[string]int, len(tcs))
 	res.Samples = set.Total
-	// Span runs feed every child of a table; drop them once the last child
-	// has merged against them.
+	// Span buckets feed every child of a table; drop them once the last
+	// child has read them.
 	childLeft := make(map[string]int)
 	for _, tc := range tcs {
 		if tc.t.Parent != "" {
@@ -295,23 +293,15 @@ func (g *Generator) merge(set *ShardSet, opts StreamOptions, res *StreamResult, 
 		}
 	}
 	for _, tc := range tcs {
-		var parent *spanMerge
-		if tc.t.Parent != "" {
-			parent, err = openSpanMerge(st, spillDir, tc.t.Parent+".span", P)
-			if err != nil {
-				return err
-			}
-		}
 		tStart := time.Now()
 		// One span per table (path merge/table, attr "name"), with the
-		// three spill passes as A/B/C children — the per-pass self/total
+		// two spill passes as A/B children — the per-pass self/total
 		// attribution samreport renders for a scale run.
 		tspan := mergeSpan.Child("table")
 		tspan.SetAttr("name", tc.t.Name)
-		rows, groups, err := g.streamTable(set, tc, parent, buf, P, spillDir, newSink, rng, tspan, opts)
+		rows, groups, err := g.streamTable(set, tc, buf, P, spillDir, newSink, rng, tspan, opts)
 		tspan.End()
-		if parent != nil {
-			parent.Close()
+		if tc.t.Parent != "" {
 			childLeft[tc.t.Parent]--
 			if childLeft[tc.t.Parent] == 0 {
 				for part := 0; part < P; part++ {
@@ -375,28 +365,29 @@ type group struct {
 	members []memberRec
 }
 
-// streamTable materializes one table in three passes over spill streams:
+// streamTable materializes one table in two passes over spill streams:
 //
-//	A: stream the samples, merge-joining the parent's span runs, and
-//	   spill each surviving sample to its group key's hash partition. An
-//	   internal table keys a sample by its coarse identifier bins and its
-//	   majority parent key; a leaf table spills one record per parent
-//	   span, with weight w·frac, keyed by content bins and that span's key.
-//	B: group each partition in first-appearance order and write its
-//	   groups, with their members for internal tables, as a group run;
-//	   the global mass is summed in group order.
-//	C: walk the groups through a systematic allocator. An internal table
-//	   gets one row per allocated key and cell-walks each group's members
-//	   into span runs for its children. A leaf table first rescales its
-//	   mass to |T|, restoring the mass lost with dropped parent groups,
-//	   then emits its allocated row counts, each row decoded fresh.
+//	A: stream the samples, looking up each one's spans in the parent's
+//	   span buckets, and spill each surviving sample to its group key's
+//	   hash partition, summing the spilled weight mass. An internal table
+//	   keys a sample by its coarse identifier bins and its majority parent
+//	   key; a leaf table spills one record per parent span, with weight
+//	   w·frac, keyed by content bins and that span's key.
+//	B: group each partition in first-appearance order and walk its groups
+//	   through a systematic allocator of |T| keys (rows, for a leaf) over
+//	   the pass A mass. An internal table gets one row per allocated key
+//	   and cell-walks each group's members into span records, bucketed by
+//	   sample index, for its children; a leaf emits its allocated row
+//	   counts, each row decoded fresh. Summing the mass in pass A makes a
+//	   leaf's mass lost with dropped parent groups drop out of the
+//	   allocation's scale, as a rescale to |T| would.
 //
 // Each pass runs under its own child span of tspan and reports an
-// obs.StreamPass event (records in/out, spill bytes, run counts, the
-// parent heap-merge fan-in). All of it is observational: the spill bytes,
-// group order, and emitted rows are identical with observers on or off.
-func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, parent *spanMerge,
-	buf []int32, P int, spillDir string, newSink func(*tableCtx) (rowSink, error), rng *rand.Rand, tspan *obs.Span, opts StreamOptions) (int, int, error) {
+// obs.StreamPass event (records in/out, spill bytes, run counts). All of
+// it is observational: the spill bytes, group order, and emitted rows are
+// identical with observers on or off.
+func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, buf []int32, P int, spillDir string,
+	newSink func(*tableCtx) (rowSink, error), rng *rand.Rand, tspan *obs.Span, opts StreamOptions) (int, int, error) {
 	name := tc.t.Name
 	st := set.st
 	internal := tc.hasChildren
@@ -411,12 +402,13 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, parent *spanMerge,
 	} else {
 		keyEnd += 4 * nc
 	}
-	fan := parent.fanIn()
+	// Span records go to bucket idx / width: P buckets cover every sample
+	// index, each holding O(samples ÷ P) samples' spans.
+	width := max(int64((set.Total+P-1)/P), 1)
 
 	// Pass A: spill surviving samples to group-hash partitions.
 	aStart := time.Now()
 	passA := tspan.Child("A")
-	passA.SetAttr("fan_in", fan)
 	pw, err := newPartWriter(st, spillDir, name+".raw", P)
 	if err != nil {
 		passA.End()
@@ -424,8 +416,10 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, parent *spanMerge,
 	}
 	codes := make([]int32, nid+nc)
 	var keyBuf, recBuf []byte
-	var spans []keySpan
+	var parent spanBucket
+	loaded := int64(-1) // index of the span bucket held in parent
 	var spilled int64
+	var mass float64
 	spill := func(idx int64, w float64, pk int64) error {
 		keyBuf = packKey(keyBuf[:0], codes[:(keyEnd-16)/4], pk)
 		recBuf = putF64(recBuf[:0], w)
@@ -435,27 +429,33 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, parent *spanMerge,
 			recBuf = putU64(recBuf, uint64(idx))
 		}
 		spilled++
+		mass += w
 		return pw.write(spillPartition(keyBuf, P), recBuf)
 	}
 	err = set.Stream(buf, func(idx int64, row []int32) error {
-		// Drain the parent's spans for every index, even filtered ones,
-		// to keep the merge-join aligned.
-		if parent != nil {
-			spans, err = parent.spansFor(idx, spans[:0])
-			if err != nil {
-				return err
-			}
-		}
 		wi := g.sampleWeight(tc, row)
-		if wi <= 0 || (parent != nil && len(spans) == 0) {
-			return nil // absent, or its parent is: inconsistent sample
+		if wi <= 0 {
+			return nil // absent from the table
+		}
+		var spans []keySpan
+		if tc.t.Parent != "" {
+			if b := idx / width; b != loaded {
+				path := spillPath(spillDir, tc.t.Parent+".span", int(b))
+				if err := parent.load(st, path, b*width, int(width)); err != nil {
+					return err
+				}
+				loaded = b
+			}
+			if spans = parent.spansOf(idx); len(spans) == 0 {
+				return nil // its parent is absent: inconsistent sample
+			}
 		}
 		g.groupBins(row, tc.idCols, codes[:nid])
 		for ci, li := range tc.ctIdx {
 			codes[nid+ci] = row[li]
 		}
 		switch {
-		case parent == nil:
+		case spans == nil:
 			return spill(idx, wi, 0)
 		case internal:
 			return spill(idx, wi, majorityKey(spans))
@@ -479,19 +479,79 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, parent *spanMerge,
 	opts.Hooks.StreamPass(obs.StreamPass{
 		Pass: "A", Table: name, Shard: -1,
 		RecordsIn: int64(set.Total), RecordsOut: spilled,
-		Runs: P, FanIn: fan,
+		Runs:         P,
 		BytesWritten: spilled * int64(rawSize),
 		Wall:         time.Since(aStart),
 	})
 
-	// Pass B: group each partition (first-appearance order) into a group
-	// run, accumulating the global weight mass in group order.
+	// Pass B: group each partition (first-appearance order) and allocate
+	// |T| keys across the groups in order. Groups resolve with a one-group
+	// delay so the final group absorbs the allocator's drift remainder
+	// (matching systematicCounts).
 	bStart := time.Now()
-	var sum float64
+	passB := tspan.Child("B")
+	defer passB.End()
+	sink, err := newSink(tc)
+	if err != nil {
+		return 0, 0, err
+	}
+	var spw *partWriter
+	if internal {
+		if spw, err = newPartWriter(st, spillDir, name+".span", P); err != nil {
+			sink.close()
+			return 0, 0, err
+		}
+	}
+	alloc := newSysAlloc(mass, g.Sizes[name])
+	var rows, spanRecs int64
 	groups := 0
+	vals := make([]int32, nc)
+	var spanBuf []byte
+	emit := func(grp *group, count int) error {
+		if count == 0 {
+			return nil
+		}
+		base := rows
+		rows += int64(count)
+		for j := 0; j < count; j++ {
+			for ci := range vals {
+				vals[ci] = g.Disc[tc.ctIdx[ci]].SampleIn(rng, int(grp.content[ci]))
+			}
+			if err := sink.WriteRow(base+int64(j), vals, grp.pk); err != nil {
+				return err
+			}
+		}
+		if !internal {
+			return nil
+		}
+		cell := grp.gw / float64(count)
+		acc := 0.0
+		for _, m := range grp.members {
+			start, end := acc, acc+m.w
+			acc = end
+			first := min(int(start/cell), count-1)
+			last := min(int((end-1e-12)/cell), count-1)
+			for c := first; c <= last; c++ {
+				lo := math.Max(start, float64(c)*cell)
+				hi := math.Min(end, float64(c+1)*cell)
+				frac := (hi - lo) / m.w
+				if frac <= 0 {
+					continue
+				}
+				spanBuf = putU64(spanBuf[:0], uint64(m.idx))
+				spanBuf = putU64(spanBuf, uint64(base+int64(c)))
+				spanBuf = putF64(spanBuf, frac)
+				if err := spw.write(int(m.idx/width), spanBuf); err != nil {
+					return err
+				}
+				spanRecs++
+			}
+		}
+		return nil
+	}
 	err = func() error {
-		passB := tspan.Child("B")
-		defer passB.End()
+		var pending *group
+		var pendingCount int
 		for part := 0; part < P; part++ {
 			var order []*group
 			lookup := make(map[string]*group)
@@ -515,172 +575,46 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, parent *spanMerge,
 				return err
 			}
 			st.remove(pw.paths[part])
-			for _, grp := range order {
-				sum += grp.gw
-			}
 			groups += len(order)
-			if err := writeGroupRun(st, spillPath(spillDir, name+".grp", part), order); err != nil {
-				return err
-			}
-		}
-		passB.SetAttr("groups", groups)
-		return nil
-	}()
-	if err != nil {
-		return 0, 0, err
-	}
-	runBytes := int64(groups) * int64(groupHeadSize(nc))
-	if internal {
-		runBytes += spilled * memberRecSize
-	}
-	opts.Hooks.StreamPass(obs.StreamPass{
-		Pass: "B", Table: name, Shard: -1,
-		RecordsIn: spilled, RecordsOut: int64(groups),
-		Runs:         P, // one group run per partition
-		BytesRead:    spilled * int64(rawSize),
-		BytesWritten: runBytes,
-		Wall:         time.Since(bStart),
-	})
-
-	// Pass C: allocate |T| keys (rows, for a leaf) across the groups in
-	// order. Groups resolve with a one-group delay so the final group
-	// absorbs the allocator's drift remainder (matching systematicCounts).
-	cStart := time.Now()
-	passC := tspan.Child("C")
-	defer passC.End()
-	factor, runsRead := 1.0, runBytes
-	if !internal {
-		factor = 0
-		if sum > 0 {
-			factor = float64(g.Sizes[name]) / sum
-		}
-		var scaled float64
-		for part := 0; part < P; part++ {
-			err := readGroupRun(st, spillPath(spillDir, name+".grp", part), nc, func(grp *group) error {
-				scaled += grp.gw * factor
-				return nil
-			})
-			if err != nil {
-				return 0, 0, err
-			}
-		}
-		sum = scaled
-		runsRead *= 2 // the rescale scan and the allocation walk
-	}
-	sink, err := newSink(tc)
-	if err != nil {
-		return 0, 0, err
-	}
-	alloc := newSysAlloc(sum, g.Sizes[name])
-	var rows int64
-	vals := make([]int32, nc)
-	var spanBuf []spanRec
-	var spanRecs int64 // span-run records written, for the pass C event
-	curSpanPart := 0
-	flushSpansTo := func(part int) error {
-		for curSpanPart < part {
-			if err := writeSpanRun(st, spillPath(spillDir, name+".span", curSpanPart), spanBuf); err != nil {
-				return err
-			}
-			spanRecs += int64(len(spanBuf))
-			spanBuf = spanBuf[:0]
-			curSpanPart++
-		}
-		return nil
-	}
-	type pendingGroup struct {
-		*group
-		count, part int
-	}
-	emit := func(p pendingGroup) error {
-		if p.count == 0 {
-			return nil
-		}
-		if internal {
-			if err := flushSpansTo(p.part); err != nil {
-				return err
-			}
-		}
-		base := rows
-		rows += int64(p.count)
-		for j := 0; j < p.count; j++ {
-			for ci := range vals {
-				vals[ci] = g.Disc[tc.ctIdx[ci]].SampleIn(rng, int(p.content[ci]))
-			}
-			if err := sink.WriteRow(base+int64(j), vals, p.pk); err != nil {
-				return err
-			}
-		}
-		if !internal {
-			return nil
-		}
-		cell := p.gw / float64(p.count)
-		acc := 0.0
-		for _, m := range p.members {
-			start, end := acc, acc+m.w
-			acc = end
-			first := min(int(start/cell), p.count-1)
-			last := min(int((end-1e-12)/cell), p.count-1)
-			for c := first; c <= last; c++ {
-				lo := math.Max(start, float64(c)*cell)
-				hi := math.Min(end, float64(c+1)*cell)
-				frac := (hi - lo) / m.w
-				if frac <= 0 {
-					continue
-				}
-				spanBuf = append(spanBuf, spanRec{idx: m.idx, key: base + int64(c), frac: frac})
-			}
-		}
-		return nil
-	}
-	streamErr := func() error {
-		var pending pendingGroup
-		for part := 0; part < P; part++ {
-			path := spillPath(spillDir, name+".grp", part)
-			err := readGroupRun(st, path, nc, func(grp *group) error {
-				next := pendingGroup{group: grp, count: alloc.next(grp.gw * factor), part: part}
-				if pending.group != nil {
-					if err := emit(pending); err != nil {
+			for _, grp := range order {
+				count := alloc.next(grp.gw)
+				if pending != nil {
+					if err := emit(pending, pendingCount); err != nil {
 						return err
 					}
 				}
-				pending = next
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			st.remove(path)
-		}
-		if pending.group != nil {
-			pending.count += alloc.leftover()
-			if err := emit(pending); err != nil {
-				return err
+				pending, pendingCount = grp, count
 			}
 		}
-		if internal {
-			return flushSpansTo(P)
+		if pending != nil {
+			return emit(pending, pendingCount+alloc.leftover())
 		}
 		return nil
 	}()
-	if cerr := sink.close(); streamErr == nil {
-		streamErr = cerr
+	if cerr := sink.close(); err == nil {
+		err = cerr
 	}
-	passC.SetAttr("rows", rows)
-	if streamErr != nil {
-		return 0, 0, streamErr
+	if spw != nil {
+		if cerr := spw.close(); err == nil {
+			err = cerr
+		}
+	}
+	passB.SetAttr("groups", groups)
+	passB.SetAttr("rows", rows)
+	if err != nil {
+		return 0, 0, err
 	}
 	spanRuns := 0
 	if internal {
-		spanRuns = P // one child span run per partition
+		spanRuns = P // the span buckets
 	}
 	opts.Hooks.StreamPass(obs.StreamPass{
-		Pass: "C", Table: name, Shard: -1,
-		RecordsIn: int64(groups), RecordsOut: rows,
+		Pass: "B", Table: name, Shard: -1,
+		RecordsIn: spilled, RecordsOut: rows,
 		Runs:         spanRuns,
-		BytesRead:    runsRead,
+		BytesRead:    spilled * int64(rawSize),
 		BytesWritten: spanRecs * spanRecSize,
-		Wall:         time.Since(cStart),
+		Wall:         time.Since(bStart),
 	})
 	return int(rows), groups, nil
 }

@@ -18,9 +18,6 @@ import (
 var exportAllowlist = map[string]string{
 	"join.NewOracle":           "reference oracle: the Alg. 2/3 recovery tests sample from it",
 	"join.Oracle.EnumerateFOJ": "reference oracle: the exact full outer join the recovery tests merge",
-	"core.spanHeap.Less":       "heap.Interface method, called by container/heap",
-	"core.spanHeap.Swap":       "heap.Interface method, called by container/heap",
-	"core.spanHeap.Push":       "heap.Interface method, required by container/heap",
 }
 
 // unusedExports returns "path: key" for every exported top-level

@@ -60,10 +60,10 @@ type GenProgress struct {
 // StreamPass describes one completed unit of the sharded streaming
 // pipeline (core.SampleShards / core.MaterializeStream): a shard's
 // sampling leg, the weight scan, or one table's spill passes — A
-// (partition spill), B (per-partition grouping), C (key allocation and
+// (partition spill) and B (per-partition grouping, key allocation and
 // emission).
 type StreamPass struct {
-	Pass  string // "shard", "weight", "A", "B", or "C"
+	Pass  string // "shard", "weight", "A", or "B"
 	Table string // empty for shard and weight passes
 	Shard int    // shard index when Pass == "shard", else -1
 	// RecordsIn / RecordsOut count records consumed and emitted by the
@@ -72,9 +72,6 @@ type StreamPass struct {
 	RecordsIn, RecordsOut int64
 	// Runs is the number of spill runs the pass wrote.
 	Runs int
-	// FanIn is the heap-merge fan-in of the parent span runs consumed by
-	// pass A (0 for root tables and other passes).
-	FanIn int
 	// BytesWritten / BytesRead count spill bytes moved by the pass.
 	BytesWritten, BytesRead int64
 	// BackpressureWait is the cumulative time a shard's sampler spent
@@ -249,13 +246,12 @@ func MetricsHooks(r *Registry) *Hooks {
 	evalQEByPreds := r.HistogramVec("eval_qerror_by_preds", qeBounds, "preds")
 
 	// Streaming-pipeline families (core.SampleShards / MaterializeStream):
-	// per-pass record flow, spill traffic, run counts, merge fan-in, and
-	// the sampler's chunk-pipeline backpressure wait.
+	// per-pass record flow, spill traffic, run counts, and the sampler's
+	// chunk-pipeline backpressure wait.
 	passSec := r.HistogramVec("stream_pass_seconds", latBounds, "pass")
 	passRecs := r.CounterVec("stream_records_total", "pass", "dir")
 	spillBytes := r.CounterVec("stream_spill_bytes_total", "pass", "dir")
 	spillRuns := r.CounterVec("stream_spill_runs_total", "pass")
-	fanIn := r.GaugeVec("stream_merge_fanin", "table")
 	bpWait := r.Histogram("stream_backpressure_wait_seconds", latBounds)
 	shardRows := r.CounterVec("stream_shard_rows_total", "shard")
 
@@ -283,7 +279,7 @@ func MetricsHooks(r *Registry) *Hooks {
 		runs    *Counter
 	}
 	streamPasses := map[string]passHandles{}
-	for _, pass := range []string{"shard", "weight", "A", "B", "C"} {
+	for _, pass := range []string{"shard", "weight", "A", "B"} {
 		streamPasses[pass] = passHandles{
 			sec:  passSec.With(pass),
 			in:   passRecs.With(pass, "in"),
@@ -356,9 +352,6 @@ func MetricsHooks(r *Registry) *Hooks {
 				//lint:allow veccard shard ids are bounded by the run's configured shard count, well under the registry cap
 				shardRows.With(strconv.Itoa(p.Shard)).Add(p.RecordsOut)
 				bpWait.Observe(p.BackpressureWait.Seconds())
-			}
-			if p.FanIn > 0 {
-				fanIn.With(p.Table).Set(float64(p.FanIn))
 			}
 		},
 		OnEvalQuery: func(q EvalQuery) {

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"runtime"
@@ -174,6 +176,37 @@ func TestReadTraceRejectsMalformed(t *testing.T) {
 	if _, err := ReadTrace(strings.NewReader(traceRepeatedID)); err == nil {
 		t.Fatal("repeated span id accepted")
 	}
+}
+
+// TestWriteJSONLWhileSetAttr writes a trace while another goroutine keeps
+// setting attributes on one of its live spans: the writer must encode a
+// snapshot of the attributes, not the map SetAttr is changing (a data
+// race that -race reports).
+func TestWriteJSONLWhileSetAttr(t *testing.T) {
+	tr := NewTrace("run")
+	sp := tr.Root().Child("merge")
+	sp.SetAttr("rows", 0)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				sp.SetAttr(fmt.Sprint("k", i%8), i)
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		if err := tr.WriteJSONL(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // traceTwoSpans is a root span with one child; traceRepeatedID reuses the

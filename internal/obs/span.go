@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"runtime"
 	"strings"
 	"sync"
@@ -138,7 +139,9 @@ type SpanRecord struct {
 	Attrs      map[string]any `json:"attrs,omitempty"`
 }
 
-// record snapshots the span (live spans report elapsed-so-far).
+// record snapshots the span (live spans report elapsed-so-far). The
+// attributes are copied under the span lock, so a SetAttr on a live span
+// cannot race the encoding of its record.
 func (sp *Span) record(traceStart time.Time) SpanRecord {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
@@ -147,7 +150,7 @@ func (sp *Span) record(traceStart time.Time) SpanRecord {
 		Parent:  sp.parent,
 		Name:    sp.name,
 		StartUS: sp.start.Sub(traceStart).Microseconds(),
-		Attrs:   sp.attrs,
+		Attrs:   maps.Clone(sp.attrs),
 	}
 	if sp.ended {
 		rec.WallUS = sp.wall.Microseconds()

@@ -53,8 +53,7 @@ func writeRunLog(t *testing.T, dir, runID string) string {
 	h.StreamPass(obs.StreamPass{Pass: "shard", Table: "", Shard: 0, RecordsOut: 100, Wall: time.Second})
 	h.StreamPass(obs.StreamPass{Pass: "weight", RecordsIn: 100, RecordsOut: 100, Wall: time.Second})
 	h.StreamPass(obs.StreamPass{Pass: "A", Table: "t", RecordsIn: 100, RecordsOut: 40, Runs: 2, BytesWritten: 4096})
-	h.StreamPass(obs.StreamPass{Pass: "B", Table: "t", RecordsIn: 40, RecordsOut: 20, BytesRead: 4096})
-	h.StreamPass(obs.StreamPass{Pass: "C", Table: "t", RecordsIn: 20, RecordsOut: 500})
+	h.StreamPass(obs.StreamPass{Pass: "B", Table: "t", RecordsIn: 40, RecordsOut: 500, BytesRead: 4096})
 	h.EvalQuery(obs.EvalQuery{Card: 10, Truth: 20, QError: 2, Table: "t", Preds: 1})
 	h.EvalQuery(obs.EvalQuery{Card: 30, Truth: 10, QError: 3, Table: "t", Preds: 4})
 	h.EvalQuery(obs.EvalQuery{Card: 5, Truth: 5, QError: 1, Table: "u", Preds: 0})
@@ -103,8 +102,7 @@ func writeScale(t *testing.T, dir, runID string) string {
 		MergeWallMs:   80,
 		WeightWallMs:  10,
 		PassAWallMs:   30,
-		PassBWallMs:   25,
-		PassCWallMs:   15,
+		PassBWallMs:   40,
 		TotalWallMs:   200,
 		PeakHeapBytes: 1 << 20,
 		ShardBytes:    1 << 16,
