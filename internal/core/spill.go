@@ -12,11 +12,12 @@ import (
 // Spill building blocks for the external-memory Group-and-Merge (see
 // MaterializeStream). The merge never holds more than one hash partition
 // of one table's records, or one bucket of its parent's span records,
-// resident: samples are streamed off the shards, keyed records spill to P
-// partition streams in the set's store, and each partition is grouped and
-// allocated keys before the next is read. All spill records are
-// fixed-size little-endian binary — no framing, no varints — so partition
-// streams are plain arrays that readers chunk through.
+// resident: samples are streamed off the shards, keyed records spill to
+// the P partitions of one spill run in the set's store, and each
+// partition is grouped and allocated keys before the next is read. All
+// spill records are fixed-size little-endian binary — no framing, no
+// varints — so a run's blocks are plain arrays that readers decode in
+// place.
 
 // spillPartition hashes a group key to one of p partitions (FNV-1a over
 // the key bytes). The hash — and therefore the (partition,
@@ -48,85 +49,143 @@ func packKey(dst []byte, codes []int32, pk int64) []byte {
 	return dst
 }
 
-// partWriter fans fixed-size records out to one stream per partition.
-type partWriter struct {
-	st    store
-	ws    []io.WriteCloser
-	paths []string
+// spillRun is one spill pass's stream: P partitions (raw records) or
+// buckets (span records) of fixed-size records, all in one store stream.
+// Each partition fills its own block buffer of storeBufSize bytes at most,
+// always whole records; a full block is appended to the stream and
+// recorded in the partition's block list. Reading a partition reads its
+// blocks, in the order they were appended, into one reused buffer and
+// hands out the records in place. The records of a partition therefore
+// come back in write order, exactly as from a stream of their own.
+type spillRun struct {
+	st     store
+	name   string
+	size   int            // record bytes
+	blocks [][]spillBlock // per partition, in stream order
+
+	w    io.WriteCloser // open while writing
+	off  int64          // stream bytes written
+	bufs [][]byte       // per-partition block buffers while writing
+
+	r   streamReader // opened by the first read
+	buf []byte       // read block buffer, reused
 }
 
-// newPartWriter creates p partition streams named prefix-NNN under dir.
-func newPartWriter(st store, dir, prefix string, p int) (*partWriter, error) {
-	w := &partWriter{st: st, ws: make([]io.WriteCloser, p), paths: make([]string, p)}
-	for i := 0; i < p; i++ {
-		w.paths[i] = spillPath(dir, prefix, i)
-		f, err := st.create(w.paths[i])
-		if err != nil {
-			w.cleanup()
-			return nil, fmt.Errorf("core: create spill partition: %w", err)
-		}
-		w.ws[i] = f
+// spillBlock is one block of a spill run: n bytes at stream offset off.
+type spillBlock struct {
+	off int64
+	n   int
+}
+
+// newSpillRun creates the stream name for len(pool) partitions of
+// size-byte records. pool holds the partitions' block buffers: a merge
+// writes one run at a time, so all its runs share one set, which the
+// first run allocates.
+func newSpillRun(st store, name string, pool [][]byte, size int) (*spillRun, error) {
+	w, err := st.create(name)
+	if err != nil {
+		return nil, fmt.Errorf("core: create spill run: %w", err)
 	}
-	return w, nil
+	block := max(storeBufSize/size, 1) * size
+	r := &spillRun{st: st, name: name, size: size, blocks: make([][]spillBlock, len(pool)), w: w, bufs: make([][]byte, len(pool))}
+	for i := range pool {
+		if cap(pool[i]) < block {
+			pool[i] = make([]byte, 0, max(block, storeBufSize))
+		}
+		r.bufs[i] = pool[i][:0:block]
+	}
+	return r, nil
 }
 
-func (w *partWriter) write(part int, rec []byte) error {
-	if _, err := w.ws[part].Write(rec); err != nil {
-		return fmt.Errorf("core: write spill record: %w", err)
+// write appends one record to partition part.
+func (r *spillRun) write(part int, rec []byte) error {
+	b := append(r.bufs[part], rec...)
+	r.bufs[part] = b
+	if len(b) == cap(b) {
+		return r.flush(part)
 	}
 	return nil
 }
 
-// close flushes and closes every partition stream, reporting the first
-// error.
-func (w *partWriter) close() error {
-	var first error
-	for i, f := range w.ws {
-		if f == nil {
-			continue
-		}
-		if err := f.Close(); err != nil && first == nil {
-			first = fmt.Errorf("core: close spill partition: %w", err)
-		}
-		w.ws[i] = nil
+// flush appends partition part's buffered block to the stream.
+func (r *spillRun) flush(part int) error {
+	b := r.bufs[part]
+	if len(b) == 0 {
+		return nil
 	}
-	return first
+	if _, err := r.w.Write(b); err != nil {
+		return fmt.Errorf("core: write spill block: %w", err)
+	}
+	r.blocks[part] = append(r.blocks[part], spillBlock{off: r.off, n: len(b)})
+	r.off += int64(len(b))
+	r.bufs[part] = b[:0]
+	return nil
 }
 
-// cleanup closes and removes all partition streams (error path).
-func (w *partWriter) cleanup() {
-	for i, f := range w.ws {
-		if f != nil {
-			f.Close()
-			w.ws[i] = nil
-		}
-		if w.paths[i] != "" {
-			w.st.remove(w.paths[i])
+// finish flushes every partition's last block, in partition order, and
+// closes the stream for writing, releasing the block buffers to the
+// next run.
+func (r *spillRun) finish() error {
+	var err error
+	for part := range r.bufs {
+		if err = r.flush(part); err != nil {
+			break
 		}
 	}
+	if cerr := r.w.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("core: close spill run: %w", cerr)
+	}
+	r.w, r.bufs = nil, nil
+	return err
 }
 
-// readRecords streams the fixed-size records of one partition stream,
-// invoking fn with each record's bytes (valid only during the call).
-func readRecords(st store, path string, size int, fn func(rec []byte) error) error {
-	f, err := st.open(path)
-	if err != nil {
-		return fmt.Errorf("core: open spill partition: %w", err)
-	}
-	defer f.Close()
-	rec := make([]byte, size)
-	for {
-		_, err := io.ReadFull(f, rec)
-		if err == io.EOF {
-			return nil
-		}
+// records streams the records of partition part, invoking fn with each
+// record's bytes (valid only during the call). A block that is not whole
+// records, or that runs past the end of the stream, is an error.
+func (r *spillRun) records(part int, fn func(rec []byte) error) error {
+	if r.r == nil {
+		f, err := r.st.open(r.name)
 		if err != nil {
-			return fmt.Errorf("core: read spill partition %s: %w", filepath.Base(path), err)
+			return fmt.Errorf("core: open spill run: %w", err)
 		}
-		if err := fn(rec); err != nil {
-			return err
+		r.r = f
+	}
+	for _, b := range r.blocks[part] {
+		if b.n%r.size != 0 {
+			return fmt.Errorf("core: spill run %s: %d-byte block at %d is not whole %d-byte records", filepath.Base(r.name), b.n, b.off, r.size)
+		}
+		r.buf = slices.Grow(r.buf[:0], b.n)[:b.n]
+		if n, err := r.r.ReadAt(r.buf, b.off); n < b.n {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return fmt.Errorf("core: read spill run %s: block at %d: %w", filepath.Base(r.name), b.off, err)
+		}
+		for i := 0; i < b.n; i += r.size {
+			if err := fn(r.buf[i : i+r.size]); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
+}
+
+// drop closes the run and removes its stream. It may be called more than
+// once, and on a run that failed mid-write.
+func (r *spillRun) drop() {
+	if r.w != nil {
+		r.w.Close()
+		r.w = nil
+	}
+	if r.r != nil {
+		r.r.Close()
+		r.r = nil
+	}
+	if r.name != "" {
+		r.st.remove(r.name)
+		r.name = ""
+	}
+	r.bufs, r.buf = nil, nil
 }
 
 // Record encode/decode helpers. Layouts (all little-endian):
@@ -229,20 +288,20 @@ type spanRec struct {
 	frac float64
 }
 
-// load reads the span bucket at path, which may only hold records of
-// samples lo … lo+n-1, and orders it by sample index with a stable
+// load reads bucket bucket of the span run, which may only hold records
+// of samples lo … lo+n-1, and orders it by sample index with a stable
 // counting sort. A sample's spans keep their write order, which is
 // ascending key: one member's cell walk writes all of a sample's spans
-// back to back. A bucket that ends mid-record, or holds a record outside
-// its index range, is an error.
-func (b *spanBucket) load(st store, path string, lo int64, n int) error {
+// back to back. A bucket that holds a record outside its index range is
+// an error.
+func (b *spanBucket) load(run *spillRun, bucket int, lo int64, n int) error {
 	b.lo, b.recs = lo, b.recs[:0]
 	b.start = slices.Grow(b.start[:0], n+1)[:n+1]
 	clear(b.start)
-	err := readRecords(st, path, spanRecSize, func(rec []byte) error {
+	err := run.records(bucket, func(rec []byte) error {
 		r := spanRec{idx: int64(getU64(rec)), key: int64(getU64(rec[8:])), frac: getF64(rec[16:])}
 		if r.idx < lo || r.idx-lo >= int64(n) {
-			return fmt.Errorf("core: span bucket %s holds sample %d outside [%d, %d)", filepath.Base(path), r.idx, lo, lo+int64(n))
+			return fmt.Errorf("core: span bucket %d of %s holds sample %d outside [%d, %d)", bucket, filepath.Base(run.name), r.idx, lo, lo+int64(n))
 		}
 		b.start[r.idx-lo+1]++
 		b.recs = append(b.recs, r)

@@ -4,63 +4,115 @@ import (
 	"bytes"
 	"cmp"
 	"io"
+	"math"
 	"slices"
 	"strings"
 	"testing"
 )
 
-// FuzzRawRecords checks the spill-partition reader: readRecords fails
-// exactly when the stream ends inside a record of size bytes (size taken
-// mod 64, at least 1), and otherwise hands out records whose
-// concatenation is the stream.
-func FuzzRawRecords(f *testing.F) {
-	f.Add(uint8(1), []byte{7})
+// fuzzRun stores data as a spill run of parts partitions of size-byte
+// records. The blocks lie back to back from offset 0, block i cuts[i]+1
+// bytes long and in partition i%parts; when the cuts end short of the
+// data, one last block holds the rest. It reports whether the reader must
+// fail: some block is not whole records or runs past the end of data.
+func fuzzRun(t *testing.T, parts, size int, cuts, data []byte) (*spillRun, bool) {
+	run := &spillRun{st: memStream(t, "run", data), name: "run", size: size, blocks: make([][]spillBlock, parts)}
+	var off int64
+	bad := false
+	add := func(i, n int) {
+		run.blocks[i%parts] = append(run.blocks[i%parts], spillBlock{off: off, n: n})
+		bad = bad || n%size != 0 || off+int64(n) > int64(len(data))
+		off += int64(n)
+	}
+	for i, c := range cuts {
+		add(i, int(c)+1)
+	}
+	if off < int64(len(data)) {
+		add(len(cuts), len(data)-int(off))
+	}
+	return run, bad
+}
 
-	f.Fuzz(func(t *testing.T, size uint8, data []byte) {
-		n := max(int(size%64), 1)
-		var out []byte
-		err := readRecords(memStream(t, "part", data), "part", n, func(rec []byte) error {
-			if len(rec) != n {
-				t.Fatalf("record of %d bytes, want %d", len(rec), n)
-			}
-			out = append(out, rec...)
-			return nil
-		})
-		if partial := len(data)%n != 0; (err != nil) != partial {
-			t.Fatalf("%d bytes in %d-byte records: err = %v", len(data), n, err)
+// runBytes returns the bytes of the run's blocks within data, partition
+// by partition, each partition's blocks in list order: what the reader
+// must replay.
+func runBytes(run *spillRun, data []byte) []byte {
+	var out []byte
+	for _, bs := range run.blocks {
+		for _, b := range bs {
+			out = append(out, data[b.off:b.off+int64(b.n)]...)
 		}
-		if err == nil && !bytes.Equal(out, data) {
-			t.Fatalf("records changed across a round trip:\n%x\n%x", data, out)
+	}
+	return out
+}
+
+// FuzzRawRecords checks the spill-run reader over fuzzed block
+// boundaries: reading both partitions of a run of size-byte records (size
+// taken mod 64, at least 1) fails exactly when a block is not whole
+// records or runs past the end of the stream, and otherwise hands out
+// records whose concatenation is the blocks' bytes — for blocks that tile
+// the stream, a permutation of it by partition.
+func FuzzRawRecords(f *testing.F) {
+	f.Add(uint8(1), []byte{}, []byte{7})
+	f.Add(uint8(4), []byte{7, 3}, bytes.Repeat([]byte{1, 2, 3, 4}, 5))
+
+	f.Fuzz(func(t *testing.T, size uint8, cuts, data []byte) {
+		n := max(int(size%64), 1)
+		run, bad := fuzzRun(t, 2, n, cuts, data)
+		defer run.drop()
+		var out []byte
+		var err error
+		for part := 0; part < 2 && err == nil; part++ {
+			err = run.records(part, func(rec []byte) error {
+				if len(rec) != n {
+					t.Fatalf("record of %d bytes, want %d", len(rec), n)
+				}
+				out = append(out, rec...)
+				return nil
+			})
+		}
+		if (err != nil) != bad {
+			t.Fatalf("%d bytes in %d-byte records, blocks %v: err = %v", len(data), n, run.blocks, err)
+		}
+		if err == nil && !bytes.Equal(out, runBytes(run, data)) {
+			t.Fatalf("records changed across a round trip:\n%x\n%x", runBytes(run, data), out)
 		}
 	})
 }
 
-// FuzzSpanRun checks the span-bucket reader: bytes stored as the bucket
-// of samples lo … lo+n-1 (n taken mod 8, at least 1) fail spanBucket.load
-// exactly when the bucket ends inside a record or holds a record of a
-// sample outside that range; otherwise the loaded spans replay the
-// records in stable sample-index order.
+// FuzzSpanRun checks the span-bucket reader: bytes stored as a span run
+// whose fuzzed blocks all form bucket 0 (see fuzzRun), loaded as the
+// bucket of samples lo … lo+n-1 (n taken mod 8, at least 1), fail
+// spanBucket.load exactly when a block is not whole records, runs past
+// the end of the stream, or holds a record of a sample outside that
+// range; otherwise the loaded spans replay the records in stable
+// sample-index order.
 func FuzzSpanRun(f *testing.F) {
 	var seed []byte
 	for _, r := range []spanRec{{4, 1, 0.5}, {3, 2, 1}, {4, 3, 0.5}} {
 		seed = putSpanRec(seed, r)
 	}
-	f.Add(uint8(3), uint8(2), seed)
+	f.Add(uint8(3), uint8(2), []byte{}, seed)
+	f.Add(uint8(3), uint8(2), []byte{spanRecSize - 1, spanRecSize - 1}, seed)
 
-	f.Fuzz(func(t *testing.T, lo, n uint8, data []byte) {
+	f.Fuzz(func(t *testing.T, lo, n uint8, cuts, data []byte) {
 		width := max(int(n%8), 1)
+		run, bad := fuzzRun(t, 1, spanRecSize, cuts, data)
+		defer run.drop()
 		var b spanBucket
-		err := b.load(memStream(t, "bucket", data), "bucket", int64(lo), width)
+		err := b.load(run, 0, int64(lo), width)
 
 		var want []spanRec
-		bad := len(data)%spanRecSize != 0
-		for i := 0; !bad && i < len(data); i += spanRecSize {
-			r := spanRec{idx: int64(getU64(data[i:])), key: int64(getU64(data[i+8:])), frac: getF64(data[i+16:])}
-			bad = r.idx < int64(lo) || r.idx >= int64(lo)+int64(width)
-			want = append(want, r)
+		if !bad {
+			bucket := runBytes(run, data)
+			for i := 0; i < len(bucket); i += spanRecSize {
+				r := spanRec{idx: int64(getU64(bucket[i:])), key: int64(getU64(bucket[i+8:])), frac: getF64(bucket[i+16:])}
+				bad = bad || r.idx < int64(lo) || r.idx >= int64(lo)+int64(width)
+				want = append(want, r)
+			}
 		}
 		if (err != nil) != bad {
-			t.Fatalf("bucket [%d, %d) of %d bytes: err = %v", lo, int(lo)+width, len(data), err)
+			t.Fatalf("bucket [%d, %d), %d bytes, blocks %v: err = %v", lo, int(lo)+width, len(data), run.blocks, err)
 		}
 		if err != nil {
 			return
@@ -91,8 +143,9 @@ func FuzzSpanRun(f *testing.F) {
 func TestSpanBucketRejectsOutOfRange(t *testing.T) {
 	for _, idx := range []int64{9, 20, 25, -1} {
 		data := putSpanRec(putSpanRec(nil, spanRec{10, 0, 1}), spanRec{idx, 1, 1})
+		run, _ := fuzzRun(t, 1, spanRecSize, nil, data)
 		var b spanBucket
-		err := b.load(memStream(t, "bucket", data), "bucket", 10, 10)
+		err := b.load(run, 0, 10, 10)
 		if err == nil || !strings.Contains(err.Error(), "outside") {
 			t.Fatalf("record of sample %d in bucket [10, 20): err = %v", idx, err)
 		}
@@ -169,9 +222,38 @@ func readStream(t testing.TB, st store, name string) []byte {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	b, err := io.ReadAll(r)
+	b, err := io.ReadAll(io.NewSectionReader(r, 0, math.MaxInt64))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestMemFileReadAt checks memFile.ReadAt against the bytes written, for
+// reads that start and end inside, at the edge of, and across the
+// geometric and the full-size chunks, and past the end.
+func TestMemFileReadAt(t *testing.T) {
+	data := make([]byte, 5*memChunkMax+123)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	f := &memFile{}
+	for rest := data; len(rest) > 0; {
+		n := min(len(rest), 3001)
+		f.Write(rest[:n])
+		rest = rest[n:]
+	}
+	for _, off := range []int{0, 1, memChunkMin - 1, memChunkMin, 3*memChunkMin + 5, 15 * memChunkMin, 2*memChunkMax - 1, len(data) - 10, len(data), len(data) + 1} {
+		for _, n := range []int{0, 1, 7, memChunkMin, memChunkMax + 3} {
+			p := make([]byte, n)
+			got, err := f.ReadAt(p, int64(off))
+			want := max(min(n, len(data)-off), 0)
+			if got != want || (got < n) != (err == io.EOF) || (got == n && err != nil) {
+				t.Fatalf("ReadAt(%d bytes, %d) = %d, %v; want %d bytes", n, off, got, err, want)
+			}
+			if !bytes.Equal(p[:got], data[min(off, len(data)):][:got]) {
+				t.Fatalf("ReadAt(%d bytes, %d) returned the wrong bytes", n, off)
+			}
+		}
+	}
 }

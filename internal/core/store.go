@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"io/fs"
@@ -12,17 +11,20 @@ import (
 )
 
 // store holds the named byte streams the generation engine writes and
-// reads back: sample shards, spill partitions and span buckets. Each is a
-// headerless run of fixed-size records that only the engine itself
-// reads. Names are file paths. dirStore maps them onto the file system;
-// memStore keeps them in memory, which is how Generate runs the same
-// engine without touching disk. Both backends hold identical bytes for
-// identical writes.
+// reads back: sample shards, read front to back, and spill runs, one per
+// merge pass. A run holds P partitions (or span buckets) as blocks of
+// whole records, each partition's blocks listed by offset and length, and
+// is read block by block at random offsets (see spillRun). Every stream
+// is headerless fixed-size records that only the engine itself reads,
+// written once, front to back. Names are file paths. dirStore maps them
+// onto the file system; memStore keeps them in memory, which is how
+// Generate runs the same engine without touching disk. Both backends hold
+// identical bytes for identical writes and serve the same reads.
 type store interface {
 	// create starts a new, empty stream, replacing any of the same name.
 	create(name string) (io.WriteCloser, error)
-	// open reads a stream from its start.
-	open(name string) (io.ReadCloser, error)
+	// open reads a finished stream at random offsets.
+	open(name string) (streamReader, error)
 	// remove drops one stream and frees what it held.
 	remove(name string)
 	// mkdirAll prepares dir to hold streams; removeAll drops dir and
@@ -31,49 +33,38 @@ type store interface {
 	removeAll(dir string) error
 }
 
-// storeBufSize is the dirStore read and write buffer per open stream.
+// streamReader reads a stream at random offsets. As for io.ReaderAt, a
+// short read returns a non-nil error (io.EOF past the end); a full read
+// that ends at the end of the stream may return nil or io.EOF.
+type streamReader interface {
+	io.ReaderAt
+	io.Closer
+}
+
+// storeBufSize is the spill block size: the most bytes one partition of a
+// spill run buffers before appending them to the run's stream (see
+// spillRun).
 const storeBufSize = 1 << 15
 
-// dirStore is the file-system backend.
+// dirStore is the file-system backend. Its writers are unbuffered: the
+// engine only writes whole blocks or shard chunks.
 type dirStore struct{}
-
-type fileWriter struct {
-	f  *os.File
-	bw *bufio.Writer
-}
 
 func (dirStore) create(name string) (io.WriteCloser, error) {
 	f, err := os.Create(name)
 	if err != nil {
 		return nil, fmt.Errorf("core: create %s: %w", filepath.Base(name), err)
 	}
-	return &fileWriter{f: f, bw: bufio.NewWriterSize(f, storeBufSize)}, nil
+	return f, nil
 }
 
-func (w *fileWriter) Write(p []byte) (int, error) { return w.bw.Write(p) }
-
-func (w *fileWriter) Close() error {
-	err := w.bw.Flush()
-	if cerr := w.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-type fileReader struct {
-	*bufio.Reader
-	f *os.File
-}
-
-func (dirStore) open(name string) (io.ReadCloser, error) {
+func (dirStore) open(name string) (streamReader, error) {
 	f, err := os.Open(name)
 	if err != nil {
 		return nil, fmt.Errorf("core: open %s: %w", filepath.Base(name), err)
 	}
-	return &fileReader{Reader: bufio.NewReaderSize(f, storeBufSize), f: f}, nil
+	return f, nil
 }
-
-func (r *fileReader) Close() error { return r.f.Close() }
 
 func (dirStore) remove(name string)         { os.Remove(name) }
 func (dirStore) mkdirAll(dir string) error  { return os.MkdirAll(dir, 0o755) }
@@ -81,7 +72,7 @@ func (dirStore) removeAll(dir string) error { return os.RemoveAll(dir) }
 
 // memStore is the in-memory backend. A stream is a list of chunks that
 // grow geometrically up to memChunkMax bytes, so appends never copy what
-// is already written and small spill partitions stay small.
+// is already written and small streams stay small.
 type memStore struct {
 	mu    sync.Mutex
 	files map[string]*memFile
@@ -94,7 +85,8 @@ const (
 
 func newMemStore() *memStore { return &memStore{files: make(map[string]*memFile)} }
 
-// memFile is one in-memory stream. Every chunk but the last is full.
+// memFile is one in-memory stream. Chunk i holds memChunkMin<<i bytes
+// until that reaches memChunkMax, and every chunk but the last is full.
 type memFile struct {
 	chunks [][]byte
 }
@@ -107,14 +99,14 @@ func (s *memStore) create(name string) (io.WriteCloser, error) {
 	return f, nil
 }
 
-func (s *memStore) open(name string) (io.ReadCloser, error) {
+func (s *memStore) open(name string) (streamReader, error) {
 	s.mu.Lock()
 	f, ok := s.files[name]
 	s.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("core: open %s: %w", filepath.Base(name), fs.ErrNotExist)
 	}
-	return &memReader{chunks: f.chunks}, nil
+	return f, nil
 }
 
 func (s *memStore) remove(name string) {
@@ -157,29 +149,36 @@ func (f *memFile) Write(p []byte) (int, error) {
 	return n, nil
 }
 
-func (f *memFile) Close() error { return nil }
-
-// memReader reads a memFile's chunks in order.
-type memReader struct {
-	chunks [][]byte
-	i, off int // next byte: chunks[i][off]
-}
-
-func (r *memReader) Read(p []byte) (int, error) {
-	n := 0
-	for n < len(p) && r.i < len(r.chunks) {
-		k := copy(p[n:], r.chunks[r.i][r.off:])
-		n += k
-		r.off += k
-		if r.off == len(r.chunks[r.i]) {
-			r.i++
-			r.off = 0
-		}
+// ReadAt copies the stream's bytes from off on into p, chunk by chunk.
+func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, fmt.Errorf("core: read at negative offset %d", off)
 	}
-	if n == 0 && len(p) > 0 {
-		return 0, io.EOF
+	i, at := memChunkAt(off)
+	n := 0
+	for n < len(p) && i < len(f.chunks) && at <= len(f.chunks[i]) {
+		k := copy(p[n:], f.chunks[i][at:])
+		n += k
+		i, at = i+1, 0
+	}
+	if n < len(p) {
+		return n, io.EOF
 	}
 	return n, nil
 }
 
-func (r *memReader) Close() error { return nil }
+// memChunkAt returns the memFile chunk holding stream byte off and off's
+// position within it.
+func memChunkAt(off int64) (int, int) {
+	i := 0
+	for size := int64(memChunkMin); size < memChunkMax; size *= 2 {
+		if off < size {
+			return i, int(off)
+		}
+		off -= size
+		i++
+	}
+	return i + int(off/memChunkMax), int(off % memChunkMax)
+}
+
+func (f *memFile) Close() error { return nil }

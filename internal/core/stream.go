@@ -52,15 +52,15 @@ func (s *ShardSet) Stream(buf []int32, fn func(idx int64, row []int32) error) er
 		if err != nil {
 			return err
 		}
+		var off int64
 		for err == nil {
 			var n int
-			n, err = io.ReadFull(f, raw)
+			n, err = f.ReadAt(raw, off)
+			off += int64(n)
 			switch {
-			case err == io.ErrUnexpectedEOF && n%rowBytes != 0:
+			case err == io.EOF && n%rowBytes != 0:
 				err = fmt.Errorf("core: shard %s ends mid-row (%d trailing bytes)", filepath.Base(path), n%rowBytes)
 				n = 0
-			case err == io.ErrUnexpectedEOF:
-				err = io.EOF
 			case err != nil && err != io.EOF:
 				err = fmt.Errorf("core: read shard %s: %w", filepath.Base(path), err)
 			}
@@ -270,6 +270,7 @@ func (g *Generator) merge(set *ShardSet, opts StreamOptions, res *StreamResult, 
 	defer st.removeAll(spillDir)
 
 	buf := make([]int32, rowsPerChunk*ncols)
+	pool := make([][]byte, P) // spill block buffers, shared by every run
 	tcs, err := g.weigh(set, buf, opts.GenOptions)
 	if err != nil {
 		return err
@@ -284,8 +285,14 @@ func (g *Generator) merge(set *ShardSet, opts StreamOptions, res *StreamResult, 
 	res.Rows = make(map[string]int, len(tcs))
 	res.Groups = make(map[string]int, len(tcs))
 	res.Samples = set.Total
-	// Span buckets feed every child of a table; drop them once the last
-	// child has read them.
+	// An internal table's span run feeds every child of the table; drop it
+	// once the last child has read it.
+	spanRuns := make(map[string]*spillRun)
+	defer func() {
+		for _, r := range spanRuns {
+			r.drop()
+		}
+	}()
 	childLeft := make(map[string]int)
 	for _, tc := range tcs {
 		if tc.t.Parent != "" {
@@ -299,14 +306,16 @@ func (g *Generator) merge(set *ShardSet, opts StreamOptions, res *StreamResult, 
 		// attribution samreport renders for a scale run.
 		tspan := mergeSpan.Child("table")
 		tspan.SetAttr("name", tc.t.Name)
-		rows, groups, err := g.streamTable(set, tc, buf, P, spillDir, newSink, rng, tspan, opts)
+		rows, groups, spans, err := g.streamTable(set, tc, spanRuns[tc.t.Parent], buf, pool, spillDir, newSink, rng, tspan, opts)
 		tspan.End()
+		if spans != nil {
+			spanRuns[tc.t.Name] = spans
+		}
 		if tc.t.Parent != "" {
 			childLeft[tc.t.Parent]--
 			if childLeft[tc.t.Parent] == 0 {
-				for part := 0; part < P; part++ {
-					st.remove(spillPath(spillDir, tc.t.Parent+".span", part))
-				}
+				spanRuns[tc.t.Parent].drop()
+				delete(spanRuns, tc.t.Parent)
 			}
 		}
 		if err != nil {
@@ -386,11 +395,12 @@ type group struct {
 // obs.StreamPass event (records in/out, spill bytes, run counts). All of
 // it is observational: the spill bytes, group order, and emitted rows are
 // identical with observers on or off.
-func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, buf []int32, P int, spillDir string,
-	newSink func(*tableCtx) (rowSink, error), rng *rand.Rand, tspan *obs.Span, opts StreamOptions) (int, int, error) {
+func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, parentSpans *spillRun, buf []int32, pool [][]byte, spillDir string,
+	newSink func(*tableCtx) (rowSink, error), rng *rand.Rand, tspan *obs.Span, opts StreamOptions) (int, int, *spillRun, error) {
 	name := tc.t.Name
 	st := set.st
 	internal := tc.hasChildren
+	P := len(pool)
 	// Raw record: w f64 | pk i64 | coarse ×nid i32 | content ×nc i32, then
 	// idx u64 for internal tables. Leaves have no identifier columns
 	// (nid = 0) and group by content, so their key runs to the end of the
@@ -409,11 +419,12 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, buf []int32, P int,
 	// Pass A: spill surviving samples to group-hash partitions.
 	aStart := time.Now()
 	passA := tspan.Child("A")
-	pw, err := newPartWriter(st, spillDir, name+".raw", P)
+	raw, err := newSpillRun(st, filepath.Join(spillDir, name+".raw"), pool, rawSize)
 	if err != nil {
 		passA.End()
-		return 0, 0, err
+		return 0, 0, nil, err
 	}
+	defer raw.drop()
 	codes := make([]int32, nid+nc)
 	var keyBuf, recBuf []byte
 	var parent spanBucket
@@ -430,7 +441,7 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, buf []int32, P int,
 		}
 		spilled++
 		mass += w
-		return pw.write(spillPartition(keyBuf, P), recBuf)
+		return raw.write(spillPartition(keyBuf, P), recBuf)
 	}
 	err = set.Stream(buf, func(idx int64, row []int32) error {
 		wi := g.sampleWeight(tc, row)
@@ -440,8 +451,7 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, buf []int32, P int,
 		var spans []keySpan
 		if tc.t.Parent != "" {
 			if b := idx / width; b != loaded {
-				path := spillPath(spillDir, tc.t.Parent+".span", int(b))
-				if err := parent.load(st, path, b*width, int(width)); err != nil {
+				if err := parent.load(parentSpans, int(b), b*width, int(width)); err != nil {
 					return err
 				}
 				loaded = b
@@ -468,13 +478,12 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, buf []int32, P int,
 		return nil
 	})
 	if err == nil {
-		err = pw.close()
+		err = raw.finish()
 	}
 	passA.SetAttr("records_out", spilled)
 	passA.End()
 	if err != nil {
-		pw.cleanup()
-		return 0, 0, err
+		return 0, 0, nil, err
 	}
 	opts.Hooks.StreamPass(obs.StreamPass{
 		Pass: "A", Table: name, Shard: -1,
@@ -493,13 +502,13 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, buf []int32, P int,
 	defer passB.End()
 	sink, err := newSink(tc)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, nil, err
 	}
-	var spw *partWriter
+	var spans *spillRun
 	if internal {
-		if spw, err = newPartWriter(st, spillDir, name+".span", P); err != nil {
+		if spans, err = newSpillRun(st, filepath.Join(spillDir, name+".span"), pool, spanRecSize); err != nil {
 			sink.close()
-			return 0, 0, err
+			return 0, 0, nil, err
 		}
 	}
 	alloc := newSysAlloc(mass, g.Sizes[name])
@@ -541,7 +550,7 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, buf []int32, P int,
 				spanBuf = putU64(spanBuf[:0], uint64(m.idx))
 				spanBuf = putU64(spanBuf, uint64(base+int64(c)))
 				spanBuf = putF64(spanBuf, frac)
-				if err := spw.write(int(m.idx/width), spanBuf); err != nil {
+				if err := spans.write(int(m.idx/width), spanBuf); err != nil {
 					return err
 				}
 				spanRecs++
@@ -555,7 +564,7 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, buf []int32, P int,
 		for part := 0; part < P; part++ {
 			var order []*group
 			lookup := make(map[string]*group)
-			err := readRecords(st, pw.paths[part], rawSize, func(rec []byte) error {
+			err := raw.records(part, func(rec []byte) error {
 				w := getF64(rec)
 				key := string(rec[8:keyEnd]) // parent key + key codes
 				grp := lookup[key]
@@ -574,7 +583,9 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, buf []int32, P int,
 			if err != nil {
 				return err
 			}
-			st.remove(pw.paths[part])
+			if part == P-1 {
+				raw.drop() // free it before the last groups are emitted
+			}
 			groups += len(order)
 			for _, grp := range order {
 				count := alloc.next(grp.gw)
@@ -594,15 +605,18 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, buf []int32, P int,
 	if cerr := sink.close(); err == nil {
 		err = cerr
 	}
-	if spw != nil {
-		if cerr := spw.close(); err == nil {
+	if spans != nil {
+		if cerr := spans.finish(); err == nil {
 			err = cerr
 		}
 	}
 	passB.SetAttr("groups", groups)
 	passB.SetAttr("rows", rows)
 	if err != nil {
-		return 0, 0, err
+		if spans != nil {
+			spans.drop()
+		}
+		return 0, 0, nil, err
 	}
 	spanRuns := 0
 	if internal {
@@ -616,5 +630,5 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, buf []int32, P int,
 		BytesWritten: spanRecs * spanRecSize,
 		Wall:         time.Since(bStart),
 	})
-	return int(rows), groups, nil
+	return int(rows), groups, spans, nil
 }

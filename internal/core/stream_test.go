@@ -3,11 +3,13 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -662,11 +664,15 @@ func TestStreamObserversByteIdentical(t *testing.T) {
 
 // TestMergeBytesPinned holds the merge's output bytes across commits: FNV
 // hashes of every table's CSV, in schema order, for GenerateStream at
-// Partitions 1 and 7 and for Generate, on the TPC-H chain (an internal
-// non-root table) and the IMDB star (siblings sharing a parent's spans),
-// against hashes recorded before the spill merge was rewritten. A change
-// to the merge that moves one byte of output fails here. The hashes are
-// amd64 figures: other architectures may fuse float multiply-adds.
+// Partitions 1 and 7, for the same merge at Partitions 7 over a memory
+// store, and for Generate, on the TPC-H chain (an internal non-root
+// table) and the IMDB star (siblings sharing a parent's spans), against
+// hashes recorded before the spill merge was rewritten. A change to the
+// merge that moves one byte of output fails here. At Partitions 7 the
+// partitions and span buckets span several spill blocks each (see
+// TestMergeStreamCount), so the memory run covers reads across blocks and
+// memory chunks. The hashes are amd64 figures: other architectures may
+// fuse float multiply-adds.
 func TestMergeBytesPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("output bytes are pinned on amd64 only")
@@ -688,18 +694,30 @@ func TestMergeBytesPinned(t *testing.T) {
 		opts := DefaultGenOptions(5)
 		opts.Samples = 20000
 		opts.Batch = 16
+		csvHash := func(res *StreamResult) string {
+			h := fnv.New64a()
+			for _, tab := range tc.orig.Tables {
+				h.Write(fileBytes(t, res.CSVPaths[tab.Name]))
+			}
+			return fmt.Sprintf("%016x", h.Sum64())
+		}
 		var got []string
 		for _, p := range []int{1, 7} {
 			res, err := gen.GenerateStream(newSampler, StreamOptions{GenOptions: opts, OutDir: t.TempDir(), Partitions: p})
 			if err != nil {
 				t.Fatal(err)
 			}
-			h := fnv.New64a()
-			for _, tab := range tc.orig.Tables {
-				h.Write(fileBytes(t, res.CSVPaths[tab.Name]))
-			}
-			got = append(got, fmt.Sprintf("%016x", h.Sum64()))
+			got = append(got, csvHash(res))
 		}
+		mem, err := gen.SampleShards(newSampler, opts.Samples, StreamOptions{GenOptions: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := gen.MaterializeStream(mem, StreamOptions{GenOptions: opts, OutDir: t.TempDir(), Partitions: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, csvHash(res))
 		db, err := gen.Generate(newSampler, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -711,10 +729,91 @@ func TestMergeBytesPinned(t *testing.T) {
 			}
 		}
 		got = append(got, fmt.Sprintf("%016x", h.Sum64()))
-		for i, run := range []string{"GenerateStream P=1", "GenerateStream P=7", "Generate"} {
-			if got[i] != tc.want[i] {
-				t.Errorf("%s schema, %s: CSV hash %s, want %s", tc.orig.Tables[0].Name, run, got[i], tc.want[i])
+		want := []string{tc.want[0], tc.want[1], tc.want[1], tc.want[2]}
+		for i, run := range []string{"GenerateStream P=1", "GenerateStream P=7", "memory store P=7", "Generate"} {
+			if got[i] != want[i] {
+				t.Errorf("%s schema, %s: CSV hash %s, want %s", tc.orig.Tables[0].Name, run, got[i], want[i])
 			}
+		}
+	}
+}
+
+// countingStore counts the streams created in a store and the bytes
+// written to each, and tracks which of them are still there.
+type countingStore struct {
+	store
+	written map[string]*int64 // stream name → bytes written
+	live    map[string]bool
+}
+
+type countingWriter struct {
+	io.WriteCloser
+	n *int64
+}
+
+func (w countingWriter) Write(p []byte) (int, error) {
+	*w.n += int64(len(p))
+	return w.WriteCloser.Write(p)
+}
+
+func (s *countingStore) create(name string) (io.WriteCloser, error) {
+	w, err := s.store.create(name)
+	if err != nil {
+		return nil, err
+	}
+	s.written[name] = new(int64)
+	s.live[name] = true
+	return countingWriter{w, s.written[name]}, nil
+}
+
+func (s *countingStore) remove(name string) {
+	delete(s.live, name)
+	s.store.remove(name)
+}
+
+// TestMergeStreamCount pins the spill layout: the merge of the TPC-H
+// chain (customer ← orders ← lineitem) at Partitions = 7 creates one raw
+// run per table and one span run per internal table — five streams, not
+// one per partition — and removes each of them by the end, on both
+// stores. Every run holds more blocks than partitions, so some of its
+// partitions span several blocks: the multi-block reads that
+// TestMergeBytesPinned's P = 7 hashes cover.
+func TestMergeStreamCount(t *testing.T) {
+	orig := datagen.TPCH(3, 120)
+	l := join.NewLayout(orig)
+	o := join.NewOracle(l)
+	gen, err := NewGenerator(l, identityDiscs(l), sizesOf(orig))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const P = 7
+	for _, dir := range []string{"", t.TempDir()} {
+		opts := StreamOptions{GenOptions: DefaultGenOptions(5), OutDir: dir, Partitions: P}
+		opts.Batch = 16
+		set, err := gen.SampleShards(func() join.TupleSampler { return o }, 20000, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs := &countingStore{store: set.st, written: map[string]*int64{}, live: map[string]bool{}}
+		set.st = cs
+		opts.OutDir = t.TempDir()
+		if _, err := gen.MaterializeStream(set, opts); err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for name, n := range cs.written {
+			names = append(names, filepath.Base(name))
+			if *n <= P*storeBufSize {
+				t.Errorf("run %s holds %d bytes, fewer than one block per partition", filepath.Base(name), *n)
+			}
+		}
+		slices.Sort(names)
+		want := []string{"customer.raw", "customer.span", "lineitem.raw", "orders.raw", "orders.span"}
+		if !slices.Equal(names, want) {
+			t.Fatalf("store %q: merge created streams %v, want %v", dir, names, want)
+		}
+		if len(cs.live) != 0 {
+			t.Fatalf("store %q: merge left %d streams behind", dir, len(cs.live))
 		}
 	}
 }

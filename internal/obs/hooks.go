@@ -70,7 +70,8 @@ type StreamPass struct {
 	// pass (samples streamed, spill records written, groups formed, rows
 	// emitted — per pass semantics).
 	RecordsIn, RecordsOut int64
-	// Runs is the number of spill runs the pass wrote.
+	// Runs is the number of spill partitions or span buckets the pass
+	// wrote: logical parts of the pass's one spill stream, not files.
 	Runs int
 	// BytesWritten / BytesRead count spill bytes moved by the pass.
 	BytesWritten, BytesRead int64
