@@ -27,10 +27,12 @@ func batchTestModel(t *testing.T, arch string) *Model {
 }
 
 // exactJoint enumerates every tuple of m's (small) bin space with its
-// exact probability under the model, read from the autodiff
-// Backbone.Forward: P(x₀,…,xₙ) = Π P(xᵢ | x<ᵢ), each factor a softmax of
-// column i's logit block on the tuple's own one-hot row. It is the
-// reference the sampler and the estimator are checked against.
+// exact probability under the model, read from the training Chain:
+// P(x₀,…,xₙ) = Π P(xᵢ | x<ᵢ), each factor a softmax of the logit block
+// Next returns for column i, fed the tuple's own one-hots of columns < i.
+// It is the reference the sampler and the estimator are checked against:
+// they run batched inference, a separate implementation of the same
+// conditionals.
 func exactJoint(m *Model) ([][]int, []float64) {
 	ncols := m.Layout.NumCols()
 	var tuples [][]int
@@ -47,25 +49,24 @@ func exactJoint(m *Model) ([][]int, []float64) {
 			break
 		}
 	}
-	net := m.Net
-	x := tensor.New(len(tuples), net.InDim())
-	for r, tup := range tuples {
-		for i, b := range tup {
-			x.Set(r, net.Offsets()[i]+b, 1)
-		}
+	probs := make([]float64, len(tuples))
+	for r := range probs {
+		probs[r] = 1
 	}
 	g := tensor.NewGraph()
-	out := net.Forward(g, g.Const(x)).Val
-	probs := make([]float64, len(tuples))
-	for r, tup := range tuples {
-		p := 1.0
-		for i, b := range tup {
-			off, size := net.Offsets()[i], net.ColSizes()[i]
-			cond := make([]float64, size)
-			tensor.SoftmaxRowInto(cond, out.Row(r)[off:off+size])
-			p *= cond[b]
+	chain := m.Net.NewChain()
+	chain.Reset(g, len(tuples))
+	var y *tensor.Node
+	for i := 0; i < ncols; i++ {
+		logits := chain.Next(y).Val
+		onehot := tensor.New(len(tuples), m.Disc[i].Bins())
+		cond := make([]float64, m.Disc[i].Bins())
+		for r, tup := range tuples {
+			tensor.SoftmaxRowInto(cond, logits.Row(r))
+			probs[r] *= cond[tup[i]]
+			onehot.Set(r, tup[i], 1)
 		}
-		probs[r] = p
+		y = g.Const(onehot)
 	}
 	return tuples, probs
 }

@@ -15,20 +15,20 @@ import (
 )
 
 // fullWidthChain is the textbook progressive chain the training step
-// optimizes: every step runs the whole backbone on all columns (the
-// unsampled ones zero), slices out column i's logits, and draws a sample
-// at every step, the last included.
+// optimizes: every step recomputes column i's logits from scratch, with a
+// fresh backbone Chain run over all the samples drawn so far, and draws a
+// sample at every step, the last included.
 func fullWidthChain(m *Model, g *tensor.Graph, sc *chunkScratch,
 	n, lastNeeded int, tau float64, rng *rand.Rand) *tensor.Node {
-	ncols := m.Layout.NumCols()
-	parts := make([]*tensor.Node, ncols)
-	for i := range parts {
-		parts[i] = g.Const(tensor.New(n, m.Disc[i].Bins()))
-	}
+	var samples []*tensor.Node
 	var sel *tensor.Node
 	for i := 0; i <= lastNeeded; i++ {
-		out := m.Net.Forward(g, g.ConcatCols(parts...))
-		logits := g.SliceCols(out, m.Net.Offsets()[i], m.Net.ColSizes()[i])
+		chain := m.Net.NewChain()
+		chain.Reset(g, n)
+		logits := chain.Next(nil)
+		for _, y := range samples {
+			logits = chain.Next(y)
+		}
 		p := g.RangeProb(logits, sc.masks[i])
 		if sel == nil {
 			sel = p
@@ -36,7 +36,7 @@ func fullWidthChain(m *Model, g *tensor.Graph, sc *chunkScratch,
 			sel = g.MulElem(sel, p)
 		}
 		y := g.STGumbel(logits, sc.masks[i], tau, rng)
-		parts[i] = y
+		samples = append(samples, y)
 		if sc.anyDown[i] {
 			oneMinus := tensor.New(n, 1)
 			for r := 0; r < n; r++ {

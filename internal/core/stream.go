@@ -119,6 +119,41 @@ type memberRec struct {
 	w   float64
 }
 
+// minSpanFrac is the smallest share of a member's weight that the cell
+// walk turns into a span. A smaller piece is not weight but the rounding
+// remainder of a cell boundary that lands within an ulp of the member's
+// start or end, and as a span it would only seed a child group that earns
+// no rows. The floor is relative, so the walk holds no constant that
+// depends on the scale of the weights.
+const minSpanFrac = 1e-9
+
+// cellSpans is the cell walk of an internal table's group: it lays the
+// members end to end over the group's mass gw, cuts that mass into count
+// equal cells, one per key allocated to the group, and calls put for each
+// piece of a member inside a cell with the cell's index and the share of
+// the member's weight the piece holds. Pieces below minSpanFrac are
+// dropped.
+func cellSpans(members []memberRec, gw float64, count int, put func(m memberRec, cell int, frac float64) error) error {
+	cell := gw / float64(count)
+	acc := 0.0
+	for _, m := range members {
+		start, end := acc, acc+m.w
+		acc = end
+		first := min(int(start/cell), count-1)
+		last := min(int(end/cell), count-1)
+		for c := first; c <= last; c++ {
+			lo := math.Max(start, float64(c)*cell)
+			hi := math.Min(end, float64(c+1)*cell)
+			if frac := (hi - lo) / m.w; frac >= minSpanFrac {
+				if err := put(m, c, frac); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
 func spillPath(dir, prefix string, part int) string {
 	return filepath.Join(dir, fmt.Sprintf("%s-%03d", prefix, part))
 }
@@ -533,30 +568,13 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, parentSpans *spillR
 		if !internal {
 			return nil
 		}
-		cell := grp.gw / float64(count)
-		acc := 0.0
-		for _, m := range grp.members {
-			start, end := acc, acc+m.w
-			acc = end
-			first := min(int(start/cell), count-1)
-			last := min(int((end-1e-12)/cell), count-1)
-			for c := first; c <= last; c++ {
-				lo := math.Max(start, float64(c)*cell)
-				hi := math.Min(end, float64(c+1)*cell)
-				frac := (hi - lo) / m.w
-				if frac <= 0 {
-					continue
-				}
-				spanBuf = putU64(spanBuf[:0], uint64(m.idx))
-				spanBuf = putU64(spanBuf, uint64(base+int64(c)))
-				spanBuf = putF64(spanBuf, frac)
-				if err := spans.write(int(m.idx/width), spanBuf); err != nil {
-					return err
-				}
-				spanRecs++
-			}
-		}
-		return nil
+		return cellSpans(grp.members, grp.gw, count, func(m memberRec, c int, frac float64) error {
+			spanBuf = putU64(spanBuf[:0], uint64(m.idx))
+			spanBuf = putU64(spanBuf, uint64(base+int64(c)))
+			spanBuf = putF64(spanBuf, frac)
+			spanRecs++
+			return spans.write(int(m.idx/width), spanBuf)
+		})
 	}
 	err = func() error {
 		var pending *group

@@ -503,6 +503,59 @@ func sumOf(ws []float64) float64 {
 	return s
 }
 
+// TestCellSpans pins the cell walk of an internal table's group: members
+// laid end to end over the group's mass, cut into one equal cell per
+// allocated key. A member yields one span per cell it overlaps, carrying
+// the share of its weight inside the cell, and a piece that is only the
+// rounding remainder of a boundary within an ulp of a member's end is
+// dropped rather than written as a span.
+func TestCellSpans(t *testing.T) {
+	type span struct {
+		idx  int64
+		cell int
+		frac float64
+	}
+	cases := []struct {
+		name    string
+		weights []float64
+		count   int
+		want    []span
+	}{
+		{"one cell per member", []float64{1, 1, 1}, 3, []span{{0, 0, 1}, {1, 1, 1}, {2, 2, 1}}},
+		{"member across cells", []float64{1, 2}, 2, []span{{0, 0, 1}, {1, 0, 0.25}, {1, 1, 0.75}}},
+		{"one key for the group", []float64{0.5, 2, 1.5}, 1, []span{{0, 0, 1}, {1, 0, 1}, {2, 0, 1}}},
+		// 0.1 + 0.2 rounds up to 0.30000000000000004, so the first
+		// boundary, mass/3, lands an ulp past 0.1, where member 1 starts:
+		// member 1 overlaps cell 0 by about 1e-17, a rounding remainder.
+		{"ulp past a boundary", []float64{0.1, 0.2}, 3, []span{{0, 0, 1}, {1, 1, 0.5}, {1, 2, 0.5}}},
+		{"more keys than members", []float64{3}, 3, []span{{0, 0, 1.0 / 3}, {0, 1, 1.0 / 3}, {0, 2, 1.0 / 3}}},
+	}
+	for _, tc := range cases {
+		members := make([]memberRec, len(tc.weights))
+		var gw float64
+		for i, w := range tc.weights {
+			members[i] = memberRec{idx: int64(i), w: w}
+			gw += w
+		}
+		var got []span
+		err := cellSpans(members, gw, tc.count, func(m memberRec, c int, frac float64) error {
+			got = append(got, span{m.idx, c, frac})
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(got) != len(tc.want) {
+			t.Fatalf("%s: spans %v, want %v", tc.name, got, tc.want)
+		}
+		for i, w := range tc.want {
+			if g := got[i]; g.idx != w.idx || g.cell != w.cell || math.Abs(g.frac-w.frac) > 1e-12 {
+				t.Fatalf("%s: spans %v, want %v", tc.name, got, tc.want)
+			}
+		}
+	}
+}
+
 // TestStreamRejectsTruncatedShard cuts one shard of a sampled set, once
 // mid-row and once by a whole row, on both stores: the merge must fail
 // with an error, never panic or merge the short set.

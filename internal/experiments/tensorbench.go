@@ -51,13 +51,11 @@ type TensorBenchReport struct {
 // Pre-overhaul baselines, measured at the seed commit in a side worktree on
 // the same machine (best of 3 × 2s runs, serial kernels). The benchmark
 // bodies below mirror the seed benchmarks exactly: matmul is 64×512·512×64
-// into a preallocated destination; made_forward_autodiff is a batch-32
-// forward+backward over colSizes {64,32,16,128,8,4,50}, hidden 64×2;
-// made_forward_infer computes every logit of a single row on the same net:
-// batch 1 of BatchInference, Reset and then ForwardCol and one SetInput
-// per column (the seed timed one full forward of a dedicated single-row
-// engine, the same output); train_step is
-// forward+backward+Adam on colSizes {8,6,4,10}, hidden 32×2, batch 16.
+// into a preallocated destination; made_forward_infer computes every logit
+// of a single row of a MADE over colSizes {64,32,16,128,8,4,50}, hidden
+// 64×2: batch 1 of BatchInference, Reset and then ForwardCol and one
+// SetInput per column (the seed timed one full forward of a dedicated
+// single-row engine, the same output).
 // The three sampling rows share one baseline: the per-tuple cost of the
 // single-row sampler that batch 1 of BatchSampler replaced, as recorded in
 // BENCH_tensor.json at the commit before that change (GOMAXPROCS=1). Their
@@ -69,34 +67,32 @@ type TensorBenchReport struct {
 // four runs interleaved with runs of the new code.
 // dps_train_step_transformer's baseline is the same body on the
 // transformer backbone at the commit before the incremental training
-// chain, when every progressive step ran the full per-row Forward on the
-// zero-padded input; measured the same way (best of four interleaved
-// runs, GOMAXPROCS=1, 2-vCPU host). exp_row_mass's baseline is the same
-// body at the commit before the AVX2 kernels, when ExpRowMass ran only the
-// scalar Go loop: best of four runs interleaved with runs of the vector
-// code, GOMAXPROCS=1, on the same host. label_workload's baseline is the
-// same body at the commit before dense join counting, when every join edge
-// of every query counted into a hash map keyed by parent primary key:
-// best of four runs interleaved with runs of the dense engine,
-// GOMAXPROCS=1, 2-vCPU host.
+// chain, when every progressive step ran a full-width forward pass per
+// row on the zero-padded input; measured the same way (best of four
+// interleaved runs, GOMAXPROCS=1, 2-vCPU host). exp_row_mass's baseline
+// is the same body at the commit before the AVX2 kernels, when ExpRowMass
+// ran only the scalar Go loop: best of four runs interleaved with runs of
+// the vector code, GOMAXPROCS=1, on the same host. label_workload's
+// baseline is the same body at the commit before dense join counting,
+// when every join edge of every query counted into a hash map keyed by
+// parent primary key: best of four runs interleaved with runs of the
+// dense engine, GOMAXPROCS=1, 2-vCPU host.
 var tensorBenchBaselines = map[string][2]int64{ // name → {ns/op, allocs/op}
 	"matmul_512":                 {1539014, 0},
-	"made_forward_autodiff":      {2619569, 115},
 	"made_forward_infer":         {9636, 0},
 	"sample_per_tuple":           {53941, 0},
 	"sample_batched":             {53941, 0},
 	"sample_batched_workers":     {53941, 0},
-	"train_step":                 {178603, 122},
 	"dps_train_step":             {61323092, 0},
 	"dps_train_step_transformer": {645683887, 3084},
 	"exp_row_mass":               {5438, 0},
 	"label_workload":             {15635955, 1874},
 }
 
-// RunTensorBench benchmarks the tensor hot paths (dense matmul, MADE
-// training forward+backward, MADE sampling forward, full optimizer step)
-// and exact workload labelling, and returns the results paired with the
-// seed baselines.
+// RunTensorBench benchmarks the tensor hot paths (dense matmul, the MADE
+// inference forward, ancestral sampling, ExpRowMass, one DPS training step
+// with Adam on each backbone) and exact workload labelling, and returns
+// the results paired with the seed baselines.
 func RunTensorBench() *TensorBenchReport {
 	rep := &TensorBenchReport{
 		Description: "tensor hot-path micro-benchmarks; before_* columns are recorded baselines: the pre-overhaul seed (sample_*: the old single-row sampler's per-tuple cost; dps_train_step*: the full-width DPS training step; label_workload: the hash-map join counting engine)",
@@ -159,23 +155,6 @@ func RunTensorBench() *TensorBenchReport {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			tensor.ExpRowMass(dst, src)
-		}
-	})
-
-	add("made_forward_autodiff", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(1))
-		colSizes := []int{64, 32, 16, 128, 8, 4, 50}
-		m := nn.NewMADE(rng, colSizes, 64, 2)
-		x := tensor.New(32, m.InDim())
-		x.Randn(rng, 0.5)
-		g := tensor.NewGraph()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			g.Reset()
-			out := m.Forward(g, g.Const(x))
-			loss := g.Mean(g.Square(out))
-			g.Backward(loss)
 		}
 	})
 
@@ -263,30 +242,6 @@ func RunTensorBench() *TensorBenchReport {
 			if _, err := g.SampleShards(newSampler, per, opts); err != nil {
 				panic(err)
 			}
-		}
-	})
-
-	add("train_step", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(5))
-		colSizes := []int{8, 6, 4, 10}
-		m := nn.NewMADE(rng, colSizes, 32, 2)
-		x := tensor.New(16, m.InDim())
-		x.Randn(rng, 0.5)
-		opt := nn.NewAdam(1e-3)
-		g := tensor.NewGraph()
-		params := m.Params()
-		pairs := make([]nn.GradPair, len(params))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			g.Reset()
-			out := m.Forward(g, g.Const(x))
-			loss := g.Mean(g.Square(out))
-			g.Backward(loss)
-			for j, p := range params {
-				pairs[j] = nn.GradPair{Param: p, Grad: g.ParamGrad(p)}
-			}
-			opt.Step(pairs)
 		}
 	})
 

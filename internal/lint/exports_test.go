@@ -25,7 +25,10 @@ var exportAllowlist = map[string]string{
 // srcs whose name no other file and no other line of its own file
 // mentions; key is package.Name, or package.Type.Method for a method.
 // srcs maps slash-separated, module-relative paths of non-test files to
-// their source. The check is by name only; it needs no types.
+// their source. The check is by name only; it needs no types. A method's
+// declaration name and an interface's method list are not uses: otherwise
+// two types with a method of the same name, or an interface listing it,
+// would keep each other alive with no caller anywhere.
 func unusedExports(srcs map[string][]byte) ([]string, error) {
 	type decl struct {
 		path, name, key string
@@ -45,9 +48,23 @@ func unusedExports(srcs map[string][]byte) ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
+		declared := map[*ast.Ident]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				uses[id.Name] = append(uses[id.Name], fset.Position(id.Pos()))
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Recv != nil {
+					declared[n.Name] = true
+				}
+			case *ast.InterfaceType:
+				for _, m := range n.Methods.List {
+					for _, id := range m.Names {
+						declared[id] = true
+					}
+				}
+			case *ast.Ident:
+				if !declared[n] {
+					uses[n.Name] = append(uses[n.Name], fset.Position(n.Pos()))
+				}
 			}
 			return true
 		})
@@ -193,6 +210,19 @@ const Limit = 3
 type T struct{}
 
 func (T) Self() T { return T{} }
+
+// Size is declared twice and listed by I, but nothing calls it.
+type I interface{ Size() int }
+
+type U struct{}
+
+func (U) Size() int { return 1 }
+
+type V struct{}
+
+func (V) Size() int { return 2 }
+
+var _, _ I = U{}, V{}
 `),
 		"cmd/x/main.go": []byte(`package main
 
@@ -205,7 +235,8 @@ func main() { _ = a.Used() }
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"internal/a/a.go: a.Unused", "internal/a/a.go: a.T.Self"}
+	want := []string{"internal/a/a.go: a.Unused", "internal/a/a.go: a.T.Self",
+		"internal/a/a.go: a.U.Size", "internal/a/a.go: a.V.Size"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("unusedExports = %q, want %q", got, want)
 	}

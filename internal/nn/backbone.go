@@ -13,18 +13,10 @@ import (
 // model is architecture-agnostic (§4.1: "SAM can be instantiated by any
 // learning-based AR architecture").
 type Backbone interface {
-	// InDim is the total one-hot width (Σ column domain sizes).
-	InDim() int
 	// NumCols is the number of modeled columns.
 	NumCols() int
-	// ColSizes returns the per-column domain sizes (not to be mutated).
-	ColSizes() []int
 	// Offsets returns each column block's start offset (not to be mutated).
 	Offsets() []int
-	// Forward runs a batched autodiff pass: batch×InDim in, batch×InDim
-	// logits out. It is the reference the incremental Chain is tested
-	// against; training runs the Chain.
-	Forward(g *tensor.Graph, x *tensor.Node) *tensor.Node
 	// NewChain allocates a reusable progressive-sampling chain over the
 	// backbone (one per training worker; see Chain).
 	NewChain() Chain
@@ -33,8 +25,9 @@ type Backbone interface {
 	NewBatchInference(b int) BatchInference
 	// Params returns all trainable tensors.
 	Params() []*tensor.Tensor
-	// OutputBias returns the output layer's bias (1×InDim), used to
-	// install priors on specific column blocks.
+	// OutputBias returns the output layer's bias, one entry per logit
+	// (1×Σ column domain sizes), used to install priors on specific column
+	// blocks.
 	OutputBias() *tensor.Tensor
 }
 
@@ -52,10 +45,13 @@ type Chain interface {
 	// earlier pass stay valid on g.
 	Reset(g *tensor.Graph, rows int)
 	// Next feeds y, the (relaxed) one-hot sample of the previous column —
-	// rows×ColSizes()[i−1], nil at column 0 — and returns column i's logit
-	// block, rows×ColSizes()[i]. Its value and every gradient equal that
-	// block of Forward on the samples so far padded with zeros. Next
-	// panics on a y of the wrong shape and past the last column.
+	// rows × column i−1's domain size, nil at column 0 — and returns
+	// column i's logit block, rows × column i's domain size. Its value and
+	// every gradient equal those of column i's block of one full-width
+	// pass of the backbone over the samples so far padded with zeros; the
+	// tests build that pass from generic ops (MADE) or plain loops
+	// (transformer). Next panics on a y of the wrong shape and past the
+	// last column.
 	Next(y *tensor.Node) *tensor.Node
 }
 

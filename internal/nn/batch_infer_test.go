@@ -22,25 +22,49 @@ func fillLaneOneHots(rng *rand.Rand, bi BatchInference, offsets, colSizes []int,
 	}
 }
 
-// colBlock slices column i's logits out of a full logits row.
-func colBlock(m Backbone, row []float64, i int) []float64 {
-	off := m.Offsets()[i]
-	return row[off : off+m.ColSizes()[i]]
+// inWidth is the one-hot width of a backbone over colSizes.
+func inWidth(colSizes []int) int {
+	var w int
+	for _, s := range colSizes {
+		w += s
+	}
+	return w
 }
 
-// autodiffRows runs the training path, Backbone.Forward on a fresh graph,
-// over rows and returns one logits row per input row: the reference every
-// batched inference result must match.
-func autodiffRows(m Backbone, rows [][]float64) [][]float64 {
-	x := tensor.New(len(rows), m.InDim())
-	for r, row := range rows {
-		copy(x.Row(r), row)
+// colBlock slices column i's logits out of a full logits row.
+func colBlock(m Backbone, row []float64, i int) []float64 {
+	offs := m.Offsets()
+	end := len(row)
+	if i+1 < len(offs) {
+		end = offs[i+1]
 	}
+	return row[offs[i]:end]
+}
+
+// chainRows runs the training path, m's Chain on a fresh graph, over rows
+// (one row of one-hot blocks per sequence) and returns one logits row per
+// input row: column i's block is what Next returns given the blocks of
+// columns < i. It is the reference every batched inference result must
+// match: the chain runs on the autodiff tape, the engine on its own
+// kernels and caches, two implementations of the same conditionals.
+func chainRows(m Backbone, rows [][]float64) [][]float64 {
 	g := tensor.NewGraph()
-	out := m.Forward(g, g.Const(x))
+	c := m.NewChain()
+	c.Reset(g, len(rows))
 	res := make([][]float64, len(rows))
-	for r := range res {
-		res[r] = append([]float64(nil), out.Val.Row(r)...)
+	var y *tensor.Node
+	for i := 0; i < m.NumCols(); i++ {
+		logits := c.Next(y)
+		for r := range rows {
+			res[r] = append(res[r], logits.Val.Row(r)...)
+		}
+		if i+1 < m.NumCols() {
+			s := tensor.New(len(rows), logits.Val.Cols)
+			for r, row := range rows {
+				copy(s.Row(r), colBlock(m, row, i))
+			}
+			y = g.Const(s)
+		}
 	}
 	return res
 }
@@ -55,16 +79,17 @@ func inferRow(m Backbone, bi BatchInference, row []float64) []float64 {
 			bi.SetInput(0, j)
 		}
 	}
-	out := make([]float64, 0, m.InDim())
-	for i := range m.ColSizes() {
+	out := make([]float64, 0, len(row))
+	for i := 0; i < m.NumCols(); i++ {
 		out = append(out, bi.ForwardCol(i).Row(0)...)
 	}
 	return out
 }
 
 // checkBlocks checks every ForwardCol block of bi's first len(want) lanes,
-// computed in the given column order, against the autodiff logits rows.
-func checkBlocks(t *testing.T, m Backbone, bi BatchInference, want [][]float64, order []int, tol float64) {
+// computed in the given column order, against the chain's logits rows,
+// to 1e-12.
+func checkBlocks(t *testing.T, m Backbone, bi BatchInference, want [][]float64, order []int) {
 	t.Helper()
 	for _, i := range order {
 		block := bi.ForwardCol(i)
@@ -72,8 +97,8 @@ func checkBlocks(t *testing.T, m Backbone, bi BatchInference, want [][]float64, 
 			row := block.Row(l)
 			wantBlock := colBlock(m, want[l], i)
 			for j := range row {
-				if math.Abs(row[j]-wantBlock[j]) > tol {
-					t.Fatalf("ForwardCol(%d) lane %d logit %d: batched %v vs autodiff %v",
+				if math.Abs(row[j]-wantBlock[j]) > 1e-12 {
+					t.Fatalf("ForwardCol(%d) lane %d logit %d: batched %v vs chain %v",
 						i, l, j, row[j], wantBlock[j])
 				}
 			}
@@ -90,12 +115,12 @@ func ascending(n int) []int {
 	return order
 }
 
-// backboneBatchMatchesSingle drives a B-lane batched pass against the
-// autodiff Forward of each lane's row on its own and checks every
+// backboneBatchMatchesSingle drives a B-lane batched pass against a
+// one-row Chain over each lane's row on its own and checks every
 // ForwardCol block agrees lane by lane. The batched ForwardCol path runs
 // restricted (head-limited, transposed-dot) kernels, so this is the
 // equivalence proof for the whole batched sampling stack.
-func backboneBatchMatchesSingle(t *testing.T, m Backbone, colSizes []int, tol float64) {
+func backboneBatchMatchesSingle(t *testing.T, m Backbone, colSizes []int) {
 	t.Helper()
 	const lanes = 5
 	rng := rand.New(rand.NewSource(41))
@@ -105,39 +130,39 @@ func backboneBatchMatchesSingle(t *testing.T, m Backbone, colSizes []int, tol fl
 	}
 	singles := make([][]float64, lanes)
 	for l := range singles {
-		singles[l] = make([]float64, m.InDim())
+		singles[l] = make([]float64, inWidth(colSizes))
 	}
 	fillLaneOneHots(rng, bi, m.Offsets(), colSizes, singles)
 
 	want := make([][]float64, lanes)
 	for l := range want {
-		want[l] = autodiffRows(m, singles[l:l+1])[0]
+		want[l] = chainRows(m, singles[l:l+1])[0]
 	}
-	checkBlocks(t, m, bi, want, ascending(len(colSizes)), tol)
+	checkBlocks(t, m, bi, want, ascending(len(colSizes)))
 }
 
 func TestMADEBatchMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	colSizes := []int{3, 5, 2, 7, 4}
-	backboneBatchMatchesSingle(t, NewMADE(rng, colSizes, 24, 2), colSizes, 1e-9)
+	backboneBatchMatchesSingle(t, NewMADE(rng, colSizes, 24, 2), colSizes)
 }
 
 func TestMADEBatchMatchesSingleOneHiddenLayer(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	colSizes := []int{4, 3, 6}
-	backboneBatchMatchesSingle(t, NewMADE(rng, colSizes, 16, 1), colSizes, 1e-9)
+	backboneBatchMatchesSingle(t, NewMADE(rng, colSizes, 16, 1), colSizes)
 }
 
 func TestTransformerBatchMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	colSizes := []int{3, 4, 2}
-	backboneBatchMatchesSingle(t, NewTransformer(rng, colSizes, 16, 2, 32, 2), colSizes, 1e-9)
+	backboneBatchMatchesSingle(t, NewTransformer(rng, colSizes, 16, 2, 32, 2), colSizes)
 }
 
 // TestBatchInferenceAnyOrder drives the engine contract outside the
 // sampling order on both backbones: inputs set in random order and split
 // around ForwardCol calls, repeated SetInput calls after a ForwardCol, and
-// ForwardCol in random column order. Every block must match autodiff on
+// ForwardCol in random column order. Every block must match the chain on
 // the inputs set so far.
 func TestBatchInferenceAnyOrder(t *testing.T) {
 	colSizes := []int{3, 5, 2, 7, 4}
@@ -167,7 +192,7 @@ func TestBatchInferenceAnyOrder(t *testing.T) {
 				rng.Shuffle(len(inputs), func(a, b int) { inputs[a], inputs[b] = inputs[b], inputs[a] })
 				rows := make([][]float64, lanes)
 				for l := range rows {
-					rows[l] = make([]float64, m.InDim())
+					rows[l] = make([]float64, inWidth(colSizes))
 				}
 				bi.Reset()
 				split := len(inputs) / 2
@@ -175,17 +200,17 @@ func TestBatchInferenceAnyOrder(t *testing.T) {
 					bi.SetInput(in.lane, in.flat)
 					rows[in.lane][in.flat] = 1
 				}
-				checkBlocks(t, m, bi, autodiffRows(m, rows), rng.Perm(len(colSizes)), 1e-9)
+				checkBlocks(t, m, bi, chainRows(m, rows), rng.Perm(len(colSizes)))
 				for _, in := range inputs[split:] {
 					bi.SetInput(in.lane, in.flat)
 					rows[in.lane][in.flat] = 1
 				}
-				want := autodiffRows(m, rows)
-				checkBlocks(t, m, bi, want, rng.Perm(len(colSizes)), 1e-9)
+				want := chainRows(m, rows)
+				checkBlocks(t, m, bi, want, rng.Perm(len(colSizes)))
 				for _, in := range inputs {
 					bi.SetInput(in.lane, in.flat) // repeats are no-ops
 				}
-				checkBlocks(t, m, bi, want, rng.Perm(len(colSizes)), 1e-9)
+				checkBlocks(t, m, bi, want, rng.Perm(len(colSizes)))
 			}
 		})
 	}
@@ -230,7 +255,7 @@ func TestMADEBatchForwardColAllocFree(t *testing.T) {
 // ForwardCol sweep warms every cached prefix width, then a parameter
 // perturbation with MarkDirty bumps the version stamps; the next sweep —
 // with the inputs untouched, so every cache key still matches — must
-// recompute from scratch and agree with a fresh autodiff Forward. A cache
+// recompute from scratch and agree with a fresh Chain. A cache
 // keyed on the last-changed input column alone would serve stale
 // activations here. Batch 1 is the per-tuple path, so it is covered too.
 func TestBatchPrefixCacheRetrainInvalidation(t *testing.T) {
@@ -251,7 +276,7 @@ func TestBatchPrefixCacheRetrainInvalidation(t *testing.T) {
 				bi := m.NewBatchInference(lanes)
 				singles := make([][]float64, lanes)
 				for l := range singles {
-					singles[l] = make([]float64, m.InDim())
+					singles[l] = make([]float64, inWidth(colSizes))
 				}
 				fillLaneOneHots(rng, bi, m.Offsets(), colSizes, singles)
 				for i := range colSizes {
@@ -265,14 +290,14 @@ func TestBatchPrefixCacheRetrainInvalidation(t *testing.T) {
 					p.MarkDirty()
 				}
 
-				want := autodiffRows(m, singles)
+				want := chainRows(m, singles)
 				for i := range colSizes {
 					block := bi.ForwardCol(i)
 					for l := 0; l < lanes; l++ {
 						wantBlock := colBlock(m, want[l], i)
 						row := block.Row(l)
 						for j := range row {
-							if math.Abs(row[j]-wantBlock[j]) > 1e-9 {
+							if math.Abs(row[j]-wantBlock[j]) > 1e-12 {
 								t.Fatalf("B=%d col %d lane %d logit %d stale after retrain: %v vs %v",
 									lanes, i, l, j, row[j], wantBlock[j])
 							}
@@ -286,7 +311,7 @@ func TestBatchPrefixCacheRetrainInvalidation(t *testing.T) {
 
 // TestMADEBatchTracksRetraining checks the transposed-weight caches follow
 // weight updates: mutating a layer (with MarkDirty, as optimizers do) must
-// change the batched ForwardCol output to match a fresh autodiff Forward.
+// change the batched ForwardCol output to match a fresh Chain.
 func TestMADEBatchTracksRetraining(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	colSizes := []int{3, 4, 5}
@@ -294,7 +319,7 @@ func TestMADEBatchTracksRetraining(t *testing.T) {
 	bi := m.NewBatchInference(2)
 	singles := make([][]float64, 2)
 	for l := range singles {
-		singles[l] = make([]float64, m.InDim())
+		singles[l] = make([]float64, inWidth(colSizes))
 	}
 	fillLaneOneHots(rng, bi, m.Offsets(), colSizes, singles)
 	bi.ForwardCol(len(colSizes) - 1) // populate caches pre-update
@@ -306,14 +331,14 @@ func TestMADEBatchTracksRetraining(t *testing.T) {
 		p.MarkDirty()
 	}
 
-	want := autodiffRows(m, singles)
+	want := chainRows(m, singles)
 	last := len(colSizes) - 1
 	block := bi.ForwardCol(last)
 	for l := 0; l < 2; l++ {
 		wantBlock := colBlock(m, want[l], last)
 		row := block.Row(l)
 		for j := range row {
-			if math.Abs(row[j]-wantBlock[j]) > 1e-9 {
+			if math.Abs(row[j]-wantBlock[j]) > 1e-12 {
 				t.Fatalf("lane %d logit %d stale after retrain: %v vs %v",
 					l, j, row[j], wantBlock[j])
 			}

@@ -1,9 +1,12 @@
 // Package nn provides the neural-network building blocks SAM trains:
 // masked linear layers, the MADE masked autoencoder and the causal
 // Transformer used as autoregressive backbones, and the Adam optimizer.
-// Training runs on the internal/tensor autodiff engine through each
-// backbone's incremental Chain; a separate allocation-free batched
-// inference path (BatchInference) supports the sampling phase.
+// Each backbone has two forward paths and no other: training runs on the
+// internal/tensor autodiff engine through the backbone's incremental
+// Chain, one column per step, and sampling and estimation run the
+// allocation-free batched inference engine (BatchInference). The two are
+// independent implementations of the same conditionals, and the tests
+// check each against the other.
 package nn
 
 import (
@@ -22,7 +25,7 @@ type MaskedLinear struct {
 	Mask *tensor.Tensor // in×out, 0/1, fixed
 
 	// cache holds W∘Mask, recomputed only when W is marked dirty by an
-	// optimizer step, so neither the autodiff forward nor batched inference
+	// optimizer step, so neither the training chain nor batched inference
 	// multiplies by the mask per call.
 	cache *tensor.MaskedWeight
 }
@@ -41,16 +44,10 @@ func NewMaskedLinear(rng *rand.Rand, in, out int, mask *tensor.Tensor) *MaskedLi
 	return l
 }
 
-// Forward applies the masked layer on the autodiff graph via the fused
-// masked-matmul op, which reads the cached W∘Mask product.
-func (l *MaskedLinear) Forward(g *tensor.Graph, x *tensor.Node) *tensor.Node {
-	return g.AddRow(g.MaskedMatMul(x, g.Param(l.W), l.cache), g.Param(l.B))
-}
-
 // forwardWindow computes output units [colOff, colEnd) of the layer from
 // its first rowEnd inputs: x[:, :rowEnd]·(W∘Mask)[:rowEnd, colOff:colEnd]
-// plus the matching bias entries. It equals the same columns of Forward
-// whenever the mask leaves those units no inputs at or past rowEnd.
+// plus the matching bias entries. It equals the same columns of the full
+// layer whenever the mask leaves those units no inputs at or past rowEnd.
 func (l *MaskedLinear) forwardWindow(g *tensor.Graph, x *tensor.Node, rowEnd, colOff, colEnd int) *tensor.Node {
 	mm := g.MaskedMatMulWindow(x, g.Param(l.W), l.cache, rowEnd, colOff, colEnd)
 	return g.AddRowAt(mm, g.Param(l.B), colOff)

@@ -115,36 +115,16 @@ func NewMADE(rng *rand.Rand, colSizes []int, hidden, numHidden int) *MADE {
 	return m
 }
 
-// InDim returns the total one-hot input width.
-func (m *MADE) InDim() int { return m.inDim }
-
 // NumCols returns the number of modeled columns.
 func (m *MADE) NumCols() int { return len(m.colSizes) }
-
-// ColSizes returns the per-column domain sizes.
-func (m *MADE) ColSizes() []int { return m.colSizes }
 
 // Offsets returns each column block's start offset.
 func (m *MADE) Offsets() []int { return m.offsets }
 
-// OutputBias returns the bias of the output layer (1×InDim), exposed so
+// OutputBias returns the bias of the output layer (1×inDim), exposed so
 // callers can install informative priors on specific column blocks before
 // training.
 func (m *MADE) OutputBias() *tensor.Tensor { return m.layers[len(m.layers)-1].B }
-
-// Forward runs the network on the autodiff graph; x is batch×InDim of
-// (relaxed) one-hots, the result is batch×InDim of logits for every column
-// block.
-func (m *MADE) Forward(g *tensor.Graph, x *tensor.Node) *tensor.Node {
-	h := x
-	for i, l := range m.layers {
-		h = l.Forward(g, h)
-		if i != len(m.layers)-1 {
-			h = g.ReLU(h)
-		}
-	}
-	return h
-}
 
 // NewChain returns an incremental progressive-sampling chain over m.
 func (m *MADE) NewChain() Chain {
@@ -166,7 +146,7 @@ type madeChain struct {
 	g      *tensor.Graph
 	rows   int
 	col    int            // the column the next Next returns
-	x      *tensor.Node   // rows×InDim buffer of the samples so far
+	x      *tensor.Node   // rows×inDim buffer of the samples so far
 	hidden []*tensor.Node // rows×width buffer per hidden layer
 }
 

@@ -7,26 +7,6 @@ import (
 	"sam/internal/tensor"
 )
 
-// BenchmarkMADEForwardAutodiff measures a training-style batched
-// forward+backward pass (the inner loop of DPS training) on a persistent
-// pooled tape, as ar.Train runs it.
-func BenchmarkMADEForwardAutodiff(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	colSizes := []int{64, 32, 16, 128, 8, 4, 50}
-	m := NewMADE(rng, colSizes, 64, 2)
-	x := tensor.New(32, m.InDim())
-	x.Randn(rng, 0.5)
-	g := tensor.NewGraph()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Reset()
-		out := m.Forward(g, g.Const(x))
-		loss := g.Mean(g.Square(out))
-		g.Backward(loss)
-	}
-}
-
 // BenchmarkMADEForwardInfer measures every logit of one row on the
 // allocation-free inference path at batch 1, the per-tuple cost: Reset,
 // then ForwardCol and one SetInput per column.

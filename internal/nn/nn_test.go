@@ -15,7 +15,7 @@ func TestMaskedLinearZeroMaskBlocksSignal(t *testing.T) {
 	g := tensor.NewGraph()
 	x := tensor.New(1, 3)
 	x.Fill(5)
-	y := l.Forward(g, g.Const(x))
+	y := l.forwardWindow(g, g.Const(x), 3, 0, 2)
 	for j := 0; j < 2; j++ {
 		if y.Val.At(0, j) != l.B.Data[j] {
 			t.Fatalf("masked-out weight leaked signal")
@@ -31,7 +31,7 @@ func TestMADEAutoregressiveProperty(t *testing.T) {
 	m := NewMADE(rng, colSizes, 16, 2)
 	bi := m.NewBatchInference(1)
 
-	base := make([]float64, m.InDim())
+	base := make([]float64, inWidth(colSizes))
 	for i, off := range m.Offsets() {
 		base[off+rng.Intn(colSizes[i])] = 1
 	}
@@ -61,8 +61,8 @@ func TestMADEFirstColumnUnconditional(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	m := NewMADE(rng, []int{3, 3}, 8, 2)
 	bi := m.NewBatchInference(1)
-	a := colBlock(m, inferRow(m, bi, make([]float64, m.InDim())), 0)
-	noise := make([]float64, m.InDim())
+	a := colBlock(m, inferRow(m, bi, make([]float64, 6)), 0)
+	noise := make([]float64, 6)
 	for i := range noise {
 		noise[i] = float64(rng.Intn(2))
 	}
@@ -77,7 +77,7 @@ func TestMADEFirstColumnUnconditional(t *testing.T) {
 func TestMADESingleColumn(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	m := NewMADE(rng, []int{5}, 8, 1)
-	out := inferRow(m, m.NewBatchInference(1), make([]float64, m.InDim()))
+	out := inferRow(m, m.NewBatchInference(1), make([]float64, 5))
 	if len(colBlock(m, out, 0)) != 5 {
 		t.Fatal("bad single-column logits")
 	}
@@ -147,35 +147,12 @@ func TestMADETrainsSimpleDistribution(t *testing.T) {
 	m := NewMADE(rng, colSizes, 16, 2)
 	opt := NewAdam(0.05)
 
-	samples := [][2]int{{0, 0}, {1, 1}, {0, 0}, {1, 1}}
-	for epoch := 0; epoch < 300; epoch++ {
-		g := tensor.NewGraph()
-		x := tensor.New(len(samples), m.InDim())
-		for r, s := range samples {
-			x.Set(r, m.Offsets()[0]+s[0], 1)
-			x.Set(r, m.Offsets()[1]+s[1], 1)
-		}
-		out := m.Forward(g, g.Const(x))
-		// NLL of column 2 given column 1: the mask selects the true value.
-		col2 := g.SliceCols(out, m.Offsets()[1], colSizes[1])
-		mask2 := tensor.New(len(samples), colSizes[1])
-		for r, s := range samples {
-			mask2.Set(r, s[1], 1)
-		}
-		p := g.RangeProb(col2, mask2)
-		loss := g.Scale(g.Mean(g.Log(p)), -1)
-		g.Backward(loss)
-		var pairs []GradPair
-		for _, param := range m.Params() {
-			pairs = append(pairs, GradPair{Param: param, Grad: g.ParamGrad(param)})
-		}
-		opt.Step(pairs)
-	}
+	trainSimpleDistribution(m, colSizes, opt, 300)
 
 	// Check P(x2 = v | x1 = v) is high for v in {0, 1}.
 	bi := m.NewBatchInference(1)
 	for v := 0; v < 2; v++ {
-		x := make([]float64, m.InDim())
+		x := make([]float64, inWidth(colSizes))
 		x[m.Offsets()[0]+v] = 1
 		logits := colBlock(m, inferRow(m, bi, x), 1)
 		probs := make([]float64, 2)
@@ -183,5 +160,33 @@ func TestMADETrainsSimpleDistribution(t *testing.T) {
 		if probs[v] < 0.9 {
 			t.Fatalf("P(x2=%d|x1=%d) = %v, want > 0.9", v, v, probs[v])
 		}
+	}
+}
+
+// trainSimpleDistribution trains b, whose first two columns have at least
+// two values each, for the given number of full-batch steps on the
+// pattern x2 == x1 ∈ {0, 1} by maximum likelihood of column 2 given
+// column 1, through the Chain as training runs it.
+func trainSimpleDistribution(b Backbone, colSizes []int, opt *Adam, steps int) {
+	samples := [][2]int{{0, 0}, {1, 1}, {0, 0}, {1, 1}}
+	x1 := tensor.New(len(samples), colSizes[0])
+	mask2 := tensor.New(len(samples), colSizes[1])
+	for r, s := range samples {
+		x1.Set(r, s[0], 1)
+		mask2.Set(r, s[1], 1) // the mask selects the true value
+	}
+	chain := b.NewChain()
+	for step := 0; step < steps; step++ {
+		g := tensor.NewGraph()
+		chain.Reset(g, len(samples))
+		chain.Next(nil)
+		col2 := chain.Next(g.Const(x1))
+		loss := g.Scale(g.Mean(g.Log(g.RangeProb(col2, mask2))), -1)
+		g.Backward(loss)
+		var pairs []GradPair
+		for _, param := range b.Params() {
+			pairs = append(pairs, GradPair{Param: param, Grad: g.ParamGrad(param)})
+		}
+		opt.Step(pairs)
 	}
 }

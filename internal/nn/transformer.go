@@ -34,8 +34,6 @@ type Transformer struct {
 	lnFGain, lnFBias *tensor.Tensor
 	wOut             *tensor.Tensor // dModel × inDim
 	bOut             *tensor.Tensor // 1 × inDim
-
-	causal *tensor.Tensor // numCols × numCols additive mask (0 / −1e30)
 }
 
 var _ Backbone = (*Transformer)(nil)
@@ -104,29 +102,16 @@ func NewTransformer(rng *rand.Rand, colSizes []int, dModel, heads, ffDim, numLay
 	t.lnFBias = tensor.New(1, dModel)
 	t.wOut = newT(dModel, t.inDim, std)
 	t.bOut = tensor.New(1, t.inDim)
-
-	t.causal = tensor.New(n, n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			t.causal.Set(i, j, -1e30)
-		}
-	}
 	return t
 }
-
-// InDim returns the total one-hot input width.
-func (t *Transformer) InDim() int { return t.inDim }
 
 // NumCols returns the number of modeled columns.
 func (t *Transformer) NumCols() int { return len(t.colSizes) }
 
-// ColSizes returns the per-column domain sizes.
-func (t *Transformer) ColSizes() []int { return t.colSizes }
-
 // Offsets returns each column block's start offset.
 func (t *Transformer) Offsets() []int { return t.offsets }
 
-// OutputBias returns the output projection bias (1×InDim).
+// OutputBias returns the output projection bias (1×inDim).
 func (t *Transformer) OutputBias() *tensor.Tensor { return t.bOut }
 
 // Params returns all trainable tensors.
@@ -139,20 +124,6 @@ func (t *Transformer) Params() []*tensor.Tensor {
 	}
 	ps = append(ps, t.lnFGain, t.lnFBias, t.wOut, t.bOut)
 	return ps
-}
-
-// Forward runs the batched autodiff pass. Samples are independent token
-// sequences, processed one per batch row and re-stacked. Training runs the
-// batched incremental Chain instead; Forward is its reference.
-func (t *Transformer) Forward(g *tensor.Graph, x *tensor.Node) *tensor.Node {
-	rows := make([]*tensor.Node, x.Val.Rows)
-	for b := 0; b < x.Val.Rows; b++ {
-		rows[b] = t.forwardOne(g, g.SliceRows(x, b, 1))
-	}
-	if len(rows) == 1 {
-		return rows[0]
-	}
-	return g.ConcatRows(rows...)
 }
 
 // NewChain returns an incremental progressive-sampling chain over t.
@@ -220,65 +191,4 @@ func (l *transformerLayer) feedForward(g *tensor.Graph, h *tensor.Node) *tensor.
 	f := g.LayerNorm(h, g.Param(l.ln2Gain), g.Param(l.ln2Bias), 1e-5)
 	f = g.ReLU(g.AddRow(g.MatMul(f, g.Param(l.w1)), g.Param(l.b1)))
 	return g.AddRow(g.MatMul(f, g.Param(l.w2)), g.Param(l.b2))
-}
-
-// forwardOne computes the 1×InDim logits of one sample (1×InDim input).
-func (t *Transformer) forwardOne(g *tensor.Graph, x *tensor.Node) *tensor.Node {
-	n := len(t.colSizes)
-	wEmb := g.Param(t.wEmb)
-	// Token sequence: SOS, then embeddings of columns 0..n−2, plus
-	// positional embeddings.
-	tokens := make([]*tensor.Node, n)
-	tokens[0] = g.Param(t.sos)
-	for i := 1; i < n; i++ {
-		blk := g.SliceCols(x, t.offsets[i-1], t.colSizes[i-1])
-		emb := g.MatMul(blk, g.SliceRows(wEmb, t.offsets[i-1], t.colSizes[i-1]))
-		tokens[i] = emb
-	}
-	var seq *tensor.Node
-	if n == 1 {
-		seq = tokens[0]
-	} else {
-		seq = g.ConcatRows(tokens...)
-	}
-	hn := g.Add(seq, g.Param(t.pos))
-
-	scale := 1 / math.Sqrt(float64(t.dk))
-	for _, l := range t.layers {
-		// Pre-norm attention block.
-		a := g.LayerNorm(hn, g.Param(l.ln1Gain), g.Param(l.ln1Bias), 1e-5)
-		q := g.MatMul(a, g.Param(l.wq))
-		k := g.MatMul(a, g.Param(l.wk))
-		v := g.MatMul(a, g.Param(l.wv))
-		headOuts := make([]*tensor.Node, t.heads)
-		for hd := 0; hd < t.heads; hd++ {
-			qh := g.SliceCols(q, hd*t.dk, t.dk)
-			kh := g.SliceCols(k, hd*t.dk, t.dk)
-			vh := g.SliceCols(v, hd*t.dk, t.dk)
-			scores := g.AddConst(g.Scale(g.MatMulTB(qh, kh), scale), t.causal)
-			probs := g.SoftmaxRows(scores)
-			headOuts[hd] = g.MatMul(probs, vh)
-		}
-		var ctx *tensor.Node
-		if t.heads == 1 {
-			ctx = headOuts[0]
-		} else {
-			ctx = g.ConcatCols(headOuts...)
-		}
-		hn = g.Add(hn, g.MatMul(ctx, g.Param(l.wo)))
-
-		hn = g.Add(hn, l.feedForward(g, hn))
-	}
-	hn = g.LayerNorm(hn, g.Param(t.lnFGain), g.Param(t.lnFBias), 1e-5)
-	logits := g.AddRow(g.MatMul(hn, g.Param(t.wOut)), g.Param(t.bOut)) // n × inDim
-
-	// Gather: column i's logits come from token row i.
-	parts := make([]*tensor.Node, n)
-	for i := 0; i < n; i++ {
-		parts[i] = g.SliceCols(g.SliceRows(logits, i, 1), t.offsets[i], t.colSizes[i])
-	}
-	if n == 1 {
-		return parts[0]
-	}
-	return g.ConcatCols(parts...)
 }

@@ -161,9 +161,10 @@ func (b *transformerBatch) forwardTo(p int) {
 // appendPos runs the transformer for position pos of every lane on top of
 // the cached prefix: it embeds the token, projects q and the new k/v rows,
 // attends over cached keys/values 0..pos, applies the feed-forward block,
-// and stores the final layer-normed state. It mirrors the autodiff
-// Forward exactly (pre-norm blocks, causal attention, shifted tokens) —
-// causality is what makes the append independent of positions after pos.
+// and stores the final layer-normed state. It mirrors the training
+// chain's step exactly (pre-norm blocks, causal attention, shifted
+// tokens) — causality is what makes the append independent of positions
+// after pos.
 func (b *transformerBatch) appendPos(pos int) {
 	t := b.t
 	B := b.batch

@@ -16,7 +16,7 @@ func TestTransformerAutoregressiveProperty(t *testing.T) {
 	tr := NewTransformer(rng, colSizes, 16, 2, 32, 2)
 	bi := tr.NewBatchInference(1)
 
-	base := make([]float64, tr.InDim())
+	base := make([]float64, inWidth(colSizes))
 	for i, off := range tr.Offsets() {
 		base[off+rng.Intn(colSizes[i])] = 1
 	}
@@ -41,45 +41,50 @@ func TestTransformerAutoregressiveProperty(t *testing.T) {
 	}
 }
 
+// TestTransformerBatchedForward checks that the rows of a batched chain
+// are independent sequences: each row's logits equal those of a one-row
+// chain over that row alone.
 func TestTransformerBatchedForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	colSizes := []int{3, 3}
 	tr := NewTransformer(rng, colSizes, 8, 1, 16, 1)
-	x := tensor.New(4, tr.InDim())
-	for b := 0; b < 4; b++ {
+	rows := make([][]float64, 4)
+	for b := range rows {
+		rows[b] = make([]float64, inWidth(colSizes))
 		for i, off := range tr.Offsets() {
-			x.Set(b, off+(b+i)%colSizes[i], 1)
+			rows[b][off+(b+i)%colSizes[i]] = 1
 		}
 	}
-	g := tensor.NewGraph()
-	out := tr.Forward(g, g.Const(x))
-	if out.Val.Rows != 4 || out.Val.Cols != tr.InDim() {
-		t.Fatalf("batched output shape %v", out.Val)
-	}
-	// Each batch row must equal its standalone forward.
-	for b := 0; b < 4; b++ {
-		g2 := tensor.NewGraph()
-		single := tr.Forward(g2, g2.Const(tensor.FromSlice(1, tr.InDim(), x.Row(b))))
-		for j := range single.Val.Data {
-			if math.Abs(single.Val.Data[j]-out.Val.At(b, j)) > 1e-12 {
-				t.Fatalf("batch row %d differs from standalone forward", b)
+	batched := chainRows(tr, rows)
+	for b, row := range rows {
+		single := chainRows(tr, [][]float64{row})[0]
+		if len(batched[b]) != len(single) {
+			t.Fatalf("batch row %d has %d logits, standalone %d", b, len(batched[b]), len(single))
+		}
+		for j, v := range single {
+			if math.Abs(v-batched[b][j]) > 1e-12 {
+				t.Fatalf("batch row %d differs from standalone chain", b)
 			}
 		}
 	}
 }
 
+// TestTransformerGradientsFlow runs one chain pass and requires every
+// parameter to get a finite gradient, and some gradient to be nonzero.
 func TestTransformerGradientsFlow(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	tr := NewTransformer(rng, []int{3, 4}, 8, 2, 16, 1)
-	x := tensor.New(2, tr.InDim())
-	for b := 0; b < 2; b++ {
-		for i, off := range tr.Offsets() {
-			x.Set(b, off+rng.Intn(tr.ColSizes()[i]), 1)
-		}
-	}
+	colSizes := []int{3, 4}
+	tr := NewTransformer(rng, colSizes, 8, 2, 16, 1)
 	g := tensor.NewGraph()
-	out := tr.Forward(g, g.Const(x))
-	loss := g.Mean(g.Square(out))
+	chain := tr.NewChain()
+	chain.Reset(g, 2)
+	first := chain.Next(nil)
+	y := tensor.New(2, colSizes[0])
+	for b := 0; b < 2; b++ {
+		y.Set(b, rng.Intn(colSizes[0]), 1)
+	}
+	second := chain.Next(g.Const(y))
+	loss := g.Add(g.Mean(g.Square(first)), g.Mean(g.Square(second)))
 	g.Backward(loss)
 	nonzero := 0
 	for _, p := range tr.Params() {
@@ -106,35 +111,11 @@ func TestTransformerTrainsSimpleDistribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	colSizes := []int{2, 2}
 	tr := NewTransformer(rng, colSizes, 12, 2, 24, 1)
-	opt := NewAdam(0.02)
-
-	samples := [][2]int{{0, 0}, {1, 1}, {0, 0}, {1, 1}}
-	for epoch := 0; epoch < 250; epoch++ {
-		g := tensor.NewGraph()
-		x := tensor.New(len(samples), tr.InDim())
-		for r, s := range samples {
-			x.Set(r, tr.Offsets()[0]+s[0], 1)
-			x.Set(r, tr.Offsets()[1]+s[1], 1)
-		}
-		out := tr.Forward(g, g.Const(x))
-		col2 := g.SliceCols(out, tr.Offsets()[1], colSizes[1])
-		mask2 := tensor.New(len(samples), colSizes[1])
-		for r, s := range samples {
-			mask2.Set(r, s[1], 1)
-		}
-		p := g.RangeProb(col2, mask2)
-		loss := g.Scale(g.Mean(g.Log(p)), -1)
-		g.Backward(loss)
-		var pairs []GradPair
-		for _, param := range tr.Params() {
-			pairs = append(pairs, GradPair{Param: param, Grad: g.ParamGrad(param)})
-		}
-		opt.Step(pairs)
-	}
+	trainSimpleDistribution(tr, colSizes, NewAdam(0.02), 250)
 
 	bi := tr.NewBatchInference(1)
 	for v := 0; v < 2; v++ {
-		x := make([]float64, tr.InDim())
+		x := make([]float64, inWidth(colSizes))
 		x[tr.Offsets()[0]+v] = 1
 		logits := colBlock(tr, inferRow(tr, bi, x), 1)
 		probs := make([]float64, 2)
@@ -165,7 +146,8 @@ func TestTransformerPanicsOnBadConfig(t *testing.T) {
 }
 
 func TestGradCheckTensorOpsForTransformer(t *testing.T) {
-	// Finite-difference checks for the transformer-specific ops.
+	// Finite-difference checks for generic ops the transformer chain
+	// relies on (AttendStep has its own in the tensor package).
 	rng := rand.New(rand.NewSource(7))
 	check := func(name string, param *tensor.Tensor, f func(g *tensor.Graph, p *tensor.Node) *tensor.Node) {
 		g := tensor.NewGraph()
@@ -190,23 +172,6 @@ func TestGradCheckTensorOpsForTransformer(t *testing.T) {
 		}
 	}
 
-	a := tensor.New(3, 4)
-	a.Randn(rng, 1)
-	check("SoftmaxRows", a, func(g *tensor.Graph, p *tensor.Node) *tensor.Node {
-		return g.Mean(g.Square(g.SoftmaxRows(p)))
-	})
-
-	b := tensor.New(3, 4)
-	b.Randn(rng, 1)
-	other := tensor.New(2, 4)
-	other.Randn(rng, 1)
-	check("MatMulTB", b, func(g *tensor.Graph, p *tensor.Node) *tensor.Node {
-		return g.Mean(g.Square(g.MatMulTB(p, g.Const(other))))
-	})
-	check("MatMulTB-right", b, func(g *tensor.Graph, p *tensor.Node) *tensor.Node {
-		return g.Mean(g.Square(g.MatMulTB(g.Const(other), p)))
-	})
-
 	c := tensor.New(2, 6)
 	c.Randn(rng, 1)
 	gain := tensor.New(1, 6)
@@ -223,17 +188,9 @@ func TestGradCheckTensorOpsForTransformer(t *testing.T) {
 		return g.Mean(g.Square(g.LayerNorm(g.Const(c), g.Const(gain), p, 1e-5)))
 	})
 
-	d := tensor.New(2, 3)
+	d := tensor.New(3, 3)
 	d.Randn(rng, 1)
-	e := tensor.New(3, 3)
-	e.Randn(rng, 1)
-	check("ConcatRows+SliceRows", d, func(g *tensor.Graph, p *tensor.Node) *tensor.Node {
-		cat := g.ConcatRows(p, g.Const(e))
-		return g.Mean(g.Square(g.SliceRows(cat, 1, 3)))
-	})
-	mask := tensor.New(2, 3)
-	mask.Set(0, 1, -5)
-	check("AddConst", d, func(g *tensor.Graph, p *tensor.Node) *tensor.Node {
-		return g.Mean(g.Square(g.AddConst(p, mask)))
+	check("SliceRows", d, func(g *tensor.Graph, p *tensor.Node) *tensor.Node {
+		return g.Mean(g.Square(g.SliceRows(p, 1, 2)))
 	})
 }

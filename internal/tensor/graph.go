@@ -9,7 +9,6 @@ type opKind uint8
 const (
 	opLeaf opKind = iota
 	opMatMul
-	opMatMulTB
 	opMaskedMatMul
 	opAddRow
 	opAdd
@@ -22,14 +21,10 @@ const (
 	opMean
 	opDot
 	opReciprocal
-	opConcatCols
-	opConcatRows
 	opSliceCols
 	opSliceRows
 	opRangeProb
 	opSTGumbel
-	opSoftmaxRows
-	opAddConst
 	opLayerNorm
 	opCopyCols
 	opMaskedBand
@@ -46,7 +41,7 @@ type Node struct {
 
 	op         opKind
 	a, b, c    *Node   // operands (op-specific; unused entries nil)
-	parts      []*Node // operands of variadic ops (Concat*)
+	parts      []*Node // AttendStep's keys, then its values
 	aux1       *Tensor // op-specific saved tensor (mask, softmax, x̂, ...)
 	aux2       *Tensor // second saved tensor (masked weights, 1/σ rows, ...)
 	mwc        *MaskedWeight
@@ -130,14 +125,6 @@ func (g *Graph) getNode() *Node {
 		return n
 	}
 	return &Node{}
-}
-
-// copyParts copies a variadic operand list into the tape's arena so the
-// caller may reuse its slice after the op returns.
-func (g *Graph) copyParts(ps []*Node) []*Node {
-	off := len(g.partsArena)
-	g.partsArena = append(g.partsArena, ps...)
-	return g.partsArena[off : off+len(ps) : off+len(ps)]
 }
 
 // push appends an interior node for op with the given output value,

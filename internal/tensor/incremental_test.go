@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -8,7 +9,8 @@ import (
 // TestMaskedLinearReLUIntoMatchesWindow builds a masked ReLU layer band by
 // band into a Buffer, each band reading the input buffer's prefix, and
 // checks values and gradients against the same bands computed by
-// MaskedMatMulWindow, AddRowAt and ReLU on a plain input.
+// MaskedMatMulWindow, AddRowAt and ReLU on a plain input and copied side
+// by side into a buffer.
 func TestMaskedLinearReLUIntoMatchesWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	w := New(9, 8)
@@ -26,14 +28,15 @@ func TestMaskedLinearReLUIntoMatchesWindow(t *testing.T) {
 
 	gRef := NewGraph()
 	xRef := gRef.Param(x)
-	var parts []*Node
+	ref := gRef.Buffer(4, 8)
 	for _, b := range bands {
 		if b[1] == b[2] {
 			continue
 		}
-		parts = append(parts, gRef.ReLU(gRef.AddRowAt(gRef.MaskedMatMulWindow(xRef, gRef.Param(w), cache, b[0], b[1], b[2]), gRef.Param(bias), b[1])))
+		band := gRef.ReLU(gRef.AddRowAt(gRef.MaskedMatMulWindow(xRef, gRef.Param(w), cache, b[0], b[1], b[2]), gRef.Param(bias), b[1]))
+		gRef.CopyColsInto(ref, band, b[1])
 	}
-	gRef.Backward(gRef.Mean(gRef.MulElem(gRef.ConcatCols(parts...), gRef.Const(weights))))
+	gRef.Backward(gRef.Mean(gRef.MulElem(ref, gRef.Const(weights))))
 
 	g := NewGraph()
 	xs := g.Param(x)
@@ -75,77 +78,99 @@ func sumRowWindow(x, mw *Tensor, i, rowEnd, j int) float64 {
 	return s
 }
 
+// causalAttention is the plain-loop reference for AttendStep: for one
+// sequence of positions 0..t (q, k and v each one row of d per position),
+// it returns position t's multi-head causal attention output.
+func causalAttention(q []float64, k, v [][]float64, heads int, scale float64) []float64 {
+	d := len(q)
+	dk := d / heads
+	out := make([]float64, d)
+	for h := 0; h < heads; h++ {
+		lo, hi := h*dk, (h+1)*dk
+		scores := make([]float64, len(k))
+		top := math.Inf(-1)
+		for j := range k {
+			for c := lo; c < hi; c++ {
+				scores[j] += q[c] * k[j][c]
+			}
+			scores[j] *= scale
+			top = math.Max(top, scores[j])
+		}
+		var mass float64
+		for j := range scores {
+			scores[j] = math.Exp(scores[j] - top)
+			mass += scores[j]
+		}
+		for j := range v {
+			for c := lo; c < hi; c++ {
+				out[c] += scores[j] / mass * v[j][c]
+			}
+		}
+	}
+	return out
+}
+
 // TestAttendStepMatchesCausalAttention runs AttendStep once per position
-// over keys and values that accumulate step by step and checks the
-// outputs and gradients against full causal attention built from
-// MatMulTB, a −1e30 causal mask, SoftmaxRows and MatMul on one sequence
-// (one batch row) per graph.
+// over keys and values that accumulate step by step. Its outputs must
+// match causalAttention, a plain loop over each sequence, and its
+// gradients into the queries, keys and values of every position must match
+// central finite differences of the loss.
 func TestAttendStepMatchesCausalAttention(t *testing.T) {
 	const rows, steps, d, heads = 3, 4, 6, 2
-	dk := d / heads
 	scale := 0.7
 	rng := rand.New(rand.NewSource(9))
-	q, k, v := New(rows*steps, d), New(rows*steps, d), New(rows*steps, d) // row r·steps+j: row r, position j
+	// Row j·rows+r of q, k and v holds sequence r's position j, so
+	// position j of every sequence is the row block SliceRows(·, j·rows, rows).
+	q, k, v := New(steps*rows, d), New(steps*rows, d), New(steps*rows, d)
 	for _, m := range []*Tensor{q, k, v} {
 		m.Randn(rng, 1)
 	}
-	weights := New(rows*steps, d)
+	weights := New(rows, d)
 	weights.Randn(rng, 1)
-	causal := New(steps, steps)
-	for i := 0; i < steps; i++ {
-		for j := i + 1; j < steps; j++ {
-			causal.Set(i, j, -1e30)
-		}
-	}
-
-	// Step form: position j of every row is one rows×d node.
-	g := NewGraph()
-	qn, kn, vn := g.Param(q), g.Param(k), g.Param(v)
-	pos := func(n *Node, j int) *Node {
-		out := New(rows, d)
-		for r := 0; r < rows; r++ {
-			copy(out.Row(r), n.Val.Row(r*steps+j))
-		}
-		return g.Param(out)
-	}
-	var qs, ks, vs, outs []*Node
-	for j := 0; j < steps; j++ {
-		qs, ks, vs = append(qs, pos(qn, j)), append(ks, pos(kn, j)), append(vs, pos(vn, j))
-		outs = append(outs, g.AttendStep(qs[j], ks, vs, heads, scale))
-	}
-	// Concatenated, the step outputs hold row r's positions side by side,
-	// which is weights read as rows × (steps·d).
-	g.Backward(g.Mean(g.MulElem(g.ConcatCols(outs...), g.Const(FromSlice(rows, steps*d, weights.Data)))))
-
-	for r := 0; r < rows; r++ {
-		gRef := NewGraph()
-		qr := gRef.Param(FromSlice(steps, d, append([]float64(nil), q.Data[r*steps*d:(r+1)*steps*d]...)))
-		kr := gRef.Param(FromSlice(steps, d, append([]float64(nil), k.Data[r*steps*d:(r+1)*steps*d]...)))
-		vr := gRef.Param(FromSlice(steps, d, append([]float64(nil), v.Data[r*steps*d:(r+1)*steps*d]...)))
-		headOuts := make([]*Node, 0, heads)
-		for h := 0; h < heads; h++ {
-			qh, kh, vh := gRef.SliceCols(qr, h*dk, dk), gRef.SliceCols(kr, h*dk, dk), gRef.SliceCols(vr, h*dk, dk)
-			probs := gRef.SoftmaxRows(gRef.AddConst(gRef.Scale(gRef.MatMulTB(qh, kh), scale), causal))
-			headOuts = append(headOuts, gRef.MatMul(probs, vh))
-		}
-		ref := gRef.ConcatCols(headOuts...)
-		wr := FromSlice(steps, d, append([]float64(nil), weights.Data[r*steps*d:(r+1)*steps*d]...))
-		// One row's Mean spans 1/rows of the step form's, so scale to match.
-		gRef.Backward(gRef.Scale(gRef.Mean(gRef.MulElem(ref, gRef.Const(wr))), 1/float64(rows)))
+	// attend builds the step form on g over the three nodes and returns
+	// every position's output.
+	attend := func(g *Graph, qn, kn, vn *Node) []*Node {
+		var ks, vs, outs []*Node
 		for j := 0; j < steps; j++ {
-			check := func(what string, want, got []float64) {
-				for c := range want {
-					if !relClose(got[c], want[c], 1e-12) {
-						t.Fatalf("row %d position %d: %s[%d] = %v, want %v", r, j, what, c, got[c], want[c])
-					}
+			ks = append(ks, g.SliceRows(kn, j*rows, rows))
+			vs = append(vs, g.SliceRows(vn, j*rows, rows))
+			outs = append(outs, g.AttendStep(g.SliceRows(qn, j*rows, rows), ks, vs, heads, scale))
+		}
+		return outs
+	}
+
+	g := NewGraph()
+	outs := attend(g, g.Const(q), g.Const(k), g.Const(v))
+	for r := 0; r < rows; r++ {
+		var ks, vs [][]float64
+		for j := 0; j < steps; j++ {
+			ks, vs = append(ks, k.Row(j*rows+r)), append(vs, v.Row(j*rows+r))
+			want := causalAttention(q.Row(j*rows+r), ks, vs, heads, scale)
+			for c, got := range outs[j].Val.Row(r) {
+				if !relClose(got, want[c], 1e-12) {
+					t.Fatalf("sequence %d position %d: output[%d] = %v, want %v", r, j, c, got, want[c])
 				}
 			}
-			check("output", ref.Val.Row(j), outs[j].Val.Row(r))
-			check("dq", qr.Grad.Row(j), qs[j].Grad.Row(r))
-			check("dk", kr.Grad.Row(j), ks[j].Grad.Row(r))
-			check("dv", vr.Grad.Row(j), vs[j].Grad.Row(r))
 		}
 	}
+
+	// The loss weights every position's output differently, so no
+	// gradient vanishes by symmetry.
+	loss := func(g *Graph, outs []*Node) *Node {
+		var sum *Node
+		for j, o := range outs {
+			term := g.Scale(g.Mean(g.MulElem(o, g.Const(weights))), float64(j+1))
+			if sum == nil {
+				sum = term
+			} else {
+				sum = g.Add(sum, term)
+			}
+		}
+		return sum
+	}
+	gradCheck(t, q, func(g *Graph, p *Node) *Node { return loss(g, attend(g, p, g.Const(k), g.Const(v))) })
+	gradCheck(t, k, func(g *Graph, p *Node) *Node { return loss(g, attend(g, g.Const(q), p, g.Const(v))) })
+	gradCheck(t, v, func(g *Graph, p *Node) *Node { return loss(g, attend(g, g.Const(q), g.Const(k), p)) })
 }
 
 // TestIncrementalOpContracts pins the shape checks of the buffer-writing

@@ -363,7 +363,7 @@ func windowLeftovers4(drow []float64, b *Tensor, spans []int, k, off, end, s, e 
 }
 
 // matMulWindowTransBRange computes rows [lo, hi) of
-// dst[:, :rowEnd] (+)= a·mw[:rowEnd, colOff:colEnd]ᵀ — the input gradient
+// dst[:, :rowEnd] += a·mw[:rowEnd, colOff:colEnd]ᵀ — the input gradient
 // of a windowed masked layer, a holding the output gradient (one column
 // per window column). Per output element (i, k) it is the dot of a row i
 // with weight row k over that row's span within the window; dst columns
@@ -400,25 +400,17 @@ func matMulWindowTransBRange(c kernelCall, lo, hi int) {
 					}
 				}
 			}
-			if c.acc {
-				drow[k] += sums[0]
-				drow[k+1] += sums[1]
-				drow[k+2] += sums[2]
-				drow[k+3] += sums[3]
-			} else {
-				drow[k], drow[k+1], drow[k+2], drow[k+3] = sums[0], sums[1], sums[2], sums[3]
-			}
+			drow[k] += sums[0]
+			drow[k+1] += sums[1]
+			drow[k+2] += sums[2]
+			drow[k+3] += sums[3]
 		}
 		for ; k < rowEnd; k++ {
 			var sum float64
 			if s, e := c.clip(k); s < e {
 				sum = dot1(arow[s-off:e-off], b.Data[k*n+s:k*n+e])
 			}
-			if c.acc {
-				drow[k] += sum
-			} else {
-				drow[k] = sum
-			}
+			drow[k] += sum
 		}
 	}
 }

@@ -18,40 +18,21 @@ func (g *Graph) MatMul(a, b *Node) *Node {
 	return n
 }
 
-// MatMulTB returns a·bᵀ with gradient support for both operands (used for
-// attention scores Q·Kᵀ).
-func (g *Graph) MatMulTB(a, b *Node) *Node {
-	out := g.alloc(a.Val.Rows, b.Val.Rows, false)
-	MatMulTransBInto(out, a.Val, b.Val)
-	n := g.push(out, opMatMulTB, a.requiresGrad || b.requiresGrad)
-	n.a, n.b = a, b
-	return n
-}
-
-// MaskedMatMul returns x·(W∘Mask) where the product W∘Mask comes from the
-// dirty-bit cache, so the mask multiply is skipped on every forward pass
-// whose weights are unchanged since the last optimizer step. w must be the
-// node binding the cache's weight tensor (typically g.Param(cache.Weight())).
-// Gradients flow to x through the masked weights and to W through the mask,
-// exactly as for MatMul(x, MulElem(w, Const(mask))).
-func (g *Graph) MaskedMatMul(x, w *Node, cache *MaskedWeight) *Node {
-	if x.Val.Cols != w.Val.Rows {
-		panic(fmt.Sprintf("tensor: MaskedMatMul shape mismatch %v·%v", x.Val, w.Val))
-	}
-	return g.MaskedMatMulWindow(x, w, cache, w.Val.Rows, 0, w.Val.Cols)
-}
-
 // MaskedMatMulWindow returns x[:, :rowEnd]·(W∘Mask)[:rowEnd, colOff:colEnd]
-// — one block of MaskedMatMul, read in place from the cached masked weight.
-// A progressive-sampling step for column i needs only such a block: the
-// inputs of the columns before i, the hidden-unit prefix of degree ≤ i and
-// column i's logits. The backward pass writes only the matching sub-blocks
-// (columns [0, rowEnd) of x.Grad, the window of W.Grad), so gradient work
-// shrinks with the window too. MaskedMatMul is the window covering all of
-// W.
+// — one block of x·(W∘Mask), read in place from the dirty-bit cache, so
+// the mask multiply is skipped whenever the weights are unchanged since the
+// last optimizer step. w must be the node binding the cache's weight
+// tensor (typically g.Param(cache.Weight())). A progressive-sampling step
+// for column i needs only such a block: the inputs of the columns before
+// i, the hidden-unit prefix of degree ≤ i and column i's logits.
+// Gradients flow to x through the masked weights and to W through the
+// mask, exactly as for MatMul(x, MulElem(w, Const(mask))) on the block;
+// the backward pass writes only the matching sub-blocks (columns
+// [0, rowEnd) of x.Grad, the window of W.Grad), so gradient work shrinks
+// with the window too.
 func (g *Graph) MaskedMatMulWindow(x, w *Node, cache *MaskedWeight, rowEnd, colOff, colEnd int) *Node {
 	if w.Val != cache.Weight() {
-		panic("tensor: MaskedMatMul weight node does not bind the cache's weight tensor")
+		panic("tensor: MaskedMatMulWindow weight node does not bind the cache's weight tensor")
 	}
 	mw := cache.Get()
 	if rowEnd < 0 || rowEnd > x.Val.Cols || rowEnd > mw.Rows || colOff < 0 || colOff > colEnd || colEnd > mw.Cols {
@@ -242,62 +223,6 @@ func (g *Graph) Reciprocal(a *Node) *Node {
 	return n
 }
 
-// ConcatCols concatenates the parts horizontally: all parts must share the
-// same row count; the result has Σ cols columns.
-func (g *Graph) ConcatCols(parts ...*Node) *Node {
-	if len(parts) == 0 {
-		panic("tensor: ConcatCols of nothing")
-	}
-	rows := parts[0].Val.Rows
-	total := 0
-	req := false
-	for _, p := range parts {
-		if p.Val.Rows != rows {
-			panic("tensor: ConcatCols row mismatch")
-		}
-		total += p.Val.Cols
-		req = req || p.requiresGrad
-	}
-	out := g.alloc(rows, total, false)
-	off := 0
-	for _, p := range parts {
-		for i := 0; i < rows; i++ {
-			copy(out.Row(i)[off:off+p.Val.Cols], p.Val.Row(i))
-		}
-		off += p.Val.Cols
-	}
-	n := g.push(out, opConcatCols, req)
-	n.parts = g.copyParts(parts)
-	return n
-}
-
-// ConcatRows stacks the parts vertically: all parts must share the same
-// column count.
-func (g *Graph) ConcatRows(parts ...*Node) *Node {
-	if len(parts) == 0 {
-		panic("tensor: ConcatRows of nothing")
-	}
-	cols := parts[0].Val.Cols
-	total := 0
-	req := false
-	for _, p := range parts {
-		if p.Val.Cols != cols {
-			panic("tensor: ConcatRows column mismatch")
-		}
-		total += p.Val.Rows
-		req = req || p.requiresGrad
-	}
-	out := g.alloc(total, cols, false)
-	off := 0
-	for _, p := range parts {
-		copy(out.Data[off*cols:], p.Val.Data)
-		off += p.Val.Rows
-	}
-	n := g.push(out, opConcatRows, req)
-	n.parts = g.copyParts(parts)
-	return n
-}
-
 // SliceCols returns the column range [off, off+width) of a as a new node.
 func (g *Graph) SliceCols(a *Node, off, width int) *Node {
 	if off < 0 || off+width > a.Val.Cols {
@@ -406,33 +331,6 @@ func (g *Graph) STGumbel(logits *Node, mask *Tensor, tau float64, rng *rand.Rand
 	return n
 }
 
-// SoftmaxRows applies a numerically stable softmax to every row.
-func (g *Graph) SoftmaxRows(a *Node) *Node {
-	out := g.alloc(a.Val.Rows, a.Val.Cols, false)
-	for i := 0; i < a.Val.Rows; i++ {
-		SoftmaxRowInto(out.Row(i), a.Val.Row(i))
-	}
-	n := g.push(out, opSoftmaxRows, a.requiresGrad)
-	n.a = a
-	return n
-}
-
-// AddConst returns a + c for a constant tensor c (e.g. an attention mask
-// of 0 / −inf entries; -1e30 is used for masked positions so gradients
-// stay finite).
-func (g *Graph) AddConst(a *Node, c *Tensor) *Node {
-	if !a.Val.SameShape(c) {
-		panic("tensor: AddConst shape mismatch")
-	}
-	out := g.alloc(a.Val.Rows, a.Val.Cols, false)
-	for i := range out.Data {
-		out.Data[i] = a.Val.Data[i] + c.Data[i]
-	}
-	n := g.push(out, opAddConst, a.requiresGrad)
-	n.a = a
-	return n
-}
-
 // LayerNorm normalizes every row of a to zero mean and unit variance, then
 // applies the learned elementwise gain and bias (both 1×cols).
 func (g *Graph) LayerNorm(a, gain, bias *Node, eps float64) *Node {
@@ -482,16 +380,6 @@ func (g *Graph) backstep(n *Node) {
 		}
 		if b.requiresGrad {
 			MatMulTransAAddInto(b.Grad, a.Val, n.Grad)
-		}
-	case opMatMulTB:
-		a, b := n.a, n.b
-		if a.requiresGrad {
-			// dA = G·B
-			MatMulAddInto(a.Grad, n.Grad, b.Val)
-		}
-		if b.requiresGrad {
-			// dB = Gᵀ·A
-			MatMulTransAAddInto(b.Grad, n.Grad, a.Val)
 		}
 	case opMaskedMatMul:
 		win := window{n.i1, n.i2, n.i2 + n.Val.Cols}
@@ -584,33 +472,6 @@ func (g *Graph) backstep(n *Node) {
 			d := math.Max(a.Val.Data[i], logEps)
 			a.Grad.Data[i] -= gv / (d * d)
 		}
-	case opConcatCols:
-		rows := n.Val.Rows
-		off := 0
-		for _, p := range n.parts {
-			if p.requiresGrad {
-				for i := 0; i < rows; i++ {
-					grow := n.Grad.Row(i)[off : off+p.Val.Cols]
-					prow := p.Grad.Row(i)
-					for j, gv := range grow {
-						prow[j] += gv
-					}
-				}
-			}
-			off += p.Val.Cols
-		}
-	case opConcatRows:
-		cols := n.Val.Cols
-		off := 0
-		for _, p := range n.parts {
-			if p.requiresGrad {
-				src := n.Grad.Data[off*cols : (off+p.Val.Rows)*cols]
-				for i, gv := range src {
-					p.Grad.Data[i] += gv
-				}
-			}
-			off += p.Val.Rows
-		}
 	case opSliceCols:
 		a, off, width := n.a, n.i1, n.i2
 		for i := 0; i < a.Val.Rows; i++ {
@@ -662,22 +523,6 @@ func (g *Graph) backstep(n *Node) {
 				lrow[j] += sv * (grow[j] - dot) / tau
 			}
 		}
-	case opSoftmaxRows:
-		a := n.a
-		for i := 0; i < n.Val.Rows; i++ {
-			yrow := n.Val.Row(i)
-			grow := n.Grad.Row(i)
-			var dot float64
-			for j, gv := range grow {
-				dot += gv * yrow[j]
-			}
-			arow := a.Grad.Row(i)
-			for j, yv := range yrow {
-				arow[j] += yv * (grow[j] - dot)
-			}
-		}
-	case opAddConst:
-		n.a.Grad.AddInPlace(n.Grad)
 	case opLayerNorm:
 		a, gain, bias := n.a, n.b, n.c
 		xhat, invStd := n.aux1, n.aux2
@@ -770,7 +615,7 @@ func (g *Graph) maskedWindowBackward(x, w *Node, grad, mask, mw *Tensor, spans [
 	if x.requiresGrad {
 		// dX[:, :rowEnd] += G·(W∘M)[window]ᵀ.
 		runKernel(grad.Rows, flops, matMulWindowTransBRange, kernelCall{
-			dst: x.Grad, a: grad, b: mw, spans: spans, win: win, covered: covered, acc: true,
+			dst: x.Grad, a: grad, b: mw, spans: spans, win: win, covered: covered,
 		})
 	}
 	if w.requiresGrad {

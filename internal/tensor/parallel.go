@@ -93,7 +93,6 @@ type kernelCall struct {
 	// row shard: the shard boundaries depend on which worker tokens happen
 	// to be free, and the two paths round differently.
 	sparse bool
-	acc    bool // accumulate into dst instead of overwriting it
 }
 
 // window is the sub-block rows [0, rowEnd) × columns [colOff, colEnd) of a

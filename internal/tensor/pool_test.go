@@ -84,8 +84,9 @@ func TestMaskedWeightInvalidation(t *testing.T) {
 	}
 }
 
-// TestMaskedMatMulMatchesReference checks the fused op against the
-// composition it replaces, MatMul(x, MulElem(w, Const(mask))), forward
+// TestMaskedMatMulMatchesReference checks the fused op over its full
+// window against the composition it replaces,
+// MatMul(x, MulElem(w, Const(mask))), forward
 // and backward, across mask styles (random interior zeros, MADE-style
 // contiguous suffixes, all-zero rows) and shapes large enough to drive the
 // 4-row blocked span kernels through their intersection and leftover
@@ -148,7 +149,7 @@ func TestMaskedMatMulMatchesReference(t *testing.T) {
 			gFused := NewGraph()
 			xf := gFused.Param(x)
 			wf := gFused.Param(w)
-			outFused := gFused.MaskedMatMul(xf, wf, cache)
+			outFused := gFused.MaskedMatMulWindow(xf, wf, cache, sh.in, 0, sh.out)
 			lossFused := gFused.Mean(gFused.Square(outFused))
 			gFused.Backward(lossFused)
 
@@ -172,7 +173,7 @@ func TestMaskedMatMulMatchesReference(t *testing.T) {
 }
 
 // TestMaskedMatMulGradCheck numerically verifies the fused op's weight
-// gradient. The closure marks W dirty so the cache follows the finite
+// gradient over its full window. The closure marks W dirty so the cache follows the finite
 // differences.
 func TestMaskedMatMulGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
@@ -189,7 +190,7 @@ func TestMaskedMatMulGradCheck(t *testing.T) {
 	cache := NewMaskedWeight(w, mask)
 	gradCheck(t, w, func(g *Graph, p *Node) *Node {
 		w.MarkDirty()
-		out := g.MaskedMatMul(g.Const(x), p, cache)
+		out := g.MaskedMatMulWindow(g.Const(x), p, cache, 4, 0, 3)
 		return g.Mean(g.Square(out))
 	})
 }
@@ -230,9 +231,7 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 		kernels := []kernel{
 			{"MatMul", func() *Tensor { return New(sh.m, sh.n) }, func(d *Tensor) { MatMulInto(d, a, bT) }},
 			{"MatMulSparse", func() *Tensor { return New(sh.m, sh.n) }, func(d *Tensor) { MatMulInto(d, aSparse, bT) }},
-			{"MatMulAdd", func() *Tensor { d := New(sh.m, sh.n); d.Fill(0.5); return d }, func(d *Tensor) { MatMulAddInto(d, a, bT) }},
 			{"MatMulTransAAdd", func() *Tensor { d := New(sh.m, sh.n); d.Fill(0.5); return d }, func(d *Tensor) { MatMulTransAAddInto(d, aTall, bTall) }},
-			{"MatMulTransB", func() *Tensor { return New(sh.m, sh.n) }, func(d *Tensor) { MatMulTransBInto(d, a, bRowMajor) }},
 			{"MatMulTransBAdd", func() *Tensor { d := New(sh.m, sh.n); d.Fill(0.5); return d }, func(d *Tensor) { MatMulTransBAddInto(d, a, bRowMajor) }},
 		}
 		for _, kr := range kernels {
@@ -273,15 +272,21 @@ func TestWarmTapeAllocs(t *testing.T) {
 	cache := NewMaskedWeight(w, mask)
 	x := New(8, 32)
 	x.Randn(rng, 1)
+	in := New(8, 16)
+	for i := range in.Data {
+		in.Data[i] = float64(rng.Intn(2))
+	}
+	for r := 0; r < 8; r++ {
+		in.Set(r, r, 1) // no row may be empty
+	}
 
 	g := NewGraph()
 	step := func() {
 		g.Reset()
 		p := g.Param(w)
-		out := g.AddRow(g.MaskedMatMul(g.Const(x), p, cache), g.Param(b))
+		out := g.AddRow(g.MaskedMatMulWindow(g.Const(x), p, cache, 32, 0, 16), g.Param(b))
 		h := g.ReLU(out)
-		sm := g.SoftmaxRows(h)
-		loss := g.Mean(g.Square(g.Log(sm)))
+		loss := g.Mean(g.Square(g.Log(g.RangeProb(h, in))))
 		g.Backward(loss)
 	}
 	step() // warm the pool
@@ -308,6 +313,8 @@ func TestParallelPooledGraphsRace(t *testing.T) {
 		}
 	}
 	cache := NewMaskedWeight(w, mask)
+	wt := New(48, 64)
+	wt.Randn(seedRng, 0.5)
 
 	var wg sync.WaitGroup
 	for worker := 0; worker < 4; worker++ {
@@ -321,8 +328,8 @@ func TestParallelPooledGraphsRace(t *testing.T) {
 				g.Reset()
 				x.Randn(rng, 1)
 				p := g.Param(w)
-				out := g.MaskedMatMul(g.Const(x), p, cache)
-				big := g.MatMulTB(out, g.Const(w)) // 16×48 · (64×48)ᵀ → 16×64
+				out := g.MaskedMatMulWindow(g.Const(x), p, cache, 64, 0, 48)
+				big := g.MatMul(out, g.Const(wt)) // 16×48 · 48×64 → 16×64
 				loss := g.Mean(g.Square(big))
 				g.Backward(loss)
 				if math.IsNaN(loss.Val.Data[0]) {

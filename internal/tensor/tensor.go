@@ -238,30 +238,17 @@ func MatMulInto(dst, a, b *Tensor) {
 		kernelCall{dst: dst, a: a, b: b, sparse: looksSparse(a.Data)})
 }
 
-// MatMulAddInto computes dst += a·b, used by backward passes to accumulate
-// gradients without a temporary.
-func MatMulAddInto(dst, a, b *Tensor) {
-	checkMatMul(dst, a, b)
-	runKernel(a.Rows, a.Rows*a.Cols*b.Cols, matMulRange,
-		kernelCall{dst: dst, a: a, b: b, sparse: looksSparse(a.Data), acc: true})
-}
-
 func checkMatMul(dst, a, b *Tensor) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %v·%v→%v", a, b, dst))
 	}
 }
 
-// matMulRange computes rows [lo, hi) of dst = a·b (or += with acc).
+// matMulRange computes rows [lo, hi) of dst = a·b.
 func matMulRange(c kernelCall, lo, hi int) {
 	dst, a, b := c.dst, c.a, c.b
 	cols, n := a.Cols, b.Cols
-	if !c.acc {
-		z := dst.Data[lo*n : hi*n]
-		for i := range z {
-			z[i] = 0
-		}
-	}
+	clear(dst.Data[lo*n : hi*n])
 	if cols == 0 || n == 0 {
 		return
 	}
@@ -355,16 +342,10 @@ func matMulTransARange(c kernelCall, lo, hi int) {
 	}
 }
 
-// MatMulTransBInto computes dst = a·bᵀ (b is used transposed).
-func MatMulTransBInto(dst, a, b *Tensor) {
-	checkMatMulTransB(dst, a, b)
-	runKernel(a.Rows, a.Rows*a.Cols*b.Rows, matMulTransBRange, kernelCall{dst: dst, a: a, b: b})
-}
-
 // MatMulTransBAddInto computes dst += a·bᵀ.
 func MatMulTransBAddInto(dst, a, b *Tensor) {
 	checkMatMulTransB(dst, a, b)
-	runKernel(a.Rows, a.Rows*a.Cols*b.Rows, matMulTransBRange, kernelCall{dst: dst, a: a, b: b, acc: true})
+	runKernel(a.Rows, a.Rows*a.Cols*b.Rows, matMulTransBRange, kernelCall{dst: dst, a: a, b: b})
 }
 
 func checkMatMulTransB(dst, a, b *Tensor) {
@@ -373,10 +354,10 @@ func checkMatMulTransB(dst, a, b *Tensor) {
 	}
 }
 
-// matMulTransBRange computes rows [lo, hi) of dst = a·bᵀ (or += with acc)
-// in dot-product form, four b-rows per pass.
+// matMulTransBRange computes rows [lo, hi) of dst += a·bᵀ in dot-product
+// form, four b-rows per pass.
 func matMulTransBRange(c kernelCall, lo, hi int) {
-	dst, a, b, acc := c.dst, c.a, c.b, c.acc
+	dst, a, b := c.dst, c.a, c.b
 	cols, n := a.Cols, b.Rows
 	for i := lo; i < hi; i++ {
 		arow := a.Data[i*cols : (i+1)*cols]
@@ -386,17 +367,10 @@ func matMulTransBRange(c kernelCall, lo, hi int) {
 			s0, s1, s2, s3 := dot4(arow,
 				b.Data[j*cols:(j+1)*cols], b.Data[(j+1)*cols:(j+2)*cols],
 				b.Data[(j+2)*cols:(j+3)*cols], b.Data[(j+3)*cols:(j+4)*cols])
-			if acc {
-				drow[j] += s0
-				drow[j+1] += s1
-				drow[j+2] += s2
-				drow[j+3] += s3
-			} else {
-				drow[j] = s0
-				drow[j+1] = s1
-				drow[j+2] = s2
-				drow[j+3] = s3
-			}
+			drow[j] += s0
+			drow[j+1] += s1
+			drow[j+2] += s2
+			drow[j+3] += s3
 		}
 		for ; j < n; j++ {
 			brow := b.Data[j*cols : (j+1)*cols][:len(arow)]
@@ -407,11 +381,7 @@ func matMulTransBRange(c kernelCall, lo, hi int) {
 				}
 				s += av * brow[k]
 			}
-			if acc {
-				drow[j] += s
-			} else {
-				drow[j] = s
-			}
+			drow[j] += s
 		}
 	}
 }

@@ -96,7 +96,7 @@ func TestMatMulTransposeVariants(t *testing.T) {
 	want2 := New(4, 5)
 	MatMulInto(want2, a, ct)
 	got2 := New(4, 5)
-	MatMulTransBInto(got2, a, c)
+	MatMulTransBAddInto(got2, a, c)
 	for i := range want2.Data {
 		if !almostEq(got2.Data[i], want2.Data[i], 1e-12) {
 			t.Fatalf("TransB mismatch at %d", i)
@@ -318,8 +318,9 @@ func TestGradConcatSlice(t *testing.T) {
 	b := New(2, 2)
 	b.Randn(rng, 1)
 	gradCheck(t, a, func(g *Graph, p *Node) *Node {
-		bc := g.Const(b)
-		cat := g.ConcatCols(p, bc)
+		cat := g.Buffer(2, 5)
+		g.CopyColsInto(cat, p, 0)
+		g.CopyColsInto(cat, g.Const(b), 3)
 		sl := g.SliceCols(cat, 1, 3) // overlaps both parts
 		return g.Mean(g.Square(sl))
 	})
@@ -500,13 +501,9 @@ func TestOpShapeContracts(t *testing.T) {
 		}},
 		{"SliceColsRange", func(g *Graph) { g.SliceCols(g.Const(a23), 2, 5) }},
 		{"SliceRowsRange", func(g *Graph) { g.SliceRows(g.Const(a23), 1, 5) }},
-		{"ConcatColsRows", func(g *Graph) { g.ConcatCols(g.Const(a23), g.Const(a32)) }},
-		{"ConcatRowsCols", func(g *Graph) { g.ConcatRows(g.Const(a23), g.Const(a32)) }},
-		{"AddConst", func(g *Graph) { g.AddConst(g.Const(a23), a22) }},
 		{"LayerNorm", func(g *Graph) {
 			g.LayerNorm(g.Const(a23), g.Const(New(1, 2)), g.Const(New(1, 3)), 1e-5)
 		}},
-		{"ConcatColsEmpty", func(g *Graph) { g.ConcatCols() }},
 	}
 	for _, c := range cases {
 		func() {
