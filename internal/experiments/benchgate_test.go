@@ -18,7 +18,7 @@ func TestCompareBenchPasses(t *testing.T) {
 		TensorBenchResult{Name: "matmul", NsOp: 1200, AllocsOp: 0}, // +20% < 25% tolerance
 		TensorBenchResult{Name: "sample_batched", NsOp: 90, AllocsOp: 0, Speedup: 3.4},
 	)
-	if v := CompareBench(base, cur, 0.25, map[string]float64{"sample_batched": 3}); len(v) != 0 {
+	if v := CompareBench(base, cur, 0.25, map[string]float64{"sample_batched": 3}, nil); len(v) != 0 {
 		t.Fatalf("unexpected violations: %v", v)
 	}
 }
@@ -37,7 +37,7 @@ func TestCompareBenchCatchesEveryBreach(t *testing.T) {
 	v := CompareBench(base, cur, 0.25, map[string]float64{
 		"sample_batched": 3,
 		"absent":         2,
-	})
+	}, nil)
 	if len(v) != 5 {
 		t.Fatalf("want 5 violations, got %d: %v", len(v), v)
 	}
@@ -65,7 +65,7 @@ func TestCompareBenchWorkersNotComparable(t *testing.T) {
 	base.Workers = 1
 	cur := gateReport(TensorBenchResult{Name: "matmul", NsOp: 900, AllocsOp: 3})
 	cur.Workers = 2
-	v := CompareBench(base, cur, 0.25, map[string]float64{"absent": 2})
+	v := CompareBench(base, cur, 0.25, map[string]float64{"absent": 2}, nil)
 	if len(v) != 1 || !strings.Contains(v[0], "not comparable: current run used 2 matmul workers, baseline 1") {
 		t.Fatalf("want one not-comparable violation, got %v", v)
 	}
@@ -77,7 +77,7 @@ func TestCompareBenchDeterministicOrder(t *testing.T) {
 		TensorBenchResult{Name: "a", NsOp: 10},
 	)
 	cur := gateReport()
-	v := CompareBench(base, cur, 0.25, nil)
+	v := CompareBench(base, cur, 0.25, nil, nil)
 	if len(v) != 2 || v[0] > v[1] {
 		t.Fatalf("violations not sorted: %v", v)
 	}

@@ -125,12 +125,16 @@ func kBlockFor(n int) int {
 	return kb
 }
 
-// vectorKernels selects the AVX2 twins of axpy4, axpy1 and ExpRowMass's
-// exp loop (vector_amd64.s). It is set once at start-up from CPUID and
-// stays false on hosts without AVX2 and on every other GOARCH, which run
-// the Go loops. The twins store the same bits as the Go loops, so the
-// setting changes speed only; tests flip it to check exactly that.
+// vectorKernels selects the AVX2 twins of axpy4, axpy1, ExpRowMass's exp
+// loop and MatMulPrefixInto's tiles (vector_amd64.s). It is set once at
+// start-up from CPUID and stays false on hosts without AVX2 and on every
+// other GOARCH, which run the Go loops. The twins store the same bits as
+// the Go loops, so the setting changes speed only; tests flip it to check
+// exactly that.
 var vectorKernels = haveAVX2()
+
+// VectorKernels reports whether the AVX2 twins are in use.
+func VectorKernels() bool { return vectorKernels }
 
 // vectorMinLen is the shortest row axpy4 and axpy1 hand to a vector twin;
 // below it the call costs more than the lanes save.

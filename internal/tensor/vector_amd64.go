@@ -42,3 +42,17 @@ func axpy1AVX2(dst, b []float64, v float64)
 //
 //go:noescape
 func expRowMassAVX2(dst, src []float64) (mass float64, n int)
+
+// laneTile8AVX2 computes eight lanes of MatMulPrefixInto over len(pre)
+// units: dst[l·dstStride+j] = Σ_{k < pre[j]} a[l·aStride+k]·w[k·wStride+j]
+// for l < 8, rounded exactly as matMulPrefixGo rounds. pre must be
+// nondecreasing and every addressed element in bounds; the caller checks
+// both.
+//
+//go:noescape
+func laneTile8AVX2(dst []float64, dstStride int, a []float64, aStride int, w []float64, wStride int, pre []int)
+
+// laneTile1AVX2 is laneTile8AVX2 for a single lane.
+//
+//go:noescape
+func laneTile1AVX2(dst, a, w []float64, wStride int, pre []int)

@@ -1,9 +1,10 @@
 #include "textflag.h"
 
-// AVX2 twins of axpy4, axpy1 and the expBounded loop of ExpRowMass. Every
-// lane performs the Go kernel's multiplies and adds one for one, in the Go
-// expression's association order and without FMA, so each stored element
-// and the row mass carry exactly the bits the Go loops produce.
+// AVX2 twins of axpy4, axpy1, the expBounded loop of ExpRowMass and the
+// tiles of MatMulPrefixInto. Every lane performs the Go kernel's multiplies
+// and adds one for one, in the Go expression's association order and
+// without FMA, so each stored element and the row mass carry exactly the
+// bits the Go loops produce.
 
 // Each constant is four copies wide so it can feed a 256-bit operand
 // straight from memory.
@@ -108,6 +109,18 @@ DATA expBias<>+8(SB)/8, $0x00000000000003ff
 DATA expBias<>+16(SB)/8, $0x00000000000003ff
 DATA expBias<>+24(SB)/8, $0x00000000000003ff
 GLOBL expBias<>(SB), RODATA|NOPTR, $32
+
+// laneMask<>+8·(4−t) is the VMASKMOVPD mask selecting the first t of four
+// elements, for unit tails of t = 1..3.
+DATA laneMask<>+0(SB)/8, $-1
+DATA laneMask<>+8(SB)/8, $-1
+DATA laneMask<>+16(SB)/8, $-1
+DATA laneMask<>+24(SB)/8, $-1
+DATA laneMask<>+32(SB)/8, $0
+DATA laneMask<>+40(SB)/8, $0
+DATA laneMask<>+48(SB)/8, $0
+DATA laneMask<>+56(SB)/8, $0
+GLOBL laneMask<>(SB), RODATA|NOPTR, $64
 
 // func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -321,4 +334,254 @@ expdone:
 	VZEROUPPER
 	VMOVSD X10, mass+48(FP)
 	MOVQ   CX, n+56(FP)
+	RET
+
+// The prefix-matmul tiles keep one accumulator per (lane, four units) and
+// add a[lane][k]·w[k][unit] to it for k = 0, 1, …, K−1 from +0, K being the
+// longest prefix among the tile's units: a sequential sum per element, as
+// in matMulPrefixGo. Vectorizing across lanes and units, never within a
+// sum, is what keeps the bits equal. Unit tails of 1–3 load W and store dst
+// through the laneMask in Y15, so no tile touches memory past its last
+// unit.
+
+// LANE(src, acc, tmp) adds the broadcast activation at src times the W
+// segment in Y8 to acc.
+#define LANE(src, acc, tmp) \
+	VBROADCASTSD src, tmp;  \
+	VMULPD       Y8, tmp, tmp; \
+	VADDPD       tmp, acc, acc
+
+// LANES8 runs LANE for the eight lanes whose k-th activations sit at
+// (AX), (AX)+stride, (AX)+2·stride, (AX)+3·stride and the same from DX,
+// stride being R10 and 3·stride R12.
+#define LANES8 \
+	LANE((AX), Y0, Y9);         \
+	LANE((AX)(R10*1), Y1, Y10); \
+	LANE((AX)(R10*2), Y2, Y11); \
+	LANE((AX)(R12*1), Y3, Y12); \
+	LANE((DX), Y4, Y13);        \
+	LANE((DX)(R10*1), Y5, Y14); \
+	LANE((DX)(R10*2), Y6, Y9);  \
+	LANE((DX)(R12*1), Y7, Y10)
+
+#define ZERO8 \
+	VXORPD Y0, Y0, Y0; \
+	VXORPD Y1, Y1, Y1; \
+	VXORPD Y2, Y2, Y2; \
+	VXORPD Y3, Y3, Y3; \
+	VXORPD Y4, Y4, Y4; \
+	VXORPD Y5, Y5, Y5; \
+	VXORPD Y6, Y6, Y6; \
+	VXORPD Y7, Y7, Y7
+
+// LANE8START points AX at the first activation of lanes 0–3, DX at that
+// of lanes 4–7 and R14 at the tile's W segment in row 0.
+#define LANE8START \
+	MOVQ SI, AX;            \
+	LEAQ (SI)(R10*4), DX;   \
+	MOVQ R8, R14
+
+// LANE8NEXT steps the activation pointers and the W row to the next k.
+#define LANE8NEXT \
+	ADDQ $8, AX; \
+	ADDQ $8, DX; \
+	ADDQ R9, R14
+
+// func laneTile8AVX2(dst []float64, dstStride int, a []float64, aStride int, w []float64, wStride int, pre []int)
+//
+// Eight lanes × len(pre) units: dst row l is dst[l·dstStride:], activation
+// row l is a[l·aStride:], and unit j reads w[k·wStride+j] for k < pre[j].
+TEXT ·laneTile8AVX2(SB), NOSPLIT, $0-120
+	MOVQ dst_base+0(FP), DI
+	MOVQ dstStride+24(FP), R11
+	SHLQ $3, R11
+	MOVQ a_base+32(FP), SI
+	MOVQ aStride+56(FP), R10
+	SHLQ $3, R10
+	LEAQ (R10)(R10*2), R12
+	MOVQ w_base+64(FP), R8
+	MOVQ wStride+88(FP), R9
+	SHLQ $3, R9
+	MOVQ pre_base+96(FP), BX
+	MOVQ pre_len+104(FP), R13
+
+lt8tile:
+	CMPQ R13, $4
+	JLT  lt8tail
+	MOVQ 24(BX), CX
+	ZERO8
+	LANE8START
+	TESTQ CX, CX
+	JZ    lt8store
+
+lt8k:
+	VMOVUPD (R14), Y8
+	LANES8
+	LANE8NEXT
+	DECQ CX
+	JNZ  lt8k
+
+lt8store:
+	MOVQ    DI, AX
+	LEAQ    (R11)(R11*2), DX
+	VMOVUPD Y0, (AX)
+	VMOVUPD Y1, (AX)(R11*1)
+	VMOVUPD Y2, (AX)(R11*2)
+	VMOVUPD Y3, (AX)(DX*1)
+	LEAQ    (AX)(R11*4), AX
+	VMOVUPD Y4, (AX)
+	VMOVUPD Y5, (AX)(R11*1)
+	VMOVUPD Y6, (AX)(R11*2)
+	VMOVUPD Y7, (AX)(DX*1)
+	ADDQ    $32, DI
+	ADDQ    $32, R8
+	ADDQ    $32, BX
+	SUBQ    $4, R13
+	JMP     lt8tile
+
+lt8tail:
+	TESTQ   R13, R13
+	JZ      lt8done
+	MOVQ    -8(BX)(R13*8), CX
+	MOVQ    $4, AX
+	SUBQ    R13, AX
+	LEAQ    laneMask<>(SB), DX
+	VMOVUPD (DX)(AX*8), Y15
+	ZERO8
+	LANE8START
+	TESTQ   CX, CX
+	JZ      lt8mstore
+
+lt8mk:
+	VMASKMOVPD (R14), Y15, Y8
+	LANES8
+	LANE8NEXT
+	DECQ CX
+	JNZ  lt8mk
+
+lt8mstore:
+	MOVQ       DI, AX
+	LEAQ       (R11)(R11*2), DX
+	VMASKMOVPD Y0, Y15, (AX)
+	VMASKMOVPD Y1, Y15, (AX)(R11*1)
+	VMASKMOVPD Y2, Y15, (AX)(R11*2)
+	VMASKMOVPD Y3, Y15, (AX)(DX*1)
+	LEAQ       (AX)(R11*4), AX
+	VMASKMOVPD Y4, Y15, (AX)
+	VMASKMOVPD Y5, Y15, (AX)(R11*1)
+	VMASKMOVPD Y6, Y15, (AX)(R11*2)
+	VMASKMOVPD Y7, Y15, (AX)(DX*1)
+
+lt8done:
+	VZEROUPPER
+	RET
+
+// func laneTile1AVX2(dst, a, w []float64, wStride int, pre []int)
+//
+// One lane × len(pre) units, 16 units per tile, then 4, then a masked
+// tail.
+TEXT ·laneTile1AVX2(SB), NOSPLIT, $0-104
+	MOVQ dst_base+0(FP), DI
+	MOVQ a_base+24(FP), SI
+	MOVQ w_base+48(FP), R8
+	MOVQ wStride+72(FP), R9
+	SHLQ $3, R9
+	MOVQ pre_base+80(FP), BX
+	MOVQ pre_len+88(FP), R13
+
+lt1by16:
+	CMPQ   R13, $16
+	JLT    lt1by4
+	MOVQ   120(BX), CX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   SI, AX
+	MOVQ   R8, R14
+	TESTQ  CX, CX
+	JZ     lt1store16
+
+lt1k16:
+	VBROADCASTSD (AX), Y8
+	VMULPD       (R14), Y8, Y9
+	VADDPD       Y9, Y0, Y0
+	VMULPD       32(R14), Y8, Y10
+	VADDPD       Y10, Y1, Y1
+	VMULPD       64(R14), Y8, Y11
+	VADDPD       Y11, Y2, Y2
+	VMULPD       96(R14), Y8, Y12
+	VADDPD       Y12, Y3, Y3
+	ADDQ         $8, AX
+	ADDQ         R9, R14
+	DECQ         CX
+	JNZ          lt1k16
+
+lt1store16:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, R8
+	ADDQ    $128, BX
+	SUBQ    $16, R13
+	JMP     lt1by16
+
+lt1by4:
+	CMPQ   R13, $4
+	JLT    lt1tail
+	MOVQ   24(BX), CX
+	VXORPD Y0, Y0, Y0
+	MOVQ   SI, AX
+	MOVQ   R8, R14
+	TESTQ  CX, CX
+	JZ     lt1store4
+
+lt1k4:
+	VBROADCASTSD (AX), Y8
+	VMULPD       (R14), Y8, Y9
+	VADDPD       Y9, Y0, Y0
+	ADDQ         $8, AX
+	ADDQ         R9, R14
+	DECQ         CX
+	JNZ          lt1k4
+
+lt1store4:
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, R8
+	ADDQ    $32, BX
+	SUBQ    $4, R13
+	JMP     lt1by4
+
+lt1tail:
+	TESTQ   R13, R13
+	JZ      lt1done
+	MOVQ    -8(BX)(R13*8), CX
+	MOVQ    $4, AX
+	SUBQ    R13, AX
+	LEAQ    laneMask<>(SB), DX
+	VMOVUPD (DX)(AX*8), Y15
+	VXORPD  Y0, Y0, Y0
+	MOVQ    SI, AX
+	MOVQ    R8, R14
+	TESTQ   CX, CX
+	JZ      lt1mstore
+
+lt1mk:
+	VMASKMOVPD   (R14), Y15, Y9
+	VBROADCASTSD (AX), Y8
+	VMULPD       Y9, Y8, Y8
+	VADDPD       Y8, Y0, Y0
+	ADDQ         $8, AX
+	ADDQ         R9, R14
+	DECQ         CX
+	JNZ          lt1mk
+
+lt1mstore:
+	VMASKMOVPD Y0, Y15, (DI)
+
+lt1done:
+	VZEROUPPER
 	RET

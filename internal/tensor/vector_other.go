@@ -15,3 +15,11 @@ func axpy1AVX2(dst, b []float64, v float64) { panic("tensor: AVX2 kernel called 
 func expRowMassAVX2(dst, src []float64) (float64, int) {
 	panic("tensor: AVX2 kernel called off amd64")
 }
+
+func laneTile8AVX2(dst []float64, dstStride int, a []float64, aStride int, w []float64, wStride int, pre []int) {
+	panic("tensor: AVX2 kernel called off amd64")
+}
+
+func laneTile1AVX2(dst, a, w []float64, wStride int, pre []int) {
+	panic("tensor: AVX2 kernel called off amd64")
+}
