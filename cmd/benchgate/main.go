@@ -140,8 +140,8 @@ func main() {
 			violations = append(violations, fmt.Sprintf("scale: unreadable report: %v", err))
 		} else {
 			if rep.RunID != "" {
-				fmt.Printf("benchgate: scale report from run %s (pass split: sample=%dms weight=%dms A=%dms B=%dms)\n",
-					rep.RunID, rep.SampleWallMs, rep.WeightWallMs, rep.PassAWallMs, rep.PassBWallMs)
+				fmt.Printf("benchgate: scale report from run %s (pass split: sample=%dms A=%dms B=%dms)\n",
+					rep.RunID, rep.SampleWallMs, rep.PassAWallMs, rep.PassBWallMs)
 			}
 			violations = append(violations, experiments.CompareScale(rep, *scaleMinRPS, *scaleMaxMem<<20)...)
 			checked++

@@ -16,7 +16,7 @@
 // invocation, so running -exp all is much cheaper than running each
 // experiment separately.
 //
-// -trace records the run's phase tree (train/sample/weight/merge/eval
+// -trace records the run's phase tree (train/sample/merge/eval
 // spans with wall time and allocation deltas) as JSONL and prints it
 // after the reports as the per-path table samreport shows. -progress
 // streams per-epoch training loss (with an ETA), throttled sampling
@@ -131,8 +131,8 @@ func main() {
 		}
 		fmt.Printf("scalebench: %d rows in %dms (%.0f rows/sec end-to-end, %.0f sampling) across %d shards [run %s]\n",
 			rep.Rows, rep.TotalWallMs, rep.RowsPerSec, rep.SampleRowsPerSec, rep.Shards, rep.RunID)
-		fmt.Printf("scalebench: merge pass split weight=%dms A=%dms B=%dms\n",
-			rep.WeightWallMs, rep.PassAWallMs, rep.PassBWallMs)
+		fmt.Printf("scalebench: merge pass split A=%dms B=%dms\n",
+			rep.PassAWallMs, rep.PassBWallMs)
 		fmt.Printf("scalebench: peak heap %.1f MiB, peak RSS %.1f MiB, shard bytes %.1f MiB\n",
 			float64(rep.PeakHeapBytes)/(1<<20), float64(rep.PeakRSSBytes)/(1<<20), float64(rep.ShardBytes)/(1<<20))
 		closeTelemetry()

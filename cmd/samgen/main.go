@@ -20,10 +20,14 @@
 // peak memory no longer grows with -samples. The shards and spill files
 // are removed once the CSVs are written, also when generation fails.
 // -workers parallelizes across shards without changing a single output
-// byte. -stream always runs Group-and-Merge, so it rejects -no-gam before
-// reading any input.
+// byte.
 //
-// -trace records the pipeline's phase tree (train/sample/weight/merge
+// -no-gam runs the paper's "SAM w/o Group-and-Merge" ablation: foreign keys
+// are drawn from pairwise (parent, child) views instead of Group-and-Merge.
+// It runs in the same merge as Group-and-Merge, so it works in memory and
+// with -stream alike.
+//
+// -trace records the pipeline's phase tree (train/sample/merge
 // spans with wall time and allocation deltas) as JSONL and prints it as
 // the per-path table samreport shows; -progress streams per-epoch loss
 // (with an ETA), throttled sampling progress, and per-phase generation
@@ -67,7 +71,7 @@ func main() {
 	samples := flag.Int("samples", 0, "FOJ samples for generation (0 = auto)")
 	batch := flag.Int("batch", 64, "ancestral-sampling lanes per worker (<=1 means one lane)")
 	seed := flag.Int64("seed", 1, "random seed")
-	noGam := flag.Bool("no-gam", false, "disable Group-and-Merge (ablation)")
+	noGam := flag.Bool("no-gam", false, "assign foreign keys from pairwise views instead of Group-and-Merge (the paper's ablation; works with -stream)")
 	arch := flag.String("arch", "made", "autoregressive backbone: made or transformer")
 	savePath := flag.String("save", "", "save the trained model to this path")
 	loadPath := flag.String("load", "", "skip training and load a model saved with -save")
@@ -77,9 +81,6 @@ func main() {
 	progress := flag.Bool("progress", false, "stream per-epoch training and per-phase generation progress to stderr")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof and /metrics on this address (e.g. :6060)")
 	flag.Parse()
-	if *stream && *noGam {
-		log.Fatal("samgen: -stream always runs Group-and-Merge; drop -no-gam (the ablation is in-memory only)")
-	}
 
 	tel, err := obs.StartCLITelemetry(obs.CLIFlags{
 		Name: "samgen", Seed: *seed, TracePath: *traceOut, RunLogPath: *runlogOut,

@@ -89,7 +89,7 @@ func TestExactRecoveryFromEnumeratedFOJ(t *testing.T) {
 	// memory merges the samples as a one-shard memory set, encoded as the
 	// sampler encodes them.
 	memory := func(t *testing.T, P int) *relation.Schema {
-		path := spillPath("shards", "shard", 0)
+		path := shardPath("shards", 0)
 		set := &ShardSet{NCols: ncols, Paths: []string{path}, Total: k, st: memStream(t, path, putI32s(nil, flat))}
 		opts := StreamOptions{GenOptions: DefaultGenOptions(1), Partitions: P}
 		out, err := gen.materialize(set, opts)
@@ -109,7 +109,7 @@ func TestExactRecoveryFromEnumeratedFOJ(t *testing.T) {
 		half := (k / 2) * ncols
 		set := &ShardSet{NCols: ncols, Total: k, st: dirStore{}}
 		for shard, part := range [][]int32{flat[:half], flat[half:]} {
-			path := spillPath(shardDir, "shard", shard)
+			path := shardPath(shardDir, shard)
 			set.Paths = append(set.Paths, path)
 			putStream(t, set.st, path, putI32s(nil, part))
 		}
@@ -396,11 +396,7 @@ func TestGenProgressEvents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat, err := set.readAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return flat
+		return readSamples(t, set)
 	}
 
 	var mu sync.Mutex
@@ -570,6 +566,69 @@ func TestDeepTreeRecoveryTPCH(t *testing.T) {
 	if sum.Median > 2.0 {
 		t.Fatalf("deep-chain median Q-Error %.2f (%v)", sum.Median, sum)
 	}
+}
+
+// readSamples returns every sample of the set, flattened in global row
+// order.
+func readSamples(t *testing.T, set *ShardSet) []int32 {
+	t.Helper()
+	flat := make([]int32, 0, set.Total*set.NCols)
+	err := set.Stream(make([]int32, rowsPerChunk*set.NCols), func(_ int64, row []int32) error {
+		flat = append(flat, row...)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return flat
+}
+
+// systematicCounts is the reference form of sysAlloc: it allocates total
+// units over nonnegative weights by systematic (stratified) resampling,
+// with pointers at (j+½)·(Σw/total) on the cumulative weight axis, one
+// unit per pointer. Unlike largest-remainder rounding — which
+// systematically starves regions whose mass is splintered over many small
+// entries (each fraction individually loses to larger ones) — systematic
+// allocation is unbiased per region: a run of entries with combined
+// weight W receives W·total/Σw units in expectation no matter how finely
+// it is divided. Entries with zero weight get zero.
+func systematicCounts(weights []float64, total int) []int {
+	counts := make([]int, len(weights))
+	var sum float64
+	for _, w := range weights {
+		if w > 0 {
+			sum += w
+		}
+	}
+	if sum <= 0 || total <= 0 {
+		return counts
+	}
+	spacing := sum / float64(total)
+	acc := 0.0
+	ptr := 0 // next pointer index, at position (ptr+0.5)*spacing
+	for i, w := range weights {
+		if w <= 0 {
+			continue
+		}
+		end := acc + w
+		for ptr < total && (float64(ptr)+0.5)*spacing < end {
+			counts[i]++
+			ptr++
+		}
+		acc = end
+	}
+	// Float drift can leave the last pointer unassigned; give it to the
+	// final positive entry.
+	for ptr < total {
+		for i := len(weights) - 1; i >= 0; i-- {
+			if weights[i] > 0 {
+				counts[i]++
+				break
+			}
+		}
+		ptr++
+	}
+	return counts
 }
 
 func TestQuickSystematicCountsUnbiasedRegions(t *testing.T) {

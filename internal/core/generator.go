@@ -10,7 +10,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"sam/internal/ar"
 	"sam/internal/join"
@@ -41,10 +40,10 @@ type GenOptions struct {
 	GroupAndMerge bool
 
 	// Hooks, when non-nil, observes the generation phases: tuples sampled,
-	// per-table weight mass before/after scaling, and merge-group counts.
+	// and per table the merge's weight mass, group and row counts.
 	Hooks *obs.Hooks
 	// Span, when non-nil, is the parent trace span; generation records
-	// sample/weight/merge child spans under it.
+	// sample/merge child spans under it.
 	Span *obs.Span
 }
 
@@ -104,8 +103,8 @@ func (g *Generator) sampleCount(samples int) int {
 }
 
 // Generate runs the full pipeline in memory: the sharded sampler and the
-// Group-and-Merge engine of GenerateStream, over a memory store, with one
-// spill partition. newSampler is called once per sampling goroutine and
+// merge engine of GenerateStream, under the key policy opts.GroupAndMerge
+// picks, over a memory store, with one spill partition. newSampler is called once per sampling goroutine and
 // must return a sampler that accepts max(opts.Batch, 1) lanes per call; a
 // stateless sampler may return itself repeatedly.
 //
@@ -144,12 +143,9 @@ func (g *Generator) sanitize(dst []int32) {
 	}
 }
 
-// materialize merges a shard set into in-memory tables: Group-and-Merge
-// through table sinks, or the pairwise-view ablation.
+// materialize merges a shard set into in-memory tables through table
+// sinks, under either key policy.
 func (g *Generator) materialize(set *ShardSet, opts StreamOptions) (*relation.Schema, error) {
-	if !opts.GroupAndMerge {
-		return g.materializeViews(set, opts.GenOptions)
-	}
 	tables := g.newEmptyTables()
 	err := g.merge(set, opts, &StreamResult{}, func(tc *tableCtx) (rowSink, error) {
 		return newTableSink(tables[tc.t.Name], tc.hasChildren), nil
@@ -188,61 +184,6 @@ func (s *tableSink) WriteRow(pk int64, codes []int32, fk int64) error {
 }
 
 func (s *tableSink) close() error { return nil }
-
-// systematicCounts allocates total units over nonnegative weights by
-// systematic (stratified) resampling: pointers at (j+½)·(Σw/total) on the
-// cumulative weight axis, one unit per pointer. sysAlloc is its streaming
-// form. Unlike largest-remainder rounding — which systematically starves regions whose mass is splintered
-// over many small entries (each fraction individually loses to larger
-// ones) — systematic allocation is unbiased per region: a run of entries
-// with combined weight W receives W·total/Σw units in expectation no
-// matter how finely it is divided. Entries with zero weight get zero.
-func systematicCounts(weights []float64, total int) []int {
-	counts := make([]int, len(weights))
-	var sum float64
-	for _, w := range weights {
-		if w > 0 {
-			sum += w
-		}
-	}
-	if sum <= 0 || total <= 0 {
-		return counts
-	}
-	spacing := sum / float64(total)
-	acc := 0.0
-	ptr := 0 // next pointer index, at position (ptr+0.5)*spacing
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		end := acc + w
-		for ptr < total && (float64(ptr)+0.5)*spacing < end {
-			counts[i]++
-			ptr++
-		}
-		acc = end
-	}
-	// Float drift can leave the last pointer unassigned; give it to the
-	// final positive entry.
-	for ptr < total {
-		for i := len(weights) - 1; i >= 0; i-- {
-			if weights[i] > 0 {
-				counts[i]++
-				break
-			}
-		}
-		ptr++
-	}
-	return counts
-}
-
-// decodeRow appends the decoded content values of table for one sample.
-func (g *Generator) decodeRow(rng *rand.Rand, table *relation.Table, cols []*relation.Column, row []int32) {
-	for ci, c := range table.Cols {
-		idx := g.Layout.ContentIndex(table.Name, c.Name)
-		cols[ci].Append(g.Disc[idx].SampleIn(rng, int(row[idx])))
-	}
-}
 
 // newEmptyTables clones the schema's table shells (same columns/domains, no
 // data).

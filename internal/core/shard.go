@@ -93,15 +93,9 @@ func (s *ShardSet) Bytes() int64 {
 	return 4 * int64(s.Total) * int64(s.NCols)
 }
 
-// readAll returns every sample of the set, flattened in global row order.
-func (s *ShardSet) readAll() ([]int32, error) {
-	flat := make([]int32, 0, s.Total*s.NCols)
-	buf := make([]int32, rowsPerChunk*s.NCols)
-	err := s.Stream(buf, func(_ int64, row []int32) error {
-		flat = append(flat, row...)
-		return nil
-	})
-	return flat, err
+// shardPath names shard s's stream in dir.
+func shardPath(dir string, s int) string {
+	return filepath.Join(dir, fmt.Sprintf("shard-%03d", s))
 }
 
 // SampleShards draws k sanitized FOJ samples into len == shardCount shard
@@ -267,7 +261,7 @@ func (g *Generator) sampleOneShard(st store, sampler join.TupleSampler, rngs []*
 	defer sp.End()
 	wantPass := opts.Hooks.WantsStreamPass()
 
-	path := spillPath(dir, "shard", shard)
+	path := shardPath(dir, shard)
 	f, err := st.create(path)
 	if err != nil {
 		return "", err

@@ -220,13 +220,16 @@ func getI32s(b []byte, dst []int32) {
 	}
 }
 
-// sysAlloc is the streaming form of systematicCounts: groups arrive one at
-// a time (in the same order a counts vector would be walked) and next
-// returns each group's pointer count. Float drift can leave trailing
-// pointers unassigned exactly as in the batch version; callers resolve
-// groups with a one-group delay and fold leftover() into the final
-// positive group, reproducing the batch semantics without knowing the
-// group count in advance.
+// sysAlloc allocates total units over the merge groups' weights by
+// systematic (stratified) resampling: pointers at (j+½)·(Σw/total) on the
+// cumulative weight axis, one unit per pointer. Unlike largest-remainder
+// rounding, which starves regions whose mass is splintered over many
+// small groups, it is unbiased per region: a run of groups with combined
+// weight W receives W·total/Σw units in expectation however finely it is
+// divided. Groups arrive one at a time and next returns each group's
+// pointer count. Float drift can leave trailing pointers unassigned;
+// callers resolve groups with a one-group delay and fold leftover() into
+// the final positive group, without knowing the group count in advance.
 type sysAlloc struct {
 	spacing float64
 	total   int

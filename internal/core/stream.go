@@ -93,13 +93,42 @@ type tableCtx struct {
 	fanIdx      int
 	hasFan      bool
 	down        []int
-	factor      float64 // per-table weight scaling (Sizes / weight mass)
-	ctIdx       []int   // layout column index per t.Cols position
-	idCols      []int   // identifier columns (internal tables)
+	ctIdx       []int // layout column index per t.Cols position
+	idCols      []int // identifier columns (internal tables, Group-and-Merge)
+	parentCt    []int // the parent's content columns (child tables, ablation)
 }
 
-// sampleWeight computes one sample's scaled Alg. 2 weight for the table:
-// zero for NULL presence, else factor·Π 1/WeightVals.
+// tableCtxs builds every table's context in topological order. Under
+// Group-and-Merge an internal table groups its samples by identifier
+// columns; the pairwise-view ablation groups every table by its content
+// and its parent's content.
+func (g *Generator) tableCtxs(groupAndMerge bool) []*tableCtx {
+	tcs := make([]*tableCtx, 0, len(g.Layout.Schema.Tables))
+	for _, t := range g.Layout.Schema.Tables {
+		fanIdx, hasFan := g.Layout.FanoutIndex(t.Name)
+		tc := &tableCtx{
+			t:           t,
+			hasChildren: len(g.Layout.Schema.Children(t.Name)) > 0,
+			fanIdx:      fanIdx,
+			hasFan:      hasFan,
+			down:        g.Layout.DownweightColumns([]string{t.Name}),
+			ctIdx:       g.Layout.ContentColumns(t.Name),
+		}
+		switch {
+		case groupAndMerge && tc.hasChildren:
+			tc.idCols = g.Layout.IdentifierColumns(t.Name)
+		case !groupAndMerge && t.Parent != "":
+			tc.parentCt = g.Layout.ContentColumns(t.Parent)
+		}
+		tcs = append(tcs, tc)
+	}
+	return tcs
+}
+
+// sampleWeight computes one sample's Alg. 2 weight for the table: zero
+// for NULL presence, else Π 1/WeightVals. The weights are never scaled to
+// |T|: the systematic allocator divides their mass into |T| equal shares,
+// whatever its scale.
 func (g *Generator) sampleWeight(tc *tableCtx, row []int32) float64 {
 	if tc.hasFan && row[tc.fanIdx] == 0 {
 		return 0
@@ -108,12 +137,11 @@ func (g *Generator) sampleWeight(tc *tableCtx, row []int32) float64 {
 	for _, f := range tc.down {
 		wi /= g.Layout.Cols[f].WeightVals[row[f]]
 	}
-	return wi * tc.factor
+	return wi
 }
 
 // memberRec is one member of an internal table's group: the sample's
-// global index and its scaled weight, which the cell walk splits into key
-// spans.
+// global index and its weight, which the cell walk splits into key spans.
 type memberRec struct {
 	idx int64
 	w   float64
@@ -154,10 +182,6 @@ func cellSpans(members []memberRec, gw float64, count int, put func(m memberRec,
 	return nil
 }
 
-func spillPath(dir, prefix string, part int) string {
-	return filepath.Join(dir, fmt.Sprintf("%s-%03d", prefix, part))
-}
-
 // rowSink receives one table's rows from pass B in output order: a CSV
 // file for MaterializeStream, an in-memory table for Generate.
 type rowSink interface {
@@ -165,11 +189,8 @@ type rowSink interface {
 	close() error
 }
 
-// checkMerge rejects options the Group-and-Merge engine cannot run.
+// checkMerge rejects options the streaming merge cannot run.
 func checkMerge(opts StreamOptions) error {
-	if !opts.GroupAndMerge {
-		return fmt.Errorf("core: streaming generation requires Group-and-Merge (the pairwise-view ablation is in-memory only)")
-	}
 	if opts.OutDir == "" {
 		return fmt.Errorf("core: streaming generation needs an output directory")
 	}
@@ -177,8 +198,9 @@ func checkMerge(opts StreamOptions) error {
 }
 
 // GenerateStream runs the bounded-memory pipeline end to end: sharded
-// sampling to opts.OutDir/shards, then the external Group-and-Merge into
-// one CSV per table under opts.OutDir. The shard streams are removed
+// sampling to opts.OutDir/shards, then the external merge (Group-and-Merge
+// or, with GroupAndMerge unset, the pairwise-view ablation) into one CSV
+// per table under opts.OutDir. The shard streams are removed
 // afterwards, also when the merge fails.
 func (g *Generator) GenerateStream(newSampler func() join.TupleSampler, opts StreamOptions) (*StreamResult, error) {
 	if err := checkMerge(opts); err != nil {
@@ -198,9 +220,11 @@ func (g *Generator) GenerateStream(newSampler func() join.TupleSampler, opts Str
 	return res, nil
 }
 
-// MaterializeStream is the external-memory Group-and-Merge: it turns a
+// MaterializeStream is the external-memory merge: it turns a
 // shard set into one CSV per table under opts.OutDir without ever holding
-// the samples — or a table — resident. See merge for the passes.
+// the samples — or a table — resident. See merge for the passes. A merge
+// that fails removes the CSVs it wrote, which would read as a smaller
+// database.
 func (g *Generator) MaterializeStream(set *ShardSet, opts StreamOptions) (*StreamResult, error) {
 	if err := checkMerge(opts); err != nil {
 		return nil, err
@@ -215,78 +239,26 @@ func (g *Generator) MaterializeStream(set *ShardSet, opts StreamOptions) (*Strea
 		return newCSVSink(path, tc.t, tc.hasChildren)
 	})
 	if err != nil {
+		for _, path := range res.CSVPaths {
+			os.Remove(path)
+		}
 		return nil, err
 	}
 	return res, nil
 }
 
-// weigh is Alg. 2's scaling pass: one scan over the set computes every
-// table's weight mass, giving the per-table factors |T|/Σw.
-func (g *Generator) weigh(set *ShardSet, buf []int32, opts GenOptions) ([]*tableCtx, error) {
-	weightSpan := opts.Span.Child("weight")
-	defer weightSpan.End()
-	wStart := time.Now()
-	tcs := make([]*tableCtx, 0, len(g.Layout.Schema.Tables))
-	for _, t := range g.Layout.Schema.Tables {
-		fanIdx, hasFan := g.Layout.FanoutIndex(t.Name)
-		tc := &tableCtx{
-			t:           t,
-			hasChildren: len(g.Layout.Schema.Children(t.Name)) > 0,
-			fanIdx:      fanIdx,
-			hasFan:      hasFan,
-			down:        g.Layout.DownweightColumns([]string{t.Name}),
-			factor:      1, // until the mass is known
-			ctIdx:       make([]int, len(t.Cols)),
-		}
-		for ci, c := range t.Cols {
-			tc.ctIdx[ci] = g.Layout.ContentIndex(t.Name, c.Name)
-		}
-		if tc.hasChildren {
-			tc.idCols = g.Layout.IdentifierColumns(t.Name)
-		}
-		tcs = append(tcs, tc)
-	}
-	sums := make([]float64, len(tcs))
-	err := set.Stream(buf, func(_ int64, row []int32) error {
-		for ti, tc := range tcs {
-			sums[ti] += g.sampleWeight(tc, row)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for ti, tc := range tcs {
-		if sums[ti] == 0 {
-			return nil, fmt.Errorf("core: no full-outer-join sample contains relation %s", tc.t.Name)
-		}
-		tc.factor = float64(g.Sizes[tc.t.Name]) / sums[ti]
-		weightSpan.SetAttr("mass_"+tc.t.Name, sums[ti])
-		opts.Hooks.GenPhase(obs.GenPhase{
-			Phase: "weight", Table: tc.t.Name, Tuples: set.Total,
-			MassBefore: sums[ti], MassAfter: float64(g.Sizes[tc.t.Name]),
-			Wall: time.Since(wStart),
-		})
-	}
-	opts.Hooks.StreamPass(obs.StreamPass{
-		Pass: "weight", Shard: -1,
-		RecordsIn: int64(set.Total),
-		BytesRead: 4 * int64(set.Total) * int64(set.NCols),
-		Wall:      time.Since(wStart),
-	})
-	return tcs, nil
-}
-
-// merge runs Alg. 2 and Alg. 3 over a shard set: the weight pass, then
-// per table, in topological order, the two spill passes of streamTable,
-// each table's rows going to the sink newSink returns. Spill streams live
-// in the set's store under opts.OutDir/.spill and are partitioned by
-// group-key hash, so group order is (hash partition, first appearance
-// within the partition): deterministic for fixed (shards, Seed,
-// Partitions), and plain first-appearance order with one partition. Peak
-// memory is O(samples ÷ Partitions) plus the streaming buffers and
-// whatever the store and sinks hold. res receives the row, group and
-// sample counts.
+// merge runs Alg. 2 and Alg. 3 over a shard set: per table, in
+// topological order, the two spill passes of streamTable, each table's
+// rows going to the sink newSink returns. opts.GroupAndMerge picks the key
+// policy: Alg. 3's key spans, or the pairwise-view ablation. Spill
+// streams live in the set's store under opts.OutDir/.spill and are
+// partitioned by group-key hash, so group order is (hash partition, first
+// appearance within the partition): deterministic for fixed (shards,
+// Seed, Partitions), and plain first-appearance order with one partition.
+// Peak memory is O(samples ÷ Partitions) plus the streaming buffers,
+// whatever the store and sinks hold and, under the ablation, the key
+// index of each parent whose children are still to come. res receives
+// the row, group and sample counts.
 func (g *Generator) merge(set *ShardSet, opts StreamOptions, res *StreamResult, newSink func(*tableCtx) (rowSink, error)) error {
 	ncols := g.Layout.NumCols()
 	if set.NCols != ncols {
@@ -306,26 +278,23 @@ func (g *Generator) merge(set *ShardSet, opts StreamOptions, res *StreamResult, 
 
 	buf := make([]int32, rowsPerChunk*ncols)
 	pool := make([][]byte, P) // spill block buffers, shared by every run
-	tcs, err := g.weigh(set, buf, opts.GenOptions)
-	if err != nil {
-		return err
-	}
+	tcs := g.tableCtxs(opts.GroupAndMerge)
 
 	mergeSpan := opts.Span.Child("merge")
 	defer mergeSpan.End()
-	mergeSpan.SetAttr("group_and_merge", true)
+	mergeSpan.SetAttr("group_and_merge", opts.GroupAndMerge)
 	mergeSpan.SetAttr("partitions", P)
 	rng := rand.New(rand.NewSource(opts.Seed ^ 0x5a17))
 
 	res.Rows = make(map[string]int, len(tcs))
 	res.Groups = make(map[string]int, len(tcs))
 	res.Samples = set.Total
-	// An internal table's span run feeds every child of the table; drop it
-	// once the last child has read it.
-	spanRuns := make(map[string]*spillRun)
+	// An internal table's keys feed every child of the table; drop them
+	// once the last child has read them.
+	keys := make(map[string]*tableKeys)
 	defer func() {
-		for _, r := range spanRuns {
-			r.drop()
+		for _, k := range keys {
+			k.drop()
 		}
 	}()
 	childLeft := make(map[string]int)
@@ -341,30 +310,53 @@ func (g *Generator) merge(set *ShardSet, opts StreamOptions, res *StreamResult, 
 		// attribution samreport renders for a scale run.
 		tspan := mergeSpan.Child("table")
 		tspan.SetAttr("name", tc.t.Name)
-		rows, groups, spans, err := g.streamTable(set, tc, spanRuns[tc.t.Parent], buf, pool, spillDir, newSink, rng, tspan, opts)
+		out, err := g.streamTable(set, tc, keys[tc.t.Parent], buf, pool, spillDir, newSink, rng, tspan, opts)
 		tspan.End()
-		if spans != nil {
-			spanRuns[tc.t.Name] = spans
+		if out.keys != nil {
+			keys[tc.t.Name] = out.keys
 		}
 		if tc.t.Parent != "" {
 			childLeft[tc.t.Parent]--
 			if childLeft[tc.t.Parent] == 0 {
-				spanRuns[tc.t.Parent].drop()
-				delete(spanRuns, tc.t.Parent)
+				keys[tc.t.Parent].drop()
+				delete(keys, tc.t.Parent)
 			}
 		}
 		if err != nil {
 			return fmt.Errorf("core: stream table %s: %w", tc.t.Name, err)
 		}
-		res.Rows[tc.t.Name] = rows
-		res.Groups[tc.t.Name] = groups
+		res.Rows[tc.t.Name] = out.rows
+		res.Groups[tc.t.Name] = out.groups
 		opts.Hooks.GenPhase(obs.GenPhase{
-			Phase: "merge", Table: tc.t.Name, Tuples: rows,
-			Groups: groups, Wall: time.Since(tStart),
+			Phase: "merge", Table: tc.t.Name, Tuples: out.rows,
+			Groups: out.groups, Mass: out.mass, Wall: time.Since(tStart),
 		})
 	}
 	res.MergeWall = time.Since(start)
 	return nil
+}
+
+// tableKeys is what an internal table's pass B leaves for its children:
+// under Group-and-Merge the span run its pass A looks samples up in;
+// under the ablation the keys it emitted, by content bins, that their
+// pass B draws foreign keys from. The index is resident, O(table rows).
+type tableKeys struct {
+	spans     *spillRun
+	byContent map[string][]int64 // packed content bins → keys
+}
+
+// drop releases the keys; a nil receiver holds none.
+func (k *tableKeys) drop() {
+	if k != nil && k.spans != nil {
+		k.spans.drop()
+	}
+}
+
+// tableOut is streamTable's account of one table.
+type tableOut struct {
+	rows, groups int
+	mass         float64    // pass A's weight mass
+	keys         *tableKeys // an internal table's keys for its children
 }
 
 // csvSink wraps the buffered CSV pipeline for one table.
@@ -400,52 +392,62 @@ func (s *csvSink) close() error {
 }
 
 // group is one merge group of a partition: its weight mass, the parent
-// key its members share, its content bins and, for internal tables, its
-// members.
+// key its members share, its codes after the identifier bins (content,
+// then under the ablation the parent's content) and, for internal tables
+// under Group-and-Merge, its members.
 type group struct {
 	gw      float64
 	pk      int64
-	content []int32
+	codes   []int32
 	members []memberRec
 }
 
 // streamTable materializes one table in two passes over spill streams:
 //
-//	A: stream the samples, looking up each one's spans in the parent's
-//	   span buckets, and spill each surviving sample to its group key's
-//	   hash partition, summing the spilled weight mass. An internal table
-//	   keys a sample by its coarse identifier bins and its majority parent
-//	   key; a leaf table spills one record per parent span, with weight
-//	   w·frac, keyed by content bins and that span's key.
+//	A: stream the samples and spill each surviving one to its group key's
+//	   hash partition, summing the spilled weight mass. Under
+//	   Group-and-Merge a child sample's spans are looked up in the
+//	   parent's span buckets: an internal table keys a sample by its
+//	   coarse identifier bins and its majority parent key; a leaf table
+//	   spills one record per parent span, with weight w·frac, keyed by
+//	   content bins and that span's key. Under the ablation every sample
+//	   is keyed by its content bins and its parent's content bins.
 //	B: group each partition in first-appearance order and walk its groups
 //	   through a systematic allocator of |T| keys (rows, for a leaf) over
-//	   the pass A mass. An internal table gets one row per allocated key
-//	   and cell-walks each group's members into span records, bucketed by
-//	   sample index, for its children; a leaf emits its allocated row
-//	   counts, each row decoded fresh. Summing the mass in pass A makes a
-//	   leaf's mass lost with dropped parent groups drop out of the
-//	   allocation's scale, as a rescale to |T| would.
+//	   the pass A mass, decoding each row fresh. Under Group-and-Merge an
+//	   internal table cell-walks each group's members into span records,
+//	   bucketed by sample index, for its children. Under the ablation an
+//	   internal table indexes its keys by content bins, and a child row's
+//	   foreign key is uniform among the parent keys whose content matches
+//	   the group's parent content (among all parent keys if none does).
+//	   Summing the mass in pass A makes a leaf's mass lost with dropped
+//	   parent groups drop out of the allocation's scale, as a rescale to
+//	   |T| would.
 //
+// A table whose pass A mass is zero is an error: no sample holds it.
 // Each pass runs under its own child span of tspan and reports an
 // obs.StreamPass event (records in/out, spill bytes, run counts). All of
 // it is observational: the spill bytes, group order, and emitted rows are
 // identical with observers on or off.
-func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, parentSpans *spillRun, buf []int32, pool [][]byte, spillDir string,
-	newSink func(*tableCtx) (rowSink, error), rng *rand.Rand, tspan *obs.Span, opts StreamOptions) (int, int, *spillRun, error) {
+func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, parent *tableKeys, buf []int32, pool [][]byte, spillDir string,
+	newSink func(*tableCtx) (rowSink, error), rng *rand.Rand, tspan *obs.Span, opts StreamOptions) (tableOut, error) {
 	name := tc.t.Name
 	st := set.st
 	internal := tc.hasChildren
+	gam := opts.GroupAndMerge
+	withSpans := gam && internal
+	viewFK := !gam && tc.t.Parent != ""
 	P := len(pool)
-	// Raw record: w f64 | pk i64 | coarse ×nid i32 | content ×nc i32, then
-	// idx u64 for internal tables. Leaves have no identifier columns
-	// (nid = 0) and group by content, so their key runs to the end of the
-	// codes.
-	nid, nc := len(tc.idCols), len(tc.ctIdx)
-	keyEnd, rawSize := 16+4*nid, 16+4*(nid+nc)
-	if internal {
-		rawSize += 8
-	} else {
-		keyEnd += 4 * nc
+	// Raw record: w f64 | pk i64 | coarse ×nid | content ×nc | parent
+	// content ×npc i32, then idx u64 when the table writes spans. Only an
+	// internal Group-and-Merge table has identifier columns, and only a
+	// child under the ablation has parent content; every other table
+	// groups by all its codes, so its key runs to the end of the record.
+	nid, nc, npc := len(tc.idCols), len(tc.ctIdx), len(tc.parentCt)
+	keyEnd := 16 + 4*(nid+nc+npc)
+	rawSize := keyEnd
+	if withSpans {
+		keyEnd, rawSize = 16+4*nid, rawSize+8
 	}
 	// Span records go to bucket idx / width: P buckets cover every sample
 	// index, each holding O(samples ÷ P) samples' spans.
@@ -457,13 +459,13 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, parentSpans *spillR
 	raw, err := newSpillRun(st, filepath.Join(spillDir, name+".raw"), pool, rawSize)
 	if err != nil {
 		passA.End()
-		return 0, 0, nil, err
+		return tableOut{}, err
 	}
 	defer raw.drop()
-	codes := make([]int32, nid+nc)
+	codes := make([]int32, nid+nc+npc)
 	var keyBuf, recBuf []byte
-	var parent spanBucket
-	loaded := int64(-1) // index of the span bucket held in parent
+	var bucket spanBucket
+	loaded := int64(-1) // index of the span bucket held in bucket
 	var spilled int64
 	var mass float64
 	spill := func(idx int64, w float64, pk int64) error {
@@ -471,7 +473,7 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, parentSpans *spillR
 		recBuf = putF64(recBuf[:0], w)
 		recBuf = putU64(recBuf, uint64(pk))
 		recBuf = putI32s(recBuf, codes)
-		if internal {
+		if withSpans {
 			recBuf = putU64(recBuf, uint64(idx))
 		}
 		spilled++
@@ -484,20 +486,23 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, parentSpans *spillR
 			return nil // absent from the table
 		}
 		var spans []keySpan
-		if tc.t.Parent != "" {
+		if gam && tc.t.Parent != "" {
 			if b := idx / width; b != loaded {
-				if err := parent.load(parentSpans, int(b), b*width, int(width)); err != nil {
+				if err := bucket.load(parent.spans, int(b), b*width, int(width)); err != nil {
 					return err
 				}
 				loaded = b
 			}
-			if spans = parent.spansOf(idx); len(spans) == 0 {
+			if spans = bucket.spansOf(idx); len(spans) == 0 {
 				return nil // its parent is absent: inconsistent sample
 			}
 		}
 		g.groupBins(row, tc.idCols, codes[:nid])
 		for ci, li := range tc.ctIdx {
 			codes[nid+ci] = row[li]
+		}
+		for ci, li := range tc.parentCt {
+			codes[nid+nc+ci] = row[li]
 		}
 		switch {
 		case spans == nil:
@@ -515,10 +520,14 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, parentSpans *spillR
 	if err == nil {
 		err = raw.finish()
 	}
+	if err == nil && mass == 0 {
+		err = fmt.Errorf("core: no full-outer-join sample contains relation %s", name)
+	}
 	passA.SetAttr("records_out", spilled)
+	passA.SetAttr("mass", mass)
 	passA.End()
 	if err != nil {
-		return 0, 0, nil, err
+		return tableOut{}, err
 	}
 	opts.Hooks.StreamPass(obs.StreamPass{
 		Pass: "A", Table: name, Shard: -1,
@@ -530,51 +539,75 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, parentSpans *spillR
 
 	// Pass B: group each partition (first-appearance order) and allocate
 	// |T| keys across the groups in order. Groups resolve with a one-group
-	// delay so the final group absorbs the allocator's drift remainder
-	// (matching systematicCounts).
+	// delay so the final group absorbs the allocator's drift remainder.
 	bStart := time.Now()
 	passB := tspan.Child("B")
 	defer passB.End()
 	sink, err := newSink(tc)
 	if err != nil {
-		return 0, 0, nil, err
+		return tableOut{}, err
 	}
-	var spans *spillRun
-	if internal {
-		if spans, err = newSpillRun(st, filepath.Join(spillDir, name+".span"), pool, spanRecSize); err != nil {
+	var keys *tableKeys
+	switch {
+	case withSpans:
+		spans, err := newSpillRun(st, filepath.Join(spillDir, name+".span"), pool, spanRecSize)
+		if err != nil {
 			sink.close()
-			return 0, 0, nil, err
+			return tableOut{}, err
 		}
+		keys = &tableKeys{spans: spans}
+	case internal:
+		keys = &tableKeys{byContent: make(map[string][]int64)}
 	}
 	alloc := newSysAlloc(mass, g.Sizes[name])
+	parentRows := g.Sizes[tc.t.Parent]
 	var rows, spanRecs int64
 	groups := 0
 	vals := make([]int32, nc)
-	var spanBuf []byte
+	var spanBuf, sigBuf []byte
 	emit := func(grp *group, count int) error {
 		if count == 0 {
 			return nil
+		}
+		var fks []int64 // the ablation's candidate parent keys
+		if viewFK {
+			fks = parent.byContent[string(putI32s(sigBuf[:0], grp.codes[nc:]))]
 		}
 		base := rows
 		rows += int64(count)
 		for j := 0; j < count; j++ {
 			for ci := range vals {
-				vals[ci] = g.Disc[tc.ctIdx[ci]].SampleIn(rng, int(grp.content[ci]))
+				vals[ci] = g.Disc[tc.ctIdx[ci]].SampleIn(rng, int(grp.codes[ci]))
 			}
-			if err := sink.WriteRow(base+int64(j), vals, grp.pk); err != nil {
+			fk := grp.pk
+			switch {
+			case len(fks) > 0:
+				fk = fks[rng.Intn(len(fks))]
+			case viewFK:
+				fk = int64(rng.Intn(parentRows))
+			}
+			if err := sink.WriteRow(base+int64(j), vals, fk); err != nil {
 				return err
 			}
 		}
-		if !internal {
-			return nil
+		switch {
+		case withSpans:
+			return cellSpans(grp.members, grp.gw, count, func(m memberRec, c int, frac float64) error {
+				spanBuf = putU64(spanBuf[:0], uint64(m.idx))
+				spanBuf = putU64(spanBuf, uint64(base+int64(c)))
+				spanBuf = putF64(spanBuf, frac)
+				spanRecs++
+				return keys.spans.write(int(m.idx/width), spanBuf)
+			})
+		case internal:
+			sigBuf = putI32s(sigBuf[:0], grp.codes[:nc])
+			ks := keys.byContent[string(sigBuf)]
+			for j := 0; j < count; j++ {
+				ks = append(ks, base+int64(j))
+			}
+			keys.byContent[string(sigBuf)] = ks
 		}
-		return cellSpans(grp.members, grp.gw, count, func(m memberRec, c int, frac float64) error {
-			spanBuf = putU64(spanBuf[:0], uint64(m.idx))
-			spanBuf = putU64(spanBuf, uint64(base+int64(c)))
-			spanBuf = putF64(spanBuf, frac)
-			spanRecs++
-			return spans.write(int(m.idx/width), spanBuf)
-		})
+		return nil
 	}
 	err = func() error {
 		var pending *group
@@ -587,13 +620,13 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, parentSpans *spillR
 				key := string(rec[8:keyEnd]) // parent key + key codes
 				grp := lookup[key]
 				if grp == nil {
-					grp = &group{pk: int64(getU64(rec[8:])), content: make([]int32, nc)}
-					getI32s(rec[16+4*nid:], grp.content)
+					grp = &group{pk: int64(getU64(rec[8:])), codes: make([]int32, nc+npc)}
+					getI32s(rec[16+4*nid:], grp.codes)
 					lookup[key] = grp
 					order = append(order, grp)
 				}
 				grp.gw += w
-				if internal {
+				if withSpans {
 					grp.members = append(grp.members, memberRec{idx: int64(getU64(rec[rawSize-8:])), w: w})
 				}
 				return nil
@@ -623,21 +656,19 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, parentSpans *spillR
 	if cerr := sink.close(); err == nil {
 		err = cerr
 	}
-	if spans != nil {
-		if cerr := spans.finish(); err == nil {
+	if withSpans {
+		if cerr := keys.spans.finish(); err == nil {
 			err = cerr
 		}
 	}
 	passB.SetAttr("groups", groups)
 	passB.SetAttr("rows", rows)
 	if err != nil {
-		if spans != nil {
-			spans.drop()
-		}
-		return 0, 0, nil, err
+		keys.drop()
+		return tableOut{}, err
 	}
 	spanRuns := 0
-	if internal {
+	if withSpans {
 		spanRuns = P // the span buckets
 	}
 	opts.Hooks.StreamPass(obs.StreamPass{
@@ -648,5 +679,5 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, parentSpans *spillR
 		BytesWritten: spanRecs * spanRecSize,
 		Wall:         time.Since(bStart),
 	})
-	return int(rows), groups, spans, nil
+	return tableOut{rows: int(rows), groups: groups, mass: mass, keys: keys}, nil
 }

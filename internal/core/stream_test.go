@@ -336,10 +336,7 @@ func TestGenerationInvariantAcrossWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			flat, err := set.readAll()
-			if err != nil {
-				t.Fatal(err)
-			}
+			flat := readSamples(t, set)
 			out[fmt.Sprintf("SampleShards(dir=%t)", dir != "")] = fmt.Sprint(len(set.Paths), flat)
 		}
 		return out
@@ -368,32 +365,59 @@ func TestGenerationInvariantAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestGenerateStreamRejectsViewsBeforeSampling checks that the pairwise-view
-// ablation, which only Generate runs, fails before any shard is sampled
-// and leaves no shard directory behind.
-func TestGenerateStreamRejectsViewsBeforeSampling(t *testing.T) {
+// TestGenerateStreamViewsMatchGenerate checks that the pairwise-view
+// ablation streams: GenerateStream at Partitions = 1 writes, byte for
+// byte, the tables Generate returns, and at the default partition count
+// every foreign key it writes names a key its parent's CSV holds.
+func TestGenerateStreamViewsMatchGenerate(t *testing.T) {
 	orig := datagen.IMDB(5, 80)
 	l := join.NewLayout(orig)
+	o := join.NewOracle(l)
 	gen, err := NewGenerator(l, identityDiscs(l), sizesOf(orig))
 	if err != nil {
 		t.Fatal(err)
 	}
+	newSampler := func() join.TupleSampler { return o }
 	opts := DefaultStreamOptions(3, t.TempDir())
 	opts.Samples = 2000
+	opts.Partitions = 1
 	opts.GroupAndMerge = false
-	sampled := false
-	newSampler := func() join.TupleSampler {
-		sampled = true
-		return join.NewOracle(l)
+	mem, err := gen.Generate(newSampler, opts.GenOptions)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := gen.GenerateStream(newSampler, opts); err == nil {
-		t.Fatal("GenerateStream accepted GroupAndMerge=false")
+	res, err := gen.GenerateStream(newSampler, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sampled {
-		t.Fatal("GenerateStream sampled before rejecting GroupAndMerge=false")
+	for _, tab := range mem.Tables {
+		var b strings.Builder
+		if err := tab.WriteCSV(&b); err != nil {
+			t.Fatal(err)
+		}
+		if b.String() != string(fileBytes(t, res.CSVPaths[tab.Name])) {
+			t.Fatalf("table %s: Generate and GenerateStream ablation CSVs differ", tab.Name)
+		}
 	}
-	if _, err := os.Stat(filepath.Join(opts.OutDir, "shards")); !os.IsNotExist(err) {
-		t.Fatalf("shard directory left behind after a rejected run (stat: %v)", err)
+	opts.OutDir, opts.Partitions = t.TempDir(), 0
+	if res, err = gen.GenerateStream(newSampler, opts); err != nil {
+		t.Fatal(err)
+	}
+	db := readBack(t, orig, res)
+	for _, tab := range db.Tables {
+		if tab.Parent == "" {
+			continue
+		}
+		parent := db.Table(tab.Parent)
+		pks := map[int64]bool{}
+		for i := 0; i < parent.NumRows(); i++ {
+			pks[parent.PK(i)] = true
+		}
+		for i, fk := range tab.FK {
+			if !pks[fk] {
+				t.Fatalf("table %s row %d: foreign key %d names no %s key", tab.Name, i, fk, tab.Parent)
+			}
+		}
 	}
 }
 
@@ -409,7 +433,7 @@ func TestGenerateStreamRemovesShardsOnMergeError(t *testing.T) {
 	}
 	opts := DefaultStreamOptions(3, t.TempDir())
 	opts.Samples = 500
-	if _, err := gen.GenerateStream(func() join.TupleSampler { return nullSampler{o} }, opts); err == nil {
+	if _, err := gen.GenerateStream(func() join.TupleSampler { return absentSampler{o, "cast_info"} }, opts); err == nil {
 		t.Fatal("merge of samples without any child relation succeeded")
 	}
 	if _, err := os.Stat(filepath.Join(opts.OutDir, "shards")); !os.IsNotExist(err) {
@@ -417,17 +441,58 @@ func TestGenerateStreamRemovesShardsOnMergeError(t *testing.T) {
 	}
 }
 
-// nullSampler draws oracle samples with every child relation absent
-// (all fanout columns zero), so no sample contains a child table.
-type nullSampler struct{ o *join.Oracle }
+// absentSampler draws oracle samples with one relation (and, through
+// sanitize, its descendants) absent from every sample.
+type absentSampler struct {
+	o     *join.Oracle
+	table string
+}
 
-func (s nullSampler) SampleFOJBatch(rngs []*rand.Rand, dst []int32) {
+func (s absentSampler) SampleFOJBatch(rngs []*rand.Rand, dst []int32) {
 	s.o.SampleFOJBatch(rngs, dst)
 	n := s.o.L.NumCols()
+	fan, _ := s.o.L.FanoutIndex(s.table)
 	for i := range rngs {
-		for c, col := range s.o.L.Cols {
-			if col.Kind == join.Fanout {
-				dst[i*n+c] = 0
+		dst[i*n+fan] = 0
+	}
+}
+
+// TestZeroMassRelationFails checks that a relation no sample contains is
+// an error naming it, from Generate and GenerateStream under both key
+// policies: an internal table of the TPC-H chain (its child is absent
+// with it, but the merge reaches it first) and a leaf of the IMDB star.
+// The failed streamed run leaves none of the CSVs of the tables merged
+// before it.
+func TestZeroMassRelationFails(t *testing.T) {
+	for _, tc := range []struct {
+		orig  *relation.Schema
+		table string
+	}{
+		{datagen.TPCH(3, 60), "orders"},
+		{datagen.IMDB(5, 80), "movie_keyword"},
+	} {
+		l := join.NewLayout(tc.orig)
+		o := join.NewOracle(l)
+		gen, err := NewGenerator(l, identityDiscs(l), sizesOf(tc.orig))
+		if err != nil {
+			t.Fatal(err)
+		}
+		newSampler := func() join.TupleSampler { return absentSampler{o, tc.table} }
+		want := "no full-outer-join sample contains relation " + tc.table
+		for _, gam := range []bool{true, false} {
+			opts := DefaultStreamOptions(3, t.TempDir())
+			opts.Samples = 1000
+			opts.GroupAndMerge = gam
+			_, err := gen.Generate(newSampler, opts.GenOptions)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("Generate, GroupAndMerge=%v, %s absent: got error %v, want %q", gam, tc.table, err, want)
+			}
+			_, err = gen.GenerateStream(newSampler, opts)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("GenerateStream, GroupAndMerge=%v, %s absent: got error %v, want %q", gam, tc.table, err, want)
+			}
+			if csvs, _ := filepath.Glob(filepath.Join(opts.OutDir, "*.csv")); len(csvs) != 0 {
+				t.Errorf("GenerateStream, GroupAndMerge=%v, %s absent: failed run left %v", gam, tc.table, csvs)
 			}
 		}
 	}
@@ -460,8 +525,8 @@ func TestStreamingSingleTable(t *testing.T) {
 }
 
 // TestSysAllocMatchesSystematicCounts pins the streaming allocator (with
-// the one-group delay and leftover fold) to the batch systematicCounts it
-// replaces.
+// the one-group delay and leftover fold) to the batch reference
+// systematicCounts.
 func TestSysAllocMatchesSystematicCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 200; trial++ {
@@ -665,8 +730,8 @@ func TestStreamObserversByteIdentical(t *testing.T) {
 	}
 
 	// The event stream itself must be internally consistent: one sampling
-	// event per shard summing to the sample count, one weight scan, and
-	// one A and one B pass per table with matching record flow.
+	// event per shard summing to the sample count, and one A and one B
+	// pass per table with matching record flow, and nothing else.
 	byPass := map[string][]obs.StreamPass{}
 	for _, p := range passes {
 		byPass[p.Pass] = append(byPass[p.Pass], p)
@@ -681,14 +746,13 @@ func TestStreamObserversByteIdentical(t *testing.T) {
 	if shardRows != 5000 {
 		t.Fatalf("shard events sum to %d rows, want 5000", shardRows)
 	}
-	if n := len(byPass["weight"]); n != 1 {
-		t.Fatalf("got %d weight events, want 1", n)
+	var kinds []string
+	for kind := range byPass {
+		kinds = append(kinds, kind)
 	}
-	if in := byPass["weight"][0].RecordsIn; in != 5000 {
-		t.Fatalf("weight pass scanned %d records, want 5000", in)
-	}
-	if len(byPass) != 4 {
-		t.Fatalf("got events of %d pass kinds, want shard, weight, A and B only", len(byPass))
+	slices.Sort(kinds)
+	if !slices.Equal(kinds, []string{"A", "B", "shard"}) {
+		t.Fatalf("got events of pass kinds %v, want shard, A and B only", kinds)
 	}
 	nt := len(orig.Tables)
 	byTable := map[string]map[string]obs.StreamPass{}
@@ -719,23 +783,28 @@ func TestStreamObserversByteIdentical(t *testing.T) {
 // hashes of every table's CSV, in schema order, for GenerateStream at
 // Partitions 1 and 7, for the same merge at Partitions 7 over a memory
 // store, and for Generate, on the TPC-H chain (an internal non-root
-// table) and the IMDB star (siblings sharing a parent's spans), against
-// hashes recorded before the spill merge was rewritten. A change to the
-// merge that moves one byte of output fails here. At Partitions 7 the
-// partitions and span buckets span several spill blocks each (see
-// TestMergeStreamCount), so the memory run covers reads across blocks and
-// memory chunks. The hashes are amd64 figures: other architectures may
-// fuse float multiply-adds.
+// table) and the IMDB star (siblings sharing a parent's keys), under both
+// key policies. The Group-and-Merge hashes were recorded before the spill
+// merge was rewritten, and the ablation's P = 1 and Generate hashes from
+// the in-memory ablation that the merge's second key policy replaced. A
+// change to the merge that moves one byte of output fails here. At
+// Partitions 7 the partitions and span buckets span several spill blocks
+// each (see TestMergeStreamCount), so the memory run covers reads across
+// blocks and memory chunks. The hashes are amd64 figures: other
+// architectures may fuse float multiply-adds.
 func TestMergeBytesPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("output bytes are pinned on amd64 only")
 	}
 	for _, tc := range []struct {
 		orig *relation.Schema
+		gam  bool
 		want []string // GenerateStream at P = 1, at P = 7, Generate
 	}{
-		{datagen.TPCH(3, 120), []string{"5e52da18b7cdf4c7", "94348d0fd6d5f3dd", "5e52da18b7cdf4c7"}},
-		{datagen.IMDB(9, 150), []string{"2e4c45db147e84b4", "1c1802252160db3e", "2e4c45db147e84b4"}},
+		{datagen.TPCH(3, 120), true, []string{"5e52da18b7cdf4c7", "94348d0fd6d5f3dd", "5e52da18b7cdf4c7"}},
+		{datagen.IMDB(9, 150), true, []string{"2e4c45db147e84b4", "1c1802252160db3e", "2e4c45db147e84b4"}},
+		{datagen.TPCH(3, 120), false, []string{"8cbafbeea0f3f833", "22ebcf4a11348ae7", "8cbafbeea0f3f833"}},
+		{datagen.IMDB(9, 150), false, []string{"7115ac396ab3e0cc", "98c1dfaf943cb84e", "7115ac396ab3e0cc"}},
 	} {
 		l := join.NewLayout(tc.orig)
 		o := join.NewOracle(l)
@@ -747,6 +816,7 @@ func TestMergeBytesPinned(t *testing.T) {
 		opts := DefaultGenOptions(5)
 		opts.Samples = 20000
 		opts.Batch = 16
+		opts.GroupAndMerge = tc.gam
 		csvHash := func(res *StreamResult) string {
 			h := fnv.New64a()
 			for _, tab := range tc.orig.Tables {
@@ -785,7 +855,7 @@ func TestMergeBytesPinned(t *testing.T) {
 		want := []string{tc.want[0], tc.want[1], tc.want[1], tc.want[2]}
 		for i, run := range []string{"GenerateStream P=1", "GenerateStream P=7", "memory store P=7", "Generate"} {
 			if got[i] != want[i] {
-				t.Errorf("%s schema, %s: CSV hash %s, want %s", tc.orig.Tables[0].Name, run, got[i], want[i])
+				t.Errorf("%s schema, GroupAndMerge=%v, %s: CSV hash %s, want %s", tc.orig.Tables[0].Name, tc.gam, run, got[i], want[i])
 			}
 		}
 	}

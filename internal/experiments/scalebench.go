@@ -59,13 +59,12 @@ type ScaleBenchReport struct {
 	SampleWallMs int64 `json:"sample_wall_ms"`
 	MergeWallMs  int64 `json:"merge_wall_ms"`
 	TotalWallMs  int64 `json:"total_wall_ms"`
-	// The per-pass wall split of the merge (weight scan plus spill passes
-	// A/B, summed across tables), from the pipeline's StreamPass
-	// telemetry — the evidence benchgate cites when the throughput floor
-	// trips, so a regression names its pass.
-	WeightWallMs int64 `json:"weight_wall_ms"`
-	PassAWallMs  int64 `json:"pass_a_wall_ms"`
-	PassBWallMs  int64 `json:"pass_b_wall_ms"`
+	// The per-pass wall split of the merge (spill passes A/B, summed
+	// across tables), from the pipeline's StreamPass telemetry — the
+	// evidence benchgate cites when the throughput floor trips, so a
+	// regression names its pass.
+	PassAWallMs int64 `json:"pass_a_wall_ms"`
+	PassBWallMs int64 `json:"pass_b_wall_ms"`
 	// SampleRowsPerSec is FOJ tuples drawn (and spilled to shards) per
 	// second; RowsPerSec is end-to-end generated rows per second including
 	// the merge.
@@ -191,14 +190,12 @@ func RunScaleBench(cfg ScaleBenchConfig) (*ScaleBenchReport, error) {
 	// StreamPass events (summed across tables; shard walls overlap across
 	// workers so the sampling phase keeps its single SampleWallMs figure).
 	var passWall struct {
-		mu             sync.Mutex
-		weight, pa, pb time.Duration
+		mu     sync.Mutex
+		pa, pb time.Duration
 	}
 	split := &obs.Hooks{OnStreamPass: func(p obs.StreamPass) {
 		passWall.mu.Lock()
 		switch p.Pass {
-		case "weight":
-			passWall.weight += p.Wall
 		case "A":
 			passWall.pa += p.Wall
 		case "B":
@@ -237,7 +234,6 @@ func RunScaleBench(cfg ScaleBenchConfig) (*ScaleBenchReport, error) {
 		SampleWallMs:  set.Wall.Milliseconds(),
 		MergeWallMs:   res.MergeWall.Milliseconds(),
 		TotalWallMs:   total.Milliseconds(),
-		WeightWallMs:  passWall.weight.Milliseconds(),
 		PassAWallMs:   passWall.pa.Milliseconds(),
 		PassBWallMs:   passWall.pb.Milliseconds(),
 		PeakHeapBytes: peakHeap,
@@ -283,9 +279,9 @@ func CompareScale(rep *ScaleBenchReport, minRowsPerSec float64, maxPeakBytes int
 			rep.RowsPerSec, minRowsPerSec, rep.Rows)
 		// Name the pass when the report carries the split, so the gate's
 		// failure points at the regressed phase rather than the aggregate.
-		if rep.WeightWallMs+rep.PassAWallMs+rep.PassBWallMs > 0 {
-			v += fmt.Sprintf(" (pass split: sample=%dms weight=%dms A=%dms B=%dms)",
-				rep.SampleWallMs, rep.WeightWallMs, rep.PassAWallMs, rep.PassBWallMs)
+		if rep.PassAWallMs+rep.PassBWallMs > 0 {
+			v += fmt.Sprintf(" (pass split: sample=%dms A=%dms B=%dms)",
+				rep.SampleWallMs, rep.PassAWallMs, rep.PassBWallMs)
 		}
 		out = append(out, v)
 	}

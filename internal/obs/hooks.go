@@ -33,17 +33,17 @@ type TrainStep struct {
 	Wall     time.Duration
 }
 
-// GenPhase describes one generation-phase event: FOJ sampling, inverse
-// probability weighting/scaling, or a table's Group-and-Merge pass.
+// GenPhase describes one generation-phase event: FOJ sampling, or one
+// table's merge (weighting, key allocation and row emission).
 type GenPhase struct {
-	Phase  string // "sample", "weight", or "merge"
+	Phase  string // "sample" or "merge"
 	Table  string // empty for the sample phase
 	Tuples int    // tuples sampled or rows materialized
 	Groups int    // merge groups formed (merge phase)
-	// MassBefore/MassAfter are the table's total inverse-probability
-	// weight mass before and after scaling to |T| (weight phase).
-	MassBefore, MassAfter float64
-	Wall                  time.Duration
+	// Mass is the table's total inverse-probability weight mass, as the
+	// merge's first spill pass summed it (merge phase).
+	Mass float64
+	Wall time.Duration
 }
 
 // GenProgress is a rolling in-flight report from a generation phase:
@@ -59,12 +59,11 @@ type GenProgress struct {
 
 // StreamPass describes one completed unit of the sharded streaming
 // pipeline (core.SampleShards / core.MaterializeStream): a shard's
-// sampling leg, the weight scan, or one table's spill passes — A
-// (partition spill) and B (per-partition grouping, key allocation and
-// emission).
+// sampling leg, or one table's spill passes — A (partition spill) and B
+// (per-partition grouping, key allocation and emission).
 type StreamPass struct {
-	Pass  string // "shard", "weight", "A", or "B"
-	Table string // empty for shard and weight passes
+	Pass  string // "shard", "A", or "B"
+	Table string // empty for shard passes
 	Shard int    // shard index when Pass == "shard", else -1
 	// RecordsIn / RecordsOut count records consumed and emitted by the
 	// pass (samples streamed, spill records written, groups formed, rows
@@ -260,15 +259,13 @@ func MetricsHooks(r *Registry) *Hooks {
 	phaseSec := r.HistogramVec("gen_phase_seconds", latBounds, "phase")
 	mergeGroups := r.CounterVec("gen_merge_groups_total", "table")
 	rowsSec := r.GaugeVec("gen_rows_per_sec", "table")
-	weightMass := r.GaugeVec("gen_weight_mass", "table", "stage")
+	weightMass := r.GaugeVec("gen_weight_mass", "table")
 	tuplesSec := r.Gauge("gen_tuples_per_sec")
 	progress := r.Gauge("gen_progress_ratio")
 	// Pre-resolved per-phase handles: the phase vocabulary is fixed.
 	sampleTuples := tuples.With("sample")
-	weightTuples := tuples.With("weight")
 	mergeTuples := tuples.With("merge")
 	samplePhaseSec := phaseSec.With("sample")
-	weightPhaseSec := phaseSec.With("weight")
 	mergePhaseSec := phaseSec.With("merge")
 	// Streaming passes are a fixed vocabulary too; pre-resolving keeps the
 	// per-pass path on plain atomics (shard labels resolve lazily — one
@@ -280,7 +277,7 @@ func MetricsHooks(r *Registry) *Hooks {
 		runs    *Counter
 	}
 	streamPasses := map[string]passHandles{}
-	for _, pass := range []string{"shard", "weight", "A", "B"} {
+	for _, pass := range []string{"shard", "A", "B"} {
 		streamPasses[pass] = passHandles{
 			sec:  passSec.With(pass),
 			in:   passRecs.With(pass, "in"),
@@ -307,8 +304,6 @@ func MetricsHooks(r *Registry) *Hooks {
 			switch p.Phase {
 			case "sample":
 				tup, sec = sampleTuples, samplePhaseSec
-			case "weight":
-				tup, sec = weightTuples, weightPhaseSec
 			case "merge":
 				tup, sec = mergeTuples, mergePhaseSec
 			}
@@ -316,13 +311,10 @@ func MetricsHooks(r *Registry) *Hooks {
 			sec.Observe(p.Wall.Seconds())
 			if p.Phase == "merge" {
 				mergeGroups.With(p.Table).Add(int64(p.Groups))
+				weightMass.With(p.Table).Set(p.Mass)
 				if p.Wall > 0 {
 					rowsSec.With(p.Table).Set(float64(p.Tuples) / p.Wall.Seconds())
 				}
-			}
-			if p.Phase == "weight" {
-				weightMass.With(p.Table, "before").Set(p.MassBefore)
-				weightMass.With(p.Table, "after").Set(p.MassAfter)
 			}
 		},
 		OnGenProgress: func(p GenProgress) {
@@ -415,15 +407,13 @@ func ProgressHooks(w io.Writer) *Hooks {
 			switch p.Phase {
 			case "sample":
 				fmt.Fprintf(w, "generate: sampled %d FOJ tuples in %v\n", p.Tuples, p.Wall.Round(time.Millisecond))
-			case "weight":
-				fmt.Fprintf(w, "generate: %s weight mass %.1f -> %.1f\n", p.Table, p.MassBefore, p.MassAfter)
 			case "merge":
 				rate := ""
 				if p.Wall > 0 {
 					rate = fmt.Sprintf(" (%.0f rows/s)", float64(p.Tuples)/p.Wall.Seconds())
 				}
-				fmt.Fprintf(w, "generate: %s merged %d groups -> %d rows in %v%s\n",
-					p.Table, p.Groups, p.Tuples, p.Wall.Round(time.Millisecond), rate)
+				fmt.Fprintf(w, "generate: %s merged weight mass %.1f in %d groups -> %d rows in %v%s\n",
+					p.Table, p.Mass, p.Groups, p.Tuples, p.Wall.Round(time.Millisecond), rate)
 			}
 		},
 		OnGenProgress: func(p GenProgress) {
@@ -450,9 +440,6 @@ func ProgressHooks(w io.Writer) *Hooks {
 			case "shard":
 				fmt.Fprintf(w, "stream: shard %d sampled %d rows in %v (backpressure %v)\n",
 					p.Shard, p.RecordsOut, p.Wall.Round(time.Millisecond), p.BackpressureWait.Round(time.Millisecond))
-			case "weight":
-				fmt.Fprintf(w, "stream: weight pass scanned %d samples in %v\n",
-					p.RecordsIn, p.Wall.Round(time.Millisecond))
 			default:
 				fmt.Fprintf(w, "stream: %s pass %s: %d -> %d records in %v\n",
 					p.Table, p.Pass, p.RecordsIn, p.RecordsOut, p.Wall.Round(time.Millisecond))

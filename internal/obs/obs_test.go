@@ -260,8 +260,7 @@ func TestMetricsHooksFeedRegistry(t *testing.T) {
 	h := MetricsHooks(r)
 	h.TrainEpoch(TrainEpoch{Epoch: 1, Epochs: 2, Loss: 0.5, GradNorm: 1.25, Wall: time.Second})
 	h.TrainStep(TrainStep{Loss: 0.5, Wall: 2 * time.Millisecond})
-	h.GenPhase(GenPhase{Phase: "merge", Table: "t", Tuples: 10, Groups: 4})
-	h.GenPhase(GenPhase{Phase: "weight", Table: "t", MassBefore: 7, MassAfter: 100})
+	h.GenPhase(GenPhase{Phase: "merge", Table: "t", Tuples: 10, Groups: 4, Mass: 7.5})
 	h.EvalQuery(EvalQuery{Card: 10, Truth: 20, QError: 2, Wall: time.Millisecond})
 	wantScrape := func(want map[string]float64) {
 		t.Helper()
@@ -273,14 +272,14 @@ func TestMetricsHooksFeedRegistry(t *testing.T) {
 		}
 	}
 	wantScrape(map[string]float64{
-		"train_epochs_total":                       1,
-		"train_steps_total":                        1,
-		"train_loss":                               0.5,
-		"train_epochs_per_sec":                     1,
-		`gen_merge_groups_total{table="t"}`:        4,
-		`gen_tuples_total{phase="merge"}`:          10,
-		`gen_weight_mass{table="t",stage="after"}`: 100,
-		"eval_qerror_count":                        1,
+		"train_epochs_total":                1,
+		"train_steps_total":                 1,
+		"train_loss":                        0.5,
+		"train_epochs_per_sec":              1,
+		`gen_merge_groups_total{table="t"}`: 4,
+		`gen_tuples_total{phase="merge"}`:   10,
+		`gen_weight_mass{table="t"}`:        7.5,
+		"eval_qerror_count":                 1,
 	})
 	h.GenProgress(GenProgress{Phase: "sample", Done: 50, Total: 100, Rate: 123})
 	wantScrape(map[string]float64{"gen_tuples_per_sec": 123, "gen_progress_ratio": 0.5})

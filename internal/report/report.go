@@ -466,7 +466,7 @@ func streamSection(passes []obs.StreamPass) *Section {
 		return nil
 	}
 	t := &Table{Header: []string{"pass", "events", "records in", "records out", "runs", "spill written", "spill read", "wall", "backpressure"}}
-	for _, pass := range []string{"shard", "weight", "A", "B"} {
+	for _, pass := range []string{"shard", "A", "B"} {
 		a := byPass[pass]
 		if a == nil {
 			continue
@@ -479,7 +479,7 @@ func streamSection(passes []obs.StreamPass) *Section {
 	return &Section{
 		Title: "Streaming passes",
 		Text: []string{"Per-pass totals from the run log's stream_pass events " +
-			"(shard = sampling legs; weight = sample scan; A = spill partition pass, B = grouping plus key allocation and row emission, each summed across tables)."},
+			"(shard = sampling legs; A = spill partition pass, B = grouping plus key allocation and row emission, each summed across tables)."},
 		Table: t,
 	}
 }
@@ -492,8 +492,8 @@ func scaleSection(rep *experiments.ScaleBenchReport) Section {
 	add("rows/sec end-to-end", fmt.Sprintf("%.0f", rep.RowsPerSec))
 	add("rows/sec sampling", fmt.Sprintf("%.0f", rep.SampleRowsPerSec))
 	add("sample wall", fmt.Sprintf("%dms", rep.SampleWallMs))
-	add("merge wall", fmt.Sprintf("%dms (weight %dms, A %dms, B %dms)",
-		rep.MergeWallMs, rep.WeightWallMs, rep.PassAWallMs, rep.PassBWallMs))
+	add("merge wall", fmt.Sprintf("%dms (A %dms, B %dms)",
+		rep.MergeWallMs, rep.PassAWallMs, rep.PassBWallMs))
 	add("total wall", fmt.Sprintf("%dms", rep.TotalWallMs))
 	add("peak heap", fmtBytes(rep.PeakHeapBytes))
 	if rep.PeakRSSBytes > 0 {

@@ -51,7 +51,6 @@ func writeRunLog(t *testing.T, dir, runID string) string {
 	l := obs.NewRunLog(f, runID)
 	h := obs.EventHooks(l.Add)
 	h.StreamPass(obs.StreamPass{Pass: "shard", Table: "", Shard: 0, RecordsOut: 100, Wall: time.Second})
-	h.StreamPass(obs.StreamPass{Pass: "weight", RecordsIn: 100, RecordsOut: 100, Wall: time.Second})
 	h.StreamPass(obs.StreamPass{Pass: "A", Table: "t", RecordsIn: 100, RecordsOut: 40, Runs: 2, BytesWritten: 4096})
 	h.StreamPass(obs.StreamPass{Pass: "B", Table: "t", RecordsIn: 40, RecordsOut: 500, BytesRead: 4096})
 	h.EvalQuery(obs.EvalQuery{Card: 10, Truth: 20, QError: 2, Table: "t", Preds: 1})
@@ -100,7 +99,6 @@ func writeScale(t *testing.T, dir, runID string) string {
 		RowsPerSec:    5000,
 		SampleWallMs:  120,
 		MergeWallMs:   80,
-		WeightWallMs:  10,
 		PassAWallMs:   30,
 		PassBWallMs:   40,
 		TotalWallMs:   200,

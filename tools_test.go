@@ -6,11 +6,13 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"sam/internal/obs"
+	"sam/internal/relation"
 )
 
 // TestCLITools builds and drives the actual command binaries end to end:
@@ -53,13 +55,17 @@ func TestCLITools(t *testing.T) {
 		}
 	}
 
-	// -stream always merges, so -no-gam is refused before any training.
-	cmd := exec.Command(bin("samgen"), "-workload", "wl.json", "-schema", "schema.json",
-		"-outdir", "gen", "-stream", "-no-gam")
-	cmd.Dir = dir
-	if out, err := cmd.CombinedOutput(); err == nil || strings.Contains(string(out), "training SAM") {
-		t.Fatalf("samgen -stream -no-gam: err %v, want an exit before training:\n%s", err, out)
+	// The pairwise-view ablation streams too: -stream -no-gam writes every
+	// table of a join schema, and each foreign key names a parent key.
+	out = run("workloadgen", "-dataset", "imdb", "-rows", "60", "-queries", "40",
+		"-out", "imdb.json", "-schema", "imdb_schema.json")
+	pop := regexp.MustCompile(`full outer join size = (\d+)`).FindStringSubmatch(out)
+	if pop == nil {
+		t.Fatalf("workloadgen printed no full outer join size:\n%s", out)
 	}
+	run("samgen", "-workload", "imdb.json", "-schema", "imdb_schema.json", "-population", pop[1],
+		"-outdir", "views", "-epochs", "1", "-hidden", "16", "-samples", "2000", "-stream", "-no-gam")
+	checkStreamedFKs(t, filepath.Join(dir, "imdb_schema.json"), filepath.Join(dir, "views"))
 
 	out = run("samgen", "-workload", "wl.json", "-schema", "schema.json",
 		"-outdir", "gen", "-epochs", "3", "-hidden", "16", "-samples", "1200",
@@ -87,10 +93,59 @@ func TestCLITools(t *testing.T) {
 	}
 }
 
+// checkStreamedFKs reads the CSVs samgen wrote to outDir into the schema
+// specPath describes and fails unless every table is there and every
+// foreign key names a key of its parent.
+func checkStreamedFKs(t *testing.T, specPath, outDir string) {
+	t.Helper()
+	f, err := os.Open(specPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := relation.ReadSpec(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := spec.EmptySchema()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tab := range db.Tables {
+		f, err := os.Open(filepath.Join(outDir, tab.Name+".csv"))
+		if err != nil {
+			t.Fatalf("samgen -stream -no-gam wrote no CSV for %s: %v", tab.Name, err)
+		}
+		err = tab.ReadCSV(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s.csv: %v", tab.Name, err)
+		}
+	}
+	for _, tab := range db.Tables {
+		if tab.Parent == "" {
+			continue
+		}
+		parent := db.Table(tab.Parent)
+		pks := make(map[int64]bool, parent.NumRows())
+		for i := 0; i < parent.NumRows(); i++ {
+			pks[parent.PK(i)] = true
+		}
+		if tab.NumRows() == 0 {
+			t.Fatalf("%s.csv holds no rows", tab.Name)
+		}
+		for i, fk := range tab.FK {
+			if !pks[fk] {
+				t.Fatalf("%s.csv row %d: foreign key %d names no %s key", tab.Name, i, fk, tab.Parent)
+			}
+		}
+	}
+}
+
 // TestSambenchTraceSmoke is the CI telemetry gate: it runs the smallest
 // real experiment with -trace and fails unless the produced JSONL parses
 // as a well-formed span tree covering every pipeline phase — train,
-// sample, weight, merge, and eval — with positive wall time. A refactor
+// sample, merge, and eval — with positive wall time. A refactor
 // that silently drops a phase span (or breaks the JSONL writer) fails
 // here, not in production debugging.
 func TestSambenchTraceSmoke(t *testing.T) {
@@ -127,7 +182,7 @@ func TestSambenchTraceSmoke(t *testing.T) {
 	for _, rec := range recs {
 		wall[rec.Name] += rec.WallUS
 	}
-	for _, phase := range []string{"train", "sample", "weight", "merge", "eval"} {
+	for _, phase := range []string{"train", "sample", "merge", "eval"} {
 		if _, ok := wall[phase]; !ok {
 			t.Fatalf("trace missing %q phase span (have %v)", phase, wall)
 		}
