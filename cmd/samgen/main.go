@@ -15,12 +15,15 @@
 // size, printed by workloadgen).
 //
 // -stream removes the in-memory row-count ceiling: sampling is sharded
-// into independently reproducible (seed, shard) units under outdir/shards
-// and tables are merged and written through bounded-memory spill files, so
-// peak memory no longer grows with -samples. The shards and spill files
-// are removed once the CSVs are written, also when generation fails.
-// -workers parallelizes across shards without changing a single output
-// byte.
+// under outdir/shards and tables are merged and written through
+// bounded-memory spill files, so peak memory no longer grows with
+// -samples. The shards and spill files are removed once the CSVs are
+// written, also when generation fails.
+//
+// The generated database is a pure function of (-seed, -samples): sample
+// i draws from its own random stream, and the merge walks its groups in
+// hash order. -batch, -shards, -workers and -partitions change speed and
+// memory only, and -stream writes the CSVs the in-memory run builds.
 //
 // -no-gam runs the paper's "SAM w/o Group-and-Merge" ablation: foreign keys
 // are drawn from pairwise (parent, child) views instead of Group-and-Merge.
@@ -62,14 +65,14 @@ func main() {
 	schemaPath := flag.String("schema", "schema.json", "schema metadata (JSON)")
 	outDir := flag.String("outdir", "generated", "output directory for CSVs")
 	stream := flag.Bool("stream", false, "bounded-memory generation: shard the sampler and stream tables to disk (removes the in-memory row-count ceiling)")
-	shards := flag.Int("shards", 0, "sample shards for -stream (0 = one per 16Ki rows); each shard is independently reproducible from (seed, shard)")
+	shards := flag.Int("shards", 0, "sample shards for -stream (0 = one per 16Ki rows); workers sample whole shards, and the count never changes output bytes")
 	workers := flag.Int("workers", 0, "sampling goroutines (0 = GOMAXPROCS); workers parallelize across shards without changing output bytes")
-	partitions := flag.Int("partitions", 0, "spill partitions for the external group-and-merge (0 = 64)")
+	partitions := flag.Int("partitions", 0, "spill partitions for the external group-and-merge (0 = 64); bounds merge memory without changing output bytes")
 	population := flag.Float64("population", 0, "full outer join size (multi-relation only; single-relation defaults to |T|)")
 	epochs := flag.Int("epochs", 6, "training epochs")
 	hidden := flag.Int("hidden", 64, "hidden width of the MADE backbone")
 	samples := flag.Int("samples", 0, "FOJ samples for generation (0 = auto)")
-	batch := flag.Int("batch", 64, "ancestral-sampling lanes per worker (<=1 means one lane)")
+	batch := flag.Int("batch", 64, "ancestral-sampling lanes per worker (<=1 means one lane); changes speed, not output bytes")
 	seed := flag.Int64("seed", 1, "random seed")
 	noGam := flag.Bool("no-gam", false, "assign foreign keys from pairwise views instead of Group-and-Merge (the paper's ablation; works with -stream)")
 	arch := flag.String("arch", "made", "autoregressive backbone: made or transformer")

@@ -126,7 +126,8 @@ func archName(a string) string {
 }
 
 // sampleMarginals estimates per-column bin frequencies from n ancestral
-// samples, drawn max(batch, 1) lanes at a time.
+// samples, drawn max(batch, 1) lanes at a time. Sample i draws from
+// stream ar.SplitSeed(1, i), as a generation run with seed 1 would.
 func sampleMarginals(m *ar.Model, n, batch int) [][]float64 {
 	ncols := m.Layout.NumCols()
 	out := make([][]float64, ncols)
@@ -140,11 +141,14 @@ func sampleMarginals(m *ar.Model, n, batch int) [][]float64 {
 	s := m.NewBatchSampler(batch)
 	rngs := make([]*rand.Rand, batch)
 	for l := range rngs {
-		rngs[l] = rand.New(rand.NewSource(1 + int64(l)*7919))
+		rngs[l] = ar.NewSampleRand(0)
 	}
 	dst := make([]int32, batch*ncols)
 	for drawn := 0; drawn < n; drawn += batch {
 		lanes := min(batch, n-drawn)
+		for l, r := range rngs[:lanes] {
+			r.Seed(ar.SplitSeed(1, drawn+l))
+		}
 		s.SampleFOJBatch(rngs[:lanes], dst[:lanes*ncols])
 		for l := 0; l < lanes; l++ {
 			for i, b := range dst[l*ncols : (l+1)*ncols] {

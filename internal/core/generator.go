@@ -27,10 +27,9 @@ type GenOptions struct {
 	Workers int
 	// Batch is the number of sampling lanes advanced through the model per
 	// forward sweep (batched ancestral sampling); values ≤ 1 mean one
-	// lane. Lane l of shard s owns rng stream
-	// ar.LaneSeed(ar.SplitSeed(Seed, s), l), so the output is a pure
-	// function of (Seed, Samples, Batch) and the shard and partition
-	// counts, whatever Workers or GOMAXPROCS are.
+	// lane. Sample i draws from stream ar.SplitSeed(Seed, i) whichever
+	// lane draws it, so Batch changes speed only: the output is a pure
+	// function of (Seed, Samples).
 	Batch int
 	// Seed drives all sampling randomness.
 	Seed int64
@@ -104,14 +103,14 @@ func (g *Generator) sampleCount(samples int) int {
 
 // Generate runs the full pipeline in memory: the sharded sampler and the
 // merge engine of GenerateStream, under the key policy opts.GroupAndMerge
-// picks, over a memory store, with one spill partition. newSampler is called once per sampling goroutine and
-// must return a sampler that accepts max(opts.Batch, 1) lanes per call; a
-// stateless sampler may return itself repeatedly.
+// picks, over a memory store, with one spill partition. newSampler is
+// called once per sampling goroutine and must return a sampler that
+// accepts max(opts.Batch, 1) lanes per call; a stateless sampler may
+// return itself repeatedly.
 //
-// The output is a pure function of (Seed, Samples, Batch): the shard
-// count follows from Samples alone, and Workers only decides how many
-// shards are sampled at once. It equals, byte for byte, what
-// GenerateStream writes for the same options with Partitions = 1.
+// The output is a pure function of (Seed, Samples). It equals, byte for
+// byte, what GenerateStream writes for the same Seed and Samples at any
+// Batch, Workers, Shards and Partitions.
 func (g *Generator) Generate(newSampler func() join.TupleSampler, opts GenOptions) (*relation.Schema, error) {
 	so := StreamOptions{GenOptions: opts, Partitions: 1}
 	set, err := g.SampleShards(newSampler, g.sampleCount(opts.Samples), so)

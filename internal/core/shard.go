@@ -17,17 +17,16 @@ import (
 
 // StreamOptions configures the sharded, bounded-memory generation path.
 // It extends GenOptions with the shard and spill layout. Generate uses the
-// same engine with a memory store and one partition; both paths share the
-// determinism contract: a shard's bytes are a pure function of (Seed, shard
-// index, shard row range, Batch), independent of Workers and of which
-// goroutine happens to sample the shard. Workers only parallelize across
-// shards.
+// same engine with a memory store and one partition. Both paths share the
+// determinism contract: the generated database is a pure function of
+// (Seed, Samples), and the shard and spill layout only trade speed for
+// memory.
 type StreamOptions struct {
 	GenOptions
 
 	// Shards is the number of sample shards; 0 derives one shard per
-	// defaultShardRows rows (at least one). The shard count is part of the
-	// reproducibility coordinates: it fixes each shard's row range.
+	// defaultShardRows rows (at least one). Workers sample whole shards, so
+	// the count bounds sampling parallelism; it never changes the output.
 	Shards int
 	// OutDir receives the shard sample files (subdirectory "shards"), the
 	// merge's spill files (subdirectory ".spill", removed when the merge
@@ -35,8 +34,9 @@ type StreamOptions struct {
 	// empty OutDir makes SampleShards keep its shards in memory.
 	OutDir string
 	// Partitions is the spill fan-out of the external group-and-merge;
-	// 0 defaults to 64. Part of the merge's determinism coordinates (it
-	// fixes the group traversal order), not of the shard sampling contract.
+	// 0 defaults to 64. The merge walks its groups in hash order whatever
+	// the fan-out, so Partitions bounds merge memory and never changes the
+	// output.
 	Partitions int
 }
 
@@ -45,10 +45,10 @@ func DefaultStreamOptions(seed int64, outDir string) StreamOptions {
 	return StreamOptions{GenOptions: DefaultGenOptions(seed), OutDir: outDir}
 }
 
-// defaultShardRows sizes auto-derived shards. Deliberately a function of
-// the requested row count only — never of the machine — so default runs
-// stay reproducible across hosts. Small enough that a few tens of
-// thousands of samples still spread over several sampling workers.
+// defaultShardRows sizes auto-derived shards. The shard layout does not
+// change the output, so the size only trades scheduling granularity
+// against per-shard overhead. Small enough that a few tens of thousands
+// of samples still spread over several sampling workers.
 const defaultShardRows = 1 << 14
 
 // rowsPerChunk bounds sampler→writer buffering per shard and sizes the
@@ -105,10 +105,10 @@ func shardPath(dir string, s int) string {
 // bounded chunk pipeline to its writer, so the sampler's own memory is
 // O(workers × rowsPerChunk × NumCols) regardless of k.
 //
-// Shard s's bytes are a pure function of (Seed, s, its row range, Batch):
-// lane l of shard s always consumes rng stream
-// ar.LaneSeed(ar.SplitSeed(Seed, s), l), whichever goroutine samples it
-// and in whatever order shards are claimed.
+// Sample i draws from its own stream, ar.SplitSeed(Seed, i), whatever
+// shard, lane or goroutine draws it, so the samples are a pure function of
+// (Seed, k): the shard count, Batch and Workers change only how they are
+// laid out and how fast they are drawn.
 func (g *Generator) SampleShards(newSampler func() join.TupleSampler, k int, opts StreamOptions) (*ShardSet, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("core: sample count %d must be positive", k)
@@ -188,7 +188,7 @@ func (g *Generator) SampleShards(newSampler func() join.TupleSampler, k int, opt
 	run := func() {
 		rngs := make([]*rand.Rand, batch)
 		for l := range rngs {
-			rngs[l] = rand.New(rand.NewSource(0))
+			rngs[l] = ar.NewSampleRand(0)
 		}
 		sampler := newSampler()
 		for {
@@ -197,9 +197,9 @@ func (g *Generator) SampleShards(newSampler func() join.TupleSampler, k int, opt
 				return
 			}
 			lo, hi := shardRange(k, S, si)
-			path, err := g.sampleOneShard(st, sampler, rngs, si, hi-lo, dir, span, opts, emitProgress)
+			path, err := g.sampleOneShard(st, sampler, rngs, si, lo, hi-lo, dir, span, opts, emitProgress)
 			if err != nil {
-				fail(fmt.Errorf("core: shard %d: %w", si, err))
+				fail(err)
 				return
 			}
 			set.Paths[si] = path
@@ -232,27 +232,24 @@ func (g *Generator) SampleShards(newSampler func() join.TupleSampler, k int, opt
 	return set, nil
 }
 
-// sampleOneShard draws rows tuples for one shard, streaming them to the
-// shard stream in st through a bounded chunk pipeline: the sampler fills
-// pooled chunk buffers and blocks when chunkBuffers of them are in
-// flight, the writer goroutine drains them in order. The chunk size
+// sampleOneShard draws samples lo … lo+rows-1 into one shard, streaming
+// them to the shard stream in st through a bounded chunk pipeline: the
+// sampler fills pooled chunk buffers and blocks when chunkBuffers of them
+// are in flight, the writer goroutine drains them in order. Each lane is
+// reseeded to its sample's stream before every sweep. The chunk size
 // affects only memory and syscall granularity — the byte stream is fixed
-// by (Seed, shard, rows, Batch).
+// by (Seed, lo, rows).
 //
 // Telemetry (the per-shard span under psp, the stream_pass "shard" event
 // with its backpressure wait) is strictly observational: the sampling
 // order, rng consumption, and shard bytes are identical with observers on
 // or off, and the per-chunk wait clock only runs when a hook listens.
 func (g *Generator) sampleOneShard(st store, sampler join.TupleSampler, rngs []*rand.Rand,
-	shard, rows int, dir string, psp *obs.Span, opts StreamOptions, emitProgress func(int)) (string, error) {
+	shard, lo, rows int, dir string, psp *obs.Span, opts StreamOptions, emitProgress func(int)) (string, error) {
 	ncols := g.Layout.NumCols()
 	batch := len(rngs)
 	// Chunks hold whole sweeps so a batched sweep never straddles buffers.
 	chunkRows := (rowsPerChunk + batch - 1) / batch * batch
-	base := ar.SplitSeed(opts.Seed, shard)
-	for l := range rngs {
-		rngs[l].Seed(ar.LaneSeed(base, l))
-	}
 
 	shardStart := time.Now()
 	sp := psp.Child("shard")
@@ -326,6 +323,9 @@ func (g *Generator) sampleOneShard(st store, sampler join.TupleSampler, rngs []*
 	for done := 0; done < rows && !writeFailed.Load(); {
 		n := min(batch, rows-done)
 		dst := cur[filled*ncols : (filled+n)*ncols]
+		for l, r := range rngs[:n] {
+			r.Seed(ar.SplitSeed(opts.Seed, lo+done+l))
+		}
 		sampler.SampleFOJBatch(rngs[:n], dst)
 		for i := 0; i < n; i++ {
 			g.sanitize(dst[i*ncols : (i+1)*ncols])

@@ -19,12 +19,11 @@ import (
 // varints — so a run's blocks are plain arrays that readers decode in
 // place.
 
-// spillPartition hashes a group key to one of p partitions (FNV-1a over
-// the key bytes). The hash — and therefore the (partition,
-// first-appearance) group order every downstream pass inherits — depends
-// only on the key bytes and p, keeping the merge deterministic for a fixed
-// Partitions setting.
-func spillPartition(key []byte, p int) int {
+// keyHash is FNV-1a over a group key's bytes. Pass A puts a record in the
+// partition that holds its key's hash range, and pass B walks each
+// partition's groups in (hash, key bytes) order, so the merge walks every
+// group in one global order whatever the partition count.
+func keyHash(key []byte) uint64 {
 	const (
 		offset64 = 0xcbf29ce484222325
 		prime64  = 0x100000001b3
@@ -34,19 +33,7 @@ func spillPartition(key []byte, p int) int {
 		h ^= uint64(b)
 		h *= prime64
 	}
-	return int(h % uint64(p))
-}
-
-// packKey appends the group-key encoding of codes plus an already-assigned
-// parent key to dst.
-func packKey(dst []byte, codes []int32, pk int64) []byte {
-	for _, v := range codes {
-		dst = append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	for s := 0; s < 64; s += 8 {
-		dst = append(dst, byte(pk>>s))
-	}
-	return dst
+	return h
 }
 
 // spillRun is one spill pass's stream: P partitions (raw records) or
@@ -84,7 +71,7 @@ type spillBlock struct {
 func newSpillRun(st store, name string, pool [][]byte, size int) (*spillRun, error) {
 	w, err := st.create(name)
 	if err != nil {
-		return nil, fmt.Errorf("core: create spill run: %w", err)
+		return nil, err
 	}
 	block := max(storeBufSize/size, 1) * size
 	r := &spillRun{st: st, name: name, size: size, blocks: make([][]spillBlock, len(pool)), w: w, bufs: make([][]byte, len(pool))}
@@ -146,7 +133,7 @@ func (r *spillRun) records(part int, fn func(rec []byte) error) error {
 	if r.r == nil {
 		f, err := r.st.open(r.name)
 		if err != nil {
-			return fmt.Errorf("core: open spill run: %w", err)
+			return err
 		}
 		r.r = f
 	}

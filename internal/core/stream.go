@@ -2,12 +2,16 @@ package core
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"time"
 
 	"sam/internal/join"
@@ -252,9 +256,9 @@ func (g *Generator) MaterializeStream(set *ShardSet, opts StreamOptions) (*Strea
 // rows going to the sink newSink returns. opts.GroupAndMerge picks the key
 // policy: Alg. 3's key spans, or the pairwise-view ablation. Spill
 // streams live in the set's store under opts.OutDir/.spill and are
-// partitioned by group-key hash, so group order is (hash partition, first
-// appearance within the partition): deterministic for fixed (shards,
-// Seed, Partitions), and plain first-appearance order with one partition.
+// partitioned by ranges of the group-key hash, and each partition's groups
+// are walked in (hash, key bytes) order, so the groups, the keys and the
+// merge rng's draws come in one order for every partition count.
 // Peak memory is O(samples ÷ Partitions) plus the streaming buffers,
 // whatever the store and sinks hold and, under the ablation, the key
 // index of each parent whose children are still to come. res receives
@@ -323,7 +327,7 @@ func (g *Generator) merge(set *ShardSet, opts StreamOptions, res *StreamResult, 
 			}
 		}
 		if err != nil {
-			return fmt.Errorf("core: stream table %s: %w", tc.t.Name, err)
+			return err
 		}
 		res.Rows[tc.t.Name] = out.rows
 		res.Groups[tc.t.Name] = out.groups
@@ -391,11 +395,14 @@ func (s *csvSink) close() error {
 	return err
 }
 
-// group is one merge group of a partition: its weight mass, the parent
-// key its members share, its codes after the identifier bins (content,
-// then under the ablation the parent's content) and, for internal tables
-// under Group-and-Merge, its members.
+// group is one merge group of a partition: its key bytes and their hash,
+// its weight mass, the parent key its members share, its codes after the
+// identifier bins (content, then under the ablation the parent's content)
+// and, for internal tables under Group-and-Merge, its members in sample
+// order.
 type group struct {
+	key     string
+	hash    uint64
 	gw      float64
 	pk      int64
 	codes   []int32
@@ -404,22 +411,23 @@ type group struct {
 
 // streamTable materializes one table in two passes over spill streams:
 //
-//	A: stream the samples and spill each surviving one to its group key's
-//	   hash partition, summing the spilled weight mass. Under
+//	A: stream the samples and spill each surviving one to the partition
+//	   holding its group key's hash, summing the spilled weight mass. Under
 //	   Group-and-Merge a child sample's spans are looked up in the
 //	   parent's span buckets: an internal table keys a sample by its
 //	   coarse identifier bins and its majority parent key; a leaf table
 //	   spills one record per parent span, with weight w·frac, keyed by
 //	   content bins and that span's key. Under the ablation every sample
 //	   is keyed by its content bins and its parent's content bins.
-//	B: group each partition in first-appearance order and walk its groups
-//	   through a systematic allocator of |T| keys (rows, for a leaf) over
-//	   the pass A mass, decoding each row fresh. Under Group-and-Merge an
-//	   internal table cell-walks each group's members into span records,
-//	   bucketed by sample index, for its children. Under the ablation an
-//	   internal table indexes its keys by content bins, and a child row's
-//	   foreign key is uniform among the parent keys whose content matches
-//	   the group's parent content (among all parent keys if none does).
+//	B: group each partition, sort its groups by (hash, key bytes) and
+//	   walk them through a systematic allocator of |T| keys (rows, for a
+//	   leaf) over the pass A mass, decoding each row fresh. Under
+//	   Group-and-Merge an internal table cell-walks each group's members
+//	   into span records, bucketed by sample index, for its children.
+//	   Under the ablation an internal table indexes its keys by content
+//	   bins, and a child row's foreign key is uniform among the parent
+//	   keys whose content matches the group's parent content (among all
+//	   parent keys if none does).
 //	   Summing the mass in pass A makes a leaf's mass lost with dropped
 //	   parent groups drop out of the allocation's scale, as a rescale to
 //	   |T| would.
@@ -453,7 +461,9 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, parent *tableKeys, 
 	// index, each holding O(samples ÷ P) samples' spans.
 	width := max(int64((set.Total+P-1)/P), 1)
 
-	// Pass A: spill surviving samples to group-hash partitions.
+	// Pass A: spill surviving samples to group-hash partitions. Partition
+	// p holds the hashes h with ⌊h·P / 2⁶⁴⌋ = p, so the partitions, taken
+	// in order, cover the hash space in order.
 	aStart := time.Now()
 	passA := tspan.Child("A")
 	raw, err := newSpillRun(st, filepath.Join(spillDir, name+".raw"), pool, rawSize)
@@ -463,13 +473,12 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, parent *tableKeys, 
 	}
 	defer raw.drop()
 	codes := make([]int32, nid+nc+npc)
-	var keyBuf, recBuf []byte
+	var recBuf []byte
 	var bucket spanBucket
 	loaded := int64(-1) // index of the span bucket held in bucket
 	var spilled int64
 	var mass float64
 	spill := func(idx int64, w float64, pk int64) error {
-		keyBuf = packKey(keyBuf[:0], codes[:(keyEnd-16)/4], pk)
 		recBuf = putF64(recBuf[:0], w)
 		recBuf = putU64(recBuf, uint64(pk))
 		recBuf = putI32s(recBuf, codes)
@@ -478,7 +487,8 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, parent *tableKeys, 
 		}
 		spilled++
 		mass += w
-		return raw.write(spillPartition(keyBuf, P), recBuf)
+		part, _ := bits.Mul64(keyHash(recBuf[8:keyEnd]), uint64(P))
+		return raw.write(int(part), recBuf)
 	}
 	err = set.Stream(buf, func(idx int64, row []int32) error {
 		wi := g.sampleWeight(tc, row)
@@ -537,9 +547,10 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, parent *tableKeys, 
 		Wall:         time.Since(aStart),
 	})
 
-	// Pass B: group each partition (first-appearance order) and allocate
-	// |T| keys across the groups in order. Groups resolve with a one-group
-	// delay so the final group absorbs the allocator's drift remainder.
+	// Pass B: group each partition, sort its groups by (hash, key bytes)
+	// and allocate |T| keys across the groups in that order. Groups resolve
+	// with a one-group delay so the final group absorbs the allocator's
+	// drift remainder.
 	bStart := time.Now()
 	passB := tspan.Child("B")
 	defer passB.End()
@@ -617,12 +628,12 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, parent *tableKeys, 
 			lookup := make(map[string]*group)
 			err := raw.records(part, func(rec []byte) error {
 				w := getF64(rec)
-				key := string(rec[8:keyEnd]) // parent key + key codes
-				grp := lookup[key]
+				key := rec[8:keyEnd] // parent key + key codes
+				grp := lookup[string(key)]
 				if grp == nil {
-					grp = &group{pk: int64(getU64(rec[8:])), codes: make([]int32, nc+npc)}
+					grp = &group{key: string(key), hash: keyHash(key), pk: int64(getU64(rec[8:])), codes: make([]int32, nc+npc)}
 					getI32s(rec[16+4*nid:], grp.codes)
-					lookup[key] = grp
+					lookup[grp.key] = grp
 					order = append(order, grp)
 				}
 				grp.gw += w
@@ -637,6 +648,12 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, parent *tableKeys, 
 			if part == P-1 {
 				raw.drop() // free it before the last groups are emitted
 			}
+			slices.SortFunc(order, func(a, b *group) int {
+				if c := cmp.Compare(a.hash, b.hash); c != 0 {
+					return c
+				}
+				return strings.Compare(a.key, b.key)
+			})
 			groups += len(order)
 			for _, grp := range order {
 				count := alloc.next(grp.gw)

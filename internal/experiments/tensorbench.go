@@ -210,11 +210,13 @@ func RunTensorBench() *TensorBenchReport {
 	add("sample_per_tuple", func(b *testing.B) {
 		m := benchSamplerModel()
 		s := m.NewBatchSampler(1)
-		rngs := []*rand.Rand{rand.New(rand.NewSource(7))}
+		rngs := []*rand.Rand{ar.NewSampleRand(0)}
 		dst := make([]int32, m.Layout.NumCols())
 		b.ReportAllocs()
 		b.ResetTimer()
+		// Each tuple draws from its own stream, as in generation.
 		for i := 0; i < b.N; i++ {
+			rngs[0].Seed(ar.SplitSeed(7, i))
 			s.SampleFOJBatch(rngs, dst)
 		}
 	})
@@ -225,14 +227,18 @@ func RunTensorBench() *TensorBenchReport {
 		s := m.NewBatchSampler(lanes)
 		rngs := make([]*rand.Rand, lanes)
 		for l := range rngs {
-			rngs[l] = rand.New(rand.NewSource(7 + int64(l)*7919))
+			rngs[l] = ar.NewSampleRand(0)
 		}
 		dst := make([]int32, lanes*m.Layout.NumCols())
 		b.ReportAllocs()
 		b.ResetTimer()
 		// One iteration = one tuple, so ns/op is directly comparable with
-		// sample_per_tuple; each sweep draws a whole batch.
+		// sample_per_tuple; each sweep draws a whole batch, every lane
+		// reseeded to its tuple's stream as in generation.
 		for drawn := 0; drawn < b.N; drawn += lanes {
+			for l, r := range rngs {
+				r.Seed(ar.SplitSeed(7, drawn+l))
+			}
 			s.SampleFOJBatch(rngs, dst)
 		}
 	})

@@ -29,8 +29,8 @@ var seedSinks = map[string]bool{
 }
 
 // DetRand enforces the determinism contract on pipeline packages:
-// generated databases must be bit-identical for a fixed (seed, workers,
-// batch), so randomness must flow in as parameters or per-lane streams.
+// generated databases must be bit-identical for a fixed (seed, samples),
+// so randomness must flow in as parameters or per-sample streams.
 // It flags (1) calls to math/rand and math/rand/v2 package-level
 // functions, which draw from unseeded process-global state, and (2) RNG
 // seeds derived from time.Now, with a suggested fix replacing the

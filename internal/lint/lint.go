@@ -2,8 +2,8 @@
 // that turns invariants earlier PRs bought at runtime into machine-checked
 // law. Each analyzer encodes one invariant:
 //
-//   - detrand: sampling is bit-deterministic for a fixed (seed, workers,
-//     batch) — pipeline packages must not draw from the global math/rand
+//   - detrand: sampling is bit-deterministic for a fixed (seed,
+//     samples) — pipeline packages must not draw from the global math/rand
 //     state or seed RNGs from the clock.
 //   - hotalloc: warm train/sample steps are zero-allocation — loops in
 //     pipeline packages must not call allocating tensor constructors or

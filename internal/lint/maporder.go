@@ -10,14 +10,13 @@ import (
 	"sam/internal/lint/analysis"
 )
 
-// MapOrder enforces the determinism half of the (seed, shard) contract at
-// its most common failure point: Go map iteration order is randomized per
-// run, so any value derived from ranging over a map must never reach an
-// output writer, a hash, an RNG seed, or a merge comparator. A violation
+// MapOrder enforces the (seed, samples) determinism contract at its most
+// common failure point: Go map iteration order is randomized per run, so
+// any value derived from ranging over a map must never reach an output
+// writer, a hash, an RNG seed, or a merge comparator. A violation
 // produces a database that differs run to run with the same seed — the
-// exact breakage TestShardBytesInvariantAcrossWorkers exists to catch,
-// except the analyzer catches it in every function, not just the tested
-// ones.
+// exact breakage TestGenerateMatchesStreamBytes exists to catch, except
+// the analyzer catches it in every function, not just the tested ones.
 //
 // The check is taint-based: variables bound by `range m` (m a map) are
 // seeds, the def-use graph (analysis.BuildTaint) propagates through
@@ -146,8 +145,9 @@ func argTainted(info *types.Info, arg ast.Expr, tainted map[types.Object]bool) b
 //     hash.Hash implementations (shard bytes, spill runs, CSV rows, and
 //     partition hashes must not depend on iteration order);
 //   - fmt.Fprint* into any writer;
-//   - RNG seeding: math/rand sources and the repo's own seed-splitting
-//     (ar.SplitSeed / ar.LaneSeed);
+//   - RNG seeding: math/rand sources, (*math/rand.Rand).Seed (how a
+//     sampler points a lane at a sample's stream) and the repo's own
+//     per-sample streams (ar.SplitSeed / ar.NewSampleRand);
 //   - container/heap.Push — merge-heap comparators see insertion order.
 func orderSink(info *types.Info, call *ast.CallExpr) (string, []ast.Expr) {
 	fn := calleeFunc(info, call)
@@ -160,10 +160,11 @@ func orderSink(info *types.Info, call *ast.CallExpr) (string, []ast.Expr) {
 	}
 	path := pkgPath(fn)
 	if recv := sig.Recv(); recv != nil {
-		if !strings.HasPrefix(fn.Name(), "Write") {
-			return "", nil
-		}
 		switch {
+		case path == "math/rand" && fn.Name() == "Seed":
+			return fn.FullName(), call.Args
+		case !strings.HasPrefix(fn.Name(), "Write"):
+			return "", nil
 		case path == relationPath,
 			path == "bufio", path == "os", path == "io",
 			path == "hash", strings.HasPrefix(path, "hash/"):
@@ -183,7 +184,7 @@ func orderSink(info *types.Info, call *ast.CallExpr) (string, []ast.Expr) {
 		}
 	case "sam/internal/ar":
 		switch fn.Name() {
-		case "SplitSeed", "LaneSeed":
+		case "SplitSeed", "NewSampleRand":
 			return "ar." + fn.Name(), call.Args
 		}
 	case "container/heap":

@@ -3,6 +3,7 @@ package maporder
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"sort"
 )
 
@@ -38,4 +39,12 @@ func dumpSorted(w io.Writer, m map[string]int) error {
 		}
 	}
 	return nil
+}
+
+// Reseeding lanes from their index in a slice is deterministic: each
+// lane's stream follows from its position alone.
+func reseedLanes(rngs []*rand.Rand, seed int64) {
+	for l, r := range rngs {
+		r.Seed(seed + int64(l))
+	}
 }

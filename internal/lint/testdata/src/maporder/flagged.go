@@ -50,6 +50,13 @@ func seedFromMap(m map[int]float64) *rand.Rand {
 	return r
 }
 
+// Reseeding a lane from a map key ties its stream to iteration order.
+func reseedFromMap(r *rand.Rand, m map[int]bool) {
+	for k := range m {
+		r.Seed(int64(k)) // want `value derived from map iteration order reaches \(\*math/rand\.Rand\)\.Seed \(map range at line \d+\)`
+	}
+}
+
 // intHeap is a minimal heap.Interface for the merge-comparator sink.
 type intHeap []int
 

@@ -366,13 +366,17 @@ func BenchmarkSampleVectorKernels(b *testing.B) {
 				s := m.NewBatchSampler(lanes)
 				rngs := make([]*rand.Rand, lanes)
 				for l := range rngs {
-					rngs[l] = rand.New(rand.NewSource(7 + int64(l)*7919))
+					rngs[l] = ar.NewSampleRand(0)
 				}
 				dst := make([]int32, lanes*len(colSizes))
 				b.ReportAllocs()
 				b.ResetTimer()
-				// One iteration is one tuple; each sweep draws a batch.
+				// One iteration is one tuple; each sweep draws a batch,
+				// every lane on its tuple's stream as in generation.
 				for drawn := 0; drawn < b.N; drawn += lanes {
+					for l, r := range rngs {
+						r.Seed(ar.SplitSeed(7, drawn+l))
+					}
 					s.SampleFOJBatch(rngs, dst)
 				}
 			})

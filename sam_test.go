@@ -120,7 +120,7 @@ func TestEstimateFacade(t *testing.T) {
 }
 
 // TestGenerateInvariantAcrossWorkers pins the public determinism contract:
-// sam.Generate is a pure function of (seed, samples, batch). Workers ∈
+// sam.Generate is a pure function of (seed, samples). Workers ∈
 // {0, 1, 2, 3} under GOMAXPROCS ∈ {1, 2} all yield the same database;
 // Workers 0 means GOMAXPROCS, the default a host would otherwise leak
 // into the output through.
