@@ -64,6 +64,10 @@ type Graph struct {
 	owned      []*Tensor         // pool-allocated tensors live on this tape
 	spareNodes []*Node           // recycled Node structs
 	partsArena []*Node           // backing storage for Node.parts slices
+
+	// Scratch of matMulTransBAdd, grown to the largest call and reused.
+	transB, transBProd *Tensor
+	transBPrefix       []int
 }
 
 // NewGraph returns an empty tape.

@@ -12,14 +12,16 @@ import "fmt"
 //
 // The register-blocked paths process four weight rows at a time; rows in a
 // block may have different spans, so the block handles the intersection
-// with axpy4/dot4 and the per-row leftovers scalar. Sorted-degree masks
+// with axpy4 and the per-row leftovers with axpy1. Sorted-degree masks
 // give near-identical spans for adjacent rows, keeping the leftovers tiny.
 //
 // The autodiff kernels (matMulWindow*) work on a window of the masked
 // product: weight rows [0, rowEnd) and columns [colOff, colEnd), with
-// every span clipped to the window. The full product is the window
-// covering everything. A progressive-sampling step for column i needs
-// only the window its logit block depends on (see Graph.MaskedMatMulWindow).
+// every span clipped to the window; the window's input gradient runs on
+// the prefix tiles instead (Graph.matMulTransBAdd). The full product is
+// the window covering everything. A progressive-sampling step for column
+// i needs only the window its logit block depends on (see
+// Graph.MaskedMatMulWindow).
 
 // The remaining kernels serve batched ancestral sampling over MADE's
 // sorted-degree masks, whose spans are suffixes [start, n) with
@@ -76,6 +78,10 @@ func MatMulNZSuffixHeadRangeInto(dst, a *Tensor, nz [][]int, mw *Tensor, spans [
 // reason the Go loop may skip zero activations. Every element thus
 // depends only on its own row, column and prefix, not on its tile, lo or
 // the lane count, and the AVX2 tiles store exactly what the Go loop does.
+// a ≥ +0 matters only across different prefixes within a tile: when every
+// unit of a call shares one prefix there are no extra terms, and signed
+// activations are exact too, which is how Graph.MatMulTransBAddInto runs
+// the input gradient on these tiles.
 func MatMulPrefixInto(dst, a, w *Tensor, off int, prefix []int, lo, head int) {
 	if dst.Rows != a.Rows || lo < 0 || lo > head || head > dst.Cols || head > len(prefix) ||
 		off < 0 || off+head > w.Cols {
@@ -87,22 +93,28 @@ func MatMulPrefixInto(dst, a, w *Tensor, off int, prefix []int, lo, head int) {
 	if k := prefix[head-1]; k > a.Cols || k > w.Rows || prefix[lo] < 0 {
 		panic(fmt.Sprintf("tensor: prefix %d..%d outside %v·%v", prefix[lo], k, a, w))
 	}
+	matMulPrefixRows(dst, a, w, off, prefix, lo, head, 0, a.Rows)
+}
+
+// matMulPrefixRows runs MatMulPrefixInto's kernel, unchecked, over rows
+// [r0, r1) of dst and a, with lo < head.
+func matMulPrefixRows(dst, a, w *Tensor, off int, prefix []int, lo, head, r0, r1 int) {
 	if vectorKernels {
-		matMulPrefixVec(dst, a, w, off, prefix[lo:head], lo)
+		matMulPrefixVec(dst, a, w, off, prefix[lo:head], lo, r0, r1)
 		return
 	}
-	matMulPrefixGo(dst, a, w, off, prefix, lo, head)
+	matMulPrefixGo(dst, a, w, off, prefix, lo, head, r0, r1)
 }
 
 // matMulPrefixVec runs the AVX2 tiles, 8 lanes × 4 units while eight lanes
 // remain and 1 lane × 16 units per leftover lane; pre is prefix[lo:head].
-func matMulPrefixVec(dst, a, w *Tensor, off int, pre []int, lo int) {
+func matMulPrefixVec(dst, a, w *Tensor, off int, pre []int, lo, r0, r1 int) {
 	wd := w.Data[off+lo:]
-	r := 0
-	for ; r+8 <= a.Rows; r += 8 {
+	r := r0
+	for ; r+8 <= r1; r += 8 {
 		laneTile8AVX2(dst.Data[r*dst.Cols+lo:], dst.Cols, a.Data[r*a.Cols:], a.Cols, wd, w.Cols, pre)
 	}
-	for ; r < a.Rows; r++ {
+	for ; r < r1; r++ {
 		laneTile1AVX2(dst.Data[r*dst.Cols+lo:], a.Data[r*a.Cols:], wd, w.Cols, pre)
 	}
 }
@@ -113,10 +125,10 @@ func matMulPrefixVec(dst, a, w *Tensor, off int, pre []int, lo int) {
 // per pass over the units, each element taking its terms one by one in k
 // order from +0 (seqAxpy4). A unit the group's later rows do not reach
 // multiplies a masked-off ±0 there.
-func matMulPrefixGo(dst, a, w *Tensor, off int, prefix []int, lo, head int) {
+func matMulPrefixGo(dst, a, w *Tensor, off int, prefix []int, lo, head, r0, r1 int) {
 	n, kEnd := w.Cols, prefix[head-1]
 	var list [64]int
-	for r := 0; r < a.Rows; r++ {
+	for r := r0; r < r1; r++ {
 		arow := a.Data[r*a.Cols : r*a.Cols+kEnd]
 		drow := dst.Data[r*dst.Cols : r*dst.Cols+head]
 		clear(drow[lo:])
@@ -166,8 +178,74 @@ func seqAxpy4(dst, b0, b1, b2, b3 []float64, v0, v1, v2, v3 float64) {
 	}
 }
 
-// dot1Dense returns the dot product of two equal-length slices without
-// dot1's zero-skip branch, for dense operands (attention scores).
+// MatMulTransBAddInto computes dst += a·bᵀ, the input gradient of a·b, on
+// MatMulPrefixInto's tiles: b goes transposed into the tape's scratch and
+// every unit gets the prefix a.Cols. Each element thus adds
+// Σ_j a[i][j]·b[k][j], summed in j order from +0 with every product
+// rounded before its add, and the AVX2 tiles store the same bits as the Go
+// loop for signed a.
+func (g *Graph) MatMulTransBAddInto(dst, a, b *Tensor) {
+	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
+		panic(fmt.Sprintf("tensor: matmulTB shape mismatch %v,%v→%v", a, b, dst))
+	}
+	g.matMulTransBAdd(dst, a, b, b.Rows, 0)
+}
+
+// matMulTransBAdd computes dst[:, :rowEnd] += a·b[:rowEnd, off:off+a.Cols]ᵀ,
+// MatMulTransBAddInto over a window of b. With b = W∘Mask it is the input
+// gradient of a masked window (maskedWindowBackward): entries outside a
+// row's span are ±0, and a sum that starts at +0 is never −0, so adding
+// their terms, or skipping zero terms of a, leaves every element as the
+// span alone would give it.
+func (g *Graph) matMulTransBAdd(dst, a, b *Tensor, rowEnd, off int) {
+	width := a.Cols
+	if rowEnd == 0 || a.Rows == 0 {
+		return
+	}
+	g.transB = reshape(g.transB, width, rowEnd)
+	bt := g.transB
+	for j := 0; j < width; j++ {
+		row := bt.Data[j*rowEnd : (j+1)*rowEnd]
+		for k := range row {
+			row[k] = b.Data[k*b.Cols+off+j]
+		}
+	}
+	if cap(g.transBPrefix) < rowEnd {
+		g.transBPrefix = make([]int, rowEnd)
+	}
+	pre := g.transBPrefix[:rowEnd]
+	for k := range pre {
+		pre[k] = width
+	}
+	g.transBProd = reshape(g.transBProd, a.Rows, rowEnd)
+	runKernel(a.Rows, a.Rows*width*rowEnd, matMulTransBRange,
+		kernelCall{dst: dst, a: a, b: bt, prod: g.transBProd, prefix: pre})
+}
+
+// reshape returns t as a rows×cols tensor with arbitrary contents, reusing
+// its storage when that is large enough.
+func reshape(t *Tensor, rows, cols int) *Tensor {
+	if t == nil || cap(t.Data) < rows*cols {
+		return New(rows, cols)
+	}
+	t.Rows, t.Cols, t.Data = rows, cols, t.Data[:rows*cols]
+	return t
+}
+
+// matMulTransBRange computes rows [lo, hi) of dst[:, :n] += a·bt for the
+// transposed operand bt (a.Cols × n): the prefix kernel writes the product
+// into c.prod, which is then added into dst.
+func matMulTransBRange(c kernelCall, lo, hi int) {
+	prod, n := c.prod, c.b.Cols
+	matMulPrefixRows(prod, c.a, c.b, 0, c.prefix, 0, n, lo, hi)
+	for i := lo; i < hi; i++ {
+		// dst + 1·p is dst + p, bit for bit: axpy1 is the vector add.
+		axpy1(c.dst.Data[i*c.dst.Cols:], prod.Data[i*n:(i+1)*n], 1)
+	}
+}
+
+// dot1Dense returns the dot product of two equal-length slices, for dense
+// operands (attention scores).
 func dot1Dense(a, b []float64) (s float64) {
 	b = b[:len(a)]
 	for k, av := range a {
@@ -303,71 +381,6 @@ func windowLeftovers4(drow []float64, b *Tensor, spans []int, k, off, end, s, e 
 			axpy1(drow[ls-off:ke-off], b.Data[base+ls:base+ke], v)
 		}
 	}
-}
-
-// matMulWindowTransBRange computes rows [lo, hi) of
-// dst[:, :rowEnd] += a·mw[:rowEnd, colOff:colEnd]ᵀ — the input gradient
-// of a windowed masked layer, a holding the output gradient (one column
-// per window column). Per output element (i, k) it is the dot of a row i
-// with weight row k over that row's span within the window; dst columns
-// at or past rowEnd are untouched.
-func matMulWindowTransBRange(c kernelCall, lo, hi int) {
-	dst, a, b, spans := c.dst, c.a, c.b, c.spans
-	w, n, dc := a.Cols, b.Cols, dst.Cols
-	rowEnd, off, end := c.win.rowEnd, c.win.colOff, c.win.colEnd
-	for i := lo; i < hi; i++ {
-		arow := a.Data[i*w : (i+1)*w]
-		drow := dst.Data[i*dc : i*dc+rowEnd]
-		k := 0
-		for ; k+4 <= rowEnd; k += 4 {
-			var sums [4]float64
-			if c.covered {
-				sums[0], sums[1], sums[2], sums[3] = dot4(arow,
-					b.Data[k*n+off:k*n+end], b.Data[(k+1)*n+off:(k+1)*n+end],
-					b.Data[(k+2)*n+off:(k+2)*n+end], b.Data[(k+3)*n+off:(k+3)*n+end])
-			} else {
-				s, e := windowIntersect4(spans, k, off, end)
-				if s < e {
-					sums[0], sums[1], sums[2], sums[3] = dot4(arow[s-off:e-off],
-						b.Data[k*n+s:k*n+e], b.Data[(k+1)*n+s:(k+1)*n+e],
-						b.Data[(k+2)*n+s:(k+2)*n+e], b.Data[(k+3)*n+s:(k+3)*n+e])
-				}
-				for t := range sums {
-					ks, ke := clipSpan(spans, k+t, off, end)
-					base := (k + t) * n
-					if le := min(ke, s); ks < le {
-						sums[t] += dot1(arow[ks-off:le-off], b.Data[base+ks:base+le])
-					}
-					if ls := max(ks, e); ls < ke {
-						sums[t] += dot1(arow[ls-off:ke-off], b.Data[base+ls:base+ke])
-					}
-				}
-			}
-			drow[k] += sums[0]
-			drow[k+1] += sums[1]
-			drow[k+2] += sums[2]
-			drow[k+3] += sums[3]
-		}
-		for ; k < rowEnd; k++ {
-			var sum float64
-			if s, e := c.clip(k); s < e {
-				sum = dot1(arow[s-off:e-off], b.Data[k*n+s:k*n+e])
-			}
-			drow[k] += sum
-		}
-	}
-}
-
-// dot1 returns the dot product of two equal-length slices, skipping zeros
-// of a.
-func dot1(a, b []float64) (s float64) {
-	b = b[:len(a)]
-	for k, av := range a {
-		if av != 0 {
-			s += av * b[k]
-		}
-	}
-	return
 }
 
 // matMulWindowTransARange computes dst rows [lo, hi) of

@@ -376,7 +376,7 @@ func (g *Graph) backstep(n *Node) {
 	case opMatMul:
 		a, b := n.a, n.b
 		if a.requiresGrad {
-			MatMulTransBAddInto(a.Grad, n.Grad, b.Val)
+			g.MatMulTransBAddInto(a.Grad, n.Grad, b.Val)
 		}
 		if b.requiresGrad {
 			MatMulTransAAddInto(b.Grad, a.Val, n.Grad)
@@ -614,9 +614,7 @@ func (g *Graph) maskedWindowBackward(x, w *Node, grad, mask, mw *Tensor, spans [
 	covered := windowCovered(spans, win)
 	if x.requiresGrad {
 		// dX[:, :rowEnd] += G·(W∘M)[window]ᵀ.
-		runKernel(grad.Rows, flops, matMulWindowTransBRange, kernelCall{
-			dst: x.Grad, a: grad, b: mw, spans: spans, win: win, covered: covered,
-		})
+		g.matMulTransBAdd(x.Grad, grad, mw, rows, win.colOff)
 	}
 	if w.requiresGrad {
 		// dW[window] += (Xᵀ·G)∘M: the tmp kernel zeroes outside each row's

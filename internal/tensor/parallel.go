@@ -88,6 +88,10 @@ type kernelCall struct {
 	// kernels skip span clipping.
 	win     window
 	covered bool
+	// prod and prefix are matMulTransBRange's product scratch and unit
+	// prefixes; other kernels ignore them.
+	prod   *Tensor
+	prefix []int
 	// sparse selects the skip-zero path of the kernels that have one. It
 	// is decided once per call over the whole streamed operand, never per
 	// row shard: the shard boundaries depend on which worker tokens happen

@@ -232,7 +232,7 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 			{"MatMul", func() *Tensor { return New(sh.m, sh.n) }, func(d *Tensor) { MatMulInto(d, a, bT) }},
 			{"MatMulSparse", func() *Tensor { return New(sh.m, sh.n) }, func(d *Tensor) { MatMulInto(d, aSparse, bT) }},
 			{"MatMulTransAAdd", func() *Tensor { d := New(sh.m, sh.n); d.Fill(0.5); return d }, func(d *Tensor) { MatMulTransAAddInto(d, aTall, bTall) }},
-			{"MatMulTransBAdd", func() *Tensor { d := New(sh.m, sh.n); d.Fill(0.5); return d }, func(d *Tensor) { MatMulTransBAddInto(d, a, bRowMajor) }},
+			{"MatMulTransBAdd", func() *Tensor { d := New(sh.m, sh.n); d.Fill(0.5); return d }, func(d *Tensor) { NewGraph().MatMulTransBAddInto(d, a, bRowMajor) }},
 		}
 		for _, kr := range kernels {
 			SetMatMulWorkers(1)

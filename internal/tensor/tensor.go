@@ -104,13 +104,15 @@ func (t *Tensor) XavierInit(rng *rand.Rand, fanIn, fanOut int) {
 	}
 }
 
-// The matmul kernels below come in Into (dst overwritten) and AddInto
-// (dst accumulated) flavors; aᵀ·b, which only backward passes use, comes
-// as AddInto alone. All of them register-block four rows of the
-// streamed operand for instruction-level parallelism, tile the k dimension
-// so the streamed block stays cache-resident, fall back to a zero-skipping
-// scalar path for sparse (one-hot style) inputs, and shard output rows
-// across the worker pool in parallel.go when the matrix is large enough.
+// The matmul kernels below are a·b (Into, dst overwritten) and aᵀ·b
+// (AddInto, dst accumulated), which only backward passes use; a·bᵀ, the
+// input gradient, runs on MatMulPrefixInto's tiles
+// (Graph.MatMulTransBAddInto). Both register-block four rows of the
+// streamed operand for instruction-level parallelism, and a·b also tiles
+// the k dimension so the streamed block stays cache-resident and falls
+// back to a zero-skipping scalar path for sparse (one-hot style) inputs.
+// They shard output rows across the worker pool in parallel.go when the
+// matrix is large enough.
 
 // kBlockFor picks the k-tile size so one tile of b (kb rows × n cols of
 // float64) stays within ~32KB (L1-sized); it is always a multiple of 4.
@@ -180,26 +182,6 @@ func axpy1Go(dst, b []float64, v float64) {
 	for j, bv := range b {
 		dst[j] += float64(v * bv)
 	}
-}
-
-// dot4 returns the dot products of a against four rows, skipping zero
-// entries of a (one-hot inputs) and keeping four independent accumulator
-// chains for dense ones.
-func dot4(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
-	b0 = b0[:len(a)]
-	b1 = b1[:len(a)]
-	b2 = b2[:len(a)]
-	b3 = b3[:len(a)]
-	for k, av := range a {
-		if av == 0 {
-			continue
-		}
-		s0 += av * b0[k]
-		s1 += av * b1[k]
-		s2 += av * b2[k]
-		s3 += av * b3[k]
-	}
-	return
 }
 
 // looksSparse estimates whether under a quarter of data is nonzero by
@@ -342,50 +324,6 @@ func matMulTransARange(c kernelCall, lo, hi int) {
 			if av := arow[i]; av != 0 {
 				axpy1(dst.Data[i*n:(i+1)*n], brow, av)
 			}
-		}
-	}
-}
-
-// MatMulTransBAddInto computes dst += a·bᵀ.
-func MatMulTransBAddInto(dst, a, b *Tensor) {
-	checkMatMulTransB(dst, a, b)
-	runKernel(a.Rows, a.Rows*a.Cols*b.Rows, matMulTransBRange, kernelCall{dst: dst, a: a, b: b})
-}
-
-func checkMatMulTransB(dst, a, b *Tensor) {
-	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: matmulTB shape mismatch %v,%v→%v", a, b, dst))
-	}
-}
-
-// matMulTransBRange computes rows [lo, hi) of dst += a·bᵀ in dot-product
-// form, four b-rows per pass.
-func matMulTransBRange(c kernelCall, lo, hi int) {
-	dst, a, b := c.dst, c.a, c.b
-	cols, n := a.Cols, b.Rows
-	for i := lo; i < hi; i++ {
-		arow := a.Data[i*cols : (i+1)*cols]
-		drow := dst.Data[i*n : (i+1)*n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			s0, s1, s2, s3 := dot4(arow,
-				b.Data[j*cols:(j+1)*cols], b.Data[(j+1)*cols:(j+2)*cols],
-				b.Data[(j+2)*cols:(j+3)*cols], b.Data[(j+3)*cols:(j+4)*cols])
-			drow[j] += s0
-			drow[j+1] += s1
-			drow[j+2] += s2
-			drow[j+3] += s3
-		}
-		for ; j < n; j++ {
-			brow := b.Data[j*cols : (j+1)*cols][:len(arow)]
-			var s float64
-			for k, av := range arow {
-				if av == 0 {
-					continue
-				}
-				s += av * brow[k]
-			}
-			drow[j] += s
 		}
 	}
 }

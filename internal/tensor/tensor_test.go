@@ -96,7 +96,7 @@ func TestMatMulTransposeVariants(t *testing.T) {
 	want2 := New(4, 5)
 	MatMulInto(want2, a, ct)
 	got2 := New(4, 5)
-	MatMulTransBAddInto(got2, a, c)
+	NewGraph().MatMulTransBAddInto(got2, a, c)
 	for i := range want2.Data {
 		if !almostEq(got2.Data[i], want2.Data[i], 1e-12) {
 			t.Fatalf("TransB mismatch at %d", i)

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -170,5 +171,105 @@ func TestKernelDensityDecidedPerCall(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// TestTransBMatchesReference checks both input-gradient paths bit for bit
+// against a plain loop that shares no code with them: per element,
+// Σ_j g[i][j]·w[k][j] in j order from +0, skipping zero g, added into
+// dst. The windowed path reads W∘M over covered windows (every row's span
+// holds the window) and non-covered ones (spans clipped, interior mask
+// zeros); gradients are signed with +0 and −0 entries; row counts 1–17
+// give 8-lane tiles and leftover lanes, and the window heights give unit
+// tails of 1–3. It runs with the vector kernels on and off.
+func TestTransBMatchesReference(t *testing.T) {
+	defer SetVectorKernels(SetVectorKernels(true))
+	const in, out = 23, 31
+	masks := map[string]func(rng *rand.Rand, m *Tensor){
+		"dense":  func(_ *rand.Rand, m *Tensor) { m.Fill(1) },
+		"suffix": suffixMask,
+		"random": func(rng *rand.Rand, m *Tensor) {
+			for i := range m.Data {
+				m.Data[i] = float64(rng.Intn(2))
+			}
+		},
+	}
+	windows := []window{
+		{in, 0, out}, {1, 0, out}, {2, 3, 29}, {3, 7, 8}, {5, 4, 20},
+		{6, 30, out}, {7, 0, 1}, {17, 11, 27}, {18, 2, 19}, {19, 0, out}, {21, 12, 12},
+	}
+	signed := func(rng *rand.Rand, n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			switch rng.Intn(5) {
+			case 0:
+				v[i] = 0
+			case 1:
+				v[i] = math.Copysign(0, -1)
+			default:
+				v[i] = rng.NormFloat64()
+			}
+		}
+		return v
+	}
+	check := func(what string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s (vector %v): element %d is %v, want %v", what, vectorKernels, i, got[i], want[i])
+			}
+		}
+	}
+	seen := map[bool]bool{}
+	rng := rand.New(rand.NewSource(8))
+	for _, vec := range []bool{true, false} {
+		SetVectorKernels(vec)
+		for name, fill := range masks {
+			w, mask := New(in, out), New(in, out)
+			w.Randn(rng, 0.7)
+			fill(rng, mask)
+			mw := NewMaskedWeight(w, mask)
+			prod := mw.Get()
+			for _, win := range windows {
+				seen[windowCovered(mw.Spans(), win)] = true
+				width := win.colEnd - win.colOff
+				for rows := 1; rows <= 17; rows++ {
+					g := FromSlice(rows, width, signed(rng, rows*width))
+					dst0 := FromSlice(rows, in+2, signed(rng, rows*(in+2)))
+					want := dst0.Clone()
+					for i := 0; i < rows; i++ {
+						for k := 0; k < win.rowEnd; k++ {
+							var s float64
+							for j := 0; j < width; j++ {
+								if gv := g.Data[i*width+j]; gv != 0 {
+									s += float64(gv * prod.Data[k*out+win.colOff+j])
+								}
+							}
+							want.Data[i*want.Cols+k] += s
+						}
+					}
+					got := dst0.Clone()
+					NewGraph().matMulTransBAdd(got, g, prod, win.rowEnd, win.colOff)
+					check(fmt.Sprintf("%s window %+v rows %d", name, win, rows), got.Data, want.Data)
+
+					// The plain a·bᵀ over that window copied out as b.
+					b := New(win.rowEnd, width)
+					for k := range b.Rows {
+						copy(b.Row(k), prod.Data[k*out+win.colOff:][:width])
+					}
+					got = New(rows, win.rowEnd)
+					plain := New(rows, win.rowEnd)
+					for i := range rows {
+						copy(got.Row(i), dst0.Row(i)[:win.rowEnd])
+						copy(plain.Row(i), want.Row(i)[:win.rowEnd])
+					}
+					NewGraph().MatMulTransBAddInto(got, g, b)
+					check(fmt.Sprintf("%s plain %+v rows %d", name, win, rows), got.Data, plain.Data)
+				}
+			}
+		}
+	}
+	if !seen[true] || !seen[false] {
+		t.Fatalf("windows covered/non-covered seen: %v, want both", seen)
 	}
 }
