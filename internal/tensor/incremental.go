@@ -141,7 +141,7 @@ func (g *Graph) attendStepBackward(n *Node) {
 			var mean float64
 			for j, v := range vs {
 				dp[j] = dot1Dense(gh, v.Val.Row(r)[lo:hi])
-				mean += p[j] * dp[j]
+				mean += float64(p[j] * dp[j])
 				if v.requiresGrad {
 					axpy1(v.Grad.Row(r)[lo:hi], gh, p[j])
 				}

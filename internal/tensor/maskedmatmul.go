@@ -249,7 +249,7 @@ func matMulTransBRange(c kernelCall, lo, hi int) {
 func dot1Dense(a, b []float64) (s float64) {
 	b = b[:len(a)]
 	for k, av := range a {
-		s += av * b[k]
+		s += float64(av * b[k])
 	}
 	return
 }

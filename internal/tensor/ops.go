@@ -202,7 +202,7 @@ func (g *Graph) Dot(a *Node, v []float64) *Node {
 		arow := a.Val.Row(i)
 		var s float64
 		for j, av := range arow {
-			s += av * v[j]
+			s += float64(av * v[j])
 		}
 		out.Data[i] = s
 	}
@@ -269,7 +269,7 @@ func (g *Graph) RangeProb(logits *Node, mask *Tensor) *Node {
 		srow := soft.Row(i)
 		mrow := mask.Row(i)
 		for j, sv := range srow {
-			p += sv * mrow[j]
+			p += float64(sv * mrow[j])
 		}
 		out.Data[i] = p
 	}
@@ -308,7 +308,7 @@ func (g *Graph) STGumbel(logits *Node, mask *Tensor, tau float64, rng *rand.Rand
 				perturbed[j] = math.Inf(-1)
 				continue
 			}
-			gnoise := -math.Log(-math.Log(rng.Float64() + 1e-20))
+			gnoise := -math.Log(-math.Log(float64(rng.Float64()) + 1e-20))
 			v := lrow[j]
 			if m := mrow[j]; m != 1 {
 				v += math.Log(m) // log 1 = 0: full-coverage bins add nothing
@@ -351,7 +351,7 @@ func (g *Graph) LayerNorm(a, gain, bias *Node, eps float64) *Node {
 		var varsum float64
 		for _, v := range arow {
 			d := v - mean
-			varsum += d * d
+			varsum += float64(d * d)
 		}
 		inv := 1 / math.Sqrt(varsum/float64(cols)+eps)
 		invStd.Data[i] = inv
@@ -359,7 +359,7 @@ func (g *Graph) LayerNorm(a, gain, bias *Node, eps float64) *Node {
 		orow := out.Row(i)
 		for j, v := range arow {
 			xrow[j] = (v - mean) * inv
-			orow[j] = xrow[j]*gain.Val.Data[j] + bias.Val.Data[j]
+			orow[j] = float64(xrow[j]*gain.Val.Data[j]) + bias.Val.Data[j]
 		}
 	}
 	n := g.push(out, opLayerNorm, a.requiresGrad || gain.requiresGrad || bias.requiresGrad)
@@ -418,12 +418,12 @@ func (g *Graph) backstep(n *Node) {
 		a, b := n.a, n.b
 		if a.requiresGrad {
 			for i, gv := range n.Grad.Data {
-				a.Grad.Data[i] += gv * b.Val.Data[i]
+				a.Grad.Data[i] += float64(gv * b.Val.Data[i])
 			}
 		}
 		if b.requiresGrad {
 			for i, gv := range n.Grad.Data {
-				b.Grad.Data[i] += gv * a.Val.Data[i]
+				b.Grad.Data[i] += float64(gv * a.Val.Data[i])
 			}
 		}
 	case opReLU:
@@ -436,7 +436,7 @@ func (g *Graph) backstep(n *Node) {
 	case opScale:
 		a, s := n.a, n.f1
 		for i, gv := range n.Grad.Data {
-			a.Grad.Data[i] += gv * s
+			a.Grad.Data[i] += float64(gv * s)
 		}
 	case opLog:
 		a := n.a
@@ -446,11 +446,11 @@ func (g *Graph) backstep(n *Node) {
 	case opSquare:
 		a := n.a
 		for i, gv := range n.Grad.Data {
-			a.Grad.Data[i] += 2 * gv * a.Val.Data[i]
+			a.Grad.Data[i] += float64(2 * gv * a.Val.Data[i])
 		}
 	case opMean:
 		a := n.a
-		gv := n.Grad.Data[0] * n.f1
+		gv := float64(n.Grad.Data[0] * n.f1)
 		for i := range a.Grad.Data {
 			a.Grad.Data[i] += gv
 		}
@@ -463,7 +463,7 @@ func (g *Graph) backstep(n *Node) {
 			}
 			grow := a.Grad.Row(i)
 			for j, vv := range v {
-				grow[j] += gv * vv
+				grow[j] += float64(gv * vv)
 			}
 		}
 	case opReciprocal:
@@ -501,7 +501,7 @@ func (g *Graph) backstep(n *Node) {
 			mrow := mask.Row(i)
 			lrow := a.Grad.Row(i)
 			for j, sv := range srow {
-				lrow[j] += gv * sv * (mrow[j] - p)
+				lrow[j] += float64(gv * sv * (mrow[j] - p))
 			}
 		}
 	case opSTGumbel:
@@ -513,7 +513,7 @@ func (g *Graph) backstep(n *Node) {
 			srow := soft.Row(i)
 			var dot float64
 			for j, gv := range grow {
-				dot += gv * srow[j]
+				dot += float64(gv * srow[j])
 			}
 			lrow := a.Grad.Row(i)
 			for j, sv := range srow {
@@ -536,7 +536,7 @@ func (g *Graph) backstep(n *Node) {
 			xrow := xhat.Row(i)
 			if gain.requiresGrad {
 				for j, gv := range grow {
-					gain.Grad.Data[j] += gv * xrow[j]
+					gain.Grad.Data[j] += float64(gv * xrow[j])
 				}
 			}
 			if bias.requiresGrad {
@@ -549,14 +549,14 @@ func (g *Graph) backstep(n *Node) {
 				N := float64(cols)
 				var sumD, sumDX float64
 				for j, gv := range grow {
-					dxhat[j] = gv * gain.Val.Data[j]
+					dxhat[j] = float64(gv * gain.Val.Data[j])
 					sumD += dxhat[j]
-					sumDX += dxhat[j] * xrow[j]
+					sumDX += float64(dxhat[j] * xrow[j])
 				}
 				arow := a.Grad.Row(i)
 				inv := invStd.Data[i]
 				for j := range dxhat {
-					arow[j] += inv / N * (N*dxhat[j] - sumD - xrow[j]*sumDX)
+					arow[j] += float64(inv / N * (float64(N*dxhat[j]) - sumD - float64(xrow[j]*sumDX)))
 				}
 			}
 		}
@@ -630,7 +630,7 @@ func (g *Graph) maskedWindowBackward(x, w *Node, grad, mask, mw *Tensor, spans [
 			s, e := clipSpan(spans, r, win.colOff, win.colEnd)
 			trow := tmp.Data[r*width : (r+1)*width]
 			for c := s; c < e; c++ {
-				wg[r*cols+c] += trow[c-win.colOff] * md[r*cols+c]
+				wg[r*cols+c] += float64(trow[c-win.colOff] * md[r*cols+c])
 			}
 		}
 	}

@@ -100,7 +100,8 @@ func (t *Tensor) Randn(rng *rand.Rand, std float64) {
 func (t *Tensor) XavierInit(rng *rand.Rand, fanIn, fanOut int) {
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
 	for i := range t.Data {
-		t.Data[i] = (rng.Float64()*2 - 1) * limit
+		u := float64(rng.Float64()) // the conversions round: no GOARCH fuses this line
+		t.Data[i] = (float64(2*u) - 1) * limit
 	}
 }
 
