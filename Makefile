@@ -18,7 +18,7 @@ SCALE_OUT ?= BENCH_scale.json
 SCALE_MIN_RPS ?= 20000
 SCALE_MAX_MEM ?= 256
 
-.PHONY: all build test race race-test lint fmt vet cross-vet staticcheck samlint vuln \
+.PHONY: all build test race race-test lint fmt vet cross-vet fma-check staticcheck samlint vuln \
 	bench-gate scale-bench scale-gate trace-smoke fuzz-smoke
 
 all: build test
@@ -47,7 +47,7 @@ race-test:
 ## lint runs the full static-analysis stack in CI order: formatting,
 ## go vet on the host and on the non-amd64 builds, pinned staticcheck,
 ## then the project's own samlint suite.
-lint: fmt vet cross-vet staticcheck samlint
+lint: fmt vet cross-vet fma-check staticcheck samlint
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -68,6 +68,32 @@ vet:
 cross-vet:
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=ppc64le $(GO) vet ./...
+
+## fma-check holds the float code of the packages in FMA_PKGS to one
+## rounding per operation on every GOARCH. The Go spec lets a compiler fuse
+## x*y + z into a single rounding unless the product is written
+## float64(x*y), and the arm64, ppc64le, s390x and riscv64 compilers do;
+## amd64 does not at GOAMD64=v1, so no amd64 build notices. The target
+## cross-compiles cmd/samgen for those four and fails on any fused
+## multiply-add or multiply-subtract in a symbol of those packages, printing
+## each with its source line. go tool objdump ships with the toolchain, so
+## it needs no download.
+FMA_ARCHES ?= arm64 ppc64le s390x riscv64
+FMA_PKGS ?= sam/internal/tensor
+FMA_OPS = FMADDD|FMSUBD|FNMSUBD|FNMADDD|FMADD|FMSUB|FNMADD|FNMSUB|MADBR|MSDBR
+fma-check:
+	@fail=0; \
+	for arch in $(FMA_ARCHES); do \
+		GOARCH=$$arch $(GO) build -o /tmp/samgen_fma_$$arch ./cmd/samgen || exit 1; \
+		for pkg in $(FMA_PKGS); do \
+			found=$$($(GO) tool objdump -s "^$$pkg\\." /tmp/samgen_fma_$$arch | \
+				awk '/^TEXT /{sym=$$2; next} $$0 ~ /[[:space:]]($(FMA_OPS))[[:space:]]/{print "  " sym " " $$1}'); \
+			n=$$(printf '%s' "$$found" | grep -c . || true); \
+			echo "fma-check: $$arch $$pkg: $$n fused instructions"; \
+			if [ "$$n" -ne 0 ]; then echo "$$found"; fail=1; fi; \
+		done; \
+	done; \
+	exit $$fail
 
 # staticcheck and govulncheck are fetched via `go run module@version`,
 # which keeps CI-only dependencies out of go.mod. They need network access
