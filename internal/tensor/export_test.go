@@ -9,8 +9,5 @@ func SetVectorKernels(on bool) (prev bool) {
 	return prev
 }
 
-// Axpy4 and Axpy1 are the dispatching axpy kernels.
-var (
-	Axpy4 = axpy4
-	Axpy1 = axpy1
-)
+// Axpy1 is the dispatching axpy kernel.
+var Axpy1 = axpy1

@@ -65,9 +65,9 @@ type Graph struct {
 	spareNodes []*Node           // recycled Node structs
 	partsArena []*Node           // backing storage for Node.parts slices
 
-	// Scratch of matMulTransBAdd, grown to the largest call and reused.
-	transB, transBProd *Tensor
-	transBPrefix       []int
+	// The gradients' transposed operand and product, grown to the largest
+	// call and reused (transpose, addProduct, maskedWindowBackward).
+	trans, prod *Tensor
 }
 
 // NewGraph returns an empty tape.

@@ -31,8 +31,9 @@ func (g *Graph) CopyColsInto(dst, src *Node, off int) {
 //	dst[:, colOff:colEnd] = relu(x[:, :rowEnd]·(W∘Mask)[:rowEnd, colOff:colEnd] + b[colOff:colEnd])
 //
 // with W∘Mask read from the cache and x read in place, so x may itself be
-// a buffer whose columns at or past rowEnd are not written yet. dst has
-// the layer's full output width and b is the layer's 1×width bias. The
+// a buffer whose columns at or past rowEnd are not written yet, though not
+// dst. dst has the layer's full output width and b is the layer's 1×width
+// bias. The
 // backward pass writes only the window's sub-blocks of x.Grad, W.Grad and
 // b.Grad, like MaskedMatMulWindow.
 func (g *Graph) MaskedLinearReLUInto(dst, x, w, b *Node, cache *MaskedWeight, rowEnd, colOff, colEnd int) {
@@ -42,21 +43,18 @@ func (g *Graph) MaskedLinearReLUInto(dst, x, w, b *Node, cache *MaskedWeight, ro
 	mw := cache.Get()
 	rows := x.Val.Rows
 	if rowEnd < 0 || rowEnd > x.Val.Cols || rowEnd > mw.Rows || colOff < 0 || colOff > colEnd || colEnd > mw.Cols ||
-		dst.Val.Rows != rows || dst.Val.Cols != mw.Cols || b.Val.Rows != 1 || b.Val.Cols != mw.Cols {
+		dst.Val.Rows != rows || dst.Val.Cols != mw.Cols || b.Val.Rows != 1 || b.Val.Cols != mw.Cols || dst.Val == x.Val {
 		panic(fmt.Sprintf("tensor: masked band [:%d, %d:%d] of %v·%v+%v into %v out of range",
 			rowEnd, colOff, colEnd, x.Val, mw, b.Val, dst.Val))
 	}
-	width := colEnd - colOff
-	pre := g.alloc(rows, width, false)
-	win := window{rowEnd, colOff, colEnd}
-	runKernel(rows, rows*rowEnd*width, matMulWindowRange, kernelCall{
-		dst: pre, a: x.Val, b: mw, spans: cache.spans, win: win,
-		covered: windowCovered(cache.spans, win), sparse: looksSparse(x.Val.Data),
-	})
+	// The band's pre-activations go straight into dst, then bias and ReLU
+	// in place.
+	runKernel(rows, rows*rowEnd*(colEnd-colOff),
+		kernelCall{dst: dst.Val, a: x.Val, b: mw, k: rowEnd, lo: colOff, head: colEnd})
 	bias := b.Val.Data[colOff:colEnd]
 	for i := 0; i < rows; i++ {
 		drow := dst.Val.Row(i)[colOff:colEnd]
-		for j, v := range pre.Row(i) {
+		for j, v := range drow {
 			if v += bias[j]; v > 0 {
 				drow[j] = v
 			} else {

@@ -2,33 +2,30 @@ package tensor
 
 import "fmt"
 
-// Span-aware matmul kernels for masked weight matrices. The mask's per-row
-// nonzero column spans (precomputed by MaskedWeight) bound where the cached
-// product W∘Mask can be nonzero, so each kernel touches only those columns.
-// For MADE's sorted-degree masks the spans are contiguous suffixes covering
-// about half of each row, which halves the multiply-add work of every
-// masked layer. The kernels remain correct for arbitrary masks: columns
-// inside a span that happen to be masked just multiply by zero.
+// The product kernel, and the operations that run on it. MatMulPrefixInto
+// computes a block of a·w[:, off:] where each unit (output column) sums its
+// own prefix of the inputs, each element one sequential sum over k from +0
+// with every product rounded before its add, on the AVX2 lane tiles or
+// their Go twin. Batched sampling calls it with MADE's per-unit prefixes;
+// every other product gives all units of a call one shared prefix
+// (matMulSharedRows through runKernel): the plain a·b, the masked windows
+// x[:, :rowEnd]·(W∘Mask)[:rowEnd, colOff:colEnd] of the training chain,
+// read in place from the MaskedWeight cache with prefix rowEnd, and the
+// gradients aᵀ·b and a·bᵀ, which transpose an operand into tape scratch
+// first. A window needs no span clipping: W∘Mask is ±0 outside each row's
+// span, and a sum that starts at +0 is never −0, so those terms leave
+// every element as the span alone would give it, covered window or not.
 //
-// The register-blocked paths process four weight rows at a time; rows in a
-// block may have different spans, so the block handles the intersection
-// with axpy4 and the per-row leftovers with axpy1. Sorted-degree masks
-// give near-identical spans for adjacent rows, keeping the leftovers tiny.
-//
-// The autodiff kernels (matMulWindow*) work on a window of the masked
-// product: weight rows [0, rowEnd) and columns [colOff, colEnd), with
-// every span clipped to the window; the window's input gradient runs on
-// the prefix tiles instead (Graph.matMulTransBAdd). The full product is
-// the window covering everything. A progressive-sampling step for column
-// i needs only the window its logit block depends on (see
-// Graph.MaskedMatMulWindow).
+// MatMulNZSuffixHeadRangeInto stays apart. It serves the one-hot input
+// layer of batched sampling from each lane's list of set inputs, so its
+// cost follows the few set one-hots rather than the input width.
 
-// The remaining kernels serve batched ancestral sampling over MADE's
-// sorted-degree masks, whose spans are suffixes [start, n) with
-// nondecreasing starts (empty rows, [n, n), come last). An input then
-// reaches a suffix of the next layer, and a unit reads a prefix of the
-// layer below, so a column step restricted to the unit prefix its logits
-// depend on touches only a leading block of each weight.
+// Batched ancestral sampling runs over MADE's sorted-degree masks, whose
+// spans are suffixes [start, n) with nondecreasing starts (empty rows,
+// [n, n), come last). An input then reaches a suffix of the next layer,
+// and a unit reads a prefix of the layer below, so a column step
+// restricted to the unit prefix its logits depend on touches only a
+// leading block of each weight.
 
 // MatMulNZSuffixHeadRangeInto computes columns [lo, head) of dst = a·mw for
 // such suffix spans, visiting only the entries of each a row whose
@@ -80,8 +77,8 @@ func MatMulNZSuffixHeadRangeInto(dst, a *Tensor, nz [][]int, mw *Tensor, spans [
 // the lane count, and the AVX2 tiles store exactly what the Go loop does.
 // a ≥ +0 matters only across different prefixes within a tile: when every
 // unit of a call shares one prefix there are no extra terms, and signed
-// activations are exact too, which is how Graph.MatMulTransBAddInto runs
-// the input gradient on these tiles.
+// activations are exact too, which is how every other product of the
+// package runs on these tiles (matMulSharedRows).
 func MatMulPrefixInto(dst, a, w *Tensor, off int, prefix []int, lo, head int) {
 	if dst.Rows != a.Rows || lo < 0 || lo > head || head > dst.Cols || head > len(prefix) ||
 		off < 0 || off+head > w.Cols {
@@ -93,21 +90,47 @@ func MatMulPrefixInto(dst, a, w *Tensor, off int, prefix []int, lo, head int) {
 	if k := prefix[head-1]; k > a.Cols || k > w.Rows || prefix[lo] < 0 {
 		panic(fmt.Sprintf("tensor: prefix %d..%d outside %v·%v", prefix[lo], k, a, w))
 	}
-	matMulPrefixRows(dst, a, w, off, prefix, lo, head, 0, a.Rows)
+	matMulPrefixRows(dst, a, w, off, prefix[lo:head], lo, 0, a.Rows)
 }
 
 // matMulPrefixRows runs MatMulPrefixInto's kernel, unchecked, over rows
-// [r0, r1) of dst and a, with lo < head.
-func matMulPrefixRows(dst, a, w *Tensor, off int, prefix []int, lo, head, r0, r1 int) {
+// [r0, r1) of dst and a and units [lo, lo+len(pre)), pre being their
+// prefixes; pre is not empty.
+func matMulPrefixRows(dst, a, w *Tensor, off int, pre []int, lo, r0, r1 int) {
 	if vectorKernels {
-		matMulPrefixVec(dst, a, w, off, prefix[lo:head], lo, r0, r1)
+		matMulPrefixVec(dst, a, w, off, pre, lo, r0, r1)
 		return
 	}
-	matMulPrefixGo(dst, a, w, off, prefix, lo, head, r0, r1)
+	matMulPrefixGo(dst, a, w, off, pre, lo, r0, r1)
+}
+
+// sharedChunk is how many units matMulSharedRows hands the kernel per
+// call. Their prefix array lives on its stack, and the tiles do not let it
+// escape, so a warm product allocates nothing.
+const sharedChunk = 64
+
+// matMulSharedRows computes rows [r0, r1) of columns [lo, head) of
+// dst = a[:, :k]·w[:k, off+lo:off+head] on MatMulPrefixInto's kernel,
+// every unit with prefix k. One shared prefix means no unit sums a term
+// beyond its own prefix, so signed activations are exact too.
+func matMulSharedRows(dst, a, w *Tensor, off, k, lo, head, r0, r1 int) {
+	if k == 0 {
+		for r := r0; r < r1; r++ {
+			clear(dst.Data[r*dst.Cols+lo : r*dst.Cols+head])
+		}
+		return
+	}
+	var pre [sharedChunk]int
+	for j := range pre {
+		pre[j] = k
+	}
+	for ; lo < head; lo += sharedChunk {
+		matMulPrefixRows(dst, a, w, off, pre[:min(sharedChunk, head-lo)], lo, r0, r1)
+	}
 }
 
 // matMulPrefixVec runs the AVX2 tiles, 8 lanes × 4 units while eight lanes
-// remain and 1 lane × 16 units per leftover lane; pre is prefix[lo:head].
+// remain and 1 lane × 16 units per leftover lane.
 func matMulPrefixVec(dst, a, w *Tensor, off int, pre []int, lo, r0, r1 int) {
 	wd := w.Data[off+lo:]
 	r := r0
@@ -123,16 +146,17 @@ func matMulPrefixVec(dst, a, w *Tensor, off int, pre []int, lo, r0, r1 int) {
 // lists the lane's nonzero activations, a chunk of up to 64 at a time,
 // then adds their weight rows to the units their prefixes reach, four rows
 // per pass over the units, each element taking its terms one by one in k
-// order from +0 (seqAxpy4). A unit the group's later rows do not reach
+// order from +0 (axpySeq4). A unit the group's later rows do not reach
 // multiplies a masked-off ±0 there.
-func matMulPrefixGo(dst, a, w *Tensor, off int, prefix []int, lo, head, r0, r1 int) {
-	n, kEnd := w.Cols, prefix[head-1]
+func matMulPrefixGo(dst, a, w *Tensor, off int, pre []int, lo, r0, r1 int) {
+	n, units, kEnd := w.Cols, len(pre), pre[len(pre)-1]
+	wd := w.Data[off+lo:]
 	var list [64]int
 	for r := r0; r < r1; r++ {
 		arow := a.Data[r*a.Cols : r*a.Cols+kEnd]
-		drow := dst.Data[r*dst.Cols : r*dst.Cols+head]
-		clear(drow[lo:])
-		s := lo // first unit whose prefix covers the group's first row
+		drow := dst.Data[r*dst.Cols+lo : r*dst.Cols+lo+units]
+		clear(drow)
+		s := 0 // first unit whose prefix covers the group's first row
 		for k0 := 0; k0 < kEnd; k0 += len(list) {
 			nk := 0
 			for k, av := range arow[k0:min(k0+len(list), kEnd)] {
@@ -145,26 +169,26 @@ func matMulPrefixGo(dst, a, w *Tensor, off int, prefix []int, lo, head, r0, r1 i
 			}
 			ks := list[:nk]
 			for ; len(ks) >= 4; ks = ks[4:] {
-				for prefix[s] <= ks[0] {
+				for pre[s] <= ks[0] {
 					s++
 				}
-				b := w.Data[off+s:]
-				seqAxpy4(drow[s:], b[ks[0]*n:], b[ks[1]*n:], b[ks[2]*n:], b[ks[3]*n:],
+				b := wd[s:]
+				axpySeq4(drow[s:], b[ks[0]*n:], b[ks[1]*n:], b[ks[2]*n:], b[ks[3]*n:],
 					arow[ks[0]], arow[ks[1]], arow[ks[2]], arow[ks[3]])
 			}
 			for _, k := range ks {
-				for prefix[s] <= k {
+				for pre[s] <= k {
 					s++
 				}
-				axpy1Go(drow[s:], w.Data[k*n+off+s:k*n+off+head], arow[k])
+				axpy1Go(drow[s:], wd[k*n+s:k*n+units], arow[k])
 			}
 		}
 	}
 }
 
-// seqAxpy4 computes dst = (((dst + v0·b0) + v1·b1) + v2·b2) + v3·b3 over
+// axpySeq4 computes dst = (((dst + v0·b0) + v1·b1) + v2·b2) + v3·b3 over
 // len(dst) elements, each product rounded first: a k-sequential sum.
-func seqAxpy4(dst, b0, b1, b2, b3 []float64, v0, v1, v2, v3 float64) {
+func axpySeq4(dst, b0, b1, b2, b3 []float64, v0, v1, v2, v3 float64) {
 	b0 = b0[:len(dst)]
 	b1 = b1[:len(dst)]
 	b2 = b2[:len(dst)]
@@ -178,12 +202,10 @@ func seqAxpy4(dst, b0, b1, b2, b3 []float64, v0, v1, v2, v3 float64) {
 	}
 }
 
-// MatMulTransBAddInto computes dst += a·bᵀ, the input gradient of a·b, on
-// MatMulPrefixInto's tiles: b goes transposed into the tape's scratch and
-// every unit gets the prefix a.Cols. Each element thus adds
-// Σ_j a[i][j]·b[k][j], summed in j order from +0 with every product
-// rounded before its add, and the AVX2 tiles store the same bits as the Go
-// loop for signed a.
+// MatMulTransBAddInto computes dst += a·bᵀ, the input gradient of a·b:
+// b goes transposed into the tape's scratch, and the product, every unit
+// with prefix a.Cols, is added into dst. Each element thus adds
+// Σ_j a[i][j]·b[k][j], summed in j order from +0.
 func (g *Graph) MatMulTransBAddInto(dst, a, b *Tensor) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmulTB shape mismatch %v,%v→%v", a, b, dst))
@@ -193,33 +215,45 @@ func (g *Graph) MatMulTransBAddInto(dst, a, b *Tensor) {
 
 // matMulTransBAdd computes dst[:, :rowEnd] += a·b[:rowEnd, off:off+a.Cols]ᵀ,
 // MatMulTransBAddInto over a window of b. With b = W∘Mask it is the input
-// gradient of a masked window (maskedWindowBackward): entries outside a
-// row's span are ±0, and a sum that starts at +0 is never −0, so adding
-// their terms, or skipping zero terms of a, leaves every element as the
-// span alone would give it.
+// gradient of a masked window (maskedWindowBackward).
 func (g *Graph) matMulTransBAdd(dst, a, b *Tensor, rowEnd, off int) {
-	width := a.Cols
-	if rowEnd == 0 || a.Rows == 0 {
-		return
+	g.addProduct(dst, a, g.transpose(b, rowEnd, off, a.Cols))
+}
+
+// MatMulTransAAddInto computes dst += aᵀ·b, the weight gradient of a·b: a
+// goes transposed into the tape's scratch, and the product, every unit
+// with prefix a.Rows, is added into dst. Each element thus adds
+// Σ_r a[r][i]·b[r][j], summed in r order from +0.
+func (g *Graph) MatMulTransAAddInto(dst, a, b *Tensor) {
+	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: matmulTA shape mismatch %v,%v→%v", a, b, dst))
 	}
-	g.transB = reshape(g.transB, width, rowEnd)
-	bt := g.transB
-	for j := 0; j < width; j++ {
-		row := bt.Data[j*rowEnd : (j+1)*rowEnd]
+	g.addProduct(dst, g.transpose(a, a.Rows, 0, a.Cols), b)
+}
+
+// transpose returns src[:rows, off:off+cols]ᵀ in the tape's transpose
+// scratch, valid until the next call.
+func (g *Graph) transpose(src *Tensor, rows, off, cols int) *Tensor {
+	g.trans = reshape(g.trans, cols, rows)
+	t := g.trans
+	for j := 0; j < cols; j++ {
+		row := t.Data[j*rows : (j+1)*rows]
 		for k := range row {
-			row[k] = b.Data[k*b.Cols+off+j]
+			row[k] = src.Data[k*src.Cols+off+j]
 		}
 	}
-	if cap(g.transBPrefix) < rowEnd {
-		g.transBPrefix = make([]int, rowEnd)
+	return t
+}
+
+// addProduct computes dst[:, :b.Cols] += a·b, every unit with prefix
+// a.Cols, through the tape's product scratch.
+func (g *Graph) addProduct(dst, a, b *Tensor) {
+	if a.Rows == 0 || b.Cols == 0 {
+		return
 	}
-	pre := g.transBPrefix[:rowEnd]
-	for k := range pre {
-		pre[k] = width
-	}
-	g.transBProd = reshape(g.transBProd, a.Rows, rowEnd)
-	runKernel(a.Rows, a.Rows*width*rowEnd, matMulTransBRange,
-		kernelCall{dst: dst, a: a, b: bt, prod: g.transBProd, prefix: pre})
+	g.prod = reshape(g.prod, a.Rows, b.Cols)
+	runKernel(a.Rows, a.Rows*a.Cols*b.Cols,
+		kernelCall{dst: dst, a: a, b: b, prod: g.prod, k: a.Cols, head: b.Cols})
 }
 
 // reshape returns t as a rows×cols tensor with arbitrary contents, reusing
@@ -232,18 +266,6 @@ func reshape(t *Tensor, rows, cols int) *Tensor {
 	return t
 }
 
-// matMulTransBRange computes rows [lo, hi) of dst[:, :n] += a·bt for the
-// transposed operand bt (a.Cols × n): the prefix kernel writes the product
-// into c.prod, which is then added into dst.
-func matMulTransBRange(c kernelCall, lo, hi int) {
-	prod, n := c.prod, c.b.Cols
-	matMulPrefixRows(prod, c.a, c.b, 0, c.prefix, 0, n, lo, hi)
-	for i := lo; i < hi; i++ {
-		// dst + 1·p is dst + p, bit for bit: axpy1 is the vector add.
-		axpy1(c.dst.Data[i*c.dst.Cols:], prod.Data[i*n:(i+1)*n], 1)
-	}
-}
-
 // dot1Dense returns the dot product of two equal-length slices, for dense
 // operands (attention scores).
 func dot1Dense(a, b []float64) (s float64) {
@@ -254,180 +276,12 @@ func dot1Dense(a, b []float64) (s float64) {
 	return
 }
 
-// clip returns weight row k's nonzero span clipped to the call's window
-// columns: the whole window when every row covers it.
-func (c *kernelCall) clip(k int) (s, e int) {
-	if c.covered {
-		return c.win.colOff, c.win.colEnd
-	}
-	return clipSpan(c.spans, k, c.win.colOff, c.win.colEnd)
-}
-
-// windowCovered reports whether the span of every weight row in
-// [0, win.rowEnd) contains the window's columns, making the window a dense
-// block of the masked product. The windows of a MADE progressive-sampling
-// chain always are: a hidden band or an output block reads only units of
-// lower degree, which connect to all of it.
-func windowCovered(spans []int, win window) bool {
-	for k := 0; k < win.rowEnd; k++ {
-		if spans[2*k] > win.colOff || spans[2*k+1] < win.colEnd {
-			return false
-		}
-	}
-	return true
-}
+// window is the sub-block rows [0, rowEnd) × columns [colOff, colEnd) of a
+// masked weight product.
+type window struct{ rowEnd, colOff, colEnd int }
 
 // clipSpan returns row k's nonzero span clipped to [off, end); the
 // result is empty when s >= e.
 func clipSpan(spans []int, k, off, end int) (s, e int) {
 	return max(spans[2*k], off), min(spans[2*k+1], end)
-}
-
-// windowIntersect4 returns the intersection of the spans of rows k..k+3
-// clipped to [off, end); an empty intersection comes back as [off, off).
-func windowIntersect4(spans []int, k, off, end int) (s, e int) {
-	s, e = off, end
-	for t := 0; t < 4; t++ {
-		s = max(s, spans[2*(k+t)])
-		e = min(e, spans[2*(k+t)+1])
-	}
-	if s >= e {
-		return off, off
-	}
-	return s, e
-}
-
-// matMulWindowRange computes rows [lo, hi) of
-// dst = a[:, :rowEnd]·mw[:rowEnd, colOff:colEnd], touching only each
-// weight row's span within the window. dst is overwritten.
-func matMulWindowRange(c kernelCall, lo, hi int) {
-	dst, a, b, spans := c.dst, c.a, c.b, c.spans
-	cols, n := a.Cols, b.Cols
-	rowEnd, off, end := c.win.rowEnd, c.win.colOff, c.win.colEnd
-	w := end - off
-	clear(dst.Data[lo*w : hi*w])
-	if rowEnd == 0 || w == 0 {
-		return
-	}
-	if c.sparse {
-		for i := lo; i < hi; i++ {
-			arow := a.Data[i*cols : i*cols+rowEnd]
-			drow := dst.Data[i*w : (i+1)*w]
-			for k, av := range arow {
-				if av == 0 {
-					continue
-				}
-				if s, e := c.clip(k); s < e {
-					axpy1(drow[s-off:e-off], b.Data[k*n+s:k*n+e], av)
-				}
-			}
-		}
-		return
-	}
-	kb := kBlockFor(w)
-	for k0 := 0; k0 < rowEnd; k0 += kb {
-		k1 := min(k0+kb, rowEnd)
-		for i := lo; i < hi; i++ {
-			arow := a.Data[i*cols : i*cols+rowEnd]
-			drow := dst.Data[i*w : (i+1)*w]
-			k := k0
-			for ; k+4 <= k1; k += 4 {
-				v0, v1, v2, v3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-				if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
-					continue
-				}
-				if c.covered {
-					axpy4(drow,
-						b.Data[k*n+off:k*n+end], b.Data[(k+1)*n+off:(k+1)*n+end],
-						b.Data[(k+2)*n+off:(k+2)*n+end], b.Data[(k+3)*n+off:(k+3)*n+end],
-						v0, v1, v2, v3)
-					continue
-				}
-				s, e := windowIntersect4(spans, k, off, end)
-				if s < e {
-					axpy4(drow[s-off:e-off],
-						b.Data[k*n+s:k*n+e], b.Data[(k+1)*n+s:(k+1)*n+e],
-						b.Data[(k+2)*n+s:(k+2)*n+e], b.Data[(k+3)*n+s:(k+3)*n+e],
-						v0, v1, v2, v3)
-				}
-				windowLeftovers4(drow, b, spans, k, off, end, s, e, [4]float64{v0, v1, v2, v3})
-			}
-			for ; k < k1; k++ {
-				if av := arow[k]; av != 0 {
-					if s, e := c.clip(k); s < e {
-						axpy1(drow[s-off:e-off], b.Data[k*n+s:k*n+e], av)
-					}
-				}
-			}
-		}
-	}
-}
-
-// windowLeftovers4 applies the parts of rows k..k+3 (clipped to
-// [off, end)) that fall outside the intersection [s, e) already handled by
-// axpy4. drow is indexed relative to off.
-func windowLeftovers4(drow []float64, b *Tensor, spans []int, k, off, end, s, e int, vs [4]float64) {
-	n := b.Cols
-	for t, v := range vs {
-		if v == 0 {
-			continue
-		}
-		ks, ke := clipSpan(spans, k+t, off, end)
-		base := (k + t) * n
-		if le := min(ke, s); ks < le {
-			axpy1(drow[ks-off:le-off], b.Data[base+ks:base+le], v)
-		}
-		if ls := max(ks, e); ls < ke {
-			axpy1(drow[ls-off:ke-off], b.Data[base+ls:base+ke], v)
-		}
-	}
-}
-
-// matMulWindowTransARange computes dst rows [lo, hi) of
-// dst = a[:, :rowEnd]ᵀ·b where dst row i only receives its span's columns
-// within the window [colOff, colEnd) — the weight-gradient shape of a
-// windowed masked layer, with b holding one column per window column and
-// dst the rowEnd×(colEnd−colOff) window. dst is overwritten; entries
-// outside a row's span are zero.
-func matMulWindowTransARange(c kernelCall, lo, hi int) {
-	dst, a, b := c.dst, c.a, c.b
-	cols, w := a.Cols, b.Cols
-	off := c.win.colOff
-	clear(dst.Data[lo*w : hi*w])
-	if w == 0 {
-		return
-	}
-	r := 0
-	for ; r+4 <= a.Rows; r += 4 {
-		a0 := a.Data[r*cols : (r+1)*cols]
-		a1 := a.Data[(r+1)*cols : (r+2)*cols]
-		a2 := a.Data[(r+2)*cols : (r+3)*cols]
-		a3 := a.Data[(r+3)*cols : (r+4)*cols]
-		b0 := b.Data[r*w : (r+1)*w]
-		b1 := b.Data[(r+1)*w : (r+2)*w]
-		b2 := b.Data[(r+2)*w : (r+3)*w]
-		b3 := b.Data[(r+3)*w : (r+4)*w]
-		for i := lo; i < hi; i++ {
-			v0, v1, v2, v3 := a0[i], a1[i], a2[i], a3[i]
-			if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
-				continue
-			}
-			if s, e := c.clip(i); s < e {
-				s, e = s-off, e-off
-				axpy4(dst.Data[i*w+s:i*w+e], b0[s:e], b1[s:e], b2[s:e], b3[s:e], v0, v1, v2, v3)
-			}
-		}
-	}
-	for ; r < a.Rows; r++ {
-		arow := a.Data[r*cols : (r+1)*cols]
-		brow := b.Data[r*w : (r+1)*w]
-		for i := lo; i < hi; i++ {
-			if av := arow[i]; av != 0 {
-				if s, e := c.clip(i); s < e {
-					s, e = s-off, e-off
-					axpy1(dst.Data[i*w+s:i*w+e], brow[s:e], av)
-				}
-			}
-		}
-	}
 }

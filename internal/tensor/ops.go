@@ -40,11 +40,8 @@ func (g *Graph) MaskedMatMulWindow(x, w *Node, cache *MaskedWeight, rowEnd, colO
 			rowEnd, colOff, colEnd, x.Val, mw))
 	}
 	out := g.alloc(x.Val.Rows, colEnd-colOff, false)
-	win := window{rowEnd, colOff, colEnd}
-	runKernel(x.Val.Rows, x.Val.Rows*rowEnd*out.Cols, matMulWindowRange, kernelCall{
-		dst: out, a: x.Val, b: mw, spans: cache.spans, win: win,
-		covered: windowCovered(cache.spans, win), sparse: looksSparse(x.Val.Data),
-	})
+	runKernel(x.Val.Rows, x.Val.Rows*rowEnd*out.Cols,
+		kernelCall{dst: out, a: x.Val, b: mw, off: colOff, k: rowEnd, head: out.Cols})
 	n := g.push(out, opMaskedMatMul, x.requiresGrad || w.requiresGrad)
 	n.a, n.b = x, w
 	n.aux1 = cache.Mask()
@@ -379,7 +376,7 @@ func (g *Graph) backstep(n *Node) {
 			g.MatMulTransBAddInto(a.Grad, n.Grad, b.Val)
 		}
 		if b.requiresGrad {
-			MatMulTransAAddInto(b.Grad, a.Val, n.Grad)
+			g.MatMulTransAAddInto(b.Grad, a.Val, n.Grad)
 		}
 	case opMaskedMatMul:
 		win := window{n.i1, n.i2, n.i2 + n.Val.Cols}
@@ -610,18 +607,18 @@ func (g *Graph) backstep(n *Node) {
 // product saved at forward time and mask the fixed mask.
 func (g *Graph) maskedWindowBackward(x, w *Node, grad, mask, mw *Tensor, spans []int, win window) {
 	rows, width := win.rowEnd, win.colEnd-win.colOff
-	flops := grad.Rows * rows * width
-	covered := windowCovered(spans, win)
 	if x.requiresGrad {
 		// dX[:, :rowEnd] += G·(W∘M)[window]ᵀ.
 		g.matMulTransBAdd(x.Grad, grad, mw, rows, win.colOff)
 	}
-	if w.requiresGrad {
-		// dW[window] += (Xᵀ·G)∘M: the tmp kernel zeroes outside each row's
-		// span, so only the span needs the mask multiply.
-		tmp := g.alloc(rows, width, false)
-		runKernel(rows, flops, matMulWindowTransARange, kernelCall{
-			dst: tmp, a: x.Val, b: grad, spans: spans, win: win, covered: covered,
+	if w.requiresGrad && rows > 0 && width > 0 {
+		// dW[window] += (X[:, :rowEnd]ᵀ·G)∘M: the product covers the whole
+		// window, and the mask is zero outside each row's span, so only
+		// the span takes the mask multiply.
+		g.prod = reshape(g.prod, rows, width)
+		tmp := g.prod
+		runKernel(rows, grad.Rows*rows*width, kernelCall{
+			dst: tmp, a: g.transpose(x.Val, grad.Rows, 0, rows), b: grad, k: grad.Rows, head: width,
 		})
 		md := mask.Data
 		wg := w.Grad.Data

@@ -74,48 +74,43 @@ func ReleaseKernelTokens(n int) {
 	}
 }
 
-// kernelCall carries one kernel invocation's operands and per-call
-// decisions. It is passed by value, so the serial path of runKernel
-// allocates nothing.
+// kernelCall is one call of the product kernel: columns [lo, head) of
+// dst = a[:, :k]·b[:k, off+lo:off+head] over rows split across workers,
+// every unit summing the same prefix k on MatMulPrefixInto's kernel. With
+// prod set, the rows go into prod's columns [lo, head) first and are then
+// added into dst's: the kernel sums from +0, so a product that adds into
+// a gradient is formed whole before it meets it. It is passed by value, so
+// the serial path of runKernel allocates nothing.
 type kernelCall struct {
-	dst, a, b *Tensor
-	// spans, when non-nil, bounds the nonzero column range of the masked
-	// operand per row (see MaskedWeight); plain kernels ignore it.
-	spans []int
-	// win is the weight sub-block a windowed masked kernel reads; other
-	// kernels ignore it. covered records that every weight row's span
-	// contains the window's columns (windowCovered), so the windowed
-	// kernels skip span clipping.
-	win     window
-	covered bool
-	// prod and prefix are matMulTransBRange's product scratch and unit
-	// prefixes; other kernels ignore them.
-	prod   *Tensor
-	prefix []int
-	// sparse selects the skip-zero path of the kernels that have one. It
-	// is decided once per call over the whole streamed operand, never per
-	// row shard: the shard boundaries depend on which worker tokens happen
-	// to be free, and the two paths round differently.
-	sparse bool
+	dst, a, b, prod  *Tensor
+	off, k, lo, head int
 }
 
-// window is the sub-block rows [0, rowEnd) × columns [colOff, colEnd) of a
-// masked weight product.
-type window struct{ rowEnd, colOff, colEnd int }
+// rows computes rows [lo, hi) of the call; concurrent calls on disjoint
+// row ranges are safe.
+func (c kernelCall) rows(lo, hi int) {
+	out := c.dst
+	if c.prod != nil {
+		out = c.prod
+	}
+	matMulSharedRows(out, c.a, c.b, c.off, c.k, c.lo, c.head, lo, hi)
+	if c.prod == nil {
+		return
+	}
+	for i := lo; i < hi; i++ {
+		// dst + 1·p is dst + p, bit for bit: axpy1 is the vector add.
+		axpy1(c.dst.Data[i*c.dst.Cols+c.lo:], out.Data[i*out.Cols+c.lo:i*out.Cols+c.head], 1)
+	}
+}
 
-// rangeKernel computes the rows [lo, hi) of a kernel call's split
-// dimension. Implementations must be safe for concurrent calls on disjoint
-// ranges.
-type rangeKernel func(c kernelCall, lo, hi int)
-
-// runKernel runs k over [0, rows) split into contiguous shards, using up to
-// limit workers when the kernel is large enough and tokens are free. The
+// runKernel runs c over [0, rows) split into contiguous shards, using up to
+// limit workers when the call is large enough and tokens are free. The
 // call is threaded by value (rather than captured in a closure) so the
 // serial fast path — which dominates for the small per-query DPS matrices —
-// performs no heap allocation. Every kernel computes each output element
+// performs no heap allocation. The kernel computes each output element
 // from the same operands in the same order whatever the shard bounds, so
 // results are bit-identical for any worker count.
-func runKernel(rows, flops int, k rangeKernel, c kernelCall) {
+func runKernel(rows, flops int, c kernelCall) {
 	w := int(parLimit.Load())
 	if byFlops := flops / parallelMinFlops; w > byFlops {
 		w = byFlops
@@ -150,17 +145,17 @@ func runKernel(rows, flops int, k rangeKernel, c kernelCall) {
 				wg.Add(1)
 				go func(lo, hi int) {
 					defer wg.Done()
-					k(c, lo, hi)
+					c.rows(lo, hi)
 				}(lo, hi)
 			}
 			if chunk > rows {
 				chunk = rows
 			}
-			k(c, 0, chunk)
+			c.rows(0, chunk)
 			wg.Wait()
 			parTokens.Add(int32(extra))
 			return
 		}
 	}
-	k(c, 0, rows)
+	c.rows(0, rows)
 }

@@ -195,9 +195,9 @@ func TestMaskedMatMulGradCheck(t *testing.T) {
 	})
 }
 
-// TestParallelKernelsMatchSerial checks every matmul kernel produces
-// bit-identical results with 1 and 4 workers across shapes that exercise the
-// blocked, tiled, remainder, and sparse paths.
+// TestParallelKernelsMatchSerial checks every matmul produces bit-identical
+// results with 1 and 4 workers across shapes that exercise full tiles,
+// leftover lanes, unit tails and one-hot inputs.
 func TestParallelKernelsMatchSerial(t *testing.T) {
 	old := MatMulWorkers()
 	defer SetMatMulWorkers(old)
@@ -217,7 +217,7 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 		aTall.Randn(rng, 1)
 		bTall := New(sh.k, sh.n)
 		bTall.Randn(rng, 1)
-		// A sparse a exercises the density-dispatch path.
+		// A one-hot a, whose zero activations the Go twin skips.
 		aSparse := New(sh.m, sh.k)
 		for i := 0; i < sh.m; i++ {
 			aSparse.Set(i, rng.Intn(sh.k), 1)
@@ -231,7 +231,7 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 		kernels := []kernel{
 			{"MatMul", func() *Tensor { return New(sh.m, sh.n) }, func(d *Tensor) { MatMulInto(d, a, bT) }},
 			{"MatMulSparse", func() *Tensor { return New(sh.m, sh.n) }, func(d *Tensor) { MatMulInto(d, aSparse, bT) }},
-			{"MatMulTransAAdd", func() *Tensor { d := New(sh.m, sh.n); d.Fill(0.5); return d }, func(d *Tensor) { MatMulTransAAddInto(d, aTall, bTall) }},
+			{"MatMulTransAAdd", func() *Tensor { d := New(sh.m, sh.n); d.Fill(0.5); return d }, func(d *Tensor) { NewGraph().MatMulTransAAddInto(d, aTall, bTall) }},
 			{"MatMulTransBAdd", func() *Tensor { d := New(sh.m, sh.n); d.Fill(0.5); return d }, func(d *Tensor) { NewGraph().MatMulTransBAddInto(d, a, bRowMajor) }},
 		}
 		for _, kr := range kernels {

@@ -105,31 +105,17 @@ func (t *Tensor) XavierInit(rng *rand.Rand, fanIn, fanOut int) {
 	}
 }
 
-// The matmul kernels below are a·b (Into, dst overwritten) and aᵀ·b
-// (AddInto, dst accumulated), which only backward passes use; a·bᵀ, the
-// input gradient, runs on MatMulPrefixInto's tiles
-// (Graph.MatMulTransBAddInto). Both register-block four rows of the
-// streamed operand for instruction-level parallelism, and a·b also tiles
-// the k dimension so the streamed block stays cache-resident and falls
-// back to a zero-skipping scalar path for sparse (one-hot style) inputs.
-// They shard output rows across the worker pool in parallel.go when the
-// matrix is large enough.
+// Every matmul runs on one kernel, MatMulPrefixInto's lane tiles: a·b
+// (MatMulInto, Graph.MatMul), the masked windows of the training chain,
+// and the gradients aᵀ·b and a·bᵀ (Graph.MatMulTransAAddInto,
+// Graph.MatMulTransBAddInto), which transpose an operand into tape scratch
+// first. Each element is one sum over k in order from +0 with every
+// product rounded before its add, on the AVX2 tiles and on their Go twin
+// alike. Output rows shard across the worker pool in parallel.go when the
+// product is large enough.
 
-// kBlockFor picks the k-tile size so one tile of b (kb rows × n cols of
-// float64) stays within ~32KB (L1-sized); it is always a multiple of 4.
-func kBlockFor(n int) int {
-	if n <= 0 {
-		return 4
-	}
-	kb := (1 << 15) / (8 * n) &^ 3
-	if kb < 4 {
-		kb = 4
-	}
-	return kb
-}
-
-// vectorKernels selects the AVX2 twins of axpy4, axpy1, ExpRowMass's exp
-// loop and MatMulPrefixInto's tiles (vector_amd64.s). It is set once at
+// vectorKernels selects the AVX2 twins of axpy1, ExpRowMass's exp loop
+// and MatMulPrefixInto's tiles (vector_amd64.s). It is set once at
 // start-up from CPUID and stays false on hosts without AVX2 and on every
 // other GOARCH, which run the Go loops. The twins store the same bits as
 // the Go loops, so the setting changes speed only; tests flip it to check
@@ -139,19 +125,9 @@ var vectorKernels = haveAVX2()
 // VectorKernels reports whether the AVX2 twins are in use.
 func VectorKernels() bool { return vectorKernels }
 
-// vectorMinLen is the shortest row axpy4 and axpy1 hand to a vector twin;
-// below it the call costs more than the lanes save.
+// vectorMinLen is the shortest row axpy1 hands to its vector twin; below
+// it the call costs more than the lanes save.
 const vectorMinLen = 8
-
-// axpy4 computes dst += v0·b0 + v1·b1 + v2·b2 + v3·b3 elementwise over
-// len(b0) elements; dst and b1..b3 must be at least that long.
-func axpy4(dst, b0, b1, b2, b3 []float64, v0, v1, v2, v3 float64) {
-	if n := len(b0); vectorKernels && n >= vectorMinLen {
-		axpy4AVX2(dst[:n], b0, b1[:n], b2[:n], b3[:n], v0, v1, v2, v3)
-		return
-	}
-	axpy4Go(dst, b0, b1, b2, b3, v0, v1, v2, v3)
-}
 
 // axpy1 computes dst += v·b elementwise over len(b) elements.
 func axpy1(dst, b []float64, v float64) {
@@ -162,49 +138,16 @@ func axpy1(dst, b []float64, v float64) {
 	axpy1Go(dst, b, v)
 }
 
-// axpy4Go is the reference loop of axpy4. Reslicing lets the compiler drop
-// bounds checks in the loop. Every product is an explicit float64
+// axpy1Go is the reference loop of axpy1. Reslicing lets the compiler drop
+// bounds checks in the loop. The product is an explicit float64
 // conversion, which the Go spec forbids fusing into an FMA on any GOARCH,
-// so each element is dst + (((v0·b0 + v1·b1) + v2·b2) + v3·b3) rounded
-// after every operation — the sequence the AVX2 twin runs per lane.
-func axpy4Go(dst, b0, b1, b2, b3 []float64, v0, v1, v2, v3 float64) {
-	dst = dst[:len(b0)]
-	b1 = b1[:len(b0)]
-	b2 = b2[:len(b0)]
-	b3 = b3[:len(b0)]
-	for j, bv := range b0 {
-		dst[j] += float64(v0*bv) + float64(v1*b1[j]) + float64(v2*b2[j]) + float64(v3*b3[j])
-	}
-}
-
-// axpy1Go is the reference loop of axpy1, unfused like axpy4Go.
+// so each element is dst + v·b rounded after each operation — the
+// sequence the AVX2 twin runs per lane.
 func axpy1Go(dst, b []float64, v float64) {
 	dst = dst[:len(b)]
 	for j, bv := range b {
 		dst[j] += float64(v * bv)
 	}
-}
-
-// looksSparse estimates whether under a quarter of data is nonzero by
-// sampling a strided subset, so density dispatch costs O(sample) instead of
-// a full scan per kernel call. One-hot progressive-sampling inputs are
-// uniformly sparse, so a small sample classifies them reliably. Callers
-// evaluate it once per kernel call over the whole streamed operand (see
-// kernelCall.sparse).
-func looksSparse(data []float64) bool {
-	const sample = 256
-	stride := len(data) / sample
-	if stride < 1 {
-		stride = 1
-	}
-	seen, nz := 0, 0
-	for i := 0; i < len(data); i += stride {
-		seen++
-		if data[i] != 0 {
-			nz++
-		}
-	}
-	return nz*4 < seen
 }
 
 // MatMul computes and returns a·b in a freshly allocated tensor. It is
@@ -221,111 +164,12 @@ func MatMul(a, b *Tensor) *Tensor {
 // both operands.
 func MatMulInto(dst, a, b *Tensor) {
 	checkMatMul(dst, a, b)
-	runKernel(a.Rows, a.Rows*a.Cols*b.Cols, matMulRange,
-		kernelCall{dst: dst, a: a, b: b, sparse: looksSparse(a.Data)})
+	runKernel(a.Rows, a.Rows*a.Cols*b.Cols, kernelCall{dst: dst, a: a, b: b, k: a.Cols, head: b.Cols})
 }
 
 func checkMatMul(dst, a, b *Tensor) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %v·%v→%v", a, b, dst))
-	}
-}
-
-// matMulRange computes rows [lo, hi) of dst = a·b.
-func matMulRange(c kernelCall, lo, hi int) {
-	dst, a, b := c.dst, c.a, c.b
-	cols, n := a.Cols, b.Cols
-	clear(dst.Data[lo*n : hi*n])
-	if cols == 0 || n == 0 {
-		return
-	}
-	// Sparse inputs (one-hot blocks from progressive sampling) skip rows of
-	// b entirely; dense inputs take the tiled, register-blocked path.
-	if c.sparse {
-		for i := lo; i < hi; i++ {
-			arow := a.Data[i*cols : (i+1)*cols]
-			drow := dst.Data[i*n : (i+1)*n]
-			for k, av := range arow {
-				if av == 0 {
-					continue
-				}
-				axpy1(drow, b.Data[k*n:(k+1)*n], av)
-			}
-		}
-		return
-	}
-	kb := kBlockFor(n)
-	for k0 := 0; k0 < cols; k0 += kb {
-		k1 := k0 + kb
-		if k1 > cols {
-			k1 = cols
-		}
-		for i := lo; i < hi; i++ {
-			arow := a.Data[i*cols : (i+1)*cols]
-			drow := dst.Data[i*n : (i+1)*n]
-			k := k0
-			for ; k+4 <= k1; k += 4 {
-				v0, v1, v2, v3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-				if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
-					continue
-				}
-				axpy4(drow,
-					b.Data[k*n:(k+1)*n], b.Data[(k+1)*n:(k+2)*n],
-					b.Data[(k+2)*n:(k+3)*n], b.Data[(k+3)*n:(k+4)*n],
-					v0, v1, v2, v3)
-			}
-			for ; k < k1; k++ {
-				if av := arow[k]; av != 0 {
-					axpy1(drow, b.Data[k*n:(k+1)*n], av)
-				}
-			}
-		}
-	}
-}
-
-// MatMulTransAAddInto computes dst += aᵀ·b.
-func MatMulTransAAddInto(dst, a, b *Tensor) {
-	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: matmulTA shape mismatch %v,%v→%v", a, b, dst))
-	}
-	runKernel(a.Cols, a.Rows*a.Cols*b.Cols, matMulTransARange, kernelCall{dst: dst, a: a, b: b})
-}
-
-// matMulTransARange computes dst rows [lo, hi) — i.e. a's columns lo..hi —
-// of dst += aᵀ·b. Four rows of a/b are blocked together so each pass over
-// the dst shard amortizes their loads.
-func matMulTransARange(c kernelCall, lo, hi int) {
-	dst, a, b := c.dst, c.a, c.b
-	cols, n := a.Cols, b.Cols
-	if n == 0 {
-		return
-	}
-	r := 0
-	for ; r+4 <= a.Rows; r += 4 {
-		a0 := a.Data[r*cols : (r+1)*cols]
-		a1 := a.Data[(r+1)*cols : (r+2)*cols]
-		a2 := a.Data[(r+2)*cols : (r+3)*cols]
-		a3 := a.Data[(r+3)*cols : (r+4)*cols]
-		b0 := b.Data[r*n : (r+1)*n]
-		b1 := b.Data[(r+1)*n : (r+2)*n]
-		b2 := b.Data[(r+2)*n : (r+3)*n]
-		b3 := b.Data[(r+3)*n : (r+4)*n]
-		for i := lo; i < hi; i++ {
-			v0, v1, v2, v3 := a0[i], a1[i], a2[i], a3[i]
-			if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
-				continue
-			}
-			axpy4(dst.Data[i*n:(i+1)*n], b0, b1, b2, b3, v0, v1, v2, v3)
-		}
-	}
-	for ; r < a.Rows; r++ {
-		arow := a.Data[r*cols : (r+1)*cols]
-		brow := b.Data[r*n : (r+1)*n]
-		for i := lo; i < hi; i++ {
-			if av := arow[i]; av != 0 {
-				axpy1(dst.Data[i*n:(i+1)*n], brow, av)
-			}
-		}
 	}
 }
 
@@ -423,7 +267,7 @@ func expBounded(x float64) float64 {
 	// integer part into the mantissa's low bits, so subtracting it back
 	// yields round(x/ln2) with two adds instead of a Floor call. Products
 	// are float64 conversions so no GOARCH fuses them into FMAs (see
-	// axpy4Go): the AVX2 twin repeats exactly these roundings.
+	// axpy1Go): the AVX2 twin repeats exactly these roundings.
 	kf := float64(x*expLog2E) + expShifter
 	kf -= expShifter
 	r := x - float64(kf*expLn2Hi) - float64(kf*expLn2Lo)

@@ -23,13 +23,8 @@ func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv0() uint32
 
-// axpy4AVX2 is axpy4Go over len(b0) elements; every other slice must be at
-// least that long, and dst must not partially overlap an operand.
-//
-//go:noescape
-func axpy4AVX2(dst, b0, b1, b2, b3 []float64, v0, v1, v2, v3 float64)
-
-// axpy1AVX2 is axpy1Go over len(b) elements, under axpy4AVX2's conditions.
+// axpy1AVX2 is axpy1Go over len(b) elements; dst must be at least that
+// long and must not partially overlap b.
 //
 //go:noescape
 func axpy1AVX2(dst, b []float64, v float64)

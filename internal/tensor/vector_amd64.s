@@ -1,7 +1,7 @@
 #include "textflag.h"
 
-// AVX2 twins of axpy4, axpy1, the expBounded loop of ExpRowMass and the
-// tiles of MatMulPrefixInto. Every lane performs the Go kernel's multiplies
+// AVX2 twins of axpy1, the expBounded loop of ExpRowMass and the tiles of
+// MatMulPrefixInto. Every lane performs the Go kernel's multiplies
 // and adds one for one, in the Go expression's association order and
 // without FMA, so each stored element and the row mass carry exactly the
 // bits the Go loops produce.
@@ -138,69 +138,6 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-4
 	MOVL $0, CX
 	XGETBV
 	MOVL AX, ret+0(FP)
-	RET
-
-// AXPY4 updates the four elements of dst at off(DI)(CX*8):
-// dst + (((v0·b0 + v1·b1) + v2·b2) + v3·b3), with v0..v3 broadcast in Y0..Y3
-// and b0..b3 based at R8..R11.
-#define AXPY4(off, acc, tmp) \
-	VMULPD  off(R8)(CX*8), Y0, acc; \
-	VMULPD  off(R9)(CX*8), Y1, tmp; \
-	VADDPD  tmp, acc, acc;          \
-	VMULPD  off(R10)(CX*8), Y2, tmp; \
-	VADDPD  tmp, acc, acc;          \
-	VMULPD  off(R11)(CX*8), Y3, tmp; \
-	VADDPD  tmp, acc, acc;          \
-	VADDPD  off(DI)(CX*8), acc, acc; \
-	VMOVUPD acc, off(DI)(CX*8)
-
-// func axpy4AVX2(dst, b0, b1, b2, b3 []float64, v0, v1, v2, v3 float64)
-TEXT ·axpy4AVX2(SB), NOSPLIT, $0-152
-	MOVQ dst_base+0(FP), DI
-	MOVQ b0_base+24(FP), R8
-	MOVQ b0_len+32(FP), DX
-	MOVQ b1_base+48(FP), R9
-	MOVQ b2_base+72(FP), R10
-	MOVQ b3_base+96(FP), R11
-	VBROADCASTSD v0+120(FP), Y0
-	VBROADCASTSD v1+128(FP), Y1
-	VBROADCASTSD v2+136(FP), Y2
-	VBROADCASTSD v3+144(FP), Y3
-	XORQ CX, CX
-
-axpy4by8:
-	LEAQ 8(CX), AX
-	CMPQ AX, DX
-	JGT  axpy4by4
-	AXPY4(0, Y4, Y5)
-	AXPY4(32, Y6, Y7)
-	MOVQ AX, CX
-	JMP  axpy4by8
-
-axpy4by4:
-	LEAQ 4(CX), AX
-	CMPQ AX, DX
-	JGT  axpy4tail
-	AXPY4(0, Y4, Y5)
-	MOVQ AX, CX
-
-axpy4tail:
-	CMPQ CX, DX
-	JGE  axpy4done
-	VMULSD (R8)(CX*8), X0, X4
-	VMULSD (R9)(CX*8), X1, X5
-	VADDSD X5, X4, X4
-	VMULSD (R10)(CX*8), X2, X5
-	VADDSD X5, X4, X4
-	VMULSD (R11)(CX*8), X3, X5
-	VADDSD X5, X4, X4
-	VADDSD (DI)(CX*8), X4, X4
-	VMOVSD X4, (DI)(CX*8)
-	INCQ CX
-	JMP  axpy4tail
-
-axpy4done:
-	VZEROUPPER
 	RET
 
 // func axpy1AVX2(dst, b []float64, v float64)
