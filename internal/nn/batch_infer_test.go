@@ -222,29 +222,41 @@ func TestBatchInferenceAnyOrder(t *testing.T) {
 // performs zero heap allocations (kernels serial — the parallel path
 // allocates goroutine bookkeeping).
 func TestMADEBatchForwardColAllocFree(t *testing.T) {
-	old := tensor.MatMulWorkers()
-	tensor.SetMatMulWorkers(1)
-	defer tensor.SetMatMulWorkers(old)
-
-	rng := rand.New(rand.NewSource(12))
 	colSizes := []int{6, 4, 8, 3}
-	m := NewMADE(rng, colSizes, 32, 2)
+	batchSweepAllocFree(t, NewMADE(rand.New(rand.NewSource(12)), colSizes, 32, 2), colSizes)
+}
+
+// TestTransformerBatchForwardColAllocFree is the same contract for the
+// transformer's engine, whose projections run through tensor.MatMulInto.
+func TestTransformerBatchForwardColAllocFree(t *testing.T) {
+	colSizes := []int{6, 4, 8, 3}
+	batchSweepAllocFree(t, NewTransformer(rand.New(rand.NewSource(13)), colSizes, 16, 2, 32, 2), colSizes)
+}
+
+// batchSweepAllocFree fails t if a warm 16-lane sampling sweep over bb
+// allocates.
+func batchSweepAllocFree(t *testing.T, bb Backbone, colSizes []int) {
+	t.Helper()
+	defer tensor.SetMatMulWorkers(tensor.MatMulWorkers())
+	tensor.SetMatMulWorkers(1)
+
+	rng := rand.New(rand.NewSource(14))
 	const lanes = 16
-	bi := m.NewBatchInference(lanes)
+	bi := bb.NewBatchInference(lanes)
 	bins := make([]int, lanes*len(colSizes))
 	for k := range bins {
 		bins[k] = rng.Intn(colSizes[k%len(colSizes)])
 	}
 	sweep := func() {
 		bi.Reset()
-		for i, off := range m.Offsets() {
+		for i, off := range bb.Offsets() {
 			bi.ForwardCol(i)
 			for l := 0; l < lanes; l++ {
 				bi.SetInput(l, off+bins[l*len(colSizes)+i])
 			}
 		}
 	}
-	sweep() // warm transposed-weight caches
+	sweep() // warm the engine's buffers
 	if n := testing.AllocsPerRun(20, sweep); n != 0 {
 		t.Fatalf("warm batched sampling sweep allocates %v times, want 0", n)
 	}

@@ -33,9 +33,8 @@ func (g *Graph) CopyColsInto(dst, src *Node, off int) {
 // with W∘Mask read from the cache and x read in place, so x may itself be
 // a buffer whose columns at or past rowEnd are not written yet, though not
 // dst. dst has the layer's full output width and b is the layer's 1×width
-// bias. The
-// backward pass writes only the window's sub-blocks of x.Grad, W.Grad and
-// b.Grad, like MaskedMatMulWindow.
+// bias. The backward pass writes only the window's sub-blocks of x.Grad,
+// W.Grad and b.Grad, like MaskedMatMulWindow.
 func (g *Graph) MaskedLinearReLUInto(dst, x, w, b *Node, cache *MaskedWeight, rowEnd, colOff, colEnd int) {
 	if w.Val != cache.Weight() {
 		panic("tensor: MaskedLinearReLUInto weight node does not bind the cache's weight tensor")

@@ -305,6 +305,8 @@ func (g *Graph) STGumbel(logits *Node, mask *Tensor, tau float64, rng *rand.Rand
 				perturbed[j] = math.Inf(-1)
 				continue
 			}
+			// The conversion rounds the draw, whose scaling some GOARCHes would
+			// otherwise fuse with the add.
 			gnoise := -math.Log(-math.Log(float64(rng.Float64()) + 1e-20))
 			v := lrow[j]
 			if m := mrow[j]; m != 1 {
