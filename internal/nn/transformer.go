@@ -167,7 +167,7 @@ func (c *transformerChain) Next(y *tensor.Node) *tensor.Node {
 	if i == 0 {
 		h = g.AddRow(g.Const(g.NewTensor(c.rows, t.dModel)), g.Param(t.sos))
 	} else {
-		h = g.MatMul(y, g.SliceRows(g.Param(t.wEmb), t.offsets[i-1], t.colSizes[i-1]))
+		h = g.Embed(y, g.SliceRows(g.Param(t.wEmb), t.offsets[i-1], t.colSizes[i-1]))
 	}
 	h = g.AddRow(h, g.SliceRows(g.Param(t.pos), i, 1))
 

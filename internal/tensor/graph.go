@@ -9,6 +9,7 @@ type opKind uint8
 const (
 	opLeaf opKind = iota
 	opMatMul
+	opEmbed
 	opMaskedMatMul
 	opAddRow
 	opAdd

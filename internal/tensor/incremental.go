@@ -48,8 +48,7 @@ func (g *Graph) MaskedLinearReLUInto(dst, x, w, b *Node, cache *MaskedWeight, ro
 	}
 	// The band's pre-activations go straight into dst, then bias and ReLU
 	// in place.
-	runKernel(rows, rows*rowEnd*(colEnd-colOff),
-		kernelCall{dst: dst.Val, a: x.Val, b: mw, k: rowEnd, lo: colOff, head: colEnd})
+	runKernel(kernelCall{dst: dst.Val, a: x.Val, b: mw, k: rowEnd, lo: colOff, head: colEnd})
 	bias := b.Val.Data[colOff:colEnd]
 	for i := 0; i < rows; i++ {
 		drow := dst.Val.Row(i)[colOff:colEnd]

@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // The product kernel, and the operations that run on it. MatMulPrefixInto
 // computes a block of a·w[:, off:] where each unit (output column) sums its
@@ -16,9 +19,12 @@ import "fmt"
 // span, and a sum that starts at +0 is never −0, so those terms leave
 // every element as the span alone would give it, covered window or not.
 //
-// MatMulNZSuffixHeadRangeInto stays apart. It serves the one-hot input
-// layer of batched sampling from each lane's list of set inputs, so its
-// cost follows the few set one-hots rather than the input width.
+// Two one-hot products stay apart, since the tiles would multiply every
+// zero. MatMulNZSuffixHeadRangeInto serves the input layer of batched
+// sampling from each lane's list of set inputs, so its cost follows the
+// few set one-hots rather than the input width. Graph.Embed's gather and
+// scatter (embedInto, embedGradAdd), the transformer's training
+// embedding, scan y for its set entries and multiply only those.
 
 // Batched ancestral sampling runs over MADE's sorted-degree masks, whose
 // spans are suffixes [start, n) with nondecreasing starts (empty rows,
@@ -74,7 +80,10 @@ func MatMulNZSuffixHeadRangeInto(dst, a *Tensor, nz [][]int, mw *Tensor, spans [
 // starts at +0 is never −0, so adding ±0 leaves it unchanged; for the same
 // reason the Go loop may skip zero activations. Every element thus
 // depends only on its own row, column and prefix, not on its tile, lo or
-// the lane count, and the AVX2 tiles store exactly what the Go loop does.
+// the lane count, and the AVX2 tiles store exactly what the Go loop does
+// while w is finite. A zero activation against an Inf or NaN weight is
+// the one case that splits them: the tiles multiply it and store NaN, the
+// Go loop skips it. Only a diverged model holds such a weight.
 // a ≥ +0 matters only across different prefixes within a tile: when every
 // unit of a call shares one prefix there are no extra terms, and signed
 // activations are exact too, which is how every other product of the
@@ -220,11 +229,11 @@ func (g *Graph) matMulTransBAdd(dst, a, b *Tensor, rowEnd, off int) {
 	g.addProduct(dst, a, g.transpose(b, rowEnd, off, a.Cols))
 }
 
-// MatMulTransAAddInto computes dst += aᵀ·b, the weight gradient of a·b: a
+// matMulTransAAdd computes dst += aᵀ·b, the weight gradient of a·b: a
 // goes transposed into the tape's scratch, and the product, every unit
 // with prefix a.Rows, is added into dst. Each element thus adds
 // Σ_r a[r][i]·b[r][j], summed in r order from +0.
-func (g *Graph) MatMulTransAAddInto(dst, a, b *Tensor) {
+func (g *Graph) matMulTransAAdd(dst, a, b *Tensor) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmulTA shape mismatch %v,%v→%v", a, b, dst))
 	}
@@ -252,8 +261,55 @@ func (g *Graph) addProduct(dst, a, b *Tensor) {
 		return
 	}
 	g.prod = reshape(g.prod, a.Rows, b.Cols)
-	runKernel(a.Rows, a.Rows*a.Cols*b.Cols,
-		kernelCall{dst: dst, a: a, b: b, prod: g.prod, k: a.Cols, head: b.Cols})
+	runKernel(kernelCall{dst: dst, a: a, b: b, prod: g.prod, k: a.Cols, head: b.Cols})
+}
+
+// embedInto computes dst = y·w over the nonzero entries of y alone: each
+// dst row starts at +0 and adds v·w[k] for every nonzero y[r][k] in k
+// order (a row gather when y is one-hot). The tiles sum the same terms in
+// the same order and add only ±0 for the rest, so while w is finite the
+// bits are MatMulInto's.
+func embedInto(dst, y, w *Tensor) {
+	for r := range y.Rows {
+		drow, yrow := dst.Row(r), y.Row(r)
+		clear(drow)
+		for k := nextNonzero(yrow, 0); k < len(yrow); k = nextNonzero(yrow, k+1) {
+			axpy1(drow, w.Row(k), yrow[k])
+		}
+	}
+}
+
+// embedGradAdd computes dst += yᵀ·G over the nonzero entries of y alone,
+// Embed's weight gradient (a row scatter when y is one-hot). The product
+// is summed into the tape's scratch from +0, each row k taking v·G[r] for
+// every nonzero y[r][k] in r order, and then added into dst whole, as
+// matMulTransAAdd does, so while G is finite the bits are its.
+func (g *Graph) embedGradAdd(dst, y, grad *Tensor) {
+	g.prod = reshape(g.prod, dst.Rows, dst.Cols)
+	clear(g.prod.Data)
+	for r := range y.Rows {
+		grow, yrow := grad.Row(r), y.Row(r)
+		for k := nextNonzero(yrow, 0); k < len(yrow); k = nextNonzero(yrow, k+1) {
+			axpy1(g.prod.Row(k), grow, yrow[k])
+		}
+	}
+	axpy1(dst.Data, g.prod.Data, 1)
+}
+
+// nextNonzero returns the index of the first nonzero entry of row at or
+// after k, or len(row). It tests four entries at a time: their bits OR'd
+// and shifted past the sign are zero only when all four are ±0.
+func nextNonzero(row []float64, k int) int {
+	for ; k+4 <= len(row); k += 4 {
+		b := math.Float64bits(row[k]) | math.Float64bits(row[k+1]) |
+			math.Float64bits(row[k+2]) | math.Float64bits(row[k+3])
+		if b<<1 != 0 {
+			break
+		}
+	}
+	for ; k < len(row) && row[k] == 0; k++ {
+	}
+	return k
 }
 
 // reshape returns t as a rows×cols tensor with arbitrary contents, reusing

@@ -18,6 +18,22 @@ func (g *Graph) MatMul(a, b *Node) *Node {
 	return n
 }
 
+// Embed returns y·w like MatMul, for a y whose rows hold few nonzeros:
+// the one-hot samples a transformer embeds, where y·w gathers rows of w
+// and the weight gradient yᵀ·G scatters rows of G. Those two products
+// visit only y's nonzero entries, so their cost follows the set entries
+// rather than y's width; the input gradient G·wᵀ is dense and runs as
+// MatMul's. Every element is the sum MatMul forms less its ±0 terms, so
+// Embed stores MatMul's bits while w and G are finite.
+func (g *Graph) Embed(y, w *Node) *Node {
+	out := g.alloc(y.Val.Rows, w.Val.Cols, false)
+	checkMatMul(out, y.Val, w.Val)
+	embedInto(out, y.Val, w.Val)
+	n := g.push(out, opEmbed, y.requiresGrad || w.requiresGrad)
+	n.a, n.b = y, w
+	return n
+}
+
 // MaskedMatMulWindow returns x[:, :rowEnd]·(W∘Mask)[:rowEnd, colOff:colEnd]
 // — one block of x·(W∘Mask), read in place from the dirty-bit cache, so
 // the mask multiply is skipped whenever the weights are unchanged since the
@@ -40,8 +56,7 @@ func (g *Graph) MaskedMatMulWindow(x, w *Node, cache *MaskedWeight, rowEnd, colO
 			rowEnd, colOff, colEnd, x.Val, mw))
 	}
 	out := g.alloc(x.Val.Rows, colEnd-colOff, false)
-	runKernel(x.Val.Rows, x.Val.Rows*rowEnd*out.Cols,
-		kernelCall{dst: out, a: x.Val, b: mw, off: colOff, k: rowEnd, head: out.Cols})
+	runKernel(kernelCall{dst: out, a: x.Val, b: mw, off: colOff, k: rowEnd, head: out.Cols})
 	n := g.push(out, opMaskedMatMul, x.requiresGrad || w.requiresGrad)
 	n.a, n.b = x, w
 	n.aux1 = cache.Mask()
@@ -372,13 +387,17 @@ func (g *Graph) LayerNorm(a, gain, bias *Node, eps float64) *Node {
 // tape's pool, so a warm tape's backward pass performs no heap allocation.
 func (g *Graph) backstep(n *Node) {
 	switch n.op {
-	case opMatMul:
+	case opMatMul, opEmbed:
 		a, b := n.a, n.b
 		if a.requiresGrad {
 			g.MatMulTransBAddInto(a.Grad, n.Grad, b.Val)
 		}
-		if b.requiresGrad {
-			g.MatMulTransAAddInto(b.Grad, a.Val, n.Grad)
+		switch {
+		case !b.requiresGrad:
+		case n.op == opEmbed:
+			g.embedGradAdd(b.Grad, a.Val, n.Grad)
+		default:
+			g.matMulTransAAdd(b.Grad, a.Val, n.Grad)
 		}
 	case opMaskedMatMul:
 		win := window{n.i1, n.i2, n.i2 + n.Val.Cols}
@@ -619,7 +638,7 @@ func (g *Graph) maskedWindowBackward(x, w *Node, grad, mask, mw *Tensor, spans [
 		// the span takes the mask multiply.
 		g.prod = reshape(g.prod, rows, width)
 		tmp := g.prod
-		runKernel(rows, grad.Rows*rows*width, kernelCall{
+		runKernel(kernelCall{
 			dst: tmp, a: g.transpose(x.Val, grad.Rows, 0, rows), b: grad, k: grad.Rows, head: width,
 		})
 		md := mask.Data

@@ -75,12 +75,12 @@ func ReleaseKernelTokens(n int) {
 }
 
 // kernelCall is one call of the product kernel: columns [lo, head) of
-// dst = a[:, :k]·b[:k, off+lo:off+head] over rows split across workers,
-// every unit summing the same prefix k on MatMulPrefixInto's kernel. With
-// prod set, the rows go into prod's columns [lo, head) first and are then
-// added into dst's: the kernel sums from +0, so a product that adds into
-// a gradient is formed whole before it meets it. It is passed by value, so
-// the serial path of runKernel allocates nothing.
+// dst = a[:, :k]·b[:k, off+lo:off+head] over a's rows split across
+// workers, every unit summing the same prefix k on MatMulPrefixInto's
+// kernel. With prod set, the rows go into prod's columns [lo, head) first
+// and are then added into dst's: the kernel sums from +0, so a product
+// that adds into a gradient is formed whole before it meets it. It is
+// passed by value, so the serial path of runKernel allocates nothing.
 type kernelCall struct {
 	dst, a, b, prod  *Tensor
 	off, k, lo, head int
@@ -103,16 +103,17 @@ func (c kernelCall) rows(lo, hi int) {
 	}
 }
 
-// runKernel runs c over [0, rows) split into contiguous shards, using up to
+// runKernel runs c over a's rows split into contiguous shards, using up to
 // limit workers when the call is large enough and tokens are free. The
 // call is threaded by value (rather than captured in a closure) so the
 // serial fast path — which dominates for the small per-query DPS matrices —
 // performs no heap allocation. The kernel computes each output element
 // from the same operands in the same order whatever the shard bounds, so
 // results are bit-identical for any worker count.
-func runKernel(rows, flops int, c kernelCall) {
+func runKernel(c kernelCall) {
+	rows := c.a.Rows
 	w := int(parLimit.Load())
-	if byFlops := flops / parallelMinFlops; w > byFlops {
+	if byFlops := rows * c.k * (c.head - c.lo) / parallelMinFlops; w > byFlops {
 		w = byFlops
 	}
 	if w > rows {

@@ -107,11 +107,13 @@ func (t *Tensor) XavierInit(rng *rand.Rand, fanIn, fanOut int) {
 
 // Every matmul runs on one kernel, MatMulPrefixInto's lane tiles: a·b
 // (MatMulInto, Graph.MatMul), the masked windows of the training chain,
-// and the gradients aᵀ·b and a·bᵀ (Graph.MatMulTransAAddInto,
+// and the gradients aᵀ·b and a·bᵀ (Graph.matMulTransAAdd,
 // Graph.MatMulTransBAddInto), which transpose an operand into tape scratch
 // first. Each element is one sum over k in order from +0 with every
 // product rounded before its add, on the AVX2 tiles and on their Go twin
-// alike. Output rows shard across the worker pool in parallel.go when the
+// alike, while the weights are finite. Graph.Embed's one-hot products
+// visit only the nonzero inputs and store the same bits.
+// Output rows shard across the worker pool in parallel.go when the
 // product is large enough.
 
 // vectorKernels selects the AVX2 twins of axpy1, ExpRowMass's exp loop
@@ -164,7 +166,7 @@ func MatMul(a, b *Tensor) *Tensor {
 // both operands.
 func MatMulInto(dst, a, b *Tensor) {
 	checkMatMul(dst, a, b)
-	runKernel(a.Rows, a.Rows*a.Cols*b.Cols, kernelCall{dst: dst, a: a, b: b, k: a.Cols, head: b.Cols})
+	runKernel(kernelCall{dst: dst, a: a, b: b, k: a.Cols, head: b.Cols})
 }
 
 func checkMatMul(dst, a, b *Tensor) {

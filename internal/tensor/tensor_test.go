@@ -77,7 +77,7 @@ func TestMatMulTransposeVariants(t *testing.T) {
 	want := New(3, 5)
 	MatMulInto(want, at, b)
 	got := New(3, 5)
-	NewGraph().MatMulTransAAddInto(got, a, b)
+	NewGraph().matMulTransAAdd(got, a, b)
 	for i := range want.Data {
 		if !almostEq(got.Data[i], want.Data[i], 1e-12) {
 			t.Fatalf("TransA mismatch at %d", i)

@@ -315,9 +315,10 @@ func TestTransBMatchesReference(t *testing.T) {
 }
 
 // TestProductsMatchReference holds the other products bit for bit to
-// plain loops that share no code with them: MatMulInto, the forward window
-// of MaskedMatMulWindow and MaskedLinearReLUInto, and the weight gradients
-// of Graph.MatMulTransAAddInto and of a masked window. Each reference
+// plain loops that share no code with them: MatMulInto, Graph.Embed, the
+// forward window of MaskedMatMulWindow and MaskedLinearReLUInto, and the
+// weight gradients of Graph.matMulTransAAdd, of Embed and of a masked
+// window. Each reference
 // element is a sum over k in order from +0, every product rounded before
 // its add; the masked ones take only the terms whose mask entry is
 // nonzero, as a product over the spans alone would. The inputs are signed
@@ -422,6 +423,10 @@ func TestProductsMatchReference(t *testing.T) {
 							MatMulInto(dst, xk, b)
 							return dst.Data
 						})
+						each(name+": Embed", fwd.Data, func() []float64 {
+							g := NewGraph()
+							return g.Embed(g.Const(xk), g.Const(b)).Val.Data
+						})
 						each(name+": MaskedMatMulWindow", fwd.Data, func() []float64 {
 							g := NewGraph()
 							return g.MaskedMatMulWindow(g.Const(x), g.Param(w), cache, win.rowEnd, win.colOff, win.colEnd).Val.Data
@@ -462,10 +467,19 @@ func TestProductsMatchReference(t *testing.T) {
 								}
 							}
 						}
-						each(name+": MatMulTransAAddInto", plain.Data, func() []float64 {
+						each(name+": matMulTransAAdd", plain.Data, func() []float64 {
 							dst := dst0.Clone()
-							NewGraph().MatMulTransAAddInto(dst, xk, grad)
+							NewGraph().matMulTransAAdd(dst, xk, grad)
 							return dst.Data
+						})
+						each(name+": Embed dW", plain.Data, func() []float64 {
+							g := NewGraph()
+							wn := g.Param(b)
+							copy(wn.Grad.Data, dst0.Data)
+							out := g.Embed(g.Const(xk), wn)
+							copy(out.Grad.Data, grad.Data)
+							g.backstep(out)
+							return wn.Grad.Data
 						})
 						each(name+": masked dW", maskedWant.Data, func() []float64 {
 							g := NewGraph()
