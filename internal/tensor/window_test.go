@@ -374,6 +374,9 @@ func TestProductsMatchReference(t *testing.T) {
 		}
 	}
 	seen := map[bool]bool{}
+	// Embed runs on one tape throughout, so its output and scratch
+	// buffers come back from the pool holding an earlier call's values.
+	tape := NewGraph()
 	rng := rand.New(rand.NewSource(9))
 	for _, size := range sizes {
 		in, out := size.in, size.out
@@ -424,8 +427,8 @@ func TestProductsMatchReference(t *testing.T) {
 							return dst.Data
 						})
 						each(name+": Embed", fwd.Data, func() []float64 {
-							g := NewGraph()
-							return g.Embed(g.Const(xk), g.Const(b)).Val.Data
+							tape.Reset()
+							return tape.Embed(tape.Const(xk), tape.Const(b)).Val.Data
 						})
 						each(name+": MaskedMatMulWindow", fwd.Data, func() []float64 {
 							g := NewGraph()
@@ -473,12 +476,12 @@ func TestProductsMatchReference(t *testing.T) {
 							return dst.Data
 						})
 						each(name+": Embed dW", plain.Data, func() []float64 {
-							g := NewGraph()
-							wn := g.Param(b)
+							tape.Reset()
+							wn := tape.Param(b)
 							copy(wn.Grad.Data, dst0.Data)
-							out := g.Embed(g.Const(xk), wn)
+							out := tape.Embed(tape.Const(xk), wn)
 							copy(out.Grad.Data, grad.Data)
-							g.backstep(out)
+							tape.backstep(out)
 							return wn.Grad.Data
 						})
 						each(name+": masked dW", maskedWant.Data, func() []float64 {
