@@ -105,16 +105,16 @@ func (t *Tensor) XavierInit(rng *rand.Rand, fanIn, fanOut int) {
 	}
 }
 
-// Every matmul runs on one kernel, MatMulPrefixInto's lane tiles: a·b
+// Every dense matmul runs on one kernel, MatMulPrefixInto's lane tiles: a·b
 // (MatMulInto, Graph.MatMul), the masked windows of the training chain,
 // and the gradients aᵀ·b and a·bᵀ (Graph.matMulTransAAdd,
 // Graph.MatMulTransBAddInto), which transpose an operand into tape scratch
 // first. Each element is one sum over k in order from +0 with every
 // product rounded before its add, on the AVX2 tiles and on their Go twin
-// alike, while the weights are finite. Graph.Embed's one-hot products
-// visit only the nonzero inputs and store the same bits.
-// Output rows shard across the worker pool in parallel.go when the
-// product is large enough.
+// alike, while the weights are finite. Output rows shard across the
+// worker pool in parallel.go when the product is large enough.
+// Graph.Embed's one-hot products visit only the nonzero inputs and store
+// the same bits.
 
 // vectorKernels selects the AVX2 twins of axpy1, ExpRowMass's exp loop
 // and MatMulPrefixInto's tiles (vector_amd64.s). It is set once at
