@@ -38,12 +38,6 @@ type Analyzer struct {
 	// packages (Config.IsPipeline); repo-wide analyzers leave it false.
 	PipelineOnly bool
 
-	// Scope, when non-nil, restricts the analyzer to packages whose
-	// import path it accepts. The driver applies it; the analysistest
-	// harness deliberately does not, so fixtures exercise the analyzer
-	// regardless of scope.
-	Scope func(importPath string) bool
-
 	Run func(*Pass) error
 }
 

@@ -56,9 +56,9 @@ type CFG struct {
 
 // BuildCFG lowers body into basic blocks. The builder is purely
 // syntactic — it needs no type information — and never fails: statements
-// after a terminator land in an unreachable block rather than being
-// dropped, so dead code is preserved for analyzers (and flagged by
-// Reachable).
+// after a terminator land in a block with no predecessors rather than
+// being dropped, so dead code is preserved for analyzers while no path
+// from the entry reaches it.
 func BuildCFG(body *ast.BlockStmt) *CFG {
 	b := &cfgBuilder{
 		cfg:    &CFG{Body: body},

@@ -68,9 +68,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer, cfg Config) ([]Finding, error) 
 			if a.PipelineOnly && !pipeline {
 				continue
 			}
-			if a.Scope != nil && !a.Scope(pkg.ImportPath) {
-				continue
-			}
 			var diags []Diagnostic
 			pass := &Pass{
 				Analyzer:  a,

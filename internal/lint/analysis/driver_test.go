@@ -125,41 +125,6 @@ func TestDriverPipelineGating(t *testing.T) {
 	}
 }
 
-func TestDriverScopeGating(t *testing.T) {
-	_, pkg := loadAllowFixture(t)
-
-	// A scope that rejects the fixture's import path silences the
-	// analyzer entirely — no findings, and the fixture's allow markers
-	// become "unused" findings since nothing matched them.
-	scoped := toyAnalyzer(false)
-	scoped.Scope = func(path string) bool { return strings.HasPrefix(path, "sam/internal/core") }
-	findings, err := Run([]*Package{pkg}, []*Analyzer{scoped}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range findings {
-		if f.Analyzer == "toybomb" {
-			t.Fatalf("scoped analyzer ran outside its scope: %s", f)
-		}
-	}
-
-	// A scope accepting the path behaves like no scope at all.
-	scoped.Scope = func(path string) bool { return path == "samlint.fixture/allow" }
-	findings, err = Run([]*Package{pkg}, []*Analyzer{scoped}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ran := false
-	for _, f := range findings {
-		if f.Analyzer == "toybomb" {
-			ran = true
-		}
-	}
-	if !ran {
-		t.Fatal("analyzer did not run inside its scope")
-	}
-}
-
 func TestApplyFixes(t *testing.T) {
 	fset := token.NewFileSet()
 	src := []byte("abcdef")

@@ -19,11 +19,11 @@
 //   - maporder: values derived from map iteration order never reach
 //     writers, hashes, RNG seeding, or heap comparators (taint analysis
 //     over def-use chains; sort.* sanitizes).
-//   - goleak: goroutines in core/obs signal completion (WaitGroup.Done,
-//     close, or channel send) on every CFG exit path.
+//   - goleak: goroutines signal completion (WaitGroup.Done, close, or
+//     channel send) on every CFG exit path.
 //   - lockguard: fields written under a struct's mutex anywhere in a
 //     package are never accessed bare elsewhere in it.
-//   - closeleak: file-backed handles (os files, relation shard files)
+//   - closeleak: os file handles (os.Create/Open/OpenFile/CreateTemp)
 //     reach Close on every path or are explicitly handed off.
 //   - veccard: labeled-metric With() handles are pre-resolved outside
 //     hot loops, and label values come from bounded sets.
@@ -167,6 +167,17 @@ func inspectShallow(n ast.Node, fn func(ast.Node) bool) {
 		}
 		return fn(child)
 	})
+}
+
+// insideFuncLit reports whether the ancestor stack crosses a function
+// literal (i.e. the node belongs to a nested closure's scope).
+func insideFuncLit(parents []ast.Node) bool {
+	for _, p := range parents {
+		if _, ok := p.(*ast.FuncLit); ok {
+			return true
+		}
+	}
+	return false
 }
 
 // walkParents traverses the subtree under root in source order, handing

@@ -55,6 +55,7 @@ func TestSpanEndFixtures(t *testing.T) {
 
 	// The never-ended span has a mechanical fix: apply it and check the
 	// defer lands right after the start, at matching indentation.
+	neverEnded := false
 	for _, d := range diags {
 		if !strings.Contains(d.Message, "never ended") {
 			continue
@@ -75,9 +76,14 @@ func TestSpanEndFixtures(t *testing.T) {
 		if got := string(patched[pos.Filename]); !strings.Contains(got, "Child(\"phase\")\n\tdefer sp.End()") {
 			t.Errorf("applied fix did not insert defer right after the span start:\n%s", got)
 		}
-		return
+		neverEnded = true
+		break
 	}
-	t.Error("no never-ended finding reported")
+	if !neverEnded {
+		t.Error("no never-ended finding reported")
+	}
+	// Every finding, uncovered exits included, carries the same defer fix.
+	roundTripFixes(t, SpanEnd, "testdata/src/spanend", diags)
 }
 
 func TestGraphResetFixtures(t *testing.T) {

@@ -39,3 +39,47 @@ func spillRun(dir string, rows [][]int32) error {
 	}
 	return nil // want `handle f \(opened at line \d+\) is not closed on this path; defer f\.Close\(\) after the error check`
 }
+
+// closeleak treats a comparison, a method value and a reassignment as
+// ordinary use of the handle, not a hand-off (spanend counts all three
+// as hand-offs; see its clean fixtures), so each of these still leaks.
+
+// Comparing the handle keeps it owned: the early return leaks it.
+func comparedHandle(path string, skip bool) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	if f == nil || skip {
+		return nil // want `handle f \(opened at line \d+\) is not closed on this path; defer f\.Close\(\) after the error check`
+	}
+	return f.Close()
+}
+
+// A Close made through a method value is not a Close on f.
+func methodValueHandle(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	closeFn := f.Close
+	return closeFn() // want `handle f \(opened at line \d+\) is not closed on this path; defer f\.Close\(\) after the error check`
+}
+
+// Reassigning the variable keeps the first handle owned: the early return
+// leaks it.
+func reopened(a, b string) error {
+	f, err := os.Open(a)
+	if err != nil {
+		return err
+	}
+	if a == b {
+		return nil // want `handle f \(opened at line \d+\) is not closed on this path; defer f\.Close\(\) after the error check`
+	}
+	f.Close()
+	f, err = os.Open(b)
+	if err != nil {
+		return err
+	}
+	return f.Close()
+}

@@ -96,3 +96,34 @@ func shardWorkers(psp *obs.Span, n int) {
 }
 
 func work() error { return nil }
+
+// spanend counts every use of a span other than a method call as a
+// hand-off, so the next three are not analyzed further. closeleak treats
+// the same shapes as ordinary use of a file (see its flagged fixtures).
+
+// A comparison hands the span off.
+func comparedSpan(root *obs.Span) {
+	sp := root.Child("phase")
+	if sp == nil {
+		return
+	}
+	sp.SetAttr("k", 1)
+}
+
+// So does a method value: whoever calls end ends the span.
+func methodValueSpan(root *obs.Span, later func(func())) {
+	sp := root.Child("phase")
+	end := sp.End
+	later(end)
+}
+
+// And so does reassigning the variable, early return and all.
+func reassignedSpan(root *obs.Span, fail bool) error {
+	sp := root.Child("first")
+	if fail {
+		return errEarly
+	}
+	sp = root.Child("second")
+	sp.End()
+	return nil
+}
