@@ -148,15 +148,16 @@ scale-gate: scale-bench
 		-scale-max-mem $(SCALE_MAX_MEM)
 
 ## trace-smoke runs a real smoke-scale pipeline with every observability
-## surface enabled — trace, run log, metrics dump — then analyzes the
-## trace and diffs it against itself with samreport, and fuses all three
-## artifacts into a samreport (which fails if their run IDs disagree);
-## CI's "Trace and metrics smoke" step is exactly this target.
+## surface enabled — the run log, which carries the span tree, and the
+## metrics dump — then analyzes the span tree and diffs it against itself
+## with samreport, and fuses both artifacts into a samreport (which fails
+## if their run IDs disagree); CI's "Trace and metrics smoke" step is
+## exactly this target.
 trace-smoke:
-	$(GO) run ./cmd/sambench -scale smoke -exp tab1 -trace trace.jsonl \
+	$(GO) run ./cmd/sambench -scale smoke -exp tab1 \
 		-runlog run.log -metrics-out metrics.prom -progress
-	$(GO) run ./cmd/samreport -trace trace.jsonl -baseline trace.jsonl -top 5
-	$(GO) run ./cmd/samreport -trace trace.jsonl -runlog run.log \
+	$(GO) run ./cmd/samreport -runlog run.log -baseline run.log -top 5
+	$(GO) run ./cmd/samreport -runlog run.log \
 		-metrics metrics.prom -top 5 -o report.md
 	@grep -q 'Run ID' report.md || { echo "samreport: no run ID in report.md"; exit 1; }
 	$(GO) test -run 'TestSambenchTraceSmoke|TestSamreportSmoke|TestSambenchPrometheusEndpoint' -v .

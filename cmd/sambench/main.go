@@ -5,30 +5,28 @@
 // Usage:
 //
 //	sambench [-scale smoke|quick|full] [-exp all|tab1..tab9|fig5..fig8] [-seed N] [-v]
-//	         [-trace out.jsonl] [-runlog run.jsonl] [-metrics-out metrics.prom]
+//	         [-runlog run.log] [-metrics-out metrics.prom]
 //	         [-progress] [-debug-addr :6060]
 //	sambench -tensorbench BENCH_tensor.json
 //	sambench -scalebench BENCH_scale.json [-scalerows N] [-scaleshards N] \
 //	         [-scaleworkers N] [-scalepartitions N] [-scaledir DIR] \
-//	         [-trace out.jsonl] [-runlog run.jsonl] [-metrics-out metrics.prom]
+//	         [-runlog run.log] [-metrics-out metrics.prom]
 //
 // Experiments share trained models and generated databases within one
 // invocation, so running -exp all is much cheaper than running each
 // experiment separately.
 //
-// -trace records the run's phase tree (train/sample/merge/eval
-// spans with wall time and allocation deltas) as JSONL and prints it
-// after the reports as the per-path table samreport shows. -progress
-// streams per-epoch training loss (with an ETA), throttled sampling
-// progress, and per-phase generation stats to stderr. -debug-addr serves
-// live net/http/pprof and the telemetry registry in Prometheus text
-// format at /metrics while the run is hot. Traces written with -trace
-// feed samreport -trace.
-// -runlog appends every pipeline event as structured JSONL and
-// -metrics-out snapshots the final registry as Prometheus text; every
-// invocation mints a run ID stamped into all artifacts (trace root,
-// run-log lines, sam_run_info family, scalebench report), which is how
-// cmd/samreport joins them back together.
+// -runlog writes every pipeline event as structured JSONL and, at the
+// end, the run's phase tree (train/sample/merge/eval spans with wall time
+// and allocation deltas) as span entries; the tree is also printed after
+// the reports as the per-path table samreport shows. -progress streams
+// per-epoch training loss (with an ETA), throttled sampling progress, and
+// per-phase generation stats to stderr. -debug-addr serves live
+// net/http/pprof and the telemetry registry in Prometheus text format at
+// /metrics while the run is hot. -metrics-out snapshots the final
+// registry as Prometheus text. Every invocation mints a run ID stamped
+// into all artifacts (run-log lines, sam_run_info family, scalebench
+// report), which is how cmd/samreport joins them back together.
 //
 // -tensorbench skips the experiments and instead micro-benchmarks the
 // tensor hot paths (dense matmul, MADE training forward+backward, sampling
@@ -67,8 +65,7 @@ func main() {
 	scaleWorkers := flag.Int("scaleworkers", 0, "sampling workers for -scalebench (0 = GOMAXPROCS)")
 	scalePartitions := flag.Int("scalepartitions", 0, "spill partitions for -scalebench (0 = 64)")
 	scaleDir := flag.String("scaledir", "", "scratch directory for -scalebench shards and spill files (default: a temp dir)")
-	traceOut := flag.String("trace", "", "write the run's phase trace (JSONL spans) to this file")
-	runlogOut := flag.String("runlog", "", "append the run's structured events as JSONL (framed by run_start/run_end and stamped with the run ID) to this file")
+	runlogOut := flag.String("runlog", "", "write the run's structured events and phase span tree as JSONL (framed by run_start/run_end and stamped with the run ID) to this file")
 	metricsOut := flag.String("metrics-out", "", "write the final telemetry registry in Prometheus text format to this file at exit")
 	progress := flag.Bool("progress", false, "stream per-epoch training and per-phase generation progress to stderr")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof and /metrics on this address (e.g. :6060)")
@@ -91,7 +88,7 @@ func main() {
 	}
 
 	tel, err := obs.StartCLITelemetry(obs.CLIFlags{
-		Name: "sambench", Seed: *seed, TracePath: *traceOut, RunLogPath: *runlogOut,
+		Name: "sambench", Seed: *seed, RunLogPath: *runlogOut,
 		MetricsPath: *metricsOut, DebugAddr: *debugAddr, Progress: *progress,
 	})
 	if err != nil {

@@ -8,7 +8,7 @@
 //	samgen -workload workload.json -schema schema.json -outdir gen/ \
 //	       [-population N] [-epochs N] [-hidden N] [-samples N] [-seed N] [-no-gam] \
 //	       [-stream] [-shards N] [-workers N] [-partitions N] \
-//	       [-trace out.jsonl] [-runlog run.jsonl] [-metrics-out metrics.prom] \
+//	       [-runlog run.log] [-metrics-out metrics.prom] \
 //	       [-progress] [-debug-addr :6060]
 //
 // -population is required for multi-relation schemas (the full outer join
@@ -30,17 +30,16 @@
 // It runs in the same merge as Group-and-Merge, so it works in memory and
 // with -stream alike.
 //
-// -trace records the pipeline's phase tree (train/sample/merge
-// spans with wall time and allocation deltas) as JSONL and prints it as
-// the per-path table samreport shows; -progress streams per-epoch loss
-// (with an ETA), throttled sampling progress, and per-phase generation
-// stats to stderr; -debug-addr serves live pprof and Prometheus metrics
-// at /metrics.
-// -runlog appends every pipeline event as structured JSONL and
-// -metrics-out snapshots the final registry as Prometheus text. Every
-// invocation mints a run ID stamped into all of these (trace root attr,
-// run log lines, the sam_run_info family), which is how cmd/samreport
-// joins a run's artifacts back together.
+// -runlog writes every pipeline event as structured JSONL and, at the
+// end, the pipeline's phase tree (train/sample/merge spans with wall time
+// and allocation deltas) as span entries; the tree is also printed as the
+// per-path table samreport shows. -progress streams per-epoch loss (with
+// an ETA), throttled sampling progress, and per-phase generation stats to
+// stderr; -debug-addr serves live pprof and Prometheus metrics at
+// /metrics; -metrics-out snapshots the final registry as Prometheus text.
+// Every invocation mints a run ID stamped into all of these (run log
+// lines, the sam_run_info family), which is how cmd/samreport joins a
+// run's artifacts back together.
 package main
 
 import (
@@ -78,15 +77,14 @@ func main() {
 	arch := flag.String("arch", "made", "autoregressive backbone: made or transformer")
 	savePath := flag.String("save", "", "save the trained model to this path")
 	loadPath := flag.String("load", "", "skip training and load a model saved with -save")
-	traceOut := flag.String("trace", "", "write the pipeline's phase trace (JSONL spans) to this file")
-	runlogOut := flag.String("runlog", "", "append the run's structured events as JSONL (framed by run_start/run_end and stamped with the run ID) to this file")
+	runlogOut := flag.String("runlog", "", "write the run's structured events and phase span tree as JSONL (framed by run_start/run_end and stamped with the run ID) to this file")
 	metricsOut := flag.String("metrics-out", "", "write the final telemetry registry in Prometheus text format to this file at exit")
 	progress := flag.Bool("progress", false, "stream per-epoch training and per-phase generation progress to stderr")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof and /metrics on this address (e.g. :6060)")
 	flag.Parse()
 
 	tel, err := obs.StartCLITelemetry(obs.CLIFlags{
-		Name: "samgen", Seed: *seed, TracePath: *traceOut, RunLogPath: *runlogOut,
+		Name: "samgen", Seed: *seed, RunLogPath: *runlogOut,
 		MetricsPath: *metricsOut, DebugAddr: *debugAddr, Progress: *progress,
 	})
 	if err != nil {
@@ -277,7 +275,7 @@ func generateAndWrite(model *ar.Model, sizes map[string]int, cfg genConfig, tel 
 	closeTelemetry(tel)
 }
 
-// closeTelemetry writes the run's trace, run log and metrics artifacts.
+// closeTelemetry writes the run's run log and metrics artifacts.
 func closeTelemetry(tel *obs.CLITelemetry) {
 	if err := tel.Close(os.Stdout); err != nil {
 		log.Fatal(err)

@@ -1,7 +1,7 @@
 // Command samreport fuses the artifacts one SAM run leaves behind into a
-// single Markdown report: the phase trace (samgen/sambench -trace), the
-// metrics in Prometheus text (-metrics-out or a /metrics scrape), the
-// structured JSONL run log (-runlog), and the benchmark documents
+// single Markdown report: the structured JSONL run log (samgen/sambench
+// -runlog) with the phase span tree it carries, the metrics in Prometheus
+// text (-metrics-out or a /metrics scrape), and the benchmark documents
 // (BENCH_scale.json, BENCH_tensor.json). Inputs are joined by the run ID
 // each artifact was stamped with; mixing artifacts from different runs is
 // an error unless -allow-mismatch downgrades it to a warning in the
@@ -9,14 +9,15 @@
 //
 // Usage:
 //
-//	samreport [-trace run.jsonl] [-baseline old.jsonl] [-metrics metrics.prom]
-//	          [-runlog run.log] [-scale BENCH_scale.json] [-tensor BENCH_tensor.json]
+//	samreport [-runlog run.log] [-baseline old.log] [-metrics metrics.prom]
+//	          [-scale BENCH_scale.json] [-tensor BENCH_tensor.json]
 //	          [-top N] [-o report.md] [-allow-mismatch]
 //
-// -baseline diffs the -trace span tree against a second trace (typically
-// from an older commit), surfacing per-span wall and allocation deltas.
-// -top bounds the hot-span and diff listings. With no -o the report goes
-// to stdout.
+// -baseline diffs the -runlog span tree against a second run log's
+// (typically from an older commit), surfacing per-span wall and
+// allocation deltas; like -runlog, a baseline whose run did not finish is
+// refused. -top bounds the hot-span and diff listings. With no -o the
+// report goes to stdout.
 package main
 
 import (
@@ -31,10 +32,9 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	tracePath := flag.String("trace", "", "JSONL phase trace to analyze")
-	baselinePath := flag.String("baseline", "", "baseline trace to diff -trace against")
+	runlogPath := flag.String("runlog", "", "structured JSONL run log (-runlog), phase span tree included")
+	baselinePath := flag.String("baseline", "", "baseline run log whose span tree -runlog's is diffed against")
 	metricsPath := flag.String("metrics", "", "metrics in Prometheus text format (-metrics-out or a /metrics scrape)")
-	runlogPath := flag.String("runlog", "", "structured JSONL run log (-runlog)")
 	scalePath := flag.String("scale", "", "scalebench report (BENCH_scale.json)")
 	tensorPath := flag.String("tensor", "", "tensorbench report (BENCH_tensor.json)")
 	top := flag.Int("top", 10, "hot spans / diff rows to list")
@@ -52,10 +52,9 @@ func main() {
 	}
 
 	rep, err := report.Build(report.Inputs{
-		TracePath:     *tracePath,
+		RunLogPath:    *runlogPath,
 		BaselinePath:  *baselinePath,
 		MetricsPath:   *metricsPath,
-		RunLogPath:    *runlogPath,
 		ScalePath:     *scalePath,
 		TensorPath:    *tensorPath,
 		Top:           *top,

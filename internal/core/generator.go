@@ -145,14 +145,20 @@ func (g *Generator) sanitize(dst []int32) {
 // materialize merges a shard set into in-memory tables through table
 // sinks, under either key policy.
 func (g *Generator) materialize(set *ShardSet, opts StreamOptions) (*relation.Schema, error) {
-	tables := g.newEmptyTables()
-	err := g.merge(set, opts, &StreamResult{}, func(tc *tableCtx) (rowSink, error) {
-		return newTableSink(tables[tc.t.Name], tc.hasChildren), nil
+	s, err := g.Layout.Schema.Spec().EmptySchema()
+	if err != nil {
+		return nil, err
+	}
+	err = g.merge(set, opts, &StreamResult{}, func(tc *tableCtx) (rowSink, error) {
+		return newTableSink(s.Table(tc.t.Name), tc.hasChildren), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return g.finishSchema(tables)
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // tableSink appends merged rows to an in-memory table: the memory
@@ -183,38 +189,3 @@ func (s *tableSink) WriteRow(pk int64, codes []int32, fk int64) error {
 }
 
 func (s *tableSink) close() error { return nil }
-
-// newEmptyTables clones the schema's table shells (same columns/domains, no
-// data).
-func (g *Generator) newEmptyTables() map[string]*relation.Table {
-	out := make(map[string]*relation.Table, len(g.Layout.Schema.Tables))
-	for _, t := range g.Layout.Schema.Tables {
-		cols := make([]*relation.Column, len(t.Cols))
-		for i, c := range t.Cols {
-			nc := relation.NewColumn(c.Name, c.Kind, c.NumValues)
-			if c.Vals != nil {
-				nc = nc.WithVals(c.Vals)
-			}
-			cols[i] = nc
-		}
-		nt := relation.NewTable(t.Name, cols...)
-		nt.Parent = t.Parent
-		out[t.Name] = nt
-	}
-	return out
-}
-
-func (g *Generator) finishSchema(tables map[string]*relation.Table) (*relation.Schema, error) {
-	ordered := make([]*relation.Table, 0, len(tables))
-	for _, t := range g.Layout.Schema.Tables {
-		ordered = append(ordered, tables[t.Name])
-	}
-	s, err := relation.NewSchema(ordered...)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}

@@ -128,17 +128,15 @@ func Train(s *relation.Schema, wl *workload.Workload, sizes map[string]int) (*Mo
 // keys are uniform over the parent.
 func (m *Model) Generate(seed int64) (*relation.Schema, error) {
 	rng := rand.New(rand.NewSource(seed))
-	tables := make([]*relation.Table, 0, len(m.Schema.Tables))
-	rowsOf := map[string]int{}
+	out, err := m.Schema.Spec().EmptySchema()
+	if err != nil {
+		return nil, err
+	}
 	for _, t := range m.Schema.Tables {
-		cols := make([]*relation.Column, len(t.Cols))
+		nt := out.Table(t.Name)
+		cols := nt.Cols
 		cums := make([][]float64, len(t.Cols))
 		for i, c := range t.Cols {
-			nc := relation.NewColumn(c.Name, c.Kind, c.NumValues)
-			if c.Vals != nil {
-				nc = nc.WithVals(c.Vals)
-			}
-			cols[i] = nc
 			h := m.hist[t.Name+"."+c.Name]
 			cum := make([]float64, len(h))
 			var run float64
@@ -148,10 +146,7 @@ func (m *Model) Generate(seed int64) (*relation.Schema, error) {
 			}
 			cums[i] = cum
 		}
-		nt := relation.NewTable(t.Name, cols...)
-		nt.Parent = t.Parent
 		size := m.Sizes[t.Name]
-		rowsOf[t.Name] = size
 		for r := 0; r < size; r++ {
 			for i := range cols {
 				u := rng.Float64() * cums[i][len(cums[i])-1]
@@ -162,10 +157,9 @@ func (m *Model) Generate(seed int64) (*relation.Schema, error) {
 				cols[i].Append(int32(j))
 			}
 			if t.Parent != "" {
-				nt.FK = append(nt.FK, int64(rng.Intn(rowsOf[t.Parent])))
+				nt.FK = append(nt.FK, int64(rng.Intn(m.Sizes[t.Parent])))
 			}
 		}
-		tables = append(tables, nt)
 	}
-	return relation.NewSchema(tables...)
+	return out, nil
 }

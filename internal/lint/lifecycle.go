@@ -15,8 +15,9 @@ import (
 // a phase span started with Child must be ended on every path out of the
 // function, or ownership must be handed off. A span is used only through
 // its methods, so any other use — returned, stored, passed along,
-// compared, taken as a method value, reassigned, captured by a closure —
-// counts as a hand-off and is not analyzed further. The suggested fix
+// compared, taken as a method value, captured by a closure — counts as a
+// hand-off and is not analyzed further. Reassigning the variable is not a
+// hand-off: the span it held must still be ended. The suggested fix
 // inserts `defer sp.End()` after the start; End is idempotent, so the fix
 // is safe next to manual Ends.
 var SpanEnd = &analysis.Analyzer{
@@ -100,10 +101,10 @@ type lifecycle struct {
 	// signal recognizes its completion signals (a call or a send).
 	release string
 	signal  func(info *types.Info, n ast.Node) bool
-	// methodsOnly makes every use of a value other than a method call a
-	// hand-off. Otherwise a use hands it off only when the value is
-	// returned, stored, sent, aliased, address-taken, captured by a
-	// closure, or passed to a call outside the borrows set.
+	// methodsOnly makes every use of a value other than a method call or
+	// a reassignment a hand-off. Otherwise a use hands it off only when
+	// the value is returned, stored, sent, aliased, address-taken,
+	// captured by a closure, or passed to a call outside the borrows set.
 	methodsOnly bool
 	borrows     func(info *types.Info, call *ast.CallExpr) bool
 	// never, when set, is reported at the creation of a value no
@@ -198,10 +199,17 @@ func (lc *lifecycle) report(pass *analysis.Pass, scope *ast.BlockStmt, ob *oblig
 // handsOff reports whether one use of the tracked value (other than a
 // method call on it outside closures) moves its ownership elsewhere.
 func (lc *lifecycle) handsOff(info *types.Info, id *ast.Ident, parents []ast.Node) bool {
-	if lc.methodsOnly || insideFuncLit(parents) {
+	if insideFuncLit(parents) {
 		return true
 	}
-	switch p := parents[len(parents)-1].(type) {
+	parent := parents[len(parents)-1]
+	if as, ok := parent.(*ast.AssignStmt); ok && slices.Contains(as.Lhs, ast.Expr(id)) {
+		return false // reassigning the variable leaves the old value owned here
+	}
+	if lc.methodsOnly {
+		return true
+	}
+	switch p := parent.(type) {
 	case *ast.CallExpr:
 		return !lc.borrows(info, p)
 	case *ast.ReturnStmt, *ast.CompositeLit, *ast.KeyValueExpr, *ast.SendStmt, *ast.IndexExpr:

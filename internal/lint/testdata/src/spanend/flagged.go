@@ -54,3 +54,15 @@ func workerLeak(psp *obs.Span, n int) {
 		}(i)
 	}
 }
+
+// Reassigning the variable does not hand the first span off: the early
+// return leaks it.
+func reassignedSpan(root *obs.Span, fail bool) error {
+	sp := root.Child("first")
+	if fail {
+		return errEarly // want `obs span sp \(started at line \d+\) is not ended on this path`
+	}
+	sp = root.Child("second")
+	sp.End()
+	return nil
+}

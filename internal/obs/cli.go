@@ -13,21 +13,19 @@ import (
 type CLIFlags struct {
 	Name        string // trace root name (the command)
 	Seed        int64  // -seed, recorded on the trace root
-	TracePath   string // -trace
-	RunLogPath  string // -runlog
+	RunLogPath  string // -runlog; the run log also carries the span tree
 	MetricsPath string // -metrics-out
 	DebugAddr   string // -debug-addr
 	Progress    bool   // -progress
 }
 
 // CLITelemetry is one CLI run's observer wiring. A fresh run ID is
-// stamped into every artifact it emits — the trace root, the
-// sam_run_info family, and the run log — which is how samreport joins
-// them back together.
+// stamped into every artifact it emits — each run-log line and the
+// sam_run_info family — which is how samreport joins them back together.
 type CLITelemetry struct {
 	RunID string
 	Hooks *Hooks // nil when no flag asked for an observer
-	Trace *Trace // nil without -trace; Trace.Root() is nil-safe
+	Trace *Trace // nil without -runlog; Trace.Root() is nil-safe
 
 	flags      CLIFlags
 	reg        *Registry
@@ -38,8 +36,8 @@ type CLITelemetry struct {
 
 // StartCLITelemetry mints the run ID and starts what the flags ask for:
 // the metrics hooks on the default registry (-debug-addr, -metrics-out),
-// the debug server, stderr progress, the run log, and the trace. Call
-// Close once the run's work is done.
+// the debug server, stderr progress, and the run log with its trace.
+// Call Close once the run's work is done.
 func StartCLITelemetry(f CLIFlags) (*CLITelemetry, error) {
 	t := &CLITelemetry{RunID: NewRunID(), flags: f}
 	if f.RunLogPath != "" {
@@ -49,6 +47,8 @@ func StartCLITelemetry(f CLIFlags) (*CLITelemetry, error) {
 		}
 		t.runlog = NewRunLog(file, t.RunID)
 		t.runlogFile = file
+		t.Trace = NewTrace(f.Name)
+		t.Trace.Root().SetAttr("seed", f.Seed)
 	}
 	if f.DebugAddr != "" || f.MetricsPath != "" {
 		t.reg = Default()
@@ -72,41 +72,29 @@ func StartCLITelemetry(f CLIFlags) (*CLITelemetry, error) {
 	if t.runlog != nil {
 		t.Hooks = Merge(t.Hooks, EventHooks(t.runlog.Add))
 	}
-	if f.TracePath != "" {
-		t.Trace = NewTrace(f.Name)
-		root := t.Trace.Root()
-		root.SetAttr("seed", f.Seed)
-		root.SetAttr("run_id", t.RunID)
-		BuildMeta().SetAttrs(root)
-	}
 	return t, nil
 }
 
-// Close finishes every artifact: it ends and writes the trace (printing
-// to w the per-path phase tree samreport shows), closes the run log with
-// its run_end frame, writes the registry as Prometheus text, and stops
-// the debug server. Every step runs; their errors are joined. The trace
-// and metrics files are renamed into place from a temp file in the same
-// directory, so a run killed mid-write leaves no partial file at either
-// path.
+// Close finishes every artifact: it ends the trace root, appends one span
+// entry per span (parents first) to the run log and closes it with its
+// run_end frame, prints to w the per-path phase tree samreport shows,
+// writes the registry as Prometheus text, and stops the debug server.
+// Every step runs; their errors are joined. The metrics file is renamed
+// into place from a temp file in the same directory, so a run killed
+// mid-write leaves no partial file at its path.
 func (t *CLITelemetry) Close(w io.Writer) error {
 	var errs []error
-	if t.Trace != nil {
+	if t.runlog != nil {
 		t.Trace.Root().End()
 		recs := t.Trace.records()
-		err := writeFileAtomic(t.flags.TracePath, func(w io.Writer) error { return writeRecords(w, recs) })
-		if err != nil {
-			errs = append(errs, fmt.Errorf("trace: %w", err))
-		} else {
-			fmt.Fprintln(w, "== phase trace ==")
-			WriteTraceTree(w, AnalyzeTrace(recs))
-			fmt.Fprintf(w, "trace written to %s\n", t.flags.TracePath)
+		for _, rec := range recs {
+			t.runlog.Add("span", rec)
 		}
-	}
-	if t.runlog != nil {
 		if err := errors.Join(t.runlog.Close(), t.runlogFile.Close()); err != nil {
 			errs = append(errs, fmt.Errorf("runlog: %w", err))
 		}
+		fmt.Fprintln(w, "== phase trace ==")
+		WriteTraceTree(w, AnalyzeTrace(recs))
 	}
 	if t.flags.MetricsPath != "" {
 		err := writeFileAtomic(t.flags.MetricsPath, func(w io.Writer) error { return WritePrometheus(w, t.reg) })

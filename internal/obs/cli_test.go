@@ -27,14 +27,14 @@ func dirNames(t *testing.T, dir string) []string {
 }
 
 // TestCLITelemetryArtifacts runs the shared CLI wiring with every file
-// artifact enabled: each reads back valid and carries the run ID, and
-// Close leaves no temp file beside them.
+// artifact enabled: each reads back valid and carries the run ID, the run
+// log carries the span tree before its run_end, and Close leaves no temp
+// file beside them.
 func TestCLITelemetryArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	tel, err := StartCLITelemetry(CLIFlags{
 		Name:        "test",
 		Seed:        7,
-		TracePath:   filepath.Join(dir, "trace.jsonl"),
 		RunLogPath:  filepath.Join(dir, "run.log"),
 		MetricsPath: filepath.Join(dir, "metrics.prom"),
 	})
@@ -53,7 +53,7 @@ func TestCLITelemetryArtifacts(t *testing.T) {
 			t.Fatalf("phase tree missing %q:\n%s", want, out.String())
 		}
 	}
-	if got, want := strings.Join(dirNames(t, dir), ","), "metrics.prom,run.log,trace.jsonl"; got != want {
+	if got, want := strings.Join(dirNames(t, dir), ","), "metrics.prom,run.log"; got != want {
 		t.Fatalf("artifact dir holds %s, want %s", got, want)
 	}
 
@@ -66,21 +66,25 @@ func TestCLITelemetryArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 3 || entries[1].Kind != "eval_query" || entries[0].RunID != tel.RunID {
-		t.Fatalf("run log %+v, want run_start, eval_query, run_end of run %s", entries, tel.RunID)
+	var kinds []string
+	for _, e := range entries {
+		kinds = append(kinds, e.Kind)
 	}
-
-	f, err = os.Open(filepath.Join(dir, "trace.jsonl"))
+	if got, want := strings.Join(kinds, ","), "run_start,eval_query,span,span,run_end"; got != want || entries[0].RunID != tel.RunID {
+		t.Fatalf("run log kinds %s of run %s, want %s of run %s", got, entries[0].RunID, want, tel.RunID)
+	}
+	recs, err := RunLogSpans(entries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadTrace(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
+	root := recs[0]
+	if root.Name != "test" || root.Live || recs[1].Name != "eval" || recs[1].Parent != root.ID {
+		t.Fatalf("span tree %+v, want ended root test with child eval", recs)
 	}
-	if recs[0].Attrs["run_id"] != tel.RunID {
-		t.Fatalf("trace root attrs %v lack run %s", recs[0].Attrs, tel.RunID)
+	// The root keeps the seed; the run ID and build metadata live on
+	// every line and on run_start.
+	if len(root.Attrs) != 1 || root.Attrs["seed"] != float64(7) {
+		t.Fatalf("root attrs %v, want only seed 7", root.Attrs)
 	}
 
 	prom, err := os.ReadFile(filepath.Join(dir, "metrics.prom"))
@@ -96,30 +100,25 @@ func TestCLITelemetryArtifacts(t *testing.T) {
 }
 
 // TestCLITelemetryFailedWrite pins the crash-safe artifact contract: a
-// trace path under a missing directory and a metrics path naming a
-// directory both fail Close, and neither leaves a file behind.
+// run log under a missing directory fails the start, and a metrics path
+// naming a directory fails Close and leaves nothing behind.
 func TestCLITelemetryFailedWrite(t *testing.T) {
 	dir := t.TempDir()
+	if _, err := StartCLITelemetry(CLIFlags{Name: "test", RunLogPath: filepath.Join(dir, "missing", "run.log")}); err == nil ||
+		!strings.Contains(err.Error(), "runlog:") {
+		t.Fatalf("start with a run log in a missing directory = %v, want a runlog error", err)
+	}
 	metricsDir := filepath.Join(dir, "metrics.prom")
 	if err := os.Mkdir(metricsDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	tel, err := StartCLITelemetry(CLIFlags{
-		Name:        "test",
-		TracePath:   filepath.Join(dir, "missing", "trace.jsonl"),
-		MetricsPath: metricsDir,
-	})
+	tel, err := StartCLITelemetry(CLIFlags{Name: "test", MetricsPath: metricsDir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	err = tel.Close(io.Discard)
-	if err == nil {
-		t.Fatal("Close wrote into a missing directory and over a directory")
-	}
-	for _, want := range []string{"trace:", "metrics-out:"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("Close error %q does not name %s", err, want)
-		}
+	if err == nil || !strings.Contains(err.Error(), "metrics-out:") {
+		t.Fatalf("Close over a directory = %v, want a metrics-out error", err)
 	}
 	if got := strings.Join(dirNames(t, dir), ","); got != "metrics.prom" {
 		t.Fatalf("failed writes left %s behind", got)

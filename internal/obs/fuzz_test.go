@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,7 +13,8 @@ import (
 
 // FuzzReadRunLog checks the run-log decoder errors or returns, never
 // panics, and that an accepted log re-encodes (one entry per line) to a
-// log that reads back to equal entries.
+// log that reads back to equal entries; and that the span reader and the
+// trace analysis samreport runs on an accepted log never panic.
 func FuzzReadRunLog(f *testing.F) {
 	for _, text := range runLogRejects {
 		f.Add(text)
@@ -26,11 +29,30 @@ func FuzzReadRunLog(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.String())
+	path := filepath.Join(f.TempDir(), "run.log")
+	tel, err := StartCLITelemetry(CLIFlags{Name: "run", RunLogPath: path})
+	if err != nil {
+		f.Fatal(err)
+	}
+	tel.Trace.Root().Child("train").Child("epoch").End()
+	if err := tel.Close(io.Discard); err != nil {
+		f.Fatal(err)
+	}
+	withSpans, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(withSpans))
 
 	f.Fuzz(func(t *testing.T, text string) {
 		entries, err := ReadRunLog(strings.NewReader(text))
 		if err != nil {
 			return
+		}
+		if recs, err := RunLogSpans(entries); err == nil {
+			stats := AnalyzeTrace(recs)
+			WriteTraceTree(io.Discard, stats)
+			WriteTopSpans(io.Discard, stats, 5)
 		}
 		first := encodeRunLog(t, entries)
 		again, err := ReadRunLog(bytes.NewReader(first))

@@ -55,15 +55,3 @@ func (m Meta) String() string {
 	}
 	return s
 }
-
-// SetAttrs records the metadata as attributes on a span (typically a trace
-// root), alongside whatever run parameters the caller adds.
-func (m Meta) SetAttrs(sp *Span) {
-	sp.SetAttr("go_version", m.GoVersion)
-	sp.SetAttr("goos", m.GOOS)
-	sp.SetAttr("goarch", m.GOARCH)
-	sp.SetAttr("gomaxprocs", m.GOMAXPROCS)
-	if m.Commit != "" {
-		sp.SetAttr("commit", m.Commit)
-	}
-}

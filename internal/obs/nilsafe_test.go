@@ -133,7 +133,6 @@ func TestNilSafeEntryPoints(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"Meta.SetAttrs", func(t *testing.T) { BuildMeta().SetAttrs(nilSpan) }},
 	}
 
 	for _, tc := range tests {

@@ -2,10 +2,12 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -159,23 +161,50 @@ func TestSpanNestingRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadTraceRejectsMalformed covers the checker used by the CI smoke
-// run: empty traces, broken JSON, orphan parents and repeated span ids
-// must all error.
+// TestReadTraceRejectsMalformed covers the checks both span readers
+// share: empty traces, broken JSON, span id 0, orphan parents and
+// repeated span ids must all error, whether the spans come as a JSONL
+// trace (ReadTrace) or as a run log's span entries (RunLogSpans).
 func TestReadTraceRejectsMalformed(t *testing.T) {
-	if _, err := ReadTrace(strings.NewReader("")); err == nil {
-		t.Fatal("empty trace accepted")
+	cases := map[string]string{
+		"empty":       "",
+		"not json":    "{not json\n",
+		"span id 0":   `{"id":0,"parent":0,"name":"x","start_us":0,"wall_us":1}` + "\n",
+		"orphan":      `{"id":5,"parent":3,"name":"x","start_us":0,"wall_us":1}` + "\n",
+		"repeated id": traceRepeatedID,
 	}
-	if _, err := ReadTrace(strings.NewReader("{not json\n")); err == nil {
-		t.Fatal("malformed line accepted")
+	for name, text := range cases {
+		if _, err := ReadTrace(strings.NewReader(text)); err == nil {
+			t.Errorf("ReadTrace: %s accepted", name)
+		}
+		if _, err := RunLogSpans(spanEntries(text)); err == nil {
+			t.Errorf("RunLogSpans: %s accepted", name)
+		}
 	}
-	orphan := `{"id":5,"parent":3,"name":"x","start_us":0,"wall_us":1}` + "\n"
-	if _, err := ReadTrace(strings.NewReader(orphan)); err == nil {
-		t.Fatal("orphan parent accepted")
+	a, err := ReadTrace(strings.NewReader(traceTwoSpans))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ReadTrace(strings.NewReader(traceRepeatedID)); err == nil {
-		t.Fatal("repeated span id accepted")
+	b, err := RunLogSpans(spanEntries(traceTwoSpans))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("readers disagree:\n%+v\n%+v", a, b)
+	}
+}
+
+// spanEntries frames each non-blank line of a JSONL trace as the payload
+// of a run log's span entry, between the run_start and run_end entries
+// the span reader must skip.
+func spanEntries(trace string) []Event {
+	entries := []Event{{Seq: 1, RunID: "aa", Kind: "run_start"}}
+	for _, line := range strings.Split(trace, "\n") {
+		if line = strings.TrimSpace(line); line != "" {
+			entries = append(entries, Event{Seq: uint64(len(entries) + 1), RunID: "aa", Kind: "span", Data: json.RawMessage(line)})
+		}
+	}
+	return append(entries, Event{Seq: uint64(len(entries) + 1), RunID: "aa", Kind: "run_end"})
 }
 
 // TestWriteJSONLWhileSetAttr writes a trace while another goroutine keeps

@@ -9,10 +9,9 @@ import (
 )
 
 // A RunID is the correlation key of one pipeline invocation: the CLIs
-// generate one per run and stamp it into the trace root ("run_id" attr),
-// the event ring, the Prometheus run-info family, the JSONL run log, and
-// the benchmark reports, so artifacts from the same run can be joined
-// offline (cmd/samreport does exactly that).
+// generate one per run and stamp it into every run-log line, the
+// Prometheus run-info family and the benchmark reports, so artifacts from
+// one run can be joined offline (cmd/samreport does exactly that).
 
 // runSalt breaks ties between IDs minted by the same process when the
 // entropy source is unavailable.

@@ -99,6 +99,7 @@ var runLogRejects = map[string]string{
 	"not json":           "run_start aa\n",
 	"second line broken": runLogLine(1, "aa", "run_start") + "{\n",
 	"no run_end":         runLogLine(1, "aa", "run_start") + runLogLine(2, "aa", "gen_phase"),
+	"spans, no run_end":  runLogLine(1, "aa", "run_start") + `{"seq":2,"time":"2026-01-02T03:04:05Z","run_id":"aa","kind":"span","data":{"id":1,"parent":0,"name":"run"}}` + "\n",
 	"skipped seq":        runLogLine(1, "aa", "run_start") + runLogLine(3, "aa", "gen_phase") + runLogLine(4, "aa", "run_end"),
 	"duplicated seq":     runLogLine(1, "aa", "run_start") + runLogLine(2, "aa", "gen_phase") + runLogLine(2, "aa", "gen_phase") + runLogLine(3, "aa", "run_end"),
 	"entry after end":    runLogLine(1, "aa", "run_start") + runLogLine(2, "aa", "run_end") + runLogLine(3, "aa", "gen_phase"),

@@ -2,12 +2,12 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"maps"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 )
@@ -183,14 +183,9 @@ func (tr *Trace) WriteJSONL(w io.Writer) error {
 	if tr == nil {
 		return nil
 	}
-	return writeRecords(w, tr.records())
-}
-
-// writeRecords writes span records as JSONL, one per line.
-func writeRecords(w io.Writer, recs []SpanRecord) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, rec := range recs {
+	for _, rec := range tr.records() {
 		if err := enc.Encode(rec); err != nil {
 			return err
 		}
@@ -199,34 +194,21 @@ func writeRecords(w io.Writer, recs []SpanRecord) error {
 }
 
 // ReadTrace parses a JSONL trace back into records (the round-trip half of
-// WriteJSONL). It rejects empty traces, malformed lines, repeated span
-// ids, and spans whose parent is not defined on an earlier line.
+// WriteJSONL). It rejects empty traces and every line decodeSpan rejects.
 func ReadTrace(r io.Reader) ([]SpanRecord, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
 	var out []SpanRecord
 	seen := map[int64]bool{}
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
+	for line := 1; sc.Scan(); line++ {
+		text := bytes.TrimSpace(sc.Bytes())
+		if len(text) == 0 {
 			continue
 		}
-		var rec SpanRecord
-		if err := json.Unmarshal([]byte(text), &rec); err != nil {
+		rec, err := decodeSpan(text, seen)
+		if err != nil {
 			return nil, fmt.Errorf("obs: trace line %d: %w", line, err)
 		}
-		if rec.ID == 0 {
-			return nil, fmt.Errorf("obs: trace line %d: span id 0", line)
-		}
-		if seen[rec.ID] {
-			return nil, fmt.Errorf("obs: trace line %d: repeated span id %d", line, rec.ID)
-		}
-		if rec.Parent != 0 && !seen[rec.Parent] {
-			return nil, fmt.Errorf("obs: trace line %d: parent %d not yet defined", line, rec.Parent)
-		}
-		seen[rec.ID] = true
 		out = append(out, rec)
 	}
 	if err := sc.Err(); err != nil {
@@ -236,6 +218,46 @@ func ReadTrace(r io.Reader) ([]SpanRecord, error) {
 		return nil, fmt.Errorf("obs: empty trace")
 	}
 	return out, nil
+}
+
+// RunLogSpans decodes the span tree a CLI run log carries, in log order,
+// under ReadTrace's checks: a log without span entries is an error too.
+func RunLogSpans(entries []Event) ([]SpanRecord, error) {
+	var out []SpanRecord
+	seen := map[int64]bool{}
+	for _, e := range entries {
+		if e.Kind != "span" {
+			continue
+		}
+		rec, err := decodeSpan(e.Data, seen)
+		if err != nil {
+			return nil, fmt.Errorf("obs: runlog line %d (span entry): %w", e.Seq, err)
+		}
+		out = append(out, rec)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("obs: run log holds no span entries")
+	}
+	return out, nil
+}
+
+// decodeSpan parses one span record and checks it against the ids seen
+// before it (which it extends): nonzero, new, and a parent seen earlier.
+func decodeSpan(data []byte, seen map[int64]bool) (SpanRecord, error) {
+	var rec SpanRecord
+	if err := json.Unmarshal(data, &rec); err != nil {
+		return rec, err
+	}
+	switch {
+	case rec.ID == 0:
+		return rec, fmt.Errorf("span id 0")
+	case seen[rec.ID]:
+		return rec, fmt.Errorf("repeated span id %d", rec.ID)
+	case rec.Parent != 0 && !seen[rec.Parent]:
+		return rec, fmt.Errorf("parent %d not yet defined", rec.Parent)
+	}
+	seen[rec.ID] = true
+	return rec, nil
 }
 
 func fmtBytes(b uint64) string {

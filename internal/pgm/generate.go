@@ -162,23 +162,12 @@ func (p *PGM) Generate(seed int64) (*relation.Schema, error) {
 		return s
 	}
 
-	tables := make(map[string]*relation.Table, len(p.Schema.Tables))
-	// parentBinIndex[table] maps the generated parent rows' attr-bin
-	// signature (under a given view model) to row pks; built lazily per
-	// (child, parent) pair below.
+	out, err := p.Schema.Spec().EmptySchema()
+	if err != nil {
+		return nil, fmt.Errorf("pgm: %w", err)
+	}
 	for _, t := range p.Schema.Tables {
-		cols := make([]*relation.Column, len(t.Cols))
-		for i, c := range t.Cols {
-			nc := relation.NewColumn(c.Name, c.Kind, c.NumValues)
-			if c.Vals != nil {
-				nc = nc.WithVals(c.Vals)
-			}
-			cols[i] = nc
-		}
-		nt := relation.NewTable(t.Name, cols...)
-		nt.Parent = t.Parent
-		tables[t.Name] = nt
-
+		cols := out.Table(t.Name).Cols
 		vm := p.exactView(t.Name)
 		if vm == nil {
 			vm = p.viewFor(t.Name)
@@ -213,8 +202,8 @@ func (p *PGM) Generate(seed int64) (*relation.Schema, error) {
 		if t.Parent == "" {
 			continue
 		}
-		child := tables[t.Name]
-		parent := tables[t.Parent]
+		child := out.Table(t.Name)
+		parent := out.Table(t.Parent)
 		n := child.NumRows()
 		child.FK = make([]int64, n)
 		vm := p.viewFor(t.Name, t.Parent)
@@ -266,15 +255,6 @@ func (p *PGM) Generate(seed int64) (*relation.Schema, error) {
 				child.FK[r] = int64(rng.Intn(parent.NumRows()))
 			}
 		}
-	}
-
-	ordered := make([]*relation.Table, 0, len(tables))
-	for _, t := range p.Schema.Tables {
-		ordered = append(ordered, tables[t.Name])
-	}
-	out, err := relation.NewSchema(ordered...)
-	if err != nil {
-		return nil, fmt.Errorf("pgm: generated schema invalid: %w", err)
 	}
 	return out, nil
 }

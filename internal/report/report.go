@@ -1,6 +1,6 @@
-// Package report fuses the artifacts one SAM run leaves behind — a phase
-// trace, a Prometheus metrics file or scrape, a structured run log,
-// and the benchmark reports — into a single Markdown document.
+// Package report fuses the artifacts one SAM run leaves behind — the
+// structured run log with its phase span tree, a Prometheus metrics file
+// or scrape, and the benchmark reports — into a single Markdown document.
 // Inputs are joined by the run ID each artifact was stamped with
 // (obs.NewRunID; see cmd/samgen and cmd/sambench), so a report cannot
 // silently mix artifacts from different runs.
@@ -22,10 +22,9 @@ import (
 // Inputs names the artifact files to fuse. Every path is optional, but at
 // least one must be set.
 type Inputs struct {
-	TracePath    string // JSONL span trace (samgen/sambench -trace)
-	BaselinePath string // second trace to diff the first against
+	RunLogPath   string // JSONL run log (-runlog), span tree included
+	BaselinePath string // second run log whose span tree the first's is diffed against
 	MetricsPath  string // Prometheus text (-metrics-out or a /metrics scrape)
-	RunLogPath   string // JSONL run log (-runlog)
 	ScalePath    string // BENCH_scale.json (sambench -scalebench)
 	TensorPath   string // BENCH_tensor.json (sambench -tensorbench)
 	// Top bounds the hot-span and diff listings (0 = 10).
@@ -36,8 +35,8 @@ type Inputs struct {
 }
 
 // Source records where one section's data came from and which run it
-// claims. Artifacts that carry no run ID (tensor benchmarks, baseline
-// traces) report it empty.
+// claims. Artifacts that carry no run ID (tensor benchmarks) and
+// baselines, which are another run by design, report it empty.
 type Source struct {
 	Kind  string
 	Path  string
@@ -72,9 +71,11 @@ type Report struct {
 // Build loads every named artifact, validates the run-ID join, and
 // assembles the report sections.
 func Build(in Inputs) (*Report, error) {
-	if in.TracePath == "" && in.MetricsPath == "" && in.RunLogPath == "" &&
-		in.ScalePath == "" && in.TensorPath == "" {
+	if in.MetricsPath == "" && in.RunLogPath == "" && in.ScalePath == "" && in.TensorPath == "" {
 		return nil, fmt.Errorf("report: no inputs; name at least one artifact")
+	}
+	if in.BaselinePath != "" && in.RunLogPath == "" {
+		return nil, fmt.Errorf("report: -baseline needs -runlog to diff against")
 	}
 	top := in.Top
 	if top <= 0 {
@@ -82,24 +83,33 @@ func Build(in Inputs) (*Report, error) {
 	}
 	r := &Report{Title: "SAM run report"}
 
+	var qs []obs.EvalQuery
+	var passes []obs.StreamPass
 	var traceStats, baseStats []obs.PathStat
-	if in.TracePath != "" {
-		recs, err := readTraceFile(in.TracePath)
+	if in.RunLogPath != "" {
+		entries, err := readRunLog(in.RunLogPath)
 		if err != nil {
 			return nil, err
 		}
-		traceStats = obs.AnalyzeTrace(recs)
-		r.Sources = append(r.Sources, Source{Kind: "trace", Path: in.TracePath, RunID: traceRunID(recs)})
+		if qs, err = payloads[obs.EvalQuery](in.RunLogPath, entries, "eval_query"); err != nil {
+			return nil, err
+		}
+		if passes, err = payloads[obs.StreamPass](in.RunLogPath, entries, "stream_pass"); err != nil {
+			return nil, err
+		}
+		if traceStats, err = spanStats(in.RunLogPath, entries); err != nil {
+			return nil, err
+		}
+		r.Sources = append(r.Sources, Source{Kind: "runlog", Path: in.RunLogPath, RunID: entries[0].RunID})
 	}
 	if in.BaselinePath != "" {
-		if in.TracePath == "" {
-			return nil, fmt.Errorf("report: -baseline needs -trace to diff against")
-		}
-		recs, err := readTraceFile(in.BaselinePath)
+		entries, err := readRunLog(in.BaselinePath)
 		if err != nil {
 			return nil, err
 		}
-		baseStats = obs.AnalyzeTrace(recs)
+		if baseStats, err = spanStats(in.BaselinePath, entries); err != nil {
+			return nil, err
+		}
 		// Baselines are a different run by design: listed, never joined.
 		r.Sources = append(r.Sources, Source{Kind: "baseline", Path: in.BaselinePath})
 	}
@@ -116,27 +126,6 @@ func Build(in Inputs) (*Report, error) {
 			return nil, fmt.Errorf("report: %s: %w", in.MetricsPath, err)
 		}
 		r.Sources = append(r.Sources, Source{Kind: "metrics", Path: in.MetricsPath, RunID: obs.RunIDFromFamilies(fams)})
-	}
-
-	var qs []obs.EvalQuery
-	var passes []obs.StreamPass
-	if in.RunLogPath != "" {
-		f, err := os.Open(in.RunLogPath)
-		if err != nil {
-			return nil, err
-		}
-		entries, err := obs.ReadRunLog(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("report: %s: %w", in.RunLogPath, err)
-		}
-		if qs, err = payloads[obs.EvalQuery](in.RunLogPath, entries, "eval_query"); err != nil {
-			return nil, err
-		}
-		if passes, err = payloads[obs.StreamPass](in.RunLogPath, entries, "stream_pass"); err != nil {
-			return nil, err
-		}
-		r.Sources = append(r.Sources, Source{Kind: "runlog", Path: in.RunLogPath, RunID: entries[0].RunID})
 	}
 
 	var scale *experiments.ScaleBenchReport
@@ -217,30 +206,29 @@ func (r *Report) joinRunIDs(allowMismatch bool) error {
 	return nil
 }
 
-func readTraceFile(path string) ([]obs.SpanRecord, error) {
+// readRunLog reads and validates a run log; a killed run's log, which
+// lacks its run_end, is refused.
+func readRunLog(path string) ([]obs.Event, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	recs, err := obs.ReadTrace(f)
+	entries, err := obs.ReadRunLog(f)
 	if err != nil {
 		return nil, fmt.Errorf("report: %s: %w", path, err)
 	}
-	return recs, nil
+	return entries, nil
 }
 
-// traceRunID pulls the run_id attribute off the trace's root span.
-func traceRunID(recs []obs.SpanRecord) string {
-	for _, rec := range recs {
-		if rec.Parent != 0 {
-			continue
-		}
-		if id, ok := rec.Attrs["run_id"].(string); ok {
-			return id
-		}
+// spanStats analyzes the span tree a run log carries; every CLI run log
+// has one, so a log without span entries is an error.
+func spanStats(path string, entries []obs.Event) ([]obs.PathStat, error) {
+	recs, err := obs.RunLogSpans(entries)
+	if err != nil {
+		return nil, fmt.Errorf("report: %s: %w", path, err)
 	}
-	return ""
+	return obs.AnalyzeTrace(recs), nil
 }
 
 func readJSON(path string, v any) error {
@@ -314,7 +302,7 @@ func diffSection(base, cur []obs.PathStat, top int) Section {
 	obs.WriteTraceDiff(&sb, deltas)
 	return Section{
 		Title: "Trace diff vs baseline",
-		Text:  []string{"Per-span wall and allocation deltas against the baseline trace (a = baseline, b = this run), largest absolute wall change first."},
+		Text:  []string{"Per-span wall and allocation deltas against the baseline run log's span tree (a = baseline, b = this run), largest absolute wall change first."},
 		Pre:   sb.String(),
 	}
 }

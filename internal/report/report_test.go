@@ -13,37 +13,12 @@ import (
 	"sam/internal/obs"
 )
 
-// writeTrace produces a small JSONL trace whose root carries runID.
-func writeTrace(t *testing.T, dir, name, runID string) string {
+// writeRunLog produces a JSONL run log for runID with stream_pass and
+// eval_query entries and, after them, a small span tree framed the way the
+// CLIs write it: one span entry per span, parents first.
+func writeRunLog(t *testing.T, dir, name, runID string) string {
 	t.Helper()
-	tr := obs.NewTrace("test-run")
-	if runID != "" {
-		tr.Root().SetAttr("run_id", runID)
-	}
-	sample := tr.Root().Child("sample")
-	sh := sample.Child("shard")
-	sh.End()
-	sample.End()
-	merge := tr.Root().Child("merge")
-	merge.End()
-	tr.Root().End()
-
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// writeRunLog produces a JSONL run log with stream_pass and eval_query
-// entries for runID.
-func writeRunLog(t *testing.T, dir, runID string) string {
-	t.Helper()
-	path := filepath.Join(dir, "run.log")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -56,6 +31,24 @@ func writeRunLog(t *testing.T, dir, runID string) string {
 	h.EvalQuery(obs.EvalQuery{Card: 10, Truth: 20, QError: 2, Table: "t", Preds: 1})
 	h.EvalQuery(obs.EvalQuery{Card: 30, Truth: 10, QError: 3, Table: "t", Preds: 4})
 	h.EvalQuery(obs.EvalQuery{Card: 5, Truth: 5, QError: 1, Table: "u", Preds: 0})
+
+	tr := obs.NewTrace("test-run")
+	sample := tr.Root().Child("sample")
+	sample.Child("shard").End()
+	sample.End()
+	tr.Root().Child("merge").End()
+	tr.Root().End()
+	var buf bytes.Buffer
+	if err := tr.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := obs.ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		l.Add("span", rec)
+	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -116,15 +109,14 @@ func writeScale(t *testing.T, dir, runID string) string {
 	return path
 }
 
-// TestBuildJoinsMatchingArtifacts fuses a trace, run log, Prometheus
-// metrics file, and scale report all stamped with one run ID and checks the
-// join key, sections, and both renderers.
+// TestBuildJoinsMatchingArtifacts fuses a run log with its span tree, a
+// Prometheus metrics file, and a scale report all stamped with one run ID
+// and checks the join key, sections, and both renderers.
 func TestBuildJoinsMatchingArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	id := obs.NewRunID()
 	rep, err := Build(Inputs{
-		TracePath:   writeTrace(t, dir, "run.jsonl", id),
-		RunLogPath:  writeRunLog(t, dir, id),
+		RunLogPath:  writeRunLog(t, dir, "run.log", id),
 		MetricsPath: writeMetrics(t, dir, "metrics.prom", id),
 		ScalePath:   writeScale(t, dir, id),
 	})
@@ -164,8 +156,8 @@ func TestBuildJoinsMatchingArtifacts(t *testing.T) {
 func TestBuildRunIDMismatch(t *testing.T) {
 	dir := t.TempDir()
 	in := Inputs{
-		TracePath:  writeTrace(t, dir, "run.jsonl", "aaaa000000000000"),
-		RunLogPath: writeRunLog(t, dir, "bbbb000000000000"),
+		RunLogPath:  writeRunLog(t, dir, "run.log", "aaaa000000000000"),
+		MetricsPath: writeMetrics(t, dir, "metrics.prom", "bbbb000000000000"),
 	}
 	_, err := Build(in)
 	if err == nil {
@@ -197,14 +189,14 @@ func TestBuildRunIDMismatch(t *testing.T) {
 	}
 }
 
-// TestBuildBaselineExemptFromJoin diffs against a baseline trace from a
+// TestBuildBaselineExemptFromJoin diffs against a baseline run log from a
 // different run: legal by design, and the diff section must appear.
 func TestBuildBaselineExemptFromJoin(t *testing.T) {
 	dir := t.TempDir()
 	id := obs.NewRunID()
 	rep, err := Build(Inputs{
-		TracePath:    writeTrace(t, dir, "run.jsonl", id),
-		BaselinePath: writeTrace(t, dir, "base.jsonl", obs.NewRunID()),
+		RunLogPath:   writeRunLog(t, dir, "run.log", id),
+		BaselinePath: writeRunLog(t, dir, "base.log", obs.NewRunID()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -249,11 +241,11 @@ func TestBuildInputValidation(t *testing.T) {
 	if _, err := Build(Inputs{}); err == nil {
 		t.Fatal("empty inputs accepted")
 	}
-	if _, err := Build(Inputs{BaselinePath: "x.jsonl"}); err == nil {
-		t.Fatal("baseline without trace accepted")
+	if _, err := Build(Inputs{BaselinePath: "x.log"}); err == nil {
+		t.Fatal("baseline without run log accepted")
 	}
-	if _, err := Build(Inputs{TracePath: "/definitely/not/there.jsonl"}); err == nil {
-		t.Fatal("missing trace file accepted")
+	if _, err := Build(Inputs{RunLogPath: "/definitely/not/there.log"}); err == nil {
+		t.Fatal("missing run log accepted")
 	}
 	dir := t.TempDir()
 	bad := filepath.Join(dir, "bad.log")
@@ -262,6 +254,30 @@ func TestBuildInputValidation(t *testing.T) {
 	}
 	if _, err := Build(Inputs{RunLogPath: bad}); err == nil {
 		t.Fatal("malformed run log accepted")
+	}
+	spanless := filepath.Join(dir, "spanless.log")
+	log := `{"seq":1,"time":"2026-01-02T03:04:05Z","run_id":"aa","kind":"run_start"}
+{"seq":2,"time":"2026-01-02T03:04:05Z","run_id":"aa","kind":"run_end"}
+`
+	if err := os.WriteFile(spanless, []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Build(Inputs{RunLogPath: spanless}); err == nil || !strings.Contains(err.Error(), "no span entries") {
+		t.Fatalf("run log without a span tree: err %v, want no span entries", err)
+	}
+	// A killed baseline run's log lacks its run_end and is refused.
+	good := writeRunLog(t, dir, "run.log", "aa")
+	buf, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	killed := filepath.Join(dir, "killed.log")
+	cut := bytes.TrimSuffix(buf, []byte("\n"))
+	if err := os.WriteFile(killed, cut[:bytes.LastIndexByte(cut, '\n')+1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Build(Inputs{RunLogPath: good, BaselinePath: killed}); err == nil || !strings.Contains(err.Error(), "run_end") {
+		t.Fatalf("killed baseline run: err %v, want a missing run_end", err)
 	}
 	// A JSON registry snapshot is not a metrics input: Prometheus text is.
 	snap := filepath.Join(dir, "metrics.json")
@@ -274,13 +290,15 @@ func TestBuildInputValidation(t *testing.T) {
 }
 
 // TestBuildRejectsUndecodablePayload pins that a run-log entry whose
-// payload does not decode fails the report, naming its line and kind,
-// instead of silently shrinking the Q-Error or streaming tables.
+// payload does not decode, or a span the span reader refuses, fails the
+// report, naming its line and kind, instead of silently shrinking the
+// Q-Error, streaming or phase-trace tables.
 func TestBuildRejectsUndecodablePayload(t *testing.T) {
 	dir := t.TempDir()
 	for kind, data := range map[string]string{
 		"eval_query":  `{"qerror":"high"}`,
 		"stream_pass": `[1,2]`,
+		"span":        `{"id":0,"name":"run"}`,
 	} {
 		path := filepath.Join(dir, kind+".log")
 		log := `{"seq":1,"time":"2026-01-02T03:04:05Z","run_id":"aa","kind":"run_start"}

@@ -120,17 +120,7 @@ func runKernel(c kernelCall) {
 		w = rows
 	}
 	if w > 1 {
-		extra := 0
-		for extra < w-1 {
-			cur := parTokens.Load()
-			if cur <= 0 {
-				break
-			}
-			if parTokens.CompareAndSwap(cur, cur-1) {
-				extra++
-			}
-		}
-		if extra > 0 {
+		if extra := AcquireKernelTokens(w - 1); extra > 0 {
 			workers := extra + 1
 			chunk := (rows + workers - 1) / workers
 			var wg sync.WaitGroup
@@ -154,7 +144,7 @@ func runKernel(c kernelCall) {
 			}
 			c.rows(0, chunk)
 			wg.Wait()
-			parTokens.Add(int32(extra))
+			ReleaseKernelTokens(extra)
 			return
 		}
 	}

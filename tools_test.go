@@ -143,11 +143,11 @@ func checkStreamedFKs(t *testing.T, specPath, outDir string) {
 }
 
 // TestSambenchTraceSmoke is the CI telemetry gate: it runs the smallest
-// real experiment with -trace and fails unless the produced JSONL parses
-// as a well-formed span tree covering every pipeline phase — train,
-// sample, merge, and eval — with positive wall time. A refactor
-// that silently drops a phase span (or breaks the JSONL writer) fails
-// here, not in production debugging.
+// real experiment with -runlog and fails unless the run log reads back
+// valid and carries a well-formed span tree covering every pipeline phase
+// — train, sample, merge, and eval — with positive wall time. A refactor
+// that silently drops a phase span (or stops writing the span entries)
+// fails here, not in production debugging.
 func TestSambenchTraceSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI integration skipped in -short mode")
@@ -157,8 +157,8 @@ func TestSambenchTraceSmoke(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/sambench").CombinedOutput(); err != nil {
 		t.Fatalf("build sambench: %v\n%s", err, out)
 	}
-	tracePath := filepath.Join(dir, "trace.jsonl")
-	cmd := exec.Command(bin, "-scale", "smoke", "-exp", "tab1", "-trace", tracePath, "-progress")
+	runlogPath := filepath.Join(dir, "run.log")
+	cmd := exec.Command(bin, "-scale", "smoke", "-exp", "tab1", "-runlog", runlogPath, "-progress")
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("sambench smoke: %v\n%s", err, out)
@@ -169,14 +169,18 @@ func TestSambenchTraceSmoke(t *testing.T) {
 		}
 	}
 
-	f, err := os.Open(tracePath)
+	f, err := os.Open(runlogPath)
 	if err != nil {
-		t.Fatalf("trace file: %v", err)
+		t.Fatalf("run log: %v", err)
 	}
-	defer f.Close()
-	recs, err := obs.ReadTrace(f) // rejects empty, malformed, orphaned traces
+	entries, err := obs.ReadRunLog(f) // rejects a log without run_end
+	f.Close()
 	if err != nil {
-		t.Fatalf("trace JSONL invalid: %v", err)
+		t.Fatalf("run log invalid: %v", err)
+	}
+	recs, err := obs.RunLogSpans(entries) // rejects no, orphaned or repeated spans
+	if err != nil {
+		t.Fatalf("run log span tree invalid: %v", err)
 	}
 	wall := map[string]int64{}
 	for _, rec := range recs {
@@ -184,25 +188,27 @@ func TestSambenchTraceSmoke(t *testing.T) {
 	}
 	for _, phase := range []string{"train", "sample", "merge", "eval"} {
 		if _, ok := wall[phase]; !ok {
-			t.Fatalf("trace missing %q phase span (have %v)", phase, wall)
+			t.Fatalf("span tree missing %q phase span (have %v)", phase, wall)
 		}
 		if wall[phase] <= 0 {
 			t.Fatalf("phase %q has no recorded wall time", phase)
 		}
 	}
-	root := recs[0]
-	if root.Attrs["seed"] == nil || root.Attrs["go_version"] == nil {
-		t.Fatalf("trace root missing run metadata attrs: %v", root.Attrs)
+	if root := recs[0]; root.Attrs["seed"] == nil {
+		t.Fatalf("span root missing the seed attr: %v", root.Attrs)
+	}
+	if !strings.Contains(string(entries[0].Data), `"go_version"`) {
+		t.Fatalf("run_start carries no build metadata: %s", entries[0].Data)
 	}
 
-	// samreport must analyze the same trace: the span tree carries the
-	// pipeline phases, and diffing the trace against itself as baseline
-	// yields zero wall deltas — the CI smoke for trace analysis.
+	// samreport must analyze the same span tree: it carries the pipeline
+	// phases, and diffing the run log against itself as baseline yields
+	// zero wall deltas — the CI smoke for trace analysis.
 	samreport := filepath.Join(dir, "samreport")
 	if out, err := exec.Command("go", "build", "-o", samreport, "./cmd/samreport").CombinedOutput(); err != nil {
 		t.Fatalf("build samreport: %v\n%s", err, out)
 	}
-	out, err = exec.Command(samreport, "-trace", tracePath, "-baseline", tracePath, "-top", "5").CombinedOutput()
+	out, err = exec.Command(samreport, "-runlog", runlogPath, "-baseline", runlogPath, "-top", "5").CombinedOutput()
 	if err != nil {
 		t.Fatalf("samreport: %v\n%s", err, out)
 	}
@@ -217,7 +223,7 @@ func TestSambenchTraceSmoke(t *testing.T) {
 }
 
 // TestSamreportSmoke is the run-report gate: it runs the smoke experiment
-// with every artifact flag enabled — trace, run log, metrics dump — then
+// with every artifact flag enabled — run log and metrics dump — then
 // fuses them with samreport and fails unless the artifacts join on one
 // run ID and the report carries the expected sections. A change that
 // breaks run-ID stamping on any surface fails here.
@@ -234,11 +240,10 @@ func TestSamreportSmoke(t *testing.T) {
 		}
 	}
 
-	tracePath := filepath.Join(dir, "trace.jsonl")
 	runlogPath := filepath.Join(dir, "run.log")
 	metricsPath := filepath.Join(dir, "metrics.prom")
 	cmd := exec.Command(sambench, "-scale", "smoke", "-exp", "tab1",
-		"-trace", tracePath, "-runlog", runlogPath, "-metrics-out", metricsPath)
+		"-runlog", runlogPath, "-metrics-out", metricsPath)
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("sambench smoke: %v\n%s", err, out)
@@ -259,7 +264,7 @@ func TestSamreportSmoke(t *testing.T) {
 		t.Fatal("run log carries no run ID")
 	}
 
-	rep, err := exec.Command(samreport, "-trace", tracePath, "-runlog", runlogPath,
+	rep, err := exec.Command(samreport, "-runlog", runlogPath,
 		"-metrics", metricsPath, "-top", "5").CombinedOutput()
 	if err != nil {
 		t.Fatalf("samreport: %v\n%s", err, rep)
@@ -278,7 +283,7 @@ func TestSamreportSmoke(t *testing.T) {
 
 	// -o writes the same Markdown report to a file.
 	mdPath := filepath.Join(dir, "report.md")
-	if out, err := exec.Command(samreport, "-trace", tracePath, "-runlog", runlogPath,
+	if out, err := exec.Command(samreport, "-runlog", runlogPath,
 		"-o", mdPath).CombinedOutput(); err != nil {
 		t.Fatalf("samreport -o: %v\n%s", err, out)
 	}
@@ -290,13 +295,14 @@ func TestSamreportSmoke(t *testing.T) {
 		t.Fatalf("markdown report malformed:\n%.400s", md)
 	}
 
-	// Mixing artifacts from different runs must fail the join.
-	second := filepath.Join(dir, "trace2.jsonl")
+	// Mixing artifacts from different runs must fail the join: the second
+	// run's log against the first run's metrics.
+	second := filepath.Join(dir, "run2.log")
 	if out, err := exec.Command(sambench, "-scale", "smoke", "-exp", "tab1",
-		"-trace", second).CombinedOutput(); err != nil {
+		"-runlog", second).CombinedOutput(); err != nil {
 		t.Fatalf("second sambench run: %v\n%s", err, out)
 	}
-	if out, err := exec.Command(samreport, "-trace", second, "-runlog", runlogPath).CombinedOutput(); err == nil {
+	if out, err := exec.Command(samreport, "-runlog", second, "-metrics", metricsPath).CombinedOutput(); err == nil {
 		t.Fatalf("samreport accepted artifacts from different runs:\n%s", out)
 	} else if !strings.Contains(string(out), "disagree on the run ID") {
 		t.Fatalf("mismatch error not surfaced:\n%s", out)
