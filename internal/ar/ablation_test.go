@@ -76,10 +76,9 @@ func TestProgressiveSamplesReduceTrainingNoise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		erng := rand.New(rand.NewSource(4))
 		var qe []float64
 		for qi := range wl.Queries {
-			est, err := m.Estimate(erng, &wl.Queries[qi].Query, 8)
+			est, err := m.Estimate(SplitSeed(4, qi), &wl.Queries[qi].Query, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,10 +166,9 @@ func TestTransformerBackboneTrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	erng := rand.New(rand.NewSource(9))
 	var qe []float64
 	for qi := range wl.Queries {
-		est, err := m.Estimate(erng, &wl.Queries[qi].Query, 8)
+		est, err := m.Estimate(SplitSeed(9, qi), &wl.Queries[qi].Query, 8)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -170,10 +170,9 @@ func TestTrainSingleRelationFidelity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	erng := rand.New(rand.NewSource(11))
 	var qerrs []float64
 	for qi := range wl.Queries {
-		est, err := m.Estimate(erng, &wl.Queries[qi].Query, 8)
+		est, err := m.Estimate(SplitSeed(11, qi), &wl.Queries[qi].Query, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,8 +288,7 @@ func TestEstimateJoinQueryUsesFanoutScaling(t *testing.T) {
 	if !spec.Downweight[fb] {
 		t.Fatal("root-relation query must downweight F_B")
 	}
-	rng := rand.New(rand.NewSource(9))
-	est := m.EstimateSpec(rng, spec, 16)
+	est := m.EstimateSpec(9, spec, 16)
 	if est <= 0 || math.IsNaN(est) || math.IsInf(est, 0) {
 		t.Fatalf("estimate %v", est)
 	}
@@ -330,10 +328,9 @@ func TestTrainedJoinModelEstimates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	erng := rand.New(rand.NewSource(12))
 	var qerrs []float64
 	for qi := range wl.Queries {
-		est, err := m.Estimate(erng, &wl.Queries[qi].Query, 8)
+		est, err := m.Estimate(SplitSeed(12, qi), &wl.Queries[qi].Query, 8)
 		if err != nil {
 			t.Fatal(err)
 		}

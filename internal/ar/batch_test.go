@@ -201,7 +201,7 @@ func TestBatchSamplerTracksWeightUpdates(t *testing.T) {
 
 			reused := m.NewBatchSampler(lanes)
 			reused.SampleFOJBatch(streams(), make([]int32, lanes*ncols))
-			reused.EstimateSpec(rand.New(rand.NewSource(5)), spec, 32)
+			reused.EstimateSpec(5, spec, 32)
 
 			bias := m.Net.OutputBias()
 			bias.Data[m.Net.Offsets()[0]] += 4
@@ -217,8 +217,8 @@ func TestBatchSamplerTracksWeightUpdates(t *testing.T) {
 						k/ncols, k%ncols, got[k], want[k])
 				}
 			}
-			ge := reused.EstimateSpec(rand.New(rand.NewSource(5)), spec, 32)
-			we := fresh.EstimateSpec(rand.New(rand.NewSource(5)), spec, 32)
+			ge := reused.EstimateSpec(5, spec, 32)
+			we := fresh.EstimateSpec(5, spec, 32)
 			if ge != we {
 				t.Fatalf("reused sampler estimates %v after the update, fresh sampler %v", ge, we)
 			}
@@ -250,10 +250,10 @@ func TestBatchEstimateSpecMatchesExactJoint(t *testing.T) {
 	want0, want2 := exact(0, spec0.Masks[0]), exact(2, spec2.Masks[2])
 	for _, lanes := range []int{1, 16} {
 		s := m.NewBatchSampler(lanes)
-		if got := s.EstimateSpec(rand.New(rand.NewSource(2)), spec0, 64); math.Abs(got-want0) > 1e-9*want0 {
+		if got := s.EstimateSpec(2, spec0, 64); math.Abs(got-want0) > 1e-9*want0 {
 			t.Fatalf("B=%d column-0 mask estimate %v, exact %v", lanes, got, want0)
 		}
-		got := s.EstimateSpec(rand.New(rand.NewSource(6)), spec2, 4096)
+		got := s.EstimateSpec(6, spec2, 4096)
 		if r := got / want2; r < 0.8 || r > 1.25 {
 			t.Fatalf("B=%d column-2 mask estimate ratio %v (estimate %v, exact %v)", lanes, r, got, want2)
 		}
@@ -273,12 +273,18 @@ func TestSamplerEstimateSpecAllocFree(t *testing.T) {
 	spec := &Spec{Masks: make([][]float64, ncols), Downweight: make([]bool, ncols)}
 	spec.Masks[2] = []float64{0, 1, 1, 0, 0}
 	s := m.NewBatchSampler(1)
-	rng := rand.New(rand.NewSource(17))
-	call := func() { s.EstimateSpec(rng, spec, 8) }
+	call := func() { s.EstimateSpec(17, spec, 8) }
 	call()
 	if n := testing.AllocsPerRun(20, call); n != 0 {
 		t.Fatalf("warm BatchSampler.EstimateSpec allocates %v times, want 0", n)
 	}
+}
+
+// sampleCategorical draws an index proportional to probs (optionally
+// reweighted by mask), the way the sweep draws a column: drawFromMass over
+// the row's masked mass.
+func sampleCategorical(rng *rand.Rand, probs, mask []float64) int {
+	return drawFromMass(rng, probs, mask, maskedMass(probs, mask))
 }
 
 // TestSampleCategoricalDegenerate covers the zero-mass fallbacks.

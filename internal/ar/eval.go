@@ -2,8 +2,8 @@ package ar
 
 import (
 	"math"
-	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,14 +18,18 @@ type EvalOptions struct {
 	// Samples is the number of Monte-Carlo chains per query estimate.
 	// Zero defaults to 32.
 	Samples int
-	// Batch is the lane count of each worker's estimator; values ≤ 1 mean
-	// one lane. Different lane counts draw different (equally valid)
-	// Monte-Carlo chains for the same seed.
+	// Batch is the lane count of each worker's estimator, the number of
+	// chains one forward sweep advances; values ≤ 1 mean one lane. It only
+	// sets speed: chain c of query qi draws from its own stream, so the
+	// estimates do not depend on it.
 	Batch int
-	// Workers bounds query-level parallelism; 0 = GOMAXPROCS.
+	// Workers is the number of goroutines that pick up queries; 0 means
+	// GOMAXPROCS. It only sets speed: each query's estimate is written to
+	// its own slot, whichever goroutine computes it.
 	Workers int
-	// Seed drives the per-query rng streams; results are independent of
-	// Workers for a fixed (Seed, Samples, Batch).
+	// Seed drives every chain: query qi is seeded SplitSeed(Seed, qi) and
+	// its chain c SplitSeed(SplitSeed(Seed, qi), c). The Q-Errors are a
+	// function of (model, queries, Seed, Samples).
 	Seed int64
 }
 
@@ -38,11 +42,11 @@ func DefaultEvalOptions(seed int64) EvalOptions {
 // model (no generated database) and returns the Q-Errors versus the
 // recorded ground truth. Each worker goroutine reuses one sampler across
 // all of its queries — the warm estimate path allocates nothing per query
-// beyond spec compilation — and every query gets its own seeded rng
-// stream, so the result is a pure function of (model, queries, opts).
+// beyond spec compilation — and every query has its own seed, so the
+// result is a pure function of (model, queries, Seed, Samples).
 // Unsatisfiable queries estimate 0. When h is non-nil every query emits an
-// obs.EvalQuery event with the rounded estimate, truth, Q-Error and
-// latency.
+// obs.EvalQuery event with the rounded estimate, truth, Q-Error, the
+// queried tables, the predicate count and latency.
 func EvalWorkload(m *Model, queries []workload.CardQuery, opts EvalOptions, h *obs.Hooks) []float64 {
 	out := make([]float64, len(queries))
 	if len(queries) == 0 {
@@ -72,17 +76,19 @@ func EvalWorkload(m *Model, queries []workload.CardQuery, opts EvalOptions, h *o
 					return
 				}
 				start := time.Now()
-				rng := rand.New(rand.NewSource(opts.Seed + int64(qi)*1_000_003))
+				q := &queries[qi]
 				var estv float64
-				if spec, err := m.Compile(&queries[qi].Query); err == nil {
-					estv = est.EstimateSpec(rng, spec, samples)
+				if spec, err := m.Compile(&q.Query); err == nil {
+					estv = est.EstimateSpec(SplitSeed(opts.Seed, qi), spec, samples)
 				}
-				qe := metrics.QError(estv, float64(queries[qi].Card))
+				qe := metrics.QError(estv, float64(q.Card))
 				out[qi] = qe
 				h.EvalQuery(obs.EvalQuery{
 					Card:   int64(math.Round(estv)),
-					Truth:  queries[qi].Card,
+					Truth:  q.Card,
 					QError: qe,
+					Table:  strings.Join(q.Tables, ","),
+					Preds:  len(q.Preds),
 					Wall:   time.Since(start),
 				})
 			}

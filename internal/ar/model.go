@@ -201,42 +201,42 @@ func (m *Model) Compile(q *workload.Query) (*Spec, error) {
 
 // Estimate runs progressive-sampling cardinality estimation for q with the
 // given number of Monte-Carlo samples, including fanout scaling for join
-// queries.
-func (m *Model) Estimate(rng *rand.Rand, q *workload.Query, samples int) (float64, error) {
+// queries. The estimate is a function of (model, q, seed, samples).
+func (m *Model) Estimate(seed int64, q *workload.Query, samples int) (float64, error) {
 	spec, err := m.Compile(q)
 	if err != nil {
 		return 0, err
 	}
-	return m.EstimateSpec(rng, spec, samples), nil
+	return m.EstimateSpec(seed, spec, samples), nil
 }
 
 // EstimateSpec is Estimate for a precompiled spec. It builds a fresh
 // BatchSampler of min(samples, 64) lanes per call; hot loops should hold a
 // BatchSampler and call its EstimateSpec instead.
-func (m *Model) EstimateSpec(rng *rand.Rand, spec *Spec, samples int) float64 {
-	return m.NewBatchSampler(min(max(samples, 1), 64)).EstimateSpec(rng, spec, samples)
+func (m *Model) EstimateSpec(seed int64, spec *Spec, samples int) float64 {
+	return m.NewBatchSampler(min(max(samples, 1), 64)).EstimateSpec(seed, spec, samples)
 }
 
-// sampleCategorical draws an index proportional to probs (optionally
-// reweighted by mask). It falls back to the argmax of the weights if
-// rounding leaves residual mass.
-func sampleCategorical(rng *rand.Rand, probs, mask []float64) int {
+// maskedMass is the in-order sum of probs×mask, or of probs when mask is
+// nil: the total mass drawFromMass walks.
+func maskedMass(probs, mask []float64) float64 {
 	var sum float64
 	for b, p := range probs {
 		if mask != nil {
-			p *= mask[b]
+			p = float64(p * mask[b])
 		}
 		sum += p
 	}
-	return drawFromMass(rng, probs, mask, sum)
+	return sum
 }
 
-// drawFromMass is sampleCategorical's CDF walk with the total mass supplied
-// by the caller. The batched sampler fuses the accumulation into the
-// softmax-exp pass (tensor.ExpRowMass) and the batched estimator into its
-// selectivity update, so neither re-sums the row just to draw from it. mass
-// must equal the in-order sum of probs×mask for the draw to be bit-identical
-// to sampleCategorical's.
+// drawFromMass draws an index proportional to probs (optionally
+// reweighted by mask) by a CDF walk, with the total mass supplied by the
+// caller: the sampler fuses its accumulation into the softmax-exp pass
+// (tensor.ExpRowMass) or its selectivity update, so nothing re-sums the
+// row just to draw from it. mass must equal maskedMass(probs, mask) for the
+// draw to be exact. It falls back to the last index if rounding leaves
+// residual mass.
 func drawFromMass(rng *rand.Rand, probs, mask []float64, mass float64) int {
 	if mass <= 0 {
 		// Degenerate: uniform over positive-mask bins, else uniform.
@@ -258,7 +258,7 @@ func drawFromMass(rng *rand.Rand, probs, mask []float64, mass float64) int {
 	best := len(probs) - 1
 	for b, p := range probs {
 		if mask != nil {
-			p *= mask[b]
+			p = float64(p * mask[b])
 		}
 		acc += p
 		if u <= acc {

@@ -119,7 +119,7 @@ func TestEstimateUnconstrainedQueryIsPopulation(t *testing.T) {
 		Masks:      make([][]float64, l.NumCols()),
 		Downweight: make([]bool, l.NumCols()),
 	}
-	got := m.EstimateSpec(rng, spec, 4)
+	got := m.EstimateSpec(5, spec, 4)
 	if math.Abs(got-100) > 1e-9 {
 		t.Fatalf("unconstrained estimate %v want 100", got)
 	}

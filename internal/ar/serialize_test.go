@@ -51,15 +51,13 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// Same estimates on the same seed stream.
+	// Same estimates on the same seed.
 	for qi := 0; qi < 5; qi++ {
-		r1 := rand.New(rand.NewSource(int64(100 + qi)))
-		r2 := rand.New(rand.NewSource(int64(100 + qi)))
-		e1, err := m.Estimate(r1, &wl.Queries[qi].Query, 4)
+		e1, err := m.Estimate(SplitSeed(100, qi), &wl.Queries[qi].Query, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e2, err := m2.Estimate(r2, &wl.Queries[qi].Query, 4)
+		e2, err := m2.Estimate(SplitSeed(100, qi), &wl.Queries[qi].Query, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

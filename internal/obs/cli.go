@@ -40,31 +40,33 @@ type CLITelemetry struct {
 // Call Close once the run's work is done.
 func StartCLITelemetry(f CLIFlags) (*CLITelemetry, error) {
 	t := &CLITelemetry{RunID: NewRunID(), flags: f}
+	if f.DebugAddr != "" || f.MetricsPath != "" {
+		t.reg = Default()
+		StampRunInfo(t.reg, t.RunID, BuildMeta())
+		t.Hooks = MetricsHooks(t.reg)
+	}
+	// The debug server starts before the run log is created, so a failed
+	// listen leaves an earlier run log at that path untouched.
+	if f.DebugAddr != "" {
+		addr, closeDebug, err := ServeDebug(f.DebugAddr, t.reg)
+		if err != nil {
+			return nil, err
+		}
+		t.closeDebug = closeDebug
+		fmt.Fprintf(os.Stderr, "debug server on http://%s (pprof, /metrics)\n", addr)
+	}
 	if f.RunLogPath != "" {
 		file, err := os.Create(f.RunLogPath)
 		if err != nil {
+			if t.closeDebug != nil {
+				t.closeDebug()
+			}
 			return nil, fmt.Errorf("runlog: %w", err)
 		}
 		t.runlog = NewRunLog(file, t.RunID)
 		t.runlogFile = file
 		t.Trace = NewTrace(f.Name)
 		t.Trace.Root().SetAttr("seed", f.Seed)
-	}
-	if f.DebugAddr != "" || f.MetricsPath != "" {
-		t.reg = Default()
-		StampRunInfo(t.reg, t.RunID, BuildMeta())
-		t.Hooks = MetricsHooks(t.reg)
-	}
-	if f.DebugAddr != "" {
-		addr, closeDebug, err := ServeDebug(f.DebugAddr, t.reg)
-		if err != nil {
-			if t.runlogFile != nil {
-				t.runlogFile.Close()
-			}
-			return nil, err
-		}
-		t.closeDebug = closeDebug
-		fmt.Fprintf(os.Stderr, "debug server on http://%s (pprof, /metrics)\n", addr)
 	}
 	if f.Progress {
 		t.Hooks = Merge(t.Hooks, ProgressHooks(os.Stderr))

@@ -128,6 +128,27 @@ func TestCLITelemetryFailedWrite(t *testing.T) {
 	}
 }
 
+// TestCLITelemetryFailedListenKeepsRunLog starts telemetry with a debug
+// address that does not parse (so no socket is opened) over an existing
+// run log: the start fails and the earlier run log stays byte for byte.
+func TestCLITelemetryFailedListenKeepsRunLog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.log")
+	old := []byte("an earlier run log\n")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := StartCLITelemetry(CLIFlags{Name: "test", RunLogPath: path, DebugAddr: "127.0.0.1:99999"}); err == nil {
+		t.Fatal("start with an unparsable debug address succeeded")
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, old) {
+		t.Fatalf("failed start left the run log as %q, want %q", got, old)
+	}
+}
+
 // TestWriteFileAtomic checks a failed write keeps the previous file whole
 // and leaves no temp file.
 func TestWriteFileAtomic(t *testing.T) {
