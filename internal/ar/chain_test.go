@@ -1,6 +1,7 @@
 package ar
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"runtime"
@@ -181,35 +182,39 @@ func TestTrainMatMulWorkersDeterministic(t *testing.T) {
 	}
 }
 
-// TestTrainDefaultWorkersHostIndependent trains with Workers = 0 at
-// GOMAXPROCS 1 and 2 and requires bit-identical parameters: the default
-// worker count decides the batch split and the per-chunk seeds, so it must
-// come from the config, never from the host.
-func TestTrainDefaultWorkersHostIndependent(t *testing.T) {
+// TestTrainIndependentOfWorkers is the training half of the determinism
+// contract: Workers {0, 1, 2, 4} at GOMAXPROCS {1, 2} train one model,
+// byte for byte in its Save form. Batch 128 splits into four chunks,
+// and the workload's 160 queries leave a 32-row last batch of four 8-row
+// chunks.
+func TestTrainIndependentOfWorkers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(19))
 	s := twoColTable(rng, 300)
-	qs := workload.GenerateSingleRelation(rng, s.Tables[0], 96, workload.DefaultSingleRelationOptions())
+	qs := workload.GenerateSingleRelation(rng, s.Tables[0], 160, workload.DefaultSingleRelationOptions())
 	wl := &workload.Workload{Queries: engine.Label(s, qs)}
 
 	cfg := DefaultTrainConfig()
-	cfg.Epochs = 2
-	cfg.BatchSize = 64
-	cfg.Workers = 0
+	cfg.Epochs = 3
+	cfg.BatchSize = 128
 	cfg.Model.Hidden = 16
-	train := func(procs int) []*tensor.Tensor {
+	var want []byte
+	for _, procs := range []int{1, 2} {
 		runtime.GOMAXPROCS(procs)
-		m, err := Train(join.NewLayout(s), wl, 300, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m.Net.Params()
-	}
-	one, two := train(1), train(2)
-	for pi := range one {
-		for k, v := range one[pi].Data {
-			if v != two[pi].Data[k] {
-				t.Fatalf("param %d[%d]: %v at GOMAXPROCS=1, %v at GOMAXPROCS=2", pi, k, v, two[pi].Data[k])
+		for _, workers := range []int{0, 1, 2, 4} {
+			cfg.Workers = workers
+			m, err := Train(join.NewLayout(s), wl, 300, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := m.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = buf.Bytes()
+			} else if !bytes.Equal(buf.Bytes(), want) {
+				t.Fatalf("Workers %d at GOMAXPROCS %d trained a different model than Workers 0 at GOMAXPROCS 1", workers, procs)
 			}
 		}
 	}

@@ -14,7 +14,7 @@ import (
 // several trainStep goroutines sharing the model (MADE with its
 // masked-weight caches, and the transformer), and the parallel matmul
 // kernels, then samples from the trained model on
-// concurrent BatchSamplers — the configuration the per-worker pooled
+// concurrent BatchSamplers — the configuration the per-chunk pooled
 // tapes and the cache's dirty-bit protocol must keep race-free. The test is
 // meaningful under -race; without it it is just a smoke test.
 func TestTrainConcurrentWorkersRace(t *testing.T) {
@@ -27,8 +27,9 @@ func TestTrainConcurrentWorkersRace(t *testing.T) {
 	}
 }
 
-// trainAndSampleConcurrently trains the model with four workers and then
-// samples from it on four concurrent BatchSamplers.
+// trainAndSampleConcurrently trains the model with four workers on four
+// chunks per step and then samples from it on four concurrent
+// BatchSamplers.
 func trainAndSampleConcurrently(t *testing.T, model Config) {
 	rng := rand.New(rand.NewSource(29))
 	s := twoColTable(rng, 200)
@@ -39,7 +40,7 @@ func trainAndSampleConcurrently(t *testing.T, model Config) {
 	cfg := DefaultTrainConfig()
 	cfg.Model = model
 	cfg.Epochs = 3
-	cfg.BatchSize = 16
+	cfg.BatchSize = 128 // four chunks of the 32-query batch
 	cfg.Workers = 4
 	cfg.Seed = 31
 	m, err := Train(l, wl, float64(s.Tables[0].NumRows()), cfg)

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sam/internal/join"
@@ -24,8 +26,12 @@ type TrainConfig struct {
 	Tau                float64 // Gumbel-Softmax temperature
 	ClipNorm           float64 // gradient clipping by global norm; 0 = off
 	ProgressiveSamples int     // Monte-Carlo chains per query per step
-	Workers            int     // goroutines per batch; 0 = one per trainRowsPerWorker batch rows
-	Seed               int64
+	// Workers is the number of goroutines that pick up a step's chunks; 0
+	// means GOMAXPROCS. Either way it is capped at the chunk count. It only
+	// sets speed: chunks, their seeds and the merge order come from
+	// BatchSize and Seed, so the trained model does not depend on it.
+	Workers int
+	Seed    int64
 
 	// Logf, when non-nil, receives training warnings (workload queries
 	// dropped as unsatisfiable). Per-epoch progress is a Hooks event;
@@ -41,12 +47,13 @@ type TrainConfig struct {
 	Span *obs.Span
 }
 
-// trainRowsPerWorker sizes the default training fan-out: Workers = 0
-// means one worker per this many batch rows. The worker count fixes both
-// how a batch is split and each chunk's seed, so it must not depend on the
-// host (GOMAXPROCS): a trained model is a function of its TrainConfig
-// alone. Batch 64 gets two workers.
-const trainRowsPerWorker = 32
+// trainRowsPerChunk sizes a step's chunks: a batch splits evenly into
+// min(⌈BatchSize/trainRowsPerChunk⌉, len(batch)) chunks, and chunk c of a
+// step seeded stepSeed draws its Gumbel noise from stepSeed+c. The split
+// and the seeds depend on the config alone, never on Workers or the host,
+// so a trained model is a function of its TrainConfig minus Workers.
+// Batch 64 gets two chunks.
+const trainRowsPerChunk = 32
 
 // DefaultTrainConfig returns CPU-scale defaults.
 func DefaultTrainConfig() TrainConfig {
@@ -119,7 +126,7 @@ func Train(layout *join.Layout, wl *workload.Workload, population float64, cfg T
 
 	workers := cfg.Workers
 	if workers <= 0 {
-		workers = (cfg.BatchSize + trainRowsPerWorker - 1) / trainRowsPerWorker
+		workers = runtime.GOMAXPROCS(0)
 	}
 	opt := nn.NewAdam(cfg.LR)
 	opt.ClipMax = cfg.ClipNorm
@@ -181,7 +188,7 @@ func Train(layout *join.Layout, wl *workload.Workload, population float64, cfg T
 }
 
 // chunkScratch holds the per-column working slices and the backbone chain
-// one worker reuses across forwardChunk calls, so the steady-state step
+// one chunk reuses across forwardChunk calls, so the steady-state step
 // allocates nothing.
 type chunkScratch struct {
 	masks   []*tensor.Tensor
@@ -200,19 +207,24 @@ func newChunkScratch(net nn.Backbone) chunkScratch {
 	}
 }
 
-// trainWorker is one worker's persistent state: a pooled gradient tape, a
-// reseedable RNG, gradient views, and the chunk scratch buffers.
-type trainWorker struct {
+// trainChunk is one chunk slot's persistent state: a pooled gradient tape,
+// a reseedable RNG, gradient views, the scratch buffers, and the loss and
+// row count of the chunk it last ran. Each slot keeps its gradients until
+// the merge, whichever goroutine ran it.
+type trainChunk struct {
 	tape    *tensor.Graph
 	rng     *rand.Rand
 	grads   []*tensor.Tensor // per param; views into the tape
 	scratch chunkScratch
+	loss    float64
+	rows    int
 }
 
 // trainer bundles the state reused across optimizer steps: one persistent
-// worker (tape + scratch, Reset between steps so tensor buffers are pooled)
-// per goroutine plus the merged-gradient and bookkeeping buffers, so the
-// steady state of a training run performs no per-step heap allocation.
+// chunk slot (tape + scratch, Reset between steps so tensor buffers are
+// pooled) per chunk of a full batch, plus the merged-gradient buffers, so
+// the steady state of a training run performs no per-step heap
+// allocation.
 type trainer struct {
 	m       *Model
 	specs   []*Spec
@@ -221,17 +233,19 @@ type trainer struct {
 	opt     *nn.Adam
 	params  []*tensor.Tensor
 
-	workers []*trainWorker
-	losses  []float64
-	counts  []int
+	workers int // goroutines per step
+	chunks  []*trainChunk
 	pairs   []nn.GradPair // Grad fields are persistent merge buffers
 
 	lastGradNorm float64 // global norm of the last merged gradient (observed steps only)
 }
 
+// newTrainer returns a trainer whose steps run on up to workers
+// goroutines.
 func newTrainer(m *Model, specs []*Spec, targets []float64, cfg TrainConfig,
 	opt *nn.Adam, workers int) *trainer {
 	params := m.Net.Params()
+	nchunks := min((cfg.BatchSize+trainRowsPerChunk-1)/trainRowsPerChunk, len(specs))
 	tr := &trainer{
 		m:       m,
 		specs:   specs,
@@ -239,13 +253,12 @@ func newTrainer(m *Model, specs []*Spec, targets []float64, cfg TrainConfig,
 		cfg:     cfg,
 		opt:     opt,
 		params:  params,
-		workers: make([]*trainWorker, workers),
-		losses:  make([]float64, workers),
-		counts:  make([]int, workers),
+		workers: workers,
+		chunks:  make([]*trainChunk, nchunks),
 		pairs:   make([]nn.GradPair, len(params)),
 	}
-	for w := range tr.workers {
-		tr.workers[w] = &trainWorker{
+	for c := range tr.chunks {
+		tr.chunks[c] = &trainChunk{
 			tape:    tensor.NewGraph(),
 			rng:     rand.New(rand.NewSource(0)),
 			grads:   make([]*tensor.Tensor, len(params)),
@@ -258,88 +271,78 @@ func newTrainer(m *Model, specs []*Spec, targets []float64, cfg TrainConfig,
 	return tr
 }
 
-// runChunk reseeds the worker's RNG and runs one forward+backward chunk on
-// its tape, publishing gradients, loss, and count.
-func (tr *trainer) runChunk(w int, batch []int, seed int64) {
-	ws := tr.workers[w]
-	ws.rng.Seed(seed)
-	loss := forwardChunk(tr.m, ws.tape, &ws.scratch, tr.specs, tr.targets, batch, tr.cfg, ws.rng)
+// runChunk runs chunk c of a step: rows [c·size, (c+1)·size) of the batch,
+// seeded seed+c. It runs one forward+backward pass on slot c's tape and
+// keeps the gradients, loss and row count in the slot.
+func (tr *trainer) runChunk(c int, batch []int, size int, seed int64) {
+	ch := tr.chunks[c]
+	rows := batch[c*size : min((c+1)*size, len(batch))]
+	ch.rng.Seed(seed + int64(c))
+	ch.loss = forwardChunk(tr.m, ch.tape, &ch.scratch, tr.specs, tr.targets, rows, tr.cfg, ch.rng)
 	for pi, p := range tr.params {
-		ws.grads[pi] = ws.tape.ParamGrad(p)
+		ch.grads[pi] = ch.tape.ParamGrad(p)
 	}
-	tr.losses[w] = loss
-	tr.counts[w] = len(batch)
+	ch.rows = len(rows)
 }
 
-// step runs one optimizer step over the batch, fanning the rows out to
-// worker goroutines, each with its own persistent tape, then merging
-// gradients into the trainer's reused buffers. A single worker runs inline
-// on the calling goroutine, keeping the warm step allocation-free. With
-// observe set, the merged gradient's global norm is recorded in
-// lastGradNorm before clipping.
+// step runs one optimizer step over the batch. The batch splits evenly
+// into chunks, chunk c seeded seed+c; goroutines pick chunks up in any
+// order, and the gradient merge and the loss sum then run in chunk order,
+// so the step's result does not depend on the goroutine count. A single
+// goroutine runs the chunks inline on the caller, keeping the warm step
+// allocation-free. With observe set, the merged gradient's global norm is
+// recorded in lastGradNorm before clipping.
 func (tr *trainer) step(batch []int, seed int64, observe bool) float64 {
-	workers := len(tr.workers)
-	if workers > len(batch) {
-		workers = len(batch)
-	}
-	chunk := (len(batch) + workers - 1) / workers
-	for w := range tr.counts {
-		tr.counts[w] = 0
-	}
-	if workers == 1 {
-		tr.runChunk(0, batch, seed)
+	size := (len(batch) + len(tr.chunks) - 1) / len(tr.chunks)
+	chunks := tr.chunks[:(len(batch)+size-1)/size]
+	if workers := min(tr.workers, len(chunks)); workers <= 1 {
+		for c := range chunks {
+			tr.runChunk(c, batch, size, seed)
+		}
 	} else {
+		var next atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
-			lo, hi := w*chunk, (w+1)*chunk
-			if hi > len(batch) {
-				hi = len(batch)
-			}
-			if lo >= hi {
-				break
-			}
 			wg.Add(1)
-			go func(w, lo, hi int) {
+			go func() {
 				defer wg.Done()
-				tr.runChunk(w, batch[lo:hi], seed+int64(w))
-			}(w, lo, hi)
+				for c := int(next.Add(1)) - 1; c < len(chunks); c = int(next.Add(1)) - 1 {
+					tr.runChunk(c, batch, size, seed)
+				}
+			}()
 		}
 		wg.Wait()
 	}
 
-	// Merge: weighted sum of per-worker mean gradients.
-	total := 0
-	for _, c := range tr.counts {
-		total += c
-	}
-	var lossSum float64
+	// Merge: weighted sum of per-chunk mean gradients, in chunk order.
 	for pi := range tr.params {
 		merged := tr.pairs[pi].Grad
 		merged.Zero()
-		for w, ws := range tr.workers {
-			if tr.counts[w] == 0 || ws.grads[pi] == nil {
+		for _, ch := range chunks {
+			if ch.grads[pi] == nil {
 				continue
 			}
-			scale := float64(tr.counts[w]) / float64(total)
-			for i, gv := range ws.grads[pi].Data {
-				merged.Data[i] += gv * scale
+			scale := float64(ch.rows) / float64(len(batch))
+			for i, gv := range ch.grads[pi].Data {
+				merged.Data[i] += float64(gv * scale)
 			}
 		}
 	}
-	for w, loss := range tr.losses {
-		lossSum += loss * float64(tr.counts[w])
+	var lossSum float64
+	for _, ch := range chunks {
+		lossSum += float64(ch.loss * float64(ch.rows))
 	}
 	if observe {
 		var norm2 float64
 		for pi := range tr.pairs {
 			for _, gv := range tr.pairs[pi].Grad.Data {
-				norm2 += gv * gv
+				norm2 += float64(gv * gv)
 			}
 		}
 		tr.lastGradNorm = math.Sqrt(norm2)
 	}
 	tr.opt.Step(tr.pairs)
-	return lossSum / float64(total)
+	return lossSum / float64(len(batch))
 }
 
 // forwardChunk builds the DPS graph for a set of queries (rows) on the

@@ -319,8 +319,8 @@ func RunTensorBench() *TensorBenchReport {
 // dpsTrainStep times one optimizer step of Differentiable
 // Progressive Sampling training of the given backbone on the IMDB-like
 // join layout (12 columns of 4 to 500 bins, 835 one-hot inputs; MADE
-// 64×2, or the transformer with d = 32, 2 heads, 2 blocks): batch 64, one
-// training worker, serial kernels. The workload is exactly one batch of 64
+// 64×2, or the transformer with d = 32, 2 heads, 2 blocks): batch 64 in two
+// 32-row chunks run by one training worker, serial kernels. The workload is exactly one batch of 64
 // join queries and Train runs b.N+2 epochs of one step each; the timer
 // starts when the second step ends, so model set-up, query compilation and
 // the tape's pool warm-up are excluded and allocs/op counts warm steps
