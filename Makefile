@@ -69,23 +69,23 @@ cross-vet:
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=ppc64le $(GO) vet ./...
 
-## fma-check holds the float code of internal/tensor to one rounding per
-## operation on every GOARCH. The Go spec lets a compiler fuse
+## fma-check holds the float code of internal/tensor and internal/ar to
+## one rounding per operation on every GOARCH. The Go spec lets a compiler fuse
 ## x*y + z into a single rounding unless the product is written
 ## float64(x*y), and the arm64, ppc64le, s390x and riscv64 compilers do;
 ## amd64 does not at GOAMD64=v1, so no amd64 build notices. The target
 ## cross-compiles cmd/samgen for those four and fails on any fused
-## multiply-add or multiply-subtract in a symbol of the package, printing
+## multiply-add or multiply-subtract in a symbol of those packages, printing
 ## each with its source line. go tool objdump ships with the toolchain, so
 ## it needs no download. The architectures, packages and opcodes are
 ## written into the recipe, not taken from variables, so neither the
 ## environment nor the command line can shrink what the gate checks; nn
-## and ar join the package list here once they are converted.
+## joins the package list here once it is converted.
 fma-check:
 	@fail=0; \
 	for arch in arm64 ppc64le s390x riscv64; do \
 		GOARCH=$$arch $(GO) build -o /tmp/samgen_fma_$$arch ./cmd/samgen || exit 1; \
-		for pkg in sam/internal/tensor; do \
+		for pkg in sam/internal/tensor sam/internal/ar; do \
 			found=$$($(GO) tool objdump -s "^$$pkg\\." /tmp/samgen_fma_$$arch | \
 				awk '/^TEXT /{sym=$$2; next} $$0 ~ /[[:space:]](FMADDD|FMSUBD|FNMSUBD|FNMADDD|FMADD|FMSUB|FNMADD|FNMSUB|MADBR|MSDBR)[[:space:]]/{print "  " sym " " $$1}'); \
 			n=$$(printf '%s' "$$found" | grep -c . || true); \

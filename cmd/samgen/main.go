@@ -7,28 +7,26 @@
 //
 //	samgen -workload workload.json -schema schema.json -outdir gen/ \
 //	       [-population N] [-epochs N] [-hidden N] [-samples N] [-seed N] [-no-gam] \
-//	       [-stream] [-shards N] [-workers N] [-partitions N] \
+//	       [-shards N] [-workers N] [-partitions N] \
 //	       [-runlog run.log] [-metrics-out metrics.prom] \
 //	       [-progress] [-debug-addr :6060]
 //
 // -population is required for multi-relation schemas (the full outer join
 // size, printed by workloadgen).
 //
-// -stream removes the in-memory row-count ceiling: sampling is sharded
-// under outdir/shards and tables are merged and written through
-// bounded-memory spill files, so peak memory no longer grows with
-// -samples. The shards and spill files are removed once the CSVs are
-// written, also when generation fails.
+// Generation streams: sampling is sharded under outdir/shards and tables
+// are merged and written through bounded-memory spill files, so peak
+// memory does not grow with -samples. The shards and spill files are
+// removed once the CSVs are written, also when generation fails.
 //
 // The generated database is a pure function of (-seed, -samples): sample
 // i draws from its own random stream, and the merge walks its groups in
 // hash order. -batch, -shards, -workers and -partitions change speed and
-// memory only, and -stream writes the CSVs the in-memory run builds.
+// memory only.
 //
 // -no-gam runs the paper's "SAM w/o Group-and-Merge" ablation: foreign keys
-// are drawn from pairwise (parent, child) views instead of Group-and-Merge.
-// It runs in the same merge as Group-and-Merge, so it works in memory and
-// with -stream alike.
+// are drawn from pairwise (parent, child) views instead of Group-and-Merge,
+// in the same merge.
 //
 // -runlog writes every pipeline event as structured JSONL and, at the
 // end, the pipeline's phase tree (train/sample/merge spans with wall time
@@ -46,7 +44,6 @@ import (
 	"flag"
 	"log"
 	"os"
-	"path/filepath"
 	"time"
 
 	"sam/internal/ar"
@@ -63,8 +60,7 @@ func main() {
 	wlPath := flag.String("workload", "workload.json", "labeled workload (JSON)")
 	schemaPath := flag.String("schema", "schema.json", "schema metadata (JSON)")
 	outDir := flag.String("outdir", "generated", "output directory for CSVs")
-	stream := flag.Bool("stream", false, "bounded-memory generation: shard the sampler and stream tables to disk (removes the in-memory row-count ceiling)")
-	shards := flag.Int("shards", 0, "sample shards for -stream (0 = one per 16Ki rows); workers sample whole shards, and the count never changes output bytes")
+	shards := flag.Int("shards", 0, "sample shards (0 = one per 16Ki rows); workers sample whole shards, and the count never changes output bytes")
 	workers := flag.Int("workers", 0, "sampling goroutines (0 = GOMAXPROCS); workers parallelize across shards without changing output bytes")
 	partitions := flag.Int("partitions", 0, "spill partitions for the external group-and-merge (0 = 64); bounds merge memory without changing output bytes")
 	population := flag.Float64("population", 0, "full outer join size (multi-relation only; single-relation defaults to |T|)")
@@ -73,7 +69,7 @@ func main() {
 	samples := flag.Int("samples", 0, "FOJ samples for generation (0 = auto)")
 	batch := flag.Int("batch", 64, "ancestral-sampling lanes per worker (<=1 means one lane); changes speed, not output bytes")
 	seed := flag.Int64("seed", 1, "random seed")
-	noGam := flag.Bool("no-gam", false, "assign foreign keys from pairwise views instead of Group-and-Merge (the paper's ablation; works with -stream)")
+	noGam := flag.Bool("no-gam", false, "assign foreign keys from pairwise views instead of Group-and-Merge (the paper's ablation)")
 	arch := flag.String("arch", "made", "autoregressive backbone: made or transformer")
 	savePath := flag.String("save", "", "save the trained model to this path")
 	loadPath := flag.String("load", "", "skip training and load a model saved with -save")
@@ -115,7 +111,7 @@ func main() {
 		}
 		generateAndWrite(model, sspec.Sizes(), genConfig{
 			outDir: *outDir, samples: *samples, batch: *batch, seed: *seed,
-			gam: !*noGam, stream: *stream, shards: *shards, workers: *workers,
+			gam: !*noGam, shards: *shards, workers: *workers,
 			partitions: *partitions,
 		}, tel)
 		return
@@ -193,7 +189,7 @@ func main() {
 
 	generateAndWrite(model, sizes, genConfig{
 		outDir: *outDir, samples: *samples, batch: *batch, seed: *seed,
-		gam: !*noGam, stream: *stream, shards: *shards, workers: *workers,
+		gam: !*noGam, shards: *shards, workers: *workers,
 		partitions: *partitions,
 	}, tel)
 }
@@ -205,72 +201,35 @@ type genConfig struct {
 	batch      int
 	seed       int64
 	gam        bool
-	stream     bool
 	shards     int
 	workers    int
 	partitions int
 }
 
-// generateAndWrite runs the generation phase and writes one CSV per table —
-// in memory by default, or via the sharded streaming pipeline with -stream.
+// generateAndWrite runs the generation phase through the sharded
+// streaming pipeline, which writes one CSV per table.
 func generateAndWrite(model *ar.Model, sizes map[string]int, cfg genConfig, tel *obs.CLITelemetry) {
 	gen, err := core.FromModel(model, sizes)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if cfg.stream {
-		opts := core.DefaultStreamOptions(cfg.seed+1, cfg.outDir)
-		opts.Samples = cfg.samples
-		opts.GroupAndMerge = cfg.gam
-		opts.Batch = cfg.batch
-		opts.Workers = cfg.workers
-		opts.Shards = cfg.shards
-		opts.Partitions = cfg.partitions
-		opts.Hooks = tel.Hooks
-		opts.Span = tel.Trace.Root()
-		start := time.Now()
-		res, err := gen.GenerateStream(core.ModelSampler(model, opts.Batch), opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("generated database in %v (%d samples, streamed)", time.Since(start).Round(time.Millisecond), res.Samples)
-		for _, t := range gen.Layout.Schema.Tables {
-			log.Printf("wrote %s (%d rows, %d merge groups)", res.CSVPaths[t.Name], res.Rows[t.Name], res.Groups[t.Name])
-		}
-		closeTelemetry(tel)
-		return
-	}
-	opts := core.DefaultGenOptions(cfg.seed + 1)
+	opts := core.DefaultStreamOptions(cfg.seed+1, cfg.outDir)
 	opts.Samples = cfg.samples
 	opts.GroupAndMerge = cfg.gam
 	opts.Batch = cfg.batch
 	opts.Workers = cfg.workers
+	opts.Shards = cfg.shards
+	opts.Partitions = cfg.partitions
 	opts.Hooks = tel.Hooks
 	opts.Span = tel.Trace.Root()
 	start := time.Now()
-	db, err := gen.Generate(core.ModelSampler(model, opts.Batch), opts)
+	res, err := gen.GenerateStream(core.ModelSampler(model, opts.Batch), opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("generated database in %v", time.Since(start).Round(time.Millisecond))
-
-	if err := os.MkdirAll(cfg.outDir, 0o755); err != nil {
-		log.Fatal(err)
-	}
-	for _, t := range db.Tables {
-		path := filepath.Join(cfg.outDir, t.Name+".csv")
-		f, err := os.Create(path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := t.WriteCSV(f); err != nil {
-			f.Close()
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote %s (%d rows)", path, t.NumRows())
+	log.Printf("generated database in %v (%d samples, streamed)", time.Since(start).Round(time.Millisecond), res.Samples)
+	for _, t := range gen.Layout.Schema.Tables {
+		log.Printf("wrote %s (%d rows, %d merge groups)", res.CSVPaths[t.Name], res.Rows[t.Name], res.Groups[t.Name])
 	}
 	closeTelemetry(tel)
 }

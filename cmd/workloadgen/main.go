@@ -35,7 +35,7 @@ func main() {
 	coverage := flag.Float64("coverage", 0, "restrict literals to this fraction of each domain (0 = full)")
 	sqlFile := flag.String("sqlfile", "", "label the COUNT(*) SQL statements in this file instead of generating random queries")
 	verifyModel := flag.String("verify-model", "", "also estimate the labeled cardinalities from this saved model (samgen -save) and report the Q-Error summary")
-	batch := flag.Int("batch", 64, "estimation lanes for -verify-model (<=1 means one lane)")
+	batch := flag.Int("batch", 64, "estimation lanes for -verify-model (<=1 means one lane); sets speed only, the Q-Errors do not depend on it")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof and /metrics on this address (e.g. :6060)")
 	flag.Parse()
 

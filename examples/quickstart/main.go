@@ -5,10 +5,12 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"math/rand"
 	"os"
+	"path/filepath"
 
 	"sam"
 )
@@ -53,6 +55,17 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("generated %d rows\n", db.Tables[0].NumRows())
+
+	// Save it as CSV, in the layout samgen writes.
+	path := filepath.Join(os.TempDir(), "sam-quickstart-people.csv")
+	f, err := os.Create(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := errors.Join(db.Tables[0].WriteCSV(f), f.Close()); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("wrote", path)
 
 	// 5. Fidelity: how well does the synthetic database satisfy the input
 	// constraints?

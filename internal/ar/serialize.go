@@ -118,13 +118,13 @@ func Load(r io.Reader) (*Model, error) {
 // (MADE: input and output layers plus the hidden-to-hidden ones; the
 // transformer: embedding, output projection, and each block's attention
 // and feed-forward weights). It is computed in float64 so no claimed size
-// can overflow.
+// can overflow, with every product that feeds a sum rounded on its own.
 func minWeights(cfg Config, inDim int) float64 {
 	d, h, l := float64(inDim), float64(cfg.Hidden), float64(cfg.HiddenLayers)
 	if cfg.Arch == "transformer" {
 		dm, _ := cfg.transformerDims()
 		w := float64(dm)
-		return 2*d*w + l*(4*w*w+2*w*h)
+		return float64(2*d*w) + float64(l*(float64(4*w*w)+float64(2*w*h)))
 	}
-	return 2*d*h + (l-1)*h*h
+	return float64(2*d*h) + float64((l-1)*h*h)
 }

@@ -32,12 +32,12 @@ type ScaleBenchConfig struct {
 	Dir string
 	// Seed drives the sampler.
 	Seed int64
-	// RunID correlates the report with the run's trace/metrics/log
+	// RunID correlates the report with the run's run log and metrics
 	// artifacts; empty generates a fresh one.
 	RunID string
 	// Hooks and Span let the caller observe the benchmarked run itself
-	// (the CLI threads its -trace/-progress/-runlog observers through
-	// here). The per-pass wall split is collected regardless.
+	// (the CLI threads its -runlog/-progress/-metrics-out observers
+	// through here). The per-pass wall split is collected regardless.
 	Hooks *obs.Hooks
 	Span  *obs.Span
 }

@@ -55,8 +55,8 @@ func TestCLITools(t *testing.T) {
 		}
 	}
 
-	// The pairwise-view ablation streams too: -stream -no-gam writes every
-	// table of a join schema, and each foreign key names a parent key.
+	// The pairwise-view ablation: -no-gam writes every table of a join
+	// schema, and each foreign key names a parent key.
 	out = run("workloadgen", "-dataset", "imdb", "-rows", "60", "-queries", "40",
 		"-out", "imdb.json", "-schema", "imdb_schema.json")
 	pop := regexp.MustCompile(`full outer join size = (\d+)`).FindStringSubmatch(out)
@@ -64,7 +64,7 @@ func TestCLITools(t *testing.T) {
 		t.Fatalf("workloadgen printed no full outer join size:\n%s", out)
 	}
 	run("samgen", "-workload", "imdb.json", "-schema", "imdb_schema.json", "-population", pop[1],
-		"-outdir", "views", "-epochs", "1", "-hidden", "16", "-samples", "2000", "-stream", "-no-gam")
+		"-outdir", "views", "-epochs", "1", "-hidden", "16", "-samples", "2000", "-no-gam")
 	checkStreamedFKs(t, filepath.Join(dir, "imdb_schema.json"), filepath.Join(dir, "views"))
 
 	out = run("samgen", "-workload", "wl.json", "-schema", "schema.json",
@@ -114,7 +114,7 @@ func checkStreamedFKs(t *testing.T, specPath, outDir string) {
 	for _, tab := range db.Tables {
 		f, err := os.Open(filepath.Join(outDir, tab.Name+".csv"))
 		if err != nil {
-			t.Fatalf("samgen -stream -no-gam wrote no CSV for %s: %v", tab.Name, err)
+			t.Fatalf("samgen -no-gam wrote no CSV for %s: %v", tab.Name, err)
 		}
 		err = tab.ReadCSV(f)
 		f.Close()
