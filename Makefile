@@ -36,13 +36,15 @@ race:
 ## detector: the streaming core, obs, and relation test suites, the tensor,
 ## nn and ar suites (row-split matmul kernels, windowed backward kernels
 ## under multi-worker training, batched inference over the shared
-## masked-weight cache), then a real smoke-scale sharded generation run
-## with worker fan-out enabled — the dynamic complement to what
-## goleak/lockguard prove statically.
+## masked-weight cache), then real smoke-scale generation runs with
+## worker fan-out enabled: tab1 on single tables and tab6 on the IMDB
+## star, whose Group-and-Merge scans and groups on more than one
+## goroutine — the dynamic complement to what goleak/lockguard prove
+## statically.
 race-test:
 	$(GO) test -race -count=1 ./internal/core/... ./internal/obs/... ./internal/relation/... \
 		./internal/tensor/... ./internal/nn/... ./internal/ar/...
-	$(GO) run -race ./cmd/sambench -scale smoke -exp tab1
+	$(GO) run -race ./cmd/sambench -scale smoke -exp tab1,tab6
 
 ## lint runs the full static-analysis stack in CI order: formatting,
 ## go vet on the host and on the non-amd64 builds, pinned staticcheck,

@@ -62,7 +62,7 @@ func main() {
 	scaleBench := flag.String("scalebench", "", "write sharded streaming-generation scale benchmark JSON to this file and exit")
 	scaleRows := flag.Int("scalerows", 1_000_000, "rows to generate for -scalebench")
 	scaleShards := flag.Int("scaleshards", 0, "sample shards for -scalebench (0 = auto)")
-	scaleWorkers := flag.Int("scaleworkers", 0, "sampling workers for -scalebench (0 = GOMAXPROCS)")
+	scaleWorkers := flag.Int("scaleworkers", 0, "generation workers for -scalebench, sampling and merge (0 = GOMAXPROCS)")
 	scalePartitions := flag.Int("scalepartitions", 0, "spill partitions for -scalebench (0 = 64)")
 	scaleDir := flag.String("scaledir", "", "scratch directory for -scalebench shards and spill files (default: a temp dir)")
 	runlogOut := flag.String("runlog", "", "write the run's structured events and phase span tree as JSONL (framed by run_start/run_end and stamped with the run ID) to this file")

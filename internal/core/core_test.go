@@ -572,12 +572,13 @@ func TestDeepTreeRecoveryTPCH(t *testing.T) {
 // order.
 func readSamples(t *testing.T, set *ShardSet) []int32 {
 	t.Helper()
-	flat := make([]int32, 0, set.Total*set.NCols)
-	err := set.Stream(make([]int32, rowsPerChunk*set.NCols), func(_ int64, row []int32) error {
-		flat = append(flat, row...)
-		return nil
-	})
-	if err != nil {
+	var rd shardReader
+	if err := rd.open(set); err != nil {
+		t.Fatal(err)
+	}
+	defer rd.close()
+	flat := make([]int32, set.Total*set.NCols)
+	if err := rd.read(0, flat); err != nil {
 		t.Fatal(err)
 	}
 	return flat

@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 
 	"sam/internal/ar"
 	"sam/internal/join"
@@ -22,8 +23,14 @@ type GenOptions struct {
 	// Samples is the number of full-outer-join tuples to draw (the paper's
 	// k). Zero defaults to the sum of target table sizes.
 	Samples int
-	// Workers bounds sampling parallelism (how many shards are sampled at
-	// once); 0 = GOMAXPROCS. It never changes the output.
+	// Workers bounds generation's goroutines; 0 = GOMAXPROCS. Sampling
+	// draws up to Workers shards at once. The merge scans each table's
+	// samples on up to Workers goroutines and, from two workers on, groups
+	// the next spill partition on one goroutine while the calling
+	// goroutine emits the current one; at one worker it starts no
+	// goroutine. Whatever the count, the calling goroutine alone sums the
+	// weight mass, writes every spill run and draws the merge rng, so
+	// Workers never changes the output.
 	Workers int
 	// Batch is the number of sampling lanes advanced through the model per
 	// forward sweep (batched ancestral sampling); values ≤ 1 mean one
@@ -60,6 +67,16 @@ type Generator struct {
 	Disc []*ar.Discretizer
 	// Sizes is the target row count per table (the |T| inputs of Alg. 1/2).
 	Sizes map[string]int
+
+	presence []presenceRule // sanitize's rules, one per non-root table
+}
+
+// presenceRule is sanitize's view of one non-root table: its fanout
+// column, its parent's (-1 for a root parent, which is always present)
+// and its content columns.
+type presenceRule struct {
+	fan, parentFan int
+	content        []int
 }
 
 // NewGenerator validates and builds a generator.
@@ -72,7 +89,19 @@ func NewGenerator(layout *join.Layout, disc []*ar.Discretizer, sizes map[string]
 			return nil, fmt.Errorf("core: missing target size for table %s", t.Name)
 		}
 	}
-	return &Generator{Layout: layout, Disc: disc, Sizes: sizes}, nil
+	g := &Generator{Layout: layout, Disc: disc, Sizes: sizes}
+	for _, t := range layout.Schema.Tables {
+		if t.Parent == "" {
+			continue
+		}
+		r := presenceRule{parentFan: -1, content: layout.ContentColumns(t.Name)}
+		r.fan, _ = layout.FanoutIndex(t.Name)
+		if pIdx, ok := layout.FanoutIndex(t.Parent); ok {
+			r.parentFan = pIdx
+		}
+		g.presence = append(g.presence, r)
+	}
+	return g, nil
 }
 
 // FromModel builds a generator for a trained SAM model with the original
@@ -101,9 +130,15 @@ func (g *Generator) sampleCount(samples int) int {
 	return k
 }
 
+// memPartitions is Generate's spill fan-out. Each spill partition is
+// grouped whole and each span bucket loaded whole, so more partitions
+// mean less resident merge state and more chunks for the merge's
+// goroutines to share; the output is the same at any count.
+const memPartitions = 16
+
 // Generate runs the full pipeline in memory: the sharded sampler and the
 // merge engine of GenerateStream, under the key policy opts.GroupAndMerge
-// picks, over a memory store, with one spill partition. newSampler is
+// picks, over a memory store, with memPartitions spill partitions. newSampler is
 // called once per sampling goroutine and must return a sampler that
 // accepts max(opts.Batch, 1) lanes per call; a stateless sampler may
 // return itself repeatedly.
@@ -112,7 +147,7 @@ func (g *Generator) sampleCount(samples int) int {
 // byte, what GenerateStream writes for the same Seed and Samples at any
 // Batch, Workers, Shards and Partitions.
 func (g *Generator) Generate(newSampler func() join.TupleSampler, opts GenOptions) (*relation.Schema, error) {
-	so := StreamOptions{GenOptions: opts, Partitions: 1}
+	so := StreamOptions{GenOptions: opts, Partitions: memPartitions}
 	set, err := g.SampleShards(newSampler, g.sampleCount(opts.Samples), so)
 	if err != nil {
 		return nil, err
@@ -124,22 +159,28 @@ func (g *Generator) Generate(newSampler func() join.TupleSampler, opts GenOption
 // (fanout bin 0) has NULL descendants too, and NULL tables' content bins
 // are cleared — the invariant oracle samples satisfy by construction and
 // model samples must be projected onto.
+//
+// The rules run in topological order, so a parent is settled before its
+// children read its fanout.
 func (g *Generator) sanitize(dst []int32) {
-	s := g.Layout.Schema
-	for _, t := range s.Tables {
-		if t.Parent == "" {
-			continue
+	for _, r := range g.presence {
+		if r.parentFan >= 0 && dst[r.parentFan] == 0 {
+			dst[r.fan] = 0
 		}
-		idx, _ := g.Layout.FanoutIndex(t.Name)
-		if pIdx, ok := g.Layout.FanoutIndex(t.Parent); ok && dst[pIdx] == 0 {
-			dst[idx] = 0
-		}
-		if dst[idx] == 0 {
-			for _, ci := range g.Layout.ContentColumns(t.Name) {
+		if dst[r.fan] == 0 {
+			for _, ci := range r.content {
 				dst[ci] = 0
 			}
 		}
 	}
+}
+
+// workerCount resolves Workers: GOMAXPROCS when unset.
+func (o *GenOptions) workerCount() int {
+	if o.Workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return o.Workers
 }
 
 // materialize merges a shard set into in-memory tables through table

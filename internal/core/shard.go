@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,10 +16,10 @@ import (
 
 // StreamOptions configures the sharded, bounded-memory generation path.
 // It extends GenOptions with the shard and spill layout. Generate uses the
-// same engine with a memory store and one partition. Both paths share the
-// determinism contract: the generated database is a pure function of
-// (Seed, Samples), and the shard and spill layout only trade speed for
-// memory.
+// same engine with a memory store and a small fixed partition count
+// (memPartitions). Both paths share the determinism contract: the
+// generated database is a pure function of (Seed, Samples), and the shard
+// and spill layout, like Workers, only trade speed for memory.
 type StreamOptions struct {
 	GenOptions
 
@@ -120,11 +119,7 @@ func (g *Generator) SampleShards(newSampler func() join.TupleSampler, k int, opt
 	ncols := g.Layout.NumCols()
 	S := opts.shardCount(k)
 	batch := max(opts.Batch, 1)
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(max(workers, 1), S)
+	workers := min(opts.workerCount(), S)
 
 	var st store = dirStore{}
 	if opts.OutDir == "" {
@@ -186,10 +181,7 @@ func (g *Generator) SampleShards(newSampler func() join.TupleSampler, k int, opt
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	run := func() {
-		rngs := make([]*rand.Rand, batch)
-		for l := range rngs {
-			rngs[l] = ar.NewSampleRand(0)
-		}
+		sw := newShardWorker(batch, ncols)
 		sampler := newSampler()
 		for {
 			si := int(next.Add(1)) - 1
@@ -197,7 +189,7 @@ func (g *Generator) SampleShards(newSampler func() join.TupleSampler, k int, opt
 				return
 			}
 			lo, hi := shardRange(k, S, si)
-			path, err := g.sampleOneShard(st, sampler, rngs, si, lo, hi-lo, dir, span, opts, emitProgress)
+			path, err := g.sampleOneShard(st, sampler, sw, si, lo, hi-lo, dir, span, opts, emitProgress)
 			if err != nil {
 				fail(err)
 				return
@@ -232,6 +224,29 @@ func (g *Generator) SampleShards(newSampler func() join.TupleSampler, k int, opt
 	return set, nil
 }
 
+// shardWorker is one sampling goroutine's state, reused for every shard
+// it samples: a lane rng per batch lane, the chunk buffers of the shard
+// pipeline and the writer's encode buffer.
+type shardWorker struct {
+	rngs   []*rand.Rand
+	chunks [chunkBuffers][]int32
+	wbuf   []byte
+}
+
+func newShardWorker(batch, ncols int) *shardWorker {
+	sw := &shardWorker{rngs: make([]*rand.Rand, batch)}
+	for l := range sw.rngs {
+		sw.rngs[l] = ar.NewSampleRand(0)
+	}
+	// Chunks hold whole sweeps so a batched sweep never straddles buffers.
+	chunkRows := (rowsPerChunk + batch - 1) / batch * batch
+	for i := range sw.chunks {
+		sw.chunks[i] = make([]int32, chunkRows*ncols)
+	}
+	sw.wbuf = make([]byte, 0, 4*chunkRows*ncols)
+	return sw
+}
+
 // sampleOneShard draws samples lo … lo+rows-1 into one shard, streaming
 // them to the shard stream in st through a bounded chunk pipeline: the
 // sampler fills pooled chunk buffers and blocks when chunkBuffers of them
@@ -244,12 +259,11 @@ func (g *Generator) SampleShards(newSampler func() join.TupleSampler, k int, opt
 // with its backpressure wait) is strictly observational: the sampling
 // order, rng consumption, and shard bytes are identical with observers on
 // or off, and the per-chunk wait clock only runs when a hook listens.
-func (g *Generator) sampleOneShard(st store, sampler join.TupleSampler, rngs []*rand.Rand,
+func (g *Generator) sampleOneShard(st store, sampler join.TupleSampler, sw *shardWorker,
 	shard, lo, rows int, dir string, psp *obs.Span, opts StreamOptions, emitProgress func(int)) (string, error) {
 	ncols := g.Layout.NumCols()
-	batch := len(rngs)
-	// Chunks hold whole sweeps so a batched sweep never straddles buffers.
-	chunkRows := (rowsPerChunk + batch - 1) / batch * batch
+	rngs := sw.rngs
+	chunkRows := len(sw.chunks[0]) / ncols
 
 	shardStart := time.Now()
 	sp := psp.Child("shard")
@@ -270,14 +284,14 @@ func (g *Generator) sampleOneShard(st store, sampler join.TupleSampler, rngs []*
 	}
 	full := make(chan chunk, chunkBuffers)
 	free := make(chan []int32, chunkBuffers)
-	for i := 0; i < chunkBuffers; i++ {
-		free <- make([]int32, chunkRows*ncols)
+	for _, c := range sw.chunks {
+		free <- c
 	}
 	var writeFailed atomic.Bool
 	writeErr := make(chan error, 1)
 	go func() {
 		var err error
-		var b []byte
+		b := sw.wbuf
 		for c := range full {
 			if err == nil {
 				b = putI32s(b[:0], c.buf[:c.rows*ncols])
@@ -321,7 +335,7 @@ func (g *Generator) sampleOneShard(st store, sampler join.TupleSampler, rngs []*
 		}
 	}
 	for done := 0; done < rows && !writeFailed.Load(); {
-		n := min(batch, rows-done)
+		n := min(len(rngs), rows-done)
 		dst := cur[filled*ncols : (filled+n)*ncols]
 		for l, r := range rngs[:n] {
 			r.Seed(ar.SplitSeed(opts.Seed, lo+done+l))

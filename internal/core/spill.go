@@ -10,11 +10,12 @@ import (
 )
 
 // Spill building blocks for the external-memory Group-and-Merge (see
-// MaterializeStream). The merge never holds more than one hash partition
-// of one table's records, or one bucket of its parent's span records,
-// resident: samples are streamed off the shards, keyed records spill to
-// the P partitions of one spill run in the set's store, and each
-// partition is grouped and allocated keys before the next is read. All
+// MaterializeStream). The merge never holds more than two hash
+// partitions of one table's records (the one being emitted and the next,
+// being grouped), or one bucket of its parent's span records per scan
+// worker, resident: samples are streamed off the shards, keyed records
+// spill to the P partitions of one spill run in the set's store, and each
+// partition is grouped and allocated keys in order. All
 // spill records are fixed-size little-endian binary — no framing, no
 // varints — so a run's blocks are plain arrays that readers decode in
 // place.
@@ -41,9 +42,11 @@ func keyHash(key []byte) uint64 {
 // Each partition fills its own block buffer of storeBufSize bytes at most,
 // always whole records; a full block is appended to the stream and
 // recorded in the partition's block list. Reading a partition reads its
-// blocks, in the order they were appended, into one reused buffer and
-// hands out the records in place. The records of a partition therefore
-// come back in write order, exactly as from a stream of their own.
+// blocks, in the order they were appended, into the reader's reused
+// buffer and hands out the records in place. The records of a partition
+// therefore come back in write order, exactly as from a stream of their
+// own. A finished run may be read by several goroutines at once, each
+// through its own buffer.
 type spillRun struct {
 	st     store
 	name   string
@@ -54,8 +57,7 @@ type spillRun struct {
 	off  int64          // stream bytes written
 	bufs [][]byte       // per-partition block buffers while writing
 
-	r   streamReader // opened by the first read
-	buf []byte       // read block buffer, reused
+	r streamReader // opened by finish; safe for concurrent reads
 }
 
 // spillBlock is one block of a spill run: n bytes at stream offset off.
@@ -109,9 +111,9 @@ func (r *spillRun) flush(part int) error {
 	return nil
 }
 
-// finish flushes every partition's last block, in partition order, and
-// closes the stream for writing, releasing the block buffers to the
-// next run.
+// finish flushes every partition's last block, in partition order,
+// closes the stream for writing, releasing the block buffers to the next
+// run, and opens it for reading.
 func (r *spillRun) finish() error {
 	var err error
 	for part := range r.bufs {
@@ -123,33 +125,41 @@ func (r *spillRun) finish() error {
 		err = fmt.Errorf("core: close spill run: %w", cerr)
 	}
 	r.w, r.bufs = nil, nil
+	if err == nil {
+		r.r, err = r.st.open(r.name)
+	}
 	return err
 }
 
-// records streams the records of partition part, invoking fn with each
-// record's bytes (valid only during the call). A block that is not whole
-// records, or that runs past the end of the stream, is an error.
-func (r *spillRun) records(part int, fn func(rec []byte) error) error {
-	if r.r == nil {
-		f, err := r.st.open(r.name)
-		if err != nil {
-			return err
-		}
-		r.r = f
+// count returns the number of records in partition part.
+func (r *spillRun) count(part int) int {
+	n := 0
+	for _, b := range r.blocks[part] {
+		n += b.n
 	}
+	return n / r.size
+}
+
+// records streams the records of partition part of a finished run,
+// reading each block into *buf, which it grows as needed, and invoking fn
+// with each record's bytes (valid only during the call). A block that is
+// not whole records, or that runs past the end of the stream, is an
+// error.
+func (r *spillRun) records(part int, buf *[]byte, fn func(rec []byte) error) error {
 	for _, b := range r.blocks[part] {
 		if b.n%r.size != 0 {
 			return fmt.Errorf("core: spill run %s: %d-byte block at %d is not whole %d-byte records", filepath.Base(r.name), b.n, b.off, r.size)
 		}
-		r.buf = slices.Grow(r.buf[:0], b.n)[:b.n]
-		if n, err := r.r.ReadAt(r.buf, b.off); n < b.n {
+		blk := slices.Grow((*buf)[:0], b.n)[:b.n]
+		*buf = blk
+		if n, err := r.r.ReadAt(blk, b.off); n < b.n {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
 			return fmt.Errorf("core: read spill run %s: block at %d: %w", filepath.Base(r.name), b.off, err)
 		}
 		for i := 0; i < b.n; i += r.size {
-			if err := fn(r.buf[i : i+r.size]); err != nil {
+			if err := fn(blk[i : i+r.size]); err != nil {
 				return err
 			}
 		}
@@ -172,7 +182,7 @@ func (r *spillRun) drop() {
 		r.st.remove(r.name)
 		r.name = ""
 	}
-	r.bufs, r.buf = nil, nil
+	r.bufs = nil
 }
 
 // Record encode/decode helpers. Layouts (all little-endian):
@@ -262,12 +272,14 @@ func (a *sysAlloc) leftover() int {
 const spanRecSize = 24
 
 // spanBucket is one span bucket loaded for a child table's pass A: the
-// key spans of samples lo … lo+n-1, ordered by sample index.
+// key spans of samples lo … lo+n-1, ordered by sample index. Each scan
+// worker of a merge keeps one for all the merge's tables.
 type spanBucket struct {
 	lo    int64
 	start []int // sample lo+i's spans are spans[start[i]:start[i+1]]
 	spans []keySpan
 	recs  []spanRec // the records in write order; reused across loads
+	buf   []byte    // the span run's read block buffer
 }
 
 // spanRec is one decoded span record: sample idx's membership fraction in
@@ -288,7 +300,7 @@ func (b *spanBucket) load(run *spillRun, bucket int, lo int64, n int) error {
 	b.lo, b.recs = lo, b.recs[:0]
 	b.start = slices.Grow(b.start[:0], n+1)[:n+1]
 	clear(b.start)
-	err := run.records(bucket, func(rec []byte) error {
+	err := run.records(bucket, &b.buf, func(rec []byte) error {
 		r := spanRec{idx: int64(getU64(rec)), key: int64(getU64(rec[8:])), frac: getF64(rec[16:])}
 		if r.idx < lo || r.idx-lo >= int64(n) {
 			return fmt.Errorf("core: span bucket %d of %s holds sample %d outside [%d, %d)", bucket, filepath.Base(run.name), r.idx, lo, lo+int64(n))

@@ -16,7 +16,12 @@ import (
 // data, one last block holds the rest. It reports whether the reader must
 // fail: some block is not whole records or runs past the end of data.
 func fuzzRun(t *testing.T, parts, size int, cuts, data []byte) (*spillRun, bool) {
-	run := &spillRun{st: memStream(t, "run", data), name: "run", size: size, blocks: make([][]spillBlock, parts)}
+	st := memStream(t, "run", data)
+	r, err := st.open("run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := &spillRun{st: st, name: "run", size: size, blocks: make([][]spillBlock, parts), r: r}
 	var off int64
 	bad := false
 	add := func(i, n int) {
@@ -60,10 +65,10 @@ func FuzzRawRecords(f *testing.F) {
 		n := max(int(size%64), 1)
 		run, bad := fuzzRun(t, 2, n, cuts, data)
 		defer run.drop()
-		var out []byte
+		var out, buf []byte
 		var err error
 		for part := 0; part < 2 && err == nil; part++ {
-			err = run.records(part, func(rec []byte) error {
+			err = run.records(part, &buf, func(rec []byte) error {
 				if len(rec) != n {
 					t.Fatalf("record of %d bytes, want %d", len(rec), n)
 				}
@@ -160,7 +165,8 @@ func putSpanRec(dst []byte, r spanRec) []byte {
 }
 
 // FuzzShardStream checks the shard reader: bytes stored as a one-shard
-// set of ncols columns (taken mod 8, at least 1) either fail Stream, or
+// set of ncols columns (taken mod 8, at least 1) holding as many rows as
+// the bytes begin, read back three rows at a time, either fail a read, or
 // replay rows, in order, that the sampler's encoding turns into the same
 // bytes.
 func FuzzShardStream(f *testing.F) {
@@ -169,19 +175,23 @@ func FuzzShardStream(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ncols uint8, data []byte) {
 		nc := max(int(ncols%8), 1)
 		set := &ShardSet{
-			NCols: nc, Paths: []string{"shard"}, Total: len(data) / (4 * nc),
+			NCols: nc, Paths: []string{"shard"}, Total: (len(data) + 4*nc - 1) / (4 * nc),
 			st: memStream(t, "shard", data),
 		}
+		var rd shardReader
+		if err := rd.open(set); err != nil {
+			t.Fatal(err)
+		}
+		defer rd.close()
 		var out []byte
-		var rows int64
-		err := set.Stream(make([]int32, 3*nc), func(idx int64, row []int32) error {
-			if idx != rows || len(row) != nc {
-				t.Fatalf("row %d of %d codes delivered as row %d of %d", rows, nc, idx, len(row))
+		var err error
+		rows := make([]int32, 3*nc)
+		for lo := 0; lo < set.Total && err == nil; lo += 3 {
+			n := min(3, set.Total-lo)
+			if err = rd.read(int64(lo), rows[:n*nc]); err == nil {
+				out = putI32s(out, rows[:n*nc])
 			}
-			rows++
-			out = putI32s(out, row)
-			return nil
-		})
+		}
 		if partial := len(data)%(4*nc) != 0; (err != nil) != partial {
 			t.Fatalf("%d bytes in %d-column rows: err = %v", len(data), nc, err)
 		}

@@ -2,16 +2,11 @@ package core
 
 import (
 	"bufio"
-	"cmp"
 	"fmt"
-	"io"
 	"math"
-	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"slices"
-	"strings"
 	"time"
 
 	"sam/internal/join"
@@ -36,57 +31,6 @@ type StreamResult struct {
 	Samples int
 	// MergeWall is the merge's wall time.
 	MergeWall time.Duration
-}
-
-// Stream replays the shard set's samples in global row order (shard 0
-// first), invoking fn per row. buf is the reusable read buffer (row-major,
-// a whole number of rows); the row slice passed to fn aliases it. Each
-// read call fills buf's worth of rows. A shard that ends mid-row, or a
-// set that replays other than Total rows, is an error.
-func (s *ShardSet) Stream(buf []int32, fn func(idx int64, row []int32) error) error {
-	ncols := s.NCols
-	if ncols <= 0 || len(buf) < ncols {
-		return fmt.Errorf("core: stream buffer holds no full row")
-	}
-	rowBytes := 4 * ncols
-	raw := make([]byte, len(buf)/ncols*rowBytes)
-	var idx int64
-	for _, path := range s.Paths {
-		f, err := s.st.open(path)
-		if err != nil {
-			return err
-		}
-		var off int64
-		for err == nil {
-			var n int
-			n, err = f.ReadAt(raw, off)
-			off += int64(n)
-			switch {
-			case err == io.EOF && n%rowBytes != 0:
-				err = fmt.Errorf("core: shard %s ends mid-row (%d trailing bytes)", filepath.Base(path), n%rowBytes)
-				n = 0
-			case err != nil && err != io.EOF:
-				err = fmt.Errorf("core: read shard %s: %w", filepath.Base(path), err)
-			}
-			rows := n / rowBytes
-			getI32s(raw[:n], buf[:rows*ncols])
-			for i := 0; i < rows; i++ {
-				if ferr := fn(idx, buf[i*ncols:(i+1)*ncols]); ferr != nil {
-					f.Close()
-					return ferr
-				}
-				idx++
-			}
-		}
-		f.Close()
-		if err != io.EOF {
-			return err
-		}
-	}
-	if idx != int64(s.Total) {
-		return fmt.Errorf("core: shard set replayed %d rows, expected %d", idx, s.Total)
-	}
-	return nil
 }
 
 // tableCtx caches the per-table layout lookups the streaming passes make
@@ -259,9 +203,13 @@ func (g *Generator) MaterializeStream(set *ShardSet, opts StreamOptions) (*Strea
 // partitioned by ranges of the group-key hash, and each partition's groups
 // are walked in (hash, key bytes) order, so the groups, the keys and the
 // merge rng's draws come in one order for every partition count.
-// Peak memory is O(samples ÷ Partitions) plus the streaming buffers,
-// whatever the store and sinks hold and, under the ablation, the key
-// index of each parent whose children are still to come. res receives
+// opts.Workers bounds the goroutines that scan samples in pass A and
+// group partitions in pass B; the calling goroutine alone sums the mass,
+// writes the spill runs and sinks and draws the merge rng, so the output
+// is the same for every worker count.
+// Peak memory is O(samples ÷ Partitions) per worker plus the streaming
+// buffers, whatever the store and sinks hold and, under the ablation, the
+// key index of each parent whose children are still to come. res receives
 // the row, group and sample counts.
 func (g *Generator) merge(set *ShardSet, opts StreamOptions, res *StreamResult, newSink func(*tableCtx) (rowSink, error)) error {
 	ncols := g.Layout.NumCols()
@@ -280,15 +228,41 @@ func (g *Generator) merge(set *ShardSet, opts StreamOptions, res *StreamResult, 
 	}
 	defer st.removeAll(spillDir)
 
-	buf := make([]int32, rowsPerChunk*ncols)
-	pool := make([][]byte, P) // spill block buffers, shared by every run
 	tcs := g.tableCtxs(opts.GroupAndMerge)
+	// Span records go to bucket idx / width: P buckets cover every sample
+	// index, each holding O(samples ÷ P) samples' spans.
+	width := max(int64((set.Total+P-1)/P), 1)
+	m := &merger{
+		g: g, set: set, opts: opts, spillDir: spillDir, width: width,
+		pool:    make([][]byte, P), // spill block buffers, shared by every run
+		rng:     rand.New(rand.NewSource(opts.Seed ^ 0x5a17)),
+		newSink: newSink,
+	}
+	ncodes, rawSize := 0, 0
+	for _, tc := range tcs {
+		lay := newRecLayout(tc, opts.GroupAndMerge && tc.hasChildren)
+		ncodes = max(ncodes, lay.nid+lay.nc+lay.npc)
+		rawSize = max(rawSize, lay.rawSize)
+	}
+	// More workers than span buckets would find no chunk to key.
+	workers := max(min(opts.workerCount(), int((int64(set.Total)+width-1)/width)), 1)
+	for range workers {
+		w := &scanWorker{rows: make([]int32, scanRows*ncols), codes: make([]int32, ncodes)}
+		for i := range w.chunks {
+			w.chunks[i] = scanChunk{recs: make([]byte, 0, scanRows*rawSize), parts: make([]int32, 0, scanRows)}
+		}
+		m.scans = append(m.scans, w)
+		if err := w.rd.open(set); err != nil {
+			m.close()
+			return err
+		}
+	}
+	defer m.close()
 
 	mergeSpan := opts.Span.Child("merge")
 	defer mergeSpan.End()
 	mergeSpan.SetAttr("group_and_merge", opts.GroupAndMerge)
 	mergeSpan.SetAttr("partitions", P)
-	rng := rand.New(rand.NewSource(opts.Seed ^ 0x5a17))
 
 	res.Rows = make(map[string]int, len(tcs))
 	res.Groups = make(map[string]int, len(tcs))
@@ -314,7 +288,7 @@ func (g *Generator) merge(set *ShardSet, opts StreamOptions, res *StreamResult, 
 		// attribution samreport renders for a scale run.
 		tspan := mergeSpan.Child("table")
 		tspan.SetAttr("name", tc.t.Name)
-		out, err := g.streamTable(set, tc, keys[tc.t.Parent], buf, pool, spillDir, newSink, rng, tspan, opts)
+		out, err := m.streamTable(tc, keys[tc.t.Parent], tspan)
 		tspan.End()
 		if out.keys != nil {
 			keys[tc.t.Name] = out.keys
@@ -338,6 +312,31 @@ func (g *Generator) merge(set *ShardSet, opts StreamOptions, res *StreamResult, 
 	}
 	res.MergeWall = time.Since(start)
 	return nil
+}
+
+// merger is one merge's state, reused by all its tables: the spill block
+// buffers, the scan workers with their shard readers and span buckets,
+// the two grouping arenas, the held copy of a pending group, and the
+// merge rng.
+type merger struct {
+	g        *Generator
+	set      *ShardSet
+	opts     StreamOptions
+	spillDir string
+	width    int64 // samples per span bucket
+	pool     [][]byte
+	scans    []*scanWorker
+	arenas   [2]groupArena
+	held     group // the pending group once its arena moves on
+	rng      *rand.Rand
+	newSink  func(*tableCtx) (rowSink, error)
+}
+
+// close releases the scan workers' shard streams.
+func (m *merger) close() {
+	for _, w := range m.scans {
+		w.rd.close()
+	}
 }
 
 // tableKeys is what an internal table's pass B leaves for its children:
@@ -395,20 +394,6 @@ func (s *csvSink) close() error {
 	return err
 }
 
-// group is one merge group of a partition: its key bytes and their hash,
-// its weight mass, the parent key its members share, its codes after the
-// identifier bins (content, then under the ablation the parent's content)
-// and, for internal tables under Group-and-Merge, its members in sample
-// order.
-type group struct {
-	key     string
-	hash    uint64
-	gw      float64
-	pk      int64
-	codes   []int32
-	members []memberRec
-}
-
 // streamTable materializes one table in two passes over spill streams:
 //
 //	A: stream the samples and spill each surviving one to the partition
@@ -432,96 +417,50 @@ type group struct {
 //	   parent groups drop out of the allocation's scale, as a rescale to
 //	   |T| would.
 //
+// Pass A keys the samples on the scan workers (see scan) and pass B
+// groups the next partition on a second goroutine (see groupAll); the
+// sums, spill writes, allocator, rng draws, sink rows and cell walk all
+// run on the calling goroutine, in the order of one sequential pass.
 // A table whose pass A mass is zero is an error: no sample holds it.
 // Each pass runs under its own child span of tspan and reports an
 // obs.StreamPass event (records in/out, spill bytes, run counts). All of
 // it is observational: the spill bytes, group order, and emitted rows are
 // identical with observers on or off.
-func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, parent *tableKeys, buf []int32, pool [][]byte, spillDir string,
-	newSink func(*tableCtx) (rowSink, error), rng *rand.Rand, tspan *obs.Span, opts StreamOptions) (tableOut, error) {
+func (m *merger) streamTable(tc *tableCtx, parent *tableKeys, tspan *obs.Span) (tableOut, error) {
+	g, opts := m.g, m.opts
 	name := tc.t.Name
-	st := set.st
+	st := m.set.st
 	internal := tc.hasChildren
 	gam := opts.GroupAndMerge
 	withSpans := gam && internal
 	viewFK := !gam && tc.t.Parent != ""
-	P := len(pool)
-	// Raw record: w f64 | pk i64 | coarse ×nid | content ×nc | parent
-	// content ×npc i32, then idx u64 when the table writes spans. Only an
-	// internal Group-and-Merge table has identifier columns, and only a
-	// child under the ablation has parent content; every other table
-	// groups by all its codes, so its key runs to the end of the record.
-	nid, nc, npc := len(tc.idCols), len(tc.ctIdx), len(tc.parentCt)
-	keyEnd := 16 + 4*(nid+nc+npc)
-	rawSize := keyEnd
-	if withSpans {
-		keyEnd, rawSize = 16+4*nid, rawSize+8
-	}
-	// Span records go to bucket idx / width: P buckets cover every sample
-	// index, each holding O(samples ÷ P) samples' spans.
-	width := max(int64((set.Total+P-1)/P), 1)
+	P := len(m.pool)
+	lay := newRecLayout(tc, withSpans)
+	nc := lay.nc
 
 	// Pass A: spill surviving samples to group-hash partitions. Partition
 	// p holds the hashes h with ⌊h·P / 2⁶⁴⌋ = p, so the partitions, taken
 	// in order, cover the hash space in order.
 	aStart := time.Now()
 	passA := tspan.Child("A")
-	raw, err := newSpillRun(st, filepath.Join(spillDir, name+".raw"), pool, rawSize)
+	raw, err := newSpillRun(st, filepath.Join(m.spillDir, name+".raw"), m.pool, lay.rawSize)
 	if err != nil {
 		passA.End()
 		return tableOut{}, err
 	}
 	defer raw.drop()
-	codes := make([]int32, nid+nc+npc)
-	var recBuf []byte
-	var bucket spanBucket
-	loaded := int64(-1) // index of the span bucket held in bucket
+	ts := &tableScan{g: g, tc: tc, lay: lay, width: m.width, P: P}
+	if gam && tc.t.Parent != "" {
+		ts.spans = parent.spans
+	}
 	var spilled int64
 	var mass float64
-	spill := func(idx int64, w float64, pk int64) error {
-		recBuf = putF64(recBuf[:0], w)
-		recBuf = putU64(recBuf, uint64(pk))
-		recBuf = putI32s(recBuf, codes)
-		if withSpans {
-			recBuf = putU64(recBuf, uint64(idx))
-		}
-		spilled++
-		mass += w
-		part, _ := bits.Mul64(keyHash(recBuf[8:keyEnd]), uint64(P))
-		return raw.write(int(part), recBuf)
-	}
-	err = set.Stream(buf, func(idx int64, row []int32) error {
-		wi := g.sampleWeight(tc, row)
-		if wi <= 0 {
-			return nil // absent from the table
-		}
-		var spans []keySpan
-		if gam && tc.t.Parent != "" {
-			if b := idx / width; b != loaded {
-				if err := bucket.load(parent.spans, int(b), b*width, int(width)); err != nil {
-					return err
-				}
-				loaded = b
-			}
-			if spans = bucket.spansOf(idx); len(spans) == 0 {
-				return nil // its parent is absent: inconsistent sample
-			}
-		}
-		g.groupBins(row, tc.idCols, codes[:nid])
-		for ci, li := range tc.ctIdx {
-			codes[nid+ci] = row[li]
-		}
-		for ci, li := range tc.parentCt {
-			codes[nid+nc+ci] = row[li]
-		}
-		switch {
-		case spans == nil:
-			return spill(idx, wi, 0)
-		case internal:
-			return spill(idx, wi, majorityKey(spans))
-		}
-		for _, sp := range spans {
-			if err := spill(idx, wi*sp.frac, sp.key); err != nil {
+	err = m.scan(ts, func(c *scanChunk) error {
+		for i, part := range c.parts {
+			rec := c.recs[i*lay.rawSize : (i+1)*lay.rawSize]
+			spilled++
+			mass += getF64(rec)
+			if err := raw.write(int(part), rec); err != nil {
 				return err
 			}
 		}
@@ -541,9 +480,9 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, parent *tableKeys, 
 	}
 	opts.Hooks.StreamPass(obs.StreamPass{
 		Pass: "A", Table: name, Shard: -1,
-		RecordsIn: int64(set.Total), RecordsOut: spilled,
+		RecordsIn: int64(m.set.Total), RecordsOut: spilled,
 		Runs:         P,
-		BytesWritten: spilled * int64(rawSize),
+		BytesWritten: spilled * int64(lay.rawSize),
 		Wall:         time.Since(aStart),
 	})
 
@@ -554,14 +493,14 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, parent *tableKeys, 
 	bStart := time.Now()
 	passB := tspan.Child("B")
 	defer passB.End()
-	sink, err := newSink(tc)
+	sink, err := m.newSink(tc)
 	if err != nil {
 		return tableOut{}, err
 	}
 	var keys *tableKeys
 	switch {
 	case withSpans:
-		spans, err := newSpillRun(st, filepath.Join(spillDir, name+".span"), pool, spanRecSize)
+		spans, err := newSpillRun(st, filepath.Join(m.spillDir, name+".span"), m.pool, spanRecSize)
 		if err != nil {
 			sink.close()
 			return tableOut{}, err
@@ -572,11 +511,12 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, parent *tableKeys, 
 	}
 	alloc := newSysAlloc(mass, g.Sizes[name])
 	parentRows := g.Sizes[tc.t.Parent]
+	rng := m.rng
 	var rows, spanRecs int64
 	groups := 0
 	vals := make([]int32, nc)
 	var spanBuf, sigBuf []byte
-	emit := func(grp *group, count int) error {
+	emit := func(grp group, count int) error {
 		if count == 0 {
 			return nil
 		}
@@ -603,12 +543,12 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, parent *tableKeys, 
 		}
 		switch {
 		case withSpans:
-			return cellSpans(grp.members, grp.gw, count, func(m memberRec, c int, frac float64) error {
-				spanBuf = putU64(spanBuf[:0], uint64(m.idx))
+			return cellSpans(grp.members, grp.gw, count, func(mr memberRec, c int, frac float64) error {
+				spanBuf = putU64(spanBuf[:0], uint64(mr.idx))
 				spanBuf = putU64(spanBuf, uint64(base+int64(c)))
 				spanBuf = putF64(spanBuf, frac)
 				spanRecs++
-				return keys.spans.write(int(m.idx/width), spanBuf)
+				return keys.spans.write(int(mr.idx/m.width), spanBuf)
 			})
 		case internal:
 			sigBuf = putI32s(sigBuf[:0], grp.codes[:nc])
@@ -620,56 +560,33 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, parent *tableKeys, 
 		}
 		return nil
 	}
-	err = func() error {
-		var pending *group
-		var pendingCount int
-		for part := 0; part < P; part++ {
-			var order []*group
-			lookup := make(map[string]*group)
-			err := raw.records(part, func(rec []byte) error {
-				w := getF64(rec)
-				key := rec[8:keyEnd] // parent key + key codes
-				grp := lookup[string(key)]
-				if grp == nil {
-					grp = &group{key: string(key), hash: keyHash(key), pk: int64(getU64(rec[8:])), codes: make([]int32, nc+npc)}
-					getI32s(rec[16+4*nid:], grp.codes)
-					lookup[grp.key] = grp
-					order = append(order, grp)
+	var pending group
+	var pendingCount int
+	havePending := false
+	err = m.groupAll(raw, lay, func(a *groupArena) error {
+		groups += len(a.order)
+		for _, gi := range a.order {
+			grp := a.group(gi)
+			count := alloc.next(grp.gw)
+			if havePending {
+				if err := emit(pending, pendingCount); err != nil {
+					return err
 				}
-				grp.gw += w
-				if withSpans {
-					grp.members = append(grp.members, memberRec{idx: int64(getU64(rec[rawSize-8:])), w: w})
-				}
-				return nil
-			})
-			if err != nil {
-				return err
 			}
-			if part == P-1 {
-				raw.drop() // free it before the last groups are emitted
-			}
-			slices.SortFunc(order, func(a, b *group) int {
-				if c := cmp.Compare(a.hash, b.hash); c != 0 {
-					return c
-				}
-				return strings.Compare(a.key, b.key)
-			})
-			groups += len(order)
-			for _, grp := range order {
-				count := alloc.next(grp.gw)
-				if pending != nil {
-					if err := emit(pending, pendingCount); err != nil {
-						return err
-					}
-				}
-				pending, pendingCount = grp, count
-			}
+			pending, pendingCount, havePending = grp, count, true
 		}
-		if pending != nil {
-			return emit(pending, pendingCount+alloc.leftover())
+		if len(a.order) > 0 {
+			// The arena moves on to a later partition: hold a copy of
+			// the pending group until the next group resolves it.
+			m.held.codes = append(m.held.codes[:0], pending.codes...)
+			m.held.members = append(m.held.members[:0], pending.members...)
+			pending.codes, pending.members = m.held.codes, m.held.members
 		}
 		return nil
-	}()
+	})
+	if err == nil && havePending {
+		err = emit(pending, pendingCount+alloc.leftover())
+	}
 	if cerr := sink.close(); err == nil {
 		err = cerr
 	}
@@ -692,7 +609,7 @@ func (g *Generator) streamTable(set *ShardSet, tc *tableCtx, parent *tableKeys, 
 		Pass: "B", Table: name, Shard: -1,
 		RecordsIn: spilled, RecordsOut: rows,
 		Runs:         spanRuns,
-		BytesRead:    spilled * int64(rawSize),
+		BytesRead:    spilled * int64(lay.rawSize),
 		BytesWritten: spanRecs * spanRecSize,
 		Wall:         time.Since(bStart),
 	})

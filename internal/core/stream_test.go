@@ -760,8 +760,9 @@ func TestCellSpans(t *testing.T) {
 }
 
 // TestStreamRejectsTruncatedShard cuts one shard of a sampled set, once
-// mid-row and once by a whole row, on both stores: the merge must fail
-// with an error, never panic or merge the short set.
+// mid-row and once by a whole row, on both stores: the merge, scanning on
+// two workers, must fail with an error, never panic or merge the short
+// set.
 func TestStreamRejectsTruncatedShard(t *testing.T) {
 	orig := datagen.IMDB(5, 80)
 	l := join.NewLayout(orig)
@@ -781,6 +782,7 @@ func TestStreamRejectsTruncatedShard(t *testing.T) {
 				opts.OutDir = t.TempDir()
 			}
 			opts.Shards = 2
+			opts.Workers = 2 // the merge scans on two goroutines
 			set, err := gen.SampleShards(func() join.TupleSampler { return o }, 600, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -919,11 +921,12 @@ func TestStreamObserversByteIdentical(t *testing.T) {
 
 // TestMergeBytesPinned holds the merge's output bytes across commits: FNV
 // hashes of every table's CSV, in schema order, for GenerateStream at
-// Partitions 1 and 7, for the same merge at Partitions 7 over a memory
-// store, and for Generate, on the TPC-H chain (an internal non-root
-// table) and the IMDB star (siblings sharing a parent's keys), under both
-// key policies. The four runs share one hash per schema and policy: the
-// database depends on (seed, samples) alone. The hashes were recorded
+// Partitions 1 and 7, and for the same merge at Partitions 7 over a
+// memory store and for Generate, each at Workers 1, 2 and 4, on the TPC-H
+// chain (an internal non-root table) and the IMDB star (siblings sharing
+// a parent's keys), under both key policies. The eight runs share one
+// hash per schema and policy: the database depends on (seed, samples)
+// alone. The hashes were recorded
 // when sampling moved to per-sample streams and the merge to its
 // hash-ordered walk. A change to the merge that moves one byte of output
 // fails here. At Partitions 7 the partitions and span buckets span
@@ -963,21 +966,27 @@ func TestMergeBytesPinned(t *testing.T) {
 			}
 			got = append(got, streamHash(t, tc.orig, res))
 		}
+		runs := []string{"GenerateStream P=1", "GenerateStream P=7"}
 		mem, err := gen.SampleShards(newSampler, opts.Samples, StreamOptions{GenOptions: opts})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := gen.MaterializeStream(mem, StreamOptions{GenOptions: opts, OutDir: t.TempDir(), Partitions: 7})
-		if err != nil {
-			t.Fatal(err)
+		for _, w := range []int{1, 2, 4} {
+			wo := opts
+			wo.Workers = w
+			res, err := gen.MaterializeStream(mem, StreamOptions{GenOptions: wo, OutDir: t.TempDir(), Partitions: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, streamHash(t, tc.orig, res))
+			db, err := gen.Generate(newSampler, wo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, schemaHash(t, db))
+			runs = append(runs, fmt.Sprintf("memory store P=7 Workers=%d", w), fmt.Sprintf("Generate Workers=%d", w))
 		}
-		got = append(got, streamHash(t, tc.orig, res))
-		db, err := gen.Generate(newSampler, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, schemaHash(t, db))
-		for i, run := range []string{"GenerateStream P=1", "GenerateStream P=7", "memory store P=7", "Generate"} {
+		for i, run := range runs {
 			if got[i] != tc.want {
 				t.Errorf("%s schema, GroupAndMerge=%v, %s: CSV hash %s, want %s", tc.orig.Tables[0].Name, tc.gam, run, got[i], tc.want)
 			}

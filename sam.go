@@ -162,9 +162,10 @@ func DefaultGenOptions(seed int64) GenOptions { return core.DefaultGenOptions(se
 // Generate synthesizes a database from a trained model. sizes gives the
 // target row count per table. Sampling is sharded (one shard per 16Ki
 // samples) and each shard draws opts.Batch tuples (at least one) per
-// forward sweep (batched ancestral sampling). The output is a pure
-// function of (Seed, Samples): Batch, Workers and GOMAXPROCS only decide
-// how fast it is drawn.
+// forward sweep (batched ancestral sampling). Workers bounds the
+// goroutines of both sampling and the merge (core.GenOptions says how).
+// The output is a pure function of (Seed, Samples): Batch, Workers and
+// GOMAXPROCS only decide how fast it is drawn.
 func Generate(m *Model, sizes map[string]int, opts GenOptions) (*Schema, error) {
 	gen, err := core.FromModel(m, sizes)
 	if err != nil {
