@@ -71,23 +71,23 @@ cross-vet:
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=ppc64le $(GO) vet ./...
 
-## fma-check holds the float code of internal/tensor and internal/ar to
-## one rounding per operation on every GOARCH. The Go spec lets a compiler fuse
-## x*y + z into a single rounding unless the product is written
-## float64(x*y), and the arm64, ppc64le, s390x and riscv64 compilers do;
-## amd64 does not at GOAMD64=v1, so no amd64 build notices. The target
-## cross-compiles cmd/samgen for those four and fails on any fused
-## multiply-add or multiply-subtract in a symbol of those packages, printing
-## each with its source line. go tool objdump ships with the toolchain, so
-## it needs no download. The architectures, packages and opcodes are
-## written into the recipe, not taken from variables, so neither the
-## environment nor the command line can shrink what the gate checks; nn
-## joins the package list here once it is converted.
+## fma-check holds the float code of internal/tensor, internal/ar,
+## internal/nn and internal/core to one rounding per operation on every
+## GOARCH. The Go spec lets a compiler fuse x*y + z into a single rounding
+## unless the product is written float64(x*y), and the arm64, ppc64le,
+## s390x and riscv64 compilers do; amd64 does not at GOAMD64=v1, so no
+## amd64 build notices. The target cross-compiles cmd/samgen for those
+## four and fails on any fused multiply-add or multiply-subtract in a
+## symbol of those packages, printing each with its source line. go tool
+## objdump ships with the toolchain, so it needs no download. The
+## architectures, packages and opcodes are written into the recipe, not
+## taken from variables, so neither the environment nor the command line
+## can shrink what the gate checks.
 fma-check:
 	@fail=0; \
 	for arch in arm64 ppc64le s390x riscv64; do \
 		GOARCH=$$arch $(GO) build -o /tmp/samgen_fma_$$arch ./cmd/samgen || exit 1; \
-		for pkg in sam/internal/tensor sam/internal/ar; do \
+		for pkg in sam/internal/tensor sam/internal/ar sam/internal/nn sam/internal/core; do \
 			found=$$($(GO) tool objdump -s "^$$pkg\\." /tmp/samgen_fma_$$arch | \
 				awk '/^TEXT /{sym=$$2; next} $$0 ~ /[[:space:]](FMADDD|FMSUBD|FNMSUBD|FNMADDD|FMADD|FMSUB|FNMADD|FNMSUB|MADBR|MSDBR)[[:space:]]/{print "  " sym " " $$1}'); \
 			n=$$(printf '%s' "$$found" | grep -c . || true); \
@@ -131,7 +131,7 @@ bench-gate:
 		-baseline BENCH_tensor.json \
 		-current /tmp/bench_current.json \
 		-tol 1.0 \
-		-min sample_per_tuple=3,sample_batched=6,sample_batched_workers=4,dps_train_step=2.5,dps_train_step_transformer=8,label_workload=2 \
+		-min sample_per_tuple=3,sample_batched=6,sample_batched_workers=4,dps_train_step=2.5,label_workload=2 \
 		-vector-min exp_row_mass=1.3,prefix_block_64=0.5,transb_window_64=1.5
 
 ## scale-bench measures sharded streaming generation end to end at

@@ -49,7 +49,6 @@ import (
 	"sam/internal/ar"
 	"sam/internal/core"
 	"sam/internal/join"
-	"sam/internal/nn"
 	"sam/internal/obs"
 	"sam/internal/relation"
 	"sam/internal/workload"
@@ -70,7 +69,6 @@ func main() {
 	batch := flag.Int("batch", 64, "ancestral-sampling lanes per worker (<=1 means one lane); changes speed, not output bytes")
 	seed := flag.Int64("seed", 1, "random seed")
 	noGam := flag.Bool("no-gam", false, "assign foreign keys from pairwise views instead of Group-and-Merge (the paper's ablation)")
-	arch := flag.String("arch", "made", "autoregressive backbone: made or transformer")
 	savePath := flag.String("save", "", "save the trained model to this path")
 	loadPath := flag.String("load", "", "skip training and load a model saved with -save")
 	runlogOut := flag.String("runlog", "", "write the run's structured events and phase span tree as JSONL (framed by run_start/run_end and stamped with the run ID) to this file")
@@ -97,7 +95,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("loaded model (%d parameters)", nn.NumParams(model.Net))
+		log.Printf("loaded model (%d parameters)", model.Net.NumParams())
 		// Target sizes come from the schema metadata file (the model file
 		// stores the schema shape, not the row counts).
 		sf, err := os.Open(*schemaPath)
@@ -159,7 +157,6 @@ func main() {
 	cfg := ar.DefaultTrainConfig()
 	cfg.Epochs = *epochs
 	cfg.Model.Hidden = *hidden
-	cfg.Model.Arch = *arch
 	cfg.Seed = *seed
 	cfg.Logf = log.Printf
 	cfg.Hooks = tel.Hooks
@@ -170,7 +167,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("trained in %v (%d parameters)", time.Since(start).Round(time.Millisecond), nn.NumParams(model.Net))
+	log.Printf("trained in %v (%d parameters)", time.Since(start).Round(time.Millisecond), model.Net.NumParams())
 
 	if *savePath != "" {
 		f, err := os.Create(*savePath)

@@ -18,7 +18,6 @@ import (
 	"sort"
 
 	"sam/internal/ar"
-	"sam/internal/nn"
 	"sam/internal/obs"
 	"sam/internal/relation"
 	"sam/internal/workload"
@@ -107,8 +106,8 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Println("== model ==")
-		fmt.Printf("  arch: %s, %d parameters, population %.0f\n",
-			archName(m.Cfg.Arch), nn.NumParams(m.Net), m.Population)
+		fmt.Printf("  MADE %d×%d, %d parameters, population %.0f\n",
+			m.Cfg.HiddenLayers, m.Cfg.Hidden, m.Net.NumParams(), m.Population)
 		fmt.Printf("  %d model columns:\n", m.Layout.NumCols())
 		marg := sampleMarginals(m, *marginals, *batch)
 		for i, c := range m.Layout.Cols {
@@ -116,13 +115,6 @@ func main() {
 				c.Name(), c.Kind, m.Disc[i].Bins(), topBins(marg[i], 3))
 		}
 	}
-}
-
-func archName(a string) string {
-	if a == "" {
-		return "made"
-	}
-	return a
 }
 
 // sampleMarginals estimates per-column bin frequencies from n ancestral

@@ -146,51 +146,3 @@ func TestTauAffectsSampling(t *testing.T) {
 		}
 	}
 }
-
-// TestTransformerBackboneTrains: the alternative architecture plugs into
-// the same training loop and reaches sane training fidelity.
-func TestTransformerBackboneTrains(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	s := bigDomainTable(rng, 400, 32)
-	l := join.NewLayout(s)
-	queries := workload.GenerateSingleRelation(rng, s.Tables[0], 50, workload.DefaultSingleRelationOptions())
-	wl := &workload.Workload{Queries: engine.Label(s, queries)}
-	cfg := DefaultTrainConfig()
-	cfg.Model = DefaultTransformerConfig()
-	cfg.Model.DModel = 16
-	cfg.Model.Heads = 2
-	cfg.Model.Hidden = 32
-	cfg.Model.HiddenLayers = 1
-	cfg.Epochs = 25
-	m, err := Train(l, wl, 400, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var qe []float64
-	for qi := range wl.Queries {
-		est, err := m.Estimate(SplitSeed(9, qi), &wl.Queries[qi].Query, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qe = append(qe, metrics.QError(est, float64(wl.Queries[qi].Card)))
-	}
-	sort.Float64s(qe)
-	if med := qe[len(qe)/2]; med > 4 {
-		t.Fatalf("transformer median training Q-Error %.2f", med)
-	}
-}
-
-// TestUnknownArchPanics documents the Config.Arch contract.
-func TestUnknownArchPanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	s := bigDomainTable(rng, 50, 8)
-	l := join.NewLayout(s)
-	cfg := DefaultConfig()
-	cfg.Arch = "rnn"
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewModel(l, nil, 50, cfg)
-}

@@ -14,14 +14,12 @@ import (
 	"sam/internal/workload"
 )
 
-// trainerBackbones are the model configurations the trainer fixtures run:
-// both backbones, each small.
-func trainerBackbones() map[string]Config {
+// trainerModels are the model configurations the trainer fixtures run,
+// by subtest name: one small MADE.
+func trainerModels() map[string]Config {
 	made := DefaultConfig()
 	made.Hidden = 16
-	trans := DefaultTransformerConfig()
-	trans.Hidden, trans.DModel = 16, 8
-	return map[string]Config{"made": made, "transformer": trans}
+	return map[string]Config{"made": made}
 }
 
 // buildTrainerFixture compiles a small single-relation workload into a
@@ -68,15 +66,14 @@ func buildTrainerFixture(t *testing.T, model Config, workers int) (*trainer, []i
 // construction, the full progressive chain, backward, gradient merge, and
 // the Adam update — performs zero heap allocations. This is the guarantee
 // that threading obs.Hooks through the trainer costs nothing when disabled
-// (the check the "nil = zero overhead" claim rests on), for both
-// backbones' chains. Kernels run serially because the parallel path
-// allocates goroutine bookkeeping.
+// (the check the "nil = zero overhead" claim rests on). Kernels run
+// serially because the parallel path allocates goroutine bookkeeping.
 func TestTrainStepNilObserverAllocs(t *testing.T) {
 	old := tensor.MatMulWorkers()
 	tensor.SetMatMulWorkers(1)
 	defer tensor.SetMatMulWorkers(old)
 
-	for name, model := range trainerBackbones() {
+	for name, model := range trainerModels() {
 		t.Run(name, func(t *testing.T) {
 			tr, batch := buildTrainerFixture(t, model, 1)
 			step := func() { tr.step(batch, 123, false) }
@@ -101,7 +98,7 @@ func TestTrainStepLabeledMetricsAllocs(t *testing.T) {
 	tensor.SetMatMulWorkers(1)
 	defer tensor.SetMatMulWorkers(old)
 
-	for name, model := range trainerBackbones() {
+	for name, model := range trainerModels() {
 		t.Run(name, func(t *testing.T) {
 			reg := obs.NewRegistry()
 			hooks := obs.MetricsHooks(reg)

@@ -18,7 +18,7 @@ import (
 // for concurrent use; create one per goroutine.
 type BatchSampler struct {
 	m   *Model
-	buf nn.BatchInference
+	buf *nn.BatchInference
 	// probs0 is column 0's distribution: the first conditional has no
 	// parents, so its logits are a constant of the weights and every sweep
 	// skips that forward pass entirely. It is re-softmaxed only when the
@@ -69,7 +69,7 @@ func (s *BatchSampler) snapshotProbs0() {
 	s.mass0 = maskedMass(s.probs0, nil)
 }
 
-// paramStamp sums the backbone's parameter versions; the sum strictly
+// paramStamp sums the MADE's parameter versions; the sum strictly
 // increases on every MarkDirty.
 func (s *BatchSampler) paramStamp() uint64 {
 	var stamp uint64

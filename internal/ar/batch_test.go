@@ -13,7 +13,7 @@ import (
 // batchTestModel builds a small untrained model; random init already
 // defines a nondegenerate joint, which is all distribution-equivalence
 // tests need.
-func batchTestModel(t *testing.T, arch string) *Model {
+func batchTestModel(t *testing.T) *Model {
 	t.Helper()
 	c1 := relation.NewColumn("x", relation.Categorical, 4)
 	c2 := relation.NewColumn("y", relation.Categorical, 3)
@@ -22,7 +22,6 @@ func batchTestModel(t *testing.T, arch string) *Model {
 	cfg := DefaultConfig()
 	cfg.Hidden = 16
 	cfg.Seed = 21
-	cfg.Arch = arch
 	return NewModel(join.NewLayout(s), nil, 500, cfg)
 }
 
@@ -75,52 +74,50 @@ func exactJoint(m *Model) ([][]int, []float64) {
 // (the per-tuple path) and at batch 32 and requires each column's marginal
 // frequencies to match the exact marginals of the modeled joint.
 func TestSampleFOJBatchMatchesExactMarginals(t *testing.T) {
-	for _, arch := range []string{"made", "transformer"} {
-		t.Run(arch, func(t *testing.T) {
-			m := batchTestModel(t, arch)
-			ncols := m.Layout.NumCols()
-			tuples, probs := exactJoint(m)
-			exact := make([][]float64, ncols)
-			for i := range exact {
-				exact[i] = make([]float64, m.Disc[i].Bins())
+	t.Run("made", func(t *testing.T) {
+		m := batchTestModel(t)
+		ncols := m.Layout.NumCols()
+		tuples, probs := exactJoint(m)
+		exact := make([][]float64, ncols)
+		for i := range exact {
+			exact[i] = make([]float64, m.Disc[i].Bins())
+		}
+		for r, tup := range tuples {
+			for i, b := range tup {
+				exact[i][b] += probs[r]
 			}
-			for r, tup := range tuples {
-				for i, b := range tup {
-					exact[i][b] += probs[r]
-				}
-			}
+		}
 
-			const n = 12000
-			for _, lanes := range []int{1, 32} {
-				s := m.NewBatchSampler(lanes)
-				rngs := make([]*rand.Rand, lanes)
-				for l := range rngs {
-					rngs[l] = rand.New(rand.NewSource(1000 + int64(l)))
-				}
-				dst := make([]int32, lanes*ncols)
-				counts := make([][]int, ncols)
-				for i := range counts {
-					counts[i] = make([]int, m.Disc[i].Bins())
-				}
-				for k := 0; k < n/lanes; k++ {
-					s.SampleFOJBatch(rngs, dst)
-					for l := 0; l < lanes; l++ {
-						for i := 0; i < ncols; i++ {
-							counts[i][dst[l*ncols+i]]++
-						}
-					}
-				}
-				for i := range counts {
-					for b, c := range counts[i] {
-						if p := float64(c) / n; math.Abs(p-exact[i][b]) > 0.025 {
-							t.Fatalf("B=%d col %d bin %d marginal: sampled %.4f vs exact %.4f",
-								lanes, i, b, p, exact[i][b])
-						}
+		const n = 12000
+		for _, lanes := range []int{1, 32} {
+			s := m.NewBatchSampler(lanes)
+			rngs := make([]*rand.Rand, lanes)
+			for l := range rngs {
+				rngs[l] = rand.New(rand.NewSource(1000 + int64(l)))
+			}
+			dst := make([]int32, lanes*ncols)
+			counts := make([][]int, ncols)
+			for i := range counts {
+				counts[i] = make([]int, m.Disc[i].Bins())
+			}
+			for k := 0; k < n/lanes; k++ {
+				s.SampleFOJBatch(rngs, dst)
+				for l := 0; l < lanes; l++ {
+					for i := 0; i < ncols; i++ {
+						counts[i][dst[l*ncols+i]]++
 					}
 				}
 			}
-		})
-	}
+			for i := range counts {
+				for b, c := range counts[i] {
+					if p := float64(c) / n; math.Abs(p-exact[i][b]) > 0.025 {
+						t.Fatalf("B=%d col %d bin %d marginal: sampled %.4f vs exact %.4f",
+							lanes, i, b, p, exact[i][b])
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestBatchSamplerWarmColdLanePermutation is the adversarial check on the
@@ -135,47 +132,45 @@ func TestSampleFOJBatchMatchesExactMarginals(t *testing.T) {
 // warm-vs-cold half applies.
 func TestBatchSamplerWarmColdLanePermutation(t *testing.T) {
 	perms := map[int][]int{1: {0}, 6: {4, 2, 5, 0, 3, 1}}
-	for _, arch := range []string{"made", "transformer"} {
-		t.Run(arch, func(t *testing.T) {
-			m := batchTestModel(t, arch)
-			ncols := m.Layout.NumCols()
-			for _, lanes := range []int{1, 6} {
-				seed := func(l int) int64 { return 400 + int64(l)*17 }
+	t.Run("made", func(t *testing.T) {
+		m := batchTestModel(t)
+		ncols := m.Layout.NumCols()
+		for _, lanes := range []int{1, 6} {
+			seed := func(l int) int64 { return 400 + int64(l)*17 }
 
-				cold := m.NewBatchSampler(lanes)
-				rngs := make([]*rand.Rand, lanes)
+			cold := m.NewBatchSampler(lanes)
+			rngs := make([]*rand.Rand, lanes)
+			for l := range rngs {
+				rngs[l] = rand.New(rand.NewSource(seed(l)))
+			}
+			ref := make([]int32, lanes*ncols)
+			cold.SampleFOJBatch(rngs, ref)
+
+			warm := m.NewBatchSampler(lanes)
+			churn := make([]int32, lanes*ncols)
+			for sweep := 0; sweep < 3; sweep++ {
 				for l := range rngs {
-					rngs[l] = rand.New(rand.NewSource(seed(l)))
+					rngs[l] = rand.New(rand.NewSource(9000 + int64(sweep*lanes+l)))
 				}
-				ref := make([]int32, lanes*ncols)
-				cold.SampleFOJBatch(rngs, ref)
+				warm.SampleFOJBatch(rngs, churn)
+			}
 
-				warm := m.NewBatchSampler(lanes)
-				churn := make([]int32, lanes*ncols)
-				for sweep := 0; sweep < 3; sweep++ {
-					for l := range rngs {
-						rngs[l] = rand.New(rand.NewSource(9000 + int64(sweep*lanes+l)))
-					}
-					warm.SampleFOJBatch(rngs, churn)
-				}
-
-				perm := perms[lanes]
-				for l, p := range perm {
-					rngs[l] = rand.New(rand.NewSource(seed(p)))
-				}
-				got := make([]int32, lanes*ncols)
-				warm.SampleFOJBatch(rngs, got)
-				for l, p := range perm {
-					for i := 0; i < ncols; i++ {
-						if got[l*ncols+i] != ref[p*ncols+i] {
-							t.Fatalf("B=%d lane %d (stream %d) col %d: warm-permuted %d vs cold %d",
-								lanes, l, p, i, got[l*ncols+i], ref[p*ncols+i])
-						}
+			perm := perms[lanes]
+			for l, p := range perm {
+				rngs[l] = rand.New(rand.NewSource(seed(p)))
+			}
+			got := make([]int32, lanes*ncols)
+			warm.SampleFOJBatch(rngs, got)
+			for l, p := range perm {
+				for i := 0; i < ncols; i++ {
+					if got[l*ncols+i] != ref[p*ncols+i] {
+						t.Fatalf("B=%d lane %d (stream %d) col %d: warm-permuted %d vs cold %d",
+							lanes, l, p, i, got[l*ncols+i], ref[p*ncols+i])
 					}
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestBatchSamplerTracksWeightUpdates samples from a sampler, then moves
@@ -184,46 +179,44 @@ func TestBatchSamplerWarmColdLanePermutation(t *testing.T) {
 // exactly what a fresh sampler does on the same streams: column 0's cached
 // distribution follows the weights like every other cached activation.
 func TestBatchSamplerTracksWeightUpdates(t *testing.T) {
-	for _, arch := range []string{"made", "transformer"} {
-		t.Run(arch, func(t *testing.T) {
-			m := batchTestModel(t, arch)
-			ncols := m.Layout.NumCols()
-			const lanes = 8
-			streams := func() []*rand.Rand {
-				rngs := make([]*rand.Rand, lanes)
-				for l := range rngs {
-					rngs[l] = rand.New(rand.NewSource(100 + int64(l)))
-				}
-				return rngs
+	t.Run("made", func(t *testing.T) {
+		m := batchTestModel(t)
+		ncols := m.Layout.NumCols()
+		const lanes = 8
+		streams := func() []*rand.Rand {
+			rngs := make([]*rand.Rand, lanes)
+			for l := range rngs {
+				rngs[l] = rand.New(rand.NewSource(100 + int64(l)))
 			}
-			spec := &Spec{Masks: make([][]float64, ncols), Downweight: make([]bool, ncols)}
-			spec.Masks[0] = []float64{1, 0, 1, 0}
+			return rngs
+		}
+		spec := &Spec{Masks: make([][]float64, ncols), Downweight: make([]bool, ncols)}
+		spec.Masks[0] = []float64{1, 0, 1, 0}
 
-			reused := m.NewBatchSampler(lanes)
-			reused.SampleFOJBatch(streams(), make([]int32, lanes*ncols))
-			reused.EstimateSpec(5, spec, 32)
+		reused := m.NewBatchSampler(lanes)
+		reused.SampleFOJBatch(streams(), make([]int32, lanes*ncols))
+		reused.EstimateSpec(5, spec, 32)
 
-			bias := m.Net.OutputBias()
-			bias.Data[m.Net.Offsets()[0]] += 4
-			bias.MarkDirty()
+		bias := m.Net.OutputBias()
+		bias.Data[m.Net.Offsets()[0]] += 4
+		bias.MarkDirty()
 
-			fresh := m.NewBatchSampler(lanes)
-			got, want := make([]int32, lanes*ncols), make([]int32, lanes*ncols)
-			reused.SampleFOJBatch(streams(), got)
-			fresh.SampleFOJBatch(streams(), want)
-			for k := range want {
-				if got[k] != want[k] {
-					t.Fatalf("lane %d col %d: reused sampler drew %d after the update, fresh sampler %d",
-						k/ncols, k%ncols, got[k], want[k])
-				}
+		fresh := m.NewBatchSampler(lanes)
+		got, want := make([]int32, lanes*ncols), make([]int32, lanes*ncols)
+		reused.SampleFOJBatch(streams(), got)
+		fresh.SampleFOJBatch(streams(), want)
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("lane %d col %d: reused sampler drew %d after the update, fresh sampler %d",
+					k/ncols, k%ncols, got[k], want[k])
 			}
-			ge := reused.EstimateSpec(5, spec, 32)
-			we := fresh.EstimateSpec(5, spec, 32)
-			if ge != we {
-				t.Fatalf("reused sampler estimates %v after the update, fresh sampler %v", ge, we)
-			}
-		})
-	}
+		}
+		ge := reused.EstimateSpec(5, spec, 32)
+		we := fresh.EstimateSpec(5, spec, 32)
+		if ge != we {
+			t.Fatalf("reused sampler estimates %v after the update, fresh sampler %v", ge, we)
+		}
+	})
 }
 
 // TestBatchEstimateSpecMatchesExactJoint checks the progressive estimator
@@ -232,7 +225,7 @@ func TestBatchSamplerTracksWeightUpdates(t *testing.T) {
 // must match tightly; a mask on a later column is statistical, so the
 // check is loose.
 func TestBatchEstimateSpecMatchesExactJoint(t *testing.T) {
-	m := batchTestModel(t, "made")
+	m := batchTestModel(t)
 	ncols := m.Layout.NumCols()
 	tuples, probs := exactJoint(m)
 	exact := func(col int, mask []float64) float64 {
@@ -268,7 +261,7 @@ func TestSamplerEstimateSpecAllocFree(t *testing.T) {
 	tensor.SetMatMulWorkers(1)
 	defer tensor.SetMatMulWorkers(old)
 
-	m := batchTestModel(t, "made")
+	m := batchTestModel(t)
 	ncols := m.Layout.NumCols()
 	spec := &Spec{Masks: make([][]float64, ncols), Downweight: make([]bool, ncols)}
 	spec.Masks[2] = []float64{0, 1, 1, 0, 0}

@@ -17,7 +17,7 @@ import (
 
 // fullWidthChain is the textbook progressive chain the training step
 // optimizes: every step recomputes column i's logits from scratch, with a
-// fresh backbone Chain run over all the samples drawn so far, and draws a
+// fresh MADE Chain run over all the samples drawn so far, and draws a
 // sample at every step, the last included.
 func fullWidthChain(m *Model, g *tensor.Graph, sc *chunkScratch,
 	n, lastNeeded int, tau float64, rng *rand.Rand) *tensor.Node {
@@ -78,16 +78,13 @@ func chainFixture(t *testing.T, s *relation.Schema, queries int, cfg Config) (*M
 // chain against fullWidthChain: the same Gumbel draws (one chain, so
 // skipping the last draw changes no earlier one), the same selectivities,
 // and the same gradient for every parameter, on a join layout with
-// downweighted fanout columns and on a single relation, for MADE (also
-// with fewer hidden units than columns, so some steps add no band) and
-// for the transformer.
+// downweighted fanout columns and on a single relation, also with fewer
+// hidden units than columns, so some steps add no band.
 func TestProgressiveChainMatchesFullWidth(t *testing.T) {
 	made := DefaultConfig()
 	made.Hidden = 24
 	narrow := made
 	narrow.Hidden = 5 // < the 12 columns of the IMDB layout
-	trans := DefaultTransformerConfig()
-	trans.Hidden, trans.DModel = 16, 8
 	cases := []struct {
 		name string
 		s    *relation.Schema
@@ -96,7 +93,6 @@ func TestProgressiveChainMatchesFullWidth(t *testing.T) {
 		{"imdb", datagen.IMDB(3, 120), made},
 		{"single", twoColTable(rand.New(rand.NewSource(4)), 200), made},
 		{"imdb-hidden<ncols", datagen.IMDB(3, 120), narrow},
-		{"imdb-transformer", datagen.IMDB(3, 120), trans},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -17,35 +17,22 @@ import (
 type Model struct {
 	Layout     *join.Layout
 	Disc       []*Discretizer
-	Net        nn.Backbone
+	Net        *nn.MADE
 	Population float64
 	Cfg        Config
 }
 
 // Config controls model construction.
 type Config struct {
-	Hidden       int  // hidden layer width (MADE) / feed-forward width (Transformer)
-	HiddenLayers int  // number of hidden layers / transformer blocks
+	Hidden       int  // hidden layer width
+	HiddenLayers int  // number of hidden layers
 	Intervalize  bool // intervalize numeric content columns from workload constants
 	Seed         int64
-
-	// Arch selects the autoregressive backbone: "made" (default) or
-	// "transformer" (§4.1: SAM can be instantiated by either).
-	Arch string
-	// DModel and Heads size the transformer backbone; ignored for MADE.
-	DModel int
-	Heads  int
 }
 
 // DefaultConfig returns a CPU-sized MADE configuration.
 func DefaultConfig() Config {
-	return Config{Hidden: 64, HiddenLayers: 2, Intervalize: true, Seed: 1, Arch: "made"}
-}
-
-// DefaultTransformerConfig returns a CPU-sized transformer configuration.
-func DefaultTransformerConfig() Config {
-	return Config{Hidden: 64, HiddenLayers: 2, Intervalize: true, Seed: 1,
-		Arch: "transformer", DModel: 32, Heads: 2}
+	return Config{Hidden: 64, HiddenLayers: 2, Intervalize: true, Seed: 1}
 }
 
 // NewModel builds discretizers from the workload's predicate constants and
@@ -83,7 +70,7 @@ func NewModel(layout *join.Layout, queries []workload.CardQuery, population floa
 		}
 		colSizes[i] = disc[i].Bins()
 	}
-	net := buildBackbone(cfg, colSizes)
+	net := buildMADE(cfg, colSizes)
 	// Heavy-tail prior on fanout columns: initialize the output bias of a
 	// fanout bin with weight value v to −2·ln(max(v,1)), i.e.
 	// P(fanout=v) ∝ 1/v² before any training (the absent bin and fanout 1
@@ -104,50 +91,20 @@ func NewModel(layout *join.Layout, queries []workload.CardQuery, population floa
 	return &Model{Layout: layout, Disc: disc, Net: net, Population: population, Cfg: cfg}
 }
 
-// buildBackbone constructs the configured autoregressive network; the
-// result is a pure function of cfg and the column sizes, which is what
-// makes Save/Load reconstruction possible.
-func buildBackbone(cfg Config, colSizes []int) nn.Backbone {
+// buildMADE constructs the configured MADE; the result is a pure function
+// of cfg and the column sizes, which is what makes Save/Load
+// reconstruction possible.
+func buildMADE(cfg Config, colSizes []int) *nn.MADE {
 	if err := checkConfig(cfg); err != nil {
 		panic(err)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	if cfg.Arch == "transformer" {
-		dModel, heads := cfg.transformerDims()
-		return nn.NewTransformer(rng, colSizes, dModel, heads, cfg.Hidden, cfg.HiddenLayers)
-	}
-	return nn.NewMADE(rng, colSizes, cfg.Hidden, cfg.HiddenLayers)
+	return nn.NewMADE(rand.New(rand.NewSource(cfg.Seed)), colSizes, cfg.Hidden, cfg.HiddenLayers)
 }
 
-// transformerDims returns the transformer's model width and head count,
-// defaulting unset (nonpositive) values to 32 and 2.
-func (c Config) transformerDims() (dModel, heads int) {
-	dModel, heads = c.DModel, c.Heads
-	if dModel <= 0 {
-		dModel = 32
-	}
-	if heads <= 0 {
-		heads = 2
-	}
-	return dModel, heads
-}
-
-// checkConfig reports why buildBackbone cannot build cfg: an unknown
-// architecture, a nonpositive size, or a transformer width its head count
-// does not divide.
+// checkConfig reports why buildMADE cannot build cfg: a nonpositive size.
 func checkConfig(cfg Config) error {
-	switch cfg.Arch {
-	case "", "made", "transformer":
-	default:
-		return fmt.Errorf("ar: unknown architecture %q", cfg.Arch)
-	}
 	if cfg.Hidden <= 0 || cfg.HiddenLayers <= 0 {
 		return fmt.Errorf("ar: hidden width %d and layer count %d must be positive", cfg.Hidden, cfg.HiddenLayers)
-	}
-	if cfg.Arch == "transformer" {
-		if dModel, heads := cfg.transformerDims(); dModel%heads != 0 {
-			return fmt.Errorf("ar: transformer width %d not divisible by %d heads", dModel, heads)
-		}
 	}
 	return nil
 }

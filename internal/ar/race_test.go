@@ -12,8 +12,8 @@ import (
 
 // TestTrainConcurrentWorkersRace drives the full DPS training loop with
 // several trainStep goroutines sharing the model (MADE with its
-// masked-weight caches, and the transformer), and the parallel matmul
-// kernels, then samples from the trained model on
+// masked-weight caches) and the parallel matmul kernels, then samples
+// from the trained model on
 // concurrent BatchSamplers — the configuration the per-chunk pooled
 // tapes and the cache's dirty-bit protocol must keep race-free. The test is
 // meaningful under -race; without it it is just a smoke test.
@@ -22,7 +22,7 @@ func TestTrainConcurrentWorkersRace(t *testing.T) {
 	tensor.SetMatMulWorkers(4)
 	defer tensor.SetMatMulWorkers(old)
 
-	for name, model := range trainerBackbones() {
+	for name, model := range trainerModels() {
 		t.Run(name, func(t *testing.T) { trainAndSampleConcurrently(t, model) })
 	}
 }

@@ -11,18 +11,24 @@ import (
 )
 
 // modelFile is the on-disk representation of a trained model: enough to
-// rebuild the layout and backbone deterministically, plus the learned
-// weights. JSON keeps the format debuggable; weights dominate the size
-// anyway.
+// rebuild the layout and MADE deterministically, plus the learned weights.
+// JSON keeps the format debuggable; weights dominate the size anyway.
 type modelFile struct {
 	Version    int                 `json:"version"`
 	Schema     relation.SchemaSpec `json:"schema"`
 	Population float64             `json:"population"`
-	Config     Config              `json:"config"`
+	Config     fileConfig          `json:"config"`
 	// Cuts holds each discretizer's bin boundaries, per layout column.
 	Cuts [][]int32 `json:"cuts"`
 	// Params holds every trainable tensor's data, in Params() order.
 	Params [][]float64 `json:"params"`
+}
+
+// fileConfig is Config as a model file holds it. Arch is read only so that
+// Load can refuse a file of another network; Save writes none.
+type fileConfig struct {
+	Config
+	Arch string `json:",omitempty"`
 }
 
 const modelFileVersion = 1
@@ -34,7 +40,7 @@ func (m *Model) Save(w io.Writer) error {
 		Version:    modelFileVersion,
 		Schema:     m.Layout.Schema.Spec(),
 		Population: m.Population,
-		Config:     m.Cfg,
+		Config:     fileConfig{Config: m.Cfg},
 	}
 	for _, d := range m.Disc {
 		mf.Cuts = append(mf.Cuts, d.Cuts())
@@ -67,7 +73,13 @@ func Load(r io.Reader) (*Model, error) {
 	if p := mf.Population; !(p > 0) || math.IsInf(p, 1) {
 		return nil, fmt.Errorf("ar: population %v must be finite and positive", p)
 	}
-	if err := checkConfig(mf.Config); err != nil {
+	// Files saved while the config named its network carry an Arch: "made"
+	// loads, and the retired "transformer" backbone is refused by name.
+	if a := mf.Config.Arch; a != "" && a != "made" {
+		return nil, fmt.Errorf("ar: model architecture %q is not supported; MADE is the only one", a)
+	}
+	cfg := mf.Config.Config
+	if err := checkConfig(cfg); err != nil {
 		return nil, err
 	}
 	disc := make([]*Discretizer, len(mf.Cuts))
@@ -93,12 +105,12 @@ func Load(r io.Reader) (*Model, error) {
 	for _, p := range mf.Params {
 		have += len(p)
 	}
-	if need := minWeights(mf.Config, inDim); need > float64(have) {
+	if need := minWeights(cfg, inDim); need > float64(have) {
 		return nil, fmt.Errorf("ar: config needs at least %.0f weights, file has %d values", need, have)
 	}
 	// Build the net, then overwrite the weights.
-	m := &Model{Layout: layout, Disc: disc, Net: buildBackbone(mf.Config, colSizes),
-		Population: mf.Population, Cfg: mf.Config}
+	m := &Model{Layout: layout, Disc: disc, Net: buildMADE(cfg, colSizes),
+		Population: mf.Population, Cfg: cfg}
 	params := m.Net.Params()
 	if len(params) != len(mf.Params) {
 		return nil, fmt.Errorf("ar: model has %d parameter tensors, file has %d", len(params), len(mf.Params))
@@ -113,18 +125,12 @@ func Load(r io.Reader) (*Model, error) {
 	return m, nil
 }
 
-// minWeights is a lower bound on the scalar parameter count of the
-// backbone cfg builds over inDim one-hot inputs: its weight matrices alone
-// (MADE: input and output layers plus the hidden-to-hidden ones; the
-// transformer: embedding, output projection, and each block's attention
-// and feed-forward weights). It is computed in float64 so no claimed size
-// can overflow, with every product that feeds a sum rounded on its own.
+// minWeights is a lower bound on the scalar parameter count of the MADE
+// cfg builds over inDim one-hot inputs: its weight matrices alone (input
+// and output layers plus the hidden-to-hidden ones). It is computed in
+// float64 so no claimed size can overflow, with every product that feeds a
+// sum rounded on its own.
 func minWeights(cfg Config, inDim int) float64 {
 	d, h, l := float64(inDim), float64(cfg.Hidden), float64(cfg.HiddenLayers)
-	if cfg.Arch == "transformer" {
-		dm, _ := cfg.transformerDims()
-		w := float64(dm)
-		return float64(2*d*w) + float64(l*(float64(4*w*w)+float64(2*w*h)))
-	}
 	return float64(2*d*h) + float64((l-1)*h*h)
 }

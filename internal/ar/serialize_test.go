@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 
 	"sam/internal/engine"
@@ -67,46 +69,48 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestModelSaveLoadTransformer(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	s := bigDomainTable(rng, 100, 16)
-	l := join.NewLayout(s)
-	queries := workload.GenerateSingleRelation(rng, s.Tables[0], 10, workload.DefaultSingleRelationOptions())
-	wl := &workload.Workload{Queries: engine.Label(s, queries)}
-	cfg := DefaultTrainConfig()
-	cfg.Model = DefaultTransformerConfig()
-	cfg.Model.DModel = 8
-	cfg.Model.Heads = 1
-	cfg.Model.Hidden = 16
-	cfg.Model.HiddenLayers = 1
-	cfg.Epochs = 2
-	m, err := Train(l, wl, 100, cfg)
+// TestLoadFilesSavedWithArch loads two files saved when the config still
+// named its network: a MADE with "Arch":"made" (and the unused "DModel"
+// and "Heads") loads with the file's weights and saves without those
+// keys, and a transformer model is refused by its arch before any weight
+// count is checked.
+func TestLoadFilesSavedWithArch(t *testing.T) {
+	raw, err := os.ReadFile("testdata/made_with_arch.json")
 	if err != nil {
 		t.Fatal(err)
+	}
+	var mf modelFile
+	if err := json.Unmarshal(raw, &mf); err != nil {
+		t.Fatal(err)
+	}
+	m, err := Load(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("MADE file with \"Arch\":\"made\" rejected: %v", err)
+	}
+	for i, p := range m.Net.Params() {
+		for k, v := range p.Data {
+			if v != mf.Params[i][k] {
+				t.Fatalf("parameter %d[%d] is %v, file has %v", i, k, v, mf.Params[i][k])
+			}
+		}
 	}
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Load(&buf)
+	for _, key := range []string{`"Arch"`, `"DModel"`, `"Heads"`} {
+		if bytes.Contains(buf.Bytes(), []byte(key)) {
+			t.Fatalf("saved model still holds %s: %s", key, buf.Bytes())
+		}
+	}
+
+	raw, err = os.ReadFile("testdata/transformer.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same samples on the same seed stream.
-	s1 := m.NewBatchSampler(1)
-	s2 := m2.NewBatchSampler(1)
-	d1 := make([]int32, l.NumCols())
-	d2 := make([]int32, l.NumCols())
-	r1 := []*rand.Rand{rand.New(rand.NewSource(9))}
-	r2 := []*rand.Rand{rand.New(rand.NewSource(9))}
-	for i := 0; i < 50; i++ {
-		s1.SampleFOJBatch(r1, d1)
-		s2.SampleFOJBatch(r2, d2)
-		for j := range d1 {
-			if d1[j] != d2[j] {
-				t.Fatalf("sample %d col %d diverges after reload", i, j)
-			}
-		}
+	_, err = Load(bytes.NewReader(raw))
+	if err == nil || !strings.Contains(err.Error(), `"transformer"`) || strings.Contains(err.Error(), "weights") {
+		t.Fatalf("transformer model: Load error %v, want one that names the arch", err)
 	}
 }
 
@@ -146,18 +150,17 @@ var malformedModels = []struct {
 	{"unknown arch", func(mf *modelFile) { mf.Config.Arch = "foo" }},
 	{"zero hidden", func(mf *modelFile) { mf.Config.Hidden = 0 }},
 	{"zero hidden layers", func(mf *modelFile) { mf.Config.HiddenLayers = 0 }},
-	{"heads do not divide width", func(mf *modelFile) {
-		mf.Config.Arch, mf.Config.DModel, mf.Config.Heads = "transformer", 10, 3
-	}},
+	{"transformer arch", func(mf *modelFile) { mf.Config.Arch = "transformer" }},
 	{"zero domain", func(mf *modelFile) { mf.Schema.Tables[0].Columns[0].Domain = 0 }},
 	{"vals not ascending", func(mf *modelFile) { mf.Schema.Tables[0].Columns[0].Vals = []float64{2, 1, 0, 3} }},
 	{"vals short of domain", func(mf *modelFile) { mf.Schema.Tables[0].Columns[0].Vals = []float64{0, 1} }},
 	{"cut past domain", func(mf *modelFile) { mf.Cuts[0] = []int32{0, 1, 2, 3, 9} }},
 	{"cut short of domain", func(mf *modelFile) { mf.Cuts[0] = []int32{0, 1, 2} }},
 	{"net larger than the file", func(mf *modelFile) { mf.Config.Hidden = 1 << 40 }},
-	{"more blocks than the file", func(mf *modelFile) {
-		mf.Config.Arch, mf.Config.HiddenLayers = "transformer", 1<<40
-	}},
+	{"more layers than the file", func(mf *modelFile) { mf.Config.HiddenLayers = 1 << 40 }},
+	// Hidden²·HiddenLayers is 2¹²⁰, past any integer type: the size guard
+	// must count in float64.
+	{"net past int range", func(mf *modelFile) { mf.Config.Hidden, mf.Config.HiddenLayers = 1<<40, 1<<40 }},
 }
 
 // mutateModel returns valid with one malformedModels edit applied.
@@ -174,7 +177,7 @@ func mutateModel(valid []byte, mutate func(mf *modelFile)) ([]byte, error) {
 // each must be an error, not a panic and not a silent load.
 func TestLoadRejectsMalformedModel(t *testing.T) {
 	var buf bytes.Buffer
-	if err := batchTestModel(t, "made").Save(&buf); err != nil {
+	if err := batchTestModel(t).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()
@@ -201,23 +204,20 @@ func TestLoadRejectsMalformedModel(t *testing.T) {
 
 // FuzzLoad checks that Load either rejects its input or returns a model
 // whose saved form loads back and saves to the same bytes; a panic fails
-// the target. The corpus starts from a valid model of each backbone and
-// every malformedModels edit. The seed models are as small as a model
-// gets, so mutating and minimizing a file stays cheap.
+// the target. The corpus starts from a valid model and every
+// malformedModels edit of it. The seed model is as small as a model gets,
+// so mutating and minimizing a file stays cheap.
 func FuzzLoad(f *testing.F) {
-	var valid []byte
-	for _, arch := range []string{"made", "transformer"} {
-		x := relation.NewColumn("x", relation.Categorical, 3)
-		y := relation.NewColumn("y", relation.Numeric, 2).WithVals([]float64{0.5, 2})
-		s := relation.MustSchema(relation.NewTable("t", x, y))
-		cfg := Config{Hidden: 2, HiddenLayers: 1, Seed: 1, Arch: arch, DModel: 2, Heads: 1}
-		var buf bytes.Buffer
-		if err := NewModel(join.NewLayout(s), nil, 10, cfg).Save(&buf); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-		valid = buf.Bytes()
+	x := relation.NewColumn("x", relation.Categorical, 3)
+	y := relation.NewColumn("y", relation.Numeric, 2).WithVals([]float64{0.5, 2})
+	s := relation.MustSchema(relation.NewTable("t", x, y))
+	cfg := Config{Hidden: 2, HiddenLayers: 1, Seed: 1}
+	var buf bytes.Buffer
+	if err := NewModel(join.NewLayout(s), nil, 10, cfg).Save(&buf); err != nil {
+		f.Fatal(err)
 	}
+	valid := buf.Bytes()
+	f.Add(valid)
 	for _, tc := range malformedModels {
 		raw, err := mutateModel(valid, tc.mutate)
 		if err != nil {

@@ -187,17 +187,17 @@ func Train(layout *join.Layout, wl *workload.Workload, population float64, cfg T
 	return m, nil
 }
 
-// chunkScratch holds the per-column working slices and the backbone chain
+// chunkScratch holds the per-column working slices and the MADE chain
 // one chunk reuses across forwardChunk calls, so the steady-state step
 // allocates nothing.
 type chunkScratch struct {
 	masks   []*tensor.Tensor
 	anyDown []bool
 	deltas  []*tensor.Tensor
-	chain   nn.Chain
+	chain   *nn.Chain
 }
 
-func newChunkScratch(net nn.Backbone) chunkScratch {
+func newChunkScratch(net *nn.MADE) chunkScratch {
 	ncols := net.NumCols()
 	return chunkScratch{
 		masks:   make([]*tensor.Tensor, ncols),
@@ -439,7 +439,7 @@ func fillChunkScratch(m *Model, g *tensor.Graph, sc *chunkScratch, specs []*Spec
 // progressiveChain runs one differentiable progressive-sampling pass up to
 // column lastNeeded (inclusive) and returns the per-row selectivity
 // estimate (n×1 node). Masks, downweight flags, and delta tensors are read
-// from the scratch filled by forwardChunk. The backbone's chain computes
+// from the scratch filled by forwardChunk. The MADE chain computes
 // column i's logits from the samples of the columns before it, each step
 // adding only what column i needs to the work of the steps before.
 func progressiveChain(m *Model, g *tensor.Graph, sc *chunkScratch,

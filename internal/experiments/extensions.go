@@ -5,77 +5,10 @@ import (
 	"time"
 
 	"sam/internal/ar"
-	"sam/internal/core"
 	"sam/internal/indep"
 	"sam/internal/metrics"
 	"sam/internal/relation"
 )
-
-// ExtBackbones compares the two autoregressive architectures the paper
-// names (§4.1, MADE and Transformer) on the census workload: training
-// time, input-query fidelity of the generated database, and cross entropy.
-// This is an extension beyond the paper's tables (the paper evaluates the
-// MADE instantiation only).
-func ExtBackbones(c *Context) *Report {
-	r := &Report{
-		ID:     "ext1",
-		Title:  "Backbone comparison: MADE vs Transformer (Census)",
-		Header: []string{"Backbone", "TrainTime(s)", "MedianQErr", "MeanQErr", "CrossEntropy(bits)"},
-	}
-	b := c.Census()
-	s := c.Scale
-	// Keep the transformer affordable: cap the workload and epochs.
-	nQ := b.Train.Len()
-	if nQ > 400 {
-		nQ = 400
-	}
-	wl := b.Train.Prefix(nQ)
-
-	for _, arch := range []string{"made", "transformer"} {
-		cfg := ar.DefaultTrainConfig()
-		cfg.Epochs = s.Epochs
-		if cfg.Epochs > 6 {
-			cfg.Epochs = 6
-		}
-		cfg.BatchSize = s.Batch
-		cfg.LR = s.LR
-		cfg.Seed = s.Seed
-		cfg.Model.Arch = arch
-		cfg.Model.Hidden = s.Hidden
-		if arch == "transformer" {
-			cfg.Model.DModel = 24
-			cfg.Model.Heads = 2
-			cfg.Model.HiddenLayers = 1
-		}
-		c.Logf("ext1: training %s backbone on census (%d queries)", arch, nQ)
-		start := time.Now()
-		m, err := ar.Train(b.Layout, wl, b.Population, cfg)
-		if err != nil {
-			r.Notes = append(r.Notes, fmt.Sprintf("%s: %v", arch, err))
-			continue
-		}
-		trainTime := time.Since(start)
-		gen, err := core.FromModel(m, b.Sizes)
-		if err != nil {
-			r.Notes = append(r.Notes, fmt.Sprintf("%s: %v", arch, err))
-			continue
-		}
-		opts := core.DefaultGenOptions(s.Seed + 13)
-		opts.Samples = b.Sizes[b.Orig.Tables[0].Name]
-		opts.Batch = s.GenBatch
-		db, err := gen.Generate(core.ModelSampler(m, opts.Batch), opts)
-		if err != nil {
-			r.Notes = append(r.Notes, fmt.Sprintf("%s: %v", arch, err))
-			continue
-		}
-		qe := c.qErrorsOn(db, wl.Queries)
-		sum := metrics.Summarize(qe)
-		h := metrics.CrossEntropyBits(b.Orig.Tables[0], db.Tables[0])
-		r.Rows = append(r.Rows, []string{arch,
-			fmt.Sprintf("%.2f", trainTime.Seconds()), fmtG(sum.Median), fmtG(sum.Mean), fmtG(h)})
-	}
-	return r
-}
 
 // ExtProgressiveSamples sweeps the number of Monte-Carlo chains per query
 // during DPS training (the paper leaves improving the sampler as future

@@ -163,7 +163,6 @@ func Runners() []Runner {
 		{"fig6", Figure6, "generation time vs. FOJ samples (IMDB)"},
 		{"fig7", Figure7, "recovery vs. workload size (Census)"},
 		{"fig8", Figure8, "recovery vs. coverage ratio (Census)"},
-		{"ext1", ExtBackbones, "extension: MADE vs Transformer backbone"},
 		{"ext2", ExtProgressiveSamples, "extension: DPS progressive-sample sweep"},
 		{"ext3", ExtIndependence, "extension: independence baseline comparison"},
 	}

@@ -68,50 +68,45 @@ type TensorBenchReport struct {
 // prefix-restricted training replaced (every progressive step ran the whole
 // MADE and sliced out column i's block), measured with the same body at
 // the commit before that change on a 2-vCPU host at GOMAXPROCS=1: best of
-// four runs interleaved with runs of the new code.
-// dps_train_step_transformer's baseline is the same body on the
-// transformer backbone at the commit before the incremental training
-// chain, when every progressive step ran a full-width forward pass per
-// row on the zero-padded input; measured the same way (best of four
-// interleaved runs, GOMAXPROCS=1, 2-vCPU host). exp_row_mass's baseline
-// is the same body at the commit before the AVX2 kernels, when ExpRowMass
-// ran only the scalar Go loop: best of four runs interleaved with runs of
-// the vector code, GOMAXPROCS=1, on the same host. label_workload's
-// baseline is the same body at the commit before dense join counting,
-// when every join edge of every query counted into a hash map keyed by
-// parent primary key: best of four runs interleaved with runs of the
-// dense engine, GOMAXPROCS=1, 2-vCPU host. prefix_block_64's baseline is
-// the output-block kernel batched sampling ran before the lane-tiled
-// prefix matmul, MatMulNZBlockBiasInto (an axpy over each lane's listed
-// nonzero activations, bias first), on the same inputs with the nonzero
-// lists built outside the timer: best of eight 1–2 s runs interleaved with
-// runs of the new code, GOMAXPROCS=1, 2-vCPU host. transb_window_64's
-// baseline is the same body on the dot-product a·bᵀ kernel (dot4, four
-// scalar sums per pass, skipping zero gradients) that the input gradient
-// ran on before the prefix tiles: best of nineteen best-of-three runs
-// interleaved with runs of the new code, GOMAXPROCS=1, 2-vCPU host.
+// four runs interleaved with runs of the new code. exp_row_mass's
+// baseline is the same body at the commit before the AVX2 kernels, when
+// ExpRowMass ran only the scalar Go loop: best of four runs interleaved
+// with runs of the vector code, GOMAXPROCS=1, on the same host.
+// label_workload's baseline is the same body at the commit before dense
+// join counting, when every join edge of every query counted into a hash
+// map keyed by parent primary key: best of four runs interleaved with
+// runs of the dense engine, GOMAXPROCS=1, 2-vCPU host.
+// prefix_block_64's baseline is the output-block kernel batched sampling
+// ran before the lane-tiled prefix matmul, MatMulNZBlockBiasInto (an axpy
+// over each lane's listed nonzero activations, bias first), on the same
+// inputs with the nonzero lists built outside the timer: best of eight
+// 1–2 s runs interleaved with runs of the new code, GOMAXPROCS=1, 2-vCPU
+// host. transb_window_64's baseline is the same body on the dot-product
+// a·bᵀ kernel (dot4, four scalar sums per pass, skipping zero gradients)
+// that the input gradient ran on before the prefix tiles: best of
+// nineteen best-of-three runs interleaved with runs of the new code,
+// GOMAXPROCS=1, 2-vCPU host.
 var tensorBenchBaselines = map[string][2]int64{ // name → {ns/op, allocs/op}
-	"matmul_512":                 {1539014, 0},
-	"made_forward_infer":         {9636, 0},
-	"sample_per_tuple":           {53941, 0},
-	"sample_batched":             {53941, 0},
-	"sample_batched_workers":     {53941, 0},
-	"dps_train_step":             {61323092, 0},
-	"dps_train_step_transformer": {645683887, 3084},
-	"exp_row_mass":               {5438, 0},
-	"label_workload":             {15635955, 1874},
-	"prefix_block_64":            {173063, 0},
-	"transb_window_64":           {668794, 0},
+	"matmul_512":             {1539014, 0},
+	"made_forward_infer":     {9636, 0},
+	"sample_per_tuple":       {53941, 0},
+	"sample_batched":         {53941, 0},
+	"sample_batched_workers": {53941, 0},
+	"dps_train_step":         {61323092, 0},
+	"exp_row_mass":           {5438, 0},
+	"label_workload":         {15635955, 1874},
+	"prefix_block_64":        {173063, 0},
+	"transb_window_64":       {668794, 0},
 }
 
 // RunTensorBench benchmarks the tensor hot paths (dense matmul, the MADE
 // inference forward, its widest output block and that block's input
 // gradient, ancestral sampling, ExpRowMass, one DPS training step with
-// Adam on each backbone) and exact workload labelling, and returns the
-// results paired with the seed baselines.
+// Adam) and exact workload labelling, and returns the results paired with
+// the seed baselines.
 func RunTensorBench() *TensorBenchReport {
 	rep := &TensorBenchReport{
-		Description:   "tensor hot-path micro-benchmarks; before_* columns are recorded baselines: the pre-overhaul seed (sample_*: the old single-row sampler's per-tuple cost; dps_train_step*: the full-width DPS training step; label_workload: the hash-map join counting engine; prefix_block_64: the nonzero-list output-block kernel; transb_window_64: the dot-product input-gradient kernel)",
+		Description:   "tensor hot-path micro-benchmarks; before_* columns are recorded baselines: the pre-overhaul seed (sample_*: the old single-row sampler's per-tuple cost; dps_train_step: the full-width DPS training step; label_workload: the hash-map join counting engine; prefix_block_64: the nonzero-list output-block kernel; transb_window_64: the dot-product input-gradient kernel)",
 		Meta:          obs.BuildMeta(),
 		Workers:       tensor.MatMulWorkers(),
 		VectorKernels: tensor.VectorKernels(),
@@ -310,28 +305,26 @@ func RunTensorBench() *TensorBenchReport {
 		}
 	})
 
-	add("dps_train_step", func(b *testing.B) { dpsTrainStep(b, ar.DefaultConfig()) })
-	add("dps_train_step_transformer", func(b *testing.B) { dpsTrainStep(b, ar.DefaultTransformerConfig()) })
+	add("dps_train_step", dpsTrainStep)
 
 	return rep
 }
 
 // dpsTrainStep times one optimizer step of Differentiable
-// Progressive Sampling training of the given backbone on the IMDB-like
-// join layout (12 columns of 4 to 500 bins, 835 one-hot inputs; MADE
-// 64×2, or the transformer with d = 32, 2 heads, 2 blocks): batch 64 in two
-// 32-row chunks run by one training worker, serial kernels. The workload is exactly one batch of 64
-// join queries and Train runs b.N+2 epochs of one step each; the timer
+// Progressive Sampling training of the default MADE (64×2) on the
+// IMDB-like join layout (12 columns of 4 to 500 bins, 835 one-hot
+// inputs): batch 64 in two 32-row chunks run by one training worker,
+// serial kernels. The workload is exactly one batch of 64 join queries
+// and Train runs b.N+2 epochs of one step each; the timer
 // starts when the second step ends, so model set-up, query compilation and
 // the tape's pool warm-up are excluded and allocs/op counts warm steps
 // only.
-func dpsTrainStep(b *testing.B, model ar.Config) {
+func dpsTrainStep(b *testing.B) {
 	db, queries := imdbBenchWorkload()
 	wl := &workload.Workload{Queries: engine.Label(db, queries)}
 	layout := join.NewLayout(db)
 	pop := float64(engine.FOJSize(db))
 	cfg := ar.DefaultTrainConfig()
-	cfg.Model = model
 	cfg.BatchSize = 64
 	cfg.Workers = 1
 	cfg.Seed = 3
@@ -408,7 +401,7 @@ func benchSamplerModel() *ar.Model {
 	}
 	layout := join.NewLayout(s)
 	return ar.NewModel(layout, nil, 1000,
-		ar.Config{Hidden: 64, HiddenLayers: 2, Seed: 3, Arch: "made"})
+		ar.Config{Hidden: 64, HiddenLayers: 2, Seed: 3})
 }
 
 // JSON renders the report as indented JSON with a trailing newline.

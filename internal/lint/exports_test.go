@@ -18,6 +18,8 @@ import (
 var exportAllowlist = map[string]string{
 	"join.NewOracle":           "reference oracle: the Alg. 2/3 recovery tests sample from it",
 	"join.Oracle.EnumerateFOJ": "reference oracle: the exact full outer join the recovery tests merge",
+	"tensor.Graph.MatMul":      "reference op: madeReference (internal/nn) builds MADE's full-width forward from it",
+	"tensor.Graph.ReLU":        "reference op: madeReference (internal/nn) builds MADE's full-width forward from it",
 }
 
 // unusedExports returns "path: key" for every exported top-level

@@ -23,9 +23,10 @@ var tensorAllocators = map[string]bool{
 //
 //   - tensor.New / tensor.FromSlice and (*Tensor).Clone — fresh heap
 //     tensors per iteration; hoist them or draw from a pooled Graph.
-//   - calls to a function or method F where F's own package declares an
-//     F+"Into" variant (tensor.MatMul vs tensor.MatMulInto): the Into
-//     form writes into a caller-owned destination and is the hot-path
+//   - calls to a function or method F of the module, or of the analyzed
+//     package itself, where F's own package (for a function) or receiver
+//     type (for a method) declares an F+"Into" variant: the Into form
+//     writes into a caller-owned destination and is the hot-path
 //     sanctioned spelling.
 //   - append to a slice declared inside an enclosing loop body without a
 //     sized make: the temporary regrows from nil every iteration; hoist
@@ -138,7 +139,8 @@ func checkAllocCall(pass *analysis.Pass, call *ast.CallExpr) {
 			return
 		}
 	}
-	if !strings.HasPrefix(path, "sam/") || strings.HasSuffix(fn.Name(), "Into") {
+	own := path == pass.Pkg.Path() || strings.HasPrefix(path, "sam/")
+	if !own || strings.HasSuffix(fn.Name(), "Into") {
 		return
 	}
 	if intoVariantExists(fn) {

@@ -42,14 +42,16 @@ type GradPair struct {
 
 // Step applies one Adam update over all pairs. Gradients are read, not
 // cleared; callers own gradient lifecycle (fresh graphs produce fresh
-// gradient buffers).
+// gradient buffers). Every product that feeds a sum is written
+// float64(x*y), so no GOARCH fuses it into a multiply-add and the update
+// rounds the same everywhere.
 func (a *Adam) Step(pairs []GradPair) {
 	a.step++
 	if a.ClipMax > 0 {
 		var norm2 float64
 		for _, p := range pairs {
 			for _, gv := range p.Grad.Data {
-				norm2 += gv * gv
+				norm2 += float64(gv * gv)
 			}
 		}
 		if norm := math.Sqrt(norm2); norm > a.ClipMax {
@@ -70,8 +72,8 @@ func (a *Adam) Step(pairs []GradPair) {
 		}
 		vBuf := a.v[p.Param]
 		for i, gv := range p.Grad.Data {
-			mBuf[i] = a.Beta1*mBuf[i] + (1-a.Beta1)*gv
-			vBuf[i] = a.Beta2*vBuf[i] + (1-a.Beta2)*gv*gv
+			mBuf[i] = float64(a.Beta1*mBuf[i]) + float64((1-a.Beta1)*gv)
+			vBuf[i] = float64(a.Beta2*vBuf[i]) + float64((1-a.Beta2)*gv*gv)
 			mHat := mBuf[i] / bc1
 			vHat := vBuf[i] / bc2
 			p.Param.Data[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)

@@ -2,14 +2,27 @@ package nn
 
 import "sam/internal/tensor"
 
-// madeBatch is MADE's BatchInference: per-hidden-layer B×width activation
-// matrices driven by the prefix-restricted masked kernels, so one column
-// step of B lanes costs one restricted matmul per layer instead of B. It
-// relies on the mask shape NewMADE always builds (and ar.Load rebuilds
+// BatchInference is the allocation-free no-autodiff forward pass of a MADE
+// behind ancestral sampling and progressive-sampling estimation, and the
+// only one: a single tuple is batch 1. B tuples advance one column per
+// step, so each layer becomes one (B×H) GEMM instead of B GEMVs, driven by
+// the prefix-restricted masked kernels that amortize every weight load
+// over the whole batch. Not safe for concurrent use; create one per
+// goroutine. Lanes beyond the caller's live count produce garbage (finite)
+// outputs — callers simply ignore those rows.
+//
+// The engine owns its input, B rows of 0/1 entries that start at zero, and
+// every cache derived from it: ForwardCol first drops exactly the cached
+// activations that the inputs set since the previous ForwardCol reach, so
+// it always computes the logits of the inputs set since the last Reset.
+// Weight updates are tracked through tensor versions and need no
+// notification beyond the usual MarkDirty.
+//
+// It relies on the mask shape NewMADE always builds (and ar.Load rebuilds
 // through it): every layer's spans are suffixes [start, n) with
 // nondecreasing starts, so the units an input reaches, and the inputs a
 // unit reads, are always a suffix and a prefix.
-type madeBatch struct {
+type BatchInference struct {
 	m *MADE
 	x *tensor.Tensor // B × inDim, 0/1
 	// nz[l] lists the set x indices of lane l in ascending order. SetInput
@@ -50,12 +63,12 @@ type madeBatch struct {
 }
 
 // NewBatchInference allocates batched scratch sized for m and b lanes.
-func (m *MADE) NewBatchInference(b int) BatchInference {
+func (m *MADE) NewBatchInference(b int) *BatchInference {
 	if b < 1 {
 		panic("nn: batch inference needs at least one lane")
 	}
 	last := len(m.layers) - 1
-	bi := &madeBatch{
+	bi := &BatchInference{
 		m:         m,
 		x:         tensor.New(b, m.inDim),
 		nz:        make([][]int, b),
@@ -100,11 +113,11 @@ func (m *MADE) NewBatchInference(b int) BatchInference {
 	return bi
 }
 
-// Batch returns the lane count.
-func (b *madeBatch) Batch() int { return b.x.Rows }
+// Batch returns the lane count B fixed at construction.
+func (b *BatchInference) Batch() int { return b.x.Rows }
 
-// Reset clears every set input and drops the activation cache.
-func (b *madeBatch) Reset() {
+// Reset zeroes every input and drops all cached activations.
+func (b *BatchInference) Reset() {
 	for l, lst := range b.nz {
 		row := b.x.Row(l)
 		for _, k := range lst {
@@ -116,11 +129,12 @@ func (b *madeBatch) Reset() {
 	b.dirty = b.m.inDim
 }
 
-// SetInput sets x[lane][flat] = 1, inserts flat into the lane's sorted
-// nonzero list and lowers the dirty mark the next ForwardCol invalidates
-// from. Ancestral sampling sets inputs in ascending order, so the
-// insertion is an append.
-func (b *madeBatch) SetInput(lane, flat int) {
+// SetInput sets input flat of lane to 1: x[lane][flat] = 1, flat joins
+// the lane's sorted nonzero list, and the dirty mark the next ForwardCol
+// invalidates from drops to flat. Calls may come in any order and between
+// any ForwardCol calls; repeating one is a no-op. Ancestral sampling sets
+// inputs in ascending order, so the insertion is an append.
+func (b *BatchInference) SetInput(lane, flat int) {
 	row := b.x.Row(lane)
 	if row[flat] != 0 {
 		return
@@ -144,7 +158,7 @@ func (b *madeBatch) SetInput(lane, flat int) {
 // the inputs set since the last ForwardCol reach. Layer 0's stale boundary
 // is the span start of the lowest such input; each deeper layer's is the
 // span start of the shallower layer's first stale unit.
-func (b *madeBatch) invalidateDirty() {
+func (b *BatchInference) invalidateDirty() {
 	if b.dirty == b.m.inDim {
 		return
 	}
@@ -166,7 +180,7 @@ func (b *madeBatch) invalidateDirty() {
 
 // syncVersion drops the activation cache when any trainable tensor has
 // been mutated (summed tensor versions strictly increase on MarkDirty).
-func (b *madeBatch) syncVersion() {
+func (b *BatchInference) syncVersion() {
 	var stamp uint64
 	for _, p := range b.params {
 		stamp += p.Version()
@@ -196,8 +210,8 @@ func countStartsBelow(spans []int, rows, bound int) int {
 // keep stale values that nothing downstream reads. The prefix activation
 // cache narrows each layer further: units below valid[l] already hold the
 // right values for the current input, so only the [valid[l], head) tail
-// is recomputed — the MADE analog of transformer KV-caching.
-func (b *madeBatch) hiddenFor(i int) *tensor.Tensor {
+// is recomputed.
+func (b *BatchInference) hiddenFor(i int) *tensor.Tensor {
 	b.syncVersion()
 	b.invalidateDirty()
 	head := b.m.colHidden[i]
@@ -221,12 +235,14 @@ func (b *madeBatch) hiddenFor(i int) *tensor.Tensor {
 	return in
 }
 
-// ForwardCol computes only column i's B×colSizes[i] logit block: the
-// output layer is sliced to that block and the hidden layers to the unit
-// prefix the block depends on. Every logit in a block shares one
-// dependency prefix (the last hidden head), so the block is one prefix
-// matmul over the masked product in its native layout.
-func (b *madeBatch) ForwardCol(i int) *tensor.Tensor {
+// ForwardCol computes only column i's B×colSizes[i] logit block, which is
+// all ancestral sampling needs at step i: the output layer is sliced to
+// that block and the hidden layers to the unit prefix the block depends
+// on. Every logit in a block shares one dependency prefix (the last hidden
+// head), so the block is one prefix matmul over the masked product in its
+// native layout. Columns may be computed in any order. The result is owned
+// by the engine and valid until the next ForwardCol.
+func (b *BatchInference) ForwardCol(i int) *tensor.Tensor {
 	h := b.hiddenFor(i)
 	l := b.m.layers[len(b.m.layers)-1]
 	out := b.colViews[i]
@@ -246,6 +262,16 @@ func addRowBiasReLURange(t *tensor.Tensor, bias []float64, lo, head int) {
 			// Branchless: the sign of a pre-activation is close to a coin
 			// flip, so a conditional here mispredicts constantly.
 			row[j] = max(row[j]+bv, 0)
+		}
+	}
+}
+
+// addRowBias adds the 1×cols bias row to every row of t.
+func addRowBias(t *tensor.Tensor, bias []float64) {
+	for r := 0; r < t.Rows; r++ {
+		row := t.Row(r)[:len(bias)]
+		for j, bv := range bias {
+			row[j] += bv
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // fillLaneOneHots resets bi, sets one random one-hot per column block in
 // every lane through SetInput and mirrors lane l into singles[l].
-func fillLaneOneHots(rng *rand.Rand, bi BatchInference, offsets, colSizes []int, singles [][]float64) {
+func fillLaneOneHots(rng *rand.Rand, bi *BatchInference, offsets, colSizes []int, singles [][]float64) {
 	bi.Reset()
 	for l, row := range singles {
 		clear(row)
@@ -22,7 +22,7 @@ func fillLaneOneHots(rng *rand.Rand, bi BatchInference, offsets, colSizes []int,
 	}
 }
 
-// inWidth is the one-hot width of a backbone over colSizes.
+// inWidth is the one-hot width of a MADE over colSizes.
 func inWidth(colSizes []int) int {
 	var w int
 	for _, s := range colSizes {
@@ -32,7 +32,7 @@ func inWidth(colSizes []int) int {
 }
 
 // colBlock slices column i's logits out of a full logits row.
-func colBlock(m Backbone, row []float64, i int) []float64 {
+func colBlock(m *MADE, row []float64, i int) []float64 {
 	offs := m.Offsets()
 	end := len(row)
 	if i+1 < len(offs) {
@@ -47,7 +47,7 @@ func colBlock(m Backbone, row []float64, i int) []float64 {
 // columns < i. It is the reference every batched inference result must
 // match: the chain runs on the autodiff tape, the engine on its own
 // kernels and caches, two implementations of the same conditionals.
-func chainRows(m Backbone, rows [][]float64) [][]float64 {
+func chainRows(m *MADE, rows [][]float64) [][]float64 {
 	g := tensor.NewGraph()
 	c := m.NewChain()
 	c.Reset(g, len(rows))
@@ -72,7 +72,7 @@ func chainRows(m Backbone, rows [][]float64) [][]float64 {
 // inferRow runs a one-lane batched pass over the 0/1 row — Reset, one
 // SetInput per set entry, then ForwardCol per column — and returns every
 // logit of the row.
-func inferRow(m Backbone, bi BatchInference, row []float64) []float64 {
+func inferRow(m *MADE, bi *BatchInference, row []float64) []float64 {
 	bi.Reset()
 	for j, v := range row {
 		if v != 0 {
@@ -89,7 +89,7 @@ func inferRow(m Backbone, bi BatchInference, row []float64) []float64 {
 // checkBlocks checks every ForwardCol block of bi's first len(want) lanes,
 // computed in the given column order, against the chain's logits rows,
 // to 1e-12.
-func checkBlocks(t *testing.T, m Backbone, bi BatchInference, want [][]float64, order []int) {
+func checkBlocks(t *testing.T, m *MADE, bi *BatchInference, want [][]float64, order []int) {
 	t.Helper()
 	for _, i := range order {
 		block := bi.ForwardCol(i)
@@ -115,12 +115,12 @@ func ascending(n int) []int {
 	return order
 }
 
-// backboneBatchMatchesSingle drives a B-lane batched pass against a
+// batchMatchesSingle drives a B-lane batched pass against a
 // one-row Chain over each lane's row on its own and checks every
 // ForwardCol block agrees lane by lane. The batched ForwardCol path runs
 // restricted (head-limited, transposed-dot) kernels, so this is the
 // equivalence proof for the whole batched sampling stack.
-func backboneBatchMatchesSingle(t *testing.T, m Backbone, colSizes []int) {
+func batchMatchesSingle(t *testing.T, m *MADE, colSizes []int) {
 	t.Helper()
 	const lanes = 5
 	rng := rand.New(rand.NewSource(41))
@@ -144,112 +144,88 @@ func backboneBatchMatchesSingle(t *testing.T, m Backbone, colSizes []int) {
 func TestMADEBatchMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	colSizes := []int{3, 5, 2, 7, 4}
-	backboneBatchMatchesSingle(t, NewMADE(rng, colSizes, 24, 2), colSizes)
+	batchMatchesSingle(t, NewMADE(rng, colSizes, 24, 2), colSizes)
 }
 
 func TestMADEBatchMatchesSingleOneHiddenLayer(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	colSizes := []int{4, 3, 6}
-	backboneBatchMatchesSingle(t, NewMADE(rng, colSizes, 16, 1), colSizes)
-}
-
-func TestTransformerBatchMatchesSingle(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	colSizes := []int{3, 4, 2}
-	backboneBatchMatchesSingle(t, NewTransformer(rng, colSizes, 16, 2, 32, 2), colSizes)
+	batchMatchesSingle(t, NewMADE(rng, colSizes, 16, 1), colSizes)
 }
 
 // TestBatchInferenceAnyOrder drives the engine contract outside the
-// sampling order on both backbones: inputs set in random order and split
-// around ForwardCol calls, repeated SetInput calls after a ForwardCol, and
-// ForwardCol in random column order. Every block must match the chain on
-// the inputs set so far.
+// sampling order: inputs set in random order and split around ForwardCol
+// calls, repeated SetInput calls after a ForwardCol, and ForwardCol in
+// random column order. Every block must match the chain on the inputs set
+// so far.
 func TestBatchInferenceAnyOrder(t *testing.T) {
 	colSizes := []int{3, 5, 2, 7, 4}
-	backbones := map[string]Backbone{
-		"made":        NewMADE(rand.New(rand.NewSource(17)), colSizes, 24, 2),
-		"transformer": NewTransformer(rand.New(rand.NewSource(18)), colSizes, 16, 2, 32, 2),
-	}
-	for name, m := range backbones {
-		t.Run(name, func(t *testing.T) {
-			const lanes = 4
-			rng := rand.New(rand.NewSource(19))
-			bi := m.NewBatchInference(lanes)
-			for round := 0; round < 3; round++ {
-				// Up to two one-hots per column block, so some rows are
-				// multi-hot; every (lane, flat) pair is set once.
-				type input struct{ lane, flat int }
-				var inputs []input
-				for l := 0; l < lanes; l++ {
-					for i, off := range m.Offsets() {
-						a, b := rng.Intn(colSizes[i]), rng.Intn(colSizes[i])
-						inputs = append(inputs, input{l, off + a})
-						if b != a {
-							inputs = append(inputs, input{l, off + b})
-						}
+	m := NewMADE(rand.New(rand.NewSource(17)), colSizes, 24, 2)
+	t.Run("made", func(t *testing.T) {
+		const lanes = 4
+		rng := rand.New(rand.NewSource(19))
+		bi := m.NewBatchInference(lanes)
+		for round := 0; round < 3; round++ {
+			// Up to two one-hots per column block, so some rows are
+			// multi-hot; every (lane, flat) pair is set once.
+			type input struct{ lane, flat int }
+			var inputs []input
+			for l := 0; l < lanes; l++ {
+				for i, off := range m.Offsets() {
+					a, b := rng.Intn(colSizes[i]), rng.Intn(colSizes[i])
+					inputs = append(inputs, input{l, off + a})
+					if b != a {
+						inputs = append(inputs, input{l, off + b})
 					}
 				}
-				rng.Shuffle(len(inputs), func(a, b int) { inputs[a], inputs[b] = inputs[b], inputs[a] })
-				rows := make([][]float64, lanes)
-				for l := range rows {
-					rows[l] = make([]float64, inWidth(colSizes))
-				}
-				bi.Reset()
-				split := len(inputs) / 2
-				for _, in := range inputs[:split] {
-					bi.SetInput(in.lane, in.flat)
-					rows[in.lane][in.flat] = 1
-				}
-				checkBlocks(t, m, bi, chainRows(m, rows), rng.Perm(len(colSizes)))
-				for _, in := range inputs[split:] {
-					bi.SetInput(in.lane, in.flat)
-					rows[in.lane][in.flat] = 1
-				}
-				want := chainRows(m, rows)
-				checkBlocks(t, m, bi, want, rng.Perm(len(colSizes)))
-				for _, in := range inputs {
-					bi.SetInput(in.lane, in.flat) // repeats are no-ops
-				}
-				checkBlocks(t, m, bi, want, rng.Perm(len(colSizes)))
 			}
-		})
-	}
+			rng.Shuffle(len(inputs), func(a, b int) { inputs[a], inputs[b] = inputs[b], inputs[a] })
+			rows := make([][]float64, lanes)
+			for l := range rows {
+				rows[l] = make([]float64, inWidth(colSizes))
+			}
+			bi.Reset()
+			split := len(inputs) / 2
+			for _, in := range inputs[:split] {
+				bi.SetInput(in.lane, in.flat)
+				rows[in.lane][in.flat] = 1
+			}
+			checkBlocks(t, m, bi, chainRows(m, rows), rng.Perm(len(colSizes)))
+			for _, in := range inputs[split:] {
+				bi.SetInput(in.lane, in.flat)
+				rows[in.lane][in.flat] = 1
+			}
+			want := chainRows(m, rows)
+			checkBlocks(t, m, bi, want, rng.Perm(len(colSizes)))
+			for _, in := range inputs {
+				bi.SetInput(in.lane, in.flat) // repeats are no-ops
+			}
+			checkBlocks(t, m, bi, want, rng.Perm(len(colSizes)))
+		}
+	})
 }
 
 // TestMADEBatchForwardColAllocFree pins the per-sweep contract the batched
-// sampler's throughput rests on: once constructed, a sampling sweep
-// (Reset, then ForwardCol and a SetInput per lane for every column)
+// sampler's throughput rests on: once constructed, a 16-lane sampling
+// sweep (Reset, then ForwardCol and a SetInput per lane for every column)
 // performs zero heap allocations (kernels serial — the parallel path
 // allocates goroutine bookkeeping).
 func TestMADEBatchForwardColAllocFree(t *testing.T) {
-	colSizes := []int{6, 4, 8, 3}
-	batchSweepAllocFree(t, NewMADE(rand.New(rand.NewSource(12)), colSizes, 32, 2), colSizes)
-}
-
-// TestTransformerBatchForwardColAllocFree is the same contract for the
-// transformer's engine, whose projections run through tensor.MatMulInto.
-func TestTransformerBatchForwardColAllocFree(t *testing.T) {
-	colSizes := []int{6, 4, 8, 3}
-	batchSweepAllocFree(t, NewTransformer(rand.New(rand.NewSource(13)), colSizes, 16, 2, 32, 2), colSizes)
-}
-
-// batchSweepAllocFree fails t if a warm 16-lane sampling sweep over bb
-// allocates.
-func batchSweepAllocFree(t *testing.T, bb Backbone, colSizes []int) {
-	t.Helper()
 	defer tensor.SetMatMulWorkers(tensor.MatMulWorkers())
 	tensor.SetMatMulWorkers(1)
 
+	colSizes := []int{6, 4, 8, 3}
+	m := NewMADE(rand.New(rand.NewSource(12)), colSizes, 32, 2)
 	rng := rand.New(rand.NewSource(14))
 	const lanes = 16
-	bi := bb.NewBatchInference(lanes)
+	bi := m.NewBatchInference(lanes)
 	bins := make([]int, lanes*len(colSizes))
 	for k := range bins {
 		bins[k] = rng.Intn(colSizes[k%len(colSizes)])
 	}
 	sweep := func() {
 		bi.Reset()
-		for i, off := range bb.Offsets() {
+		for i, off := range m.Offsets() {
 			bi.ForwardCol(i)
 			for l := 0; l < lanes; l++ {
 				bi.SetInput(l, off+bins[l*len(colSizes)+i])
@@ -262,8 +238,8 @@ func batchSweepAllocFree(t *testing.T, bb Backbone, colSizes []int) {
 	}
 }
 
-// TestBatchPrefixCacheRetrainInvalidation pins the prefix-activation (and,
-// for the transformer, KV) cache against retraining: a full ascending
+// TestBatchPrefixCacheRetrainInvalidation pins the prefix-activation cache
+// against retraining: a full ascending
 // ForwardCol sweep warms every cached prefix width, then a parameter
 // perturbation with MarkDirty bumps the version stamps; the next sweep —
 // with the inputs untouched, so every cache key still matches — must
@@ -272,53 +248,43 @@ func batchSweepAllocFree(t *testing.T, bb Backbone, colSizes []int) {
 // activations here. Batch 1 is the per-tuple path, so it is covered too.
 func TestBatchPrefixCacheRetrainInvalidation(t *testing.T) {
 	colSizes := []int{3, 4, 5, 2}
-	backbones := map[string]func() Backbone{
-		"made": func() Backbone {
-			return NewMADE(rand.New(rand.NewSource(14)), colSizes, 20, 2)
-		},
-		"transformer": func() Backbone {
-			return NewTransformer(rand.New(rand.NewSource(15)), colSizes, 16, 2, 32, 2)
-		},
-	}
-	for name, build := range backbones {
-		t.Run(name, func(t *testing.T) {
-			for _, lanes := range []int{1, 3} {
-				rng := rand.New(rand.NewSource(16))
-				m := build()
-				bi := m.NewBatchInference(lanes)
-				singles := make([][]float64, lanes)
-				for l := range singles {
-					singles[l] = make([]float64, inWidth(colSizes))
-				}
-				fillLaneOneHots(rng, bi, m.Offsets(), colSizes, singles)
-				for i := range colSizes {
-					bi.ForwardCol(i) // warm every cached prefix width
-				}
+	t.Run("made", func(t *testing.T) {
+		for _, lanes := range []int{1, 3} {
+			rng := rand.New(rand.NewSource(16))
+			m := NewMADE(rand.New(rand.NewSource(14)), colSizes, 20, 2)
+			bi := m.NewBatchInference(lanes)
+			singles := make([][]float64, lanes)
+			for l := range singles {
+				singles[l] = make([]float64, inWidth(colSizes))
+			}
+			fillLaneOneHots(rng, bi, m.Offsets(), colSizes, singles)
+			for i := range colSizes {
+				bi.ForwardCol(i) // warm every cached prefix width
+			}
 
-				for _, p := range m.Params() {
-					for i := range p.Data {
-						p.Data[i] += 0.05 * rng.NormFloat64()
-					}
-					p.MarkDirty()
+			for _, p := range m.Params() {
+				for i := range p.Data {
+					p.Data[i] += 0.05 * rng.NormFloat64()
 				}
+				p.MarkDirty()
+			}
 
-				want := chainRows(m, singles)
-				for i := range colSizes {
-					block := bi.ForwardCol(i)
-					for l := 0; l < lanes; l++ {
-						wantBlock := colBlock(m, want[l], i)
-						row := block.Row(l)
-						for j := range row {
-							if math.Abs(row[j]-wantBlock[j]) > 1e-12 {
-								t.Fatalf("B=%d col %d lane %d logit %d stale after retrain: %v vs %v",
-									lanes, i, l, j, row[j], wantBlock[j])
-							}
+			want := chainRows(m, singles)
+			for i := range colSizes {
+				block := bi.ForwardCol(i)
+				for l := 0; l < lanes; l++ {
+					wantBlock := colBlock(m, want[l], i)
+					row := block.Row(l)
+					for j := range row {
+						if math.Abs(row[j]-wantBlock[j]) > 1e-12 {
+							t.Fatalf("B=%d col %d lane %d logit %d stale after retrain: %v vs %v",
+								lanes, i, l, j, row[j], wantBlock[j])
 						}
 					}
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestMADEBatchTracksRetraining checks the transposed-weight caches follow

@@ -1,12 +1,11 @@
 // Package nn provides the neural-network building blocks SAM trains:
-// masked linear layers, the MADE masked autoencoder and the causal
-// Transformer used as autoregressive backbones, and the Adam optimizer.
-// Each backbone has two forward paths and no other: training runs on the
-// internal/tensor autodiff engine through the backbone's incremental
-// Chain, one column per step, and sampling and estimation run the
-// allocation-free batched inference engine (BatchInference). The two are
-// independent implementations of the same conditionals, and the tests
-// check each against the other.
+// masked linear layers, the MADE masked autoencoder used as the
+// autoregressive network, and the Adam optimizer. MADE has two forward
+// paths and no other: training runs on the internal/tensor autodiff
+// engine through its incremental Chain, one column per step, and sampling
+// and estimation run the allocation-free batched inference engine
+// (BatchInference). The two are independent implementations of the same
+// conditionals, and the tests check each against the other.
 package nn
 
 import (

@@ -29,8 +29,6 @@ type MADE struct {
 	colHidden []int
 }
 
-var _ Backbone = (*MADE)(nil)
-
 // NewMADE constructs a MADE with numHidden hidden layers of width hidden.
 // Hidden-unit degrees are assigned round-robin over 1..n−1 (or 1 when the
 // model has a single column) which gives every conditional access to all of
@@ -127,21 +125,26 @@ func (m *MADE) Offsets() []int { return m.offsets }
 func (m *MADE) OutputBias() *tensor.Tensor { return m.layers[len(m.layers)-1].B }
 
 // NewChain returns an incremental progressive-sampling chain over m.
-func (m *MADE) NewChain() Chain {
-	return &madeChain{m: m, hidden: make([]*tensor.Node, len(m.layers)-1)}
+func (m *MADE) NewChain() *Chain {
+	return &Chain{m: m, hidden: make([]*tensor.Node, len(m.layers)-1)}
 }
 
-// madeChain advances a progressive-sampling pass through a MADE one column
-// per Next. With sorted degrees, the hidden units column i adds are a band
+// Chain is one differentiable progressive-sampling pass through a MADE on
+// the autodiff graph, advanced one column at a time: after Reset, the i-th
+// call to Next receives the sample of column i−1 and returns column i's
+// logits. With sorted degrees, the hidden units column i adds are a band
 // of every hidden layer: [colHidden[i−1], colHidden[i]), the units of
 // degree exactly i, which read the inputs of columns < i (layer 0) or the
 // previous layer's prefix colHidden[i]. Step i writes the new sample into
 // the input buffer, computes that band of each layer into the layer's
 // buffer — reading the layer below in place — and projects output block i
 // from the last layer's prefix. Every hidden unit is computed once per
-// chain, and a column with no unit of its degree adds no band. Column 0
-// depends on no input, so its block is the output bias.
-type madeChain struct {
+// chain, so a whole chain costs about one forward pass instead of one pass
+// per column, and a column with no unit of its degree adds no band.
+// Column 0 depends on no input, so its block is the output bias. A Chain
+// holds per-layer scratch sized at construction; Reset reuses it, so warm
+// training steps allocate nothing. Not safe for concurrent use.
+type Chain struct {
 	m      *MADE
 	g      *tensor.Graph
 	rows   int
@@ -150,7 +153,9 @@ type madeChain struct {
 	hidden []*tensor.Node // rows×width buffer per hidden layer
 }
 
-func (c *madeChain) Reset(g *tensor.Graph, rows int) {
+// Reset starts a new pass of rows batch rows on g. The nodes of an earlier
+// pass stay valid on g.
+func (c *Chain) Reset(g *tensor.Graph, rows int) {
 	c.g, c.rows, c.col = g, rows, 0
 	c.x = g.Buffer(rows, c.m.inDim)
 	for l := range c.hidden {
@@ -158,9 +163,16 @@ func (c *madeChain) Reset(g *tensor.Graph, rows int) {
 	}
 }
 
-func (c *madeChain) Next(y *tensor.Node) *tensor.Node {
+// Next feeds y, the (relaxed) one-hot sample of the previous column — rows
+// × column i−1's domain size, nil at column 0 — and returns column i's
+// logit block, rows × column i's domain size. Its value and every gradient
+// equal those of column i's block of one full-width pass of the MADE over
+// the samples so far padded with zeros; the tests build that pass from
+// plain loops. Next panics on a y of the wrong shape and past the last
+// column.
+func (c *Chain) Next(y *tensor.Node) *tensor.Node {
 	m, g, i := c.m, c.g, c.col
-	checkNext(m.colSizes, i, c.rows, y)
+	c.check(y)
 	c.col++
 	lo, hi := 0, m.colHidden[i]
 	if i > 0 {
@@ -184,6 +196,21 @@ func (c *madeChain) Next(y *tensor.Node) *tensor.Node {
 	return m.layers[last].forwardWindow(g, c.hidden[last-1], hi, off, off+m.colSizes[i])
 }
 
+// check panics unless y is a valid input for the chain's next step.
+func (c *Chain) check(y *tensor.Node) {
+	sizes, col := c.m.colSizes, c.col
+	switch {
+	case col >= len(sizes):
+		panic(fmt.Sprintf("nn: Chain.Next past the last of %d columns", len(sizes)))
+	case col == 0 && y != nil:
+		panic("nn: Chain.Next at column 0 takes no sample")
+	case col > 0 && y == nil:
+		panic(fmt.Sprintf("nn: Chain.Next at column %d needs the sample of column %d", col, col-1))
+	case col > 0 && (y.Val.Rows != c.rows || y.Val.Cols != sizes[col-1]):
+		panic(fmt.Sprintf("nn: Chain.Next at column %d wants a %d×%d sample, got %v", col, c.rows, sizes[col-1], y.Val))
+	}
+}
+
 // Params returns all trainable tensors.
 func (m *MADE) Params() []*tensor.Tensor {
 	var ps []*tensor.Tensor
@@ -191,4 +218,13 @@ func (m *MADE) Params() []*tensor.Tensor {
 		ps = append(ps, l.Params()...)
 	}
 	return ps
+}
+
+// NumParams returns the total scalar parameter count.
+func (m *MADE) NumParams() int {
+	var n int
+	for _, p := range m.Params() {
+		n += len(p.Data)
+	}
+	return n
 }

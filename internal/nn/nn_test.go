@@ -13,8 +13,7 @@ func TestMaskedLinearZeroMaskBlocksSignal(t *testing.T) {
 	mask := tensor.New(3, 2) // all zero
 	l := NewMaskedLinear(rng, 3, 2, mask)
 	g := tensor.NewGraph()
-	x := tensor.New(1, 3)
-	x.Fill(5)
+	x := tensor.FromSlice(1, 3, []float64{5, 5, 5})
 	y := l.forwardWindow(g, g.Const(x), 3, 0, 2)
 	for j := 0; j < 2; j++ {
 		if y.Val.At(0, j) != l.B.Data[j] {
@@ -163,11 +162,11 @@ func TestMADETrainsSimpleDistribution(t *testing.T) {
 	}
 }
 
-// trainSimpleDistribution trains b, whose first two columns have at least
+// trainSimpleDistribution trains m, whose first two columns have at least
 // two values each, for the given number of full-batch steps on the
 // pattern x2 == x1 ∈ {0, 1} by maximum likelihood of column 2 given
 // column 1, through the Chain as training runs it.
-func trainSimpleDistribution(b Backbone, colSizes []int, opt *Adam, steps int) {
+func trainSimpleDistribution(m *MADE, colSizes []int, opt *Adam, steps int) {
 	samples := [][2]int{{0, 0}, {1, 1}, {0, 0}, {1, 1}}
 	x1 := tensor.New(len(samples), colSizes[0])
 	mask2 := tensor.New(len(samples), colSizes[1])
@@ -175,7 +174,7 @@ func trainSimpleDistribution(b Backbone, colSizes []int, opt *Adam, steps int) {
 		x1.Set(r, s[0], 1)
 		mask2.Set(r, s[1], 1) // the mask selects the true value
 	}
-	chain := b.NewChain()
+	chain := m.NewChain()
 	for step := 0; step < steps; step++ {
 		g := tensor.NewGraph()
 		chain.Reset(g, len(samples))
@@ -184,7 +183,7 @@ func trainSimpleDistribution(b Backbone, colSizes []int, opt *Adam, steps int) {
 		loss := g.Scale(g.Mean(g.Log(g.RangeProb(col2, mask2))), -1)
 		g.Backward(loss)
 		var pairs []GradPair
-		for _, param := range b.Params() {
+		for _, param := range m.Params() {
 			pairs = append(pairs, GradPair{Param: param, Grad: g.ParamGrad(param)})
 		}
 		opt.Step(pairs)

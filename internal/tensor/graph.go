@@ -9,7 +9,6 @@ type opKind uint8
 const (
 	opLeaf opKind = iota
 	opMatMul
-	opEmbed
 	opMaskedMatMul
 	opAddRow
 	opAdd
@@ -22,14 +21,10 @@ const (
 	opMean
 	opDot
 	opReciprocal
-	opSliceCols
-	opSliceRows
 	opRangeProb
 	opSTGumbel
-	opLayerNorm
 	opCopyCols
 	opMaskedBand
-	opAttendStep
 )
 
 // Node is a vertex in the computation graph: a value tensor plus, when
@@ -42,9 +37,8 @@ type Node struct {
 
 	op         opKind
 	a, b, c    *Node   // operands (op-specific; unused entries nil)
-	parts      []*Node // AttendStep's keys, then its values
-	aux1       *Tensor // op-specific saved tensor (mask, softmax, x̂, ...)
-	aux2       *Tensor // second saved tensor (masked weights, 1/σ rows, ...)
+	aux1       *Tensor // op-specific saved tensor (mask, softmax, ...)
+	aux2       *Tensor // second saved tensor (masked weights, mask, ...)
 	mwc        *MaskedWeight
 	auxF       []float64
 	f1         float64
@@ -64,7 +58,6 @@ type Graph struct {
 	free       map[int][]*Tensor // released buffers keyed by element count
 	owned      []*Tensor         // pool-allocated tensors live on this tape
 	spareNodes []*Node           // recycled Node structs
-	partsArena []*Node           // backing storage for Node.parts slices
 
 	// The gradients' transposed operand and product, grown to the largest
 	// call and reused (transpose, addProduct, maskedWindowBackward).
@@ -91,7 +84,6 @@ func (g *Graph) Reset() {
 	g.owned = g.owned[:0]
 	g.spareNodes = append(g.spareNodes, g.nodes...)
 	g.nodes = g.nodes[:0]
-	g.partsArena = g.partsArena[:0]
 	clear(g.params)
 }
 

@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -78,106 +77,11 @@ func sumRowWindow(x, mw *Tensor, i, rowEnd, j int) float64 {
 	return s
 }
 
-// causalAttention is the plain-loop reference for AttendStep: for one
-// sequence of positions 0..t (q, k and v each one row of d per position),
-// it returns position t's multi-head causal attention output.
-func causalAttention(q []float64, k, v [][]float64, heads int, scale float64) []float64 {
-	d := len(q)
-	dk := d / heads
-	out := make([]float64, d)
-	for h := 0; h < heads; h++ {
-		lo, hi := h*dk, (h+1)*dk
-		scores := make([]float64, len(k))
-		top := math.Inf(-1)
-		for j := range k {
-			for c := lo; c < hi; c++ {
-				scores[j] += q[c] * k[j][c]
-			}
-			scores[j] *= scale
-			top = math.Max(top, scores[j])
-		}
-		var mass float64
-		for j := range scores {
-			scores[j] = math.Exp(scores[j] - top)
-			mass += scores[j]
-		}
-		for j := range v {
-			for c := lo; c < hi; c++ {
-				out[c] += scores[j] / mass * v[j][c]
-			}
-		}
-	}
-	return out
-}
-
-// TestAttendStepMatchesCausalAttention runs AttendStep once per position
-// over keys and values that accumulate step by step. Its outputs must
-// match causalAttention, a plain loop over each sequence, and its
-// gradients into the queries, keys and values of every position must match
-// central finite differences of the loss.
-func TestAttendStepMatchesCausalAttention(t *testing.T) {
-	const rows, steps, d, heads = 3, 4, 6, 2
-	scale := 0.7
-	rng := rand.New(rand.NewSource(9))
-	// Row j·rows+r of q, k and v holds sequence r's position j, so
-	// position j of every sequence is the row block SliceRows(·, j·rows, rows).
-	q, k, v := New(steps*rows, d), New(steps*rows, d), New(steps*rows, d)
-	for _, m := range []*Tensor{q, k, v} {
-		m.Randn(rng, 1)
-	}
-	weights := New(rows, d)
-	weights.Randn(rng, 1)
-	// attend builds the step form on g over the three nodes and returns
-	// every position's output.
-	attend := func(g *Graph, qn, kn, vn *Node) []*Node {
-		var ks, vs, outs []*Node
-		for j := 0; j < steps; j++ {
-			ks = append(ks, g.SliceRows(kn, j*rows, rows))
-			vs = append(vs, g.SliceRows(vn, j*rows, rows))
-			outs = append(outs, g.AttendStep(g.SliceRows(qn, j*rows, rows), ks, vs, heads, scale))
-		}
-		return outs
-	}
-
-	g := NewGraph()
-	outs := attend(g, g.Const(q), g.Const(k), g.Const(v))
-	for r := 0; r < rows; r++ {
-		var ks, vs [][]float64
-		for j := 0; j < steps; j++ {
-			ks, vs = append(ks, k.Row(j*rows+r)), append(vs, v.Row(j*rows+r))
-			want := causalAttention(q.Row(j*rows+r), ks, vs, heads, scale)
-			for c, got := range outs[j].Val.Row(r) {
-				if !relClose(got, want[c], 1e-12) {
-					t.Fatalf("sequence %d position %d: output[%d] = %v, want %v", r, j, c, got, want[c])
-				}
-			}
-		}
-	}
-
-	// The loss weights every position's output differently, so no
-	// gradient vanishes by symmetry.
-	loss := func(g *Graph, outs []*Node) *Node {
-		var sum *Node
-		for j, o := range outs {
-			term := g.Scale(g.Mean(g.MulElem(o, g.Const(weights))), float64(j+1))
-			if sum == nil {
-				sum = term
-			} else {
-				sum = g.Add(sum, term)
-			}
-		}
-		return sum
-	}
-	gradCheck(t, q, func(g *Graph, p *Node) *Node { return loss(g, attend(g, p, g.Const(k), g.Const(v))) })
-	gradCheck(t, k, func(g *Graph, p *Node) *Node { return loss(g, attend(g, g.Const(q), p, g.Const(v))) })
-	gradCheck(t, v, func(g *Graph, p *Node) *Node { return loss(g, attend(g, g.Const(q), g.Const(k), p)) })
-}
-
 // TestIncrementalOpContracts pins the shape checks of the buffer-writing
-// and attention-step ops.
+// ops.
 func TestIncrementalOpContracts(t *testing.T) {
 	w, mask := New(4, 3), New(4, 3)
-	mask.Fill(1)
+	fill(mask, 1)
 	cache := NewMaskedWeight(w, mask)
 	cases := map[string]func(g *Graph){
 		"CopyColsIntoRange": func(g *Graph) { g.CopyColsInto(g.Buffer(2, 3), g.Const(New(2, 2)), 2) },
@@ -192,15 +96,6 @@ func TestIncrementalOpContracts(t *testing.T) {
 		"BandWeight": func(g *Graph) {
 			g.MaskedLinearReLUInto(g.Buffer(2, 3), g.Buffer(2, 4), g.Param(New(4, 3)), g.Param(New(1, 3)), cache, 4, 0, 3)
 		},
-		"AttendHeads": func(g *Graph) {
-			x := g.Const(New(2, 3))
-			g.AttendStep(x, []*Node{x}, []*Node{x}, 2, 1)
-		},
-		"AttendShapes": func(g *Graph) {
-			x := g.Const(New(2, 4))
-			g.AttendStep(x, []*Node{x}, []*Node{g.Const(New(2, 2))}, 2, 1)
-		},
-		"AttendEmpty": func(g *Graph) { g.AttendStep(g.Const(New(2, 4)), nil, nil, 2, 1) },
 	}
 	for name, fn := range cases {
 		func() {

@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // The product kernel, and the operations that run on it. MatMulPrefixInto
 // computes a block of a·w[:, off:] where each unit (output column) sums its
@@ -19,12 +16,10 @@ import (
 // span, and a sum that starts at +0 is never −0, so those terms leave
 // every element as the span alone would give it, covered window or not.
 //
-// Two one-hot products stay apart, since the tiles would multiply every
-// zero. MatMulNZSuffixHeadRangeInto serves the input layer of batched
+// One one-hot product stays apart, since the tiles would multiply every
+// zero: MatMulNZSuffixHeadRangeInto serves the input layer of batched
 // sampling from each lane's list of set inputs, so its cost follows the
-// few set one-hots rather than the input width. Graph.Embed's gather and
-// scatter (embedInto, embedGradAdd), the transformer's training
-// embedding, scan y for its set entries and multiply only those.
+// few set one-hots rather than the input width.
 
 // Batched ancestral sampling runs over MADE's sorted-degree masks, whose
 // spans are suffixes [start, n) with nondecreasing starts (empty rows,
@@ -264,54 +259,6 @@ func (g *Graph) addProduct(dst, a, b *Tensor) {
 	runKernel(kernelCall{dst: dst, a: a, b: b, prod: g.prod, k: a.Cols, head: b.Cols})
 }
 
-// embedInto computes dst = y·w over the nonzero entries of y alone: each
-// dst row starts at +0 and adds v·w[k] for every nonzero y[r][k] in k
-// order (a row gather when y is one-hot). The tiles sum the same terms in
-// the same order and add only ±0 for the rest, so while w is finite the
-// bits are MatMulInto's.
-func embedInto(dst, y, w *Tensor) {
-	for r := range y.Rows {
-		drow, yrow := dst.Row(r), y.Row(r)
-		clear(drow)
-		for k := nextNonzero(yrow, 0); k < len(yrow); k = nextNonzero(yrow, k+1) {
-			axpy1(drow, w.Row(k), yrow[k])
-		}
-	}
-}
-
-// embedGradAdd computes dst += yᵀ·G over the nonzero entries of y alone,
-// Embed's weight gradient (a row scatter when y is one-hot). The product
-// is summed into the tape's scratch from +0, each row k taking v·G[r] for
-// every nonzero y[r][k] in r order, and then added into dst whole, as
-// matMulTransAAdd does, so while G is finite the bits are its.
-func (g *Graph) embedGradAdd(dst, y, grad *Tensor) {
-	g.prod = reshape(g.prod, dst.Rows, dst.Cols)
-	clear(g.prod.Data)
-	for r := range y.Rows {
-		grow, yrow := grad.Row(r), y.Row(r)
-		for k := nextNonzero(yrow, 0); k < len(yrow); k = nextNonzero(yrow, k+1) {
-			axpy1(g.prod.Row(k), grow, yrow[k])
-		}
-	}
-	axpy1(dst.Data, g.prod.Data, 1)
-}
-
-// nextNonzero returns the index of the first nonzero entry of row at or
-// after k, or len(row). It tests four entries at a time: their bits OR'd
-// and shifted past the sign are zero only when all four are ±0.
-func nextNonzero(row []float64, k int) int {
-	for ; k+4 <= len(row); k += 4 {
-		b := math.Float64bits(row[k]) | math.Float64bits(row[k+1]) |
-			math.Float64bits(row[k+2]) | math.Float64bits(row[k+3])
-		if b<<1 != 0 {
-			break
-		}
-	}
-	for ; k < len(row) && row[k] == 0; k++ {
-	}
-	return k
-}
-
 // reshape returns t as a rows×cols tensor with arbitrary contents, reusing
 // its storage when that is large enough.
 func reshape(t *Tensor, rows, cols int) *Tensor {
@@ -320,16 +267,6 @@ func reshape(t *Tensor, rows, cols int) *Tensor {
 	}
 	t.Rows, t.Cols, t.Data = rows, cols, t.Data[:rows*cols]
 	return t
-}
-
-// dot1Dense returns the dot product of two equal-length slices, for dense
-// operands (attention scores).
-func dot1Dense(a, b []float64) (s float64) {
-	b = b[:len(a)]
-	for k, av := range a {
-		s += float64(av * b[k])
-	}
-	return
 }
 
 // window is the sub-block rows [0, rowEnd) × columns [colOff, colEnd) of a

@@ -18,22 +18,6 @@ func (g *Graph) MatMul(a, b *Node) *Node {
 	return n
 }
 
-// Embed returns y·w like MatMul, for a y whose rows hold few nonzeros:
-// the one-hot samples a transformer embeds, where y·w gathers rows of w
-// and the weight gradient yᵀ·G scatters rows of G. Those two products
-// visit only y's nonzero entries, so their cost follows the set entries
-// rather than y's width; the input gradient G·wᵀ is dense and runs as
-// MatMul's. Every element is the sum MatMul forms less its ±0 terms, so
-// Embed stores MatMul's bits while w and G are finite.
-func (g *Graph) Embed(y, w *Node) *Node {
-	out := g.alloc(y.Val.Rows, w.Val.Cols, false)
-	checkMatMul(out, y.Val, w.Val)
-	embedInto(out, y.Val, w.Val)
-	n := g.push(out, opEmbed, y.requiresGrad || w.requiresGrad)
-	n.a, n.b = y, w
-	return n
-}
-
 // MaskedMatMulWindow returns x[:, :rowEnd]·(W∘Mask)[:rowEnd, colOff:colEnd]
 // — one block of x·(W∘Mask), read in place from the dirty-bit cache, so
 // the mask multiply is skipped whenever the weights are unchanged since the
@@ -64,14 +48,6 @@ func (g *Graph) MaskedMatMulWindow(x, w *Node, cache *MaskedWeight, rowEnd, colO
 	n.mwc = cache
 	n.i1, n.i2 = rowEnd, colOff
 	return n
-}
-
-// AddRow broadcasts the 1×m bias b over every row of a.
-func (g *Graph) AddRow(a, b *Node) *Node {
-	if b.Val.Cols != a.Val.Cols {
-		panic(fmt.Sprintf("tensor: AddRow shape mismatch %v + %v", a.Val, b.Val))
-	}
-	return g.AddRowAt(a, b, 0)
 }
 
 // AddRowAt broadcasts columns [off, off+a.Cols) of the 1×m row b over
@@ -235,35 +211,6 @@ func (g *Graph) Reciprocal(a *Node) *Node {
 	return n
 }
 
-// SliceCols returns the column range [off, off+width) of a as a new node.
-func (g *Graph) SliceCols(a *Node, off, width int) *Node {
-	if off < 0 || off+width > a.Val.Cols {
-		panic("tensor: SliceCols out of range")
-	}
-	out := g.alloc(a.Val.Rows, width, false)
-	for i := 0; i < a.Val.Rows; i++ {
-		copy(out.Row(i), a.Val.Row(i)[off:off+width])
-	}
-	n := g.push(out, opSliceCols, a.requiresGrad)
-	n.a = a
-	n.i1, n.i2 = off, width
-	return n
-}
-
-// SliceRows returns rows [off, off+count) of a as a new node.
-func (g *Graph) SliceRows(a *Node, off, count int) *Node {
-	if off < 0 || off+count > a.Val.Rows {
-		panic("tensor: SliceRows out of range")
-	}
-	cols := a.Val.Cols
-	out := g.alloc(count, cols, false)
-	copy(out.Data, a.Val.Data[off*cols:(off+count)*cols])
-	n := g.push(out, opSliceRows, a.requiresGrad)
-	n.a = a
-	n.i1, n.i2 = off, count
-	return n
-}
-
 // RangeProb computes, per row, the probability mass that softmax(logits)
 // places inside the 0/1 mask: out_i = Σ_j mask_ij · softmax(logits_i)_j.
 // This is the differentiable P(X ∈ R | x_<i) at the heart of progressive
@@ -345,58 +292,16 @@ func (g *Graph) STGumbel(logits *Node, mask *Tensor, tau float64, rng *rand.Rand
 	return n
 }
 
-// LayerNorm normalizes every row of a to zero mean and unit variance, then
-// applies the learned elementwise gain and bias (both 1×cols).
-func (g *Graph) LayerNorm(a, gain, bias *Node, eps float64) *Node {
-	rows, cols := a.Val.Rows, a.Val.Cols
-	if gain.Val.Cols != cols || bias.Val.Cols != cols || gain.Val.Rows != 1 || bias.Val.Rows != 1 {
-		panic("tensor: LayerNorm parameter shape mismatch")
-	}
-	out := g.alloc(rows, cols, false)
-	xhat := g.alloc(rows, cols, false)
-	invStd := g.alloc(1, rows, false)
-	for i := 0; i < rows; i++ {
-		arow := a.Val.Row(i)
-		var mean float64
-		for _, v := range arow {
-			mean += v
-		}
-		mean /= float64(cols)
-		var varsum float64
-		for _, v := range arow {
-			d := v - mean
-			varsum += float64(d * d)
-		}
-		inv := 1 / math.Sqrt(varsum/float64(cols)+eps)
-		invStd.Data[i] = inv
-		xrow := xhat.Row(i)
-		orow := out.Row(i)
-		for j, v := range arow {
-			xrow[j] = (v - mean) * inv
-			orow[j] = float64(xrow[j]*gain.Val.Data[j]) + bias.Val.Data[j]
-		}
-	}
-	n := g.push(out, opLayerNorm, a.requiresGrad || gain.requiresGrad || bias.requiresGrad)
-	n.a, n.b, n.c = a, gain, bias
-	n.aux1 = xhat
-	n.aux2 = invStd
-	return n
-}
-
 // backstep propagates n.Grad into n's operands. Temporaries come from the
 // tape's pool, so a warm tape's backward pass performs no heap allocation.
 func (g *Graph) backstep(n *Node) {
 	switch n.op {
-	case opMatMul, opEmbed:
+	case opMatMul:
 		a, b := n.a, n.b
 		if a.requiresGrad {
 			g.MatMulTransBAddInto(a.Grad, n.Grad, b.Val)
 		}
-		switch {
-		case !b.requiresGrad:
-		case n.op == opEmbed:
-			g.embedGradAdd(b.Grad, a.Val, n.Grad)
-		default:
+		if b.requiresGrad {
 			g.matMulTransAAdd(b.Grad, a.Val, n.Grad)
 		}
 	case opMaskedMatMul:
@@ -490,22 +395,6 @@ func (g *Graph) backstep(n *Node) {
 			d := math.Max(a.Val.Data[i], logEps)
 			a.Grad.Data[i] -= gv / (d * d)
 		}
-	case opSliceCols:
-		a, off, width := n.a, n.i1, n.i2
-		for i := 0; i < a.Val.Rows; i++ {
-			grow := n.Grad.Row(i)
-			arow := a.Grad.Row(i)[off : off+width]
-			for j, gv := range grow {
-				arow[j] += gv
-			}
-		}
-	case opSliceRows:
-		a, off, count := n.a, n.i1, n.i2
-		cols := a.Val.Cols
-		dst := a.Grad.Data[off*cols : (off+count)*cols]
-		for i, gv := range n.Grad.Data {
-			dst[i] += gv
-		}
 	case opRangeProb:
 		// d p/d logit_j = s_j (mask_j − p).
 		a, soft, mask := n.a, n.aux1, n.aux2
@@ -539,43 +428,6 @@ func (g *Graph) backstep(n *Node) {
 					continue
 				}
 				lrow[j] += sv * (grow[j] - dot) / tau
-			}
-		}
-	case opLayerNorm:
-		a, gain, bias := n.a, n.b, n.c
-		xhat, invStd := n.aux1, n.aux2
-		rows, cols := n.Val.Rows, n.Val.Cols
-		var dxhat []float64
-		if a.requiresGrad {
-			dxhat = g.alloc(1, cols, false).Data
-		}
-		for i := 0; i < rows; i++ {
-			grow := n.Grad.Row(i)
-			xrow := xhat.Row(i)
-			if gain.requiresGrad {
-				for j, gv := range grow {
-					gain.Grad.Data[j] += float64(gv * xrow[j])
-				}
-			}
-			if bias.requiresGrad {
-				for j, gv := range grow {
-					bias.Grad.Data[j] += gv
-				}
-			}
-			if a.requiresGrad {
-				// dL/dx = inv/N · (N·dxhat − Σdxhat − xhat·Σ(dxhat·xhat))
-				N := float64(cols)
-				var sumD, sumDX float64
-				for j, gv := range grow {
-					dxhat[j] = float64(gv * gain.Val.Data[j])
-					sumD += dxhat[j]
-					sumDX += float64(dxhat[j] * xrow[j])
-				}
-				arow := a.Grad.Row(i)
-				inv := invStd.Data[i]
-				for j := range dxhat {
-					arow[j] += float64(inv / N * (float64(N*dxhat[j]) - sumD - float64(xrow[j]*sumDX)))
-				}
 			}
 		}
 	case opCopyCols:
@@ -615,8 +467,6 @@ func (g *Graph) backstep(n *Node) {
 			}
 		}
 		g.maskedWindowBackward(x, w, gpre, n.aux1, n.aux2, n.mwc.spans, win)
-	case opAttendStep:
-		g.attendStepBackward(n)
 	default:
 		panic("tensor: backstep on unknown op")
 	}

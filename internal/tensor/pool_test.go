@@ -46,7 +46,7 @@ func TestGraphResetReuse(t *testing.T) {
 func TestGraphNewTensorZeroed(t *testing.T) {
 	g := NewGraph()
 	a := g.NewTensor(3, 5)
-	a.Fill(42)
+	fill(a, 42)
 	g.Reset()
 	b := g.NewTensor(3, 5)
 	for i, v := range b.Data {
@@ -231,8 +231,8 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 		kernels := []kernel{
 			{"MatMul", func() *Tensor { return New(sh.m, sh.n) }, func(d *Tensor) { MatMulInto(d, a, bT) }},
 			{"MatMulSparse", func() *Tensor { return New(sh.m, sh.n) }, func(d *Tensor) { MatMulInto(d, aSparse, bT) }},
-			{"MatMulTransAAdd", func() *Tensor { d := New(sh.m, sh.n); d.Fill(0.5); return d }, func(d *Tensor) { NewGraph().matMulTransAAdd(d, aTall, bTall) }},
-			{"MatMulTransBAdd", func() *Tensor { d := New(sh.m, sh.n); d.Fill(0.5); return d }, func(d *Tensor) { NewGraph().MatMulTransBAddInto(d, a, bRowMajor) }},
+			{"MatMulTransAAdd", func() *Tensor { d := New(sh.m, sh.n); fill(d, 0.5); return d }, func(d *Tensor) { NewGraph().matMulTransAAdd(d, aTall, bTall) }},
+			{"MatMulTransBAdd", func() *Tensor { d := New(sh.m, sh.n); fill(d, 0.5); return d }, func(d *Tensor) { NewGraph().MatMulTransBAddInto(d, a, bRowMajor) }},
 		}
 		for _, kr := range kernels {
 			SetMatMulWorkers(1)
@@ -284,7 +284,7 @@ func TestWarmTapeAllocs(t *testing.T) {
 	step := func() {
 		g.Reset()
 		p := g.Param(w)
-		out := g.AddRow(g.MaskedMatMulWindow(g.Const(x), p, cache, 32, 0, 16), g.Param(b))
+		out := g.AddRowAt(g.MaskedMatMulWindow(g.Const(x), p, cache, 32, 0, 16), g.Param(b), 0)
 		h := g.ReLU(out)
 		loss := g.Mean(g.Square(g.Log(g.RangeProb(h, in))))
 		g.Backward(loss)

@@ -73,13 +73,6 @@ func (t *Tensor) Zero() {
 	}
 }
 
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float64) {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-}
-
 // SameShape reports whether t and o have identical dimensions.
 func (t *Tensor) SameShape(o *Tensor) bool { return t.Rows == o.Rows && t.Cols == o.Cols }
 
@@ -113,8 +106,6 @@ func (t *Tensor) XavierInit(rng *rand.Rand, fanIn, fanOut int) {
 // product rounded before its add, on the AVX2 tiles and on their Go twin
 // alike, while the weights are finite. Output rows shard across the
 // worker pool in parallel.go when the product is large enough.
-// Graph.Embed's one-hot products visit only the nonzero inputs and store
-// the same bits.
 
 // vectorKernels selects the AVX2 twins of axpy1, ExpRowMass's exp loop
 // and MatMulPrefixInto's tiles (vector_amd64.s). It is set once at
@@ -150,16 +141,6 @@ func axpy1Go(dst, b []float64, v float64) {
 	for j, bv := range b {
 		dst[j] += float64(v * bv)
 	}
-}
-
-// MatMul computes and returns a·b in a freshly allocated tensor. It is
-// the convenience form for cold paths (setup, tests, one-shot math);
-// warm loops use MatMulInto with a caller-owned destination — samlint's
-// hotalloc analyzer enforces exactly that split.
-func MatMul(a, b *Tensor) *Tensor {
-	dst := New(a.Rows, b.Cols)
-	MatMulInto(dst, a, b)
-	return dst
 }
 
 // MatMulInto computes dst = a·b. dst must be a.Rows×b.Cols and distinct from

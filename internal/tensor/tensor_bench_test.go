@@ -60,7 +60,7 @@ func BenchmarkSTGumbel(b *testing.B) {
 	logits := New(64, 128)
 	logits.Randn(rng, 1)
 	mask := New(64, 128)
-	mask.Fill(1)
+	fill(mask, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := NewGraph()

@@ -346,7 +346,7 @@ func BenchmarkSampleVectorKernels(b *testing.B) {
 		b.Fatal(err)
 	}
 	m := ar.NewModel(join.NewLayout(schema), nil, 1000,
-		ar.Config{Hidden: 64, HiddenLayers: 2, Seed: 3, Arch: "made"})
+		ar.Config{Hidden: 64, HiddenLayers: 2, Seed: 3})
 	for _, on := range []bool{true, false} {
 		for _, lanes := range []int{1, 64} {
 			b.Run(fmt.Sprintf("vector=%v/lanes=%d", on, lanes), func(b *testing.B) {

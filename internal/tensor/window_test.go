@@ -26,10 +26,10 @@ func relClose(a, b, tol float64) bool {
 }
 
 // TestMaskedMatMulWindowMatchesReference checks the windowed op against
-// the composition of plain ops it stands for —
-// SliceCols(SliceCols(x)·SliceRows(W⊙M), colOff, width) — forward and
-// backward, across mask styles, windows that clip spans on both sides,
-// an input wider than the window, and empty windows.
+// the product it stands for, x[:, :rowEnd]·(W⊙M)[:rowEnd, colOff:colEnd],
+// and its gradients under the loss mean(out²), written as plain loops —
+// forward and backward, across mask styles, windows that clip spans on
+// both sides, an input wider than the window, and empty windows.
 func TestMaskedMatMulWindowMatchesReference(t *testing.T) {
 	masks := map[string]func(rng *rand.Rand, m *Tensor){
 		"suffix": suffixMask,
@@ -67,11 +67,28 @@ func TestMaskedMatMulWindowMatchesReference(t *testing.T) {
 			cache := NewMaskedWeight(w, mask)
 			width := wd.colEnd - wd.colOff
 
-			gRef := NewGraph()
-			xr, wr := gRef.Param(x), gRef.Param(w)
-			mm := gRef.MatMul(gRef.SliceCols(xr, 0, wd.rowEnd), gRef.SliceRows(gRef.MulElem(wr, gRef.Const(mask)), 0, wd.rowEnd))
-			outRef := gRef.SliceCols(mm, wd.colOff, width)
-			gRef.Backward(gRef.Mean(gRef.Square(outRef)))
+			// The reference: out, then G = d mean(out²)/d out, then
+			// dX = G·(W⊙M)ᵀ and dW = (xᵀ·G)⊙M on the window, zero elsewhere.
+			outRef, dX, dW := New(batch, width), New(batch, wd.xCols), New(in, out)
+			for r := 0; r < batch; r++ {
+				for c := 0; c < width; c++ {
+					var s float64
+					for k := 0; k < wd.rowEnd; k++ {
+						s += x.At(r, k) * w.At(k, wd.colOff+c) * mask.At(k, wd.colOff+c)
+					}
+					outRef.Set(r, c, s)
+				}
+			}
+			for r := 0; r < batch; r++ {
+				for c := 0; c < width; c++ {
+					g := 2 * outRef.At(r, c) / float64(batch*width)
+					for k := 0; k < wd.rowEnd; k++ {
+						m := mask.At(k, wd.colOff+c)
+						dX.Data[r*wd.xCols+k] += g * w.At(k, wd.colOff+c) * m
+						dW.Data[k*out+wd.colOff+c] += x.At(r, k) * g * m
+					}
+				}
+			}
 
 			gWin := NewGraph()
 			xw, ww := gWin.Param(x), gWin.Param(w)
@@ -89,9 +106,9 @@ func TestMaskedMatMulWindowMatchesReference(t *testing.T) {
 					}
 				}
 			}
-			check("forward", outRef.Val.Data, outWin.Val.Data)
-			check("dX", xr.Grad.Data, xw.Grad.Data)
-			check("dW", wr.Grad.Data, ww.Grad.Data)
+			check("forward", outRef.Data, outWin.Val.Data)
+			check("dX", dX.Data, xw.Grad.Data)
+			check("dW", dW.Data, ww.Grad.Data)
 		}
 	}
 }
@@ -191,7 +208,7 @@ var (
 		name string
 		fill func(rng *rand.Rand, m *Tensor)
 	}{
-		{"dense", func(_ *rand.Rand, m *Tensor) { m.Fill(1) }},
+		{"dense", func(_ *rand.Rand, m *Tensor) { fill(m, 1) }},
 		{"suffix", suffixMask},
 		{"random", func(rng *rand.Rand, m *Tensor) {
 			for i := range m.Data {
@@ -315,11 +332,10 @@ func TestTransBMatchesReference(t *testing.T) {
 }
 
 // TestProductsMatchReference holds the other products bit for bit to
-// plain loops that share no code with them: MatMulInto, Graph.Embed, the
-// forward window of MaskedMatMulWindow and MaskedLinearReLUInto, and the
-// weight gradients of Graph.matMulTransAAdd, of Embed and of a masked
-// window. Each reference
-// element is a sum over k in order from +0, every product rounded before
+// plain loops that share no code with them: MatMulInto, the forward
+// window of MaskedMatMulWindow and MaskedLinearReLUInto, and the weight
+// gradients of Graph.matMulTransAAdd and of a masked window. Each
+// reference element is a sum over k in order from +0, every product rounded before
 // its add; the masked ones take only the terms whose mask entry is
 // nonzero, as a product over the spans alone would. The inputs are signed
 // with ±0 entries, one-hot, or half zero and half positive; batches of
@@ -374,9 +390,6 @@ func TestProductsMatchReference(t *testing.T) {
 		}
 	}
 	seen := map[bool]bool{}
-	// Embed runs on one tape throughout, so its output and scratch
-	// buffers come back from the pool holding an earlier call's values.
-	tape := NewGraph()
 	rng := rand.New(rand.NewSource(9))
 	for _, size := range sizes {
 		in, out := size.in, size.out
@@ -422,13 +435,9 @@ func TestProductsMatchReference(t *testing.T) {
 						}
 						each(name+": MatMulInto", fwd.Data, func() []float64 {
 							dst := New(rows, width)
-							dst.Fill(math.NaN())
+							fill(dst, math.NaN())
 							MatMulInto(dst, xk, b)
 							return dst.Data
-						})
-						each(name+": Embed", fwd.Data, func() []float64 {
-							tape.Reset()
-							return tape.Embed(tape.Const(xk), tape.Const(b)).Val.Data
 						})
 						each(name+": MaskedMatMulWindow", fwd.Data, func() []float64 {
 							g := NewGraph()
@@ -474,15 +483,6 @@ func TestProductsMatchReference(t *testing.T) {
 							dst := dst0.Clone()
 							NewGraph().matMulTransAAdd(dst, xk, grad)
 							return dst.Data
-						})
-						each(name+": Embed dW", plain.Data, func() []float64 {
-							tape.Reset()
-							wn := tape.Param(b)
-							copy(wn.Grad.Data, dst0.Data)
-							out := tape.Embed(tape.Const(xk), wn)
-							copy(out.Grad.Data, grad.Data)
-							tape.backstep(out)
-							return wn.Grad.Data
 						})
 						each(name+": masked dW", maskedWant.Data, func() []float64 {
 							g := NewGraph()

@@ -143,11 +143,6 @@ func NewLayout(s *Schema) *Layout { return join.NewLayout(s) }
 // DefaultTrainConfig returns CPU-scale training defaults (MADE backbone).
 func DefaultTrainConfig() TrainConfig { return ar.DefaultTrainConfig() }
 
-// DefaultTransformerModelConfig returns the causal-Transformer backbone
-// configuration (the paper's alternative instantiation); assign it to
-// TrainConfig.Model.
-func DefaultTransformerModelConfig() ModelConfig { return ar.DefaultTransformerConfig() }
-
 // Train fits a SAM model to the workload's cardinality constraints.
 // population is |T| for a single-relation schema or the full-outer-join
 // size for a join schema (a single aggregate the workload provider knows).

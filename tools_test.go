@@ -88,7 +88,7 @@ func TestCLITools(t *testing.T) {
 	}
 
 	out = run("saminspect", "-model", "model.json", "-marginals", "200")
-	if !strings.Contains(out, "== model ==") || !strings.Contains(out, "arch: made") {
+	if !strings.Contains(out, "== model ==") || !strings.Contains(out, "MADE 2×16, ") {
 		t.Fatalf("saminspect model output:\n%s", out)
 	}
 }
