@@ -60,7 +60,7 @@ func main() {
 	schemaPath := flag.String("schema", "schema.json", "schema metadata (JSON)")
 	outDir := flag.String("outdir", "generated", "output directory for CSVs")
 	shards := flag.Int("shards", 0, "sample shards (0 = one per 16Ki rows); workers sample whole shards, and the count never changes output bytes")
-	workers := flag.Int("workers", 0, "generation goroutines (0 = GOMAXPROCS): workers sample whole shards, and the merge scans samples on up to this many and groups the next spill partition on one while the main goroutine writes; output bytes never change")
+	workers := flag.Int("workers", 0, "generation goroutines, the main one included (0 = GOMAXPROCS): each worker samples whole shards and writes them itself, and the merge scans samples on up to this many and groups the next spill partition on one while the main goroutine writes; 1 starts no goroutine; output bytes never change")
 	partitions := flag.Int("partitions", 0, "spill partitions for the external group-and-merge (0 = 64); bounds merge memory without changing output bytes")
 	population := flag.Float64("population", 0, "full outer join size (multi-relation only; single-relation defaults to |T|)")
 	epochs := flag.Int("epochs", 6, "training epochs")

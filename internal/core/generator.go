@@ -23,14 +23,15 @@ type GenOptions struct {
 	// Samples is the number of full-outer-join tuples to draw (the paper's
 	// k). Zero defaults to the sum of target table sizes.
 	Samples int
-	// Workers bounds generation's goroutines; 0 = GOMAXPROCS. Sampling
-	// draws up to Workers shards at once. The merge scans each table's
-	// samples on up to Workers goroutines and, from two workers on, groups
-	// the next spill partition on one goroutine while the calling
-	// goroutine emits the current one; at one worker it starts no
-	// goroutine. Whatever the count, the calling goroutine alone sums the
-	// weight mass, writes every spill run and draws the merge rng, so
-	// Workers never changes the output.
+	// Workers is the number of generation goroutines, the calling one
+	// included; 0 = GOMAXPROCS. Sampling runs min(Workers, shards)
+	// goroutines, each drawing whole shards and writing them itself. The
+	// merge scans each table's samples on up to Workers goroutines and,
+	// from two workers on, groups the next spill partition on one
+	// goroutine while the calling goroutine emits the current one. At one
+	// worker, generation starts no goroutine. Whatever the count, the
+	// calling goroutine alone sums the weight mass, writes every spill run
+	// and draws the merge rng, so Workers never changes the output.
 	Workers int
 	// Batch is the number of sampling lanes advanced through the model per
 	// forward sweep (batched ancestral sampling); values ≤ 1 mean one

@@ -11,7 +11,6 @@ import (
 	"sam/internal/ar"
 	"sam/internal/join"
 	"sam/internal/obs"
-	"sam/internal/tensor"
 )
 
 // StreamOptions configures the sharded, bounded-memory generation path.
@@ -50,13 +49,9 @@ func DefaultStreamOptions(seed int64, outDir string) StreamOptions {
 // of samples still spread over several sampling workers.
 const defaultShardRows = 1 << 14
 
-// rowsPerChunk bounds sampler→writer buffering per shard and sizes the
-// merge's shard read buffer. Output bytes do not depend on it.
+// rowsPerChunk is how many rows a sampling worker buffers before it
+// writes them to its shard stream. Output bytes do not depend on it.
 const rowsPerChunk = 8192
-
-// chunkBuffers is the depth of each shard's free-buffer pool: the sampler
-// stalls (backpressure) once this many chunks are in flight to the writer.
-const chunkBuffers = 3
 
 // shardCount resolves the shard count for k rows.
 func (o *StreamOptions) shardCount(k int) int {
@@ -99,10 +94,11 @@ func shardPath(dir string, s int) string {
 
 // SampleShards draws k sanitized FOJ samples into len == shardCount shard
 // streams under opts.OutDir/shards, or into a memory store when
-// opts.OutDir is empty. Shards are sampled by up to opts.Workers
-// goroutines (one shard at a time each), and each shard streams through a
-// bounded chunk pipeline to its writer, so the sampler's own memory is
-// O(workers × rowsPerChunk × NumCols) regardless of k.
+// opts.OutDir is empty. min(Workers, shards) goroutines, the caller among
+// them, sample one whole shard at a time each. A worker fills one chunk
+// buffer and writes it to the shard stream whenever it is full, so the
+// sampler's own memory is O(workers × rowsPerChunk × NumCols) regardless
+// of k, and at one worker sampling starts no goroutine.
 //
 // Sample i draws from its own stream, ar.SplitSeed(Seed, i), whatever
 // shard, lane or goroutine draws it, so the samples are a pure function of
@@ -156,17 +152,6 @@ func (g *Generator) SampleShards(newSampler func() join.TupleSampler, k int, opt
 
 	set := &ShardSet{NCols: ncols, Paths: make([]string, S), Total: k, st: st}
 
-	// Worker×lane composition: sampling goroutines and the matmul kernels
-	// draw from one shared core budget. Each extra sampling goroutine
-	// holds a kernel token while it runs, so the per-layer GEMMs inside
-	// every sampler see a correspondingly smaller budget and the two
-	// levels of parallelism compose instead of oversubscribing the
-	// machine.
-	phys := 1
-	if workers > 1 {
-		phys += tensor.AcquireKernelTokens(workers - 1)
-	}
-
 	var failed atomic.Bool
 	var errMu sync.Mutex
 	var firstErr error
@@ -197,7 +182,7 @@ func (g *Generator) SampleShards(newSampler func() join.TupleSampler, k int, opt
 			set.Paths[si] = path
 		}
 	}
-	for p := 1; p < phys; p++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -206,9 +191,6 @@ func (g *Generator) SampleShards(newSampler func() join.TupleSampler, k int, opt
 	}
 	run()
 	wg.Wait()
-	if phys > 1 {
-		tensor.ReleaseKernelTokens(phys - 1)
-	}
 	if firstErr != nil {
 		return nil, firstErr
 	}
@@ -219,18 +201,17 @@ func (g *Generator) SampleShards(newSampler func() join.TupleSampler, k int, opt
 		})
 	}
 	set.Wall = time.Since(start)
-	span.SetAttr("goroutines", phys)
 	opts.Hooks.GenPhase(obs.GenPhase{Phase: "sample", Tuples: k, Wall: set.Wall})
 	return set, nil
 }
 
 // shardWorker is one sampling goroutine's state, reused for every shard
-// it samples: a lane rng per batch lane, the chunk buffers of the shard
-// pipeline and the writer's encode buffer.
+// it samples: a lane rng per batch lane, the chunk buffer and its encode
+// buffer.
 type shardWorker struct {
-	rngs   []*rand.Rand
-	chunks [chunkBuffers][]int32
-	wbuf   []byte
+	rngs  []*rand.Rand
+	chunk []int32
+	wbuf  []byte
 }
 
 func newShardWorker(batch, ncols int) *shardWorker {
@@ -238,105 +219,44 @@ func newShardWorker(batch, ncols int) *shardWorker {
 	for l := range sw.rngs {
 		sw.rngs[l] = ar.NewSampleRand(0)
 	}
-	// Chunks hold whole sweeps so a batched sweep never straddles buffers.
+	// The chunk holds whole sweeps so a batched sweep never straddles a
+	// write.
 	chunkRows := (rowsPerChunk + batch - 1) / batch * batch
-	for i := range sw.chunks {
-		sw.chunks[i] = make([]int32, chunkRows*ncols)
-	}
+	sw.chunk = make([]int32, chunkRows*ncols)
 	sw.wbuf = make([]byte, 0, 4*chunkRows*ncols)
 	return sw
 }
 
-// sampleOneShard draws samples lo … lo+rows-1 into one shard, streaming
-// them to the shard stream in st through a bounded chunk pipeline: the
-// sampler fills pooled chunk buffers and blocks when chunkBuffers of them
-// are in flight, the writer goroutine drains them in order. Each lane is
-// reseeded to its sample's stream before every sweep. The chunk size
-// affects only memory and syscall granularity — the byte stream is fixed
-// by (Seed, lo, rows).
+// sampleOneShard draws samples lo … lo+rows-1 into one shard stream in
+// st, on the calling goroutine: it fills the worker's chunk buffer, then
+// encodes and writes it, and samples on. Each lane is reseeded to its
+// sample's stream before every sweep. The chunk size affects only memory
+// and write granularity — the byte stream is fixed by (Seed, lo, rows).
 //
-// Telemetry (the per-shard span under psp, the stream_pass "shard" event
-// with its backpressure wait) is strictly observational: the sampling
-// order, rng consumption, and shard bytes are identical with observers on
-// or off, and the per-chunk wait clock only runs when a hook listens.
+// Telemetry (the per-shard span under psp, the stream_pass "shard"
+// event) is strictly observational: the sampling order, rng consumption
+// and shard bytes are identical with observers on or off.
 func (g *Generator) sampleOneShard(st store, sampler join.TupleSampler, sw *shardWorker,
 	shard, lo, rows int, dir string, psp *obs.Span, opts StreamOptions, emitProgress func(int)) (string, error) {
 	ncols := g.Layout.NumCols()
 	rngs := sw.rngs
-	chunkRows := len(sw.chunks[0]) / ncols
+	chunkRows := len(sw.chunk) / ncols
 
 	shardStart := time.Now()
 	sp := psp.Child("shard")
 	sp.SetAttr("shard", shard)
 	sp.SetAttr("rows", rows)
 	defer sp.End()
-	wantPass := opts.Hooks.WantsStreamPass()
 
 	path := shardPath(dir, shard)
 	f, err := st.create(path)
 	if err != nil {
 		return "", err
 	}
-
-	type chunk struct {
-		buf  []int32
-		rows int
-	}
-	full := make(chan chunk, chunkBuffers)
-	free := make(chan []int32, chunkBuffers)
-	for _, c := range sw.chunks {
-		free <- c
-	}
-	var writeFailed atomic.Bool
-	writeErr := make(chan error, 1)
-	go func() {
-		var err error
-		b := sw.wbuf
-		for c := range full {
-			if err == nil {
-				b = putI32s(b[:0], c.buf[:c.rows*ncols])
-				if _, err = f.Write(b); err != nil {
-					err = fmt.Errorf("core: write shard rows: %w", err)
-					writeFailed.Store(true)
-				}
-			}
-			free <- c.buf
-		}
-		writeErr <- err
-	}()
-
-	// bpWait accumulates time blocked on the bounded chunk pipeline (all
-	// chunkBuffers buffers in flight to the writer) — the backpressure
-	// signal behind stream_backpressure_wait_seconds. The clock only runs
-	// when a StreamPass hook listens; the channel protocol is identical
-	// either way.
-	var bpWait time.Duration
-	takeFree := func() []int32 {
-		if !wantPass {
-			return <-free
-		}
-		select {
-		case buf := <-free:
-			return buf
-		default:
-		}
-		waitStart := time.Now()
-		buf := <-free
-		bpWait += time.Since(waitStart)
-		return buf
-	}
-	cur := takeFree()
-	filled := 0 // rows in cur
-	flush := func() {
-		if filled > 0 {
-			full <- chunk{cur, filled}
-			cur = takeFree()
-			filled = 0
-		}
-	}
-	for done := 0; done < rows && !writeFailed.Load(); {
+	filled := 0 // rows in sw.chunk
+	for done := 0; done < rows && err == nil; {
 		n := min(len(rngs), rows-done)
-		dst := cur[filled*ncols : (filled+n)*ncols]
+		dst := sw.chunk[filled*ncols : (filled+n)*ncols]
 		for l, r := range rngs[:n] {
 			r.Seed(ar.SplitSeed(opts.Seed, lo+done+l))
 		}
@@ -347,27 +267,26 @@ func (g *Generator) sampleOneShard(st store, sampler join.TupleSampler, sw *shar
 		filled += n
 		done += n
 		emitProgress(n)
-		if filled == chunkRows {
-			flush()
+		if filled == chunkRows || done == rows {
+			sw.wbuf = putI32s(sw.wbuf[:0], sw.chunk[:filled*ncols])
+			filled = 0
+			if _, err = f.Write(sw.wbuf); err != nil {
+				err = fmt.Errorf("core: write shard rows: %w", err)
+			}
 		}
 	}
-	flush()
-	close(full)
-	err = <-writeErr
 	if cerr := f.Close(); err == nil && cerr != nil {
 		err = fmt.Errorf("core: close shard: %w", cerr)
 	}
 	if err != nil {
 		return "", err
 	}
-	if wantPass {
-		sp.SetAttr("backpressure_us", bpWait.Microseconds())
+	if opts.Hooks.WantsStreamPass() {
 		opts.Hooks.StreamPass(obs.StreamPass{
 			Pass: "shard", Shard: shard,
-			RecordsOut:       int64(rows),
-			BytesWritten:     4 * int64(rows) * int64(ncols),
-			BackpressureWait: bpWait,
-			Wall:             time.Since(shardStart),
+			RecordsOut:   int64(rows),
+			BytesWritten: 4 * int64(rows) * int64(ncols),
+			Wall:         time.Since(shardStart),
 		})
 	}
 	return path, nil

@@ -257,14 +257,14 @@ func RunTensorBench() *TensorBenchReport {
 	})
 
 	add("sample_batched_workers", func(b *testing.B) {
-		// Worker×lane composition gate: two sampling workers share the
-		// kernel token bucket while each advances 64 batched lanes, going
-		// through core's real scheduling path (SampleShards over the
-		// memory store, one shard per worker). The bench forces
-		// GOMAXPROCS ≥ 2 so both sampling goroutines can actually be
-		// scheduled; on single-core CI hosts this measures composition
-		// overhead rather than scaling, which is exactly what the gate
-		// bounds — adding workers must not wreck batched throughput.
+		// Two sampling goroutines (Workers 2, one shard each), each
+		// advancing 64 batched lanes, through core's real scheduling path:
+		// SampleShards over the memory store, chunk writes included. The
+		// matmul worker limit does not change the goroutine count. The
+		// bench forces GOMAXPROCS ≥ 2 so both goroutines can run at once;
+		// on a single-core host it measures the second worker's overhead
+		// rather than scaling, and the gate bounds that: adding a worker
+		// must not wreck batched throughput.
 		if prev := runtime.GOMAXPROCS(0); prev < 2 {
 			runtime.GOMAXPROCS(2)
 			defer runtime.GOMAXPROCS(prev)

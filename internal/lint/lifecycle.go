@@ -67,8 +67,8 @@ var CloseLeak = &analysis.Analyzer{
 // with a function literal must signal completion — WaitGroup.Done,
 // close(ch), or a channel send — on every exit path, or the waiter on the
 // other side hangs. The blessed shapes are `defer wg.Done()`,
-// `defer close(done)`, and a send on every path (a shard writer's
-// `writeErr <- err`). Goroutines that never exit (event loops) are fine
+// `defer close(done)`, and a send on every path (`errc <- err` after
+// the work). Goroutines that never exit (event loops) are fine
 // by construction, and goroutines launched on named functions are
 // skipped: the analysis is intraprocedural. There is no fix: which
 // WaitGroup or channel to signal is not mechanical.

@@ -74,8 +74,8 @@ type StreamPass struct {
 	Runs int
 	// BytesWritten / BytesRead count spill bytes moved by the pass.
 	BytesWritten, BytesRead int64
-	// BackpressureWait is the cumulative time a shard's sampler spent
-	// blocked on the bounded chunk pipeline (Pass == "shard" only).
+	// BackpressureWait is always zero: shard workers write their own
+	// chunks, so no sampler waits on a writer. perfbench still reads it.
 	BackpressureWait time.Duration
 	Wall             time.Duration
 }
@@ -148,7 +148,7 @@ func (h *Hooks) GenProgress(p GenProgress) {
 }
 
 // WantsStreamPass reports whether streaming-pass stats (per-pass record
-// and byte counts, backpressure wait timing) are worth measuring; the
+// and byte counts, pass wall times) are worth measuring; the
 // streaming pipeline skips its accounting entirely when it returns false,
 // keeping the observed and unobserved runs byte-identical either way.
 func (h *Hooks) WantsStreamPass() bool { return h != nil && h.OnStreamPass != nil }
@@ -246,13 +246,11 @@ func MetricsHooks(r *Registry) *Hooks {
 	evalQEByPreds := r.HistogramVec("eval_qerror_by_preds", qeBounds, "preds")
 
 	// Streaming-pipeline families (core.SampleShards / MaterializeStream):
-	// per-pass record flow, spill traffic, run counts, and the sampler's
-	// chunk-pipeline backpressure wait.
+	// per-pass record flow, spill traffic and run counts.
 	passSec := r.HistogramVec("stream_pass_seconds", latBounds, "pass")
 	passRecs := r.CounterVec("stream_records_total", "pass", "dir")
 	spillBytes := r.CounterVec("stream_spill_bytes_total", "pass", "dir")
 	spillRuns := r.CounterVec("stream_spill_runs_total", "pass")
-	bpWait := r.Histogram("stream_backpressure_wait_seconds", latBounds)
 	shardRows := r.CounterVec("stream_shard_rows_total", "shard")
 
 	tuples := r.CounterVec("gen_tuples_total", "phase")
@@ -344,7 +342,6 @@ func MetricsHooks(r *Registry) *Hooks {
 			if p.Pass == "shard" {
 				//lint:allow veccard shard ids are bounded by the run's configured shard count, well under the registry cap
 				shardRows.With(strconv.Itoa(p.Shard)).Add(p.RecordsOut)
-				bpWait.Observe(p.BackpressureWait.Seconds())
 			}
 		},
 		OnEvalQuery: func(q EvalQuery) {
@@ -438,8 +435,8 @@ func ProgressHooks(w io.Writer) *Hooks {
 			defer mu.Unlock()
 			switch p.Pass {
 			case "shard":
-				fmt.Fprintf(w, "stream: shard %d sampled %d rows in %v (backpressure %v)\n",
-					p.Shard, p.RecordsOut, p.Wall.Round(time.Millisecond), p.BackpressureWait.Round(time.Millisecond))
+				fmt.Fprintf(w, "stream: shard %d sampled %d rows in %v\n",
+					p.Shard, p.RecordsOut, p.Wall.Round(time.Millisecond))
 			default:
 				fmt.Fprintf(w, "stream: %s pass %s: %d -> %d records in %v\n",
 					p.Table, p.Pass, p.RecordsIn, p.RecordsOut, p.Wall.Round(time.Millisecond))

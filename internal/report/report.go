@@ -425,14 +425,14 @@ func famHistRows(fam obs.PromFamily) [][]string {
 }
 
 // streamSection totals the run log's stream_pass events per pass: record
-// flow, spill traffic, runs, and wall time, plus shard-level backpressure.
+// flow, spill traffic, runs, and wall time.
 func streamSection(passes []obs.StreamPass) *Section {
 	type agg struct {
 		events         int
 		in, out        int64
 		runs           int
 		bytesW, bytesR int64
-		wall, bp       time.Duration
+		wall           time.Duration
 	}
 	byPass := map[string]*agg{}
 	for _, p := range passes {
@@ -448,12 +448,11 @@ func streamSection(passes []obs.StreamPass) *Section {
 		a.bytesW += p.BytesWritten
 		a.bytesR += p.BytesRead
 		a.wall += p.Wall
-		a.bp += p.BackpressureWait
 	}
 	if len(byPass) == 0 {
 		return nil
 	}
-	t := &Table{Header: []string{"pass", "events", "records in", "records out", "runs", "spill written", "spill read", "wall", "backpressure"}}
+	t := &Table{Header: []string{"pass", "events", "records in", "records out", "runs", "spill written", "spill read", "wall"}}
 	for _, pass := range []string{"shard", "A", "B"} {
 		a := byPass[pass]
 		if a == nil {
@@ -462,7 +461,7 @@ func streamSection(passes []obs.StreamPass) *Section {
 		t.Rows = append(t.Rows, []string{pass, fmt.Sprint(a.events),
 			fmt.Sprint(a.in), fmt.Sprint(a.out), fmt.Sprint(a.runs),
 			fmtBytes(a.bytesW), fmtBytes(a.bytesR),
-			fmtDur(a.wall), fmtDur(a.bp)})
+			fmtDur(a.wall)})
 	}
 	return &Section{
 		Title: "Streaming passes",

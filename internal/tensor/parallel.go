@@ -45,14 +45,10 @@ func SetMatMulWorkers(n int) {
 // MatMulWorkers returns the current kernel worker limit.
 func MatMulWorkers() int { return int(parLimit.Load()) }
 
-// AcquireKernelTokens claims up to n extra-worker tokens from the shared
-// budget and returns how many were obtained (possibly zero). Long-running
-// phases that spawn their own goroutines — batched sampling workers, most
-// notably — reserve their parallelism here so the matmul kernels and the
-// phase share one core budget instead of competing: a sampling worker
-// holding a token is a core the kernels will not also try to use. Callers
-// must return every acquired token with ReleaseKernelTokens.
-func AcquireKernelTokens(n int) int {
+// acquireKernelTokens claims up to n extra-worker tokens from the shared
+// budget and returns how many were obtained (possibly zero). runKernel
+// returns every acquired token with releaseKernelTokens.
+func acquireKernelTokens(n int) int {
 	acquired := 0
 	for acquired < n {
 		cur := parTokens.Load()
@@ -66,9 +62,9 @@ func AcquireKernelTokens(n int) int {
 	return acquired
 }
 
-// ReleaseKernelTokens returns tokens previously obtained from
-// AcquireKernelTokens to the shared budget.
-func ReleaseKernelTokens(n int) {
+// releaseKernelTokens returns tokens obtained from acquireKernelTokens to
+// the shared budget.
+func releaseKernelTokens(n int) {
 	if n > 0 {
 		parTokens.Add(int32(n))
 	}
@@ -120,7 +116,7 @@ func runKernel(c kernelCall) {
 		w = rows
 	}
 	if w > 1 {
-		if extra := AcquireKernelTokens(w - 1); extra > 0 {
+		if extra := acquireKernelTokens(w - 1); extra > 0 {
 			workers := extra + 1
 			chunk := (rows + workers - 1) / workers
 			var wg sync.WaitGroup
@@ -144,7 +140,7 @@ func runKernel(c kernelCall) {
 			}
 			c.rows(0, chunk)
 			wg.Wait()
-			ReleaseKernelTokens(extra)
+			releaseKernelTokens(extra)
 			return
 		}
 	}
